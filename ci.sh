@@ -143,7 +143,15 @@ if grep -q '"attacks_ok":false' "$bench_e14"; then
     grep '"attacks_ok":false' "$bench_e14" >&2
     exit 1
 fi
-if grep -Eq '"backend":"(simnet|channel)"[^\n]*"skipped":true' "$bench_e14"; then
+# JSONL rows are single lines, so `.*` stays within one row. The gate's
+# own self-check: the pattern must match a synthetic skipped-channel row.
+e14_skipped='"backend":"(simnet|channel)".*"skipped":true'
+e14_skipped_row='{"kind":"e14","backend":"channel","txns":0,"conservation_violations":0,"skipped":true}'
+if ! grep -Eq "$e14_skipped" <<<"$e14_skipped_row"; then
+    echo "error: the E14 skipped-backend gate cannot match a skipped row" >&2
+    exit 1
+fi
+if grep -Eq "$e14_skipped" "$bench_e14"; then
     echo "error: an in-process E14 backend was skipped" >&2
     exit 1
 fi

@@ -790,9 +790,9 @@ pub struct E12Row {
     pub verify_fast_us: u64,
     /// `BigUint` limb-vector allocations per classic sign.
     pub allocs_per_sign_classic: u64,
-    /// `BigUint` limb-vector allocations per fixed-limb sign (the modular
-    /// exponentiation core allocates nothing; what remains is EMSA padding
-    /// and the CRT recombination glue).
+    /// `BigUint` limb-vector allocations per fixed-limb sign: zero, since
+    /// the private operation runs on the key's precomputed fixed-limb CRT
+    /// constants from the encoded message's bytes to the signature's.
     pub allocs_per_sign_fast: u64,
     /// Fast sign under the recorded per-width floor (noise-margined): the
     /// CI regression gate.

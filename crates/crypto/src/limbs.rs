@@ -12,7 +12,10 @@
 //! [`BigUint::mod_pow`] auto-selects these kernels for odd moduli of up to
 //! 4 / 8 / 16 / 32 limbs (256/512/1024/2048-bit RSA moduli and their CRT
 //! halves) and falls back to the `Vec`-backed path beyond that, so callers
-//! never see the dispatch.
+//! never see the dispatch. RSA keys skip that per-call dispatch: each key
+//! builds its [`FixedMontgomeryCtx`] for `n` and its [`FixedCrtCtx`] for
+//! `p`, `q` once, and the private operation runs from input bytes to
+//! output bytes on the stack ([`FixedCrtCtx::private_op`]).
 //!
 //! Exponentiation is left-to-right sliding-window with precomputed odd
 //! powers: ~`bit_len` squarings plus ~`bit_len / (w+1)` multiplies instead
@@ -22,10 +25,13 @@
 //! deterministic simulation — depends only on `(bit_len(exp), exp bits)`,
 //! never on heap layout or platform.
 //!
-//! This file is the allocation-free hot path: ci.sh greps it for the heap
-//! vector constructors and fails the build if any sneaks in. Conversions to
-//! and from heap-backed [`BigUint`] go through [`BigUint::from_limb_slice`],
-//! which lives (and allocates) on the `bigint` side of the boundary.
+//! This file is the allocation-free hot path: the ALLOC-HOT pass of
+//! `tpnr-lint` treats every function in it as a root and fails CI on any
+//! allocation it reaches, with no allowlist entry for this file.
+//! Conversions to and from heap-backed [`BigUint`] go through
+//! [`BigUint::from_limb_slice`], which lives (and allocates) on the
+//! `bigint` side of the boundary; byte strings are read and written in
+//! place ([`FixedUint::from_be_bytes`], [`FixedUint::write_be_bytes`]).
 
 use crate::bigint::BigUint;
 use std::cmp::Ordering;
@@ -64,6 +70,19 @@ impl<const N: usize> FixedUint<N> {
         let mut limbs = [0u64; N];
         limbs[..src.len()].copy_from_slice(src);
         Some(FixedUint { limbs })
+    }
+
+    /// Reads a big-endian byte string; `None` if the value needs more than
+    /// `N` limbs (leading zero bytes are fine).
+    pub fn from_be_bytes(bytes: &[u8]) -> Option<Self> {
+        let mut limbs = [0u64; N];
+        read_be_limbs(bytes, &mut limbs).then_some(FixedUint { limbs })
+    }
+
+    /// Writes the value as exactly `out.len()` big-endian bytes, left-padded
+    /// with zeros; false (with `out` unspecified) if it does not fit.
+    pub fn write_be_bytes(&self, out: &mut [u8]) -> bool {
+        write_be_limbs(&self.limbs, out)
     }
 
     /// Converts into the heap-backed representation (normalising high
@@ -146,6 +165,31 @@ impl<const N: usize> FixedUint<N> {
     }
 }
 
+/// Fills little-endian `limbs` from a big-endian byte string; false if the
+/// value does not fit.
+fn read_be_limbs(bytes: &[u8], limbs: &mut [u64]) -> bool {
+    limbs.fill(0);
+    for (i, chunk) in bytes.rchunks(8).enumerate() {
+        let limb = chunk.iter().fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+        match limbs.get_mut(i) {
+            Some(slot) => *slot = limb,
+            None if limb == 0 => {}
+            None => return false,
+        }
+    }
+    true
+}
+
+/// Writes little-endian `limbs` as exactly `out.len()` big-endian bytes,
+/// left-padded with zeros; false if a set byte falls outside `out`.
+fn write_be_limbs(limbs: &[u64], out: &mut [u8]) -> bool {
+    let byte = |i: usize| limbs.get(i / 8).map_or(0, |l| (l >> (8 * (i % 8))) as u8);
+    for (i, o) in out.iter_mut().rev().enumerate() {
+        *o = byte(i);
+    }
+    (out.len()..limbs.len() * 8).all(|i| byte(i) == 0)
+}
+
 /// Sliding-window width as a pure function of the exponent bit length.
 ///
 /// Deterministic by construction: two exponents of equal bit length use the
@@ -169,7 +213,8 @@ const MAX_TABLE: usize = 16;
 /// `R = 2^(64·N)`. The modulus must be odd, greater than one and fit in `N`
 /// limbs. All per-multiply state lives on the stack; building the context
 /// performs the only heap work (computing `R mod n` / `R² mod n` via
-/// [`BigUint`]), once per exponentiation.
+/// [`BigUint`]): once per key for the RSA keys, which keep theirs, and
+/// once per call for [`BigUint::mod_pow`].
 pub struct FixedMontgomeryCtx<const N: usize> {
     /// The modulus.
     n: [u64; N],
@@ -246,17 +291,53 @@ impl<const N: usize> FixedMontgomeryCtx<N> {
             t_n1 = (s >> 64) as u64;
         }
         debug_assert_eq!(t_n1, 0);
-        // t < 2n: one conditional subtraction completes the reduction. A
-        // set spill limb is cancelled exactly by the subtraction borrow.
+        self.reduce_once(t, t_n)
+    }
+
+    /// Completes a Montgomery reduction: `t + spill·R < 2n`, so one
+    /// conditional subtraction lands below `n`. A set spill limb is
+    /// cancelled exactly by the subtraction borrow.
+    #[inline]
+    fn reduce_once(&self, t: [u64; N], spill: u64) -> FixedUint<N> {
         let result = FixedUint { limbs: t };
-        let n_fixed = FixedUint { limbs: self.n };
-        if t_n != 0 || result.cmp_fixed(&n_fixed) != Ordering::Less {
+        let n_fixed = self.modulus();
+        if spill != 0 || result.cmp_fixed(&n_fixed) != Ordering::Less {
             let (d, borrow) = result.sub_borrow(&n_fixed);
-            debug_assert_eq!(borrow, t_n);
+            debug_assert_eq!(borrow, spill);
             d
         } else {
             result
         }
+    }
+
+    /// The modulus.
+    fn modulus(&self) -> FixedUint<N> {
+        FixedUint { limbs: self.n }
+    }
+
+    /// Montgomery reduction of a double-width value: `(hi·R + lo)·R⁻¹ mod
+    /// n`. The value must be below `n·R`, which any product of `n` with
+    /// another `N`-limb number is.
+    pub fn redc_wide(&self, lo: &FixedUint<N>, hi: &FixedUint<N>) -> FixedUint<N> {
+        let (mut t, mut u) = (lo.limbs, hi.limbs);
+        // Carry out of u[i] from the previous round: it belongs at
+        // u[i + 1], which this round's row does not reach.
+        let mut top = 0u64;
+        for i in 0..N {
+            // t += m·n·2^(64i) zeroes limb i.
+            let m = t[i].wrapping_mul(self.n_prime);
+            let mut carry = 0u128;
+            for (j, &nj) in self.n.iter().enumerate() {
+                let cell = if i + j < N { &mut t[i + j] } else { &mut u[i + j - N] };
+                let s = *cell as u128 + (m as u128) * (nj as u128) + carry;
+                *cell = s as u64;
+                carry = s >> 64;
+            }
+            let s = u[i] as u128 + carry + top as u128;
+            u[i] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        self.reduce_once(u, top)
     }
 
     /// Converts into Montgomery form: `a·R mod n`.
@@ -323,6 +404,107 @@ impl<const N: usize> FixedMontgomeryCtx<N> {
         let base_mont = self.to_mont(base);
         let acc = self.pow_mont(&base_mont, exp);
         self.from_mont(&acc)
+    }
+
+    /// `base^exp mod n` from big-endian bytes to big-endian bytes: the
+    /// result fills exactly `out.len()` bytes, left-padded. False (with
+    /// `out` unspecified) when `base` is not below `n` or the result does
+    /// not fit `out`.
+    pub fn pow_be_bytes(&self, base: &[u8], exp: &BigUint, out: &mut [u8]) -> bool {
+        match FixedUint::<N>::from_be_bytes(base) {
+            Some(b) if b.cmp_fixed(&self.modulus()) == Ordering::Less => {
+                self.pow(&b, exp).write_be_bytes(out)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The CRT private operation of one RSA key whose primes fit `N` limbs,
+/// with every constant that depends only on the key precomputed.
+///
+/// For an input `c < pq` it computes `c^d mod pq` as
+/// `m1 = c^dp mod p`, `m2 = c^dq mod q`, `h = (m1 − m2)·qinv mod p`,
+/// `m2 + h·q`: the same numbers as the heap-backed CRT, so the output is
+/// byte-identical. The input is read into `2N` limbs; a REDC of that wide
+/// value and one multiply by `R³` put it in Montgomery form mod `p` (and
+/// `q`) with no division. Nothing is allocated.
+pub struct FixedCrtCtx<const N: usize> {
+    /// Montgomery context of the larger prime `p`.
+    p: FixedMontgomeryCtx<N>,
+    /// Montgomery context of the smaller prime `q`.
+    q: FixedMontgomeryCtx<N>,
+    /// `R³ mod p`.
+    r3_p: FixedUint<N>,
+    /// `R³ mod q`.
+    r3_q: FixedUint<N>,
+    /// `qinv·R mod p`: one Montgomery multiply applies `qinv`.
+    qinv_r: FixedUint<N>,
+    /// `pq` as (low, high) halves, to reject inputs that are not below it.
+    pq: (FixedUint<N>, FixedUint<N>),
+}
+
+impl<const N: usize> FixedCrtCtx<N> {
+    /// Builds the context for primes `p > q` of at most `N` limbs and
+    /// `qinv = q⁻¹ mod p`; `None` if they do not qualify.
+    pub fn new(p: &BigUint, q: &BigUint, qinv: &BigUint) -> Option<Self> {
+        if q.cmp_big(p) != Ordering::Less || qinv.cmp_big(p) != Ordering::Less {
+            return None;
+        }
+        let p_ctx = FixedMontgomeryCtx::<N>::new(p)?;
+        let q_ctx = FixedMontgomeryCtx::<N>::new(q)?;
+        let qinv = FixedUint::from_biguint(qinv)?;
+        Some(FixedCrtCtx {
+            // R²·R²·R⁻¹ = R³.
+            r3_p: p_ctx.mul(&p_ctx.r2, &p_ctx.r2),
+            r3_q: q_ctx.mul(&q_ctx.r2, &q_ctx.r2),
+            qinv_r: p_ctx.to_mont(&qinv),
+            pq: p_ctx.modulus().mul_wide(&q_ctx.modulus()),
+            p: p_ctx,
+            q: q_ctx,
+        })
+    }
+
+    /// `input^d mod pq` from big-endian bytes to big-endian bytes, `d`
+    /// given by its CRT exponents `dp = d mod (p−1)`, `dq = d mod (q−1)`.
+    /// The result fills exactly `out.len()` bytes, left-padded. False (with
+    /// `out` unspecified) when the input is not below `pq` or the result
+    /// does not fit `out`.
+    pub fn private_op(&self, input: &[u8], dp: &BigUint, dq: &BigUint, out: &mut [u8]) -> bool {
+        let mut wide = [[0u64; N]; 2];
+        if !read_be_limbs(input, wide.as_flattened_mut()) {
+            return false;
+        }
+        let [lo, hi] = wide.map(|limbs| FixedUint { limbs });
+        let (pq_lo, pq_hi) = &self.pq;
+        if hi.cmp_fixed(pq_hi).then_with(|| lo.cmp_fixed(pq_lo)) != Ordering::Less {
+            return false;
+        }
+        let m1 = Self::pow_half(&self.p, &self.r3_p, &lo, &hi, dp);
+        let m2 = Self::pow_half(&self.q, &self.r3_q, &lo, &hi, dq);
+        // Garner: m1, m2 < p (m2 < q < p), so one conditional add of p
+        // brings m1 − m2 into [0, p).
+        let (diff, borrow) = m1.sub_borrow(&m2);
+        let diff = if borrow == 0 { diff } else { diff.add_carry(&self.p.modulus()).0 };
+        let h = self.p.mul(&diff, &self.qinv_r);
+        // m2 + h·q < pq fits the 2N limbs.
+        let (s_lo, s_hi) = h.mul_wide(&self.q.modulus());
+        let (s_lo, carry) = s_lo.add_carry(&m2);
+        let s_hi = if carry == 0 { s_hi } else { s_hi.add_carry(&FixedUint::one()).0 };
+        write_be_limbs([s_lo.limbs, s_hi.limbs].as_flattened(), out)
+    }
+
+    /// `(hi·R + lo)^exp mod m` for the wide input: REDC gives `x·R⁻¹`, the
+    /// multiply by `R³` gives the Montgomery form `x·R`.
+    fn pow_half(
+        ctx: &FixedMontgomeryCtx<N>,
+        r3: &FixedUint<N>,
+        lo: &FixedUint<N>,
+        hi: &FixedUint<N>,
+        exp: &BigUint,
+    ) -> FixedUint<N> {
+        let x = ctx.mul(&ctx.redc_wide(lo, hi), r3);
+        ctx.from_mont(&ctx.pow_mont(&x, exp))
     }
 }
 

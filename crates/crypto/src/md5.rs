@@ -112,10 +112,7 @@ impl Digest for Md5 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        self.update(&crate::hash::MD_PAD[..crate::hash::md_pad_len(self.buf_len, 64, 8)]);
         // Length padding must bypass total_len accounting; write directly.
         self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
         let block = self.buf;

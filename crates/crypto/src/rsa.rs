@@ -7,38 +7,119 @@
 //! the evidence in transit. PKCS#1 v1.5 is the scheme SSL/TLS of the paper's
 //! era actually used.
 //!
-//! Implementation notes: raw RSA runs on [`BigUint`] Montgomery
-//! exponentiation; private-key operations use the CRT speed-up. This is a
-//! faithful, test-vectored implementation but is **not** hardened against
-//! local side channels — see README "Security status".
+//! Implementation notes: every key derives its constants once, when it is
+//! built — the fingerprint, the Montgomery context of `n` and, for a
+//! private key, the CRT constants of `p` and `q` — and its clones share
+//! them through an `Arc`. Raw RSA then runs on the stack-allocated
+//! fixed-limb kernels of [`crate::limbs`], picked by modulus width alone;
+//! a key no fixed width covers runs on [`BigUint`] exponentiation instead.
+//! Private-key operations use the CRT speed-up. This is a faithful,
+//! test-vectored implementation but is **not** hardened against local side
+//! channels — see README "Security status".
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
 use crate::hash::HashAlg;
-use crate::limbs::{FixedMontgomeryCtx, FixedUint};
+use crate::limbs::{FixedCrtCtx, FixedMontgomeryCtx, FixedUint};
 use crate::prime::gen_prime;
 use crate::rng::ChaChaRng;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Standard RSA public exponent (F4).
 pub const E: u64 = 65537;
 
+/// A per-key constant at the fixed-limb width that covers the key, or
+/// `Wide` when none does and the key runs on [`BigUint`] arithmetic.
+enum ByWidth<T4, T8, T16, T32> {
+    L4(T4),
+    L8(T8),
+    L16(T16),
+    L32(T32),
+    Wide,
+}
+
+/// Builds `$ty::<N>::new(args)` at the smallest width `N` of at least
+/// `$limbs` limbs; `Wide` if there is none or the constructor declines.
+macro_rules! build_by_width {
+    ($limbs:expr, $ty:ident::new($($arg:expr),*)) => {
+        match $limbs {
+            0..=4 => $ty::<4>::new($($arg),*).map(ByWidth::L4),
+            5..=8 => $ty::<8>::new($($arg),*).map(ByWidth::L8),
+            9..=16 => $ty::<16>::new($($arg),*).map(ByWidth::L16),
+            17..=32 => $ty::<32>::new($($arg),*).map(ByWidth::L32),
+            _ => None,
+        }
+        .unwrap_or(ByWidth::Wide)
+    };
+}
+
+/// Evaluates `$fixed` with `$c` bound to the fixed-width value, or `$wide`.
+macro_rules! on_width {
+    ($v:expr, $c:ident => $fixed:expr, Wide => $wide:expr) => {
+        match $v {
+            ByWidth::L4($c) => $fixed,
+            ByWidth::L8($c) => $fixed,
+            ByWidth::L16($c) => $fixed,
+            ByWidth::L32($c) => $fixed,
+            ByWidth::Wide => $wide,
+        }
+    };
+}
+
 /// An RSA public key `(n, e)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RsaPublicKey {
+///
+/// Equality and `Debug` look at `(n, e)` only; the derived constants are a
+/// function of them.
+#[derive(Clone)]
+pub struct RsaPublicKey(Arc<PublicParts>);
+
+/// A public key's components and the constants derived from them.
+struct PublicParts {
     n: BigUint,
     e: BigUint,
+    /// See [`RsaPublicKey::fingerprint`].
+    fingerprint: [u8; 32],
+    /// Montgomery context of `n`.
+    mont: ByWidth<
+        FixedMontgomeryCtx<4>,
+        FixedMontgomeryCtx<8>,
+        FixedMontgomeryCtx<16>,
+        FixedMontgomeryCtx<32>,
+    >,
+}
+
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.n == other.0.n && self.0.e == other.0.e
+    }
+}
+
+impl Eq for RsaPublicKey {}
+
+impl std::fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RsaPublicKey").field("n", &self.0.n).field("e", &self.0.e).finish()
+    }
 }
 
 /// An RSA private key with CRT parameters.
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
+    crt: Arc<CrtParts>,
+}
+
+/// A private key's secret components and its precomputed CRT constants.
+struct CrtParts {
     d: BigUint,
     p: BigUint,
     q: BigUint,
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
+    /// CRT constants at the width of `p`.
+    fixed: ByWidth<FixedCrtCtx<4>, FixedCrtCtx<8>, FixedCrtCtx<16>, FixedCrtCtx<32>>,
 }
 
 impl std::fmt::Debug for RsaPrivateKey {
@@ -60,46 +141,61 @@ pub struct RsaKeyPair {
 impl RsaPublicKey {
     /// Constructs from raw components (big-endian byte strings).
     pub fn from_components(n: &[u8], e: &[u8]) -> Self {
-        RsaPublicKey { n: BigUint::from_bytes_be(n), e: BigUint::from_bytes_be(e) }
+        Self::from_parts(BigUint::from_bytes_be(n), BigUint::from_bytes_be(e))
+    }
+
+    fn from_parts(n: BigUint, e: BigUint) -> Self {
+        use crate::hash::Digest as _;
+        let mut h = crate::sha2::Sha256::default();
+        let n_be = n.to_bytes_be();
+        h.update(&(n_be.len() as u64).to_be_bytes());
+        h.update(&n_be);
+        h.update(&e.to_bytes_be());
+        let mut fingerprint = [0u8; 32];
+        fingerprint.copy_from_slice(&h.finalize());
+        let mont = build_by_width!(n.limbs().len(), FixedMontgomeryCtx::new(&n));
+        RsaPublicKey(Arc::new(PublicParts { n, e, fingerprint, mont }))
     }
 
     /// Modulus size in bits.
     pub fn bits(&self) -> usize {
-        self.n.bit_len()
+        self.0.n.bit_len()
     }
 
     /// Modulus size in bytes (k in PKCS#1 terms).
     pub fn size(&self) -> usize {
-        self.n.bit_len().div_ceil(8)
+        self.0.n.bit_len().div_ceil(8)
     }
 
     /// Big-endian modulus bytes.
     pub fn n_bytes(&self) -> Vec<u8> {
-        self.n.to_bytes_be()
+        self.0.n.to_bytes_be()
     }
 
     /// Big-endian exponent bytes.
     pub fn e_bytes(&self) -> Vec<u8> {
-        self.e.to_bytes_be()
+        self.0.e.to_bytes_be()
     }
 
     /// A stable fingerprint of the key (SHA-256 of `len(n) ‖ n ‖ e`),
-    /// used as a principal identifier in the protocol layer.
+    /// used as a principal identifier in the protocol layer. Computed
+    /// once, when the key is built.
     pub fn fingerprint(&self) -> [u8; 32] {
-        use crate::hash::Digest as _;
-        let mut h = crate::sha2::Sha256::default();
-        let n = self.n_bytes();
-        h.update(&(n.len() as u64).to_be_bytes());
-        h.update(&n);
-        h.update(&self.e_bytes());
-        let v = h.finalize();
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&v);
-        out
+        self.0.fingerprint
     }
 
-    fn raw_encrypt(&self, m: &BigUint) -> BigUint {
-        m.mod_pow(&self.e, &self.n)
+    /// `input^e mod n` as exactly [`Self::size`] big-endian bytes; `None`
+    /// when `input` is not below `n`.
+    fn raw_public(&self, input: &[u8]) -> Option<Vec<u8>> {
+        let PublicParts { n, e, mont, .. } = &*self.0;
+        let mut out = vec![0u8; self.size()];
+        on_width!(mont, c => c.pow_be_bytes(input, e, &mut out).then_some(out), Wide => {
+            let x = BigUint::from_bytes_be(input);
+            if x.cmp_big(n) != Ordering::Less {
+                return None;
+            }
+            x.mod_pow(e, n).to_bytes_be_padded(out.len())
+        })
     }
 
     /// PKCS#1 v1.5 signature verification over `message` hashed with `alg`.
@@ -126,12 +222,7 @@ impl RsaPublicKey {
         if digest.len() != alg.output_len() {
             return Err(CryptoError::InvalidLength);
         }
-        let s = BigUint::from_bytes_be(signature);
-        if s.cmp_big(&self.n) != std::cmp::Ordering::Less {
-            return Err(CryptoError::BadSignature);
-        }
-        let em = self.raw_encrypt(&s);
-        let em_bytes = em.to_bytes_be_padded(k).ok_or(CryptoError::BadSignature)?;
+        let em_bytes = self.raw_public(signature).ok_or(CryptoError::BadSignature)?;
         let expected = emsa_pkcs1_v15(alg, digest, k)?;
         if crate::ct::eq(&em_bytes, &expected) {
             Ok(())
@@ -164,11 +255,9 @@ impl RsaPublicKey {
         }
         em.push(0x00);
         em.extend_from_slice(msg);
-        let m = BigUint::from_bytes_be(&em);
-        let c = self.raw_encrypt(&m);
-        // c < n < 2^(8k) by construction; a failure here is a library bug,
-        // surfaced as a typed error rather than a panic (NO-PANIC-PATH).
-        c.to_bytes_be_padded(k).ok_or(CryptoError::Internal("ciphertext exceeds modulus width"))
+        // EM < 2^(8(k-1)) <= n by construction; a failure here is a library
+        // bug, surfaced as a typed error rather than a panic (NO-PANIC-PATH).
+        self.raw_public(&em).ok_or(CryptoError::Internal("ciphertext exceeds modulus width"))
     }
 
     /// Verification through the pre-fixed-limb `Vec`-backed per-bit
@@ -189,10 +278,10 @@ impl RsaPublicKey {
             return Err(CryptoError::InvalidLength);
         }
         let s = BigUint::from_bytes_be(signature);
-        if s.cmp_big(&self.n) != std::cmp::Ordering::Less {
+        if s.cmp_big(&self.0.n) != Ordering::Less {
             return Err(CryptoError::BadSignature);
         }
-        let em = s.mod_pow_classic(&self.e, &self.n);
+        let em = s.mod_pow_classic(&self.0.e, &self.0.n);
         let em_bytes = em.to_bytes_be_padded(k).ok_or(CryptoError::BadSignature)?;
         let expected = emsa_pkcs1_v15(alg, digest, k)?;
         if crate::ct::eq(&em_bytes, &expected) {
@@ -237,30 +326,24 @@ impl RsaPublicKey {
             return self.verify_all_serial(items);
         }
         let k = self.size();
-        let mut sigs = Vec::with_capacity(items.len());
+        // Equal-length big-endian strings compare as their values.
+        let n_be = self.n_bytes();
         let mut ems = Vec::with_capacity(items.len());
         for it in items {
             if it.signature.len() != k || it.digest.len() != it.alg.output_len() {
                 return self.verify_all_serial(items);
             }
-            let s = BigUint::from_bytes_be(it.signature);
-            if s.cmp_big(&self.n) != std::cmp::Ordering::Less {
+            if it.signature >= n_be.as_slice() {
                 return self.verify_all_serial(items);
             }
             let Ok(em) = emsa_pkcs1_v15(it.alg, it.digest, k) else {
                 return self.verify_all_serial(items);
             };
-            sigs.push(s);
-            ems.push(BigUint::from_bytes_be(&em));
+            ems.push(em);
         }
         let rs: Vec<u32> = items.iter().map(|_| sparse_exponent(rng)).collect();
-        let agg = match self.n.limbs().len() {
-            0..=4 => self.batch_check_fixed::<4>(&sigs, &ems, &rs),
-            5..=8 => self.batch_check_fixed::<8>(&sigs, &ems, &rs),
-            9..=16 => self.batch_check_fixed::<16>(&sigs, &ems, &rs),
-            17..=32 => self.batch_check_fixed::<32>(&sigs, &ems, &rs),
-            _ => None,
-        };
+        let agg = on_width!(&self.0.mont, c => batch_check_fixed(c, &self.0.e, items, &ems, &rs),
+            Wide => None);
         match agg {
             Some(true) => Ok(()),
             // Aggregate failed (some item is bad) or the modulus does not
@@ -279,43 +362,38 @@ impl RsaPublicKey {
         }
         Ok(())
     }
+}
 
-    /// One randomized aggregate check through the `N`-limb fixed kernel.
-    /// `None` when the modulus does not qualify for width `N`.
-    fn batch_check_fixed<const N: usize>(
-        &self,
-        sigs: &[BigUint],
-        ems: &[BigUint],
-        rs: &[u32],
-    ) -> Option<bool> {
-        let ctx = FixedMontgomeryCtx::<N>::new(&self.n)?;
-        let mut sig_m = Vec::with_capacity(sigs.len());
-        for s in sigs {
-            sig_m.push(ctx.to_mont(&FixedUint::from_biguint(s)?));
-        }
-        let mut em_m = Vec::with_capacity(ems.len());
-        for em in ems {
-            em_m.push(ctx.to_mont(&FixedUint::from_biguint(em)?));
-        }
-        // Straus interleaving: one shared 32-step squaring chain drives both
-        // products; each item contributes at the 4 set bits of its exponent.
-        let mut acc_a = ctx.one();
-        let mut acc_b = ctx.one();
-        for bit in (0..SPARSE_EXP_BITS).rev() {
-            acc_a = ctx.mul(&acc_a, &acc_a);
-            acc_b = ctx.mul(&acc_b, &acc_b);
-            for (i, &r) in rs.iter().enumerate() {
-                if r & (1u32 << bit) != 0 {
-                    acc_a = ctx.mul(&acc_a, &sig_m[i]);
-                    acc_b = ctx.mul(&acc_b, &em_m[i]);
-                }
+/// One randomized aggregate check of a batch through the key's cached
+/// `N`-limb context; `None` if a value does not fit the width.
+fn batch_check_fixed<const N: usize>(
+    ctx: &FixedMontgomeryCtx<N>,
+    e: &BigUint,
+    items: &[BatchItem<'_>],
+    ems: &[Vec<u8>],
+    rs: &[u32],
+) -> Option<bool> {
+    let to_mont = |be: &[u8]| FixedUint::<N>::from_be_bytes(be).map(|x| ctx.to_mont(&x));
+    let sig_m = items.iter().map(|it| to_mont(it.signature)).collect::<Option<Vec<_>>>()?;
+    let em_m = ems.iter().map(|em| to_mont(em)).collect::<Option<Vec<_>>>()?;
+    // Straus interleaving: one shared 32-step squaring chain drives both
+    // products; each item contributes at the 4 set bits of its exponent.
+    let mut acc_a = ctx.one();
+    let mut acc_b = ctx.one();
+    for bit in (0..SPARSE_EXP_BITS).rev() {
+        acc_a = ctx.mul(&acc_a, &acc_a);
+        acc_b = ctx.mul(&acc_b, &acc_b);
+        for ((&r, s), em) in rs.iter().zip(&sig_m).zip(&em_m) {
+            if r & (1u32 << bit) != 0 {
+                acc_a = ctx.mul(&acc_a, s);
+                acc_b = ctx.mul(&acc_b, em);
             }
         }
-        // Montgomery forms are canonical (< n), so comparing them directly
-        // is comparing the underlying values.
-        let lhs = ctx.pow_mont(&acc_a, &self.e);
-        Some(lhs == acc_b)
     }
+    // Montgomery forms are canonical (< n), so comparing them directly
+    // is comparing the underlying values.
+    let lhs = ctx.pow_mont(&acc_a, e);
+    Some(lhs == acc_b)
 }
 
 /// Minimum batch size below which [`RsaPublicKey::verify_batch`] just runs
@@ -378,16 +456,32 @@ impl RsaPrivateKey {
     /// Raw private-key operation without the CRT (`c^d mod n`); used to
     /// cross-check the CRT path in tests.
     pub fn raw_decrypt_no_crt(&self, c: &BigUint) -> BigUint {
-        c.mod_pow(&self.d, &self.public.n)
+        c.mod_pow(&self.crt.d, &self.public.0.n)
     }
 
-    /// Raw private-key operation using the CRT.
+    /// Raw private-key operation using the CRT on [`BigUint`]: the path of
+    /// keys no fixed width covers.
     fn raw_decrypt(&self, c: &BigUint) -> BigUint {
+        let CrtParts { p, q, dp, dq, qinv, .. } = &*self.crt;
         // m1 = c^dp mod p; m2 = c^dq mod q; h = qinv (m1 - m2) mod p
-        let m1 = c.rem(&self.p).mod_pow(&self.dp, &self.p);
-        let m2 = c.rem(&self.q).mod_pow(&self.dq, &self.q);
-        let h = m1.sub_mod(&m2.rem(&self.p), &self.p).mul_mod(&self.qinv, &self.p);
-        m2.add(&h.mul(&self.q))
+        let m1 = c.rem(p).mod_pow(dp, p);
+        let m2 = c.rem(q).mod_pow(dq, q);
+        let h = m1.sub_mod(&m2.rem(p), p).mul_mod(qinv, p);
+        m2.add(&h.mul(q))
+    }
+
+    /// `input^d mod n` as exactly `k` big-endian bytes through the CRT;
+    /// `None` when `input` is not below `n`.
+    fn raw_private(&self, input: &[u8]) -> Option<Vec<u8>> {
+        let CrtParts { dp, dq, fixed, .. } = &*self.crt;
+        let mut out = vec![0u8; self.public.size()];
+        on_width!(fixed, c => c.private_op(input, dp, dq, &mut out).then_some(out), Wide => {
+            let c = BigUint::from_bytes_be(input);
+            if c.cmp_big(&self.public.0.n) != Ordering::Less {
+                return None;
+            }
+            self.raw_decrypt(&c).to_bytes_be_padded(out.len())
+        })
     }
 
     /// PKCS#1 v1.5 signature over `message` hashed with `alg`.
@@ -400,13 +494,10 @@ impl RsaPrivateKey {
         if digest.len() != alg.output_len() {
             return Err(CryptoError::InvalidLength);
         }
-        let k = self.public.size();
-        let em = emsa_pkcs1_v15(alg, digest, k)?;
-        let m = BigUint::from_bytes_be(&em);
-        let s = self.raw_decrypt(&m);
-        // s < n < 2^(8k) by construction; a failure here is a library bug,
-        // surfaced as a typed error rather than a panic (NO-PANIC-PATH).
-        s.to_bytes_be_padded(k).ok_or(CryptoError::Internal("signature exceeds modulus width"))
+        let em = emsa_pkcs1_v15(alg, digest, self.public.size())?;
+        // EM < 2^(8(k-1)) <= n by construction; a failure here is a library
+        // bug, surfaced as a typed error rather than a panic (NO-PANIC-PATH).
+        self.raw_private(&em).ok_or(CryptoError::Internal("signature exceeds modulus width"))
     }
 
     /// Signing through the pre-fixed-limb `Vec`-backed per-bit Montgomery
@@ -426,10 +517,11 @@ impl RsaPrivateKey {
         let m = BigUint::from_bytes_be(&em);
         // CRT recombination identical to raw_decrypt, with both halves on
         // the classic per-bit Vec path.
-        let m1 = m.rem(&self.p).mod_pow_classic(&self.dp, &self.p);
-        let m2 = m.rem(&self.q).mod_pow_classic(&self.dq, &self.q);
-        let h = m1.sub_mod(&m2.rem(&self.p), &self.p).mul_mod(&self.qinv, &self.p);
-        let s = m2.add(&h.mul(&self.q));
+        let CrtParts { p, q, dp, dq, qinv, .. } = &*self.crt;
+        let m1 = m.rem(p).mod_pow_classic(dp, p);
+        let m2 = m.rem(q).mod_pow_classic(dq, q);
+        let h = m1.sub_mod(&m2.rem(p), p).mul_mod(qinv, p);
+        let s = m2.add(&h.mul(q));
         s.to_bytes_be_padded(k).ok_or(CryptoError::Internal("signature exceeds modulus width"))
     }
 
@@ -439,12 +531,7 @@ impl RsaPrivateKey {
         if ciphertext.len() != k || k < 11 {
             return Err(CryptoError::InvalidLength);
         }
-        let c = BigUint::from_bytes_be(ciphertext);
-        if c.cmp_big(&self.public.n) != std::cmp::Ordering::Less {
-            return Err(CryptoError::InvalidLength);
-        }
-        let m = self.raw_decrypt(&c);
-        let em = m.to_bytes_be_padded(k).ok_or(CryptoError::InvalidPadding)?;
+        let em = self.raw_private(ciphertext).ok_or(CryptoError::InvalidLength)?;
         // EM = 0x00 || 0x02 || PS || 0x00 || M with |PS| >= 8.
         let [0x00, 0x02, body @ ..] = em.as_slice() else {
             return Err(CryptoError::InvalidPadding);
@@ -473,7 +560,7 @@ impl RsaKeyPair {
             }
             if let Some(kp) = Self::from_primes(p, q) {
                 if kp.public.bits() == bits {
-                    debug_assert_eq!(kp.public.e, e);
+                    debug_assert_eq!(kp.public.0.e, e);
                     return kp;
                 }
             }
@@ -492,16 +579,16 @@ impl RsaKeyPair {
         let dq = d.rem(&q.sub(&one));
         let qinv = q.mod_inverse(&p)?;
         // Keep p > q so CRT recombination in raw_decrypt stays simple.
-        let (p, q, dp, dq, qinv) = if p.cmp_big(&q) == std::cmp::Ordering::Less {
+        let (p, q, dp, dq, qinv) = if p.cmp_big(&q) == Ordering::Less {
             let qinv2 = p.mod_inverse(&q)?;
             (q.clone(), p, dq, dp, qinv2)
         } else {
             (p, q, dp, dq, qinv)
         };
-        Some(RsaKeyPair {
-            public: RsaPublicKey { n: n.clone(), e: e.clone() },
-            private: RsaPrivateKey { public: RsaPublicKey { n, e }, d, p, q, dp, dq, qinv },
-        })
+        let fixed = build_by_width!(p.limbs().len(), FixedCrtCtx::new(&p, &q, &qinv));
+        let public = RsaPublicKey::from_parts(n, e);
+        let crt = Arc::new(CrtParts { d, p, q, dp, dq, qinv, fixed });
+        Some(RsaKeyPair { public: public.clone(), private: RsaPrivateKey { public, crt } })
     }
 
     /// A deterministic 512-bit key pair derived from `seed`, for tests and
@@ -675,17 +762,70 @@ mod tests {
     fn debug_does_not_leak_private_key() {
         let kp = test_key();
         let s = format!("{:?}", kp.private);
-        assert!(!s.contains(&crate::encoding::hex_encode(&kp.private.d.to_bytes_be())));
+        let d_hex = crate::encoding::hex_encode(&kp.private.crt.d.to_bytes_be());
+        assert!(!s.contains(&d_hex));
         assert!(s.contains("bits"));
+        // The key pair's Debug shows the public components only.
+        let s = format!("{kp:?}");
+        assert!(!s.contains(&d_hex));
+        assert!(s.contains(&crate::encoding::hex_encode(&kp.public.n_bytes())));
     }
 
     #[test]
     fn crt_matches_plain_exponentiation() {
         let kp = test_key();
-        for v in [2u64, 12345, 0xffff_ffff] {
-            let c = BigUint::from_u64(v);
-            assert_eq!(kp.private.raw_decrypt(&c), kp.private.raw_decrypt_no_crt(&c));
+        let k = kp.public.size();
+        let n_minus_1 = kp.public.0.n.sub(&BigUint::one());
+        for c in
+            [0u64, 1, 2, 12345, 0xffff_ffff].map(BigUint::from_u64).into_iter().chain([n_minus_1])
+        {
+            let plain = kp.private.raw_decrypt_no_crt(&c);
+            assert_eq!(kp.private.raw_decrypt(&c), plain);
+            let fixed = kp.private.raw_private(&c.to_bytes_be_padded(k).unwrap()).unwrap();
+            assert_eq!(fixed, plain.to_bytes_be_padded(k).unwrap());
         }
+        // n itself is not a valid input.
+        assert!(kp.private.raw_private(&kp.public.n_bytes()).is_none());
+        assert!(kp.public.raw_public(&kp.public.n_bytes()).is_none());
+    }
+
+    #[test]
+    fn keys_no_fixed_width_covers_run_on_biguint() {
+        // The Mersenne primes 2^2203 − 1 (35 limbs) and 2^1279 − 1 give a
+        // key whose p and n are both wider than the 32-limb kernels.
+        let mersenne = |k: usize| BigUint::one().shl(k).sub(&BigUint::one());
+        let kp = RsaKeyPair::from_primes(mersenne(2203), mersenne(1279)).unwrap();
+        let mut rng = ChaChaRng::seed_from_u64(78);
+        assert!(matches!(kp.public.0.mont, ByWidth::Wide));
+        assert!(matches!(kp.private.crt.fixed, ByWidth::Wide));
+        let digest = HashAlg::Sha256.hash(b"wide");
+        let sig = kp.private.sign_prehashed(HashAlg::Sha256, &digest).unwrap();
+        assert_eq!(sig, kp.private.sign_prehashed_reference(HashAlg::Sha256, &digest).unwrap());
+        kp.public.verify_prehashed(HashAlg::Sha256, &digest, &sig).unwrap();
+        let ct = kp.public.encrypt(&mut rng, b"session key").unwrap();
+        assert_eq!(kp.private.decrypt(&ct).unwrap(), b"session key");
+        assert!(kp.private.raw_private(&kp.public.n_bytes()).is_none());
+        assert!(kp.public.raw_public(&kp.public.n_bytes()).is_none());
+    }
+
+    #[test]
+    fn clones_share_the_derived_constants() {
+        let kp = test_key();
+        let pk = kp.public.clone();
+        assert!(Arc::ptr_eq(&pk.0, &kp.public.0));
+        assert!(Arc::ptr_eq(&pk.0, &kp.private.public().0));
+        assert!(Arc::ptr_eq(&kp.private.clone().crt, &kp.private.crt));
+        // A key rebuilt from its components is equal, with the same
+        // fingerprint and Debug, though nothing is shared.
+        let rebuilt = RsaPublicKey::from_components(&pk.n_bytes(), &pk.e_bytes());
+        assert!(!Arc::ptr_eq(&rebuilt.0, &pk.0));
+        assert_eq!(rebuilt, pk);
+        assert_eq!(rebuilt.fingerprint(), pk.fingerprint());
+        let mut preimage = (pk.size() as u64).to_be_bytes().to_vec();
+        preimage.extend(pk.n_bytes().into_iter().chain(pk.e_bytes()));
+        assert_eq!(pk.fingerprint().to_vec(), HashAlg::Sha256.hash(&preimage));
+        assert_eq!(format!("{rebuilt:?}"), format!("{pk:?}"));
+        assert!(format!("{pk:?}").starts_with("RsaPublicKey { n: BigUint(0x"));
     }
 
     #[test]

@@ -194,10 +194,7 @@ impl Digest for Sha256 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        self.update(&crate::hash::MD_PAD[..crate::hash::md_pad_len(self.buf_len, 64, 8)]);
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         Self::compress(&mut self.state, &block);
@@ -308,10 +305,7 @@ impl Digest for Sha512 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
-        }
+        self.update(&crate::hash::MD_PAD[..crate::hash::md_pad_len(self.buf_len, 128, 16)]);
         self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         Self::compress(&mut self.state, &block);

@@ -190,6 +190,151 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // ------------------------------------- per-key kernels vs BigUint
+
+    #[test]
+    fn be_bytes_roundtrip_matches_biguint(bytes in proptest::collection::vec(any::<u8>(), 0..72),
+                                          out_len in 0usize..80) {
+        let v = big(&bytes);
+        let fixed = FixedUint::<8>::from_be_bytes(&bytes);
+        prop_assert_eq!(fixed.is_some(), v.bit_len() <= 512);
+        if let Some(f) = fixed {
+            prop_assert_eq!(f.to_biguint(), v.clone());
+            let mut out = vec![0xa5u8; out_len];
+            let fits = f.write_be_bytes(&mut out);
+            let want = v.to_bytes_be_padded(out_len);
+            prop_assert_eq!(fits, want.is_some());
+            if let Some(want) = want {
+                prop_assert_eq!(out, want);
+            }
+        }
+    }
+
+    #[test]
+    fn redc_wide_matches_biguint(m in proptest::collection::vec(any::<u8>(), 16..32),
+                                 lo in proptest::collection::vec(any::<u8>(), 0..32),
+                                 hi in proptest::collection::vec(any::<u8>(), 0..32)) {
+        // T = hi·R + lo with hi < m, so T < m·R as REDC requires; then
+        // REDC(T)·R ≡ T (mod m).
+        let n = odd_modulus(m);
+        let ctx = FixedMontgomeryCtx::<4>::new(&n).unwrap();
+        let (lo, hi) = (big(&lo), big(&hi).rem(&n));
+        let t = hi.shl(256).add(&lo);
+        let r = ctx.redc_wide(
+            &FixedUint::from_biguint(&lo).unwrap(),
+            &FixedUint::from_biguint(&hi).unwrap(),
+        );
+        prop_assert!(r.to_biguint().cmp_big(&n) == std::cmp::Ordering::Less);
+        prop_assert_eq!(r.to_biguint().shl(256).rem(&n), t.rem(&n));
+    }
+}
+
+proptest! {
+    // RSA operations are expensive; few cases per width.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // ---------------------- every key width: fast paths vs the references
+
+    #[test]
+    fn private_and_public_ops_match_reference_at_every_width(
+        digest_seed in any::<u64>(),
+        alg in 0usize..3,
+        flip in any::<u16>(),
+    ) {
+        for kp in width_keys() {
+            let alg = [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256][alg];
+            let digest = alg.hash(&digest_seed.to_be_bytes());
+            let fast = kp.private.sign_prehashed(alg, &digest).unwrap();
+            let reference = kp.private.sign_prehashed_reference(alg, &digest).unwrap();
+            prop_assert_eq!(&fast, &reference, "{} bits", kp.public.bits());
+            // Accept and reject exactly as the reference: the valid signature,
+            // a bit flip, a value not below n, and a short signature.
+            let k = kp.public.size();
+            let mut flipped = fast.clone();
+            flipped[usize::from(flip) % k] ^= 1 << (flip % 8);
+            let candidates = [fast.clone(), flipped, vec![0xff; k], fast[1..].to_vec()];
+            for sig in &candidates {
+                prop_assert_eq!(
+                    kp.public.verify_prehashed(alg, &digest, sig),
+                    kp.public.verify_prehashed_reference(alg, &digest, sig)
+                );
+            }
+            prop_assert!(kp.public.verify_prehashed(alg, &digest, &fast).is_ok());
+        }
+    }
+
+    #[test]
+    fn decrypt_roundtrips_encrypt_at_every_width(
+        msg in proptest::collection::vec(any::<u8>(), 0..48),
+        rng_seed in any::<u64>(),
+    ) {
+        for kp in width_keys() {
+            let mut rng = ChaChaRng::seed_from_u64(rng_seed);
+            let ct = kp.public.encrypt(&mut rng, &msg).unwrap();
+            prop_assert_eq!(kp.private.decrypt(&ct).unwrap(), msg);
+            // A ciphertext not below n is refused before any arithmetic.
+            let k = kp.public.size();
+            prop_assert_eq!(
+                kp.private.decrypt(&vec![0xff; k]),
+                Err(tpnr_crypto::error::CryptoError::InvalidLength)
+            );
+        }
+    }
+
+    #[test]
+    fn verify_batch_matches_serial_reference_at_every_width(
+        tamper in 0usize..12,
+        rng_seed in any::<u64>(),
+    ) {
+        // tamper < 8 corrupts that item, 8..12 leaves the batch intact.
+        for kp in width_keys() {
+            let digests: Vec<Vec<u8>> =
+                (0..8u64).map(|i| HashAlg::Sha256.hash(&(i ^ rng_seed).to_be_bytes())).collect();
+            let mut sigs: Vec<Vec<u8>> = digests
+                .iter()
+                .map(|d| kp.private.sign_prehashed(HashAlg::Sha256, d).unwrap())
+                .collect();
+            if let Some(sig) = sigs.get_mut(tamper) {
+                let at = (rng_seed % sig.len() as u64) as usize;
+                sig[at] ^= 0x10;
+            }
+            let items: Vec<BatchItem<'_>> = digests
+                .iter()
+                .zip(&sigs)
+                .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
+                .collect();
+            let serial = items.iter().enumerate().find_map(|(i, it)| {
+                let checked = kp.public.verify_prehashed_reference(it.alg, it.digest, it.signature);
+                checked.err().map(|e| (i, e))
+            });
+            let mut rng = ChaChaRng::seed_from_u64(rng_seed);
+            let batch = kp.public.verify_batch(&items, &mut rng).err().map(|e| (e.index, e.error));
+            prop_assert_eq!(batch, serial);
+        }
+    }
+}
+
+/// One key per width, generated once per process: 512 bits (CRT halves of
+/// 4 limbs), 576 bits (not a multiple of 64: 5-limb halves on the 8-limb
+/// kernels), 1024 and 2048 bits.
+fn width_keys() -> &'static [RsaKeyPair] {
+    static KEYS: OnceLock<Vec<RsaKeyPair>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        [512usize, 576, 1024, 2048]
+            .iter()
+            .map(|&bits| {
+                let mut rng = ChaChaRng::seed_from_u64(0x5769_6474 ^ bits as u64);
+                let kp = RsaKeyPair::generate(bits, &mut rng);
+                assert_eq!(kp.public.bits(), bits);
+                kp
+            })
+            .collect()
+    })
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     // ----------------------------------------------- primality vs division

@@ -149,9 +149,9 @@ fn is_workspace_root(dir: &Path) -> bool {
 }
 
 /// Recursively collect `.rs` files under `dir`, skipping build output,
-/// VCS metadata, and hidden directories. Paths are stored
-/// workspace-relative with `/` separators so findings and allowlist
-/// entries are portable.
+/// VCS metadata, hidden directories and nested workspaces. Paths are
+/// stored workspace-relative with `/` separators so findings and
+/// allowlist entries are portable.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<FileInput>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -160,8 +160,15 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<FileInput>) -> std::i
         let name = name.to_string_lossy();
         if path.is_dir() {
             // `fixtures` holds the lint's own test corpus: deliberately
-            // broken code that must not be linted as workspace source.
-            if name == "target" || name == "fixtures" || name.starts_with('.') {
+            // broken code that must not be linted as workspace source. A
+            // directory with a `[workspace]` manifest of its own (the host
+            // benchmark in `perfbench/`) is a separate project that only
+            // uses this one's public API.
+            if name == "target"
+                || name == "fixtures"
+                || name.starts_with('.')
+                || is_workspace_root(&path)
+            {
                 continue;
             }
             collect_rs_files(root, &path, out)?;

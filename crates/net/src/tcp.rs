@@ -405,6 +405,15 @@ struct ArrivalQueue {
     cv: Condvar,
 }
 
+impl ArrivalQueue {
+    /// Queues one arrival and wakes the driver.
+    fn push(&self, env: Envelope) {
+        let mut q = self.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        q.push_back(env);
+        self.cv.notify_all();
+    }
+}
+
 /// Loopback-TCP backend: real sockets, real threads, host-monotonic time.
 /// See the module docs for the determinism contract (per-connection FIFO,
 /// loss-free; cross-connection order is the host scheduler's).
@@ -489,16 +498,13 @@ impl TcpNet {
             let wire = Bytes::from(body);
             let Ok(frame) = WireFrame::from_wire_bytes(&wire) else { break };
             let at = SimTime(start.elapsed().as_micros() as u64);
-            let env = Envelope {
+            arrivals.push(Envelope {
                 src: frame.src,
                 dst: frame.dst,
                 payload: frame.payload,
                 delivered_at: at,
                 txn: frame.txn,
-            };
-            let mut q = arrivals.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            q.push_back(env);
-            arrivals.cv.notify_all();
+            });
         }
     }
 
@@ -697,14 +703,15 @@ impl Transport for TcpNet {
 
     fn wait_for_activity(&mut self, until: Option<SimTime>) -> bool {
         let entered = self.host_now();
+        let arrivals = Arc::clone(&self.arrivals);
         loop {
             let now = self.host_now();
             self.flush_held(now);
-            {
-                let q = self.arrivals.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                if !q.is_empty() {
-                    return true;
-                }
+            // One guard from the emptiness check to the wait: a reader
+            // thread cannot push (and notify) in between unseen.
+            let q = arrivals.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            if !q.is_empty() {
+                return true;
             }
             match until {
                 Some(t) if now >= t => return false,
@@ -722,11 +729,9 @@ impl Transport for TcpNet {
                 wake = wake.min(due);
             }
             let dur = std::time::Duration::from_micros(wake.0.saturating_sub(now.0).max(1));
-            let q = self.arrivals.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (q, _timeout) = self
-                .arrivals
+            let (q, _timeout) = arrivals
                 .cv
-                .wait_timeout(q, dur)
+                .wait_timeout_while(q, dur, |q| q.is_empty())
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if !q.is_empty() {
                 return true;
@@ -890,5 +895,84 @@ mod tests {
         let s = net.stats();
         assert_eq!((s.sent, s.delivered, s.dropped), (1, 0, 1));
         assert_eq!(net.take_events().len(), 1);
+    }
+
+    /// An arrival pushed by another thread while the driver is between
+    /// its emptiness check and its condvar wait must still wake it at
+    /// once, not after the rest of a `WAIT_CHUNK`. That gap is tens of
+    /// nanoseconds wide, so each trial releases the pusher through a
+    /// spinning atomic hand-off and then delays the push and the wait by
+    /// 0–1 µs each, in 25 ns steps, so that some pushes land in it.
+    #[test]
+    fn tcp_wait_wakes_on_every_arrival() {
+        use std::sync::atomic::AtomicU64;
+        use std::time::{Duration, Instant};
+        let Ok(mut net) = TcpNet::new() else {
+            eprintln!("loopback bind unavailable; skipping tcp test");
+            return;
+        };
+        let a = net.register("a");
+        let b = net.register("b");
+        const TRIALS: u64 = 6400;
+        // `go` = trial released by the driver, `pushed` = trial pushed.
+        let (go, pushed) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let await_trial = |counter: &AtomicU64, trial: u64| {
+            let mut spins = 0u32;
+            while counter.load(Ordering::Acquire) < trial {
+                spins += 1;
+                if spins.is_multiple_of(1024) {
+                    std::thread::yield_now();
+                }
+                std::hint::spin_loop();
+            }
+        };
+        let spin_for = |nanos: u64| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_nanos(nanos) {
+                std::hint::spin_loop();
+            }
+        };
+        let pusher = {
+            let (go, pushed) = (Arc::clone(&go), Arc::clone(&pushed));
+            let arrivals = Arc::clone(&net.arrivals);
+            std::thread::spawn(move || {
+                let mut pushed_at = Vec::new();
+                for trial in 1..=TRIALS {
+                    await_trial(&go, trial);
+                    spin_for(trial % 40 * 25);
+                    pushed_at.push(Instant::now());
+                    arrivals.push(Envelope {
+                        src: a,
+                        dst: b,
+                        payload: Bytes::from(vec![trial as u8]),
+                        delivered_at: SimTime::ZERO,
+                        txn: None,
+                    });
+                    pushed.store(trial, Ordering::Release);
+                }
+                pushed_at
+            })
+        };
+        let mut woke_at = Vec::new();
+        for trial in 1..=TRIALS {
+            let until = net.host_now().after(SimDuration::from_secs(1));
+            go.store(trial, Ordering::Release);
+            spin_for(trial / 40 % 40 * 25);
+            assert!(net.wait_for_activity(Some(until)), "the arrival was never seen");
+            woke_at.push(Instant::now());
+            await_trial(&pushed, trial);
+            net.arrivals.q.lock().unwrap().clear();
+        }
+        let pushed_at = pusher.join().expect("pusher thread");
+        let bound = Duration::from_micros(WAIT_CHUNK.0 / 2);
+        let slow: Vec<Duration> = woke_at
+            .iter()
+            .zip(&pushed_at)
+            .map(|(w, p)| w.saturating_duration_since(*p))
+            .filter(|d| *d >= bound)
+            .collect();
+        // One slow wake-up can be the host descheduling this thread; a lost
+        // wake-up is systematic (dozens per run before the fix).
+        assert!(slow.len() <= 1, "wake-ups over {bound:?}: {slow:?}");
     }
 }
