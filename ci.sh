@@ -44,6 +44,13 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# perfbench/ is a workspace of its own (own lockfile, profile and target
+# dir), so nothing above compiles it. It builds against the core runner API
+# (`w.client`, `w.clients`, `with_principals_on`, …); build and test it here
+# so an API break fails CI instead of the next benchmark run.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Bench targets have `test = false` (the criterion shim runs no harness),
 # so the test sweep above never compiles them — check they still build.
 echo "==> cargo check --benches --workspace"

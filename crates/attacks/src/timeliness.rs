@@ -21,14 +21,10 @@ pub fn run(ablation: Ablation) -> AttackOutcome {
     let alice_id = w.client.id();
 
     // Alice signs an upload now…
+    let now = w.net().now();
     let (_txn, out) = w
         .client
-        .begin_upload(
-            b"prices",
-            b"prices as of day 0".to_vec(),
-            w.net().now(),
-            TimeoutStrategy::AbortFirst,
-        )
+        .begin_upload(b"prices", b"prices as of day 0".to_vec(), now, TimeoutStrategy::AbortFirst)
         .expect("initiation");
     let Message::Transfer { .. } = &out[0].msg else { panic!("expected transfer") };
     let held = out[0].msg.to_wire_bytes();

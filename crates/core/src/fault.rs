@@ -21,10 +21,11 @@
 //!   and an optional give-up bound, generalising the single fixed
 //!   `response_timeout` the client used before. The default reproduces the
 //!   legacy behaviour exactly (constant backoff, no jitter, never give up).
-//! - [`FaultCtl`] — the runtime injector owned by `World`/`MultiWorld` and
-//!   driven from `sched::settle` via the hub's timer surface: restart
-//!   deadlines and outage boundaries show up as ordinary scheduler timers,
-//!   so fault handling obeys the same deadline ordering as protocol timers.
+//! - [`FaultCtl`] — the runtime injector owned by the runner (single- or
+//!   multi-client alike) and driven from `sched::settle` via the hub's
+//!   timer surface: restart deadlines and outage boundaries show up as
+//!   ordinary scheduler timers, so fault handling obeys the same deadline
+//!   ordering as protocol timers.
 //!
 //! Determinism guarantee: a fault decision is a pure function of the plan,
 //! the plan seed, and the (deterministic) sequence of deliveries and timer
@@ -320,7 +321,7 @@ pub struct FaultEvents {
     pub restarted: Vec<String>,
 }
 
-/// Runtime fault injector. Owned by the runner (`World` / `MultiWorld`),
+/// Runtime fault injector. Owned by the runner (`core::runner::Runner`),
 /// keyed by actor display name; all maps are `BTreeMap` so iteration order —
 /// and therefore RNG consumption and event order — is deterministic.
 pub struct FaultCtl {

@@ -12,8 +12,8 @@
 //!   machines (Normal, Abort and Resolve modes, §4.1–4.3);
 //! * [`arbiter`] — dispute judgement (Figure 6d), including the blackmail
 //!   defence;
-//! * [`runner`] — the actors wired over the `tpnr-net` simulator, with
-//!   per-transaction reports;
+//! * [`runner`] — the one runner: the actors wired over any `tpnr-net`
+//!   transport, seating one client or many, with per-transaction reports;
 //! * [`bridge`] — the four §3 bridging schemes (±TAC × ±SKS);
 //! * [`baseline`] — a traditional four-step in-line-TTP fair NR protocol,
 //!   the comparison target for the "2 steps vs 4 steps" claim;
@@ -22,10 +22,10 @@
 //!   verified certificates;
 //! * [`chunked`] — Merkle-commitment mode and remote storage audits for the
 //!   paper's TB-scale setting (an extension);
-//! * [`multi`] — one provider serving many interleaved clients (Figure 1 at
-//!   population scale);
+//! * [`multi`] — the runner seating many interleaved clients on one
+//!   provider (Figure 1 at population scale);
 //! * [`obs`] — the unified observability layer: one structured event stream
-//!   plus metrics, shared by both runners;
+//!   plus metrics, shared by every deployment;
 //! * [`archive`] — integrity-protected evidence bundles that survive until
 //!   the dispute.
 //!

@@ -1,29 +1,17 @@
 //! Multi-client deployments: one provider, one TTP, many clients.
 //!
 //! The paper's Figure 1 shows a provider serving a population of users.
-//! [`MultiWorld`] scales the single-pair runner up to N clients with
-//! interleaved transactions, which exercises properties the two-party runs
-//! cannot: per-(transaction, sender) replay windows under concurrency,
+//! [`MultiWorld`] seats N clients on the one [`Runner`] with interleaved
+//! transactions, which exercises properties the two-party runs cannot:
+//! per-(transaction, sender) replay windows under concurrency,
 //! cross-client isolation of objects and evidence, and aggregate TTP load.
 
-use crate::archive::{ArchiveStats, ArchivedTxn, EvidenceBundle, TxnArchive};
 use crate::client::{Client, TimeoutStrategy};
 use crate::config::ProtocolConfig;
-use crate::evidence::VerifiedEvidence;
-use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultStats, SyncDecision};
-use crate::message::Message;
-use crate::obs::{Event, EventKind, Obs};
-use crate::principal::{Directory, Principal, PrincipalId};
-use crate::provider::Provider;
-use crate::runner::{TxnReport, TxnResult};
-use crate::sched::{self, Actor, EventHub, SettleReport, TimerWheel};
-use crate::session::{Outgoing, TxnState, ValidationError};
-use crate::ttp::Ttp;
-use std::collections::{BTreeMap, BTreeSet};
-use tpnr_crypto::ChaChaRng;
-use tpnr_net::codec::Wire;
-use tpnr_net::sim::{Envelope, LinkConfig, NodeId, SimNet};
-use tpnr_net::time::SimTime;
+use crate::principal::Principal;
+use crate::runner::{Runner, Seats, TxnReport, TxnResult};
+use crate::session::TxnState;
+use tpnr_net::sim::{LinkConfig, SimNet};
 use tpnr_net::transport::Transport;
 
 /// A typed handle to a transaction started on a [`MultiWorld`]: which
@@ -46,76 +34,24 @@ impl TxnHandle {
     }
 }
 
-/// Per-transaction bookkeeping: owner, start time, and whether the first
-/// terminal transition has been funnelled through the archive's settled
-/// queue yet.
-#[derive(Debug, Clone, Copy)]
-struct TxnMeta {
-    client: usize,
-    started: SimTime,
-    settled: bool,
+/// The seats of [`MultiWorld`]: N clients sharing the provider and the TTP.
+pub struct Fleet {
+    /// The clients (index-aligned with the runner's `client_nodes`).
+    pub clients: Vec<Client>,
 }
 
-/// Last synced durable images of every actor (the crash recovery points).
-/// Allocated only when the fault plan can actually inject.
-struct MultiSnapshots {
-    clients: Vec<crate::client::ClientSnapshot>,
-    provider: crate::provider::ProviderSnapshot,
-    ttp: crate::ttp::TtpSnapshot,
+impl Seats for Fleet {
+    fn clients(&self) -> &[Client] {
+        &self.clients
+    }
+
+    fn clients_mut(&mut self) -> &mut [Client] {
+        &mut self.clients
+    }
 }
 
 /// N clients sharing one provider and one TTP over a [`Transport`].
-///
-/// `T` defaults to the deterministic simulator; [`MultiWorld`] is the
-/// `GenericMultiWorld<SimNet>` alias almost all code uses.
-pub struct GenericMultiWorld<T: Transport = SimNet> {
-    /// The wire. Private since the transport redesign: use the typed
-    /// accessors [`GenericMultiWorld::net`] /
-    /// [`GenericMultiWorld::net_mut`].
-    net: T,
-    /// The clients.
-    pub clients: Vec<Client>,
-    /// The shared provider.
-    pub provider: Provider,
-    /// The shared TTP.
-    pub ttp: Ttp,
-    /// The clients' simulator nodes (index-aligned with `clients`).
-    pub client_nodes: Vec<NodeId>,
-    /// The provider's simulator node.
-    pub bob_node: NodeId,
-    /// The TTP's simulator node.
-    pub ttp_node: NodeId,
-    // Ordered maps: the lint's DET-ORDER rule covers this module, and
-    // iteration over these (dispatch fan-out, diagnostics) must be
-    // deterministic regardless of hash seeding.
-    node_of: BTreeMap<PrincipalId, NodeId>,
-    principal_of: BTreeMap<NodeId, PrincipalId>,
-    /// The shared observability sink — same type and semantics as
-    /// [`World`](crate::runner::World)'s: every delivery, rejection,
-    /// garbled arrival, drop, duplication, timer fire and state transition
-    /// in this world is visible here.
-    pub obs: Obs,
-    /// Safety valve against livelock; when hit, settle reports
-    /// [`sched::SettleOutcome::StepCapExceeded`].
-    pub max_steps: usize,
-    /// Owner/start/settled per started transaction (evicted entries move to
-    /// `archive`).
-    txn_meta: BTreeMap<u64, TxnMeta>,
-    /// Transactions the TTP has seen a message for.
-    ttp_touched: BTreeSet<u64>,
-    /// The fault injector executing `cfg.faults` (inert and overhead-free
-    /// for the default plan).
-    faults: FaultCtl,
-    /// Last synced snapshots; `None` when the fault plan is inert.
-    snaps: Option<Box<MultiSnapshots>>,
-    /// Scheduler-owned deadline index: actors register/cancel deadlines
-    /// here instead of being polled each step (keys: client `i` → `i`,
-    /// bob → `n`, ttp → `n + 1`, fault wakeup → `n + 2`).
-    wheel: TimerWheel,
-    /// Bounded-memory store for settled transactions (sharded by txn-id
-    /// hash; oldest settled txns evicted to sealed evidence logs).
-    archive: TxnArchive,
-}
+pub type GenericMultiWorld<T = SimNet> = Runner<T, Fleet>;
 
 /// The classic deterministic multi-client world: [`GenericMultiWorld`]
 /// over [`SimNet`].
@@ -149,11 +85,6 @@ impl MultiWorld {
         Self::with_principals_on(SimNet::new(seed), seed, cfg, client_principals, bob, ttp_p)
     }
 
-    /// Sets one link config everywhere.
-    pub fn set_all_links(&mut self, cfg: LinkConfig) {
-        self.net.set_default_link(cfg);
-    }
-
     /// Overrides the bidirectional client ⇄ provider link for client
     /// `idx`. E10 gives every client a distinct deterministic latency
     /// through this, so settle-latency percentiles measure a real
@@ -166,165 +97,26 @@ impl MultiWorld {
 impl<T: Transport> GenericMultiWorld<T> {
     /// Builds a world from pre-generated principals over an arbitrary
     /// [`Transport`] backend ([`MultiWorld::with_principals`] is the
-    /// simulator shorthand). `seed` derives each actor's RNG exactly as on
-    /// the simulator, so backends host byte-identical actor populations.
+    /// simulator shorthand). `seed` derives each actor's RNG exactly as
+    /// on the simulator, so backends host byte-identical actor populations.
     pub fn with_principals_on(
-        mut net: T,
+        net: T,
         seed: u64,
         cfg: ProtocolConfig,
         client_principals: &[Principal],
         bob: &Principal,
         ttp_p: &Principal,
     ) -> Self {
-        assert!(!client_principals.is_empty());
-        let mut dir = Directory::new();
-        dir.register(bob);
-        dir.register(ttp_p);
-        for c in client_principals {
-            dir.register(c);
-        }
-
-        let client_nodes: Vec<NodeId> =
-            client_principals.iter().map(|c| net.register(&c.name)).collect();
-        let bob_node = net.register(&bob.name);
-        let ttp_node = net.register(&ttp_p.name);
-
-        let clients: Vec<Client> = client_principals
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let mut cdir = Directory::new();
-                cdir.register(bob);
-                cdir.register(ttp_p);
-                cdir.register(p);
-                Client::new(
-                    p.clone(),
-                    cfg.clone(),
-                    cdir,
-                    ttp_p.id(),
-                    bob.id(),
-                    ChaChaRng::seed_from_u64(seed ^ (0xc11e47 + i as u64)),
-                )
-            })
-            .collect();
-        let provider = Provider::new(
-            bob.clone(),
-            cfg.clone(),
-            dir.clone(),
-            ttp_p.id(),
-            ChaChaRng::seed_from_u64(seed ^ 0xb0b),
-        );
-        let faults = FaultCtl::new(&cfg.faults);
-        let ttp = Ttp::new(ttp_p.clone(), cfg, dir, ChaChaRng::seed_from_u64(seed ^ 0x777));
-        // Epoch-zero recovery points: a crash before the first sync
-        // restores to the freshly-built actor.
-        let snaps = faults.active().then(|| {
-            Box::new(MultiSnapshots {
-                clients: clients.iter().map(Durable::snapshot).collect(),
-                provider: provider.snapshot(),
-                ttp: ttp.snapshot(),
-            })
-        });
-
-        let mut node_of = BTreeMap::new();
-        node_of.insert(bob.id(), bob_node);
-        node_of.insert(ttp_p.id(), ttp_node);
-        for (p, n) in client_principals.iter().zip(&client_nodes) {
-            node_of.insert(p.id(), *n);
-        }
-        let principal_of = node_of.iter().map(|(p, n)| (*n, *p)).collect();
-
-        GenericMultiWorld {
-            net,
+        Runner::assemble(net, seed, cfg, client_principals, bob, ttp_p, |clients, _, _| Fleet {
             clients,
-            provider,
-            ttp,
-            client_nodes,
-            bob_node,
-            ttp_node,
-            node_of,
-            principal_of,
-            obs: Obs::new(),
-            max_steps: 100_000,
-            txn_meta: BTreeMap::new(),
-            ttp_touched: BTreeSet::new(),
-            faults,
-            snaps,
-            wheel: TimerWheel::new(),
-            archive: TxnArchive::new(),
-        }
-    }
-
-    /// Borrows the transport backend (typed, so the backend's inherent
-    /// API — link knobs, [`SimNet::stats`] — stays reachable).
-    pub fn net(&self) -> &T {
-        &self.net
-    }
-
-    /// Mutably borrows the transport backend (links, interceptors,
-    /// manual sends in attack and test harnesses).
-    pub fn net_mut(&mut self) -> &mut T {
-        &mut self.net
-    }
-
-    /// Wheel key for an actor's node. Clients register with the simulator
-    /// first, so `NodeId(i)` *is* client `i`; bob and the TTP follow.
-    fn wheel_key(&self, node: NodeId) -> usize {
-        node.0 as usize
-    }
-
-    /// Wheel key for the fault injector's next wakeup (restart instants and
-    /// outage boundaries are timers like any other).
-    fn fault_wheel_key(&self) -> usize {
-        self.ttp_node.0 as usize + 1
-    }
-
-    fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.actor_nodes().into_iter().find(|&n| self.net.node_name(n) == Some(name))
-    }
-
-    /// Re-registers one actor's earliest deadline with the wheel (a down
-    /// actor's timers are frozen, so its entry is cancelled instead).
-    fn refresh_wheel(&mut self, node: NodeId) {
-        let down =
-            self.faults.active() && self.faults.is_down(self.net.node_name(node).unwrap_or("?"));
-        let d = if down { None } else { self.actor(node).and_then(|a| a.next_deadline()) };
-        self.wheel.set(self.wheel_key(node), d);
-    }
-
-    fn refresh_fault_wheel(&mut self) {
-        let w = self.faults.next_wakeup();
-        self.wheel.set(self.fault_wheel_key(), w);
-    }
-
-    /// Full wheel resync from actor state. Run at every settle entry so
-    /// deadlines armed or mutated outside the event loop (API calls, test
-    /// and attack harnesses poking actors directly) are picked up.
-    fn resync_wheel(&mut self) {
-        for node in self.actor_nodes() {
-            self.refresh_wheel(node);
-        }
-        self.refresh_fault_wheel();
-    }
-
-    fn dispatch(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
-        for o in out {
-            if let Some(&dst) = self.node_of.get(&o.to) {
-                let txn = o.msg.txn_id();
-                // First wire activity marks the transaction's start
-                // (idempotent), mirroring `World`.
-                self.obs.note_txn_started(txn, self.net.now());
-                // Encode once into a shared buffer; the simulator clones
-                // only the handle from here on (queue, duplicates, inbox).
-                self.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
-            }
-        }
+        })
     }
 
     /// Starts an upload from client `idx` without settling (so many
     /// transactions can be in flight together). Returns a typed handle; a
     /// failed initiation yields the sentinel handle (`txn_id` 0, never a
-    /// real id) and a recorded rejection in [`Obs`], never a panic.
+    /// real id) and a recorded rejection in [`Obs`](crate::obs::Obs), never
+    /// a panic.
     pub fn start_upload(
         &mut self,
         idx: usize,
@@ -332,22 +124,7 @@ impl<T: Transport> GenericMultiWorld<T> {
         data: impl Into<tpnr_net::Bytes>,
         strategy: TimeoutStrategy,
     ) -> TxnHandle {
-        let now = self.net.now();
-        let (txn, out) = match self.clients[idx].begin_upload(key, data, now, strategy) {
-            Ok(v) => v,
-            Err(e) => return self.failed_initiation(idx, now, e),
-        };
-        self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
-        self.obs.note_state(
-            now,
-            self.net.node_name(self.client_nodes[idx]).unwrap_or("?"),
-            txn,
-            TxnState::Pending,
-        );
-        // Write-ahead: the NRO sealed at initiation must survive a crash.
-        self.sync_actor(self.client_nodes[idx], now, true);
-        self.dispatch(self.client_nodes[idx], out);
-        TxnHandle { client: idx, txn_id: txn }
+        TxnHandle { client: idx, txn_id: self.start(idx, key, Some(data.into()), strategy) }
     }
 
     /// Starts a download from client `idx` without settling. Initiation
@@ -358,81 +135,7 @@ impl<T: Transport> GenericMultiWorld<T> {
         key: &[u8],
         strategy: TimeoutStrategy,
     ) -> TxnHandle {
-        let now = self.net.now();
-        let (txn, out) = match self.clients[idx].begin_download(key, now, strategy) {
-            Ok(v) => v,
-            Err(e) => return self.failed_initiation(idx, now, e),
-        };
-        self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
-        self.obs.note_state(
-            now,
-            self.net.node_name(self.client_nodes[idx]).unwrap_or("?"),
-            txn,
-            TxnState::Pending,
-        );
-        self.sync_actor(self.client_nodes[idx], now, true);
-        self.dispatch(self.client_nodes[idx], out);
-        TxnHandle { client: idx, txn_id: txn }
-    }
-
-    /// Records a client-side initiation failure; returns the sentinel
-    /// handle (`txn_id` 0).
-    fn failed_initiation(&mut self, idx: usize, now: SimTime, error: ValidationError) -> TxnHandle {
-        let name = self.net.node_name(self.client_nodes[idx]).unwrap_or("?").to_string();
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.clone(),
-            kind: EventKind::Rejected { from: name, msg: "Transfer".to_string(), error },
-        });
-        TxnHandle { client: idx, txn_id: 0 }
-    }
-
-    fn client_index(&self, node: NodeId) -> Option<usize> {
-        self.client_nodes.iter().position(|&n| n == node)
-    }
-
-    fn actor_nodes(&self) -> Vec<NodeId> {
-        let mut nodes = self.client_nodes.clone();
-        nodes.push(self.bob_node);
-        nodes.push(self.ttp_node);
-        nodes
-    }
-
-    fn actor(&self, node: NodeId) -> Option<&dyn Actor> {
-        if node == self.bob_node {
-            Some(&self.provider)
-        } else if node == self.ttp_node {
-            Some(&self.ttp)
-        } else {
-            self.client_index(node).map(|i| &self.clients[i] as &dyn Actor)
-        }
-    }
-
-    fn actor_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        if node == self.bob_node {
-            Some(&mut self.provider)
-        } else if node == self.ttp_node {
-            Some(&mut self.ttp)
-        } else {
-            self.client_index(node).map(move |i| &mut self.clients[i] as &mut dyn Actor)
-        }
-    }
-
-    /// Delivers traffic and drives timeouts on the shared scheduler
-    /// ([`sched::settle`]) until every timer and delivery is drained or
-    /// `max_steps` is hit — check `outcome` on the returned report.
-    pub fn settle(&mut self) -> SettleReport {
-        self.resync_wheel();
-        let max_steps = self.max_steps;
-        let report = sched::settle(self, max_steps);
-        // Mirror the cumulative fault counters into the metrics registry.
-        let f = report.faults;
-        self.obs.metrics.crashes = f.crashes;
-        self.obs.metrics.restarts = f.restarts;
-        self.obs.metrics.retries = f.retries;
-        self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
-        report
+        TxnHandle { client: idx, txn_id: self.start(idx, key, None, strategy) }
     }
 
     /// Final state of a client's transaction (live or archived).
@@ -450,475 +153,33 @@ impl<T: Transport> GenericMultiWorld<T> {
 
     /// Typed result for a handled transaction: outcome, payload, both
     /// evidence pieces and the wire-level report — `None` for the sentinel
-    /// handle or unknown ids. Mirrors [`World::run`](crate::runner::World)'s
-    /// return shape.
+    /// handle, unknown ids, or a handle naming the wrong client. Mirrors
+    /// [`World::run`](crate::runner::World)'s return shape.
     pub fn result(&self, h: TxnHandle) -> Option<TxnResult> {
-        let report = self.report(h.txn_id)?;
-        let c = self.clients.get(h.client)?;
-        if let Some(t) = c.txn(h.txn_id) {
-            return Some(TxnResult {
-                txn_id: h.txn_id,
-                outcome: report.state,
-                data: c.download_result(h.txn_id).map(|p| p.data.clone()),
-                nro: Some(t.nro.clone()),
-                nrr: t.nrr.clone(),
-                report,
-            });
-        }
-        // Evicted: re-hydrate the sealed evidence from the archive log (the
-        // downloaded payload is gone — the provider's storage holds the
-        // service copy, evidence is what survives for arbitration).
-        let bundle = self.archive.load_bundle(h.txn_id)?;
-        Some(TxnResult {
-            txn_id: h.txn_id,
-            outcome: report.state,
-            data: None,
-            nro: bundle.get("client-nro").cloned(),
-            nrr: bundle.get("client-nrr").cloned(),
-            report,
-        })
+        self.state_of(h)?;
+        Some(self.result_for(h.client, self.report(h.txn_id)?))
     }
 
-    /// Archive behaviour counters (evictions, re-hydrations, resident
-    /// settled txns, sealed log bytes).
-    pub fn archive_stats(&self) -> ArchiveStats {
-        self.archive.stats()
-    }
-
-    /// Live per-transaction bookkeeping entries (the bounded-memory
-    /// regression hook: settled txns leave this map when evicted).
-    pub fn resident_txns(&self) -> usize {
-        self.txn_meta.len()
-    }
-
-    /// Re-hydrates an evicted transaction's archived evidence bundle.
-    pub fn rehydrate_evidence(&self, txn: u64) -> Option<EvidenceBundle> {
-        self.archive.load_bundle(txn)
-    }
-
-    /// Sets the archive's per-shard hot capacity (tests lower it to force
-    /// eviction; experiments tune resident memory).
-    pub fn set_archive_capacity(&mut self, hot_capacity: usize) {
-        self.archive.set_hot_capacity(hot_capacity);
-    }
-
-    /// Cumulative fault counters: the injector's own plus every client's
-    /// retry machinery (which lives outside snapshots so it never resets).
-    pub fn fault_counters(&self) -> FaultStats {
-        let mut f = self.faults.stats;
-        for c in &self.clients {
-            f.retries += c.retry_stats.retries;
-            f.gave_up += c.retry_stats.gave_up;
-        }
-        f
-    }
-
-    /// Marks the actor at `node` crashed and records the event.
-    fn crash_actor(&mut self, node: NodeId, now: SimTime) {
-        let name = self.net.node_name(node).unwrap_or("?").to_string();
-        self.faults.crash(&name, now);
-        // The outage is a transport fact: queued copies addressed to the
-        // node drop (and are counted) at their delivery instant.
-        self.net.set_node_down(node, true);
-        // Freeze the crashed actor's armed deadline: its wheel entry dies
-        // with it and is re-registered from the restored snapshot. The
-        // restart instant itself becomes a wheel entry.
-        self.wheel.cancel(self.wheel_key(node));
-        self.refresh_fault_wheel();
-        self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
-    }
-
-    /// Records a client-side state transition and, on the first terminal
-    /// transition, funnels the txn through the archive's settled queue —
-    /// possibly evicting the shard's oldest settled txn to the sealed log.
-    fn note_txn_state(&mut self, now: SimTime, idx: usize, txn: u64, st: TxnState) {
-        self.obs.note_state(
-            now,
-            self.net.node_name(self.client_nodes[idx]).unwrap_or("?"),
-            txn,
-            st,
-        );
-        let newly_settled = st.is_terminal()
-            && match self.txn_meta.get_mut(&txn) {
-                Some(meta) if !meta.settled => {
-                    meta.settled = true;
-                    true
-                }
-                _ => false,
-            };
-        if newly_settled {
-            if let Some(victim) = self.archive.note_settled(txn) {
-                self.evict_txn(victim);
-            }
-        }
-    }
-
-    /// Evicts a settled transaction: every layer's live per-txn state
-    /// (client record, provider session record, TTP pending entry, all
-    /// validator replay windows, obs tallies, tagged net counters,
-    /// `txn_meta`) is dropped; the evidence is sealed into the archive's
-    /// shard log and a compact index record keeps `report`/`state`/`result`
-    /// answerable. Validators keep a tombstone, so late replays for the
-    /// txn are refused instead of being handed a fresh window.
-    fn evict_txn(&mut self, txn: u64) {
-        let Some(meta) = self.txn_meta.remove(&txn) else { return };
-        let idx = meta.client;
-        let state = self.clients[idx].txn_state(txn).unwrap_or(TxnState::Failed);
-        let client_rec = self.clients[idx].evict_txn(txn);
-        let provider_rec = self.provider.evict_txn(txn);
-        self.ttp.evict_txn(txn);
-        let net = self.net.retire_txn(txn);
-        self.obs.retire_txn(txn);
-        let ttp_used = self.ttp_touched.remove(&txn);
-        let mut bundle = EvidenceBundle::new();
-        if let Some(c) = &client_rec {
-            bundle.push("client-nro", c.nro.clone());
-            if let Some(nrr) = &c.nrr {
-                bundle.push("client-nrr", nrr.clone());
-            }
-        }
-        if let Some(p) = &provider_rec {
-            bundle.push("provider-nro", p.nro.clone());
-            bundle.push(
-                "provider-nrr",
-                VerifiedEvidence::from_stored_parts(
-                    p.nrr_plaintext.clone(),
-                    p.nrr_sigs.0.clone(),
-                    p.nrr_sigs.1.clone(),
-                ),
-            );
-        }
-        let rec = ArchivedTxn::record(
-            idx,
-            meta.started,
-            state,
-            net.delivered,
-            net.bytes_sent,
-            net.last_delivered_at.since(meta.started),
-            ttp_used,
-        );
-        self.archive.archive(txn, &bundle, rec);
-    }
-
-    /// Restores a restarted actor (by display name) from its last synced
-    /// snapshot.
-    fn restore_actor(&mut self, name: &str, now: SimTime) {
-        let Some(snaps) = self.snaps.take() else { return };
-        let bytes = if name == "bob" {
-            self.provider.restore(&snaps.provider);
-            snaps.provider.bytes()
-        } else if name == "ttp" {
-            self.ttp.restore(&snaps.ttp);
-            snaps.ttp.bytes()
-        } else {
-            match self.client_nodes.iter().position(|&n| self.net.node_name(n) == Some(name)) {
-                Some(i) => {
-                    self.clients[i].restore(&snaps.clients[i]);
-                    snaps.clients[i].bytes()
-                }
-                None => {
-                    self.snaps = Some(snaps);
-                    return;
-                }
-            }
-        };
-        self.snaps = Some(snaps);
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.to_string(),
-            kind: EventKind::Restarted { snapshot_bytes: bytes },
-        });
-    }
-
-    /// Durably syncs an actor's state if due (or forced — the write-ahead
-    /// path taken before any produced message reaches the wire).
-    fn sync_actor(&mut self, node: NodeId, now: SimTime, force: bool) {
-        if self.snaps.is_none() {
-            return;
-        }
-        let name = self.net.node_name(node).unwrap_or("?").to_string();
-        match self.faults.sync_due(&name, now, force) {
-            SyncDecision::Skip | SyncDecision::FailedWrite => {}
-            SyncDecision::Persist => {
-                let Some(snaps) = self.snaps.as_mut() else { return };
-                let bytes = if node == self.bob_node {
-                    let s = self.provider.snapshot();
-                    let b = s.bytes();
-                    snaps.provider = s;
-                    b
-                } else if node == self.ttp_node {
-                    let s = self.ttp.snapshot();
-                    let b = s.bytes();
-                    snaps.ttp = s;
-                    b
-                } else {
-                    let Some(i) = self.client_nodes.iter().position(|&n| n == node) else {
-                        return;
-                    };
-                    let s = self.clients[i].snapshot();
-                    let b = s.bytes();
-                    snaps.clients[i] = s;
-                    b
-                };
-                self.faults.note_snapshot(bytes);
-            }
-        }
-    }
-
-    /// Exact per-transaction report from the simulator's tagged traffic
+    /// Exact per-transaction report from the transport's tagged traffic
     /// counters; `None` for unknown transaction ids. Latency runs from
     /// initiation to the transaction's own last delivery (other sessions
     /// may keep the shared clock running long after this one settled).
     pub fn report(&self, txn: u64) -> Option<TxnReport> {
-        if let Some(meta) = self.txn_meta.get(&txn) {
-            let t = self.net.txn_stats(txn);
-            return Some(TxnReport {
-                txn_id: txn,
-                state: self.clients[meta.client].txn_state(txn)?,
-                messages: t.delivered,
-                bytes: t.bytes_sent,
-                latency: t.last_delivered_at.since(meta.started),
-                ttp_used: self.ttp_touched.contains(&txn),
-            });
-        }
-        // Evicted: the index record froze the final accounting.
-        let rec = self.archive.get(txn)?;
-        Some(TxnReport {
-            txn_id: txn,
-            state: rec.state,
-            messages: rec.messages,
-            bytes: rec.bytes,
-            latency: rec.latency,
-            ttp_used: rec.ttp_used,
-        })
-    }
-}
-
-impl<T: Transport> EventHub for GenericMultiWorld<T> {
-    fn transport(&mut self) -> &mut dyn Transport {
-        &mut self.net
-    }
-
-    fn next_timer(&self) -> Option<SimTime> {
-        // The wheel is the deadline index: actor deadlines and the fault
-        // injector's wakeups (restarts, outage starts) are all entries, so
-        // no actor is polled per step and downtime advances the clock
-        // instead of stalling the loop. A crashed actor's entry is
-        // cancelled with it, freezing its protocol timers until restart.
-        self.wheel.peek()
-    }
-
-    fn fire_timers(&mut self, now: SimTime) -> usize {
-        // Client indices whose transactions may have moved this round —
-        // the state diff below is restricted to them instead of walking
-        // every started txn in the world (the O(total-txns)-per-round scan
-        // this wheel refactor retires).
-        let mut touched: Vec<usize> = Vec::new();
-        if self.faults.active() {
-            // Restarts and outage boundaries first: a just-restored actor
-            // ticks in this same round, so an overdue deadline revealed by
-            // the restore produces output immediately (never barren).
-            let ev = self.faults.poll("ttp", now);
-            for name in ev.crashed {
-                if let Some(node) = self.node_by_name(&name) {
-                    self.net.set_node_down(node, true);
-                    self.wheel.cancel(self.wheel_key(node));
-                }
-                self.obs.record(Event {
-                    at: now,
-                    txn: None,
-                    actor: name,
-                    kind: EventKind::Crashed,
-                });
+        match self.txn_meta.get(&txn) {
+            Some(m) => {
+                Some(self.live_report(txn, self.clients[m.client].txn_state(txn)?, m.started))
             }
-            for name in ev.restarted {
-                self.restore_actor(&name, now);
-                // Re-arm from the restored state (the stale pre-crash entry
-                // was cancelled at crash time and can never fire); a
-                // restore can also revert transaction states, so the diff
-                // must cover the restored client.
-                if let Some(node) = self.node_by_name(&name) {
-                    self.net.set_node_down(node, false);
-                    self.refresh_wheel(node);
-                    if let Some(i) = self.client_index(node) {
-                        touched.push(i);
-                    }
-                }
-            }
-            self.refresh_fault_wheel();
+            None => self.archived_report(txn),
         }
-        let mut dispatched = 0;
-        let nodes = self.actor_nodes();
-        let fault_key = self.fault_wheel_key();
-        for key in self.wheel.advance(now) {
-            if key == fault_key {
-                continue; // consumed by faults.poll above
-            }
-            let node = nodes[key];
-            if self.faults.active() && self.faults.is_down(self.net.node_name(node).unwrap_or("?"))
-            {
-                continue;
-            }
-            let Some(actor) = self.actor_mut(node) else { continue };
-            let out = actor.on_tick(now);
-            self.obs.record(Event {
-                at: now,
-                txn: None,
-                actor: self.net.node_name(node).unwrap_or("?").to_string(),
-                kind: EventKind::TimerFired { messages: out.len() },
-            });
-            if !out.is_empty() {
-                // Write-ahead: timer-driven sends persist the state they
-                // acknowledge before hitting the wire.
-                self.sync_actor(node, now, true);
-            }
-            dispatched += out.len();
-            self.dispatch(node, out);
-            // The tick moved or kept this actor's deadline; re-register it
-            // (a kept overdue deadline re-files as overdue, preserving the
-            // scheduler's barren-masking comparison).
-            self.refresh_wheel(node);
-            if let Some(i) = self.client_index(node) {
-                touched.push(i);
-            }
-        }
-        if self.faults.active() {
-            self.refresh_fault_wheel();
-        }
-        // Timer rounds move client-visible states (abort/resolve
-        // initiation, failure declarations); diff the touched clients'
-        // txns in txn order so same-instant transitions land
-        // deterministically.
-        touched.sort_unstable();
-        touched.dedup();
-        let mut moved: Vec<(u64, usize)> = Vec::new();
-        for &i in &touched {
-            moved.extend(self.clients[i].txn_ids().into_iter().map(|t| (t, i)));
-        }
-        moved.sort_unstable();
-        for (txn, idx) in moved {
-            if let Some(st) = self.clients[idx].txn_state(txn) {
-                self.note_txn_state(now, idx, txn, st);
-            }
-        }
-        dispatched
-    }
-
-    fn deliver(&mut self, env: Envelope) {
-        let now = self.net.now();
-        let from = self.principal_of[&env.src];
-        if self.faults.active() && self.faults.is_down(self.net.node_name(env.dst).unwrap_or("?")) {
-            // The recipient is crashed: the message evaporates. The
-            // sender's retry machinery is the recovery path.
-            self.faults.note_delivery_lost();
-            return;
-        }
-        let msg = match Message::from_wire_bytes(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                // Used to be a bare `return`: garbled arrivals were
-                // invisible. Record them, attributed only by wire tag.
-                let ev = Event {
-                    at: now,
-                    txn: env.txn,
-                    actor: self.net.node_name(env.dst).unwrap_or("?").to_string(),
-                    kind: EventKind::Garbled {
-                        from: self.net.node_name(env.src).unwrap_or("?").to_string(),
-                    },
-                };
-                self.obs.record(ev);
-                return;
-            }
-        };
-        let txn_id = msg.txn_id();
-        if env.dst == self.ttp_node {
-            self.ttp_touched.insert(txn_id);
-        }
-        // Prefer the sender's wire tag; adversary injections are untagged
-        // but decode, so fall back to the protocol header's id.
-        let txn = env.txn.or(Some(txn_id));
-        let msg_kind = msg.kind().to_string();
-        let verdict = if self.faults.active() {
-            let actor_name = self.net.node_name(env.dst).unwrap_or("?").to_string();
-            self.faults.delivery_verdict(&actor_name, &msg_kind)
-        } else {
-            DeliveryVerdict::Proceed
-        };
-        if verdict == DeliveryVerdict::CrashBefore {
-            // Crash on receipt: the message is lost before processing.
-            self.crash_actor(env.dst, now);
-            return;
-        }
-        let result = match self.actor_mut(env.dst) {
-            Some(actor) => actor.on_message(from, &msg, now),
-            None => return,
-        };
-        match result {
-            Ok(out) => {
-                let ev = Event {
-                    at: now,
-                    txn,
-                    actor: self.net.node_name(env.dst).unwrap_or("?").to_string(),
-                    kind: EventKind::Delivered {
-                        from: self.net.node_name(env.src).unwrap_or("?").to_string(),
-                        msg: msg_kind,
-                    },
-                };
-                self.obs.record(ev);
-                if let Some(idx) = self.client_index(env.dst) {
-                    if let Some(st) = self.clients[idx].txn_state(txn_id) {
-                        self.note_txn_state(now, idx, txn_id, st);
-                    }
-                }
-                // Write-ahead durable sync before any reply hits the wire.
-                let force = !out.is_empty() || verdict == DeliveryVerdict::CrashAfter;
-                self.sync_actor(env.dst, now, force);
-                if verdict == DeliveryVerdict::CrashAfter {
-                    // State persisted, replies die with the process.
-                    self.crash_actor(env.dst, now);
-                } else {
-                    self.dispatch(env.dst, out);
-                }
-            }
-            Err(error) => {
-                // Used to be `unwrap_or_default()`: validation rejections
-                // vanished. Record the event and its variant counter.
-                let ev = Event {
-                    at: now,
-                    txn,
-                    actor: self.net.node_name(env.dst).unwrap_or("?").to_string(),
-                    kind: EventKind::Rejected {
-                        from: self.net.node_name(env.src).unwrap_or("?").to_string(),
-                        msg: msg_kind,
-                        error,
-                    },
-                };
-                self.obs.record(ev);
-                if verdict == DeliveryVerdict::CrashAfter {
-                    self.crash_actor(env.dst, now);
-                }
-            }
-        }
-        // The message may have armed, moved, or cleared the recipient's
-        // earliest deadline; keep the wheel authoritative. (Crash paths
-        // already cancelled the entry; refresh on a down actor is a no-op
-        // cancellation.)
-        self.refresh_wheel(env.dst);
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Obs> {
-        Some(&mut self.obs)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.fault_counters()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Durable, FaultCtl};
+    use crate::obs::EventKind;
+    use crate::runner::Snapshots as MultiSnapshots;
     use crate::sched::SettleOutcome;
     use tpnr_net::time::SimDuration;
 
@@ -1216,6 +477,30 @@ mod tests {
         assert_eq!(rej.txn, Some(t0.txn_id));
         assert_eq!(rej.msg_kind(), Some("Transfer"));
         assert_eq!(w.provider.actor_stats.rejected, 1);
+    }
+
+    #[test]
+    fn ttp_declares_simultaneous_failures_in_txn_order() {
+        // Regression: the TTP's timeout sweep walked a hash map, so resolves
+        // expiring at one instant were answered in an order that changed
+        // from process to process, and with it the event stream.
+        let mut w = MultiWorld::new(13, ProtocolConfig::full(), 8);
+        w.provider.behavior.respond_transfers = false;
+        w.provider.behavior.respond_resolves = false;
+        for i in 0..8 {
+            let key = format!("k{i}").into_bytes();
+            w.start_upload(i, &key, vec![1; 8], TimeoutStrategy::ResolveImmediately);
+        }
+        assert_eq!(w.settle().outcome, SettleOutcome::Quiescent);
+        let replies: Vec<u64> = w
+            .obs
+            .events()
+            .iter()
+            .filter(|e| e.msg_kind() == Some("ResolveReply"))
+            .filter_map(|e| e.txn)
+            .collect();
+        assert_eq!(replies.len(), 8);
+        assert!(replies.windows(2).all(|p| p[0] < p[1]), "replies out of txn order: {replies:?}");
     }
 
     #[test]

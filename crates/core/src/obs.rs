@@ -7,7 +7,8 @@
 //! module, `World` kept a private trace that `MultiWorld` never got — there,
 //! garbled payloads and validation rejections vanished without a record —
 //! and drops/duplications inside [`SimNet`](tpnr_net::sim::SimNet) were
-//! invisible to both. [`Obs`] is the single sink both runners share:
+//! invisible to both. [`Obs`] is the single sink of the one runner that
+//! has since replaced both:
 //!
 //! - an [`Event`] ring buffer (bounded, so 50-client floods cannot grow
 //!   memory without bound; eviction is counted, never silent),

@@ -1,33 +1,41 @@
 //! Orchestration: TPNR actors over a [`Transport`].
 //!
-//! [`GenericWorld`] owns one client, one provider, one TTP and the wire,
+//! [`Runner`] owns the clients, one provider, one TTP and the wire,
 //! encodes every protocol message to canonical bytes on the wire (so
 //! adversaries manipulate real traffic), drives deliveries and timeout
 //! polls, and reports per-transaction statistics — message counts, wall
 //! latency, and whether the TTP was touched (the measurements behind
 //! experiments E2 and E6).
 //!
-//! The world is generic over its [`Transport`] backend — the same
+//! One runner serves both deployments of the paper's Figure 1. They differ
+//! only in the seat type `S`, where the clients are stored: [`Solo`] seats
+//! Alice alone for [`World`], [`Fleet`](crate::multi::Fleet) seats many
+//! clients for [`MultiWorld`](crate::multi::MultiWorld). The runner derefs
+//! to its seats, so `w.client` and `w.clients` read as fields of the world.
+//!
+//! The runner is generic over its [`Transport`] backend — the same
 //! protocol code runs on the deterministic simulator ([`World`] =
 //! `GenericWorld<SimNet>`), the in-process channel, and loopback TCP
 //! (experiment E14) with zero per-backend branches.
 
-use crate::client::{Client, TimeoutStrategy};
+use crate::archive::{ArchiveStats, ArchivedTxn, EvidenceBundle, TxnArchive};
+use crate::client::{Client, ClientSnapshot, TimeoutStrategy};
 use crate::config::ProtocolConfig;
 use crate::evidence::VerifiedEvidence;
 use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultStats, SyncDecision};
 use crate::message::Message;
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
-use crate::provider::Provider;
+use crate::provider::{Provider, ProviderSnapshot};
 use crate::sched::{self, Actor, EventHub, SettleReport, TimerWheel};
-use crate::session::{Outgoing, TxnState};
-use crate::ttp::Ttp;
-use std::collections::{HashMap, HashSet};
+use crate::session::{Outgoing, TxnState, ValidationError};
+use crate::ttp::{Ttp, TtpSnapshot};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::{Envelope, LinkConfig, NodeId, SimNet};
-use tpnr_net::time::SimTime;
+use tpnr_net::time::{SimDuration, SimTime};
 use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
 
@@ -130,69 +138,142 @@ impl TxnResult {
     }
 }
 
-/// Last synced durable images of the three actors (the crash recovery
-/// points). Allocated only when the fault plan can actually inject.
-struct WorldSnapshots {
-    client: crate::client::ClientSnapshot,
-    provider: crate::provider::ProviderSnapshot,
-    ttp: crate::ttp::TtpSnapshot,
+/// Where a runner's clients sit — the one thing that differs between
+/// [`World`] ([`Solo`]) and [`MultiWorld`](crate::multi::MultiWorld)
+/// ([`Fleet`](crate::multi::Fleet)). Client `i` is the one on the runner's
+/// `client_nodes[i]`.
+pub trait Seats {
+    /// The clients, in node order.
+    fn clients(&self) -> &[Client];
+    /// The clients, mutably.
+    fn clients_mut(&mut self) -> &mut [Client];
 }
 
-/// The assembled world: three actors on a [`Transport`] backend.
-///
-/// `T` defaults to the deterministic simulator; [`World`] is the
-/// `GenericWorld<SimNet>` alias almost all code uses. Every protocol
-/// decision below is written against the [`Transport`] trait, so swapping
-/// `T` for [`tpnr_net::ChannelNet`] or [`tpnr_net::TcpNet`] changes the
-/// wire, never the protocol.
-pub struct GenericWorld<T: Transport = SimNet> {
-    /// The wire. Private since the transport redesign: use the typed
-    /// accessors [`GenericWorld::net`] / [`GenericWorld::net_mut`], which
-    /// keep the backend's full inherent API (links, interceptors)
-    /// reachable without freezing the field layout into the public API.
-    net: T,
+/// The seats of [`World`]: Alice alone, with the key directory she shares
+/// with the provider and the TTP.
+pub struct Solo {
     /// Alice.
     pub client: Client,
-    /// Bob.
-    pub provider: Provider,
-    /// The trusted third party.
-    pub ttp: Ttp,
     /// Alice's node.
     pub alice_node: NodeId,
-    /// Bob's node.
-    pub bob_node: NodeId,
-    /// TTP's node.
-    pub ttp_node: NodeId,
-    node_of: HashMap<PrincipalId, NodeId>,
-    principal_of: HashMap<NodeId, PrincipalId>,
-    name_of: HashMap<NodeId, &'static str>,
     /// The authenticated key directory shared by all honest parties
     /// (exposed for arbitration and attack harnesses).
     pub dir: Directory,
-    /// The shared observability sink: structured events (deliveries,
-    /// rejections, garbled arrivals, drops, duplications, timer fires,
-    /// state transitions) plus the metrics registry. Same type and
-    /// semantics as [`MultiWorld`](crate::multi::MultiWorld)'s.
+}
+
+impl Seats for Solo {
+    fn clients(&self) -> &[Client] {
+        std::slice::from_ref(&self.client)
+    }
+
+    fn clients_mut(&mut self) -> &mut [Client] {
+        std::slice::from_mut(&mut self.client)
+    }
+}
+
+/// Per-transaction bookkeeping: owner, start time, and whether the first
+/// terminal transition has been funnelled through the archive's settled
+/// queue yet.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TxnMeta {
+    pub(crate) client: usize,
+    pub(crate) started: SimTime,
+    settled: bool,
+}
+
+/// Last synced durable images of every actor (the crash recovery points).
+/// Allocated only when the fault plan can actually inject.
+pub(crate) struct Snapshots {
+    pub(crate) clients: Vec<ClientSnapshot>,
+    pub(crate) provider: ProviderSnapshot,
+    pub(crate) ttp: TtpSnapshot,
+}
+
+/// The sender id under which an arrival from a node no actor sits at (an
+/// adversary the deployment never listed) is handed to its recipient. No
+/// key's fingerprint is all zeros, so wherever the protocol binds the
+/// sender's identity the arrival is refused; under the identity-binding
+/// ablation the message is judged on its contents alone.
+const UNKNOWN_SENDER: PrincipalId = PrincipalId([0; 32]);
+
+/// The assembled deployment: clients in seats `S`, one provider and one
+/// TTP on a [`Transport`] backend `T`.
+///
+/// Every protocol decision below is written against the [`Transport`]
+/// trait, so swapping `T` for [`tpnr_net::ChannelNet`] or
+/// [`tpnr_net::TcpNet`] changes the wire, never the protocol.
+///
+/// Actors are addressed by *slot*: with `n` clients, client `i` is slot
+/// `i`, the provider slot `n` and the TTP slot `n + 1`. Slots double as
+/// timer-wheel keys; the fault injector's wakeup is key `n + 2`.
+pub struct Runner<T: Transport, S> {
+    /// The wire. Use the typed accessors [`Runner::net`] /
+    /// [`Runner::net_mut`], which keep the backend's full inherent API
+    /// (links, interceptors) reachable without freezing the field layout
+    /// into the public API.
+    pub(crate) net: T,
+    seats: S,
+    /// Bob, the shared provider.
+    pub provider: Provider,
+    /// The shared trusted third party.
+    pub ttp: Ttp,
+    /// The clients' nodes (index-aligned with the seats' clients).
+    pub client_nodes: Vec<NodeId>,
+    /// Bob's node.
+    pub bob_node: NodeId,
+    /// The TTP's node.
+    pub ttp_node: NodeId,
+    // Ordered maps: the lint's DET-ORDER rule covers this module, and
+    // iteration over these must be deterministic regardless of hash
+    // seeding.
+    node_of: BTreeMap<PrincipalId, NodeId>,
+    principal_of: BTreeMap<NodeId, PrincipalId>,
+    /// The observability sink: structured events (deliveries, rejections,
+    /// garbled arrivals, drops, duplications, timer fires, state
+    /// transitions) plus the metrics registry.
     pub obs: Obs,
     /// Safety valve against livelock in adversarial runs; when hit, settle
     /// reports [`sched::SettleOutcome::StepCapExceeded`] instead of
     /// silently stopping.
     pub max_steps: usize,
+    /// Owner/start/settled per started transaction (evicted entries move to
+    /// `archive`).
+    pub(crate) txn_meta: BTreeMap<u64, TxnMeta>,
     /// Transactions the TTP has seen a message for.
-    ttp_touched: HashSet<u64>,
+    ttp_touched: BTreeSet<u64>,
     /// The fault injector executing `cfg.faults` (inert and overhead-free
     /// for the default plan).
-    faults: FaultCtl,
+    pub(crate) faults: FaultCtl,
     /// Last synced snapshots; `None` when the fault plan is inert.
-    snaps: Option<Box<WorldSnapshots>>,
-    /// Scheduler-owned deadline index: actors register/cancel deadlines
-    /// here instead of being polled each step (keys: alice 0, bob 1,
-    /// ttp 2, fault wakeup [`GenericWorld::FAULT_WHEEL_KEY`]).
+    pub(crate) snaps: Option<Box<Snapshots>>,
+    /// Scheduler-owned deadline index, keyed by slot: actors register and
+    /// cancel deadlines here instead of being polled each step.
     wheel: TimerWheel,
+    /// Bounded-memory store for settled transactions (sharded by txn-id
+    /// hash; oldest settled txns evicted to sealed evidence logs).
+    pub(crate) archive: TxnArchive,
 }
+
+/// The single-client deployment — Alice, Bob and the TTP — over any
+/// [`Transport`] backend.
+pub type GenericWorld<T = SimNet> = Runner<T, Solo>;
 
 /// The classic deterministic world: [`GenericWorld`] over [`SimNet`].
 pub type World = GenericWorld<SimNet>;
+
+impl<T: Transport, S> Deref for Runner<T, S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.seats
+    }
+}
+
+impl<T: Transport, S> DerefMut for Runner<T, S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.seats
+    }
+}
 
 impl World {
     /// Builds a world on the deterministic simulator with fresh
@@ -200,7 +281,9 @@ impl World {
     pub fn new(seed: u64, cfg: ProtocolConfig) -> Self {
         Self::with_transport(SimNet::new(seed), seed, cfg)
     }
+}
 
+impl<S: Seats> Runner<SimNet, S> {
     /// Configures every link with the same parameters (RTT sweeps).
     pub fn set_all_links(&mut self, cfg: LinkConfig) {
         self.net.set_default_link(cfg);
@@ -211,212 +294,49 @@ impl<T: Transport> GenericWorld<T> {
     /// Builds a world over an arbitrary [`Transport`] backend. `seed`
     /// derives the principals' keys and each actor's RNG exactly as
     /// [`World::new`] does, so two backends given the same seed host
-    /// byte-identical principals.
-    pub fn with_transport(mut net: T, seed: u64, cfg: ProtocolConfig) -> Self {
-        let alice = Principal::test("alice", seed.wrapping_mul(3).wrapping_add(1));
-        let bob = Principal::test("bob", seed.wrapping_mul(3).wrapping_add(2));
-        let ttp_p = Principal::test("ttp", seed.wrapping_mul(3).wrapping_add(3));
-        let mut dir = Directory::new();
-        dir.register(&alice);
-        dir.register(&bob);
-        dir.register(&ttp_p);
-
-        let alice_node = net.register("alice");
-        let bob_node = net.register("bob");
-        let ttp_node = net.register("ttp");
-
-        let client = Client::new(
-            alice.clone(),
-            cfg.clone(),
-            dir.clone(),
-            ttp_p.id(),
-            bob.id(),
-            ChaChaRng::seed_from_u64(seed ^ 0xa11ce),
-        );
-        let provider = Provider::new(
-            bob.clone(),
-            cfg.clone(),
-            dir.clone(),
-            ttp_p.id(),
-            ChaChaRng::seed_from_u64(seed ^ 0xb0b),
-        );
-        let faults = FaultCtl::new(&cfg.faults);
-        let ttp = Ttp::new(ttp_p.clone(), cfg, dir.clone(), ChaChaRng::seed_from_u64(seed ^ 0x777));
-        // Take the epoch-zero recovery points up front: a crash before the
-        // first sync restores to the freshly-built actor, not to garbage.
-        let snaps = faults.active().then(|| {
-            Box::new(WorldSnapshots {
-                client: client.snapshot(),
-                provider: provider.snapshot(),
-                ttp: ttp.snapshot(),
-            })
-        });
-
-        let node_of: HashMap<_, _> =
-            [(alice.id(), alice_node), (bob.id(), bob_node), (ttp_p.id(), ttp_node)]
-                .into_iter()
-                .collect();
-        let principal_of: HashMap<_, _> = node_of.iter().map(|(p, n)| (*n, *p)).collect();
-        let name_of: HashMap<NodeId, &'static str> =
-            [(alice_node, "alice"), (bob_node, "bob"), (ttp_node, "ttp")].into_iter().collect();
-
-        GenericWorld {
+    /// byte-identical principals. Every settled transaction stays resident
+    /// until [`Runner::set_archive_capacity`] turns eviction on.
+    pub fn with_transport(net: T, seed: u64, cfg: ProtocolConfig) -> Self {
+        let key = |name: &str, k: u64| Principal::test(name, seed.wrapping_mul(3).wrapping_add(k));
+        let alice = [key("alice", 1)];
+        let mut w = Runner::assemble(
             net,
-            client,
-            provider,
-            ttp,
-            alice_node,
-            bob_node,
-            ttp_node,
-            node_of,
-            principal_of,
-            name_of,
-            dir,
-            obs: Obs::new(),
-            max_steps: 10_000,
-            ttp_touched: HashSet::new(),
-            faults,
-            snaps,
-            wheel: TimerWheel::new(),
-        }
-    }
-
-    /// Wheel key for the fault injector's next wakeup (restart instants and
-    /// outage boundaries are timers like any other).
-    const FAULT_WHEEL_KEY: usize = 3;
-
-    fn wheel_key(&self, node: NodeId) -> usize {
-        if node == self.alice_node {
-            0
-        } else if node == self.bob_node {
-            1
-        } else {
-            2
-        }
-    }
-
-    fn node_by_name(&self, name: &str) -> NodeId {
-        match name {
-            "alice" => self.alice_node,
-            "bob" => self.bob_node,
-            _ => self.ttp_node,
-        }
-    }
-
-    /// Re-registers one actor's earliest deadline with the wheel (a down
-    /// actor's timers are frozen, so its entry is cancelled instead).
-    fn refresh_wheel(&mut self, node: NodeId) {
-        let down = self.faults.active() && self.faults.is_down(self.name_of[&node]);
-        let d = if down { None } else { self.actor(node).next_deadline() };
-        self.wheel.set(self.wheel_key(node), d);
-    }
-
-    fn refresh_fault_wheel(&mut self) {
-        let w = self.faults.next_wakeup();
-        self.wheel.set(Self::FAULT_WHEEL_KEY, w);
-    }
-
-    /// Full wheel resync from actor state. Run at every settle entry so
-    /// deadlines armed or mutated outside the event loop (API calls, test
-    /// and attack harnesses poking actors directly) are picked up.
-    fn resync_wheel(&mut self) {
-        for node in self.actor_nodes() {
-            self.refresh_wheel(node);
-        }
-        self.refresh_fault_wheel();
-    }
-
-    /// Borrows the transport backend (typed, so the backend's inherent
-    /// API — [`SimNet::stats`], link knobs — stays reachable).
-    pub fn net(&self) -> &T {
-        &self.net
-    }
-
-    /// Mutably borrows the transport backend (links, interceptors,
-    /// manual sends in attack and test harnesses).
-    pub fn net_mut(&mut self) -> &mut T {
-        &mut self.net
-    }
-
-    fn dispatch_outgoing(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
-        for o in out {
-            let Some(&dst) = self.node_of.get(&o.to) else { continue };
-            let txn = o.msg.txn_id();
-            // First wire activity marks the transaction's start (idempotent)
-            // so terminal-state latency is measurable for every entry path.
-            self.obs.note_txn_started(txn, self.net.now());
-            // Encode once into a shared buffer; the simulator clones only
-            // the handle from here on (queue, duplicates, inbox).
-            self.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
-        }
+            seed,
+            cfg,
+            &alice,
+            &key("bob", 2),
+            &key("ttp", 3),
+            |mut clients, nodes, dir| Solo {
+                client: clients.remove(0),
+                alice_node: nodes[0],
+                dir: dir.clone(),
+            },
+        );
+        w.max_steps = 10_000;
+        w.archive.set_hot_capacity(usize::MAX);
+        w
     }
 
     /// Sends any messages produced by a client API call.
     pub fn send_from_client(&mut self, out: Vec<Outgoing>) {
-        self.dispatch_outgoing(self.alice_node, out);
-    }
-
-    fn actor_nodes(&self) -> [NodeId; 3] {
-        [self.alice_node, self.bob_node, self.ttp_node]
-    }
-
-    fn actor(&self, node: NodeId) -> &dyn Actor {
-        if node == self.alice_node {
-            &self.client
-        } else if node == self.bob_node {
-            &self.provider
-        } else {
-            &self.ttp
-        }
-    }
-
-    fn actor_mut(&mut self, node: NodeId) -> &mut dyn Actor {
-        if node == self.alice_node {
-            &mut self.client
-        } else if node == self.bob_node {
-            &mut self.provider
-        } else {
-            &mut self.ttp
-        }
-    }
-
-    /// Runs deliveries and timeout polls on the shared scheduler
-    /// ([`sched::settle`]) until every timer and delivery is drained or
-    /// `max_steps` is hit — check `outcome` on the returned report.
-    pub fn settle(&mut self) -> SettleReport {
-        self.resync_wheel();
-        let max_steps = self.max_steps;
-        let report = sched::settle(self, max_steps);
-        // Mirror the cumulative fault counters into the metrics registry so
-        // JSONL/bench output carries them without re-deriving.
-        let f = report.faults;
-        self.obs.metrics.crashes = f.crashes;
-        self.obs.metrics.restarts = f.restarts;
-        self.obs.metrics.retries = f.retries;
-        self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
-        report
+        let alice = self.seats.alice_node;
+        self.dispatch(alice, out);
     }
 
     /// Runs one transaction to settlement and returns the typed result.
     ///
     /// A failed initiation (e.g. no provider key) never panics: it is
-    /// recorded as a rejection in [`Obs`](crate::obs::Obs) and reported as
+    /// recorded as a rejection in [`Obs`] and reported as
     /// a `Failed` transaction with the sentinel id 0 (real ids start at 1).
     pub fn run(&mut self, req: TxnRequest) -> TxnResult {
         let started = self.net.now();
-        let begun = match req.data {
-            Some(data) => self.client.begin_upload(&req.key, data, started, req.strategy),
-            None => self.client.begin_download(&req.key, started, req.strategy),
-        };
-        let (txn_id, out) = match begun {
-            Ok(v) => v,
-            Err(e) => return self.failed_initiation(started, "Transfer", e),
-        };
-        self.obs.note_state(started, "alice", txn_id, TxnState::Pending);
-        // Write-ahead: the NRO sealed at initiation must survive a crash
-        // that lands before any reply comes back.
-        self.sync_actor(self.alice_node, started, true);
-        self.send_from_client(out);
+        let txn_id = self.start(0, &req.key, req.data, req.strategy);
+        if txn_id == 0 {
+            let (state, latency) = (TxnState::Failed, SimDuration::ZERO);
+            let report =
+                TxnReport { txn_id, state, messages: 0, bytes: 0, latency, ttp_used: false };
+            return TxnResult { txn_id, outcome: state, data: None, nro: None, nrr: None, report };
+        }
         self.settle();
         self.result(txn_id, started)
     }
@@ -440,63 +360,357 @@ impl<T: Transport> GenericWorld<T> {
 
     /// Assembles the typed result for a settled transaction.
     pub fn result(&self, txn_id: u64, started: SimTime) -> TxnResult {
-        let report = self.report(txn_id, started);
-        let t = self.client.txn(txn_id);
-        TxnResult {
-            txn_id,
-            outcome: report.state,
-            data: self.client.download_result(txn_id).map(|p| p.data.clone()),
-            nro: t.map(|t| t.nro.clone()),
-            nrr: t.and_then(|t| t.nrr.clone()),
-            report,
-        }
+        self.result_for(0, self.report(txn_id, started))
     }
 
-    /// Records a client-side initiation failure and builds the degraded
-    /// result (no traffic was ever generated for the transaction).
-    fn failed_initiation(
-        &mut self,
-        started: SimTime,
-        msg: &str,
-        error: crate::session::ValidationError,
-    ) -> TxnResult {
-        self.obs.record(Event {
-            at: started,
-            txn: None,
-            actor: "alice".to_string(),
-            kind: EventKind::Rejected { from: "alice".to_string(), msg: msg.to_string(), error },
+    /// Builds an exact per-transaction report from the transport's tagged
+    /// traffic counters. Latency runs from `started` to the transaction's
+    /// own last delivery, not to `net.now()`. An evicted transaction
+    /// reports the accounting its archive record froze.
+    pub fn report(&self, txn_id: u64, started: SimTime) -> TxnReport {
+        let state = self.seats.client.txn_state(txn_id).unwrap_or(TxnState::Pending);
+        self.archived_report(txn_id).unwrap_or_else(|| self.live_report(txn_id, state, started))
+    }
+}
+
+impl<T: Transport, S: Seats> Runner<T, S> {
+    /// Registers the population on `net` — clients first, then the
+    /// provider and the TTP — and builds every actor. Each client gets a
+    /// minimal directory ({self, provider, TTP}: all it ever verifies) and
+    /// an RNG stream of its own; the provider and the TTP hold the full
+    /// directory. `seat` stores the clients, given their nodes and the full
+    /// directory. The archive starts at its default hot capacity and the
+    /// step cap at 100,000; constructors adjust both.
+    pub(crate) fn assemble(
+        mut net: T,
+        seed: u64,
+        cfg: ProtocolConfig,
+        client_principals: &[Principal],
+        bob: &Principal,
+        ttp_p: &Principal,
+        seat: impl FnOnce(Vec<Client>, &[NodeId], &Directory) -> S,
+    ) -> Self {
+        assert!(!client_principals.is_empty());
+        let mut dir = Directory::new();
+        for p in [bob, ttp_p].into_iter().chain(client_principals) {
+            dir.register(p);
+        }
+        let client_nodes: Vec<NodeId> =
+            client_principals.iter().map(|c| net.register(&c.name)).collect();
+        let bob_node = net.register(&bob.name);
+        let ttp_node = net.register(&ttp_p.name);
+
+        let clients = client_principals
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let mut cdir = Directory::new();
+                for q in [bob, ttp_p, p] {
+                    cdir.register(q);
+                }
+                let rng = ChaChaRng::seed_from_u64(seed ^ (0xc11e47 + i as u64));
+                Client::new(p.clone(), cfg.clone(), cdir, ttp_p.id(), bob.id(), rng)
+            })
+            .collect();
+        let seats = seat(clients, &client_nodes, &dir);
+        let provider = Provider::new(
+            bob.clone(),
+            cfg.clone(),
+            dir.clone(),
+            ttp_p.id(),
+            ChaChaRng::seed_from_u64(seed ^ 0xb0b),
+        );
+        let faults = FaultCtl::new(&cfg.faults);
+        let ttp = Ttp::new(ttp_p.clone(), cfg, dir, ChaChaRng::seed_from_u64(seed ^ 0x777));
+        // Take the epoch-zero recovery points up front: a crash before the
+        // first sync restores to the freshly-built actor, not to garbage.
+        let snaps = faults.active().then(|| {
+            Box::new(Snapshots {
+                clients: seats.clients().iter().map(Durable::snapshot).collect(),
+                provider: provider.snapshot(),
+                ttp: ttp.snapshot(),
+            })
         });
-        TxnResult {
-            txn_id: 0,
-            outcome: TxnState::Failed,
-            data: None,
-            nro: None,
-            nrr: None,
-            report: TxnReport {
-                txn_id: 0,
-                state: TxnState::Failed,
-                messages: 0,
-                bytes: 0,
-                latency: started.since(started),
-                ttp_used: false,
-            },
+
+        let mut node_of = BTreeMap::new();
+        node_of.insert(bob.id(), bob_node);
+        node_of.insert(ttp_p.id(), ttp_node);
+        for (p, n) in client_principals.iter().zip(&client_nodes) {
+            node_of.insert(p.id(), *n);
+        }
+        let principal_of = node_of.iter().map(|(p, n)| (*n, *p)).collect();
+
+        Runner {
+            net,
+            seats,
+            provider,
+            ttp,
+            client_nodes,
+            bob_node,
+            ttp_node,
+            node_of,
+            principal_of,
+            obs: Obs::new(),
+            max_steps: 100_000,
+            txn_meta: BTreeMap::new(),
+            ttp_touched: BTreeSet::new(),
+            faults,
+            snaps,
+            wheel: TimerWheel::new(),
+            archive: TxnArchive::new(),
         }
     }
 
-    /// Cumulative fault counters: the injector's own plus the client's
+    /// Borrows the transport backend (typed, so the backend's inherent
+    /// API — [`SimNet::stats`], link knobs — stays reachable).
+    pub fn net(&self) -> &T {
+        &self.net
+    }
+
+    /// Mutably borrows the transport backend (links, interceptors,
+    /// manual sends in attack and test harnesses).
+    pub fn net_mut(&mut self) -> &mut T {
+        &mut self.net
+    }
+
+    /// Runs deliveries and timeout polls on the shared scheduler
+    /// ([`sched::settle`]) until every timer and delivery is drained or
+    /// `max_steps` is hit — check `outcome` on the returned report.
+    pub fn settle(&mut self) -> SettleReport {
+        self.resync_wheel();
+        let max_steps = self.max_steps;
+        let report = sched::settle(self, max_steps);
+        // Mirror the cumulative fault counters into the metrics registry so
+        // JSONL/bench output carries them without re-deriving.
+        let f = report.faults;
+        self.obs.metrics.crashes = f.crashes;
+        self.obs.metrics.restarts = f.restarts;
+        self.obs.metrics.retries = f.retries;
+        self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
+        report
+    }
+
+    /// Cumulative fault counters: the injector's own plus every client's
     /// retry machinery (which lives outside snapshots so it never resets).
     pub fn fault_counters(&self) -> FaultStats {
         let mut f = self.faults.stats;
-        f.retries += self.client.retry_stats.retries;
-        f.gave_up += self.client.retry_stats.gave_up;
+        for c in self.seats.clients() {
+            f.retries += c.retry_stats.retries;
+            f.gave_up += c.retry_stats.gave_up;
+        }
         f
+    }
+
+    /// Archive behaviour counters (evictions, re-hydrations, resident
+    /// settled txns, sealed log bytes).
+    pub fn archive_stats(&self) -> ArchiveStats {
+        self.archive.stats()
+    }
+
+    /// Live per-transaction bookkeeping entries (the bounded-memory
+    /// regression hook: settled txns leave this map when evicted).
+    pub fn resident_txns(&self) -> usize {
+        self.txn_meta.len()
+    }
+
+    /// Re-hydrates an evicted transaction's archived evidence bundle.
+    pub fn rehydrate_evidence(&self, txn: u64) -> Option<EvidenceBundle> {
+        self.archive.load_bundle(txn)
+    }
+
+    /// Sets the archive's per-shard hot capacity: settled transactions
+    /// beyond it are evicted to the sealed log. A [`World`] starts with
+    /// eviction off (an unbounded hot set), a
+    /// [`MultiWorld`](crate::multi::MultiWorld) at
+    /// [`DEFAULT_HOT_CAPACITY`](crate::archive::DEFAULT_HOT_CAPACITY); tests
+    /// lower it to force eviction, experiments tune resident memory.
+    pub fn set_archive_capacity(&mut self, hot_capacity: usize) {
+        self.archive.set_hot_capacity(hot_capacity);
+    }
+
+    /// Starts a transaction on client `idx` without settling (so many can
+    /// be in flight together): an upload of `data`, or a download when it
+    /// is `None`. Returns the transaction id; a failed initiation returns
+    /// the sentinel 0 and is recorded as a rejection in [`Obs`], never a
+    /// panic.
+    pub(crate) fn start(
+        &mut self,
+        idx: usize,
+        key: &[u8],
+        data: Option<Bytes>,
+        strategy: TimeoutStrategy,
+    ) -> u64 {
+        let now = self.net.now();
+        let client = &mut self.seats.clients_mut()[idx];
+        let begun = match data {
+            Some(data) => client.begin_upload(key, data, now, strategy),
+            None => client.begin_download(key, now, strategy),
+        };
+        let name = self.net.node_name(self.client_nodes[idx]).unwrap_or("?");
+        let (txn, out) = match begun {
+            Ok(v) => v,
+            Err(error) => {
+                let kind =
+                    EventKind::Rejected { from: name.to_string(), msg: "Transfer".into(), error };
+                self.obs.record(Event { at: now, txn: None, actor: name.to_string(), kind });
+                return 0;
+            }
+        };
+        self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
+        self.obs.note_state(now, name, txn, TxnState::Pending);
+        // Write-ahead: the NRO sealed at initiation must survive a crash
+        // that lands before any reply comes back.
+        self.sync_actor(idx, now, true);
+        self.dispatch(self.client_nodes[idx], out);
+        txn
+    }
+
+    /// A live transaction's report from the transport's tagged traffic
+    /// counters. Latency is txn-scoped — measured from `started` to this
+    /// transaction's own last delivery, not to `net.now()` — so unrelated
+    /// background traffic never inflates it.
+    pub(crate) fn live_report(&self, txn_id: u64, state: TxnState, started: SimTime) -> TxnReport {
+        let t = self.net.txn_stats(txn_id);
+        TxnReport {
+            txn_id,
+            state,
+            messages: t.delivered,
+            bytes: t.bytes_sent,
+            latency: t.last_delivered_at.since(started),
+            ttp_used: self.ttp_touched.contains(&txn_id),
+        }
+    }
+
+    /// An evicted transaction's report: the final accounting its archive
+    /// index record froze.
+    pub(crate) fn archived_report(&self, txn_id: u64) -> Option<TxnReport> {
+        let rec = self.archive.get(txn_id)?;
+        Some(TxnReport {
+            txn_id,
+            state: rec.state,
+            messages: rec.messages,
+            bytes: rec.bytes,
+            latency: rec.latency,
+            ttp_used: rec.ttp_used,
+        })
+    }
+
+    /// The typed result behind `report` for client `idx`: payload and
+    /// evidence from the live record, or the evidence re-hydrated from the
+    /// sealed log once evicted (the downloaded payload is gone by then —
+    /// the provider's storage holds the service copy, evidence is what
+    /// survives for arbitration).
+    pub(crate) fn result_for(&self, idx: usize, report: TxnReport) -> TxnResult {
+        let txn_id = report.txn_id;
+        let c = &self.seats.clients()[idx];
+        let (data, nro, nrr) = match c.txn(txn_id) {
+            Some(t) => {
+                let data = c.download_result(txn_id).map(|p| p.data.clone());
+                (data, Some(t.nro.clone()), t.nrr.clone())
+            }
+            None => {
+                let b = self.archive.load_bundle(txn_id).unwrap_or_default();
+                (None, b.get("client-nro").cloned(), b.get("client-nrr").cloned())
+            }
+        };
+        TxnResult { txn_id, outcome: report.state, data, nro, nrr, report }
+    }
+
+    /// The actor slot at `node`, if an actor sits there.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        let n = self.client_nodes.len();
+        if node == self.bob_node {
+            Some(n)
+        } else if node == self.ttp_node {
+            Some(n + 1)
+        } else {
+            self.client_nodes.iter().position(|&c| c == node)
+        }
+    }
+
+    /// The node of the actor in `slot`.
+    fn node_at(&self, slot: usize) -> NodeId {
+        match slot.checked_sub(self.client_nodes.len()) {
+            None => self.client_nodes[slot],
+            Some(0) => self.bob_node,
+            Some(_) => self.ttp_node,
+        }
+    }
+
+    /// The display name of the actor in `slot` (its node's name).
+    fn name(&self, slot: usize) -> &str {
+        self.net.node_name(self.node_at(slot)).unwrap_or("?")
+    }
+
+    /// The slot of the actor with display name `name` (fault plans and
+    /// the injector's wakeups address actors by name).
+    fn slot_named(&self, name: &str) -> Option<usize> {
+        (0..self.fault_key()).find(|&s| self.name(s) == name)
+    }
+
+    /// Wheel key for the fault injector's next wakeup (restart instants and
+    /// outage boundaries are timers like any other).
+    fn fault_key(&self) -> usize {
+        self.client_nodes.len() + 2
+    }
+
+    fn actor(&self, slot: usize) -> &dyn Actor {
+        match slot.checked_sub(self.client_nodes.len()) {
+            None => &self.seats.clients()[slot],
+            Some(0) => &self.provider,
+            Some(_) => &self.ttp,
+        }
+    }
+
+    fn actor_mut(&mut self, slot: usize) -> &mut dyn Actor {
+        match slot.checked_sub(self.client_nodes.len()) {
+            None => &mut self.seats.clients_mut()[slot],
+            Some(0) => &mut self.provider,
+            Some(_) => &mut self.ttp,
+        }
+    }
+
+    /// Re-registers one actor's earliest deadline with the wheel (a down
+    /// actor's timers are frozen, so its entry is cancelled instead).
+    fn refresh_wheel(&mut self, slot: usize) {
+        let down = self.faults.active() && self.faults.is_down(self.name(slot));
+        let d = if down { None } else { self.actor(slot).next_deadline() };
+        self.wheel.set(slot, d);
+    }
+
+    fn refresh_fault_wheel(&mut self) {
+        let w = self.faults.next_wakeup();
+        self.wheel.set(self.fault_key(), w);
+    }
+
+    /// Full wheel resync from actor state. Run at every settle entry so
+    /// deadlines armed or mutated outside the event loop (API calls, test
+    /// and attack harnesses poking actors directly) are picked up.
+    fn resync_wheel(&mut self) {
+        for slot in 0..self.fault_key() {
+            self.refresh_wheel(slot);
+        }
+        self.refresh_fault_wheel();
+    }
+
+    fn dispatch(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
+        for o in out {
+            let Some(&dst) = self.node_of.get(&o.to) else { continue };
+            let txn = o.msg.txn_id();
+            // First wire activity marks the transaction's start (idempotent)
+            // so terminal-state latency is measurable for every entry path.
+            self.obs.note_txn_started(txn, self.net.now());
+            // Encode once into a shared buffer; the simulator clones only
+            // the handle from here on (queue, duplicates, inbox).
+            self.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
+        }
     }
 
     /// Marks the actor at `node` crashed and records the event. The restart
     /// instant becomes a scheduler timer via [`FaultCtl::next_wakeup`].
-    fn crash_actor(&mut self, node: NodeId, now: SimTime) {
-        let name = self.name_of[&node];
-        self.faults.crash(name, now);
+    pub(crate) fn crash_actor(&mut self, node: NodeId, now: SimTime) {
+        let name = self.net.node_name(node).unwrap_or("?").to_string();
+        self.faults.crash(&name, now);
         // The outage is a transport fact: queued copies addressed to the
         // node drop (and are counted) at their delivery instant instead of
         // silently evaporating in the runner.
@@ -504,93 +718,133 @@ impl<T: Transport> GenericWorld<T> {
         // Freeze the crashed actor's armed deadline: its wheel entry dies
         // with it and is re-registered from the restored snapshot. The
         // restart instant itself becomes a wheel entry.
-        self.wheel.cancel(self.wheel_key(node));
+        if let Some(slot) = self.slot(node) {
+            self.wheel.cancel(slot);
+        }
         self.refresh_fault_wheel();
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.to_string(),
-            kind: EventKind::Crashed,
-        });
+        self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
     }
 
     /// Restores a restarted actor from its last synced snapshot.
-    fn restore_actor(&mut self, name: &str, now: SimTime) {
-        let Some(snaps) = self.snaps.take() else { return };
-        let bytes = match name {
-            "alice" => {
-                self.client.restore(&snaps.client);
-                snaps.client.bytes()
+    fn restore_actor(&mut self, slot: usize, now: SimTime) {
+        let Some(snaps) = self.snaps.as_deref() else { return };
+        let bytes = match slot.checked_sub(self.client_nodes.len()) {
+            None => {
+                self.seats.clients_mut()[slot].restore(&snaps.clients[slot]);
+                snaps.clients[slot].bytes()
             }
-            "bob" => {
+            Some(0) => {
                 self.provider.restore(&snaps.provider);
                 snaps.provider.bytes()
             }
-            _ => {
+            Some(_) => {
                 self.ttp.restore(&snaps.ttp);
                 snaps.ttp.bytes()
             }
         };
-        self.snaps = Some(snaps);
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.to_string(),
-            kind: EventKind::Restarted { snapshot_bytes: bytes },
-        });
+        let actor = self.name(slot).to_string();
+        let kind = EventKind::Restarted { snapshot_bytes: bytes };
+        self.obs.record(Event { at: now, txn: None, actor, kind });
     }
 
     /// Durably syncs an actor's state if due (or forced — the write-ahead
     /// path taken before any produced message reaches the wire).
-    fn sync_actor(&mut self, node: NodeId, now: SimTime, force: bool) {
+    fn sync_actor(&mut self, slot: usize, now: SimTime, force: bool) {
         if self.snaps.is_none() {
             return;
         }
-        let name = self.name_of[&node];
-        match self.faults.sync_due(name, now, force) {
-            SyncDecision::Skip | SyncDecision::FailedWrite => {}
-            SyncDecision::Persist => {
-                let Some(snaps) = self.snaps.as_mut() else { return };
-                let bytes = if node == self.alice_node {
-                    let s = self.client.snapshot();
-                    let b = s.bytes();
-                    snaps.client = s;
-                    b
-                } else if node == self.bob_node {
-                    let s = self.provider.snapshot();
-                    let b = s.bytes();
-                    snaps.provider = s;
-                    b
-                } else {
-                    let s = self.ttp.snapshot();
-                    let b = s.bytes();
-                    snaps.ttp = s;
-                    b
-                };
-                self.faults.note_snapshot(bytes);
+        let name = self.net.node_name(self.node_at(slot)).unwrap_or("?");
+        if self.faults.sync_due(name, now, force) != SyncDecision::Persist {
+            return;
+        }
+        let Some(snaps) = self.snaps.as_deref_mut() else { return };
+        let bytes = match slot.checked_sub(self.client_nodes.len()) {
+            None => {
+                snaps.clients[slot] = self.seats.clients()[slot].snapshot();
+                snaps.clients[slot].bytes()
+            }
+            Some(0) => {
+                snaps.provider = self.provider.snapshot();
+                snaps.provider.bytes()
+            }
+            Some(_) => {
+                snaps.ttp = self.ttp.snapshot();
+                snaps.ttp.bytes()
+            }
+        };
+        self.faults.note_snapshot(bytes);
+    }
+
+    /// Records a client-side state transition and, on the first terminal
+    /// transition, funnels the txn through the archive's settled queue —
+    /// possibly evicting the shard's oldest settled txn to the sealed log.
+    fn note_txn_state(&mut self, now: SimTime, idx: usize, txn: u64, st: TxnState) {
+        let name = self.net.node_name(self.client_nodes[idx]).unwrap_or("?");
+        self.obs.note_state(now, name, txn, st);
+        let newly_settled = st.is_terminal()
+            && match self.txn_meta.get_mut(&txn) {
+                Some(meta) if !meta.settled => {
+                    meta.settled = true;
+                    true
+                }
+                _ => false,
+            };
+        if newly_settled {
+            if let Some(victim) = self.archive.note_settled(txn) {
+                self.evict_txn(victim);
             }
         }
     }
 
-    /// Builds an exact per-transaction report from the simulator's tagged
-    /// traffic counters. Latency is txn-scoped — measured to this
-    /// transaction's own last delivery, not to `net.now()`, so unrelated
-    /// background traffic never inflates it (same rule as
-    /// [`MultiWorld::report`](crate::multi::MultiWorld::report)).
-    pub fn report(&self, txn_id: u64, started: SimTime) -> TxnReport {
-        let t = self.net.txn_stats(txn_id);
-        TxnReport {
-            txn_id,
-            state: self.client.txn_state(txn_id).unwrap_or(TxnState::Pending),
-            messages: t.delivered,
-            bytes: t.bytes_sent,
-            latency: t.last_delivered_at.since(started),
-            ttp_used: self.ttp_touched.contains(&txn_id),
+    /// Evicts a settled transaction: every layer's live per-txn state
+    /// (client record, provider session record, TTP pending entry, all
+    /// validator replay windows, obs tallies, tagged net counters,
+    /// `txn_meta`) is dropped; the evidence is sealed into the archive's
+    /// shard log and a compact index record keeps `report`/`state`/`result`
+    /// answerable. Validators keep a tombstone, so late replays for the
+    /// txn are refused instead of being handed a fresh window.
+    fn evict_txn(&mut self, txn: u64) {
+        let Some(meta) = self.txn_meta.remove(&txn) else { return };
+        let client = &mut self.seats.clients_mut()[meta.client];
+        let state = client.txn_state(txn).unwrap_or(TxnState::Failed);
+        let client_rec = client.evict_txn(txn);
+        let provider_rec = self.provider.evict_txn(txn);
+        self.ttp.evict_txn(txn);
+        let net = self.net.retire_txn(txn);
+        self.obs.retire_txn(txn);
+        let ttp_used = self.ttp_touched.remove(&txn);
+        let mut bundle = EvidenceBundle::new();
+        if let Some(c) = &client_rec {
+            bundle.push("client-nro", c.nro.clone());
+            if let Some(nrr) = &c.nrr {
+                bundle.push("client-nrr", nrr.clone());
+            }
         }
+        if let Some(p) = &provider_rec {
+            bundle.push("provider-nro", p.nro.clone());
+            bundle.push(
+                "provider-nrr",
+                VerifiedEvidence::from_stored_parts(
+                    p.nrr_plaintext.clone(),
+                    p.nrr_sigs.0.clone(),
+                    p.nrr_sigs.1.clone(),
+                ),
+            );
+        }
+        let rec = ArchivedTxn::record(
+            meta.client,
+            meta.started,
+            state,
+            net.delivered,
+            net.bytes_sent,
+            net.last_delivered_at.since(meta.started),
+            ttp_used,
+        );
+        self.archive.archive(txn, &bundle, rec);
     }
 }
 
-impl<T: Transport> EventHub for GenericWorld<T> {
+impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
     fn transport(&mut self) -> &mut dyn Transport {
         &mut self.net
     }
@@ -605,15 +859,21 @@ impl<T: Transport> EventHub for GenericWorld<T> {
     }
 
     fn fire_timers(&mut self, now: SimTime) -> usize {
+        // Slots whose transactions may have moved this round — the state
+        // diff below is restricted to their clients instead of walking
+        // every started txn in the world.
+        let mut touched: Vec<usize> = Vec::new();
         if self.faults.active() {
             // Restarts and outage boundaries first: a just-restored actor
             // ticks in this same round, so an overdue deadline revealed by
             // the restore produces output immediately (never barren).
-            let ev = self.faults.poll("ttp", now);
+            let ttp = self.net.node_name(self.ttp_node).unwrap_or("ttp");
+            let ev = self.faults.poll(ttp, now);
             for name in ev.crashed {
-                let node = self.node_by_name(&name);
-                self.net.set_node_down(node, true);
-                self.wheel.cancel(self.wheel_key(node));
+                if let Some(slot) = self.slot_named(&name) {
+                    self.net.set_node_down(self.node_at(slot), true);
+                    self.wheel.cancel(slot);
+                }
                 self.obs.record(Event {
                     at: now,
                     txn: None,
@@ -622,51 +882,59 @@ impl<T: Transport> EventHub for GenericWorld<T> {
                 });
             }
             for name in ev.restarted {
-                self.restore_actor(&name, now);
+                let Some(slot) = self.slot_named(&name) else { continue };
+                self.restore_actor(slot, now);
                 // Re-arm from the restored state (the stale pre-crash entry
-                // was cancelled at crash time and can never fire).
-                let node = self.node_by_name(&name);
-                self.net.set_node_down(node, false);
-                self.refresh_wheel(node);
+                // was cancelled at crash time and can never fire); a restore
+                // can also revert transaction states, so the diff must cover
+                // the restored client.
+                self.net.set_node_down(self.node_at(slot), false);
+                self.refresh_wheel(slot);
+                touched.push(slot);
             }
             self.refresh_fault_wheel();
         }
         let mut dispatched = 0;
-        for key in self.wheel.advance(now) {
-            if key == Self::FAULT_WHEEL_KEY {
-                continue; // consumed by faults.poll above
+        let fault_key = self.fault_key();
+        for slot in self.wheel.advance(now) {
+            if slot == fault_key || (self.faults.active() && self.faults.is_down(self.name(slot))) {
+                continue; // fault wakeups were consumed by faults.poll above
             }
-            let node = self.actor_nodes()[key];
-            if self.faults.active() && self.faults.is_down(self.name_of[&node]) {
-                continue;
-            }
-            let out = self.actor_mut(node).on_tick(now);
-            self.obs.record(Event {
-                at: now,
-                txn: None,
-                actor: self.name_of[&node].to_string(),
-                kind: EventKind::TimerFired { messages: out.len() },
-            });
+            let out = self.actor_mut(slot).on_tick(now);
+            let actor = self.name(slot).to_string();
+            let kind = EventKind::TimerFired { messages: out.len() };
+            self.obs.record(Event { at: now, txn: None, actor, kind });
             if !out.is_empty() {
                 // Write-ahead: timer-driven sends (Abort/Resolve) persist
                 // the state they acknowledge before hitting the wire.
-                self.sync_actor(node, now, true);
+                self.sync_actor(slot, now, true);
             }
             dispatched += out.len();
-            self.dispatch_outgoing(node, out);
+            self.dispatch(self.node_at(slot), out);
             // The tick moved or kept this actor's deadline; re-register it
             // (a kept overdue deadline re-files as overdue, preserving the
             // scheduler's barren-masking comparison).
-            self.refresh_wheel(node);
+            self.refresh_wheel(slot);
+            touched.push(slot);
         }
         if self.faults.active() {
             self.refresh_fault_wheel();
         }
-        // Timers move client-visible transaction states (abort/resolve
-        // initiation, local failure declarations); diff them all.
-        for txn in self.client.txn_ids() {
-            if let Some(st) = self.client.txn_state(txn) {
-                self.obs.note_state(now, "alice", txn, st);
+        // Timer rounds move client-visible states (abort/resolve
+        // initiation, failure declarations); diff the touched clients'
+        // txns in txn order so same-instant transitions land
+        // deterministically.
+        touched.sort_unstable();
+        touched.dedup();
+        let clients = self.seats.clients();
+        let mut moved: Vec<(u64, usize)> = Vec::new();
+        for &i in touched.iter().filter(|&&i| i < clients.len()) {
+            moved.extend(clients[i].txn_ids().into_iter().map(|t| (t, i)));
+        }
+        moved.sort_unstable();
+        for (txn, idx) in moved {
+            if let Some(st) = self.seats.clients()[idx].txn_state(txn) {
+                self.note_txn_state(now, idx, txn, st);
             }
         }
         dispatched
@@ -674,10 +942,8 @@ impl<T: Transport> EventHub for GenericWorld<T> {
 
     fn deliver(&mut self, env: Envelope) {
         let now = self.net.now();
-        let from_principal = self.principal_of[&env.src];
-        let from = self.name_of[&env.src];
-        let actor = self.name_of[&env.dst];
-        if self.faults.active() && self.faults.is_down(actor) {
+        let slot = self.slot(env.dst);
+        if slot.is_some_and(|s| self.faults.active() && self.faults.is_down(self.name(s))) {
             // Same-instant defense in depth: the transport drops queued
             // copies for a down node at their delivery instant, but a crash
             // fired in this very settle round can race an already-polled
@@ -685,31 +951,39 @@ impl<T: Transport> EventHub for GenericWorld<T> {
             self.faults.note_delivery_lost();
             return;
         }
+        // Display names come from the transport, so an arrival from or to a
+        // node no actor sits at is still attributed, never a panic.
+        let actor = self.net.node_name(env.dst).unwrap_or("?").to_string();
+        let from = self.net.node_name(env.src).unwrap_or("?").to_string();
         let msg = match Message::from_wire_bytes(&env.payload) {
             Ok(m) => m,
             Err(_) => {
                 // An undecodable payload belongs to whatever transaction
-                // tagged it on the wire — usually none. (It used to be
-                // reported as `txn_id: 0`, colliding with a real id.)
-                self.obs.record(Event {
-                    at: now,
-                    txn: env.txn,
-                    actor: actor.to_string(),
-                    kind: EventKind::Garbled { from: from.to_string() },
-                });
+                // tagged it on the wire — usually none.
+                let kind = EventKind::Garbled { from };
+                self.obs.record(Event { at: now, txn: env.txn, actor, kind });
                 return;
             }
         };
         let txn_id = msg.txn_id();
-        if env.dst == self.ttp_node {
-            self.ttp_touched.insert(txn_id);
-        }
         // Prefer the sender's wire tag; adversary injections are untagged
         // but decode, so fall back to the protocol header's id.
         let txn = env.txn.or(Some(txn_id));
         let msg_kind = msg.kind().to_string();
+        let Some(slot) = slot else {
+            // Nobody sits at the destination to judge the message, so the
+            // runner refuses it: its recipient is no party of this
+            // deployment. Recorded once, like any actor's rejection.
+            let error = ValidationError::IdentityMismatch;
+            let kind = EventKind::Rejected { from, msg: msg_kind, error };
+            self.obs.record(Event { at: now, txn, actor, kind });
+            return;
+        };
+        if env.dst == self.ttp_node {
+            self.ttp_touched.insert(txn_id);
+        }
         let verdict = if self.faults.active() {
-            self.faults.delivery_verdict(actor, &msg_kind)
+            self.faults.delivery_verdict(&actor, &msg_kind)
         } else {
             DeliveryVerdict::Proceed
         };
@@ -718,39 +992,31 @@ impl<T: Transport> EventHub for GenericWorld<T> {
             self.crash_actor(env.dst, now);
             return;
         }
-        let result = self.actor_mut(env.dst).on_message(from_principal, &msg, now);
-        match result {
+        // An unlisted sender is handed over under a sentinel id, so the
+        // recipient's identity binding (or its ablation) decides.
+        let sender = self.principal_of.get(&env.src).copied().unwrap_or(UNKNOWN_SENDER);
+        match self.actor_mut(slot).on_message(sender, &msg, now) {
             Ok(out) => {
-                self.obs.record(Event {
-                    at: now,
-                    txn,
-                    actor: actor.to_string(),
-                    kind: EventKind::Delivered { from: from.to_string(), msg: msg_kind },
-                });
-                if env.dst == self.alice_node {
-                    if let Some(st) = self.client.txn_state(txn_id) {
-                        self.obs.note_state(now, actor, txn_id, st);
-                    }
+                let kind = EventKind::Delivered { from, msg: msg_kind };
+                self.obs.record(Event { at: now, txn, actor, kind });
+                if let Some(st) = self.seats.clients().get(slot).and_then(|c| c.txn_state(txn_id)) {
+                    self.note_txn_state(now, slot, txn_id, st);
                 }
                 // Write-ahead durable sync: a reply acknowledges state, so
                 // the state hits the snapshot before the reply hits the
                 // wire. Output-less (passive) steps defer to the interval.
                 let force = !out.is_empty() || verdict == DeliveryVerdict::CrashAfter;
-                self.sync_actor(env.dst, now, force);
+                self.sync_actor(slot, now, force);
                 if verdict == DeliveryVerdict::CrashAfter {
                     // State persisted, replies die with the process.
                     self.crash_actor(env.dst, now);
                 } else {
-                    self.dispatch_outgoing(env.dst, out);
+                    self.dispatch(env.dst, out);
                 }
             }
             Err(error) => {
-                self.obs.record(Event {
-                    at: now,
-                    txn,
-                    actor: actor.to_string(),
-                    kind: EventKind::Rejected { from: from.to_string(), msg: msg_kind, error },
-                });
+                let kind = EventKind::Rejected { from, msg: msg_kind, error };
+                self.obs.record(Event { at: now, txn, actor, kind });
                 if verdict == DeliveryVerdict::CrashAfter {
                     self.crash_actor(env.dst, now);
                 }
@@ -760,7 +1026,7 @@ impl<T: Transport> EventHub for GenericWorld<T> {
         // earliest deadline; keep the wheel authoritative. (Crash paths
         // already cancelled the entry; refresh on a down actor is a no-op
         // cancellation.)
-        self.refresh_wheel(env.dst);
+        self.refresh_wheel(slot);
     }
 
     fn obs_mut(&mut self) -> Option<&mut Obs> {
@@ -864,9 +1130,10 @@ mod tests {
         let alice = w.alice_node;
         let bob = w.bob_node;
         w.net.set_link(bob, alice, LinkConfig { drop_prob: 1.0, ..LinkConfig::default() });
+        let now = w.net.now();
         let (txn_id, out) = w
             .client
-            .begin_upload(b"k", b"data".to_vec(), w.net.now(), TimeoutStrategy::ResolveImmediately)
+            .begin_upload(b"k", b"data".to_vec(), now, TimeoutStrategy::ResolveImmediately)
             .unwrap();
         w.send_from_client(out);
         // Heal the link after the first loss so the resolve reply gets back.
@@ -1107,5 +1374,95 @@ mod tests {
         assert_eq!(w.obs.events().len(), 64, "ring never exceeds its capacity");
         assert_eq!(w.obs.evicted(), 500 - 64);
         assert_eq!(w.obs.metrics.garbled, 500, "counters stay exact under eviction");
+    }
+
+    /// Sends garbage and a decodable transfer from a node no actor sits at
+    /// to the provider, and the same two payloads from client 0 to that
+    /// node, next to client 0's honest upload of the same transfer.
+    fn stray_traffic<S: Seats>(mut w: Runner<SimNet, S>) {
+        let mallory = w.net.register("mallory");
+        let (alice, bob) = (w.client_nodes[0], w.bob_node);
+        let now = w.net.now();
+        let (txn, out) = w.seats.clients_mut()[0]
+            .begin_upload(b"k", b"data".to_vec(), now, TimeoutStrategy::AbortFirst)
+            .unwrap();
+        let transfer = out[0].msg.to_wire_bytes();
+        w.dispatch(alice, out);
+        for (src, dst) in [(mallory, bob), (alice, mallory)] {
+            w.net.send(src, dst, b"junk".to_vec());
+            w.net.send(src, dst, transfer.clone());
+        }
+        assert_eq!(w.settle().outcome, SettleOutcome::Quiescent);
+        assert_eq!(w.seats.clients()[0].txn_state(txn), Some(TxnState::Completed));
+        // Each stray arrival is recorded exactly once: a garbled payload as
+        // garbled, the transfer from the unlisted sender refused by the
+        // provider's identity binding, the transfer to the unlisted node
+        // refused by the runner.
+        let m = &w.obs.metrics;
+        assert_eq!((m.delivered, m.rejected, m.garbled), (2, 2, 2));
+        assert_eq!(m.delivered + m.rejected + m.garbled, w.net.stats.delivered);
+        assert_eq!(m.rejected_by.get("identity-mismatch"), Some(&2));
+        let at_mallory = w.obs.events().iter().filter(|e| e.actor == "mallory").count();
+        assert_eq!(at_mallory, 2, "both arrivals at the unlisted node are attributed to it");
+    }
+
+    #[test]
+    fn arrivals_from_and_to_a_non_actor_node_are_recorded_once() {
+        // Regression: `deliver` looked both endpoints up in its routing
+        // tables and panicked when either was a node no actor sits at.
+        stray_traffic(world());
+        stray_traffic(crate::multi::MultiWorld::new(12, ProtocolConfig::full(), 2));
+    }
+
+    #[test]
+    fn single_client_eviction_rehydrates_sound_bundles() {
+        // Eviction used to be reachable only on the multi-client runner:
+        // with the hot set lowered, a single client's settled transactions
+        // are sealed into the archive and still answer for arbitration.
+        let cfg = ProtocolConfig::full();
+        let mut w = world();
+        w.set_archive_capacity(1); // 16 shards × 1 = at most 16 resident settled
+        let ups: Vec<u64> = (0..40u8)
+            .map(|i| w.upload(&[b'k', i], vec![i; 32], TimeoutStrategy::AbortFirst).txn_id)
+            .collect();
+        let stats = w.archive_stats();
+        assert!(stats.evicted > 0, "eviction must have engaged: {stats:?}");
+        assert_eq!(w.resident_txns() as u64 + stats.evicted, 40);
+        let alice_pk = w.dir.lookup(&w.client.id()).unwrap().clone();
+        let bob_pk = w.dir.lookup(&w.provider.id()).unwrap().clone();
+        let mut rehydrated = 0;
+        for &txn in &ups {
+            let r = w.result(txn, SimTime::ZERO);
+            assert_eq!(r.outcome, TxnState::Completed);
+            assert!(r.nro.is_some() && r.nrr.is_some(), "the evidence pair survives eviction");
+            if w.client.txn(txn).is_some() {
+                continue;
+            }
+            let bundle = w.rehydrate_evidence(txn).expect("archived bundle loads");
+            assert!(bundle.structurally_sound());
+            bundle.get("client-nro").unwrap().reverify(&cfg, &alice_pk).unwrap();
+            bundle.get("client-nrr").unwrap().reverify(&cfg, &bob_pk).unwrap();
+            assert!(bundle.get("provider-nro").is_some() && bundle.get("provider-nrr").is_some());
+            rehydrated += 1;
+        }
+        assert_eq!(rehydrated, stats.evicted);
+    }
+
+    #[test]
+    fn default_world_keeps_every_settled_transaction() {
+        // A World evicts nothing unless asked: past the multi-client
+        // default hot set (64 per shard × 16 shards), a download still
+        // checks against the very first upload's receipt.
+        let mut w = world();
+        let first = w.upload(b"obj/0", b"first object".to_vec(), TimeoutStrategy::AbortFirst);
+        for i in 1..1100 {
+            let r =
+                w.upload(format!("obj/{i}").as_bytes(), vec![1; 16], TimeoutStrategy::AbortFirst);
+            assert!(r.completed());
+        }
+        assert_eq!(w.archive_stats().evicted, 0);
+        assert_eq!(w.resident_txns(), 1100);
+        let down = w.download(b"obj/0", TimeoutStrategy::AbortFirst);
+        assert_eq!(w.client.verify_download_against_upload(first.txn_id, down.txn_id), Some(true));
     }
 }

@@ -1,5 +1,6 @@
-//! The shared event scheduler behind [`World`](crate::runner::World) and
-//! [`MultiWorld`](crate::multi::MultiWorld).
+//! The event scheduler behind the one [`Runner`](crate::runner::Runner),
+//! whether it seats one client ([`World`](crate::runner::World)) or many
+//! ([`MultiWorld`](crate::multi::MultiWorld)).
 //!
 //! Both runners used to carry their own ~100-line settle loops with three
 //! latent bugs: an overdue protocol timer could be starved for as long as
@@ -167,7 +168,7 @@ fn drain_net_events(hub: &mut dyn EventHub) {
 }
 
 /// Runs the world until quiescence or the step cap: the single settle loop
-/// shared by `World` and `MultiWorld`.
+/// every deployment (`World`, `MultiWorld`) runs on.
 pub fn settle(hub: &mut dyn EventHub, max_steps: usize) -> SettleReport {
     let mut report = SettleReport {
         outcome: SettleOutcome::Quiescent,

@@ -251,8 +251,11 @@ impl Ttp {
     /// deadline ("the TTP will respond to Alice by telling her that this
     /// session is failed and Bob did not respond").
     pub fn poll_timeouts(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let expired: Vec<u64> =
+        let mut expired: Vec<u64> =
             self.pending.iter().filter(|(_, p)| now >= p.deadline).map(|(id, _)| *id).collect();
+        // Hash-map order varies per process; declare failures in txn order so
+        // the replies, their nonces and the event stream are reproducible.
+        expired.sort_unstable();
         let mut out = Vec::new();
         for txn_id in expired {
             let Some(p) = self.pending.remove(&txn_id) else { continue };

@@ -2,8 +2,8 @@
 //! plans and invariant checks must behave identically on every
 //! [`Transport`] backend — the deterministic simulator and the in-process
 //! channel wire — with zero per-backend protocol code. Each scenario below
-//! is written once against `GenericWorld<T>` and instantiated per backend
-//! by the `backend_parity!` template macro.
+//! is written once against `GenericWorld<T>` or `GenericMultiWorld<T>` and
+//! instantiated per backend by the `backend_parity!` template macro.
 //!
 //! The closing proptest pins the redesign's zero-cost claim: a `SimNet`
 //! driven through `dyn Transport` is byte-identical to the same `SimNet`
@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use tpnr_core::fault::{CrashPoint, FaultPlan};
 use tpnr_core::prelude::*;
+use tpnr_core::principal::Principal;
 use tpnr_net::sim::{Action, LinkConfig, SimNet};
 use tpnr_net::tcp::ChannelNet;
 use tpnr_net::time::SimDuration;
@@ -119,6 +120,48 @@ fn adversarial_drop_recovers_via_ttp<T: Transport>(net: T) {
     assert_conserved(&w);
 }
 
+fn fleet_eviction_rehydrates_evidence<T: Transport>(net: T) {
+    // Four clients share the provider over a few upload rounds with the
+    // smallest hot set, so most settled transactions are evicted to the
+    // sealed archive. An arbitrator must still get every evicted
+    // transaction's evidence back, with both signatures intact, on every
+    // wire.
+    let cfg = ProtocolConfig::full();
+    let clients: Vec<Principal> =
+        (0..4).map(|i| Principal::test(&format!("client-{i}"), 70 + i)).collect();
+    let (bob, ttp) = (Principal::test("bob", 80), Principal::test("ttp", 81));
+    let mut w = GenericMultiWorld::with_principals_on(net, 12, cfg.clone(), &clients, &bob, &ttp);
+    w.set_archive_capacity(1);
+    let mut handles = Vec::new();
+    for round in 0..6u8 {
+        for i in 0..4 {
+            let key = format!("c{i}/r{round}");
+            let data = vec![round; 32];
+            handles.push(w.start_upload(i, key.as_bytes(), data, TimeoutStrategy::AbortFirst));
+        }
+        assert_eq!(w.settle().outcome, SettleOutcome::Quiescent);
+    }
+    let evicted = w.archive_stats().evicted;
+    assert!(evicted > 0, "eviction must engage with one resident txn per shard");
+    let mut audited = 0;
+    for h in &handles {
+        assert_eq!(w.state_of(*h), Some(TxnState::Completed), "client {}", h.client);
+        if w.clients[h.client].txn(h.txn_id).is_some() {
+            continue;
+        }
+        let bundle = w.rehydrate_evidence(h.txn_id).expect("evicted bundle rehydrates");
+        assert!(bundle.structurally_sound());
+        let nro = bundle.get("client-nro").expect("NRO archived");
+        nro.reverify(&cfg, clients[h.client].public()).expect("NRO re-verifies");
+        let nrr = bundle.get("client-nrr").expect("NRR archived");
+        nrr.reverify(&cfg, bob.public()).expect("NRR re-verifies");
+        audited += 1;
+    }
+    assert_eq!(audited, evicted, "every evicted transaction was audited");
+    let s = w.net().stats();
+    assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated, "conservation violated: {s:?}");
+}
+
 /// Instantiates the whole scenario suite against one backend constructor.
 macro_rules! backend_parity {
     ($backend:ident, $mk:expr) => {
@@ -148,6 +191,11 @@ macro_rules! backend_parity {
             #[test]
             fn adversarial_drop_recovers_via_ttp() {
                 super::adversarial_drop_recovers_via_ttp($mk);
+            }
+
+            #[test]
+            fn fleet_eviction_rehydrates_evidence() {
+                super::fleet_eviction_rehydrates_evidence($mk);
             }
         }
     };

@@ -1,6 +1,6 @@
 //! **DET-ORDER** — `HashMap` / `HashSet` forbidden in modules that render
 //! traces, reports, or serialized evidence, and in the scheduler/runner
-//! layer (`obs`, `report`, `codec`, `multi`, `sched`).
+//! layer (`obs`, `report`, `codec`, `runner`, `multi`, `sched`).
 //!
 //! PR 2's JSONL trace validator checks output the paper's auditor is
 //! supposed to replay; hash-map iteration order is randomized per process,
@@ -8,7 +8,8 @@
 //! non-reproducible. `BTreeMap` / `BTreeSet` give deterministic order.
 //! `multi` and `sched` are in scope since the timer-wheel refactor: the
 //! event loop's dispatch and state-diff order feeds the observability
-//! stream directly, so iteration there must be deterministic too. `par`
+//! stream directly, so iteration there must be deterministic too. `runner`
+//! joined when the single- and multi-client runners became one. `par`
 //! joined with the work-stealing pool: its index-ordered join is the
 //! determinism anchor for every parallel fan-out in the workspace, so no
 //! hash container may sit anywhere near that scheduling/result path.
@@ -20,7 +21,7 @@ use crate::{FileCtx, Finding};
 pub const ID: &str = "DET-ORDER";
 
 /// Module leaf names whose output must be deterministic.
-const SCOPE_LEAVES: &[&str] = &["obs", "report", "codec", "multi", "sched", "par"];
+const SCOPE_LEAVES: &[&str] = &["obs", "report", "codec", "runner", "multi", "sched", "par"];
 
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if !SCOPE_LEAVES.contains(&ctx.module_leaf()) {
@@ -88,6 +89,12 @@ mod tests {
             check,
             "crates/core/src/multi.rs",
             "use std::collections::HashMap;\nstruct W { txn_meta: HashMap<u64, M> }",
+        );
+        assert_eq!(hits.len(), 2);
+        let hits = run_rule(
+            check,
+            "crates/core/src/runner.rs",
+            "use std::collections::HashSet;\nstruct R { ttp_touched: HashSet<u64> }",
         );
         assert_eq!(hits.len(), 2);
         let hits = run_rule(

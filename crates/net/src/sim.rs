@@ -208,6 +208,11 @@ pub struct NetStats {
     pub injected: u64,
     /// Total payload bytes handed to `send`.
     pub bytes_sent: u64,
+    /// Frames a real wire received naming a node it never registered:
+    /// traffic no node of this transport sent (a hostile peer on the
+    /// loopback port). Discarded on arrival and kept out of the
+    /// conservation law — counted neither sent, delivered nor dropped.
+    pub foreign: u64,
 }
 
 /// Traffic counters for one transaction (see [`SimNet::send_tagged`]).

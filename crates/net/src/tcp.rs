@@ -149,6 +149,12 @@ impl WireCore {
         }
     }
 
+    /// True when both endpoints are nodes this transport registered.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
+        let n = self.nodes.len();
+        (src.0 as usize) < n && (dst.0 as usize) < n
+    }
+
     fn count_delivery(&mut self, at: SimTime, txn: Option<u64>) {
         self.stats.delivered += 1;
         if let Some(t) = txn {
@@ -643,7 +649,16 @@ impl Transport for TcpNet {
         };
         let mut out = Vec::new();
         for env in drained {
-            self.core.outstanding -= 1;
+            // The listener accepts any loopback peer. A frame naming a node
+            // never registered here was not sent by this transport, so it
+            // is discarded before any bookkeeping and counted on its own.
+            if !self.core.routable(env.src, env.dst) {
+                self.core.stats.foreign += 1;
+                continue;
+            }
+            // Frames forging registered ids (out of reach without connection
+            // authentication) must still not wrap the in-flight count.
+            self.core.outstanding = self.core.outstanding.saturating_sub(1);
             if self.core.down[env.dst.0 as usize] {
                 self.core.drop_copy(env.delivered_at, env.src, env.dst, env.txn);
                 continue;
@@ -895,6 +910,45 @@ mod tests {
         let s = net.stats();
         assert_eq!((s.sent, s.delivered, s.dropped), (1, 0, 1));
         assert_eq!(net.take_events().len(), 1);
+    }
+
+    /// A peer that connects to the listener and writes frames naming
+    /// unregistered nodes must not disturb the transport: the frames are
+    /// discarded and counted apart, conservation stays exact, and honest
+    /// traffic keeps flowing afterwards.
+    #[test]
+    fn tcp_discards_frames_naming_unregistered_nodes() {
+        let Ok(mut net) = TcpNet::new() else {
+            eprintln!("loopback bind unavailable; skipping tcp test");
+            return;
+        };
+        let a = net.register("alice");
+        let b = net.register("bob");
+        let mut hostile = TcpStream::connect(net.addr).expect("connect to the listener");
+        for (src, dst) in [(a, NodeId(50)), (NodeId(50), b)] {
+            let frame = WireFrame { src, dst, txn: Some(1), payload: Bytes::from(b"x".to_vec()) };
+            write_frame(&mut hostile, &frame.to_wire()).expect("write a hostile frame");
+        }
+        // Nothing this transport sent is in flight, so poll until both
+        // frames have landed instead of draining.
+        let deadline = net.host_now().after(SimDuration::from_secs(5));
+        while net.stats().foreign < 2 && net.host_now() < deadline {
+            let until = net.host_now().after(SimDuration::from_millis(10));
+            net.wait_for_activity(Some(until));
+            let now = net.host_now();
+            assert!(net.poll_deliverable(now).is_empty(), "a hostile frame was delivered");
+        }
+        let s = net.stats();
+        assert_eq!((s.foreign, s.sent, s.delivered, s.dropped), (2, 0, 0, 0));
+        assert!(!net.in_flight());
+        // An honest exchange afterwards: request and receipt both arrive.
+        net.send_tagged(a, b, Bytes::from(b"transfer".to_vec()), Some(7));
+        net.send_tagged(b, a, Bytes::from(b"receipt".to_vec()), Some(7));
+        assert_eq!(drain(&mut net).len(), 2);
+        let s = net.stats();
+        assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated);
+        assert_eq!((s.sent, s.delivered, s.foreign), (2, 2, 2));
+        assert!(!net.in_flight());
     }
 
     /// An arrival pushed by another thread while the driver is between
