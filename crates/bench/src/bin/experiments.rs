@@ -5,30 +5,28 @@
 //! Extra modes:
 //! - `--trace-jsonl [path|-]` exports the observability stream of a faulted
 //!   multi-client run as JSONL (stdout when the path is `-` or omitted);
-//! - `--bench-e4 [path|-] [--quick]` emits the E4 evidence-cost sweep plus
-//!   the zero-copy transport probes as JSONL (`BENCH_e4.json`); `--quick`
-//!   caps the sweep at 1 MiB for the CI smoke step;
-//! - `--bench-e8 [path|-] [--quick]` emits the E8 crash-recovery chaos
-//!   sweep as JSONL (`BENCH_e8.json`); `--quick` trims probabilities and
-//!   trial counts for the CI smoke step;
-//! - `--bench-e10 [path|-] [--quick]` emits the E10 timer-wheel +
-//!   sharded-state scale sweep as JSONL (`BENCH_e10.json`); `--quick` caps
-//!   the client sweep at 50k for the CI smoke step;
-//! - `--bench-e12 [path|-] [--quick]` emits the E12 fixed-limb RSA kernel
-//!   sweep (sign/verify by key size × alg, batch-vs-serial verification,
-//!   allocations per sign) as JSONL (`BENCH_e12.json`); `--quick` restricts
-//!   to 512-bit keys with fewer timing rounds for the CI smoke step;
-//! - `--bench-e13 [path|-] [--quick]` emits the E13 work-stealing scaling
-//!   sweep (E10 scenario at fixed load across pool worker counts, with
-//!   speedup/efficiency/steal counters and the determinism gate) as JSONL
-//!   (`BENCH_e13.json`); `--quick` shrinks the client load for CI;
-//! - `--bench-e14 [path|-] [--quick]` emits the E14 transport comparison
-//!   (the same protocol workload on the deterministic simulator, the
-//!   in-process channel wire and real loopback TCP, with throughput,
-//!   conservation, evidence-loss and §5 attack-rejection gates) as JSONL
-//!   (`BENCH_e14.json`); `--quick` shrinks the transaction count for CI;
-//! - `--validate-jsonl <file>` syntax-checks such an export (CI uses this
-//!   pair to guard the formats).
+//! - `--bench-eN [path|-] [--quick]` emits experiment EN's rows as JSONL
+//!   (`BENCH_eN.json`, stdout likewise); `--quick` shrinks the sweep for
+//!   the CI smoke step:
+//!   - `e4`: evidence-cost sweep plus the zero-copy transport probes;
+//!     quick caps payloads at 1 MiB;
+//!   - `e8`: crash-recovery chaos sweep; quick trims probabilities and
+//!     trial counts;
+//!   - `e10`: timer-wheel + sharded-state scale sweep; quick caps the
+//!     client sweep at 50k;
+//!   - `e12`: fixed-limb RSA kernel sweep (sign/verify by key size × alg,
+//!     batch-vs-serial verification, allocations per sign); quick keeps
+//!     512-bit keys and fewer timing rounds;
+//!   - `e13`: work-stealing scaling sweep (the E10 scenario at fixed load
+//!     across pool worker counts); quick shrinks the client load;
+//!   - `e14`: transport comparison (the same protocol workload on the
+//!     simulator, the in-process channel wire and loopback TCP); quick
+//!     shrinks the transaction count;
+//! - `--check <file>` evaluates every row of such an export against the
+//!   gate table (`report::gates`) and exits 1 naming each failed line,
+//!   kind and gate;
+//! - `--validate-jsonl <file>` syntax-checks any JSONL export, the trace
+//!   included.
 
 use tpnr_bench::report::*;
 use tpnr_bench::*;
@@ -36,225 +34,122 @@ use tpnr_crypto::hash::HashAlg;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
+    let quick = rest.iter().any(|a| a == "--quick");
+    let path = rest.iter().map(String::as_str).rfind(|a| *a != "--quick");
     match args.first().map(String::as_str) {
-        Some("--trace-jsonl") => {
-            let jsonl = trace_jsonl(2026);
-            match args.get(1).map(String::as_str) {
-                None | Some("-") => print!("{jsonl}"),
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, &jsonl) {
-                        eprintln!("error: cannot write {path}: {e}");
-                        std::process::exit(1);
+        None => print_tables(),
+        Some("--trace-jsonl") => emit(path, &trace_jsonl(2026)),
+        Some(mode @ ("--check" | "--validate-jsonl")) => {
+            let Some(path) = path else {
+                eprintln!("usage: experiments {mode} <file>");
+                std::process::exit(2);
+            };
+            let contents = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                eprintln!("error: cannot read {path}: {e}");
+                std::process::exit(1);
+            });
+            let verdict = if mode == "--check" {
+                check_jsonl(&contents).map(|n| format!("{n} rows pass every gate"))
+            } else {
+                validate_jsonl(&contents)
+                    .map(|n| format!("{n} valid JSONL lines"))
+                    .map_err(|e| vec![e])
+            };
+            match verdict {
+                Ok(summary) => eprintln!("{path}: {summary}"),
+                Err(errors) => {
+                    for e in errors {
+                        eprintln!("error: {path}: {e}");
                     }
-                    let lines = jsonl.lines().count();
-                    eprintln!("wrote {lines} JSONL lines to {path}");
+                    std::process::exit(1);
                 }
             }
         }
-        Some("--bench-e4") => {
-            let mut path: Option<&str> = None;
-            let mut quick = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    p => path = Some(p),
-                }
+        Some(flag) => match bench_jsonl(flag, quick) {
+            Some(jsonl) => emit(path, &jsonl),
+            None => {
+                eprintln!(
+                    "unknown flag {flag}; supported: --trace-jsonl [path|-], \
+                     --bench-eN [path|-] [--quick] for N in 4, 8, 10, 12, 13, 14, \
+                     --check <file>, --validate-jsonl <file>"
+                );
+                std::process::exit(2);
             }
+        },
+    }
+}
+
+/// The JSONL export of a `--bench-eN` flag, or `None` for any other flag.
+fn bench_jsonl(flag: &str, quick: bool) -> Option<String> {
+    Some(match flag {
+        "--bench-e4" => {
             let sizes: &[usize] = if quick {
                 &[1 << 10, 1 << 16, 1 << 20]
             } else {
                 &[1 << 10, 1 << 16, 1 << 20, 16 << 20]
             };
             let rows = e4_evidence_cost(sizes, &[HashAlg::Md5, HashAlg::Sha256]);
-            let transport: Vec<(usize, u64, u64)> = sizes
-                .iter()
-                .map(|&s| {
-                    let (copies, bytes) = e4_transport_copies(s);
-                    (s, copies, bytes)
-                })
-                .collect();
-            let json = render_bench_e4_json(&rows, &transport);
-            match path {
-                None | Some("-") => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("error: cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {} JSONL lines to {p}", json.lines().count());
-                }
-            }
+            let transport: Vec<E4Transport> =
+                sizes.iter().map(|&s| e4_transport_copies(s)).collect();
+            jsonl(&rows) + &jsonl(&transport)
         }
-        Some("--bench-e8") => {
-            let mut path: Option<&str> = None;
-            let mut quick = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    p => path = Some(p),
-                }
-            }
+        "--bench-e8" => {
             let (permilles, trials): (&[u32], usize) =
                 if quick { (&[0, 150, 300], 10) } else { (&[0, 100, 200, 300], 40) };
-            let json = render_bench_e8_json(&e8_chaos(permilles, trials));
-            match path {
-                None | Some("-") => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("error: cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {} JSONL lines to {p}", json.lines().count());
-                }
-            }
+            jsonl(&e8_chaos(permilles, trials))
         }
-        Some("--bench-e10") => {
-            let mut path: Option<&str> = None;
-            let mut quick = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    p => path = Some(p),
-                }
-            }
+        "--bench-e10" => {
             let counts: &[usize] = if quick {
                 &[1_000, 10_000, 50_000]
             } else {
                 &[1_000, 10_000, 100_000, 250_000, 1_000_000]
             };
-            let json = render_bench_e10_json(&e10_scale(counts, 2026));
-            match path {
-                None | Some("-") => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("error: cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {} JSONL lines to {p}", json.lines().count());
-                }
-            }
+            jsonl(&e10_scale(counts, 2026))
         }
-        Some("--bench-e13") => {
-            let mut path: Option<&str> = None;
-            let mut quick = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    p => path = Some(p),
-                }
-            }
-            let clients = if quick { 2_048 } else { 20_480 };
-            let json = render_bench_e13_json(&e13_worker_sweep(clients, 2026));
-            match path {
-                None | Some("-") => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("error: cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {} JSONL lines to {p}", json.lines().count());
-                }
-            }
-        }
-        Some("--bench-e14") => {
-            let mut path: Option<&str> = None;
-            let mut quick = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    p => path = Some(p),
-                }
-            }
-            let json = render_bench_e14_json(&e14_backend_comparison(2026, quick));
-            match path {
-                None | Some("-") => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("error: cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {} JSONL lines to {p}", json.lines().count());
-                }
-            }
-        }
-        Some("--bench-e12") => {
-            let mut path: Option<&str> = None;
-            let mut quick = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    p => path = Some(p),
-                }
-            }
+        "--bench-e12" => {
             let bit_sizes: &[usize] = if quick { &[512] } else { &[512, 1024, 2048] };
             let (rows, batches) = e12_rsa_kernels(bit_sizes, quick);
-            let json = render_bench_e12_json(&rows, &batches);
-            match path {
-                None | Some("-") => print!("{json}"),
-                Some(p) => {
-                    if let Err(e) = std::fs::write(p, &json) {
-                        eprintln!("error: cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {} JSONL lines to {p}", json.lines().count());
-                }
+            jsonl(&rows) + &jsonl(&batches)
+        }
+        "--bench-e13" => jsonl(&e13_worker_sweep(if quick { 2_048 } else { 20_480 }, 2026)),
+        "--bench-e14" => jsonl(&e14_backend_comparison(2026, quick)),
+        _ => return None,
+    })
+}
+
+/// Writes an export to `path`, or to stdout when the path is `-` or omitted.
+fn emit(path: Option<&str>, jsonl: &str) {
+    match path {
+        None | Some("-") => print!("{jsonl}"),
+        Some(p) => {
+            if let Err(e) = std::fs::write(p, jsonl) {
+                eprintln!("error: cannot write {p}: {e}");
+                std::process::exit(1);
             }
+            eprintln!("wrote {} JSONL lines to {p}", jsonl.lines().count());
         }
-        Some("--validate-jsonl") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: experiments --validate-jsonl <file>");
-                std::process::exit(2);
-            };
-            let contents = match std::fs::read_to_string(path) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match validate_jsonl(&contents) {
-                Ok(n) => eprintln!("{path}: {n} valid JSONL lines"),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some(other) => {
-            eprintln!(
-                "unknown flag {other}; supported: --trace-jsonl [path|-], \
-                 --bench-e4 [path|-] [--quick], --bench-e8 [path|-] [--quick], \
-                 --bench-e10 [path|-] [--quick], --bench-e12 [path|-] [--quick], \
-                 --bench-e13 [path|-] [--quick], --bench-e14 [path|-] [--quick], \
-                 --validate-jsonl <file>"
-            );
-            std::process::exit(2);
-        }
-        None => print_tables(),
     }
 }
 
 fn print_tables() {
-    println!("{}", render_e1(&e1_vulnerability_matrix(2026)));
+    println!("{}", table(&e1_vulnerability_matrix(2026)));
+    println!("{}", table(&e2_protocol_comparison(&[10, 50, 100, 300], &[1024, 1 << 20, 16 << 20])));
+    println!("{}", table(&e3_attack_matrix()));
     println!(
         "{}",
-        render_e2(&e2_protocol_comparison(&[10, 50, 100, 300], &[1024, 1 << 20, 16 << 20]))
-    );
-    println!("{}", render_e3(&e3_attack_matrix()));
-    println!(
-        "{}",
-        render_e4(&e4_evidence_cost(
+        table(&e4_evidence_cost(
             &[1 << 10, 1 << 16, 1 << 20, 16 << 20],
             &[HashAlg::Md5, HashAlg::Sha256],
         ))
     );
-    println!("{}", render_e5(&e5_shipping_overhead(&[24, 48, 72, 120])));
-    println!("{}", render_e6(&e6_ttp_load(&[0.0, 0.05, 0.1, 0.2, 0.3, 0.5], 40)));
-    println!("{}", render_e7(&e7_bridge_schemes(2026)));
-    println!("{}", render_e8(&e8_chaos(&[0, 100, 200, 300], 40)));
-    println!("{}", render_e10(&e10_scale(&[1_000, 5_000], 2026)));
+    println!("{}", table(&e5_shipping_overhead(&[24, 48, 72, 120])));
+    println!("{}", table(&e6_ttp_load(&[0.0, 0.05, 0.1, 0.2, 0.3, 0.5], 40)));
+    println!("{}", table(&e7_bridge_schemes(2026)));
+    println!("{}", table(&e8_chaos(&[0, 100, 200, 300], 40)));
+    println!("{}", table(&e10_scale(&[1_000, 5_000], 2026)));
     let (rows, batches) = e12_rsa_kernels(&[512, 1024], false);
-    println!("{}", render_e12(&rows, &batches));
-    println!("{}", render_e13(&e13_worker_sweep(2_048, 2026)));
-    println!("{}", render_e14(&e14_backend_comparison(2026, true)));
+    println!("{}\n{}", table(&rows), table(&batches));
+    println!("{}", table(&e13_worker_sweep(2_048, 2026)));
+    println!("{}", table(&e14_backend_comparison(2026, true)));
 }

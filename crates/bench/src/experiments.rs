@@ -1,5 +1,6 @@
-//! The E1–E10 experiment implementations (DESIGN.md §5).
+//! The experiment implementations (E1–E8, E10, E12–E14; DESIGN.md §5).
 
+use crate::report::Row;
 use std::sync::{Arc, Mutex};
 use tpnr_core::bridge::{self, BridgingScheme, DisputeScenario, SchemeKind};
 use tpnr_core::client::TimeoutStrategy;
@@ -187,8 +188,7 @@ pub struct E4Row {
 }
 
 /// E4: cost of evidence generation/verification vs payload size and hash.
-/// Criterion benches cover the same path with proper statistics; this
-/// variant feeds the printed table and `BENCH_e4.json`.
+/// Feeds the printed table and `BENCH_e4.json`.
 ///
 /// The loop mirrors the protocol's evidence hot path for repeated
 /// transactions over one archived object (re-uploads, downloads, audits):
@@ -266,18 +266,33 @@ pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
     rows
 }
 
+/// One E4 transport probe: the deep payload copies of a full upload.
+#[derive(Debug, Clone)]
+pub struct E4Transport {
+    /// Uploaded object size in bytes.
+    pub size: u64,
+    /// Deep payload copies during the upload round-trip.
+    pub upload_deep_copies: u64,
+    /// Bytes moved by those deep copies.
+    pub upload_deep_copy_bytes: u64,
+}
+
 /// Deep payload copies performed by one full TPNR upload round-trip of a
 /// `size`-byte object, read from the global [`tpnr_net::Bytes`] counters.
 /// The zero-copy wire path (shared envelopes, in-place frame views) keeps
 /// this at 0; the pre-`Bytes` transport cloned the payload at least twice
 /// per hop (outbox → queue, queue → inbox).
-pub fn e4_transport_copies(size: usize) -> (u64, u64) {
+pub fn e4_transport_copies(size: usize) -> E4Transport {
     use tpnr_net::Bytes;
     let before = (Bytes::deep_copies(), Bytes::deep_copy_bytes());
     let mut w = World::new(404, ProtocolConfig::full());
     let r = w.upload(b"copy-probe", vec![0xa5u8; size], TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Completed);
-    (Bytes::deep_copies() - before.0, Bytes::deep_copy_bytes() - before.1)
+    E4Transport {
+        size: size as u64,
+        upload_deep_copies: Bytes::deep_copies() - before.0,
+        upload_deep_copy_bytes: Bytes::deep_copy_bytes() - before.1,
+    }
 }
 
 // ---------------------------------------------------------------- E5 ----
@@ -978,7 +993,7 @@ pub fn e12_rsa_kernels(bit_sizes: &[usize], quick: bool) -> (Vec<E12Row>, Vec<E1
 /// client load, driven by a [`tpnr_par::Pool`] of `workers` workers. The
 /// perf gates (`scaling_ok`) and the scheduling-invariance gate
 /// (`deterministic_vs_serial`) are computed by the measurement code
-/// itself, E12-style, so CI greps for `false`.
+/// itself, E12-style, so `experiments --check` reads them from the JSONL.
 #[derive(Debug, Clone)]
 pub struct E13Row {
     /// Simulated clients (identical in every row of a sweep).
@@ -1025,29 +1040,14 @@ pub struct E13Row {
 }
 
 /// The E10 fields that must be byte-identical however the fan-out is
-/// scheduled: everything except host timing (`elapsed_ms`, `txn_per_sec`)
-/// and the scheduler counters (`workers`, `steals`, `tasks`).
+/// scheduled: every field except host timing (`elapsed_ms`, `txn_per_sec`)
+/// and the scheduler's (`workers`, `available_parallelism`, `steals`,
+/// `tasks`).
 fn e10_non_timing_fingerprint(r: &E10Row) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        r.clients,
-        r.lanes,
-        r.completed,
-        r.p50_us,
-        r.p99_us,
-        r.bytes_per_client,
-        r.sent,
-        r.delivered,
-        r.dropped,
-        r.duplicated,
-        r.conservation_violations,
-        r.evicted,
-        r.rehydrated,
-        r.resident,
-        r.archive_bytes,
-        r.evidence_loss,
-        r.gave_up,
-    )
+    const SCHEDULING: [&str; 6] =
+        ["elapsed_ms", "txn_per_sec", "workers", "available_parallelism", "steals", "tasks"];
+    let fields = r.fields().into_iter().filter(|(name, _)| !SCHEDULING.contains(name));
+    fields.map(|(_, v)| v.to_string()).collect::<Vec<_>>().join("|")
 }
 
 /// Speedup floor (×100) by effective core count. One effective core can
@@ -1125,8 +1125,8 @@ pub fn e13_worker_sweep(clients: usize, seed: u64) -> Vec<E13Row> {
 /// a sustained run of evidence transactions plus the five §5 attack
 /// probes — executed on one [`Transport`] backend. The gates
 /// (`conservation_violations`, `evidence_loss`, `attacks_ok`) are
-/// computed by the measurement code itself, E12/E13-style, so CI greps
-/// the JSONL export directly.
+/// computed by the measurement code itself, E12/E13-style, so
+/// `experiments --check` reads them from the JSONL.
 #[derive(Debug, Clone)]
 pub struct E14Row {
     /// Backend name: "simnet", "channel" or "tcp".
@@ -1505,7 +1505,9 @@ mod tests {
         // clients → 3 lanes, one ragged.
         let serial = e10_scale_on(&tpnr_par::Pool::new(1), &[520], 7);
         let stolen = e10_scale_on(&tpnr_par::Pool::new(4), &[520], 7);
-        assert_eq!(e10_non_timing_fingerprint(&serial[0]), e10_non_timing_fingerprint(&stolen[0]),);
+        let fingerprint = e10_non_timing_fingerprint(&serial[0]);
+        assert_eq!(fingerprint.split('|').count(), 17, "{fingerprint}");
+        assert_eq!(fingerprint, e10_non_timing_fingerprint(&stolen[0]));
         assert_eq!(serial[0].workers, 1);
         assert_eq!(stolen[0].workers, 4);
     }
@@ -1617,7 +1619,8 @@ mod tests {
 
     #[test]
     fn e4_transport_probe_reports_a_copy_free_upload() {
-        assert_eq!(e4_transport_copies(1 << 16), (0, 0));
+        let probe = e4_transport_copies(1 << 16);
+        assert_eq!((probe.upload_deep_copies, probe.upload_deep_copy_bytes), (0, 0));
     }
 
     #[test]

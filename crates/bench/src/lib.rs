@@ -2,8 +2,11 @@
 //!
 //! Experiment harness: every exhibit in EXPERIMENTS.md is regenerated by a
 //! function here (structured rows) and printed by the `experiments` binary.
-//! Criterion benches under `benches/` wrap the same functions for
-//! statistically sound timing of the hot paths.
+//! [`report`] turns rows into tables and JSONL and holds the gate table
+//! that `experiments --check` evaluates. The benches under `benches/` time
+//! only what no experiment measures (raw crypto primitives and Shamir
+//! sharing, the F2–F4 platform flows, the X1 audit); the in-tree criterion
+//! shim reports a mean time per iteration, without statistics.
 //!
 //! The paper itself reports no measurements (evaluation is explicitly
 //! future work), so these experiments quantify the paper's *claims*; the

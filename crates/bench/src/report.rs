@@ -1,543 +1,444 @@
-//! Plain-text table rendering for the `experiments` binary, plus the JSONL
-//! export of the observability stream (`experiments --trace-jsonl`).
+//! One schema for every experiment row and the machinery built on it: the
+//! JSONL writer, the plain-text table renderer, the JSONL parser, and the
+//! gate table `experiments --check` evaluates. Also the JSONL export of the
+//! observability stream (`experiments --trace-jsonl`).
 
 use crate::experiments::*;
+use std::fmt;
 use tpnr_core::obs::{Event, EventKind, Histogram, Metrics};
 
-fn human_size(bytes: usize) -> String {
-    if bytes >= 1 << 20 {
-        format!("{} MiB", bytes >> 20)
-    } else if bytes >= 1 << 10 {
-        format!("{} KiB", bytes >> 10)
-    } else {
-        format!("{bytes} B")
-    }
+// --------------------------------------------------------------- rows ----
+
+/// One field value of an experiment row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// An unsigned integer: counts, microseconds, ×100 ratios.
+    Int(u64),
+    /// A float written with a fixed number of decimals.
+    Float(f64, usize),
+    /// A flag; tables print it as yes/no.
+    Bool(bool),
+    /// Text.
+    Str(String),
 }
 
-fn yn(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "no"
-    }
-}
-
-/// Renders E1 as a table.
-pub fn render_e1(rows: &[E1Row]) -> String {
-    let mut out = String::from(
-        "E1 / Figure 5 — in-storage tamper: detection & attribution\n\
-         system   tamper               detected  attributable\n\
-         -------  -------------------  --------  ------------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<8} {:<20} {:<9} {}\n",
-            r.system,
-            r.tamper,
-            yn(r.detected),
-            yn(r.attributable)
-        ));
-    }
-    out
-}
-
-/// Renders E2 as a table.
-pub fn render_e2(rows: &[E2Row]) -> String {
-    let mut out = String::from(
-        "E2 / Figure 6 — TPNR vs traditional NR (messages / latency / TTP)\n\
-         protocol        rtt(ms)  size      msgs  latency(ms)  ttp\n\
-         --------------  -------  --------  ----  -----------  ---\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<15} {:>7}  {:<9} {:>4}  {:>11.1}  {}\n",
-            r.protocol,
-            r.rtt_ms,
-            human_size(r.size),
-            r.messages,
-            r.latency_ms,
-            yn(r.ttp_used)
-        ));
-    }
-    out
-}
-
-/// Renders E3 as a table.
-pub fn render_e3(rows: &[tpnr_attacks::AttackOutcome]) -> String {
-    let mut out = String::from(
-        "E3 / §5 — attack matrix (attack × protocol variant)\n\
-         attack              variant             blocked  note\n\
-         ------------------  ------------------  -------  ----\n",
-    );
-    for r in rows {
-        let note: String = r.detail.chars().take(60).collect();
-        out.push_str(&format!(
-            "{:<19} {:<19} {:<8} {}\n",
-            r.attack.label(),
-            r.ablation.label(),
-            yn(r.blocked),
-            note
-        ));
-    }
-    out
-}
-
-/// Renders E4 as a table.
-pub fn render_e4(rows: &[E4Row]) -> String {
-    let mut out = String::from(
-        "E4 — evidence generation/verification cost (memoized commit path)\n\
-         size      hash      generate(us)  verify(us)  memo h/m  deep copies\n\
-         --------  --------  ------------  ----------  --------  -----------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<9} {:<9} {:>12.0}  {:>10.0}  {:>4}/{:<3}  {:>11}\n",
-            human_size(r.size),
-            r.alg.name(),
-            r.generate_us,
-            r.verify_us,
-            r.cache_hits,
-            r.cache_misses,
-            r.deep_copies,
-        ));
-    }
-    out
-}
-
-/// Renders the E4 sweep plus the transport copy probes as machine-readable
-/// JSONL (one object per line, `validate_jsonl`-clean). Written to
-/// `BENCH_e4.json` by `experiments --bench-e4`.
-pub fn render_bench_e4_json(rows: &[E4Row], transport: &[(usize, u64, u64)]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e4\",\"size\":{},\"alg\":\"{}\",\"generate_us\":{:.1},\
-             \"verify_us\":{:.1},\"cache_hits\":{},\"cache_misses\":{},\
-             \"deep_copies\":{},\"deep_copy_bytes\":{}}}\n",
-            r.size,
-            r.alg.name(),
-            r.generate_us,
-            r.verify_us,
-            r.cache_hits,
-            r.cache_misses,
-            r.deep_copies,
-            r.deep_copy_bytes,
-        ));
-    }
-    for &(size, copies, bytes) in transport {
-        out.push_str(&format!(
-            "{{\"kind\":\"e4-transport\",\"size\":{size},\"upload_deep_copies\":{copies},\
-             \"upload_deep_copy_bytes\":{bytes}}}\n",
-        ));
-    }
-    out
-}
-
-/// Renders E5 as a table.
-pub fn render_e5(rows: &[E5Row]) -> String {
-    let mut out = String::from(
-        "E5 / §6 — protocol time vs device shipping time\n\
-         transit(h)  protocol(ms)  overhead fraction\n\
-         ----------  ------------  -----------------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>10}  {:>12.1}  {:>17.8}\n",
-            r.transit_hours, r.protocol_ms, r.overhead_fraction
-        ));
-    }
-    out
-}
-
-/// Renders E6 as a table.
-pub fn render_e6(rows: &[E6Row]) -> String {
-    let mut out = String::from(
-        "E6 / §4.4 — TTP involvement vs fault rate\n\
-         fault rate  TPNR ttp%  TPNR completed%  traditional ttp%\n\
-         ----------  ---------  ---------------  ----------------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>10.2}  {:>9.2}  {:>15.2}  {:>16.2}\n",
-            r.fault_rate,
-            r.tpnr_ttp_fraction * 100.0,
-            r.tpnr_completed_fraction * 100.0,
-            r.baseline_ttp_fraction * 100.0
-        ));
-    }
-    out
-}
-
-/// Renders E7 as a table.
-pub fn render_e7(rows: &[E7Row]) -> String {
-    let mut out = String::from(
-        "E7 / §3 — bridging schemes\n\
-         scheme             msgs  user/provider/TAC bytes  coop-proof  solo-proof  attributable\n\
-         -----------------  ----  -----------------------  ----------  ----------  ------------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<18} {:>4}  {:>6}/{:>6}/{:>6}      {:<11} {:<11} {}\n",
-            r.scheme.label(),
-            r.messages,
-            r.records.0,
-            r.records.1,
-            r.records.2,
-            yn(r.proves_with_cooperation),
-            yn(r.proves_alone),
-            yn(r.attributable)
-        ));
-    }
-    out
-}
-
-/// Renders E8 as a table.
-pub fn render_e8(rows: &[E8Row]) -> String {
-    let mut out = String::from(
-        "E8 / §4.11 — crash-recovery chaos sweep\n\
-         crash p   trials  full-evid  arbitrable  limbo  crashes  restarts  retries  gave-up\n\
-         --------  ------  ---------  ----------  -----  -------  --------  -------  -------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8.2}  {:>6}  {:>9}  {:>10}  {:>5}  {:>7}  {:>8}  {:>7}  {:>7}\n",
-            r.crash_prob_permille as f64 / 1000.0,
-            r.trials,
-            r.completed_full_evidence,
-            r.arbitrable_terminal,
-            r.limbo,
-            r.crashes,
-            r.restarts,
-            r.retries,
-            r.gave_up,
-        ));
-    }
-    out
-}
-
-/// Renders the E8 chaos sweep as machine-readable JSONL (one object per
-/// line, `validate_jsonl`-clean, all-integer fields so reruns are
-/// byte-identical). Written to `BENCH_e8.json` by `experiments --bench-e8`.
-pub fn render_bench_e8_json(rows: &[E8Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let evidence_loss = r.limbo;
-        out.push_str(&format!(
-            "{{\"kind\":\"e8\",\"crash_prob_permille\":{},\"trials\":{},\
-             \"completed_full_evidence\":{},\"arbitrable_terminal\":{},\
-             \"limbo\":{},\"evidence_loss\":{},\"crashes\":{},\"restarts\":{},\
-             \"retries\":{},\"gave_up\":{},\"snapshot_bytes\":{}}}\n",
-            r.crash_prob_permille,
-            r.trials,
-            r.completed_full_evidence,
-            r.arbitrable_terminal,
-            r.limbo,
-            evidence_loss,
-            r.crashes,
-            r.restarts,
-            r.retries,
-            r.gave_up,
-            r.snapshot_bytes,
-        ));
-    }
-    out
-}
-
-/// Renders E10 as a table.
-pub fn render_e10(rows: &[E10Row]) -> String {
-    let mut out = String::from(
-        "E10 / §4.12 — timer-wheel + sharded-state scale sweep\n\
-         clients  lanes  wrk  txn/s    p50 us  p99 us  B/client  evicted  resident  cons-viol  evid-loss\n\
-         -------  -----  ---  -------  ------  ------  --------  -------  --------  ---------  ---------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>7}  {:>5}  {:>3}  {:>7}  {:>6}  {:>6}  {:>8}  {:>7}  {:>8}  {:>9}  {:>9}\n",
-            r.clients,
-            r.lanes,
-            r.workers,
-            r.txn_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.bytes_per_client,
-            r.evicted,
-            r.resident,
-            r.conservation_violations,
-            r.evidence_loss,
-        ));
-    }
-    out
-}
-
-/// Renders the E10 scale sweep as machine-readable JSONL (one object per
-/// line, `validate_jsonl`-clean, all-integer fields). Written to
-/// `BENCH_e10.json` by `experiments --bench-e10`. The host-timing pair
-/// (`elapsed_ms`, `txn_per_sec`) and the `steals` counter are the only
-/// non-deterministic content; everything else is byte-identical across
-/// reruns of the same seed, whatever the worker count.
-pub fn render_bench_e10_json(rows: &[E10Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e10\",\"clients\":{},\"lanes\":{},\"completed\":{},\
-             \"elapsed_ms\":{},\"txn_per_sec\":{},\"p50_us\":{},\"p99_us\":{},\
-             \"bytes_per_client\":{},\"sent\":{},\"delivered\":{},\"dropped\":{},\
-             \"duplicated\":{},\"conservation_violations\":{},\"evicted\":{},\
-             \"rehydrated\":{},\"resident\":{},\"archive_bytes\":{},\
-             \"evidence_loss\":{},\"gave_up\":{},\"workers\":{},\
-             \"available_parallelism\":{},\"steals\":{},\"tasks\":{}}}\n",
-            r.clients,
-            r.lanes,
-            r.completed,
-            r.elapsed_ms,
-            r.txn_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.bytes_per_client,
-            r.sent,
-            r.delivered,
-            r.dropped,
-            r.duplicated,
-            r.conservation_violations,
-            r.evicted,
-            r.rehydrated,
-            r.resident,
-            r.archive_bytes,
-            r.evidence_loss,
-            r.gave_up,
-            r.workers,
-            r.available_parallelism,
-            r.steals,
-            r.tasks,
-        ));
-    }
-    out
-}
-
-/// Renders E13 as a table.
-pub fn render_e13(rows: &[E13Row]) -> String {
-    let mut out = String::from(
-        "E13 / work-stealing settle: worker sweep at fixed load\n\
-         workers  cores  txn/s    speedup  effic  steals  tasks  p50 us  p99 us  det  ok\n\
-         -------  -----  -------  -------  -----  ------  -----  ------  ------  ---  --\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>7}  {:>5}  {:>7}  {:>4}.{:02}x  {:>2}.{:02}  {:>6}  {:>5}  {:>6}  {:>6}  {:>3}  {}\n",
-            r.workers,
-            r.available_parallelism,
-            r.txn_per_sec,
-            r.speedup_x100 / 100,
-            r.speedup_x100 % 100,
-            r.efficiency_x100 / 100,
-            r.efficiency_x100 % 100,
-            r.steals,
-            r.tasks,
-            r.p50_us,
-            r.p99_us,
-            if r.deterministic_vs_serial { "yes" } else { "NO" },
-            if r.scaling_ok { "ok" } else { "FAIL" },
-        ));
-    }
-    out
-}
-
-/// Renders the E13 worker sweep as machine-readable JSONL. Written to
-/// `BENCH_e13.json` by `experiments --bench-e13`. The gate booleans
-/// (`scaling_ok`, `deterministic_vs_serial`) are computed by the
-/// measurement code itself — CI greps this export for `false`.
-pub fn render_bench_e13_json(rows: &[E13Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e13\",\"clients\":{},\"lanes\":{},\"workers\":{},\
-             \"available_parallelism\":{},\"completed\":{},\"elapsed_ms\":{},\
-             \"txn_per_sec\":{},\"speedup_x100\":{},\"efficiency_x100\":{},\
-             \"required_speedup_x100\":{},\"scaling_ok\":{},\"steals\":{},\
-             \"tasks\":{},\"p50_us\":{},\"p99_us\":{},\
-             \"conservation_violations\":{},\"evidence_loss\":{},\
-             \"deterministic_vs_serial\":{}}}\n",
-            r.clients,
-            r.lanes,
-            r.workers,
-            r.available_parallelism,
-            r.completed,
-            r.elapsed_ms,
-            r.txn_per_sec,
-            r.speedup_x100,
-            r.efficiency_x100,
-            r.required_speedup_x100,
-            r.scaling_ok,
-            r.steals,
-            r.tasks,
-            r.p50_us,
-            r.p99_us,
-            r.conservation_violations,
-            r.evidence_loss,
-            r.deterministic_vs_serial,
-        ));
-    }
-    out
-}
-
-/// Renders E14 as a table.
-pub fn render_e14(rows: &[E14Row]) -> String {
-    let mut out = String::from(
-        "E14 / transport comparison: same protocol code on every backend\n\
-         backend  txns  completed  elapsed ms  msg/s    txn/s   txn/s/core  attacks  loss  ok\n\
-         -------  ----  ---------  ----------  -------  ------  ----------  -------  ----  --\n",
-    );
-    for r in rows {
-        if r.skipped {
-            out.push_str(&format!(
-                "{:<7}  (skipped: backend unavailable on this host)\n",
-                r.backend
-            ));
-            continue;
+impl Value {
+    /// The value as JSON text.
+    fn json(&self) -> String {
+        match self {
+            Value::Bool(b) => b.to_string(),
+            Value::Str(s) => format!("\"{}\"", json_escape(s)),
+            v => v.to_string(),
         }
-        out.push_str(&format!(
-            "{:<7}  {:>4}  {:>9}  {:>10}  {:>7}  {:>6}  {:>10}  {:>4}/{}  {:>4}  {}\n",
-            r.backend,
-            r.txns,
-            r.completed,
-            r.elapsed_ms,
-            r.msgs_per_sec,
-            r.txn_per_sec,
-            r.txn_per_sec_per_core,
-            r.attacks_rejected,
-            r.attacks_expected,
-            r.evidence_loss,
-            if r.attacks_ok && r.conservation_violations == 0 && r.evidence_loss == 0 {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        ));
     }
-    out
 }
 
-/// Renders the E14 backend comparison as machine-readable JSONL (one
-/// object per line, `validate_jsonl`-clean). Written to `BENCH_e14.json`
-/// by `experiments --bench-e14`. The gates (`conservation_violations`,
-/// `evidence_loss`, `attacks_ok`) are computed by the measurement code —
-/// CI greps this export directly.
-pub fn render_bench_e14_json(rows: &[E14Row]) -> String {
+/// The value as a table cell.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Float(x, decimals) => write!(f, "{x:.decimals$}"),
+            Value::Bool(b) => f.write_str(if *b { "yes" } else { "no" }),
+            Value::Str(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Int(n)
+    }
+}
+
+impl From<u32> for Value {
+    fn from(n: u32) -> Self {
+        Value::Int(n.into())
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Int(n as u64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+/// One experiment row: the schema its JSONL line and its table line share.
+pub trait Row {
+    /// The JSONL `kind` tag, which also selects the row's gates.
+    const KIND: &'static str;
+    /// The heading of the row's table.
+    const TITLE: &'static str;
+    /// The fields the table shows, in order; empty shows every field.
+    const COLUMNS: &'static [&'static str] = &[];
+    /// Every field as `(name, value)`, in output order.
+    fn fields(&self) -> Vec<(&'static str, Value)>;
+}
+
+/// `fields()` named after the row's struct fields, in the order listed;
+/// `name = expr` gives a field whose value is computed.
+macro_rules! fields_of {
+    (@value $row:expr, $field:ident) => { Value::from($row.$field) };
+    (@value $row:expr, $field:ident, $value:expr) => { Value::from($value) };
+    ($row:expr; $($field:ident $(= $value:expr)?),+ $(,)?) => {
+        vec![$((stringify!($field), fields_of!(@value $row, $field $(, $value)?))),+]
+    };
+}
+
+impl Row for E1Row {
+    const KIND: &'static str = "e1";
+    const TITLE: &'static str = "E1 / Figure 5 — in-storage tamper: detection & attribution";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; system = self.system.as_str(), tamper, detected, attributable)
+    }
+}
+
+impl Row for E2Row {
+    const KIND: &'static str = "e2";
+    const TITLE: &'static str = "E2 / Figure 6 — TPNR vs traditional NR (messages / latency / TTP)";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; protocol, rtt_ms, size, messages,
+            latency_ms = Value::Float(self.latency_ms, 1), ttp_used)
+    }
+}
+
+impl Row for tpnr_attacks::AttackOutcome {
+    const KIND: &'static str = "e3";
+    const TITLE: &'static str = "E3 / §5 — attack matrix (attack × protocol variant)";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; attack = self.attack.label(), variant = self.ablation.label(), blocked,
+            note = Value::Str(self.detail.chars().take(60).collect()))
+    }
+}
+
+impl Row for E4Row {
+    const KIND: &'static str = "e4";
+    const TITLE: &'static str = "E4 — evidence generation/verification cost (memoized commit path)";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; size, alg = self.alg.name(),
+            generate_us = Value::Float(self.generate_us, 1),
+            verify_us = Value::Float(self.verify_us, 1),
+            cache_hits, cache_misses, deep_copies, deep_copy_bytes)
+    }
+}
+
+impl Row for E4Transport {
+    const KIND: &'static str = "e4-transport";
+    const TITLE: &'static str = "E4 — deep payload copies in one full upload";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; size, upload_deep_copies, upload_deep_copy_bytes)
+    }
+}
+
+impl Row for E5Row {
+    const KIND: &'static str = "e5";
+    const TITLE: &'static str = "E5 / §6 — protocol time vs device shipping time";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; transit_hours, protocol_ms = Value::Float(self.protocol_ms, 1),
+            overhead_fraction = Value::Float(self.overhead_fraction, 8))
+    }
+}
+
+impl Row for E6Row {
+    const KIND: &'static str = "e6";
+    const TITLE: &'static str = "E6 / §4.4 — TTP involvement vs fault rate";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; fault_rate = Value::Float(self.fault_rate, 2),
+            tpnr_ttp_fraction = Value::Float(self.tpnr_ttp_fraction, 3),
+            tpnr_completed_fraction = Value::Float(self.tpnr_completed_fraction, 3),
+            baseline_ttp_fraction = Value::Float(self.baseline_ttp_fraction, 3))
+    }
+}
+
+impl Row for E7Row {
+    const KIND: &'static str = "e7";
+    const TITLE: &'static str = "E7 / §3 — bridging schemes";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; scheme = self.scheme.label(), messages,
+            user_record_bytes = self.records.0, provider_record_bytes = self.records.1,
+            tac_record_bytes = self.records.2, proves_with_cooperation, proves_alone, attributable)
+    }
+}
+
+impl Row for E8Row {
+    const KIND: &'static str = "e8";
+    const TITLE: &'static str = "E8 / §4.11 — crash-recovery chaos sweep";
+    const COLUMNS: &'static [&'static str] = &[
+        "crash_prob_permille",
+        "trials",
+        "completed_full_evidence",
+        "arbitrable_terminal",
+        "limbo",
+        "crashes",
+        "restarts",
+        "retries",
+        "gave_up",
+    ];
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        // A transaction in limbo is one whose evidence was lost.
+        fields_of!(self; crash_prob_permille, trials, completed_full_evidence, arbitrable_terminal,
+            limbo, evidence_loss = self.limbo, crashes, restarts, retries, gave_up, snapshot_bytes)
+    }
+}
+
+impl Row for E10Row {
+    const KIND: &'static str = "e10";
+    const TITLE: &'static str = "E10 / §4.12 — timer-wheel + sharded-state scale sweep";
+    const COLUMNS: &'static [&'static str] = &[
+        "clients",
+        "lanes",
+        "workers",
+        "txn_per_sec",
+        "p50_us",
+        "p99_us",
+        "bytes_per_client",
+        "evicted",
+        "resident",
+        "conservation_violations",
+        "evidence_loss",
+    ];
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; clients, lanes, completed, elapsed_ms, txn_per_sec, p50_us, p99_us,
+            bytes_per_client, sent, delivered, dropped, duplicated, conservation_violations,
+            evicted, rehydrated, resident, archive_bytes, evidence_loss, gave_up, workers,
+            available_parallelism, steals, tasks)
+    }
+}
+
+impl Row for E12Row {
+    const KIND: &'static str = "e12";
+    const TITLE: &'static str =
+        "E12 / §4.13 — fixed-limb RSA kernels: sign/verify by key size × alg";
+    const COLUMNS: &'static [&'static str] = &[
+        "bits",
+        "alg",
+        "sign_classic_us",
+        "sign_fast_us",
+        "sign_speedup_x100",
+        "verify_classic_us",
+        "verify_fast_us",
+        "allocs_per_sign_classic",
+        "allocs_per_sign_fast",
+    ];
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; bits, alg, sign_classic_us, sign_fast_us, sign_speedup_x100,
+            verify_classic_us, verify_fast_us, allocs_per_sign_classic, allocs_per_sign_fast,
+            sign_floor_ok)
+    }
+}
+
+impl Row for E12Batch {
+    const KIND: &'static str = "e12_batch";
+    const TITLE: &'static str = "E12 — batch verification, n pairs under one key";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; bits, n, serial_us, batch_us, amortization_x100, batch_not_slower,
+            tampered_attributed)
+    }
+}
+
+impl Row for E13Row {
+    const KIND: &'static str = "e13";
+    const TITLE: &'static str = "E13 / work-stealing settle: worker sweep at fixed load";
+    const COLUMNS: &'static [&'static str] = &[
+        "workers",
+        "available_parallelism",
+        "txn_per_sec",
+        "speedup_x100",
+        "efficiency_x100",
+        "steals",
+        "tasks",
+        "p50_us",
+        "p99_us",
+        "deterministic_vs_serial",
+        "scaling_ok",
+    ];
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; clients, lanes, workers, available_parallelism, completed, elapsed_ms,
+            txn_per_sec, speedup_x100, efficiency_x100, required_speedup_x100, scaling_ok, steals,
+            tasks, p50_us, p99_us, conservation_violations, evidence_loss, deterministic_vs_serial)
+    }
+}
+
+impl Row for E14Row {
+    const KIND: &'static str = "e14";
+    const TITLE: &'static str = "E14 / transport comparison: same protocol code on every backend";
+    const COLUMNS: &'static [&'static str] = &[
+        "backend",
+        "txns",
+        "completed",
+        "elapsed_ms",
+        "msgs_per_sec",
+        "txn_per_sec",
+        "txn_per_sec_per_core",
+        "attacks_rejected",
+        "evidence_loss",
+        "attacks_ok",
+        "skipped",
+    ];
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; backend, txns, completed, elapsed_ms, msgs_per_sec, txn_per_sec,
+            txn_per_sec_per_core, available_parallelism, sent, delivered, dropped, duplicated,
+            conservation_violations, evidence_loss, attacks_rejected, attacks_expected, attacks_ok,
+            skipped)
+    }
+}
+
+/// Writes rows as JSONL: one object per row, `kind` first, then `fields()`.
+pub fn jsonl<R: Row>(rows: &[R]) -> String {
     let mut out = String::new();
     for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e14\",\"backend\":\"{}\",\"txns\":{},\"completed\":{},\
-             \"elapsed_ms\":{},\"msgs_per_sec\":{},\"txn_per_sec\":{},\
-             \"txn_per_sec_per_core\":{},\"available_parallelism\":{},\
-             \"sent\":{},\"delivered\":{},\"dropped\":{},\"duplicated\":{},\
-             \"conservation_violations\":{},\"evidence_loss\":{},\
-             \"attacks_rejected\":{},\"attacks_expected\":{},\
-             \"attacks_ok\":{},\"skipped\":{}}}\n",
-            r.backend,
-            r.txns,
-            r.completed,
-            r.elapsed_ms,
-            r.msgs_per_sec,
-            r.txn_per_sec,
-            r.txn_per_sec_per_core,
-            r.available_parallelism,
-            r.sent,
-            r.delivered,
-            r.dropped,
-            r.duplicated,
-            r.conservation_violations,
-            r.evidence_loss,
-            r.attacks_rejected,
-            r.attacks_expected,
-            r.attacks_ok,
-            r.skipped,
-        ));
+        out.push_str(&format!("{{\"kind\":\"{}\"", R::KIND));
+        for (name, v) in r.fields() {
+            out.push_str(&format!(",\"{name}\":{}", v.json()));
+        }
+        out.push_str("}\n");
     }
     out
 }
 
-/// Renders E12 as tables (kernel sweep + batch amortization).
-pub fn render_e12(rows: &[E12Row], batches: &[E12Batch]) -> String {
-    let mut out = String::from(
-        "E12 / §4.13 — fixed-limb RSA kernels: sign/verify by key size × alg\n\
-         bits  alg     sign-classic us  sign-fast us  speedup  verify-c us  verify-f us  allocs c→f\n\
-         ----  ------  ---------------  ------------  -------  -----------  -----------  ----------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>4}  {:<6}  {:>15}  {:>12}  {:>6}.{:02}x  {:>11}  {:>11}  {:>4}→{}\n",
-            r.bits,
-            r.alg,
-            r.sign_classic_us,
-            r.sign_fast_us,
-            r.sign_speedup_x100 / 100,
-            r.sign_speedup_x100 % 100,
-            r.verify_classic_us,
-            r.verify_fast_us,
-            r.allocs_per_sign_classic,
-            r.allocs_per_sign_fast,
-        ));
-    }
-    out.push_str(
-        "\nbatch verification, n pairs under one key\n\
-         bits   n  serial us  batch us  amortization  attributed\n\
-         ----  --  ---------  --------  ------------  ----------\n",
-    );
-    for b in batches {
-        out.push_str(&format!(
-            "{:>4}  {:>2}  {:>9}  {:>8}  {:>10}.{:02}x  {:>10}\n",
-            b.bits,
-            b.n,
-            b.serial_us,
-            b.batch_us,
-            b.amortization_x100 / 100,
-            b.amortization_x100 % 100,
-            if b.tampered_attributed { "yes" } else { "NO" },
-        ));
+/// Renders rows as a plain-text table: the title, a header of field names,
+/// a rule, then one line per row. Numbers align right, the rest left.
+pub fn table<R: Row>(rows: &[R]) -> String {
+    let fields: Vec<_> = rows.iter().map(Row::fields).collect();
+    let columns: Vec<&str> = match (R::COLUMNS, fields.first()) {
+        ([], Some(first)) => first.iter().map(|(name, _)| *name).collect(),
+        (declared, _) => declared.to_vec(),
+    };
+    let cells: Vec<Vec<(String, bool)>> = fields
+        .iter()
+        .map(|f| {
+            columns
+                .iter()
+                .map(|c| {
+                    let (_, v) = f.iter().find(|(name, _)| name == c).expect("column is a field");
+                    (v.to_string(), matches!(v, Value::Int(_) | Value::Float(..)))
+                })
+                .collect()
+        })
+        .collect();
+    let widths: Vec<usize> = (0..columns.len())
+        .map(|i| cells.iter().map(|r| r[i].0.chars().count()).fold(columns[i].len(), usize::max))
+        .collect();
+    let pad = |text: &str, w: &usize, numeric: bool| {
+        if numeric {
+            format!("{text:>w$}")
+        } else {
+            format!("{text:<w$}")
+        }
+    };
+    let mut out = format!("{}\n", R::TITLE);
+    let mut line = |parts: Vec<String>| {
+        out.push_str(parts.join("  ").trim_end());
+        out.push('\n');
+    };
+    line(columns.iter().zip(&widths).map(|(c, w)| pad(c, w, false)).collect());
+    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    for row in &cells {
+        line(row.iter().zip(&widths).map(|((text, numeric), w)| pad(text, w, *numeric)).collect());
     }
     out
 }
 
-/// Renders the E12 RSA-kernel sweep as machine-readable JSONL. Written to
-/// `BENCH_e12.json` by `experiments --bench-e12`. The boolean gate fields
-/// (`sign_floor_ok`, `batch_not_slower`, `tampered_attributed`) are emitted
-/// by the measurement code itself so the CI smoke step can grep for them
-/// instead of re-deriving thresholds in shell.
-pub fn render_bench_e12_json(rows: &[E12Row], batches: &[E12Batch]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e12\",\"bits\":{},\"alg\":\"{}\",\"sign_classic_us\":{},\
-             \"sign_fast_us\":{},\"sign_speedup_x100\":{},\"verify_classic_us\":{},\
-             \"verify_fast_us\":{},\"allocs_per_sign_classic\":{},\
-             \"allocs_per_sign_fast\":{},\"sign_floor_ok\":{}}}\n",
-            r.bits,
-            json_escape(r.alg),
-            r.sign_classic_us,
-            r.sign_fast_us,
-            r.sign_speedup_x100,
-            r.verify_classic_us,
-            r.verify_fast_us,
-            r.allocs_per_sign_classic,
-            r.allocs_per_sign_fast,
-            r.sign_floor_ok,
-        ));
+// -------------------------------------------------------------- gates ----
+
+/// The gate table: every check a row of `kind` must pass, as
+/// `(gate, passed)`, computed from the row's parsed fields alone so a file
+/// gets the verdict of the run that wrote it. A gate whose field is missing
+/// fails. `None` for a kind the table does not know.
+pub fn gates(kind: &str, fields: &[(String, Value)]) -> Option<Vec<(&'static str, bool)>> {
+    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let zero = |name| get(name) == Some(&Value::Int(0));
+    let yes = |name| get(name) == Some(&Value::Bool(true));
+    let conservation = ("conservation_violations == 0", zero("conservation_violations"));
+    let no_loss = ("evidence_loss == 0", zero("evidence_loss"));
+    Some(match kind {
+        "e4" => vec![("copy_free", zero("deep_copies"))],
+        "e4-transport" => vec![("copy_free", zero("upload_deep_copies"))],
+        "e8" => vec![("limbo == 0", zero("limbo")), no_loss],
+        "e10" => {
+            let evicted = matches!(get("evicted"), Some(Value::Int(n)) if *n > 0);
+            vec![conservation, no_loss, ("evicted > 0", evicted)]
+        }
+        "e12" => vec![("sign_floor_ok", yes("sign_floor_ok"))],
+        "e12_batch" => vec![
+            ("batch_not_slower", yes("batch_not_slower")),
+            ("tampered_attributed", yes("tampered_attributed")),
+        ],
+        "e13" => vec![
+            ("scaling_ok", yes("scaling_ok")),
+            ("deterministic_vs_serial", yes("deterministic_vs_serial")),
+            conservation,
+            no_loss,
+        ],
+        "e14" => {
+            // The in-process backends always run; only the loopback bind
+            // may be refused by the host.
+            let ran = match (get("backend"), get("skipped")) {
+                (Some(Value::Str(backend)), Some(Value::Bool(skipped))) => {
+                    !skipped || backend == "tcp"
+                }
+                _ => false,
+            };
+            vec![
+                conservation,
+                no_loss,
+                ("attacks_ok", yes("attacks_ok")),
+                ("only tcp may skip", ran),
+            ]
+        }
+        _ => return None,
+    })
+}
+
+/// Evaluates every row of an experiment export against its gates. Returns
+/// the row count, or one message per unparsable line, row without a known
+/// `kind`, and failed gate; an export without rows fails too.
+pub fn check_jsonl(s: &str) -> Result<usize, Vec<String>> {
+    let mut rows = 0;
+    let mut errors = Vec::new();
+    for (line, parsed) in parsed_lines(s) {
+        rows += 1;
+        let fields = match parsed {
+            Ok(fields) => fields,
+            Err(e) => {
+                errors.push(format!("line {line}: {e}"));
+                continue;
+            }
+        };
+        let Some((_, Value::Str(kind))) = fields.iter().find(|(k, _)| k == "kind") else {
+            errors.push(format!("line {line}: row has no string \"kind\""));
+            continue;
+        };
+        match gates(kind, &fields) {
+            None => errors.push(format!("line {line}: unknown kind {kind:?}")),
+            Some(gates) => errors.extend(
+                gates
+                    .into_iter()
+                    .filter(|(_, passed)| !passed)
+                    .map(|(gate, _)| format!("line {line}: {kind}: gate `{gate}` failed")),
+            ),
+        }
     }
-    for b in batches {
-        out.push_str(&format!(
-            "{{\"kind\":\"e12_batch\",\"bits\":{},\"n\":{},\"serial_us\":{},\
-             \"batch_us\":{},\"amortization_x100\":{},\"batch_not_slower\":{},\
-             \"tampered_attributed\":{}}}\n",
-            b.bits,
-            b.n,
-            b.serial_us,
-            b.batch_us,
-            b.amortization_x100,
-            b.batch_not_slower,
-            b.tampered_attributed,
-        ));
+    if rows == 0 {
+        errors.push("no JSON lines found".to_string());
     }
-    out
+    if errors.is_empty() {
+        Ok(rows)
+    } else {
+        Err(errors)
+    }
 }
 
 // ------------------------------------------------------------- JSONL ----
@@ -664,21 +565,8 @@ pub fn render_trace_jsonl<'a>(
 /// crate).
 pub fn validate_jsonl(s: &str) -> Result<usize, String> {
     let mut n = 0;
-    for (i, line) in s.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut p = JsonParser { bytes: line.as_bytes(), pos: 0 };
-        p.skip_ws();
-        if p.peek() != Some(b'{') {
-            return Err(format!("line {}: not a JSON object", i + 1));
-        }
-        p.value().map_err(|e| format!("line {}: {e}", i + 1))?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("line {}: trailing garbage at byte {}", i + 1, p.pos));
-        }
+    for (line, parsed) in parsed_lines(s) {
+        parsed.map_err(|e| format!("line {line}: {e}"))?;
         n += 1;
     }
     if n == 0 {
@@ -687,10 +575,41 @@ pub fn validate_jsonl(s: &str) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Minimal recursive-descent JSON syntax checker (values are not retained).
+/// Each non-blank line of `s` with its 1-based number, parsed as one JSON
+/// object into its top-level scalar fields.
+fn parsed_lines(
+    s: &str,
+) -> impl Iterator<Item = (usize, Result<Vec<(String, Value)>, String>)> + '_ {
+    s.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).map(|(i, l)| (i + 1, parse_row(l)))
+}
+
+/// Parses one line holding a single JSON object. Returns its top-level
+/// fields with scalar values, in order; `null`, arrays and nested objects
+/// are syntax-checked but not returned.
+fn parse_row(line: &str) -> Result<Vec<(String, Value)>, String> {
+    let mut p = JsonParser { bytes: line.as_bytes(), pos: 0, depth: 0 };
+    p.skip_ws();
+    if p.peek() != Some(b'{') {
+        return Err("not a JSON object".to_string());
+    }
+    let fields = p.nested(JsonParser::object)?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(fields)
+}
+
+/// Deepest nesting of objects and arrays a line may have, the row object
+/// included. The parser recurses once per level, so without a cap a line
+/// of brackets can overflow the stack; every export is at most 2 deep.
+const MAX_DEPTH: usize = 64;
+
+/// Minimal recursive-descent JSON parser.
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -718,37 +637,52 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
+    /// Runs `f` one nesting level deeper, refusing to pass `MAX_DEPTH`.
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, String>) -> Result<T, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nested deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Parses one value; `Some` for a scalar, `None` for anything else.
+    fn value(&mut self) -> Result<Option<Value>, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => self.nested(Self::object).map(|_| None),
+            Some(b'[') => self.nested(Self::array).map(|()| None),
+            Some(b'"') => self.string().map(|s| Some(Value::Str(s))),
+            Some(b't') => self.literal("true").map(|()| Some(Value::Bool(true))),
+            Some(b'f') => self.literal("false").map(|()| Some(Value::Bool(false))),
+            Some(b'n') => self.literal("null").map(|()| None),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Some),
             other => Err(format!("unexpected {:?} at byte {}", other.map(char::from), self.pos)),
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<Vec<(String, Value)>, String> {
         self.expect(b'{')?;
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(fields);
         }
         loop {
             self.skip_ws();
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            self.value()?;
+            if let Some(v) = self.value()? {
+                fields.push((key, v));
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(()),
+                Some(b'}') => return Ok(fields),
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
@@ -772,49 +706,64 @@ impl JsonParser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = Vec::new();
         while let Some(b) = self.bump() {
-            match b {
-                b'"' => return Ok(()),
+            let c = match b {
+                b'"' => {
+                    return String::from_utf8(out).map_err(|_| {
+                        format!("invalid UTF-8 in string ending at byte {}", self.pos)
+                    })
+                }
                 b'\\' => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
                     Some(b'u') => {
-                        for _ in 0..4 {
-                            if !self.bump().is_some_and(|h| h.is_ascii_hexdigit()) {
-                                return Err(format!("bad \\u escape at byte {}", self.pos));
-                            }
+                        let hex = self.bytes.get(self.pos..self.pos + 4).unwrap_or_default();
+                        if hex.len() < 4 || !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {}", self.pos));
                         }
+                        self.pos += 4;
+                        let code = hex
+                            .iter()
+                            .fold(0, |acc, h| acc * 16 + (*h as char).to_digit(16).unwrap_or(0));
+                        char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
                     }
                     _ => return Err(format!("bad escape at byte {}", self.pos)),
                 },
                 b if b < 0x20 => return Err(format!("raw control byte in string at {}", self.pos)),
-                _ => {}
-            }
+                b => {
+                    out.push(b);
+                    continue;
+                }
+            };
+            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
         }
         Err("unterminated string".to_string())
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    /// Parses a number: an unsigned integer that fits a `u64` becomes
+    /// `Int`, anything else a `Float` keeping its count of decimals.
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut digits = 0;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
+        if self.digits() == 0 {
             return Err(format!("number without digits at byte {}", self.pos));
         }
+        let mut decimals = 0;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let mut frac = 0;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
+            decimals = self.digits();
+            if decimals == 0 {
                 return Err(format!("number with empty fraction at byte {}", self.pos));
             }
         }
@@ -823,16 +772,28 @@ impl JsonParser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let mut exp = 0;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
+            if self.digits() == 0 {
                 return Err(format!("number with empty exponent at byte {}", self.pos));
             }
         }
-        Ok(())
+        // The scanned bytes are ASCII digits, signs, '.' and 'e'.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        match text.parse::<u64>() {
+            Ok(n) => Ok(Value::Int(n)),
+            Err(_) => text
+                .parse::<f64>()
+                .map(|x| Value::Float(x, decimals))
+                .map_err(|e| format!("bad number at byte {start}: {e}")),
+        }
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
@@ -850,17 +811,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn human_sizes() {
-        assert_eq!(human_size(512), "512 B");
-        assert_eq!(human_size(2048), "2 KiB");
-        assert_eq!(human_size(3 << 20), "3 MiB");
-    }
-
-    #[test]
     fn renderers_produce_tables() {
-        let e1 = render_e1(&e1_vulnerability_matrix(1));
+        let e1 = table(&e1_vulnerability_matrix(1));
         assert!(e1.contains("TPNR"));
-        let e7 = render_e7(&e7_bridge_schemes(1));
+        let e7 = table(&e7_bridge_schemes(1));
         assert!(e7.contains("3.1"));
         assert!(e7.contains("3.4"));
     }
@@ -932,23 +886,27 @@ mod tests {
     fn bench_e4_json_is_valid_jsonl() {
         use tpnr_crypto::hash::HashAlg;
         let rows = e4_evidence_cost(&[1 << 10], &[HashAlg::Md5]);
-        let jsonl = render_bench_e4_json(&rows, &[(1 << 10, 0, 0)]);
+        let transport =
+            [E4Transport { size: 1 << 10, upload_deep_copies: 0, upload_deep_copy_bytes: 0 }];
+        let jsonl = jsonl(&rows) + &jsonl(&transport);
         assert_eq!(validate_jsonl(&jsonl), Ok(2));
         assert!(jsonl.contains("\"kind\":\"e4\""));
         assert!(jsonl.contains("\"kind\":\"e4-transport\""));
         assert!(jsonl.contains("\"deep_copies\":0"));
+        assert_eq!(check_jsonl(&jsonl), Ok(2));
     }
 
     #[test]
     fn bench_e8_json_is_valid_jsonl() {
         let rows = e8_chaos(&[0, 300], 4);
-        let jsonl = render_bench_e8_json(&rows);
+        let jsonl = jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(2));
         assert!(jsonl.contains("\"kind\":\"e8\""));
         assert!(jsonl.contains("\"evidence_loss\":0"));
         assert!(jsonl.contains("\"limbo\":0"));
+        assert_eq!(check_jsonl(&jsonl), Ok(2));
         // The table renderer covers every row too.
-        assert_eq!(render_e8(&rows).lines().count(), 3 + rows.len());
+        assert_eq!(table(&rows).lines().count(), 3 + rows.len());
     }
 
     #[test]
@@ -956,7 +914,7 @@ mod tests {
         // Two counts, one straddling the lane boundary so a ragged final
         // lane is exercised.
         let rows = e10_scale(&[40, 300], 7);
-        let jsonl = render_bench_e10_json(&rows);
+        let jsonl = jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(2));
         assert!(jsonl.contains("\"kind\":\"e10\""));
         for r in &rows {
@@ -975,7 +933,7 @@ mod tests {
         assert!(big.rehydrated >= big.evicted, "verify pass reads every evicted bundle");
         assert!(big.archive_bytes > 0 && big.bytes_per_client > 0);
         assert!(big.resident < big.clients, "resident set bounded: {}", big.resident);
-        assert_eq!(render_e10(&rows).lines().count(), 3 + rows.len());
+        assert_eq!(table(&rows).lines().count(), 3 + rows.len());
         // The scheduler provenance fields are present in every row.
         assert!(jsonl.contains("\"workers\":"));
         assert!(jsonl.contains("\"available_parallelism\":"));
@@ -985,7 +943,7 @@ mod tests {
     #[test]
     fn bench_e13_json_is_valid_jsonl_and_gates_hold() {
         let rows = e13_worker_sweep(300, 7);
-        let jsonl = render_bench_e13_json(&rows);
+        let jsonl = jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(rows.len()));
         assert!(jsonl.contains("\"kind\":\"e13\""));
         for r in &rows {
@@ -994,14 +952,14 @@ mod tests {
             assert_eq!(r.evidence_loss, 0);
         }
         assert!(!jsonl.contains("\"deterministic_vs_serial\":false"));
-        assert_eq!(render_e13(&rows).lines().count(), 3 + rows.len());
+        assert_eq!(table(&rows).lines().count(), 3 + rows.len());
     }
 
     #[test]
     fn bench_e14_json_is_valid_jsonl_and_gates_hold() {
         let rows = e14_backend_comparison(7, true);
         assert_eq!(rows.len(), 3, "simnet, channel and tcp rows");
-        let jsonl = render_bench_e14_json(&rows);
+        let jsonl = jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(rows.len()));
         assert!(jsonl.contains("\"kind\":\"e14\""));
         assert!(jsonl.contains("\"backend\":\"simnet\""));
@@ -1023,8 +981,9 @@ mod tests {
             );
             assert_eq!(r.delivered + r.dropped, r.sent + r.duplicated, "{}", r.backend);
         }
+        assert_eq!(check_jsonl(&jsonl), Ok(rows.len()));
         // The table renders one line per row plus the 3-line header.
-        assert_eq!(render_e14(&rows).lines().count(), 3 + rows.len());
+        assert_eq!(table(&rows).lines().count(), 3 + rows.len());
     }
 
     #[test]
@@ -1033,7 +992,7 @@ mod tests {
         let (rows, batches) = e12_rsa_kernels(&[512], true);
         assert_eq!(rows.len(), 3);
         assert_eq!(batches.len(), 1);
-        let jsonl = render_bench_e12_json(&rows, &batches);
+        let jsonl = jsonl(&rows) + &jsonl(&batches);
         assert_eq!(validate_jsonl(&jsonl), Ok(4));
         assert!(jsonl.contains("\"kind\":\"e12\""));
         assert!(jsonl.contains("\"kind\":\"e12_batch\""));
@@ -1049,15 +1008,15 @@ mod tests {
         let b = &batches[0];
         assert_eq!(b.n, 64);
         assert!(b.tampered_attributed, "tampered batch member must be attributed");
-        // Table renderer covers every row (3 header lines per section + blank).
-        let table = render_e12(&rows, &batches);
-        assert_eq!(table.lines().count(), 3 + rows.len() + 4 + batches.len());
+        // Two tables, each with a 3-line header, joined by a blank line.
+        let tables = format!("{}\n{}", table(&rows), table(&batches));
+        assert_eq!(tables.lines().count(), 3 + rows.len() + 4 + batches.len());
     }
 
     #[test]
     fn bench_e10_non_timing_fields_are_deterministic() {
         let strip = |rows: &[E10Row]| {
-            render_bench_e10_json(rows)
+            jsonl(rows)
                 .lines()
                 .map(|l| {
                     // Drop the host-timing pair and the steal counter
@@ -1098,5 +1057,125 @@ mod tests {
             assert!(jsonl.contains(&format!("\"kind\":\"{kind}\"")), "missing {kind}");
         }
         assert!(jsonl.lines().last().unwrap().contains("\"kind\":\"metrics\""));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{{\"a\":{}{}}}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = validate_jsonl(&deep).unwrap_err();
+        assert!(err.starts_with("line 1: nested deeper than 64 levels at byte "), "{err}");
+        // The cap counts the row object itself as the first level.
+        let at_cap = |levels: usize| {
+            format!("{{\"a\":{}{}}}", "[".repeat(levels - 1), "]".repeat(levels - 1))
+        };
+        assert_eq!(validate_jsonl(&at_cap(MAX_DEPTH)), Ok(1));
+        assert!(validate_jsonl(&at_cap(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn parser_reads_back_what_the_writer_wrote() {
+        use tpnr_crypto::hash::HashAlg;
+        let e1 = [E1Row {
+            system: "quote \" slash \\ newline \n tab \t bell \u{7} é".into(),
+            tamper: "t",
+            detected: true,
+            attributable: false,
+        }];
+        let e4 = [E4Row {
+            size: 1 << 20,
+            alg: HashAlg::Sha256,
+            generate_us: 77.64,
+            verify_us: 0.0,
+            cache_hits: 18,
+            cache_misses: 2,
+            deep_copies: 0,
+            deep_copy_bytes: u64::MAX,
+        }];
+        for line in (jsonl(&e1) + &jsonl(&e4)).lines() {
+            let fields = parse_row(line).unwrap();
+            let rewritten: Vec<String> =
+                fields.iter().map(|(k, v)| format!("\"{k}\":{}", v.json())).collect();
+            assert_eq!(format!("{{{}}}", rewritten.join(",")), line);
+        }
+    }
+
+    /// Checks `export` and returns its error messages (none if it passes).
+    fn check_errors(export: &str) -> Vec<String> {
+        check_jsonl(export).err().unwrap_or_default()
+    }
+
+    #[test]
+    fn every_gate_fails_when_its_field_flips() {
+        // One passing row per kind, holding just the fields its gates read.
+        let passing = [
+            r#"{"kind":"e4","deep_copies":0}"#,
+            r#"{"kind":"e4-transport","upload_deep_copies":0}"#,
+            r#"{"kind":"e8","limbo":0,"evidence_loss":0}"#,
+            r#"{"kind":"e10","conservation_violations":0,"evidence_loss":0,"evicted":9}"#,
+            r#"{"kind":"e12","sign_floor_ok":true}"#,
+            r#"{"kind":"e12_batch","batch_not_slower":true,"tampered_attributed":true}"#,
+            r#"{"kind":"e13","scaling_ok":true,"deterministic_vs_serial":true,"conservation_violations":0,"evidence_loss":0}"#,
+            r#"{"kind":"e14","backend":"simnet","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":false}"#,
+            r#"{"kind":"e14","backend":"channel","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":false}"#,
+            r#"{"kind":"e14","backend":"tcp","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":true}"#,
+        ];
+        assert_eq!(check_jsonl(&passing.join("\n")), Ok(passing.len()));
+        // (row, field, passing value, failing value, gate that must fire)
+        let flips = [
+            (0, "deep_copies", "0", "1", "copy_free"),
+            (1, "upload_deep_copies", "0", "1", "copy_free"),
+            (2, "limbo", "0", "1", "limbo == 0"),
+            (2, "evidence_loss", "0", "1", "evidence_loss == 0"),
+            (3, "conservation_violations", "0", "1", "conservation_violations == 0"),
+            (3, "evidence_loss", "0", "1", "evidence_loss == 0"),
+            (3, "evicted", "9", "0", "evicted > 0"),
+            (4, "sign_floor_ok", "true", "false", "sign_floor_ok"),
+            (5, "batch_not_slower", "true", "false", "batch_not_slower"),
+            (5, "tampered_attributed", "true", "false", "tampered_attributed"),
+            (6, "scaling_ok", "true", "false", "scaling_ok"),
+            (6, "deterministic_vs_serial", "true", "false", "deterministic_vs_serial"),
+            (6, "conservation_violations", "0", "1", "conservation_violations == 0"),
+            (6, "evidence_loss", "0", "1", "evidence_loss == 0"),
+            (7, "conservation_violations", "0", "1", "conservation_violations == 0"),
+            (7, "evidence_loss", "0", "1", "evidence_loss == 0"),
+            (7, "attacks_ok", "true", "false", "attacks_ok"),
+            (7, "skipped", "false", "true", "only tcp may skip"),
+            (8, "skipped", "false", "true", "only tcp may skip"),
+        ];
+        for (row, field, good, bad, gate) in flips {
+            let mut rows: Vec<String> = passing.iter().map(|r| r.to_string()).collect();
+            rows[row] =
+                rows[row].replace(&format!("\"{field}\":{good}"), &format!("\"{field}\":{bad}"));
+            assert_ne!(rows[row], passing[row], "{field} not in row {row}");
+            let kind = parse_row(passing[row]).unwrap().remove(0).1;
+            assert_eq!(
+                check_errors(&rows.join("\n")),
+                [format!("line {}: {kind}: gate `{gate}` failed", row + 1)]
+            );
+        }
+    }
+
+    #[test]
+    fn check_fails_on_rows_it_cannot_judge() {
+        let export = [
+            r#"{"kind":"e8","limbo":0,"evidence_loss":0}"#,
+            r#"{"kind":"e8","limbo":0}"#,
+            r#"{"kind":"e99"}"#,
+            r#"{"limbo":0}"#,
+            r#"{"kind":8}"#,
+            r#"{"kind":"e8","#,
+        ];
+        assert_eq!(
+            check_errors(&export.join("\n")),
+            [
+                "line 2: e8: gate `evidence_loss == 0` failed",
+                "line 3: unknown kind \"e99\"",
+                "line 4: row has no string \"kind\"",
+                "line 5: row has no string \"kind\"",
+                "line 6: expected '\"' at byte 12",
+            ]
+        );
+        assert_eq!(check_errors(""), ["no JSON lines found"]);
+        assert_eq!(check_errors("\n  \n"), ["no JSON lines found"]);
     }
 }
