@@ -18,6 +18,7 @@ use tpnr_core::runner::World;
 use tpnr_core::session::TxnState;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::Action;
+use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
 
 /// Runs the interleaving attack against the given protocol variant.

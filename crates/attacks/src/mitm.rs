@@ -18,6 +18,7 @@ use tpnr_core::session::Payload;
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimDuration;
+use tpnr_net::transport::Transport;
 
 /// Runs the MITM attack against the given protocol variant.
 pub fn run(ablation: Ablation) -> AttackOutcome {

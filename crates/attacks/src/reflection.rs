@@ -15,6 +15,7 @@ use tpnr_core::message::Message;
 use tpnr_core::runner::World;
 use tpnr_core::session::TxnState;
 use tpnr_net::codec::Wire;
+use tpnr_net::transport::Transport;
 
 /// Runs the reflection attack against the given protocol variant.
 pub fn run(ablation: Ablation) -> AttackOutcome {

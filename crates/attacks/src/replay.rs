@@ -15,6 +15,7 @@ use tpnr_core::message::Message;
 use tpnr_core::runner::World;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::Action;
+use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
 
 /// Runs the replay attack against the given protocol variant.

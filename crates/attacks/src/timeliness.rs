@@ -13,6 +13,7 @@ use tpnr_core::message::Message;
 use tpnr_core::runner::World;
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimDuration;
+use tpnr_net::transport::Transport;
 
 /// Runs the timeliness attack against the given protocol variant.
 pub fn run(ablation: Ablation) -> AttackOutcome {

@@ -8,6 +8,7 @@ use tpnr_core::config::ProtocolConfig;
 use tpnr_core::obs::EventKind;
 use tpnr_core::runner::World;
 use tpnr_net::sim::Action;
+use tpnr_net::transport::Transport;
 
 #[test]
 fn injected_replays_show_up_in_rejected_counters() {
@@ -30,7 +31,7 @@ fn injected_replays_show_up_in_rejected_counters() {
 
     // One Transfer per upload was replayed; both replays were refused as
     // stale and both refusals are on the record.
-    assert_eq!(w.net().stats.injected, 2);
+    assert_eq!(w.net().stats().injected, 2);
     let m = &w.obs.metrics;
     assert_eq!(m.rejected, 2);
     assert_eq!(m.rejected_by.get("stale-sequence"), Some(&2));

@@ -620,7 +620,7 @@ fn e10_run_lane(w: &mut tpnr_core::multi::MultiWorld) -> E10LaneStats {
         }
     }
 
-    let net = &w.net().stats;
+    let net = w.net().stats();
     let conservation_ok = net.delivered + net.dropped == net.sent + net.duplicated;
     let a = w.archive_stats();
     E10LaneStats {

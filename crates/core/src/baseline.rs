@@ -20,6 +20,7 @@ use tpnr_crypto::hash::HashAlg;
 use tpnr_crypto::{chacha20, ChaChaRng, CryptoError};
 use tpnr_net::sim::{LinkConfig, SimNet};
 use tpnr_net::time::SimDuration;
+use tpnr_net::transport::Transport;
 
 /// Evidence bundle both parties hold after a successful baseline run.
 #[derive(Debug, Clone)]
@@ -98,7 +99,6 @@ pub fn run_exchange(
     msg1.extend_from_slice(&nro);
     net.send(a, b, msg1);
     net.run_until_quiet();
-    let _ = net.recv(b);
 
     // Bob verifies the NRO before answering.
     alice.public().verify(
@@ -114,7 +114,6 @@ pub fn run_exchange(
         .sign(HashAlg::Sha256, &label_bytes(&bob.id(), &alice.id(), label, &c_hash))?;
     net.send(b, a, nrr.clone());
     net.run_until_quiet();
-    let _ = net.recv(a);
     bob.public().verify(
         HashAlg::Sha256,
         &label_bytes(&bob.id(), &alice.id(), label, &c_hash),
@@ -130,7 +129,6 @@ pub fn run_exchange(
     msg3.extend_from_slice(&sub_k);
     net.send(a, t, msg3);
     net.run_until_quiet();
-    let _ = net.recv(t);
     alice.public().verify(
         HashAlg::Sha256,
         &label_bytes(&alice.id(), &bob.id(), label, &key),
@@ -147,8 +145,6 @@ pub fn run_exchange(
     net.send(t, a, msg4.clone());
     net.send(t, b, msg4);
     net.run_until_quiet();
-    let _ = net.recv(a);
-    let _ = net.recv(b);
     ttp.public().verify(
         HashAlg::Sha256,
         &label_bytes(&alice.id(), &bob.id(), label, &key),
@@ -159,8 +155,8 @@ pub fn run_exchange(
     let recovered = chacha20::decrypt(&key, &nonce, &ciphertext);
 
     Ok(BaselineReport {
-        messages: net.stats.sent,
-        bytes: net.stats.bytes_sent,
+        messages: net.stats().sent,
+        bytes: net.stats().bytes_sent,
         latency: net.now().since(tpnr_net::time::SimTime::ZERO),
         ttp_used: true,
         evidence: BaselineEvidence { nro, nrr, sub_k, con_k },

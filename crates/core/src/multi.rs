@@ -254,11 +254,11 @@ mod tests {
             delivered += t.delivered;
             dropped += t.dropped;
         }
-        assert_eq!(sent, w.net.stats.sent);
-        assert_eq!(bytes, w.net.stats.bytes_sent);
-        assert_eq!(dropped, w.net.stats.dropped);
+        assert_eq!(sent, w.net.stats().sent);
+        assert_eq!(bytes, w.net.stats().bytes_sent);
+        assert_eq!(dropped, w.net.stats().dropped);
         // Deliveries include duplicate copies on both sides of the ledger.
-        assert_eq!(delivered, w.net.stats.delivered);
+        assert_eq!(delivered, w.net.stats().delivered);
         assert_eq!(
             delivered,
             txns.iter().map(|&t| w.report(t).unwrap().messages).sum::<u64>(),
@@ -294,7 +294,7 @@ mod tests {
             assert!(r.messages >= 2, "client {} settled in {} messages", h.client, r.messages);
             delivered_sum += r.messages;
         }
-        assert_eq!(delivered_sum, w.net.stats.delivered, "exact partition of deliveries");
+        assert_eq!(delivered_sum, w.net.stats().delivered, "exact partition of deliveries");
     }
 
     #[test]
@@ -399,10 +399,10 @@ mod tests {
         // All traffic here is tagged and decodable, so accepted + rejected
         // events account for every delivery, and the drop/duplication
         // ledgers agree with the simulator.
-        assert_eq!(m.delivered + m.rejected, w.net.stats.delivered);
+        assert_eq!(m.delivered + m.rejected, w.net.stats().delivered);
         assert_eq!(m.garbled, 0);
-        assert_eq!(m.dropped, w.net.stats.dropped);
-        assert_eq!(m.duplicated, w.net.stats.duplicated);
+        assert_eq!(m.dropped, w.net.stats().dropped);
+        assert_eq!(m.duplicated, w.net.stats().duplicated);
         assert!(m.rejected > 0, "duplicate copies must surface as rejections");
         assert_eq!(m.rejected_by.values().sum::<u64>(), m.rejected);
         assert!(m.rejected_by.contains_key("stale-sequence"), "{:?}", m.rejected_by);

@@ -41,8 +41,8 @@ use tpnr_net::Bytes;
 
 /// Per-transaction outcome report.
 ///
-/// Counts come from the simulator's per-transaction tagged stats
-/// ([`SimNet::txn_stats`]), so they are exact even when many transactions
+/// Counts come from the transport's per-transaction tagged stats
+/// ([`Transport::txn_stats`]), so they are exact even when many transactions
 /// interleave on the same network — not before/after deltas of global
 /// counters.
 #[derive(Debug, Clone)]
@@ -461,8 +461,8 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         }
     }
 
-    /// Borrows the transport backend (typed, so the backend's inherent
-    /// API — [`SimNet::stats`], link knobs — stays reachable).
+    /// Borrows the transport backend (typed, so the backend's own API —
+    /// [`SimNet::set_link`] and the other link knobs — stays reachable).
     pub fn net(&self) -> &T {
         &self.net
     }
@@ -701,7 +701,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             // so terminal-state latency is measurable for every entry path.
             self.obs.note_txn_started(txn, self.net.now());
             // Encode once into a shared buffer; the simulator clones only
-            // the handle from here on (queue, duplicates, inbox).
+            // the handle from here on (queue, duplicates, delivery).
             self.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
         }
     }
@@ -1400,7 +1400,7 @@ mod tests {
         // refused by the runner.
         let m = &w.obs.metrics;
         assert_eq!((m.delivered, m.rejected, m.garbled), (2, 2, 2));
-        assert_eq!(m.delivered + m.rejected + m.garbled, w.net.stats.delivered);
+        assert_eq!(m.delivered + m.rejected + m.garbled, w.net.stats().delivered);
         assert_eq!(m.rejected_by.get("identity-mismatch"), Some(&2));
         let at_mallory = w.obs.events().iter().filter(|e| e.actor == "mallory").count();
         assert_eq!(at_mallory, 2, "both arrivals at the unlisted node are attributed to it");

@@ -263,7 +263,7 @@ proptest! {
         }
 
         prop_assert_eq!(&direct_envs, &trait_envs);
-        let (a, b) = (direct.stats, behind.stats);
+        let (a, b) = (direct.stats(), behind.stats());
         prop_assert_eq!(a.sent, b.sent);
         prop_assert_eq!(a.delivered, b.delivered);
         prop_assert_eq!(a.dropped, b.dropped);

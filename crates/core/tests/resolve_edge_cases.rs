@@ -12,6 +12,7 @@ use tpnr_core::runner::World;
 use tpnr_core::session::TxnState;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::{Action, LinkConfig};
+use tpnr_net::transport::Transport;
 
 #[test]
 fn abort_after_completion_is_rejected() {

@@ -1,6 +1,7 @@
 //! **DET-ORDER** — `HashMap` / `HashSet` forbidden in modules that render
-//! traces, reports, or serialized evidence, and in the scheduler/runner
-//! layer (`obs`, `report`, `codec`, `runner`, `multi`, `sched`).
+//! traces, reports, or serialized evidence, in the scheduler/runner
+//! layer, and in the network's accounting (`obs`, `report`, `codec`,
+//! `runner`, `multi`, `sched`, `par`, `transport`, `sim`, `tcp`).
 //!
 //! PR 2's JSONL trace validator checks output the paper's auditor is
 //! supposed to replay; hash-map iteration order is randomized per process,
@@ -13,6 +14,10 @@
 //! joined with the work-stealing pool: its index-ordered join is the
 //! determinism anchor for every parallel fan-out in the workspace, so no
 //! hash container may sit anywhere near that scheduling/result path.
+//! `transport` (the wire core every backend shares) and the `sim` and
+//! `tcp` links joined when the three transports got one core: the core's
+//! `NetEvent` order and `tagged_txns()` feed `--trace-jsonl`, and the
+//! simulator's delivery order is what a seeded trace replays.
 //! The rule applies to the whole file, tests included — deterministic
 //! fixtures keep golden tests stable.
 
@@ -21,7 +26,8 @@ use crate::{FileCtx, Finding};
 pub const ID: &str = "DET-ORDER";
 
 /// Module leaf names whose output must be deterministic.
-const SCOPE_LEAVES: &[&str] = &["obs", "report", "codec", "runner", "multi", "sched", "par"];
+const SCOPE_LEAVES: &[&str] =
+    &["obs", "report", "codec", "runner", "multi", "sched", "par", "transport", "sim", "tcp"];
 
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if !SCOPE_LEAVES.contains(&ctx.module_leaf()) {
@@ -114,6 +120,30 @@ mod tests {
             check,
             "crates/par/src/lib.rs",
             "use std::collections::HashMap;\nstruct S { m: HashMap<usize, u64> }",
+        );
+        assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn fires_on_hashmap_in_the_net_accounting() {
+        // The wire core's per-txn stats and the links' tables order what
+        // `tagged_txns()`, the event buffer and the simulator hand on.
+        let hits = run_rule(
+            check,
+            "crates/net/src/transport.rs",
+            "use std::collections::HashMap;\nstruct Ledger { txns: HashMap<u64, TxnNetStats> }",
+        );
+        assert_eq!(hits.len(), 2);
+        let hits = run_rule(
+            check,
+            "crates/net/src/sim.rs",
+            "use std::collections::HashMap;\nstruct SimLink { links: HashMap<(u32, u32), L> }",
+        );
+        assert_eq!(hits.len(), 2);
+        let hits = run_rule(
+            check,
+            "crates/net/src/tcp.rs",
+            "fn f() { let conns: HashSet<u32> = HashSet::new(); }",
         );
         assert_eq!(hits.len(), 2);
     }

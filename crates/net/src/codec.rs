@@ -243,17 +243,31 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Writes `body` as one length-prefixed frame (`u32` big-endian length,
-/// then the body) — the stream framing the real-socket transport uses, with
-/// the same [`MAX_FIELD_LEN`] sanity bound as in-memory decoding.
-pub fn write_frame(w: &mut impl std::io::Write, body: &[u8]) -> std::io::Result<()> {
-    assert!(body.len() <= MAX_FIELD_LEN, "frame too large to encode");
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)
+/// Largest piece a frame body is read in. Memory follows the bytes that
+/// actually arrive: a length prefix alone reserves at most this much, and
+/// a frame no larger is still one `read_exact`.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Writes `value` as one length-prefixed frame (`u32` big-endian length,
+/// then its wire form) — the stream framing the real-socket transport
+/// uses, with the same [`MAX_FIELD_LEN`] sanity bound as in-memory
+/// decoding. The prefix is reserved in the frame's own buffer and patched
+/// once the length is known, so the frame leaves in one `write_all`.
+pub fn write_frame(w: &mut impl std::io::Write, value: &impl Wire) -> std::io::Result<()> {
+    let mut out = Writer::new();
+    out.u32(0);
+    value.encode(&mut out);
+    let mut frame = out.finish();
+    let len = frame.len() - 4;
+    assert!(len <= MAX_FIELD_LEN, "frame too large to encode");
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&frame)
 }
 
-/// Reads one length-prefixed frame written by [`write_frame`]. A hostile
-/// length prefix beyond [`MAX_FIELD_LEN`] is rejected before allocating.
+/// Reads one length-prefixed frame body written by [`write_frame`]. A
+/// hostile length prefix beyond [`MAX_FIELD_LEN`] is rejected before
+/// reading on; a smaller one that the peer never backs with bytes costs at
+/// most one 64 KiB read chunk.
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -261,8 +275,12 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
     if len > MAX_FIELD_LEN {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "frame length overflow"));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let filled = body.len();
+        body.resize(filled + (len - filled).min(READ_CHUNK), 0);
+        r.read_exact(&mut body[filled..])?;
+    }
     Ok(body)
 }
 
@@ -451,23 +469,99 @@ mod tests {
 
     #[test]
     fn stream_frames_roundtrip_and_reject_hostile_lengths() {
+        let frames = [
+            Sample { id: 1, name: "alpha".into(), blob: vec![1, 2] },
+            Sample { id: 0, name: String::new(), blob: Vec::new() },
+            Sample { id: 3, name: "omega".into(), blob: vec![9; 300] },
+        ];
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"alpha").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, b"omega").unwrap();
+        for f in &frames {
+            write_frame(&mut buf, f).unwrap();
+        }
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"alpha");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap(), b"omega");
+        for f in &frames {
+            assert_eq!(&Sample::from_wire(&read_frame(&mut r).unwrap()).unwrap(), f);
+        }
         assert!(read_frame(&mut r).is_err(), "clean EOF surfaces as an error");
         // Hostile prefix: claims 4 GiB; must fail before allocating.
         let hostile = [0xffu8, 0xff, 0xff, 0xff, 0x00];
         assert!(read_frame(&mut &hostile[..]).is_err());
         // Truncated body.
         let mut trunc = Vec::new();
-        write_frame(&mut trunc, b"hello").unwrap();
+        write_frame(&mut trunc, &frames[0]).unwrap();
         trunc.pop();
         assert!(read_frame(&mut &trunc[..]).is_err());
+    }
+
+    /// A writer that counts the calls it gets.
+    struct CountingWrite(Vec<u8>, usize);
+
+    impl std::io::Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        let mut w = CountingWrite(Vec::new(), 0);
+        let frames = [
+            Sample { id: 7, name: "x".into(), blob: vec![5; 2000] },
+            Sample { id: 0, name: String::new(), blob: Vec::new() },
+        ];
+        for f in &frames {
+            write_frame(&mut w, f).unwrap();
+        }
+        assert_eq!(w.1, 2, "one write per frame");
+        let mut r = &w.0[..];
+        for f in &frames {
+            assert_eq!(&Sample::from_wire(&read_frame(&mut r).unwrap()).unwrap(), f);
+        }
+    }
+
+    /// A reader that records the largest buffer it is handed.
+    struct LargestRead<R> {
+        inner: R,
+        largest: usize,
+    }
+
+    impl<R: std::io::Read> std::io::Read for LargestRead<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn read_frame_memory_follows_the_bytes_that_arrive() {
+        use std::io::Read;
+        // A 1 GiB prefix, then EOF: an error, and never a buffer past one
+        // chunk.
+        let prefix = (MAX_FIELD_LEN as u32).to_be_bytes();
+        let mut hostile = LargestRead { inner: &prefix[..], largest: 0 };
+        assert!(read_frame(&mut hostile).is_err());
+        assert!(hostile.largest <= READ_CHUNK, "handed {} bytes", hostile.largest);
+        // A 64 MiB frame (E4's largest payload) still arrives whole.
+        let len = 64usize << 20;
+        let prefix = (len as u32).to_be_bytes();
+        let source = (&prefix[..]).chain(std::io::repeat(0xa5).take(len as u64));
+        let mut big = LargestRead { inner: source, largest: 0 };
+        let body = read_frame(&mut big).unwrap();
+        assert_eq!(body.len(), len);
+        assert!(body.iter().all(|&b| b == 0xa5));
+        assert!(big.largest <= READ_CHUNK, "handed {} bytes", big.largest);
+        // A frame of one chunk is still a single read of its body.
+        let mut one = Vec::new();
+        one.extend_from_slice(&(READ_CHUNK as u32).to_be_bytes());
+        one.resize(4 + READ_CHUNK, 1);
+        let mut small = LargestRead { inner: &one[..], largest: 0 };
+        assert_eq!(read_frame(&mut small).unwrap().len(), READ_CHUNK);
+        assert_eq!(small.largest, READ_CHUNK);
     }
 
     #[test]

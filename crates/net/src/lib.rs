@@ -5,7 +5,7 @@
 //! * [`bytes`] — shared immutable payload buffers ([`Bytes`]) so large
 //!   objects cross the simulator, the codec and storage without deep
 //!   copies;
-//! * [`time`] — virtual clock ([`SimClock`]) so protocol timeouts are
+//! * [`time`] — virtual time ([`SimTime`]) so protocol timeouts are
 //!   simulated, not slept;
 //! * [`codec`] — canonical length-prefixed binary encoding (evidence is
 //!   signed, so wire forms must be byte-unique);
@@ -16,11 +16,13 @@
 //!   confidentiality + integrity + in-order replay protection, and nothing
 //!   more — which is precisely why the in-storage integrity gap of paper
 //!   §2.4 exists;
-//! * [`transport`] — the [`Transport`] contract the scheduler drives, so
+//! * [`transport`] — the [`Transport`] contract the scheduler drives and
+//!   its one implementation, the wire core [`transport::Net`]: nodes,
+//!   outages, the adversary and all accounting, over a pluggable link, so
 //!   the same protocol code runs on the simulator and on real wires;
-//! * [`tcp`] — the real-wire backends: loopback TCP ([`tcp::TcpNet`]) and
-//!   an in-process deterministic channel ([`tcp::ChannelNet`]), sharing
-//!   one length-prefixed frame format.
+//! * [`tcp`] — the real-wire links: loopback TCP ([`tcp::TcpNet`]) and
+//!   an in-process deterministic pipe ([`tcp::ChannelNet`]), sharing one
+//!   length-prefixed frame format.
 
 #![forbid(unsafe_code)]
 
@@ -36,6 +38,6 @@ pub use bytes::Bytes;
 pub use codec::{CodecError, Reader, Wire, Writer};
 pub use secure::{ChannelError, SecureSession};
 pub use sim::{Action, Envelope, Interceptor, LinkConfig, NetStats, NodeId, SimNet, TxnNetStats};
-pub use tcp::{ChannelNet, TcpNet, WireFrame};
-pub use time::{Clock, SimClock, SimDuration, SimTime};
+pub use tcp::{ChannelNet, TcpNet};
+pub use time::{Clock, SimDuration, SimTime};
 pub use transport::Transport;

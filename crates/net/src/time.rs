@@ -2,9 +2,7 @@
 //!
 //! All protocol logic takes time from a [`Clock`] so that timeout paths
 //! (TPNR Abort/Resolve, paper §4.2–4.3) are exercised deterministically: the
-//! simulator advances a [`SimClock`] instead of sleeping.
-
-use std::sync::{Arc, Mutex};
+//! simulator jumps its virtual [`SimTime`] instead of sleeping.
 
 /// A point in simulated time, in microseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -106,39 +104,6 @@ pub trait Clock {
     fn now(&self) -> SimTime;
 }
 
-/// Shared, manually-advanced simulation clock.
-#[derive(Clone, Default)]
-pub struct SimClock {
-    now: Arc<Mutex<SimTime>>,
-}
-
-impl SimClock {
-    /// New clock at the epoch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&self, d: SimDuration) {
-        let mut now = self.now.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *now = now.after(d);
-    }
-
-    /// Jumps the clock to `t`; panics if `t` is in the past (discrete-event
-    /// simulation time must be monotone).
-    pub fn set(&self, t: SimTime) {
-        let mut now = self.now.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert!(t >= *now, "simulation clock may not go backwards");
-        *now = t;
-    }
-}
-
-impl Clock for SimClock {
-    fn now(&self) -> SimTime {
-        *self.now.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,24 +120,6 @@ mod tests {
         );
         assert_eq!(SimDuration::from_millis(10).times(3), SimDuration::from_millis(30));
         assert_eq!(SimDuration::from_hours(1).micros(), 3_600_000_000);
-    }
-
-    #[test]
-    fn clock_advances_and_is_shared() {
-        let c = SimClock::new();
-        let c2 = c.clone();
-        c.advance(SimDuration::from_secs(1));
-        assert_eq!(c2.now().micros(), 1_000_000);
-        c2.set(SimTime(5_000_000));
-        assert_eq!(c.now().micros(), 5_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn clock_rejects_time_travel() {
-        let c = SimClock::new();
-        c.set(SimTime(10));
-        c.set(SimTime(5));
     }
 
     #[test]

@@ -1,35 +1,45 @@
-//! The runner ↔ network seam: one [`Transport`] contract, many wires.
+//! The runner ↔ network seam: one [`Transport`] contract, one wire core,
+//! three links.
 //!
 //! The protocol state machines (client, provider, TTP) never touch a
 //! network type directly — they emit outgoing messages and the *runner*
-//! moves bytes. Until this module existed the runner was welded to the
-//! discrete-event simulator; [`Transport`] abstracts the seam so the same
-//! protocol code, fault plans and invariant tests drive:
+//! moves bytes. [`Transport`] is that seam, and [`Net`] is its only
+//! implementation: the wire core every backend shares. It owns the node
+//! table, the outage flags, the §5 adversary's [`Interceptor`] dispatch,
+//! and the [`Ledger`] — [`NetStats`], per-transaction [`TxnNetStats`],
+//! the capped [`NetEvent`] buffer and the in-flight count — plus the
+//! filters every arrival passes (frames naming unregistered nodes, copies
+//! addressed to a down node). A backend is a [`Link`]: how a copy travels
+//! and what time it is.
 //!
-//! * [`crate::sim::SimNet`] — the deterministic discrete-event simulator
-//!   (virtual clock, seeded RNG, per-link loss/jitter/duplication);
-//! * [`crate::tcp::ChannelNet`] — an in-process SPSC-channel wire with the
-//!   same length-prefixed framing as TCP, zero-latency and deterministic
-//!   (CI-friendly);
-//! * [`crate::tcp::TcpNet`] — real loopback TCP sockets with reader
-//!   threads and host-monotonic time.
+//! * [`crate::sim::SimNet`] = `Net<SimLink>` — the deterministic
+//!   discrete-event simulator (virtual clock, seeded RNG, per-link
+//!   loss/jitter/duplication);
+//! * [`crate::tcp::ChannelNet`] = `Net<ChannelLink>` — an in-process pipe
+//!   whose frames cross the same codec as TCP, zero-latency and
+//!   deterministic (CI-friendly);
+//! * [`crate::tcp::TcpNet`] = `Net<TcpLink>` — real loopback TCP sockets
+//!   with reader threads and host-monotonic time.
 //!
-//! The trait deliberately mirrors how the scheduler already consumed
-//! `SimNet`: time comes from the transport's clock capability
-//! ([`Transport::now`] / [`Transport::advance_clock_to`] — a `SimClock`
-//! for the simulator, a `HostStopwatch`-style monotonic reading for real
-//! sockets), deliveries are *pulled* ([`Transport::poll_deliverable`]),
-//! and wire-level happenings the actors cannot observe (drops,
-//! duplications) surface as [`NetEvent`]s for the observability sink.
+//! Time comes from the link ([`Transport::now`] /
+//! [`Transport::advance_clock_to`] — a virtual `SimTime` for the
+//! simulator and the pipe, a host-monotonic reading for real sockets),
+//! deliveries are *pulled* ([`Transport::poll_deliverable`]), and
+//! wire-level happenings the actors cannot observe (drops, duplications)
+//! surface as [`NetEvent`]s for the observability sink.
 //!
 //! Every backend upholds the conservation law
-//! `delivered + dropped == sent + duplicated` over its [`NetStats`]
-//! once quiescent: each accepted copy is eventually counted delivered or
-//! counted dropped, never silently lost.
+//! `delivered + dropped == sent + duplicated + injected` over its
+//! [`NetStats`] once quiescent: each accepted copy is eventually counted
+//! delivered or counted dropped, never silently lost. `foreign` frames
+//! were never sent by the transport and stand outside the law.
 
 use crate::bytes::Bytes;
-use crate::sim::{Envelope, Interceptor, NetEvent, NetStats, NodeId, TxnNetStats};
-use crate::time::SimTime;
+use crate::sim::{
+    Action, Envelope, Interceptor, NetEvent, NetEventKind, NetStats, NodeId, TxnNetStats,
+};
+use crate::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// A wire the scheduler can drive: named nodes, tagged sends, pull-based
 /// delivery, drained wire events, per-transaction accounting, and a clock.
@@ -37,9 +47,9 @@ use crate::time::SimTime;
 /// Object-safe — the scheduler works through `&mut dyn Transport` so the
 /// settle loop itself carries zero per-backend code.
 pub trait Transport: Send {
-    /// Current transport time. For the simulator this is the shared
-    /// [`crate::time::SimClock`]; for real sockets it is host-monotonic
-    /// microseconds since the transport started.
+    /// Current transport time: virtual for the simulator and the pipe,
+    /// host-monotonic microseconds since the transport started for real
+    /// sockets.
     fn now(&self) -> SimTime;
 
     /// Advances the clock to `t` without delivering anything (fires a
@@ -130,36 +140,328 @@ pub trait Transport: Send {
     }
 }
 
+/// How copies travel and what time it is: the one thing a backend adds to
+/// the wire core ([`crate::sim::SimLink`], [`crate::tcp::ChannelLink`],
+/// [`crate::tcp::TcpLink`]). A link reports what happens to the copies it
+/// carries through the [`Ledger`] it is handed; it never counts on its
+/// own.
+pub trait Link: Send {
+    /// Current link time.
+    fn now(&self) -> SimTime;
+
+    /// Moves the clock to `t` (see [`Transport::advance_clock_to`]).
+    fn advance_clock_to(&mut self, t: SimTime);
+
+    /// Carries one accepted copy (already counted in flight), held back
+    /// `delay` past now. `env.delivered_at` holds the send time; the link
+    /// restamps it.
+    fn transmit(&mut self, ledger: &mut Ledger, env: Envelope, delay: SimDuration);
+
+    /// The copies that arrived by `now`, in wire order, each stamped with
+    /// its arrival time. The core filters and counts them.
+    fn arrivals(&mut self, ledger: &mut Ledger, now: SimTime) -> Vec<Envelope>;
+
+    /// When the next arrival is due, if the link knows.
+    fn next_due(&mut self, ledger: &mut Ledger) -> Option<SimTime>;
+
+    /// See [`Transport::wait_for_activity`]; links that know their whole
+    /// queue decline at once.
+    fn wait_for_activity(&mut self, ledger: &mut Ledger, until: Option<SimTime>) -> bool {
+        let _ = (ledger, until);
+        false
+    }
+}
+
+/// Cap on pending undrained events; beyond it events are counted in
+/// [`Transport::events_lost`] and discarded (a runner that never drains
+/// must not leak memory; the counters stay exact).
+const EVENT_BUFFER_CAP: usize = 1 << 16;
+
+/// The one place traffic is counted: [`NetStats`], per-transaction
+/// [`TxnNetStats`], the capped [`NetEvent`] buffer and the in-flight count.
+#[derive(Default)]
+pub struct Ledger {
+    stats: NetStats,
+    txns: BTreeMap<u64, TxnNetStats>,
+    events: Vec<NetEvent>,
+    events_lost: u64,
+    /// Copies handed to the link and not yet counted delivered or dropped.
+    pub(crate) in_flight: u64,
+}
+
+impl Ledger {
+    fn txn(&mut self, txn: Option<u64>) -> Option<&mut TxnNetStats> {
+        txn.map(|t| self.txns.entry(t).or_default())
+    }
+
+    fn event(&mut self, at: SimTime, kind: NetEventKind, env: &Envelope) {
+        if self.events.len() >= EVENT_BUFFER_CAP {
+            self.events_lost += 1;
+            return;
+        }
+        self.events.push(NetEvent { at, src: env.src, dst: env.dst, txn: env.txn, kind });
+    }
+
+    /// Counts one copy dropped at `at` (adversary, outage or link loss).
+    fn dropped(&mut self, at: SimTime, env: &Envelope) {
+        self.stats.dropped += 1;
+        if let Some(t) = self.txn(env.txn) {
+            t.dropped += 1;
+        }
+        self.event(at, NetEventKind::Dropped, env);
+    }
+
+    /// A copy in flight was lost on the link.
+    pub(crate) fn lost(&mut self, at: SimTime, env: &Envelope) {
+        self.in_flight = self.in_flight.saturating_sub(1);
+        self.dropped(at, env);
+    }
+
+    /// The link minted one more in-flight copy of `env`.
+    pub(crate) fn duplicated(&mut self, at: SimTime, env: &Envelope) {
+        self.in_flight += 1;
+        self.stats.duplicated += 1;
+        if let Some(t) = self.txn(env.txn) {
+            t.duplicated += 1;
+        }
+        self.event(at, NetEventKind::Duplicated, env);
+    }
+}
+
+/// The wire core: one node table, outage model, adversary hook and
+/// [`Ledger`] over a [`Link`]. See the module docs.
+pub struct Net<L> {
+    nodes: Vec<String>,
+    /// Nodes currently down (fault outage windows): copies addressed to a
+    /// down node are dropped at delivery time and counted.
+    down: Vec<bool>,
+    interceptor: Option<Box<dyn Interceptor>>,
+    ledger: Ledger,
+    pub(crate) link: L,
+}
+
+impl<L: Link> Net<L> {
+    /// An empty network over `link`.
+    pub(crate) fn with_link(link: L) -> Self {
+        Net {
+            nodes: Vec::new(),
+            down: Vec::new(),
+            interceptor: None,
+            ledger: Ledger::default(),
+            link,
+        }
+    }
+
+    /// [`Transport::send`] for anything convertible to [`Bytes`]; passing a
+    /// `Vec<u8>` moves the buffer without copying.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, payload: impl Into<Bytes>) {
+        Transport::send_tagged(self, src, dst, payload.into(), None);
+    }
+
+    /// [`Transport::send_tagged`] for anything convertible to [`Bytes`].
+    pub fn send_tagged(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        payload: impl Into<Bytes>,
+        txn: Option<u64>,
+    ) {
+        Transport::send_tagged(self, src, dst, payload.into(), txn);
+    }
+
+    /// True when both endpoints are nodes this transport registered.
+    fn routable(&self, env: &Envelope) -> bool {
+        let n = self.nodes.len();
+        (env.src.0 as usize) < n && (env.dst.0 as usize) < n
+    }
+
+    /// Hands one copy to the link. A copy naming an unregistered node
+    /// (an adversary injection can) has nowhere to go: it is dropped here,
+    /// so everything in flight can be delivered.
+    fn put(&mut self, env: Envelope, delay: SimDuration) {
+        if !self.routable(&env) {
+            return self.ledger.dropped(env.delivered_at, &env);
+        }
+        self.ledger.in_flight += 1;
+        self.link.transmit(&mut self.ledger, env, delay);
+    }
+
+    /// The filters every arrival passes, then its accounting. Returns
+    /// whether `env` is delivered.
+    pub(crate) fn admit(&mut self, env: &Envelope) -> bool {
+        // A frame naming a node never registered here was not sent by this
+        // transport (a hostile peer on a real wire's listener): discarded
+        // before any bookkeeping and counted on its own.
+        if !self.routable(env) {
+            self.ledger.stats.foreign += 1;
+            return false;
+        }
+        // Frames forging registered ids (out of reach without connection
+        // authentication) must still not wrap the in-flight count.
+        self.ledger.in_flight = self.ledger.in_flight.saturating_sub(1);
+        if self.down[env.dst.0 as usize] {
+            self.ledger.dropped(env.delivered_at, env);
+            return false;
+        }
+        self.ledger.stats.delivered += 1;
+        if let Some(t) = self.ledger.txn(env.txn) {
+            t.delivered += 1;
+            t.last_delivered_at = env.delivered_at;
+        }
+        true
+    }
+}
+
+impl<L: Link> Transport for Net<L> {
+    fn now(&self) -> SimTime {
+        self.link.now()
+    }
+
+    fn advance_clock_to(&mut self, t: SimTime) {
+        self.link.advance_clock_to(t);
+    }
+
+    fn register(&mut self, name: &str) -> NodeId {
+        self.nodes.push(name.to_string());
+        self.down.push(false);
+        NodeId(self.nodes.len() as u32 - 1)
+    }
+
+    fn node_name(&self, node: NodeId) -> Option<&str> {
+        self.nodes.get(node.0 as usize).map(String::as_str)
+    }
+
+    fn send_tagged(&mut self, src: NodeId, dst: NodeId, payload: Bytes, txn: Option<u64>) {
+        assert!((dst.0 as usize) < self.nodes.len(), "unknown destination");
+        self.ledger.stats.sent += 1;
+        self.ledger.stats.bytes_sent += payload.len() as u64;
+        if let Some(t) = self.ledger.txn(txn) {
+            t.sent += 1;
+            t.bytes_sent += payload.len() as u64;
+        }
+        let now = self.link.now();
+        let env = Envelope { src, dst, payload, delivered_at: now, txn };
+        let action = match self.interceptor.as_mut() {
+            Some(i) => i.intercept(src, dst, &env.payload, now),
+            None => Action::Deliver,
+        };
+        let (env, delay, injections) = match action {
+            Action::Deliver => (env, SimDuration::ZERO, Vec::new()),
+            Action::Drop => return self.ledger.dropped(now, &env),
+            Action::Modify(p) => {
+                // The adversary supplies a fresh buffer: shared payload
+                // bytes are never mutated in place, so other holders of
+                // the original allocation are unaffected.
+                self.ledger.stats.modified += 1;
+                (Envelope { payload: Bytes::from(p), ..env }, SimDuration::ZERO, Vec::new())
+            }
+            Action::InjectAfter(msgs) => {
+                self.ledger.stats.injected += msgs.len() as u64;
+                (env, SimDuration::ZERO, msgs)
+            }
+            Action::Delay(d) => (env, d, Vec::new()),
+        };
+        self.put(env, delay);
+        for (src, dst, p) in injections {
+            let payload = Bytes::from(p);
+            self.put(
+                Envelope { src, dst, payload, delivered_at: now, txn: None },
+                SimDuration::ZERO,
+            );
+        }
+    }
+
+    fn poll_deliverable(&mut self, now: SimTime) -> Vec<Envelope> {
+        let mut arrived = self.link.arrivals(&mut self.ledger, now);
+        arrived.retain(|env| self.admit(env));
+        arrived
+    }
+
+    fn next_deliverable_at(&mut self) -> Option<SimTime> {
+        self.link.next_due(&mut self.ledger)
+    }
+
+    fn in_flight(&self) -> bool {
+        self.ledger.in_flight > 0
+    }
+
+    fn take_events(&mut self) -> Vec<NetEvent> {
+        std::mem::take(&mut self.ledger.events)
+    }
+
+    fn stats(&self) -> NetStats {
+        self.ledger.stats
+    }
+
+    fn txn_stats(&self, txn: u64) -> TxnNetStats {
+        self.ledger.txns.get(&txn).copied().unwrap_or_default()
+    }
+
+    fn tagged_txns(&self) -> Vec<u64> {
+        self.ledger.txns.keys().copied().collect()
+    }
+
+    fn retire_txn(&mut self, txn: u64) -> TxnNetStats {
+        self.ledger.txns.remove(&txn).unwrap_or_default()
+    }
+
+    fn set_interceptor(&mut self, i: Box<dyn Interceptor>) {
+        self.interceptor = Some(i);
+    }
+
+    fn clear_interceptor(&mut self) {
+        self.interceptor = None;
+    }
+
+    fn set_node_down(&mut self, node: NodeId, down: bool) {
+        self.down[node.0 as usize] = down;
+    }
+
+    fn wait_for_activity(&mut self, until: Option<SimTime>) -> bool {
+        self.link.wait_for_activity(&mut self.ledger, until)
+    }
+
+    fn events_lost(&self) -> u64 {
+        self.ledger.events_lost
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sim::{LinkConfig, SimNet};
-    use crate::time::SimDuration;
+    use crate::tcp::{ChannelNet, TcpNet};
 
-    /// Drives a backend through `&mut dyn Transport` only.
-    fn ping_pong(net: &mut dyn Transport) -> (NetStats, Vec<Envelope>) {
-        let a = net.register("alice");
-        let b = net.register("bob");
-        net.send_tagged(a, b, Bytes::from(b"ping".to_vec()), Some(1));
-        let mut got = Vec::new();
-        while net.in_flight() {
-            let Some(at) = net.next_deliverable_at() else {
-                if !net.wait_for_activity(None) {
-                    break;
+    /// Drives any backend to quiescence through the trait, like settle's
+    /// delivery arm does.
+    pub(crate) fn drain(net: &mut dyn Transport) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        loop {
+            match net.next_deliverable_at() {
+                Some(at) => {
+                    let now = net.now().max(at);
+                    net.advance_clock_to(now);
+                    out.extend(net.poll_deliverable(now));
                 }
-                continue;
-            };
-            let now = net.now().max(at);
-            net.advance_clock_to(now);
-            got.extend(net.poll_deliverable(now));
+                None => {
+                    if !net.wait_for_activity(None) {
+                        break;
+                    }
+                }
+            }
         }
-        (net.stats(), got)
+        out
     }
 
     #[test]
     fn simnet_is_drivable_through_dyn_transport() {
         let mut net = SimNet::new(1);
-        let (stats, got) = ping_pong(&mut net);
+        let t: &mut dyn Transport = &mut net;
+        let a = t.register("alice");
+        let b = t.register("bob");
+        t.send_tagged(a, b, Bytes::from(b"ping".to_vec()), Some(1));
+        let got = drain(t);
+        let stats = t.stats();
         assert_eq!(stats.sent, 1);
         assert_eq!(stats.delivered, 1);
         assert_eq!(got.len(), 1);
@@ -170,34 +472,86 @@ mod tests {
         assert_eq!(Transport::txn_stats(&net, 1).delivered, 1);
     }
 
-    #[test]
-    fn down_node_drops_at_delivery_and_conserves() {
-        let mut net = SimNet::new(2);
+    /// What every backend must agree on after [`adversary_and_outage`].
+    type Accounting = (NetStats, TxnNetStats, Vec<NetEventKind>, Vec<Vec<u8>>);
+
+    /// The adversary and outage surface, written once over the trait:
+    /// every `Action`, copies sent to a node before and during its outage,
+    /// and a tagged transaction.
+    fn adversary_and_outage(net: &mut dyn Transport) -> Accounting {
         let a = net.register("a");
         let b = net.register("b");
-        net.send(a, b, Bytes::from(b"one".to_vec()));
-        Transport::set_node_down(&mut net, b, true);
-        net.send(a, b, Bytes::from(b"two".to_vec()));
-        let t: &mut dyn Transport = &mut net;
-        let mut delivered = Vec::new();
-        while let Some(at) = t.next_deliverable_at() {
-            t.advance_clock_to(at);
-            delivered.extend(t.poll_deliverable(at));
+        let c = net.register("c");
+        net.set_interceptor(Box::new(|s: NodeId, d: NodeId, p: &[u8], _t| match p {
+            b"secret" => Action::Modify(b"tampered".to_vec()),
+            b"kill" => Action::Drop,
+            b"echo" => Action::InjectAfter(vec![(s, d, p.to_vec())]),
+            b"slow" => Action::Delay(SimDuration::from_millis(50)),
+            _ => Action::Deliver,
+        }));
+        net.send_tagged(a, c, Bytes::from(b"to-down".to_vec()), Some(7));
+        // The outage takes effect at delivery time: the copy already sent
+        // is dropped when it arrives, like the one sent during it.
+        net.set_node_down(c, true);
+        net.send_tagged(a, c, Bytes::from(b"lost".to_vec()), Some(7));
+        for p in [&b"secret"[..], b"kill", b"echo", b"slow"] {
+            net.send_tagged(a, b, Bytes::from(p.to_vec()), Some(7));
         }
-        // Both copies were sent before the outage took effect at delivery
-        // time, so both are dropped: the outage window is a link drop.
-        assert!(delivered.is_empty());
-        let s = t.stats();
-        assert_eq!((s.sent, s.delivered, s.dropped), (2, 0, 2));
-        assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated);
-        let evs = t.take_events();
-        assert_eq!(evs.len(), 2);
+        let got = drain(net);
+        assert!(!net.in_flight());
+        let kinds = net.take_events().iter().map(|e| (e.kind, e.txn)).collect::<Vec<_>>();
+        assert!(kinds.iter().all(|&(_, txn)| txn == Some(7)), "events keep the tag: {kinds:?}");
+        // The delayed copy left only once the clock passed its hold-back.
+        let txn = net.txn_stats(7);
+        assert!(txn.last_delivered_at >= SimTime(50_000), "{txn:?}");
         // Back up: traffic flows again.
-        t.set_node_down(b, false);
-        t.send(a, b, Bytes::from(b"three".to_vec()));
-        let at = t.next_deliverable_at().unwrap();
-        t.advance_clock_to(at);
-        assert_eq!(t.poll_deliverable(at).len(), 1);
+        net.set_node_down(c, false);
+        net.send(a, c, Bytes::from(b"back".to_vec()));
+        assert_eq!(drain(net).len(), 1);
+        let s = net.stats();
+        assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated + s.injected, "{s:?}");
+        let txn = TxnNetStats { last_delivered_at: SimTime::ZERO, ..txn };
+        let payloads = got.iter().map(|e| e.payload.to_vec()).collect();
+        (s, txn, kinds.into_iter().map(|(k, _)| k).collect(), payloads)
+    }
+
+    #[test]
+    fn every_backend_accounts_the_adversary_and_outages_alike() {
+        let want: Accounting = (
+            NetStats {
+                sent: 7,
+                delivered: 5,
+                dropped: 3,
+                modified: 1,
+                injected: 1,
+                bytes_sent: 7 + 4 + 6 + 4 + 4 + 4 + 4,
+                ..NetStats::default()
+            },
+            TxnNetStats { sent: 6, bytes_sent: 29, delivered: 3, dropped: 3, ..Default::default() },
+            vec![NetEventKind::Dropped; 3],
+            vec![b"tampered".to_vec(), b"echo".to_vec(), b"echo".to_vec(), b"slow".to_vec()],
+        );
+        assert_eq!(adversary_and_outage(&mut SimNet::new(1)), want, "simnet");
+        assert_eq!(adversary_and_outage(&mut ChannelNet::new()), want, "channel");
+        match TcpNet::new() {
+            Ok(mut net) => assert_eq!(adversary_and_outage(&mut net), want, "tcp"),
+            Err(e) => eprintln!("loopback bind unavailable ({e}); skipping the tcp backend"),
+        }
+    }
+
+    #[test]
+    fn injections_naming_unregistered_nodes_are_counted_drops() {
+        let mut net = ChannelNet::new();
+        let a = net.register("a");
+        net.set_interceptor(Box::new(|s: NodeId, _d, p: &[u8], _t| {
+            Action::InjectAfter(vec![(s, NodeId(9), p.to_vec())])
+        }));
+        net.send(a, a, b"x".to_vec());
+        assert_eq!(drain(&mut net).len(), 1);
+        let s = net.stats();
+        assert_eq!((s.injected, s.dropped, s.foreign), (1, 1, 0));
+        assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated + s.injected);
+        assert!(!net.in_flight());
     }
 
     #[test]

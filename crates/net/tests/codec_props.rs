@@ -9,6 +9,7 @@ use tpnr_net::codec::{Reader, Wire, Writer};
 use tpnr_net::secure;
 use tpnr_net::sim::{LinkConfig, SimNet};
 use tpnr_net::time::SimDuration;
+use tpnr_net::transport::Transport;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
@@ -78,10 +79,9 @@ proptest! {
         for i in 0..n {
             net.send(a, b, vec![i as u8]);
         }
-        net.run_until_quiet();
-        let delivered = net.inbox_len(b) as u64;
-        prop_assert_eq!(net.stats.sent, n as u64);
-        prop_assert_eq!(delivered + net.stats.dropped, n as u64);
+        let delivered = net.run_until_quiet().len() as u64;
+        prop_assert_eq!(net.stats().sent, n as u64);
+        prop_assert_eq!(delivered + net.stats().dropped, n as u64);
     }
 
     #[test]
@@ -99,12 +99,10 @@ proptest! {
             for i in 0..n {
                 net.send(a, b, vec![i as u8]);
             }
-            net.run_until_quiet();
-            let mut log = Vec::new();
-            while let Some(e) = net.recv(b) {
-                log.push((e.payload.clone(), e.delivered_at));
-            }
-            log
+            net.run_until_quiet()
+                .into_iter()
+                .map(|e| (e.payload, e.delivered_at))
+                .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(seed), run(seed));
     }
