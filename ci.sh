@@ -5,7 +5,8 @@
 #   ./ci.sh --quick    # skip the release build (iteration loop)
 #
 # Everything here runs offline against the vendored workspace (the
-# proptest/criterion shims in crates/ — no network, no external deps).
+# proptest shim in crates/ — no network, no external deps). Full mode also
+# runs every example, since four of them assert their outcomes.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -51,21 +52,16 @@ cargo test --workspace -q
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Bench targets have `test = false` (the criterion shim runs no harness),
-# so the test sweep above never compiles them — check they still build.
-echo "==> cargo check --benches --workspace"
-cargo check --benches --workspace
-
 # Experiment smoke: regenerate each JSONL exhibit at --quick size and run
 # it through the binary's gate table (`experiments --check`, gates in
 # crates/bench/src/report.rs). --check exits 1 naming every failed line,
 # kind and gate, and also fails on a missing gate field, an unknown or
 # missing kind, an unparsable line, or an empty file.
 experiments=(cargo run -q -p tpnr-bench --bin experiments --)
-for n in 4 8 10 12 13 14; do
-    echo "==> experiments --bench-e$n --quick / --check"
+for exhibit in e4 e8 e9 e10 e12 e13 e14 x1 platforms; do
+    echo "==> experiments --bench-$exhibit --quick / --check"
     out="$(mktemp)"
-    "${experiments[@]}" --bench-e$n "$out" --quick
+    "${experiments[@]}" --bench-$exhibit "$out" --quick
     "${experiments[@]}" --check "$out"
     rm -f "$out"
 done
@@ -98,6 +94,13 @@ if [ "$quick" -eq 0 ]; then
     trap 'rm -f "$trace"' EXIT
     cargo run --release -q -p tpnr-bench --bin experiments -- --trace-jsonl "$trace"
     cargo run --release -q -p tpnr-bench --bin experiments -- --validate-jsonl "$trace"
+
+    # attack_gauntlet, blackmail_arbitration, multi_tenant and storage_audit
+    # assert their outcomes, so a non-zero exit from any example fails CI.
+    echo "==> examples (release)"
+    for example in examples/*.rs; do
+        cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+    done
 fi
 
 echo "CI green."

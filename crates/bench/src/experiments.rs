@@ -1,4 +1,5 @@
-//! The experiment implementations (E1–E8, E10, E12–E14; DESIGN.md §5).
+//! The experiment implementations (E1–E10, E12–E14, X1 and the F2–F4 /
+//! Table 1 platform flows; DESIGN.md §5).
 
 use crate::report::Row;
 use std::sync::{Arc, Mutex};
@@ -19,6 +20,36 @@ use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
 use tpnr_storage::object::Tamper;
 use tpnr_storage::platform::{all_platforms, ClientVerdict};
+
+// ------------------------------------------------------------ timing ----
+
+/// The median of `rounds` by `key` (the lower middle of an even count) and
+/// the spread, `max - min`, of their keys.
+fn median_of<T: Clone>(rounds: &[T], key: impl Fn(&T) -> f64) -> (T, f64) {
+    let mut sorted: Vec<&T> = rounds.iter().collect();
+    sorted.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    let spread = key(sorted[sorted.len() - 1]) - key(sorted[0]);
+    (sorted[(sorted.len() - 1) / 2].clone(), spread)
+}
+
+/// Host µs per call of `f`: the median over `rounds` rounds of each round's
+/// mean. A round repeats `f` until it lasts at least a millisecond; the
+/// rounds that find that count also warm caches and are discarded.
+fn host_us<R>(rounds: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut round = |iters: u32| {
+        let sw = HostStopwatch::start();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        sw.elapsed_secs_f64()
+    };
+    let mut iters = 1;
+    while round(iters) < 1e-3 {
+        iters *= 2;
+    }
+    let means: Vec<f64> = (0..rounds).map(|_| round(iters) * 1e6 / f64::from(iters)).collect();
+    median_of(&means, |us| *us).0
+}
 
 // ---------------------------------------------------------------- E1 ----
 
@@ -295,6 +326,75 @@ pub fn e4_transport_copies(size: usize) -> E4Transport {
     }
 }
 
+/// One E4 primitive row: the host time of one call of a primitive the
+/// evidence path is built from. RSA sign and verify are E12's rows.
+#[derive(Debug, Clone)]
+pub struct E4Primitive {
+    /// The primitive, e.g. "SHA-256", "HMAC-SHA256", "RSA-512 decrypt".
+    pub primitive: String,
+    /// Message bytes per call: the data hashed, MACed or enciphered; the
+    /// 32-byte digest for RSA encrypt/decrypt; 0 for key generation.
+    pub size: u64,
+    /// Median host µs per call.
+    pub us: f64,
+    /// The output passed the primitive's own check: a digest or MAC changes
+    /// when one input byte flips, a ciphertext deciphers back to its
+    /// plaintext, a generated key signs and verifies.
+    pub output_ok: bool,
+}
+
+/// E4's primitive rows: the 2010-era hash suite, HMAC-SHA256 and ChaCha20
+/// over 64 B–1 MiB, RSA encrypt/decrypt of a 32-byte digest at each of
+/// `rsa_bits`, and 512-bit key generation, each timed over `rounds`.
+pub fn e4_primitives(rsa_bits: &[usize], rounds: usize) -> Vec<E4Primitive> {
+    use tpnr_crypto::{chacha20, ct, hmac::Hmac, sha2::Sha256, ChaChaRng, RsaKeyPair};
+
+    let mut rows = Vec::new();
+    let mut row = |primitive: String, size: usize, us: f64, output_ok: bool| {
+        rows.push(E4Primitive { primitive, size: size as u64, us, output_ok });
+    };
+    let (key, nonce) = ([7u8; 32], [1u8; 12]);
+    let mac = |d: &[u8]| Hmac::<Sha256>::mac(b"azure-account-key-256bit-secret!", d);
+    for size in [64, 1 << 10, 1 << 16, 1 << 20] {
+        let data = vec![0xa5u8; size];
+        let mut flipped = data.clone();
+        flipped[size / 2] ^= 1;
+        for alg in [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256, HashAlg::Sha512] {
+            let us = host_us(rounds, || alg.hash(&data));
+            row(alg.name().into(), size, us, !ct::eq(&alg.hash(&data), &alg.hash(&flipped)));
+        }
+        let us = host_us(rounds, || mac(&data));
+        row("HMAC-SHA256".into(), size, us, !ct::eq(&mac(&data), &mac(&flipped)));
+        let sealed = chacha20::encrypt(&key, &nonce, &data);
+        let ok = sealed != data && chacha20::decrypt(&key, &nonce, &sealed) == data;
+        let us = host_us(rounds, || chacha20::encrypt(&key, &nonce, &data));
+        row("ChaCha20".into(), size, us, ok);
+    }
+    let mut rng = ChaChaRng::seed_from_u64(1);
+    let digest = HashAlg::Sha256.hash(b"message");
+    for &bits in rsa_bits {
+        let kp = RsaKeyPair::generate(bits, &mut rng);
+        let sealed =
+            kp.public.encrypt(&mut rng, &digest).expect("a 32-byte digest fits the modulus");
+        let ok = kp.private.decrypt(&sealed).is_ok_and(|m| ct::eq(&m, &digest));
+        let us = host_us(rounds, || kp.public.encrypt(&mut rng, &digest));
+        row(format!("RSA-{bits} encrypt"), digest.len(), us, ok);
+        let us = host_us(rounds, || kp.private.decrypt(&sealed));
+        row(format!("RSA-{bits} decrypt"), digest.len(), us, ok);
+    }
+    let mut seed = 0;
+    let keygen = |s| RsaKeyPair::generate(512, &mut ChaChaRng::seed_from_u64(s));
+    let us = host_us(rounds, || {
+        seed += 1;
+        keygen(seed)
+    });
+    let kp = keygen(0);
+    let signs = kp.private.sign(HashAlg::Sha256, b"keygen");
+    let ok = signs.is_ok_and(|s| kp.public.verify(HashAlg::Sha256, b"keygen", &s).is_ok());
+    row("RSA-512 keygen".into(), 0, us, ok);
+    rows
+}
+
 // ---------------------------------------------------------------- E5 ----
 
 /// One row of the shipping-overhead table.
@@ -505,6 +605,52 @@ pub fn e8_chaos(crash_permilles: &[u32], trials: usize) -> Vec<E8Row> {
                 retries: sum[5],
                 gave_up: sum[6],
                 snapshot_bytes: sum[7],
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------- E9 ----
+
+/// One E9 row: Shamir sharing of the paper's 16-byte agreed MD5 at one
+/// threshold `k` of `n` shares.
+#[derive(Debug, Clone)]
+pub struct E9Row {
+    /// Shares needed to recover the secret.
+    pub k: u64,
+    /// Shares issued.
+    pub n: u64,
+    /// Median host µs per split into `n` shares.
+    pub split_us: f64,
+    /// Median host µs per combine of `k` shares.
+    pub combine_us: f64,
+    /// Every run of `k` consecutive shares recovers the secret.
+    pub k_recovers: bool,
+    /// No run of `k − 1` consecutive shares does.
+    pub k_minus_1_fails: bool,
+}
+
+/// E9 / §3.2, §3.4: the SKS schemes' secret sharing, split and combine
+/// timed over `rounds` at (k, n) ∈ {(2,2), (2,5), (3,5), (5,10)}.
+pub fn e9_shamir(rounds: usize) -> Vec<E9Row> {
+    use tpnr_crypto::{shamir, ChaChaRng};
+
+    let secret = HashAlg::Md5.hash(b"the agreed data");
+    let recovers = |shares: &[shamir::Share]| shamir::combine(shares).is_ok_and(|s| s == secret);
+    [(2, 2), (2, 5), (3, 5), (5, 10)]
+        .into_iter()
+        .map(|(k, n)| {
+            let mut rng = ChaChaRng::seed_from_u64(2);
+            let split_us = host_us(rounds, || shamir::split(&secret, k, n, &mut rng));
+            let shares = shamir::split(&secret, k, n, &mut ChaChaRng::seed_from_u64(2))
+                .expect("1 <= k <= n <= 255");
+            E9Row {
+                k: k as u64,
+                n: n as u64,
+                split_us,
+                combine_us: host_us(rounds, || shamir::combine(&shares[..k])),
+                k_recovers: shares.windows(k).all(recovers),
+                k_minus_1_fails: !shares.windows(k - 1).any(recovers),
             }
         })
         .collect()
@@ -1009,10 +1155,12 @@ pub struct E13Row {
     pub available_parallelism: u64,
     /// Transactions completed with full evidence.
     pub completed: u64,
-    /// Host wall-clock, in milliseconds.
+    /// Host wall-clock of the median round, in milliseconds.
     pub elapsed_ms: u64,
-    /// Settled transactions per host-second.
+    /// Settled transactions per host-second: the median of the rounds.
     pub txn_per_sec: u64,
+    /// `max - min` of `txn_per_sec` across the rounds.
+    pub txn_per_sec_spread: u64,
     /// Throughput relative to this sweep's `workers == 1` row, ×100.
     pub speedup_x100: u64,
     /// Parallel efficiency: speedup ÷ effective cores, ×100.
@@ -1034,8 +1182,8 @@ pub struct E13Row {
     pub conservation_violations: u64,
     /// Evidence lost across eviction + re-hydration (must be 0).
     pub evidence_loss: u64,
-    /// Non-timing output byte-identical to the `workers == 1` row — the
-    /// work-stealing determinism claim, checked on every row.
+    /// Non-timing output of every round byte-identical to the serial
+    /// run's — the work-stealing determinism claim, checked on every row.
     pub deterministic_vs_serial: bool,
 }
 
@@ -1064,12 +1212,18 @@ fn e13_required_speedup_x100(effective_cores: u64) -> u64 {
     }
 }
 
+/// Rounds of the E13 ladder. Odd, so each row's median is one real round.
+const E13_ROUNDS: usize = 5;
+
 /// E13: work-stealing scaling sweep. Runs the E10 scenario at one fixed
 /// client load on pools of 1, 2, 4, 8 (and the host's core count, when
-/// that differs) workers, and reports throughput, speedup over the
-/// serial row, parallel efficiency, steal counts, latency percentiles —
-/// and whether the non-timing output stayed byte-identical to serial
-/// (the determinism argument for the stealing scheduler).
+/// that differs) workers, in [`E13_ROUNDS`] interleaved rounds that each
+/// visit every worker count, so one slow shot cannot fail a row. Reports
+/// the median round's throughput with the spread across rounds, speedup
+/// over the serial row, parallel efficiency, steal counts, latency
+/// percentiles — and whether every round's non-timing output stayed
+/// byte-identical to serial (the determinism argument for the stealing
+/// scheduler).
 pub fn e13_worker_sweep(clients: usize, seed: u64) -> Vec<E13Row> {
     let host = tpnr_par::available_parallelism();
     let mut ladder: Vec<usize> = vec![1, 2, 4, 8];
@@ -1078,45 +1232,54 @@ pub fn e13_worker_sweep(clients: usize, seed: u64) -> Vec<E13Row> {
     }
     ladder.sort_unstable();
 
-    let mut out = Vec::with_capacity(ladder.len());
-    let mut baseline: Option<(u64, String)> = None; // workers == 1 row
-    for &wk in &ladder {
-        let pool = tpnr_par::Pool::new(wk);
-        let rows = e10_scale_on(&pool, &[clients], seed);
-        let r = &rows[0];
-        let fp = e10_non_timing_fingerprint(r);
-        let (base_tps, base_fp) = match &baseline {
-            Some((t, f)) => (*t, f.clone()),
-            None => {
-                baseline = Some((r.txn_per_sec, fp.clone()));
-                (r.txn_per_sec, fp.clone())
-            }
-        };
-        let speedup_x100 = r.txn_per_sec.saturating_mul(100) / base_tps.max(1);
-        let effective = (wk.min(host)) as u64;
-        let required = e13_required_speedup_x100(effective);
-        out.push(E13Row {
-            clients: r.clients,
-            lanes: r.lanes,
-            workers: wk as u64,
-            available_parallelism: host as u64,
-            completed: r.completed,
-            elapsed_ms: r.elapsed_ms,
-            txn_per_sec: r.txn_per_sec,
-            speedup_x100,
-            efficiency_x100: speedup_x100 / effective.max(1),
-            required_speedup_x100: required,
-            scaling_ok: speedup_x100 >= required,
-            steals: r.steals,
-            tasks: r.tasks,
-            p50_us: r.p50_us,
-            p99_us: r.p99_us,
-            conservation_violations: r.conservation_violations,
-            evidence_loss: r.evidence_loss,
-            deterministic_vs_serial: fp == base_fp,
-        });
+    let pools: Vec<tpnr_par::Pool> = ladder.iter().map(|&wk| tpnr_par::Pool::new(wk)).collect();
+    let mut runs: Vec<Vec<E10Row>> = vec![Vec::new(); ladder.len()];
+    for _ in 0..E13_ROUNDS {
+        for (pool, rounds) in pools.iter().zip(&mut runs) {
+            rounds.extend(e10_scale_on(pool, &[clients], seed));
+        }
     }
-    out
+    e13_rows(host as u64, &runs)
+}
+
+/// E13's rows from each worker count's rounds, serial first: a row reads
+/// its median round by `txn_per_sec`, and its speedup compares that median
+/// with the serial median.
+fn e13_rows(host: u64, runs: &[Vec<E10Row>]) -> Vec<E13Row> {
+    let median = |rounds: &[E10Row]| median_of(rounds, |r| r.txn_per_sec as f64);
+    let serial_tps = median(&runs[0]).0.txn_per_sec;
+    let serial_fp = e10_non_timing_fingerprint(&runs[0][0]);
+    runs.iter()
+        .map(|rounds| {
+            let (r, spread) = median(rounds);
+            let speedup_x100 = r.txn_per_sec.saturating_mul(100) / serial_tps.max(1);
+            let effective = r.workers.min(host);
+            let required = e13_required_speedup_x100(effective);
+            E13Row {
+                clients: r.clients,
+                lanes: r.lanes,
+                workers: r.workers,
+                available_parallelism: host,
+                completed: r.completed,
+                elapsed_ms: r.elapsed_ms,
+                txn_per_sec: r.txn_per_sec,
+                txn_per_sec_spread: spread as u64,
+                speedup_x100,
+                efficiency_x100: speedup_x100 / effective.max(1),
+                required_speedup_x100: required,
+                scaling_ok: speedup_x100 >= required,
+                steals: r.steals,
+                tasks: r.tasks,
+                p50_us: r.p50_us,
+                p99_us: r.p99_us,
+                conservation_violations: r.conservation_violations,
+                evidence_loss: r.evidence_loss,
+                deterministic_vs_serial: rounds
+                    .iter()
+                    .all(|r| e10_non_timing_fingerprint(r) == serial_fp),
+            }
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------- E14 ----
@@ -1445,6 +1608,150 @@ pub fn e14_backend_comparison(seed: u64, quick: bool) -> Vec<E14Row> {
     ]
 }
 
+// ---------------------------------------------------------------- X1 ----
+
+/// One X1 row: what one single-chunk audit of a stored object costs next
+/// to the download-and-compare it replaces.
+#[derive(Debug, Clone)]
+pub struct X1Row {
+    /// Object size in bytes.
+    pub size: u64,
+    /// Median host µs of one audit: the provider's answer and the client's
+    /// check against the root in its upload receipt.
+    pub audit_us: f64,
+    /// Median host µs of one download checked against the upload receipt.
+    pub download_us: f64,
+    /// `audit_us` as a share of `download_us`, in percent.
+    pub audit_time_pct: f64,
+    /// Bytes of one audit answer: the chunk and its Merkle path.
+    pub proof_bytes: u64,
+    /// The honest provider's answer verifies.
+    pub audit_ok: bool,
+    /// After one stored byte flips, the answer is rejected.
+    pub tamper_detected: bool,
+}
+
+/// X1: a single-chunk Merkle audit (4 KiB chunks) against a full
+/// download-and-compare, at 256 KiB and 2 MiB, each timed over `rounds`.
+pub fn x1_audit_vs_download(rounds: usize) -> Vec<X1Row> {
+    use tpnr_core::chunked::{AuditChallenge, AuditError, AuditResponse};
+
+    let cfg = ProtocolConfig::full().with_merkle(4096);
+    let challenge = AuditChallenge { object: b"obj".to_vec(), chunk_index: 3 };
+    let audit = |w: &World, up| -> Result<AuditResponse, AuditError> {
+        let resp = w.provider.answer_audit(&cfg, &challenge)?;
+        w.client.verify_audit(&cfg, up, &resp).map(|()| resp)
+    };
+    [1 << 18, 1 << 21]
+        .into_iter()
+        .map(|size| {
+            let mut w = World::new(77, cfg.clone());
+            let up = w.upload(b"obj", vec![0xab; size], TimeoutStrategy::AbortFirst).txn_id;
+            let audit_us = host_us(rounds, || audit(&w, up));
+            let download_us = host_us(rounds, || {
+                let down = w.download(b"obj", TimeoutStrategy::AbortFirst).txn_id;
+                w.client.verify_download_against_upload(up, down)
+            });
+            let answer = audit(&w, up);
+            let proof_bytes = answer.as_ref().map_or(0, |r| {
+                r.chunk.len()
+                    + r.proof.siblings.iter().flatten().map(|(_, h)| h.len()).sum::<usize>()
+            });
+            let mut stored = w.provider.peek_storage(b"obj").expect("uploaded").to_vec();
+            stored[size / 2] ^= 1;
+            w.provider.tamper_storage(b"obj", stored);
+            X1Row {
+                size: size as u64,
+                audit_us,
+                download_us,
+                audit_time_pct: 100.0 * audit_us / download_us,
+                proof_bytes: proof_bytes as u64,
+                audit_ok: answer.is_ok(),
+                tamper_detected: audit(&w, up).err() == Some(AuditError::ProofRejected),
+            }
+        })
+        .collect()
+}
+
+// --------------------------------------------------------- platforms ----
+
+/// One F2–F4 / Table 1 row: one run of a platform's security flow.
+#[derive(Debug, Clone)]
+pub struct PlatformRow {
+    /// "azure-table1" (build, sign and verify the Table 1 block PUT),
+    /// "azure-put-get", "aws-import" or "gae-signed-put".
+    pub flow: &'static str,
+    /// Payload bytes per run.
+    pub size: u64,
+    /// Median host µs per run.
+    pub us: f64,
+    /// Every run verified: the request signature checked, the GET returned
+    /// the PUT body, the import manifest validated, the SDC authorised.
+    pub verified: bool,
+}
+
+/// F2–F4 / Table 1: the Azure signed-REST flows (Figure 3, Table 1), AWS
+/// Import/Export (Figure 2) and the GAE SDC signed request (Figure 4),
+/// each timed over `rounds`.
+pub fn platform_flows(rounds: usize) -> Vec<PlatformRow> {
+    use tpnr_crypto::{ChaChaRng, RsaKeyPair};
+    use tpnr_storage::aws::{self, AwsService};
+    use tpnr_storage::azure::AzureService;
+    use tpnr_storage::gae::{GaeService, SignedRequest};
+    use tpnr_storage::rest::{Method, RestRequest};
+
+    let mut rows = Vec::new();
+    let mut run = |flow, size: usize, f: &mut dyn FnMut() -> bool| {
+        let mut verified = true;
+        let us = host_us(rounds, || verified &= f());
+        rows.push(PlatformRow { flow, size: size as u64, us, verified });
+    };
+    let mut azure = AzureService::new();
+    let acct = azure.create_account("jerry", &mut ChaChaRng::seed_from_u64(1));
+    let table1 = b"block contents".to_vec();
+    run("azure-table1", table1.len(), &mut || {
+        let resource = "/jerry/pics/photo.jpg?comp=block&blockid=blockid1";
+        RestRequest::new(Method::Put, resource, table1.clone(), "Sun, 13 Sept 2009 18:30:25 GMT")
+            .with_content_md5()
+            .sign(&acct.name, &acct.key)
+            .verify_signature(&acct.name, &acct.key)
+    });
+    let aws_user = RsaKeyPair::insecure_test_key(5);
+    let mut i = 0u64;
+    for size in [1 << 10, 1 << 20] {
+        let body = vec![0x42u8; size];
+        run("azure-put-get", size, &mut || {
+            i += 1;
+            let key = format!("/jerry/obj-{i}");
+            let put = RestRequest::new(Method::Put, &key, body.clone(), "d").with_content_md5();
+            let get = RestRequest::new(Method::Get, &key, Vec::new(), "d");
+            let stored = azure.handle(&put.sign(&acct.name, &acct.key), SimTime::ZERO).is_ok();
+            let got = azure.handle(&get.sign(&acct.name, &acct.key), SimTime::ZERO);
+            stored && got.is_ok_and(|r| r.body == body)
+        });
+        run("aws-import", size, &mut || {
+            i += 1;
+            let mut aws = AwsService::new();
+            aws.register_user("AKIAUSER", aws_user.public.clone());
+            aws::prepare_import(&aws_user, "AKIAUSER", "dev-1", "bucket/backup", i, body.clone())
+                .is_ok_and(|(manifest, device)| {
+                    aws.process_import(&manifest, &device, SimTime::ZERO).is_ok()
+                })
+        });
+    }
+    let viewer = RsaKeyPair::insecure_test_key(6);
+    let mut gae = GaeService::new();
+    gae.register_identity("alice", viewer.public.clone());
+    gae.grant("alice", "apps/");
+    let entity = b"entity bytes";
+    run("gae-signed-put", entity.len(), &mut || {
+        i += 1;
+        SignedRequest::create(&viewer, "owner", "alice", 1, "app", "ck", i, "tok", "apps/data")
+            .is_ok_and(|req| gae.put(&req, entity, SimTime::ZERO).is_ok())
+    });
+    rows
+}
+
 // ------------------------------------------------------------- trace ----
 
 /// Runs a small faulted multi-client scenario and exports its complete
@@ -1544,6 +1851,28 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ws, sorted, "ladder ascends without duplicates");
+    }
+
+    #[test]
+    fn e13_one_dipped_round_does_not_fail_a_row() {
+        let base = e10_scale_on(&tpnr_par::Pool::new(1), &[40], 7).remove(0);
+        let run = |workers, txn_per_sec| E10Row { workers, txn_per_sec, ..base.clone() };
+        let serial = vec![run(1, 1000), run(1, 1010), run(1, 990)];
+        // One 2-worker round dips to 1.04x serial, as a slow single shot
+        // did before the ladder ran in rounds; the median round clears 1.4x.
+        let rows = e13_rows(2, &[serial.clone(), vec![run(2, 1600), run(2, 1040), run(2, 1700)]]);
+        assert_eq!((rows[0].txn_per_sec, rows[0].speedup_x100), (1000, 100));
+        assert_eq!((rows[1].txn_per_sec, rows[1].txn_per_sec_spread), (1600, 660));
+        assert_eq!((rows[1].speedup_x100, rows[1].required_speedup_x100), (160, 140));
+        assert!(rows[1].scaling_ok && rows[1].deterministic_vs_serial);
+        // Two dipped rounds of three move the median, and the row fails.
+        let rows = e13_rows(2, &[serial.clone(), vec![run(2, 1040), run(2, 1050), run(2, 1700)]]);
+        assert_eq!(rows[1].speedup_x100, 105);
+        assert!(!rows[1].scaling_ok);
+        // One round whose output drifts fails determinism, however fast.
+        let drifted = E10Row { completed: base.completed - 1, ..run(2, 1650) };
+        let rows = e13_rows(2, &[serial, vec![run(2, 1600), drifted, run(2, 1700)]]);
+        assert!(rows[1].scaling_ok && !rows[1].deterministic_vs_serial);
     }
 
     #[test]

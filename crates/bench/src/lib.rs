@@ -3,10 +3,9 @@
 //! Experiment harness: every exhibit in EXPERIMENTS.md is regenerated by a
 //! function here (structured rows) and printed by the `experiments` binary.
 //! [`report`] turns rows into tables and JSONL and holds the gate table
-//! that `experiments --check` evaluates. The benches under `benches/` time
-//! only what no experiment measures (raw crypto primitives and Shamir
-//! sharing, the F2–F4 platform flows, the X1 audit); the in-tree criterion
-//! shim reports a mean time per iteration, without statistics.
+//! that `experiments --check` evaluates. Host-timed exhibits are rows too:
+//! the primitive timings (E4), Shamir sharing (E9), the X1 audit and the
+//! F2–F4 platform flows each carry a correctness field that a gate reads.
 //!
 //! The paper itself reports no measurements (evaluation is explicitly
 //! future work), so these experiments quantify the paper's *claims*; the
@@ -27,11 +26,3 @@ pub use experiments::*;
 /// splitting, stealing, and the index-ordered deterministic join stay in
 /// one audited place.
 pub use tpnr_par::par_map_indexed;
-
-/// In-place parallel map over a mutable slice, re-exported from
-/// [`tpnr_par`] — a thin wrapper over the shared work-stealing pool. Each
-/// item is visited exactly once and results join in index order. E10's
-/// lane driver now uses [`tpnr_par::Pool::run_indexed_stats`] directly
-/// (lanes are built inside their task), but the wrapper keeps older
-/// call-site shapes working.
-pub use tpnr_par::par_map_mut;

@@ -142,6 +142,15 @@ impl Row for E4Transport {
     }
 }
 
+impl Row for E4Primitive {
+    const KIND: &'static str = "e4_primitive";
+    const TITLE: &'static str = "E4 — host µs per call of each primitive";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; primitive = self.primitive.as_str(), size,
+            us = Value::Float(self.us, 2), output_ok)
+    }
+}
+
 impl Row for E5Row {
     const KIND: &'static str = "e5";
     const TITLE: &'static str = "E5 / §6 — protocol time vs device shipping time";
@@ -190,6 +199,15 @@ impl Row for E8Row {
         // A transaction in limbo is one whose evidence was lost.
         fields_of!(self; crash_prob_permille, trials, completed_full_evidence, arbitrable_terminal,
             limbo, evidence_loss = self.limbo, crashes, restarts, retries, gave_up, snapshot_bytes)
+    }
+}
+
+impl Row for E9Row {
+    const KIND: &'static str = "e9";
+    const TITLE: &'static str = "E9 / §3.2, §3.4 — SKS: Shamir split/combine of a 16-byte MD5";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; k, n, split_us = Value::Float(self.split_us, 2),
+            combine_us = Value::Float(self.combine_us, 2), k_recovers, k_minus_1_fails)
     }
 }
 
@@ -255,6 +273,7 @@ impl Row for E13Row {
         "workers",
         "available_parallelism",
         "txn_per_sec",
+        "txn_per_sec_spread",
         "speedup_x100",
         "efficiency_x100",
         "steals",
@@ -266,8 +285,9 @@ impl Row for E13Row {
     ];
     fn fields(&self) -> Vec<(&'static str, Value)> {
         fields_of!(self; clients, lanes, workers, available_parallelism, completed, elapsed_ms,
-            txn_per_sec, speedup_x100, efficiency_x100, required_speedup_x100, scaling_ok, steals,
-            tasks, p50_us, p99_us, conservation_violations, evidence_loss, deterministic_vs_serial)
+            txn_per_sec, txn_per_sec_spread, speedup_x100, efficiency_x100, required_speedup_x100,
+            scaling_ok, steals, tasks, p50_us, p99_us, conservation_violations, evidence_loss,
+            deterministic_vs_serial)
     }
 }
 
@@ -292,6 +312,25 @@ impl Row for E14Row {
             txn_per_sec_per_core, available_parallelism, sent, delivered, dropped, duplicated,
             conservation_violations, evidence_loss, attacks_rejected, attacks_expected, attacks_ok,
             skipped)
+    }
+}
+
+impl Row for X1Row {
+    const KIND: &'static str = "x1";
+    const TITLE: &'static str = "X1 — single-chunk Merkle audit vs download-and-compare";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; size, audit_us = Value::Float(self.audit_us, 1),
+            download_us = Value::Float(self.download_us, 1),
+            audit_time_pct = Value::Float(self.audit_time_pct, 1), proof_bytes, audit_ok,
+            tamper_detected)
+    }
+}
+
+impl Row for PlatformRow {
+    const KIND: &'static str = "platform";
+    const TITLE: &'static str = "F2–F4 / Table 1 — platform security flows";
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        fields_of!(self; flow, size, us = Value::Float(self.us, 1), verified)
     }
 }
 
@@ -361,15 +400,22 @@ pub fn gates(kind: &str, fields: &[(String, Value)]) -> Option<Vec<(&'static str
     let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
     let zero = |name| get(name) == Some(&Value::Int(0));
     let yes = |name| get(name) == Some(&Value::Bool(true));
+    let int = |name| match get(name) {
+        Some(Value::Int(n)) => Some(*n),
+        _ => None,
+    };
     let conservation = ("conservation_violations == 0", zero("conservation_violations"));
     let no_loss = ("evidence_loss == 0", zero("evidence_loss"));
     Some(match kind {
         "e4" => vec![("copy_free", zero("deep_copies"))],
         "e4-transport" => vec![("copy_free", zero("upload_deep_copies"))],
+        "e4_primitive" => vec![("output_ok", yes("output_ok"))],
         "e8" => vec![("limbo == 0", zero("limbo")), no_loss],
+        "e9" => {
+            vec![("k_recovers", yes("k_recovers")), ("k_minus_1_fails", yes("k_minus_1_fails"))]
+        }
         "e10" => {
-            let evicted = matches!(get("evicted"), Some(Value::Int(n)) if *n > 0);
-            vec![conservation, no_loss, ("evicted > 0", evicted)]
+            vec![conservation, no_loss, ("evicted > 0", int("evicted").is_some_and(|n| n > 0))]
         }
         "e12" => vec![("sign_floor_ok", yes("sign_floor_ok"))],
         "e12_batch" => vec![
@@ -398,6 +444,15 @@ pub fn gates(kind: &str, fields: &[(String, Value)]) -> Option<Vec<(&'static str
                 ("only tcp may skip", ran),
             ]
         }
+        "x1" => {
+            let smaller = matches!((int("proof_bytes"), int("size")), (Some(p), Some(s)) if p < s);
+            vec![
+                ("audit_ok", yes("audit_ok")),
+                ("tamper_detected", yes("tamper_detected")),
+                ("proof_bytes < size", smaller),
+            ]
+        }
+        "platform" => vec![("verified", yes("verified"))],
         _ => return None,
     })
 }
@@ -1038,6 +1093,50 @@ mod tests {
         assert_eq!(strip(&a), strip(&b));
     }
 
+    /// Each row's fields without its host timings, which are exactly its
+    /// floats.
+    fn non_timing<R: Row>(rows: &[R]) -> Vec<Vec<(&'static str, Value)>> {
+        let fields = |r: &R| r.fields().into_iter().filter(|(_, v)| !matches!(v, Value::Float(..)));
+        rows.iter().map(|r| fields(r).collect()).collect()
+    }
+
+    #[test]
+    fn bench_e4_primitive_non_timing_fields_are_deterministic() {
+        let (a, b) = (e4_primitives(&[512], 1), e4_primitives(&[512], 1));
+        assert_eq!(a.len(), 4 * 6 + 3, "6 primitives at 4 sizes, RSA encrypt/decrypt, keygen");
+        assert_eq!(non_timing(&a), non_timing(&b));
+        assert_eq!(check_jsonl(&jsonl(&a)), Ok(a.len()));
+    }
+
+    #[test]
+    fn bench_e9_non_timing_fields_are_deterministic() {
+        let (a, b) = (e9_shamir(1), e9_shamir(1));
+        assert_eq!(a.len(), 4);
+        assert_eq!(non_timing(&a), non_timing(&b));
+        assert_eq!(check_jsonl(&jsonl(&a)), Ok(a.len()));
+    }
+
+    #[test]
+    fn bench_x1_non_timing_fields_are_deterministic() {
+        let (a, b) = (x1_audit_vs_download(1), x1_audit_vs_download(1));
+        assert_eq!(non_timing(&a), non_timing(&b));
+        assert_eq!(check_jsonl(&jsonl(&a)), Ok(2));
+        // Proof bytes grow with the tree's depth, not the object.
+        assert!(
+            a[1].proof_bytes < a[0].proof_bytes + 256,
+            "{} vs {}",
+            a[1].proof_bytes,
+            a[0].proof_bytes
+        );
+    }
+
+    #[test]
+    fn bench_platform_non_timing_fields_are_deterministic() {
+        let (a, b) = (platform_flows(1), platform_flows(1));
+        assert_eq!(non_timing(&a), non_timing(&b));
+        assert_eq!(check_jsonl(&jsonl(&a)), Ok(6));
+    }
+
     #[test]
     fn validator_rejects_malformed_lines() {
         assert!(validate_jsonl("").is_err(), "empty export is an error");
@@ -1118,6 +1217,10 @@ mod tests {
             r#"{"kind":"e14","backend":"simnet","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":false}"#,
             r#"{"kind":"e14","backend":"channel","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":false}"#,
             r#"{"kind":"e14","backend":"tcp","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":true}"#,
+            r#"{"kind":"e4_primitive","output_ok":true}"#,
+            r#"{"kind":"e9","k_recovers":true,"k_minus_1_fails":true}"#,
+            r#"{"kind":"x1","size":262144,"proof_bytes":4320,"audit_ok":true,"tamper_detected":true}"#,
+            r#"{"kind":"platform","verified":true}"#,
         ];
         assert_eq!(check_jsonl(&passing.join("\n")), Ok(passing.len()));
         // (row, field, passing value, failing value, gate that must fire)
@@ -1141,6 +1244,13 @@ mod tests {
             (7, "attacks_ok", "true", "false", "attacks_ok"),
             (7, "skipped", "false", "true", "only tcp may skip"),
             (8, "skipped", "false", "true", "only tcp may skip"),
+            (10, "output_ok", "true", "false", "output_ok"),
+            (11, "k_recovers", "true", "false", "k_recovers"),
+            (11, "k_minus_1_fails", "true", "false", "k_minus_1_fails"),
+            (12, "audit_ok", "true", "false", "audit_ok"),
+            (12, "tamper_detected", "true", "false", "tamper_detected"),
+            (12, "proof_bytes", "4320", "262144", "proof_bytes < size"),
+            (13, "verified", "true", "false", "verified"),
         ];
         for (row, field, good, bad, gate) in flips {
             let mut rows: Vec<String> = passing.iter().map(|r| r.to_string()).collect();

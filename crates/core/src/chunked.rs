@@ -132,20 +132,6 @@ impl Client {
             Err(AuditError::ProofRejected)
         }
     }
-
-    /// How many chunks an archived upload has under the current config
-    /// (for choosing random audit indices).
-    pub fn audit_chunk_count(&self, cfg: &ProtocolConfig, upload_txn: u64) -> Option<usize> {
-        let Commitment::Merkle { chunk_size } = cfg.commitment else { return None };
-        let txn = self.txn(upload_txn)?;
-        // Canonical payload length: 4-byte key prefix + key + 4-byte data
-        // prefix + data. We only know the key here; the data length is not
-        // archived, so audits of arbitrary indices rely on the provider's
-        // IndexOutOfRange answer plus the proof check. For convenience we
-        // recompute from the received payload when present.
-        let payload = txn.received.as_ref()?;
-        Some(payload.to_wire().len().div_ceil(chunk_size).max(1))
-    }
 }
 
 #[cfg(test)]

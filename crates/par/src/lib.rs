@@ -344,8 +344,8 @@ impl Pool {
     }
 
     /// The process-wide pool, sized to [`available_parallelism`]. The
-    /// [`par_map_indexed`] / [`par_map_mut`] wrappers route through it so
-    /// the whole workspace shares one set of worker threads.
+    /// [`par_map_indexed`] wrapper routes through it so the whole workspace
+    /// shares one set of worker threads.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| Pool::new(available_parallelism()))
@@ -482,24 +482,6 @@ where
     Pool::global().scoped_indexed(n, f)
 }
 
-/// Runs `f` over every item of `items` in place, in parallel on the
-/// [global pool](Pool::global), and returns the per-item results in index
-/// order. Each item is visited exactly once; with stealing, *which* worker
-/// visits it is scheduling-dependent, so every item sits behind its own
-/// mutex (uncontended in practice: a lock is taken once per item).
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    Pool::global().scoped_indexed(slots.len(), |i| {
-        let mut item = lock(&slots[i]);
-        f(i, &mut item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,31 +540,6 @@ mod tests {
         let serial: Vec<u64> = (0..1000).map(|i| (i as u64).wrapping_mul(0x9e3779b9)).collect();
         let parallel = par_map_indexed(1000, |i| (i as u64).wrapping_mul(0x9e3779b9));
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_map_mut_mutates_every_item_once_and_joins_in_order() {
-        let mut items: Vec<u64> = (0..97).collect();
-        let results = par_map_mut(&mut items, |i, v| {
-            *v += 1_000;
-            (i, *v)
-        });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1_000, "item {i} mutated exactly once");
-        }
-        for (idx, (i, v)) in results.iter().enumerate() {
-            assert_eq!(idx, *i);
-            assert_eq!(*v, idx as u64 + 1_000);
-        }
-    }
-
-    #[test]
-    fn par_map_mut_empty_and_single() {
-        let mut empty: Vec<u32> = Vec::new();
-        let out: Vec<u32> = par_map_mut(&mut empty, |_, v| *v);
-        assert!(out.is_empty());
-        let mut one = vec![7u32];
-        assert_eq!(par_map_mut(&mut one, |_, v| *v * 6), vec![42]);
     }
 
     #[test]
