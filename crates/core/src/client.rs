@@ -13,7 +13,7 @@ use crate::evidence::{
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::session::{Outgoing, Payload, TxnState, ValidationError, Validator};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use tpnr_crypto::hash::DigestCache;
 use tpnr_crypto::{ct, ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::Wire;
@@ -68,6 +68,10 @@ pub struct Client {
     rng: ChaChaRng,
     validator: Validator,
     txns: HashMap<u64, ClientTxn>,
+    /// Ids of the non-terminal transactions in `txns`: the only ones with
+    /// a live deadline. Timeout scans walk this set, in id order, instead
+    /// of every transaction the client ever ran.
+    open: BTreeSet<u64>,
     wire_keys: HashMap<PrincipalId, RsaPublicKey>,
     next_txn: u64,
     /// Memoizes payload commitments by buffer identity: an object uploaded,
@@ -105,6 +109,7 @@ impl Client {
             rng,
             validator: Validator::new(my_id, ttp),
             txns: HashMap::new(),
+            open: BTreeSet::new(),
             wire_keys: HashMap::new(),
             next_txn,
             cache: DigestCache::new(32),
@@ -163,6 +168,7 @@ impl Client {
     /// archive; `None` if the transaction is unknown.
     pub fn evict_txn(&mut self, txn_id: u64) -> Option<ClientTxn> {
         let record = self.txns.remove(&txn_id)?;
+        self.open.remove(&txn_id);
         self.validator.retire_txn(txn_id);
         Some(record)
     }
@@ -176,7 +182,17 @@ impl Client {
     /// Earliest timeout deadline over all non-terminal transactions (the
     /// scheduler's view of this client's pending timers).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.txns.values().filter(|t| !t.state.is_terminal()).map(|t| t.deadline).min()
+        self.open.iter().filter_map(|id| self.txns.get(id)).map(|t| t.deadline).min()
+    }
+
+    /// Moves a known transaction to `state`, keeping `open` in step.
+    fn set_state(&mut self, txn_id: u64, state: TxnState) {
+        if let Some(txn) = self.txns.get_mut(&txn_id) {
+            txn.state = state;
+            if state.is_terminal() {
+                self.open.remove(&txn_id);
+            }
+        }
     }
 
     fn build_transfer(
@@ -225,6 +241,7 @@ impl Client {
                 attempts: 0,
             },
         );
+        self.open.insert(txn_id);
         Ok((
             txn_id,
             vec![Outgoing {
@@ -339,7 +356,7 @@ impl Client {
         let txn = self.txns.get_mut(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         txn.nrr = Some(nrr);
         txn.received = received;
-        txn.state = TxnState::Completed;
+        self.set_state(pt.txn_id, TxnState::Completed);
         Ok(Vec::new())
     }
 
@@ -363,14 +380,14 @@ impl Client {
         match outcome {
             AbortOutcome::Accept => {
                 txn.nrr = Some(nrr);
-                txn.state = TxnState::Aborted;
+                self.set_state(pt.txn_id, TxnState::Aborted);
             }
             AbortOutcome::Reject => {
                 // Bob completed the transaction; his NRR-abort still proves
                 // he answered. Alice treats the original as completed-ish
                 // but flags the rejection.
                 txn.nrr = Some(nrr);
-                txn.state = TxnState::AbortRejected;
+                self.set_state(pt.txn_id, TxnState::AbortRejected);
             }
             AbortOutcome::Error => {
                 // Regenerate the abort request (paper: "double check the
@@ -419,34 +436,26 @@ impl Client {
                 let txn =
                     self.txns.get_mut(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
                 txn.nrr = Some(nrr);
-                txn.state = TxnState::Completed;
+                self.set_state(pt.txn_id, TxnState::Completed);
             }
-            ResolveAction::Restart => {
-                // Bob never saw the transfer; Alice marks it failed locally
-                // (the application decides whether to retry as a new txn).
-                self.txns
-                    .get_mut(&pt.txn_id)
-                    .ok_or(ValidationError::UnknownTxn(pt.txn_id))?
-                    .state = TxnState::Failed;
-            }
-            ResolveAction::Failed => {
-                self.txns
-                    .get_mut(&pt.txn_id)
-                    .ok_or(ValidationError::UnknownTxn(pt.txn_id))?
-                    .state = TxnState::Failed;
+            // Restart: Bob never saw the transfer; Alice marks it failed
+            // locally (the application decides whether to retry as a new
+            // txn).
+            ResolveAction::Restart | ResolveAction::Failed => {
+                self.set_state(pt.txn_id, TxnState::Failed);
             }
         }
         Ok(Vec::new())
     }
 
-    /// Drives timeouts: for every pending transaction past its deadline,
-    /// emits the Abort or Resolve step per its strategy.
+    /// Drives timeouts: for every pending transaction past its deadline, in
+    /// id order, emits the Abort or Resolve step per its strategy.
     pub fn poll_timeouts(&mut self, now: SimTime) -> Vec<Outgoing> {
         let due: Vec<u64> = self
-            .txns
+            .open
             .iter()
-            .filter(|(_, t)| !t.state.is_terminal() && now >= t.deadline)
-            .map(|(id, _)| *id)
+            .copied()
+            .filter(|id| self.txns.get(id).is_some_and(|t| now >= t.deadline))
             .collect();
         let mut out = Vec::new();
         for txn_id in due {
@@ -459,9 +468,7 @@ impl Client {
             // retained, so a dispute stays arbitrable. Surfaced as
             // `SettleOutcome::Degraded` and the `gave_up` counter.
             if self.cfg.retry.exhausted(attempts) {
-                if let Some(t) = self.txns.get_mut(&txn_id) {
-                    t.state = TxnState::Failed;
-                }
+                self.set_state(txn_id, TxnState::Failed);
                 self.retry_stats.gave_up += 1;
                 continue;
             }
@@ -643,6 +650,8 @@ impl crate::fault::Durable for Client {
         self.restarts += 1;
         let skip = self.restarts.saturating_mul(crate::fault::SEQ_RECOVERY_SKIP);
         self.txns = snap.txns.clone();
+        self.open =
+            self.txns.iter().filter(|(_, t)| !t.state.is_terminal()).map(|(&id, _)| id).collect();
         self.validator.restore_with_skip(&snap.validator, skip);
         // Transaction ids allocated in the lost dirty window must never be
         // reused either; jump past anything the window could have minted.

@@ -635,4 +635,91 @@ mod tests {
         assert!(w.state_of(h0).unwrap().is_terminal());
         assert_eq!(w.state_of(h1), Some(TxnState::Completed));
     }
+
+    #[test]
+    fn client_timeout_sweep_runs_in_txn_id_order() {
+        // Six uploads from one client time out together against a provider
+        // that ignores transfers, so one sweep sends six Aborts. Their order
+        // used to follow the client's HashMap, which differs between two
+        // maps in one process; it now follows the transaction ids.
+        let run = || {
+            let mut w = MultiWorld::new(8, ProtocolConfig::full(), 2);
+            w.provider.behavior.respond_transfers = false;
+            for i in 0..6u8 {
+                w.start_upload(0, &[b'k', i], vec![i; 32], TimeoutStrategy::AbortFirst);
+            }
+            w.settle();
+            for id in w.clients[0].txn_ids() {
+                assert_eq!(w.state(0, id), Some(TxnState::Aborted));
+            }
+            (w.obs.events().clone(), w.net.stats())
+        };
+        let first = run();
+        assert_eq!(
+            first.0.iter().filter(|e| e.actor == "bob").count(),
+            12,
+            "six Transfers, six Aborts"
+        );
+        assert_eq!(run(), first);
+    }
+
+    #[test]
+    fn open_txn_index_matches_a_full_scan_through_a_seeded_mix() {
+        // Completed, aborted, given-up and crash-restored transactions in a
+        // seeded order: after every step, each client's indexed deadline
+        // equals the minimum over a scan of all its transactions.
+        use crate::fault::RetryPolicy;
+        let full_scan = |c: &Client| {
+            let pending = c.txn_ids().into_iter().filter_map(|id| c.txn(id));
+            pending.filter(|t| !t.state.is_terminal()).map(|t| t.deadline).min()
+        };
+        let cfg = ProtocolConfig::builder().retry_policy(RetryPolicy::exponential(2)).build();
+        let mut w = MultiWorld::new(12, cfg, 2);
+        w.set_archive_capacity(4);
+        let mut rng = tpnr_crypto::ChaChaRng::seed_from_u64(12);
+        let mut snaps = [w.clients[0].snapshot(), w.clients[1].snapshot()];
+        let mut seen = [0u32; 4];
+        for step in 0..80 {
+            let idx = rng.gen_below(2) as usize;
+            let key = [b'k', rng.gen_below(4) as u8];
+            match rng.gen_below(7) {
+                0 | 1 => {
+                    // Honest provider: completes.
+                    w.provider.behavior = Default::default();
+                    w.start_upload(idx, &key, vec![step as u8; 16], TimeoutStrategy::AbortFirst);
+                }
+                2 => {
+                    // Transfers ignored: aborts.
+                    w.provider.behavior.respond_transfers = false;
+                    w.start_upload(idx, &key, vec![1; 16], TimeoutStrategy::AbortFirst);
+                }
+                3 => {
+                    // Nothing answered: the resolve retries run out.
+                    w.provider.behavior.respond_transfers = false;
+                    w.provider.behavior.respond_resolves = false;
+                    w.start_download(idx, &key, TimeoutStrategy::ResolveImmediately);
+                }
+                4 => snaps[idx] = w.clients[idx].snapshot(),
+                5 => w.clients[idx].restore(&snaps[idx]),
+                _ => {
+                    w.settle();
+                }
+            }
+            for (i, c) in w.clients.iter().enumerate() {
+                assert_eq!(c.next_deadline(), full_scan(c), "step {step}, client {i}");
+                for id in c.txn_ids() {
+                    if let Some(state) = c.txn_state(id) {
+                        seen[match state {
+                            TxnState::Completed => 0,
+                            TxnState::Aborted | TxnState::AbortRejected => 1,
+                            TxnState::Failed => 2,
+                            _ => 3,
+                        }] += 1;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "mix covers every outcome: {seen:?}");
+        assert!(w.clients.iter().map(|c| c.restart_count()).sum::<u64>() > 0);
+    }
 }

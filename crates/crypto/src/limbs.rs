@@ -19,11 +19,14 @@
 //!
 //! Exponentiation is left-to-right sliding-window with precomputed odd
 //! powers: ~`bit_len` squarings plus ~`bit_len / (w+1)` multiplies instead
-//! of the per-bit multiply of the classic path. The window width is a pure
-//! function of the exponent's bit length (see [`window_bits`]), so the
-//! operation sequence — and therefore any timing-visible behaviour in the
-//! deterministic simulation — depends only on `(bit_len(exp), exp bits)`,
-//! never on heap layout or platform.
+//! of the per-bit multiply of the classic path. Its only exponent form is
+//! a [`WindowSchedule`], the windows derived once per exponent: a key
+//! keeps the schedules of `e`, `dp` and `dq`, and [`BigUint::mod_pow`]
+//! builds one per call. The window width is a pure function of the
+//! exponent's bit length (see [`window_bits`]), so the operation sequence
+//! — and therefore any timing-visible behaviour in the deterministic
+//! simulation — depends only on `(bit_len(exp), exp bits)`, never on heap
+//! layout or platform.
 //!
 //! This file is the allocation-free hot path: the ALLOC-HOT pass of
 //! `tpnr-lint` treats every function in it as a root and fails CI on any
@@ -33,7 +36,7 @@
 //! `bigint` side of the boundary; byte strings are read and written in
 //! place ([`FixedUint::from_be_bytes`], [`FixedUint::write_be_bytes`]).
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, WindowSchedule};
 use std::cmp::Ordering;
 
 /// A fixed-width unsigned integer of `N` 64-bit limbs, little-endian.
@@ -350,67 +353,27 @@ impl<const N: usize> FixedMontgomeryCtx<N> {
         self.mul(a, &FixedUint::one())
     }
 
-    /// Sliding-window exponentiation on a Montgomery-form base; the result
-    /// stays in Montgomery form.
+    /// Sliding-window exponentiation on a Montgomery-form base (below `n`,
+    /// as every output of [`Self::mul`] is) along the exponent's
+    /// precomputed schedule; the result stays in Montgomery form.
     ///
-    /// Left-to-right: runs of zero bits cost one squaring each; each window
-    /// ending in a set bit costs `width` squarings plus one multiply by a
-    /// precomputed odd power. The table (≤ 16 entries) lives on the stack.
-    pub fn pow_mont(&self, base_mont: &FixedUint<N>, exp: &BigUint) -> FixedUint<N> {
-        let bits = exp.bit_len();
-        if bits == 0 {
-            return self.r1;
-        }
-        let w = window_bits(bits);
-        let table_len = 1usize << (w - 1);
-        // table[i] = base^(2i+1) in Montgomery form.
-        let sq = self.mul(base_mont, base_mont);
+    /// The odd-powers table (≤ 16 entries) lives on the stack; only the
+    /// entries the schedule uses are computed.
+    pub fn pow_mont(&self, base_mont: &FixedUint<N>, exp: &WindowSchedule) -> FixedUint<N> {
         let mut table = [*base_mont; MAX_TABLE];
-        for i in 1..table_len {
-            table[i] = self.mul(&table[i - 1], &sq);
-        }
-        let mut acc = self.r1;
-        let mut i = bits; // exclusive upper cursor: bits [0, i) remain
-        while i > 0 {
-            if !exp.bit(i - 1) {
-                acc = self.mul(&acc, &acc);
-                i -= 1;
-                continue;
-            }
-            // Window [j, i): at most `w` bits, ending (at j) in a set bit so
-            // the window value is odd and lives in the table.
-            let mut j = i.saturating_sub(w);
-            while !exp.bit(j) {
-                j += 1;
-            }
-            let mut val = 0usize;
-            for b in (j..i).rev() {
-                val = (val << 1) | exp.bit(b) as usize;
-            }
-            for _ in 0..i - j {
-                acc = self.mul(&acc, &acc);
-            }
-            acc = self.mul(&acc, &table[(val - 1) / 2]);
-            i = j;
-        }
-        acc
+        exp.pow(&mut table, |a, b| self.mul(a, b)).unwrap_or(self.r1)
     }
 
     /// Full modular exponentiation `base^exp mod n` in the normal domain.
-    pub fn pow(&self, base: &FixedUint<N>, exp: &BigUint) -> FixedUint<N> {
-        if exp.is_zero() {
-            return FixedUint::one();
-        }
-        let base_mont = self.to_mont(base);
-        let acc = self.pow_mont(&base_mont, exp);
-        self.from_mont(&acc)
+    pub fn pow(&self, base: &FixedUint<N>, exp: &WindowSchedule) -> FixedUint<N> {
+        self.from_mont(&self.pow_mont(&self.to_mont(base), exp))
     }
 
     /// `base^exp mod n` from big-endian bytes to big-endian bytes: the
     /// result fills exactly `out.len()` bytes, left-padded. False (with
     /// `out` unspecified) when `base` is not below `n` or the result does
     /// not fit `out`.
-    pub fn pow_be_bytes(&self, base: &[u8], exp: &BigUint, out: &mut [u8]) -> bool {
+    pub fn pow_be_bytes(&self, base: &[u8], exp: &WindowSchedule, out: &mut [u8]) -> bool {
         match FixedUint::<N>::from_be_bytes(base) {
             Some(b) if b.cmp_fixed(&self.modulus()) == Ordering::Less => {
                 self.pow(&b, exp).write_be_bytes(out)
@@ -442,12 +405,23 @@ pub struct FixedCrtCtx<const N: usize> {
     qinv_r: FixedUint<N>,
     /// `pq` as (low, high) halves, to reject inputs that are not below it.
     pq: (FixedUint<N>, FixedUint<N>),
+    /// Window schedule of `dp = d mod (p−1)`.
+    dp: WindowSchedule,
+    /// Window schedule of `dq = d mod (q−1)`.
+    dq: WindowSchedule,
 }
 
 impl<const N: usize> FixedCrtCtx<N> {
-    /// Builds the context for primes `p > q` of at most `N` limbs and
-    /// `qinv = q⁻¹ mod p`; `None` if they do not qualify.
-    pub fn new(p: &BigUint, q: &BigUint, qinv: &BigUint) -> Option<Self> {
+    /// Builds the context for primes `p > q` of at most `N` limbs,
+    /// `qinv = q⁻¹ mod p` and the CRT exponents `dp`, `dq`; `None` if they
+    /// do not qualify.
+    pub fn new(
+        p: &BigUint,
+        q: &BigUint,
+        qinv: &BigUint,
+        dp: &BigUint,
+        dq: &BigUint,
+    ) -> Option<Self> {
         if q.cmp_big(p) != Ordering::Less || qinv.cmp_big(p) != Ordering::Less {
             return None;
         }
@@ -462,15 +436,16 @@ impl<const N: usize> FixedCrtCtx<N> {
             pq: p_ctx.modulus().mul_wide(&q_ctx.modulus()),
             p: p_ctx,
             q: q_ctx,
+            dp: WindowSchedule::new(dp),
+            dq: WindowSchedule::new(dq),
         })
     }
 
-    /// `input^d mod pq` from big-endian bytes to big-endian bytes, `d`
-    /// given by its CRT exponents `dp = d mod (p−1)`, `dq = d mod (q−1)`.
-    /// The result fills exactly `out.len()` bytes, left-padded. False (with
+    /// `input^d mod pq` from big-endian bytes to big-endian bytes. The
+    /// result fills exactly `out.len()` bytes, left-padded. False (with
     /// `out` unspecified) when the input is not below `pq` or the result
     /// does not fit `out`.
-    pub fn private_op(&self, input: &[u8], dp: &BigUint, dq: &BigUint, out: &mut [u8]) -> bool {
+    pub fn private_op(&self, input: &[u8], out: &mut [u8]) -> bool {
         let mut wide = [[0u64; N]; 2];
         if !read_be_limbs(input, wide.as_flattened_mut()) {
             return false;
@@ -480,8 +455,8 @@ impl<const N: usize> FixedCrtCtx<N> {
         if hi.cmp_fixed(pq_hi).then_with(|| lo.cmp_fixed(pq_lo)) != Ordering::Less {
             return false;
         }
-        let m1 = Self::pow_half(&self.p, &self.r3_p, &lo, &hi, dp);
-        let m2 = Self::pow_half(&self.q, &self.r3_q, &lo, &hi, dq);
+        let m1 = Self::pow_half(&self.p, &self.r3_p, &lo, &hi, &self.dp);
+        let m2 = Self::pow_half(&self.q, &self.r3_q, &lo, &hi, &self.dq);
         // Garner: m1, m2 < p (m2 < q < p), so one conditional add of p
         // brings m1 − m2 into [0, p).
         let (diff, borrow) = m1.sub_borrow(&m2);
@@ -501,7 +476,7 @@ impl<const N: usize> FixedCrtCtx<N> {
         r3: &FixedUint<N>,
         lo: &FixedUint<N>,
         hi: &FixedUint<N>,
-        exp: &BigUint,
+        exp: &WindowSchedule,
     ) -> FixedUint<N> {
         let x = ctx.mul(&ctx.redc_wide(lo, hi), r3);
         ctx.from_mont(&ctx.pow_mont(&x, exp))
@@ -511,10 +486,11 @@ impl<const N: usize> FixedCrtCtx<N> {
 /// `base^exp mod modulus` through the `N`-limb fixed kernel, or `None` when
 /// the modulus does not qualify (even, trivial, or wider than `N` limbs).
 ///
-/// This is the dispatch target of [`BigUint::mod_pow`].
+/// This is the dispatch target of [`BigUint::mod_pow`], which builds the
+/// exponent's schedule.
 pub fn mod_pow_fixed<const N: usize>(
     base: &BigUint,
-    exp: &BigUint,
+    exp: &WindowSchedule,
     modulus: &BigUint,
 ) -> Option<BigUint> {
     let ctx = FixedMontgomeryCtx::<N>::new(modulus)?;
@@ -592,7 +568,7 @@ mod tests {
         let ctx = FixedMontgomeryCtx::<2>::new(&m).unwrap();
         for (b, e) in [(4u64, 13u64), (2, 1000), (999_999, 65537)] {
             let fb = FixedUint::from_biguint(&big(b)).unwrap();
-            let got = ctx.pow(&fb, &big(e)).to_biguint();
+            let got = ctx.pow(&fb, &WindowSchedule::new(&big(e))).to_biguint();
             assert_eq!(got, big(b).mod_pow_classic(&big(e), &m), "{b}^{e}");
         }
     }
@@ -602,7 +578,7 @@ mod tests {
         let m = big(97);
         let ctx = FixedMontgomeryCtx::<1>::new(&m).unwrap();
         let fb = FixedUint::from_biguint(&big(5)).unwrap();
-        assert!(ctx.pow(&fb, &BigUint::zero()).to_biguint().is_one());
+        assert!(ctx.pow(&fb, &WindowSchedule::new(&BigUint::zero())).to_biguint().is_one());
     }
 
     #[test]
@@ -621,10 +597,10 @@ mod tests {
         let p = big(2_305_843_009_213_693_951);
         let a = big(123_456_789);
         let e = p.sub(&BigUint::one());
-        let got = mod_pow_fixed::<1>(&a, &e, &p).unwrap();
+        let got = mod_pow_fixed::<1>(&a, &WindowSchedule::new(&e), &p).unwrap();
         assert!(got.is_one());
         assert_eq!(
-            mod_pow_fixed::<4>(&a, &big(65537), &p).unwrap(),
+            mod_pow_fixed::<4>(&a, &WindowSchedule::new(&big(65537)), &p).unwrap(),
             a.mod_pow_classic(&big(65537), &p)
         );
     }
@@ -638,5 +614,16 @@ mod tests {
         assert_eq!(window_bits(2048), 5);
         // Table never exceeds the stack buffer.
         assert!(1usize << (window_bits(usize::MAX) - 1) <= MAX_TABLE);
+    }
+
+    #[test]
+    fn f4_schedule_is_sixteen_squarings_and_one_multiply() {
+        // e = 2^16 + 1: the top window is base itself, then 16 squarings
+        // and one multiply by base — 17 multiplies with to/from Montgomery
+        // form, where the bit loop spent 21.
+        let e = WindowSchedule::new(&big(65537));
+        assert_eq!((e.width(), e.table_len(), e.first()), (2, 1, Some(0)));
+        assert_eq!(e.windows(), &[(16, 0)]);
+        assert_eq!(e.tail(), 0);
     }
 }

@@ -2,9 +2,14 @@
 //!
 //! Trial division by small primes followed by Miller–Rabin. With 40
 //! witness rounds the error probability is < 2⁻⁸⁰, standard for RSA.
+//! A candidate that fits the fixed-limb kernels builds its Montgomery
+//! context, the window schedule of `d` and the Montgomery form of `n − 1`
+//! once, and runs every witness on them.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, WindowSchedule};
+use crate::limbs::{FixedMontgomeryCtx, FixedUint};
 use crate::rng::ChaChaRng;
+use std::cmp::Ordering;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
 const SMALL_PRIMES: [u64; 46] = [
@@ -34,18 +39,20 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut ChaChaRng) -> boo
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(p);
-        if n == &pb {
+        if n.limbs() == [p] {
             return true;
         }
-        if n.rem(&pb).is_zero() {
+        // n mod p from the limbs, most significant first.
+        let residue = n.limbs().iter().rev().fold(0u64, |r, &limb| {
+            ((u128::from(r) << 64 | u128::from(limb)) % u128::from(p)) as u64
+        });
+        if residue == 0 {
             return false;
         }
     }
 
     // Write n - 1 = d · 2^r with d odd.
-    let one = BigUint::one();
-    let n_minus_1 = n.sub(&one);
+    let n_minus_1 = n.sub(&BigUint::one());
     let mut d = n_minus_1.clone();
     let mut r = 0usize;
     while d.is_even() {
@@ -53,41 +60,103 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut ChaChaRng) -> boo
         r += 1;
     }
 
-    let bits = n.bit_len();
-    let n_bytes = bits.div_ceil(8);
-    let excess = n_bytes * 8 - bits;
-    'witness: for _ in 0..rounds {
-        // Random witness a uniform over [2, n-2]: draw `bits` random bits
-        // and rejection-sample. The old `rem(n)` fold had modulo bias —
-        // witnesses below 2^(8·n_bytes) mod n were twice as likely — which
-        // skews the sampled witness set exactly where adversarial
-        // pseudoprimes concentrate their non-witnesses.
-        let a = loop {
-            let mut raw = rng.gen_bytes(n_bytes);
-            if let Some(first) = raw.first_mut() {
-                *first &= 0xffu8 >> excess;
-            }
-            let cand = BigUint::from_bytes_be(&raw);
-            if !cand.is_zero()
-                && !cand.is_one()
-                && cand.cmp_big(&n_minus_1) == std::cmp::Ordering::Less
-            {
-                break cand;
-            }
+    let fixed = match n.limbs().len() {
+        0..=4 => fixed_witnesses_pass::<4>(n, &n_minus_1, &d, r, rounds, rng),
+        5..=8 => fixed_witnesses_pass::<8>(n, &n_minus_1, &d, r, rounds, rng),
+        9..=16 => fixed_witnesses_pass::<16>(n, &n_minus_1, &d, r, rounds, rng),
+        17..=32 => fixed_witnesses_pass::<32>(n, &n_minus_1, &d, r, rounds, rng),
+        _ => None,
+    };
+    fixed.unwrap_or_else(|| {
+        // Wider than every fixed kernel: plain BigUint residues.
+        let lift = |be: &[u8]| {
+            Some(BigUint::from_bytes_be(be))
+                .filter(|a| !a.is_zero() && !a.is_one() && a.cmp_big(&n_minus_1) == Ordering::Less)
         };
-        let mut x = a.mod_pow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        witnesses_pass(
+            rounds,
+            r,
+            [BigUint::one(), n_minus_1.clone()],
+            || draw_witness(rng, n.bit_len(), lift).mod_pow(&d, n),
+            |x| x.mul_mod(x, n),
+        )
+    })
+}
+
+/// The witness rounds on the `N`-limb kernel, in Montgomery form: one
+/// context, one schedule of `d` and one `n − 1` serve every witness.
+/// Montgomery forms are canonical (below `n`), so comparing them compares
+/// the values. `None` when `n` does not fit `N` limbs.
+fn fixed_witnesses_pass<const N: usize>(
+    n: &BigUint,
+    n_minus_1: &BigUint,
+    d: &BigUint,
+    r: usize,
+    rounds: usize,
+    rng: &mut ChaChaRng,
+) -> Option<bool> {
+    let ctx = FixedMontgomeryCtx::<N>::new(n)?;
+    let n_minus_1 = FixedUint::<N>::from_biguint(n_minus_1)?;
+    let d = WindowSchedule::new(d);
+    let lift = |be: &[u8]| {
+        FixedUint::<N>::from_be_bytes(be).filter(|a| {
+            !a.is_zero() && *a != FixedUint::one() && a.cmp_fixed(&n_minus_1) == Ordering::Less
+        })
+    };
+    Some(witnesses_pass(
+        rounds,
+        r,
+        [ctx.one(), ctx.to_mont(&n_minus_1)],
+        || ctx.pow_mont(&ctx.to_mont(&draw_witness(rng, n.bit_len(), lift)), &d),
+        |x| ctx.mul(x, x),
+    ))
+}
+
+/// Runs `rounds` Miller–Rabin witnesses against `n − 1 = d·2^r` in one
+/// representation of the residues mod `n` in which each residue has a
+/// single form: `one` and `minus_one` are 1 and `n − 1`, `witness_to_d`
+/// draws a fresh witness and raises it to `d`, `square` squares.
+fn witnesses_pass<X: PartialEq>(
+    rounds: usize,
+    r: usize,
+    [one, minus_one]: [X; 2],
+    mut witness_to_d: impl FnMut() -> X,
+    square: impl Fn(&X) -> X,
+) -> bool {
+    'witness: for _ in 0..rounds {
+        let mut x = witness_to_d();
+        if x == one || x == minus_one {
             continue 'witness;
         }
-        for _ in 0..r - 1 {
-            x = x.mul_mod(&x, n);
-            if x == n_minus_1 {
+        for _ in 1..r {
+            x = square(&x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
         return false;
     }
     true
+}
+
+/// Draws a witness uniform over [2, n − 2] for an `n` of `bits` bits:
+/// `bits` random bits per draw, rejection-sampled by `lift`, which keeps
+/// a big-endian candidate iff it lies in that range. The old `rem(n)` fold
+/// had modulo bias — witnesses below 2^(8·n_bytes) mod n were twice as
+/// likely — which skews the sampled witness set exactly where adversarial
+/// pseudoprimes concentrate their non-witnesses.
+fn draw_witness<X>(rng: &mut ChaChaRng, bits: usize, lift: impl Fn(&[u8]) -> Option<X>) -> X {
+    let n_bytes = bits.div_ceil(8);
+    let excess = n_bytes * 8 - bits;
+    loop {
+        let mut raw = rng.gen_bytes(n_bytes);
+        if let Some(first) = raw.first_mut() {
+            *first &= 0xffu8 >> excess;
+        }
+        if let Some(a) = lift(&raw) {
+            return a;
+        }
+    }
 }
 
 /// Generates a random probable prime of exactly `bits` bits.

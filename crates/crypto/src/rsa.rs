@@ -8,16 +8,17 @@
 //! era actually used.
 //!
 //! Implementation notes: every key derives its constants once, when it is
-//! built — the fingerprint, the Montgomery context of `n` and, for a
-//! private key, the CRT constants of `p` and `q` — and its clones share
-//! them through an `Arc`. Raw RSA then runs on the stack-allocated
+//! built — the fingerprint, the Montgomery context of `n`, the window
+//! schedule of `e` and, for a private key, the CRT constants of `p` and `q`
+//! with the schedules of `dp` and `dq` — and its clones share them through
+//! an `Arc`. Raw RSA then runs on the stack-allocated
 //! fixed-limb kernels of [`crate::limbs`], picked by modulus width alone;
 //! a key no fixed width covers runs on [`BigUint`] exponentiation instead.
 //! Private-key operations use the CRT speed-up. This is a faithful,
 //! test-vectored implementation but is **not** hardened against local side
 //! channels — see README "Security status".
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, WindowSchedule};
 use crate::error::CryptoError;
 use crate::hash::HashAlg;
 use crate::limbs::{FixedCrtCtx, FixedMontgomeryCtx, FixedUint};
@@ -87,6 +88,8 @@ struct PublicParts {
         FixedMontgomeryCtx<16>,
         FixedMontgomeryCtx<32>,
     >,
+    /// Window schedule of `e`, for verify, encrypt and the batch check.
+    e_schedule: WindowSchedule,
 }
 
 impl PartialEq for RsaPublicKey {
@@ -118,7 +121,7 @@ struct CrtParts {
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
-    /// CRT constants at the width of `p`.
+    /// CRT constants and the schedules of `dp`, `dq` at the width of `p`.
     fixed: ByWidth<FixedCrtCtx<4>, FixedCrtCtx<8>, FixedCrtCtx<16>, FixedCrtCtx<32>>,
 }
 
@@ -154,7 +157,8 @@ impl RsaPublicKey {
         let mut fingerprint = [0u8; 32];
         fingerprint.copy_from_slice(&h.finalize());
         let mont = build_by_width!(n.limbs().len(), FixedMontgomeryCtx::new(&n));
-        RsaPublicKey(Arc::new(PublicParts { n, e, fingerprint, mont }))
+        let e_schedule = WindowSchedule::new(&e);
+        RsaPublicKey(Arc::new(PublicParts { n, e, fingerprint, mont, e_schedule }))
     }
 
     /// Modulus size in bits.
@@ -187,9 +191,9 @@ impl RsaPublicKey {
     /// `input^e mod n` as exactly [`Self::size`] big-endian bytes; `None`
     /// when `input` is not below `n`.
     fn raw_public(&self, input: &[u8]) -> Option<Vec<u8>> {
-        let PublicParts { n, e, mont, .. } = &*self.0;
+        let PublicParts { n, e, mont, e_schedule, .. } = &*self.0;
         let mut out = vec![0u8; self.size()];
-        on_width!(mont, c => c.pow_be_bytes(input, e, &mut out).then_some(out), Wide => {
+        on_width!(mont, c => c.pow_be_bytes(input, e_schedule, &mut out).then_some(out), Wide => {
             let x = BigUint::from_bytes_be(input);
             if x.cmp_big(n) != Ordering::Less {
                 return None;
@@ -342,8 +346,8 @@ impl RsaPublicKey {
             ems.push(em);
         }
         let rs: Vec<u32> = items.iter().map(|_| sparse_exponent(rng)).collect();
-        let agg = on_width!(&self.0.mont, c => batch_check_fixed(c, &self.0.e, items, &ems, &rs),
-            Wide => None);
+        let agg = on_width!(&self.0.mont,
+            c => batch_check_fixed(c, &self.0.e_schedule, items, &ems, &rs), Wide => None);
         match agg {
             Some(true) => Ok(()),
             // Aggregate failed (some item is bad) or the modulus does not
@@ -368,7 +372,7 @@ impl RsaPublicKey {
 /// `N`-limb context; `None` if a value does not fit the width.
 fn batch_check_fixed<const N: usize>(
     ctx: &FixedMontgomeryCtx<N>,
-    e: &BigUint,
+    e: &WindowSchedule,
     items: &[BatchItem<'_>],
     ems: &[Vec<u8>],
     rs: &[u32],
@@ -473,9 +477,8 @@ impl RsaPrivateKey {
     /// `input^d mod n` as exactly `k` big-endian bytes through the CRT;
     /// `None` when `input` is not below `n`.
     fn raw_private(&self, input: &[u8]) -> Option<Vec<u8>> {
-        let CrtParts { dp, dq, fixed, .. } = &*self.crt;
         let mut out = vec![0u8; self.public.size()];
-        on_width!(fixed, c => c.private_op(input, dp, dq, &mut out).then_some(out), Wide => {
+        on_width!(&self.crt.fixed, c => c.private_op(input, &mut out).then_some(out), Wide => {
             let c = BigUint::from_bytes_be(input);
             if c.cmp_big(&self.public.0.n) != Ordering::Less {
                 return None;
@@ -585,7 +588,7 @@ impl RsaKeyPair {
         } else {
             (p, q, dp, dq, qinv)
         };
-        let fixed = build_by_width!(p.limbs().len(), FixedCrtCtx::new(&p, &q, &qinv));
+        let fixed = build_by_width!(p.limbs().len(), FixedCrtCtx::new(&p, &q, &qinv, &dp, &dq));
         let public = RsaPublicKey::from_parts(n, e);
         let crt = Arc::new(CrtParts { d, p, q, dp, dq, qinv, fixed });
         Some(RsaKeyPair { public: public.clone(), private: RsaPrivateKey { public, crt } })
@@ -749,6 +752,28 @@ mod tests {
         let kp2 = RsaKeyPair::insecure_test_key(2);
         assert_eq!(kp1.public.fingerprint(), kp1.public.fingerprint());
         assert_ne!(kp1.public.fingerprint(), kp2.public.fingerprint());
+    }
+
+    #[test]
+    fn insecure_test_keys_are_pinned() {
+        // Key generation's RNG draws and its every accept/reject decision
+        // are part of the simulation's identity: a faster primality test
+        // must still yield these keys.
+        for (seed, fingerprint) in [
+            (0, "93aacc429b2694077ed741df3b1d66ad42188d19b1f8a09c39cb190bdef49e33"),
+            (1, "a643d5b19fb4ff0ce8c2acb0bc9b2e54bfc428ce46ac4efb5b3c15c33b40be8a"),
+            (2, "e0334497d406da1421ff35f9871c28e35b27b8500c6dc0f041a466932613b4d5"),
+            (3, "19896a8e8f8b4d7e07b4b7cf90bc6114386c181f0e07fe3da0986d1dd26c9fc3"),
+            (57, "9336e2eaa686ef5665e8004e2de3762c7d17ccb53ef08180be2c2240a8940994"),
+            (199, "90b083a04f4f11a74c00b15ab0a040050f05d96efee8345024db8f2f5a4276a8"),
+        ] {
+            let kp = RsaKeyPair::insecure_test_key(seed);
+            assert_eq!(
+                crate::encoding::hex_encode(&kp.public.fingerprint()),
+                fingerprint,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tpnr_crypto::bigint::BigUint;
+use tpnr_crypto::bigint::{BigUint, WindowSchedule};
 use tpnr_crypto::hash::HashAlg;
-use tpnr_crypto::limbs::{mod_pow_fixed, FixedMontgomeryCtx, FixedUint};
+use tpnr_crypto::limbs::{mod_pow_fixed, window_bits, FixedMontgomeryCtx, FixedUint};
 use tpnr_crypto::rsa::{BatchItem, RsaKeyPair};
 use tpnr_crypto::ChaChaRng;
 
@@ -101,17 +101,27 @@ proptest! {
         base in proptest::collection::vec(any::<u8>(), 1..48),
         exp in proptest::collection::vec(any::<u8>(), 1..24),
         m in proptest::collection::vec(any::<u8>(), 24..48),
+        k in 1usize..300,
     ) {
         let n = odd_modulus(m);
         let (b, e) = (big(&base), big(&exp));
-        // The public dispatcher (fixed-limb for these widths)…
-        let fast = b.mod_pow(&e, &n);
-        // …the retained square-and-multiply reference…
-        let classic = b.mod_pow_classic(&e, &n);
-        prop_assert_eq!(&fast, &classic);
-        // …and the explicitly-instantiated fixed kernel all agree.
-        let direct = mod_pow_fixed::<8>(&b, &e, &n).unwrap();
-        prop_assert_eq!(&direct, &classic);
+        let one = BigUint::one();
+        let pow2 = one.shl(k);
+        // Below the top bit of 2^k, zero the `width` bits a full top window
+        // would cover, so the top window shrinks to the top bit.
+        let width = window_bits(k + 1);
+        let short_top = pow2.add(&e.rem(&one.shl(k.saturating_sub(width))));
+        let edges = [0u64, 1, 2, 3, 65537].map(BigUint::from_u64);
+        for e in edges.into_iter().chain([pow2.clone(), pow2.sub(&one), short_top, e]) {
+            // The public dispatcher (fixed-limb for these widths)…
+            let fast = b.mod_pow(&e, &n);
+            // …the retained square-and-multiply reference…
+            let classic = b.mod_pow_classic(&e, &n);
+            prop_assert_eq!(&fast, &classic, "exp {:?}", e);
+            // …and the explicitly-instantiated fixed kernel all agree.
+            let direct = mod_pow_fixed::<8>(&b, &WindowSchedule::new(&e), &n).unwrap();
+            prop_assert_eq!(&direct, &classic, "exp {:?}", e);
+        }
     }
 
     #[test]
