@@ -45,6 +45,13 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# The allocation budgets differ per profile, and the run above has debug
+# assertions on, so only the release budgets are left to gate here.
+if [ "$quick" -eq 0 ]; then
+    echo "==> cargo test --release -p tpnr-core --test alloc_budget"
+    cargo test --release -q -p tpnr-core --test alloc_budget
+fi
+
 # perfbench/ is a workspace of its own (own lockfile, profile and target
 # dir), so nothing above compiles it. It builds against the core runner API
 # (`w.client`, `w.clients`, `with_principals_on`, …); build and test it here

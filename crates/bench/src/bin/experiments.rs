@@ -16,7 +16,7 @@
 //!   - `e8`: crash-recovery chaos sweep; quick trims probabilities and
 //!     trial counts;
 //!   - `e9`: Shamir split/combine for the SKS schemes at four (k, n);
-//!   - `e10`: timer-wheel + sharded-state scale sweep; quick caps the
+//!   - `e10`: deadline-index + sharded-state scale sweep; quick caps the
 //!     client sweep at 50k;
 //!   - `e12`: fixed-limb RSA kernel sweep (sign/verify by key size × alg,
 //!     batch-vs-serial verification, allocations per sign); quick keeps

@@ -829,7 +829,7 @@ pub fn e10_scale(client_counts: &[usize], seed: u64) -> Vec<E10Row> {
     e10_scale_on(tpnr_par::Pool::global(), client_counts, seed)
 }
 
-/// E10: timer-wheel + sharded-state scale sweep. Each client count is split
+/// E10: deadline-index + sharded-state scale sweep. Each client count is split
 /// into lanes of [`E10_LANE`] clients; lanes are independent `MultiWorld`s
 /// (own simulator, shared principal pool — RSA keygen is the scale wall, so
 /// one pool of keys serves every lane). The lane range is one work-stealing

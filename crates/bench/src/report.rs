@@ -213,7 +213,7 @@ impl Row for E9Row {
 
 impl Row for E10Row {
     const KIND: &'static str = "e10";
-    const TITLE: &'static str = "E10 / §4.12 — timer-wheel + sharded-state scale sweep";
+    const TITLE: &'static str = "E10 / §4.12 — deadline-index + sharded-state scale sweep";
     const COLUMNS: &'static [&'static str] = &[
         "clients",
         "lanes",

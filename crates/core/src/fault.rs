@@ -8,9 +8,8 @@
 //!
 //! - [`FaultPlan`] — a seed-driven, fully deterministic schedule of crashes
 //!   (per-delivery probability, crash-at-Nth-delivery, crash-on-message-kind
-//!   before/after processing), TTP outage windows, and durable-write
-//!   (archive snapshot) failures. All probabilities are integer permille so
-//!   plans are `Eq` and runs are replayable bit-for-bit.
+//!   before/after processing) and TTP outage windows. Probabilities are
+//!   integer permille so plans are `Eq` and runs are replayable bit-for-bit.
 //! - [`Durable`] — the snapshot/restore contract implemented by `Client`,
 //!   `Provider` and `Ttp`. An actor restarts from its last *synced*
 //!   snapshot; anything newer is the "lost dirty state" window, configurable
@@ -73,17 +72,14 @@ pub enum SyncDecision {
     Skip,
     /// Take and persist a fresh snapshot.
     Persist,
-    /// The write was attempted but failed (per `snapshot_fail_permille`);
-    /// the previous snapshot remains the recovery point.
-    FailedWrite,
 }
 
 /// A deterministic, seed-driven fault schedule. The default plan is inert
 /// (no faults, zero overhead in the runners).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed for the injector's private RNG (chaos rolls, write-failure
-    /// rolls). Independent from the protocol actors' RNGs.
+    /// Seed for the injector's private RNG (chaos rolls). Independent from
+    /// the protocol actors' RNGs.
     pub seed: u64,
     /// Per-delivery crash probability (permille) for actors listed in
     /// `chaos_targets`. 300 ⇒ 30% chance per delivered message.
@@ -103,9 +99,6 @@ pub struct FaultPlan {
     /// TTP outage windows `[start, end)` in sim-time; must be sorted by
     /// start. During a window the TTP is down and restores at `end`.
     pub ttp_outages: Vec<(SimTime, SimTime)>,
-    /// Probability (permille) that a scheduled durable sync fails, leaving
-    /// the previous snapshot as the recovery point.
-    pub snapshot_fail_permille: u32,
     /// How long a crashed actor stays down before restarting from snapshot.
     pub restart_delay: SimDuration,
     /// Durable-sync cadence: state is persisted when it is older than this
@@ -121,7 +114,7 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The inert plan: no crashes, no outages, no write failures.
+    /// The inert plan: no crashes, no outages.
     pub fn none() -> Self {
         FaultPlan {
             seed: 0,
@@ -131,7 +124,6 @@ impl FaultPlan {
             crash_at_delivery: Vec::new(),
             crash_on_msg: Vec::new(),
             ttp_outages: Vec::new(),
-            snapshot_fail_permille: 0,
             restart_delay: SimDuration::from_secs(2),
             sync_interval: SimDuration::from_micros(0),
         }
@@ -177,12 +169,6 @@ impl FaultPlan {
     pub fn with_ttp_outage(mut self, start: SimTime, end: SimTime) -> Self {
         self.ttp_outages.push((start, end));
         self.ttp_outages.sort_by_key(|w| w.0);
-        self
-    }
-
-    /// Probability (permille) that a scheduled durable sync fails.
-    pub fn with_snapshot_failures(mut self, permille: u32) -> Self {
-        self.snapshot_fail_permille = permille.min(1000);
         self
     }
 
@@ -306,8 +292,6 @@ pub struct FaultStats {
     pub snapshots: u64,
     /// Total bytes written across persisted snapshots.
     pub snapshot_bytes: u64,
-    /// Durable syncs that failed (previous snapshot retained).
-    pub snapshot_failures: u64,
 }
 
 /// Fault wakeups processed by [`FaultCtl::poll`] at the top of a timer
@@ -487,7 +471,6 @@ impl FaultCtl {
 
     /// Decide whether `actor`'s durable state should be synced now. `force`
     /// bypasses the interval check (write-ahead before emitting output).
-    /// Rolls the write-failure probability on every attempted sync.
     pub fn sync_due(&mut self, actor: &str, now: SimTime, force: bool) -> SyncDecision {
         if !force {
             // An actor with no recorded sync has never persisted: always due.
@@ -498,12 +481,6 @@ impl FaultCtl {
             }
         }
         self.last_sync.insert(actor.to_string(), now);
-        if self.plan.snapshot_fail_permille > 0
-            && self.rng.gen_below(1000) < u64::from(self.plan.snapshot_fail_permille)
-        {
-            self.stats.snapshot_failures += 1;
-            return SyncDecision::FailedWrite;
-        }
         SyncDecision::Persist
     }
 

@@ -29,8 +29,8 @@
 //! * [`archive`] — integrity-protected evidence bundles that survive until
 //!   the dispute.
 //!
-//! * [`fault`] — deterministic fault injection (crash plans, TTP outages,
-//!   write failures), durable snapshots and the retry policy.
+//! * [`fault`] — deterministic fault injection (crash plans, TTP outages),
+//!   durable snapshots and the retry policy.
 //!
 //! ## Quickstart
 //!

@@ -426,9 +426,7 @@ impl Obs {
 
     /// Transactions with recorded events, ascending.
     pub fn txns(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.per_txn.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.per_txn.keys().copied().collect()
     }
 
     /// Records one event: updates the metrics, the per-transaction tallies,

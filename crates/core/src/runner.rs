@@ -27,7 +27,7 @@ use crate::message::Message;
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::provider::{Provider, ProviderSnapshot};
-use crate::sched::{self, Actor, EventHub, SettleReport, TimerWheel};
+use crate::sched::{self, Actor, Deadlines, EventHub, SettleReport};
 use crate::session::{Outgoing, TxnState, ValidationError};
 use crate::ttp::{Ttp, TtpSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
@@ -204,8 +204,8 @@ const UNKNOWN_SENDER: PrincipalId = PrincipalId([0; 32]);
 /// [`tpnr_net::TcpNet`] changes the wire, never the protocol.
 ///
 /// Actors are addressed by *slot*: with `n` clients, client `i` is slot
-/// `i`, the provider slot `n` and the TTP slot `n + 1`. Slots double as
-/// timer-wheel keys; the fault injector's wakeup is key `n + 2`.
+/// `i`, the provider slot `n` and the TTP slot `n + 1`. Slots key the
+/// scheduler's deadline index.
 pub struct Runner<T: Transport, S> {
     /// The wire. Use the typed accessors [`Runner::net`] /
     /// [`Runner::net_mut`], which keep the backend's full inherent API
@@ -246,9 +246,9 @@ pub struct Runner<T: Transport, S> {
     pub(crate) faults: FaultCtl,
     /// Last synced snapshots; `None` when the fault plan is inert.
     pub(crate) snaps: Option<Box<Snapshots>>,
-    /// Scheduler-owned deadline index, keyed by slot: actors register and
-    /// cancel deadlines here instead of being polled each step.
-    wheel: TimerWheel,
+    /// Scheduler-owned deadline index, keyed by slot: actors arm and
+    /// disarm deadlines here instead of being polled each step.
+    deadlines: Deadlines,
     /// Bounded-memory store for settled transactions (sharded by txn-id
     /// hash; oldest settled txns evicted to sealed evidence logs).
     pub(crate) archive: TxnArchive,
@@ -456,7 +456,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             ttp_touched: BTreeSet::new(),
             faults,
             snaps,
-            wheel: TimerWheel::new(),
+            deadlines: Deadlines::new(),
             archive: TxnArchive::new(),
         }
     }
@@ -477,7 +477,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
     /// ([`sched::settle`]) until every timer and delivery is drained or
     /// `max_steps` is hit — check `outcome` on the returned report.
     pub fn settle(&mut self) -> SettleReport {
-        self.resync_wheel();
+        self.resync_deadlines();
         let max_steps = self.max_steps;
         let report = sched::settle(self, max_steps);
         // Mirror the cumulative fault counters into the metrics registry so
@@ -642,16 +642,15 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         self.net.node_name(self.node_at(slot)).unwrap_or("?")
     }
 
+    /// Every actor slot: the clients, the provider and the TTP.
+    fn slots(&self) -> std::ops::Range<usize> {
+        0..self.client_nodes.len() + 2
+    }
+
     /// The slot of the actor with display name `name` (fault plans and
     /// the injector's wakeups address actors by name).
     fn slot_named(&self, name: &str) -> Option<usize> {
-        (0..self.fault_key()).find(|&s| self.name(s) == name)
-    }
-
-    /// Wheel key for the fault injector's next wakeup (restart instants and
-    /// outage boundaries are timers like any other).
-    fn fault_key(&self) -> usize {
-        self.client_nodes.len() + 2
+        self.slots().find(|&s| self.name(s) == name)
     }
 
     fn actor(&self, slot: usize) -> &dyn Actor {
@@ -670,27 +669,21 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         }
     }
 
-    /// Re-registers one actor's earliest deadline with the wheel (a down
-    /// actor's timers are frozen, so its entry is cancelled instead).
-    fn refresh_wheel(&mut self, slot: usize) {
+    /// Re-arms one actor's earliest deadline in the index (a down actor's
+    /// timers are frozen, so its slot is disarmed instead).
+    fn refresh_deadline(&mut self, slot: usize) {
         let down = self.faults.active() && self.faults.is_down(self.name(slot));
         let d = if down { None } else { self.actor(slot).next_deadline() };
-        self.wheel.set(slot, d);
+        self.deadlines.set(slot, d);
     }
 
-    fn refresh_fault_wheel(&mut self) {
-        let w = self.faults.next_wakeup();
-        self.wheel.set(self.fault_key(), w);
-    }
-
-    /// Full wheel resync from actor state. Run at every settle entry so
+    /// Full index resync from actor state. Run at every settle entry so
     /// deadlines armed or mutated outside the event loop (API calls, test
     /// and attack harnesses poking actors directly) are picked up.
-    fn resync_wheel(&mut self) {
-        for slot in 0..self.fault_key() {
-            self.refresh_wheel(slot);
+    fn resync_deadlines(&mut self) {
+        for slot in self.slots() {
+            self.refresh_deadline(slot);
         }
-        self.refresh_fault_wheel();
     }
 
     fn dispatch(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
@@ -715,13 +708,11 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         // node drop (and are counted) at their delivery instant instead of
         // silently evaporating in the runner.
         self.net.set_node_down(node, true);
-        // Freeze the crashed actor's armed deadline: its wheel entry dies
-        // with it and is re-registered from the restored snapshot. The
-        // restart instant itself becomes a wheel entry.
+        // Freeze the crashed actor's armed deadline: its slot is disarmed
+        // and re-armed from the restored snapshot.
         if let Some(slot) = self.slot(node) {
-            self.wheel.cancel(slot);
+            self.deadlines.set(slot, None);
         }
-        self.refresh_fault_wheel();
         self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
     }
 
@@ -850,12 +841,12 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
     }
 
     fn next_timer(&self) -> Option<SimTime> {
-        // The wheel is the deadline index: actor deadlines and the fault
-        // injector's wakeups (restarts, outage starts) are all entries, so
-        // downtime advances the clock instead of stalling the loop and no
-        // actor is polled. A crashed actor's entry is cancelled with it,
-        // freezing its protocol timers until restart.
-        self.wheel.peek()
+        // Actor deadlines come from the index, so no actor is polled; a
+        // crashed actor's slot is disarmed, freezing its protocol timers
+        // until restart. The fault injector's wakeups (restarts, outage
+        // starts) are read from the injector itself, so downtime advances
+        // the clock instead of stalling the loop.
+        self.deadlines.peek().into_iter().chain(self.faults.next_wakeup()).min()
     }
 
     fn fire_timers(&mut self, now: SimTime) -> usize {
@@ -872,7 +863,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             for name in ev.crashed {
                 if let Some(slot) = self.slot_named(&name) {
                     self.net.set_node_down(self.node_at(slot), true);
-                    self.wheel.cancel(slot);
+                    self.deadlines.set(slot, None);
                 }
                 self.obs.record(Event {
                     at: now,
@@ -885,21 +876,17 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
                 let Some(slot) = self.slot_named(&name) else { continue };
                 self.restore_actor(slot, now);
                 // Re-arm from the restored state (the stale pre-crash entry
-                // was cancelled at crash time and can never fire); a restore
+                // was disarmed at crash time and can never fire); a restore
                 // can also revert transaction states, so the diff must cover
                 // the restored client.
                 self.net.set_node_down(self.node_at(slot), false);
-                self.refresh_wheel(slot);
+                self.refresh_deadline(slot);
                 touched.push(slot);
             }
-            self.refresh_fault_wheel();
         }
         let mut dispatched = 0;
-        let fault_key = self.fault_key();
-        for slot in self.wheel.advance(now) {
-            if slot == fault_key || (self.faults.active() && self.faults.is_down(self.name(slot))) {
-                continue; // fault wakeups were consumed by faults.poll above
-            }
+        // A down actor's slot is disarmed, so every due slot is live.
+        for slot in self.deadlines.advance(now) {
             let out = self.actor_mut(slot).on_tick(now);
             let actor = self.name(slot).to_string();
             let kind = EventKind::TimerFired { messages: out.len() };
@@ -911,14 +898,11 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             }
             dispatched += out.len();
             self.dispatch(self.node_at(slot), out);
-            // The tick moved or kept this actor's deadline; re-register it
-            // (a kept overdue deadline re-files as overdue, preserving the
+            // The tick moved or kept this actor's deadline; re-arm it (a
+            // kept overdue deadline stays the minimum, preserving the
             // scheduler's barren-masking comparison).
-            self.refresh_wheel(slot);
+            self.refresh_deadline(slot);
             touched.push(slot);
-        }
-        if self.faults.active() {
-            self.refresh_fault_wheel();
         }
         // Timer rounds move client-visible states (abort/resolve
         // initiation, failure declarations); diff the touched clients'
@@ -1023,10 +1007,10 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             }
         }
         // The message may have armed, moved, or cleared the recipient's
-        // earliest deadline; keep the wheel authoritative. (Crash paths
-        // already cancelled the entry; refresh on a down actor is a no-op
-        // cancellation.)
-        self.refresh_wheel(slot);
+        // earliest deadline; keep the index authoritative. (Crash paths
+        // already disarmed the slot; refresh on a down actor disarms it
+        // again.)
+        self.refresh_deadline(slot);
     }
 
     fn obs_mut(&mut self) -> Option<&mut Obs> {

@@ -32,7 +32,7 @@ use crate::message::Message;
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::PrincipalId;
 use crate::session::{Outgoing, ValidationError};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use tpnr_net::sim::{Envelope, NetEventKind};
 use tpnr_net::time::SimTime;
 use tpnr_net::transport::Transport;
@@ -256,273 +256,79 @@ fn finish(hub: &mut dyn EventHub, report: &mut SettleReport) {
     }
 }
 
-/// Slots per wheel level, as a power of two (64 slots ⇒ 6 bits).
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `l` spans `64^(l+1)` µs, so 8 levels cover
-/// `2^48` µs ≈ 8.9 simulated years; anything beyond parks in `far`.
-const LEVELS: usize = 8;
-
-/// Hierarchical timer wheel: the scheduler-owned deadline index that
-/// replaces the poll-every-actor scan in [`EventHub::next_timer`].
+/// The scheduler's deadline index: each actor slot's earliest armed
+/// deadline, kept in order so [`EventHub::next_timer`] reads the minimum
+/// instead of polling every actor.
 ///
-/// Actors no longer get polled for `next_deadline()` on every settle step;
-/// instead the runner registers each actor's earliest deadline under a
-/// stable integer key ([`TimerWheel::set`]) whenever that actor's state
-/// changes, and cancels it when the actor crashes. The wheel then answers
-/// both scheduler questions in O(1) in the number of actors:
-///
-/// - [`TimerWheel::peek`] — the exact earliest live deadline (cached, not
-///   approximated, because the settle loop's tie-break and barren-masking
-///   rules compare it for equality against fired instants);
-/// - [`TimerWheel::advance`] — pop every key due at `now`, cascading
-///   longer-range entries down a level as the cursor passes their window.
-///
-/// Cancellation is lazy: a slot entry is live only while it matches the
-/// authoritative `live[key]` deadline, so re-arming or cancelling never
-/// searches a slot. Stale entries are dropped when their slot is next
-/// drained or scanned.
+/// The runner re-arms a slot ([`Deadlines::set`]) whenever that actor's
+/// state changes and disarms it when the actor crashes. A runner holds at
+/// most one entry per actor, so every operation is O(log k) in the k armed
+/// slots.
 #[derive(Default)]
-pub struct TimerWheel {
-    /// `levels[l][s]`: entries whose deadline falls in slot `s` of level
-    /// `l`, as `(deadline_us, key)`. May contain stale entries.
-    levels: Vec<Vec<Vec<(u64, usize)>>>,
-    /// Per-level bitmap of non-empty slots (bit `s` of `occupied[l]`).
-    occupied: Vec<u64>,
-    /// Entries registered with a deadline at or before the cursor; they are
-    /// due on the very next [`TimerWheel::advance`].
-    overdue: Vec<(u64, usize)>,
-    /// Entries beyond the top level's horizon (re-filed as the cursor
-    /// catches up).
-    far: Vec<(u64, usize)>,
-    /// Authoritative key → armed deadline. Slot entries disagreeing with
-    /// this are stale (lazy cancellation).
-    live: Vec<Option<u64>>,
-    /// All slot entries have deadlines strictly after this instant.
-    cursor: u64,
-    /// Cached exact minimum over all live deadlines.
-    next: Option<u64>,
-    /// Count of live keys.
-    len: usize,
+pub struct Deadlines {
+    /// Armed `(deadline, slot)` pairs, earliest first.
+    order: BTreeSet<(SimTime, usize)>,
+    /// `armed[slot]`: the slot's deadline in `order`, if it is armed.
+    armed: Vec<Option<SimTime>>,
 }
 
-impl TimerWheel {
-    /// An empty wheel at the simulation epoch.
+impl Deadlines {
+    /// An empty index.
     pub fn new() -> Self {
-        TimerWheel {
-            levels: (0..LEVELS).map(|_| vec![Vec::new(); SLOTS]).collect(),
-            occupied: vec![0; LEVELS],
-            ..Default::default()
-        }
+        Self::default()
     }
 
-    /// Number of live (armed) keys.
+    /// Number of armed slots.
     pub fn len(&self) -> usize {
-        self.len
+        self.order.len()
     }
 
-    /// True when no key is armed.
+    /// True when no slot is armed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.order.is_empty()
     }
 
-    /// The exact earliest live deadline, if any. O(1): the value is
-    /// maintained eagerly by insert/cancel/advance.
+    /// The earliest armed deadline, if any.
     pub fn peek(&self) -> Option<SimTime> {
-        self.next.map(SimTime)
+        self.order.first().map(|&(d, _)| d)
     }
 
-    /// Registers, re-arms, or cancels `key` in one call (the runner's
-    /// refresh hook feeds an actor's `next_deadline()` straight in).
-    pub fn set(&mut self, key: usize, deadline: Option<SimTime>) {
-        match deadline {
-            Some(t) => self.insert(key, t.micros()),
-            None => self.cancel(key),
+    /// Arms `slot` at `deadline`, replacing any earlier arming, or disarms
+    /// it on `None` (the runner feeds an actor's `next_deadline()` straight
+    /// in). Disarming a slot never armed is a no-op.
+    pub fn set(&mut self, slot: usize, deadline: Option<SimTime>) {
+        if slot >= self.armed.len() {
+            if deadline.is_none() {
+                return;
+            }
+            self.armed.resize(slot + 1, None);
         }
-    }
-
-    /// Arms `key` at `deadline` (µs), replacing any previous arming.
-    pub fn insert(&mut self, key: usize, deadline: u64) {
-        if self.live.len() <= key {
-            self.live.resize(key + 1, None);
-        }
-        let old = self.live[key];
-        if old == Some(deadline) {
-            return;
-        }
-        self.live[key] = Some(deadline);
-        if old.is_none() {
-            self.len += 1;
-        }
-        self.place(deadline, key);
-        if old.is_some() && old == self.next && Some(deadline) > self.next {
-            // The (possibly unique) minimum moved later: rescan.
-            self.recompute_next();
-        } else {
-            self.next = Some(self.next.map_or(deadline, |n| n.min(deadline)));
-        }
-    }
-
-    /// Disarms `key` (O(1); the slot entry goes stale and is collected
-    /// later). Unknown keys are a no-op.
-    pub fn cancel(&mut self, key: usize) {
-        if key >= self.live.len() {
-            return;
-        }
-        if let Some(d) = self.live[key].take() {
-            self.len -= 1;
-            if Some(d) == self.next {
-                self.recompute_next();
+        let old = std::mem::replace(&mut self.armed[slot], deadline);
+        if old != deadline {
+            if let Some(d) = old {
+                self.order.remove(&(d, slot));
+            }
+            if let Some(d) = deadline {
+                self.order.insert((d, slot));
             }
         }
     }
 
-    /// Files an entry by its distance from the cursor: level `l` holds
-    /// deltas in `[64^l, 64^(l+1))`, already-due entries go to `overdue`,
-    /// and beyond-horizon entries go to `far`.
-    fn place(&mut self, d: u64, key: usize) {
-        if d <= self.cursor {
-            self.overdue.push((d, key));
-            return;
-        }
-        let delta = d - self.cursor;
-        if delta >> (SLOT_BITS * LEVELS as u32) != 0 {
-            self.far.push((d, key));
-            return;
-        }
-        let level = ((63 - delta.leading_zeros()) / SLOT_BITS) as usize;
-        let slot = ((d >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push((d, key));
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Wrap-aware start of slot `s`'s window at level `l`, relative to the
-    /// current cursor. Every live entry sits within one rotation of the
-    /// cursor (deltas only shrink after placement), so exactly one window
-    /// occurrence per slot can hold entries.
-    fn window_start(&self, l: usize, s: usize) -> u64 {
-        let w = 1u64 << (SLOT_BITS * l as u32);
-        let rot = w << SLOT_BITS;
-        let base = self.cursor & !(rot - 1);
-        let ws = base + s as u64 * w;
-        // A window that ended at or before the cursor holds next-rotation
-        // entries only (the invariant: slot entries are > cursor).
-        if ws + w <= self.cursor {
-            ws + rot
-        } else {
-            ws
-        }
-    }
-
-    /// Pops every live key due at or before `now` and returns them in
-    /// ascending key order (all fire at the same instant, so key order —
-    /// the runner's actor order — is the deterministic tie-break). Slots
-    /// whose window the cursor passes are drained and their not-yet-due
-    /// entries cascade down to finer levels.
+    /// Disarms every slot due at or before `now` and returns them in
+    /// ascending slot order (all fire at the same instant, so slot order —
+    /// the runner's actor order — is the deterministic tie-break).
     pub fn advance(&mut self, now: SimTime) -> Vec<usize> {
-        let now_us = now.micros();
-        let mut due: Vec<usize> = Vec::new();
-        let mut keep: Vec<(u64, usize)> = Vec::new();
-        for (d, k) in std::mem::take(&mut self.overdue) {
-            if self.live[k] != Some(d) {
-                continue; // stale (cancelled or re-armed)
-            }
-            if d <= now_us {
-                self.live[k] = None;
-                self.len -= 1;
-                due.push(k);
-            } else {
-                keep.push((d, k));
-            }
-        }
-        self.overdue = keep;
-        let mut cascade: Vec<(u64, usize)> = Vec::new();
-        if now_us > self.cursor {
-            for l in 0..LEVELS {
-                let mut bits = self.occupied[l];
-                while bits != 0 {
-                    let s = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.window_start(l, s) > now_us {
-                        continue;
-                    }
-                    self.occupied[l] &= !(1u64 << s);
-                    for (d, k) in std::mem::take(&mut self.levels[l][s]) {
-                        if self.live[k] != Some(d) {
-                            continue;
-                        }
-                        if d <= now_us {
-                            self.live[k] = None;
-                            self.len -= 1;
-                            due.push(k);
-                        } else {
-                            cascade.push((d, k));
-                        }
-                    }
-                }
-            }
-            self.cursor = now_us;
-        }
-        for (d, k) in std::mem::take(&mut self.far) {
-            if self.live[k] != Some(d) {
-                continue;
-            }
-            if d <= now_us {
-                self.live[k] = None;
-                self.len -= 1;
-                due.push(k);
-            } else {
-                self.place(d, k); // re-files into the wheel once in range
-            }
-        }
-        // Entries drained from a partially-passed window re-file against
-        // the advanced cursor, landing at a strictly finer level.
-        for (d, k) in cascade {
-            self.place(d, k);
-        }
-        self.recompute_next();
-        due.sort_unstable();
-        due
-    }
-
-    /// Recomputes the cached exact minimum. Cost is bounded by the slot
-    /// count per level (not by the number of armed keys): per level, the
-    /// earliest-window slot holding a live entry bounds that level's
-    /// minimum (windows within a level are disjoint), but the global
-    /// minimum must still take the min **across all levels** — after the
-    /// cursor advances, a coarse-level entry whose window the cursor
-    /// entered can be earlier than every finer-level entry. Stale entries
-    /// are collected as a side effect.
-    fn recompute_next(&mut self) {
-        let live = &self.live;
-        let mut best: Option<u64> = None;
-        self.overdue.retain(|&(d, k)| live[k] == Some(d));
-        self.far.retain(|&(d, k)| live[k] == Some(d));
-        for &(d, _) in self.overdue.iter().chain(self.far.iter()) {
-            best = Some(best.map_or(d, |b| b.min(d)));
-        }
-        for l in 0..LEVELS {
-            let mut slots: Vec<(u64, usize)> = Vec::new();
-            let mut bits = self.occupied[l];
-            while bits != 0 {
-                let s = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                slots.push((self.window_start(l, s), s));
-            }
-            slots.sort_unstable();
-            for (_, s) in slots {
-                let slot = &mut self.levels[l][s];
-                slot.retain(|&(d, k)| live[k] == Some(d));
-                let Some(m) = slot.iter().map(|&(d, _)| d).min() else {
-                    self.occupied[l] &= !(1u64 << s);
-                    continue;
-                };
-                best = Some(best.map_or(m, |b| b.min(m)));
+        let mut due = Vec::new();
+        while let Some(&(d, slot)) = self.order.first() {
+            if d > now {
                 break;
             }
+            self.order.pop_first();
+            self.armed[slot] = None;
+            due.push(slot);
         }
-        self.next = best;
+        due.sort_unstable();
+        due
     }
 }
 
@@ -674,49 +480,49 @@ mod tests {
 
     #[test]
     fn wheel_insert_cancel_peek() {
-        let mut w = TimerWheel::new();
+        let mut w = Deadlines::new();
         assert!(w.is_empty());
         assert_eq!(w.peek(), None);
-        w.insert(0, 500);
-        w.insert(1, 100);
-        w.insert(2, 70_000); // level 2
+        w.set(0, Some(SimTime(500)));
+        w.set(1, Some(SimTime(100)));
+        w.set(2, Some(SimTime(70_000)));
         assert_eq!(w.len(), 3);
         assert_eq!(w.peek(), Some(SimTime(100)));
-        w.cancel(1);
+        w.set(1, None);
         assert_eq!(w.peek(), Some(SimTime(500)));
-        w.insert(0, 60); // re-arm earlier
+        w.set(0, Some(SimTime(60))); // re-arm earlier
         assert_eq!(w.peek(), Some(SimTime(60)));
-        w.insert(0, 800); // re-arm later: the minimum moves
+        w.set(0, Some(SimTime(800))); // re-arm later: the minimum moves
         assert_eq!(w.peek(), Some(SimTime(800)));
-        w.cancel(0);
-        w.cancel(2);
+        w.set(0, None);
+        w.set(2, None);
         assert!(w.is_empty());
         assert_eq!(w.peek(), None);
-        w.cancel(99); // unknown key: no-op
+        w.set(99, None); // unknown slot: no-op
     }
 
     #[test]
     fn wheel_advance_pops_due_in_key_order_and_cascades() {
-        let mut w = TimerWheel::new();
-        w.insert(3, 5_000);
-        w.insert(1, 5_000);
-        w.insert(2, 4_000);
-        w.insert(0, 1 << 20); // coarse level, cascades as the cursor nears
-        assert_eq!(w.advance(SimTime(5_000)), vec![1, 2, 3], "due keys, key order");
+        let mut w = Deadlines::new();
+        w.set(3, Some(SimTime(5_000)));
+        w.set(1, Some(SimTime(5_000)));
+        w.set(2, Some(SimTime(4_000)));
+        w.set(0, Some(SimTime(1 << 20)));
+        assert_eq!(w.advance(SimTime(5_000)), vec![1, 2, 3], "due slots, slot order");
         assert_eq!(w.len(), 1);
         assert_eq!(w.peek(), Some(SimTime(1 << 20)));
         assert_eq!(w.advance(SimTime((1 << 20) - 1)), Vec::<usize>::new());
-        assert_eq!(w.peek(), Some(SimTime(1 << 20)), "survives partial cascade");
+        assert_eq!(w.peek(), Some(SimTime(1 << 20)), "survives an advance just short of it");
         assert_eq!(w.advance(SimTime(1 << 20)), vec![0]);
         assert!(w.is_empty());
     }
 
     #[test]
     fn wheel_overdue_and_far_entries_fire_exactly_once() {
-        let mut w = TimerWheel::new();
-        w.advance(SimTime(10_000)); // move the cursor forward
-        w.insert(0, 3_000); // already overdue
-        w.insert(1, 1 << 52); // beyond the 2^48 horizon
+        let mut w = Deadlines::new();
+        w.advance(SimTime(10_000));
+        w.set(0, Some(SimTime(3_000))); // already overdue
+        w.set(1, Some(SimTime(1 << 52)));
         assert_eq!(w.peek(), Some(SimTime(3_000)), "overdue entries keep their deadline");
         assert_eq!(w.advance(SimTime(10_000)), vec![0], "overdue fires at now >= deadline");
         assert_eq!(w.peek(), Some(SimTime(1 << 52)));
@@ -727,8 +533,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Model check: the wheel matches a naive `BTreeMap<key, deadline>`
-        /// on random insert/cancel/advance sequences — same `peek`, same
+        /// Model check: the index matches a naive `BTreeMap<key, deadline>`
+        /// on random arm/disarm/advance sequences — same `peek`, same
         /// `len`, and the same (key-sorted) due set on every advance.
         #[test]
         fn wheel_matches_btreemap_model(
@@ -737,7 +543,7 @@ mod tests {
                 1..80,
             ),
         ) {
-            let mut wheel = TimerWheel::new();
+            let mut index = Deadlines::new();
             let mut model: std::collections::BTreeMap<usize, u64> =
                 std::collections::BTreeMap::new();
             let mut now: u64 = 0;
@@ -745,23 +551,23 @@ mod tests {
                 let mag = raw & ((1u64 << shift) | ((1u64 << shift) - 1));
                 match action {
                     0 | 1 => {
-                        // Insert relative to now; action 1 biases near-past
+                        // Arm relative to now; action 1 biases near-past
                         // deadlines to exercise the overdue path.
                         let d = if action == 1 {
                             now.saturating_sub(mag % 1_000)
                         } else {
                             now.saturating_add(mag)
                         };
-                        wheel.insert(key, d);
+                        index.set(key, Some(SimTime(d)));
                         model.insert(key, d);
                     }
                     2 => {
-                        wheel.cancel(key);
+                        index.set(key, None);
                         model.remove(&key);
                     }
                     _ => {
                         now = now.saturating_add(mag);
-                        let due = wheel.advance(SimTime(now));
+                        let due = index.advance(SimTime(now));
                         let mut expect: Vec<usize> = model
                             .iter()
                             .filter(|&(_, &d)| d <= now)
@@ -773,15 +579,15 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(
-                    wheel.peek().map(|t| t.micros()),
+                    index.peek().map(|t| t.micros()),
                     model.values().min().copied()
                 );
-                prop_assert_eq!(wheel.len(), model.len());
+                prop_assert_eq!(index.len(), model.len());
             }
         }
     }
 
-    /// Synthetic actor for the wheel-vs-poll equivalence property. Modes:
+    /// Synthetic actor for the index-vs-poll equivalence property. Modes:
     /// 0 = one-shot (send one message, disarm; re-arms when a delivery
     /// lands), 1 = barren (produce nothing, never move — the wedged actor
     /// the masking rule exists for), 2 = periodic (send and re-arm),
@@ -793,22 +599,22 @@ mod tests {
         period: u64,
     }
 
-    /// One hub, two scheduling back-ends: `wheel: None` re-derives
-    /// `next_timer` by polling every actor (the PR 1 loop), `wheel: Some`
-    /// answers from the timer wheel with refresh-on-change hooks. The
-    /// settle loop on top is byte-identical, so any divergence in the logs
-    /// is the wheel's fault.
+    /// One hub, two scheduling back-ends: `index: None` re-derives
+    /// `next_timer` by polling every actor, `index: Some` answers from the
+    /// deadline index with refresh-on-change hooks. The settle loop on top
+    /// is byte-identical, so any divergence in the logs is the index's
+    /// fault.
     struct SynthHub {
         net: SimNet,
         nodes: Vec<NodeId>,
         actors: Vec<SynthActor>,
         sends_left: u32,
         log: Vec<(&'static str, u64, usize)>,
-        wheel: Option<TimerWheel>,
+        index: Option<Deadlines>,
     }
 
     impl SynthHub {
-        fn new(seed: u64, actors: Vec<SynthActor>, sends_left: u32, wheeled: bool) -> Self {
+        fn new(seed: u64, actors: Vec<SynthActor>, sends_left: u32, indexed: bool) -> Self {
             let mut net = SimNet::new(seed);
             let nodes: Vec<NodeId> =
                 (0..actors.len()).map(|i| net.register(&format!("s{i}"))).collect();
@@ -825,7 +631,7 @@ mod tests {
                 actors,
                 sends_left,
                 log: Vec::new(),
-                wheel: wheeled.then(TimerWheel::new),
+                index: indexed.then(Deadlines::new),
             };
             for i in 0..hub.actors.len() {
                 hub.refresh(i);
@@ -834,8 +640,8 @@ mod tests {
         }
 
         fn refresh(&mut self, i: usize) {
-            if let Some(wheel) = &mut self.wheel {
-                wheel.set(i, self.actors[i].deadline.map(SimTime));
+            if let Some(index) = &mut self.index {
+                index.set(i, self.actors[i].deadline.map(SimTime));
             }
         }
 
@@ -877,15 +683,15 @@ mod tests {
             &mut self.net
         }
         fn next_timer(&self) -> Option<SimTime> {
-            match &self.wheel {
-                Some(wheel) => wheel.peek(),
+            match &self.index {
+                Some(index) => index.peek(),
                 None => self.actors.iter().filter_map(|a| a.deadline).min().map(SimTime),
             }
         }
         fn fire_timers(&mut self, now: SimTime) -> usize {
             let mut produced = 0;
-            if self.wheel.is_some() {
-                let due = self.wheel.as_mut().unwrap().advance(now);
+            if let Some(index) = &mut self.index {
+                let due = index.advance(now);
                 for i in due {
                     produced += self.fire(i, now);
                     self.refresh(i);
@@ -903,7 +709,7 @@ mod tests {
             let dst = self.nodes.iter().position(|&n| n == env.dst).unwrap();
             self.log.push(("deliver", env.delivered_at.micros(), dst));
             // A delivery re-arms an idle one-shot actor: exercises the
-            // refresh-after-deliver hook on the wheel side.
+            // refresh-after-deliver hook on the index side.
             if self.actors[dst].mode == 0
                 && self.actors[dst].deadline.is_none()
                 && self.sends_left > 0
@@ -918,11 +724,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The tentpole's safety net: on random actor populations and
-        /// initial traffic, the wheel-backed hub is observationally
-        /// identical to the poll-everyone hub — same interleaved
-        /// timer/delivery log (order, instants, actor attribution), same
-        /// `SettleOutcome`, same step counts.
+        /// On random actor populations and initial traffic, the
+        /// index-backed hub is observationally identical to the
+        /// poll-everyone hub — same interleaved timer/delivery log (order,
+        /// instants, actor attribution), same `SettleOutcome`, same step
+        /// counts.
         #[test]
         fn wheel_is_observationally_identical_to_poll_loop(
             seed in any::<u64>(),
@@ -943,8 +749,8 @@ mod tests {
                     period,
                 })
                 .collect();
-            let run = |wheeled: bool| {
-                let mut hub = SynthHub::new(seed, actors.clone(), budget, wheeled);
+            let run = |indexed: bool| {
+                let mut hub = SynthHub::new(seed, actors.clone(), budget, indexed);
                 for k in 0..kicks.min(hub.nodes.len()) {
                     let dst = hub.nodes[k];
                     let src = hub.nodes[(k + 1) % hub.nodes.len()];
@@ -956,11 +762,11 @@ mod tests {
                 (hub.log, report.outcome, report.delivered, report.timer_rounds)
             };
             let (poll_log, poll_out, poll_del, poll_rounds) = run(false);
-            let (wheel_log, wheel_out, wheel_del, wheel_rounds) = run(true);
-            prop_assert_eq!(poll_log, wheel_log);
-            prop_assert_eq!(poll_out, wheel_out);
-            prop_assert_eq!(poll_del, wheel_del);
-            prop_assert_eq!(poll_rounds, wheel_rounds);
+            let (index_log, index_out, index_del, index_rounds) = run(true);
+            prop_assert_eq!(poll_log, index_log);
+            prop_assert_eq!(poll_out, index_out);
+            prop_assert_eq!(poll_del, index_del);
+            prop_assert_eq!(poll_rounds, index_rounds);
         }
     }
 

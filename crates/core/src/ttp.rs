@@ -15,9 +15,13 @@ use crate::evidence::{EvidencePlaintext, Flag, VerifiedEvidence};
 use crate::message::{Message, ResolveAction};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::session::{Outgoing, ValidationError, Validator};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::time::SimTime;
+
+/// Sequence number of the TTP's own Resolve replies: outside any normal
+/// window, it carries the TTP's authority.
+const AUTHORITY_SEQ: u64 = u64::MAX / 2;
 
 /// A resolve in flight at the TTP.
 #[derive(Debug, Clone)]
@@ -52,7 +56,10 @@ pub struct Ttp {
     dir: Directory,
     rng: ChaChaRng,
     validator: Validator,
-    pending: HashMap<u64, PendingResolve>,
+    /// Resolves awaiting a respondent, by txn id: the timeout sweep
+    /// declares failures in this order, so the replies, their nonces and
+    /// the event stream are reproducible.
+    pending: BTreeMap<u64, PendingResolve>,
     /// Counters for experiments.
     pub stats: TtpStats,
     /// Message/tick counters, maintained by the scheduler-facing
@@ -73,7 +80,7 @@ impl Ttp {
             dir,
             rng,
             validator: Validator::new(my_id, my_id),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             stats: TtpStats::default(),
             actor_stats: crate::obs::ActorStats::default(),
             restarts: 0,
@@ -175,7 +182,9 @@ impl Ttp {
             recipient: respondent,
             ttp: self.me.id(),
             txn_id: pt.txn_id,
-            seq: pt.seq + 1,
+            // Only the NRO is signed, so the initiator (or the wire) picks
+            // the resolve's seq; saturate as `Validator::alloc_seq` does.
+            seq: pt.seq.saturating_add(1),
             nonce: self.rng.next_u64(),
             time_limit: now.after(self.cfg.message_time_limit),
             object: nro.plaintext.object.clone(),
@@ -233,7 +242,7 @@ impl Ttp {
                 recipient: pending.initiator,
                 ttp: self.me.id(),
                 txn_id: pt.txn_id,
-                seq: u64::MAX / 2, // outside any normal window; carries TTP authority
+                seq: AUTHORITY_SEQ,
                 nonce: self.rng.next_u64(),
                 time_limit: now.after(self.cfg.message_time_limit),
                 object: pending.object.clone(),
@@ -251,11 +260,8 @@ impl Ttp {
     /// deadline ("the TTP will respond to Alice by telling her that this
     /// session is failed and Bob did not respond").
     pub fn poll_timeouts(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let mut expired: Vec<u64> =
+        let expired: Vec<u64> =
             self.pending.iter().filter(|(_, p)| now >= p.deadline).map(|(id, _)| *id).collect();
-        // Hash-map order varies per process; declare failures in txn order so
-        // the replies, their nonces and the event stream are reproducible.
-        expired.sort_unstable();
         let mut out = Vec::new();
         for txn_id in expired {
             let Some(p) = self.pending.remove(&txn_id) else { continue };
@@ -266,7 +272,7 @@ impl Ttp {
                 recipient: p.initiator,
                 ttp: self.me.id(),
                 txn_id,
-                seq: u64::MAX / 2, // outside any normal window; carries TTP authority
+                seq: AUTHORITY_SEQ,
                 nonce: self.rng.next_u64(),
                 time_limit: now.after(self.cfg.message_time_limit),
                 object: p.object,
@@ -290,7 +296,7 @@ impl Ttp {
 /// sequence state. Load statistics stay live (monotone telemetry).
 #[derive(Debug, Clone)]
 pub struct TtpSnapshot {
-    pending: HashMap<u64, PendingResolve>,
+    pending: BTreeMap<u64, PendingResolve>,
     validator: crate::session::ValidatorSnapshot,
     bytes: u64,
 }

@@ -14,9 +14,9 @@ use tpnr_core::prelude::*;
 /// Allocator calls (alloc, alloc_zeroed, realloc) per 256 B upload. A
 /// build with debug assertions (the test profile) makes more calls than a
 /// release build, so each has its own budget.
-const UPLOAD_BUDGET: u64 = if cfg!(debug_assertions) { 238 } else { 180 };
+const UPLOAD_BUDGET: u64 = if cfg!(debug_assertions) { 237 } else { 179 };
 /// Allocator calls per download of a 256 B object.
-const DOWNLOAD_BUDGET: u64 = if cfg!(debug_assertions) { 246 } else { 188 };
+const DOWNLOAD_BUDGET: u64 = if cfg!(debug_assertions) { 245 } else { 187 };
 
 thread_local! {
     /// (allocator calls, bytes requested) on this thread.

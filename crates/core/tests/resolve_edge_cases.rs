@@ -139,6 +139,39 @@ fn resolve_from_wrong_party_rejected() {
 }
 
 #[test]
+fn resolve_with_max_seq_forwards_without_overflow() {
+    // Only the attached NRO is signed, so the initiator (or a wire
+    // adversary) chooses the resolve's own seq; the TTP's fresh window
+    // accepts `u64::MAX`, and the forward must not overflow past it.
+    let mut w = World::new(15, ProtocolConfig::full());
+    let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+    assert_eq!(r.outcome, TxnState::Completed);
+    let nro = w.client.txn(r.txn_id).unwrap().nro.clone();
+    let pt = tpnr_core::evidence::EvidencePlaintext {
+        flag: Flag::ResolveRequest,
+        sender: w.client.id(),
+        recipient: w.ttp.id(),
+        ttp: w.ttp.id(),
+        txn_id: r.txn_id,
+        seq: u64::MAX,
+        nonce: 1,
+        time_limit: tpnr_net::time::SimTime(u64::MAX),
+        object: b"k".to_vec(),
+        hash_alg: tpnr_crypto::hash::HashAlg::Sha256,
+        data_hash: nro.plaintext.data_hash.clone(),
+    };
+    let msg = Message::Resolve { plaintext: pt, nro, report: "max seq".into() };
+    let alice_id = w.client.id();
+    let now = w.net().now();
+    let out = w.ttp.handle(alice_id, &msg, now).expect("a genuine NRO is accepted");
+    assert_eq!(out.len(), 1);
+    match &out[0].msg {
+        Message::ResolveForward { plaintext, .. } => assert_eq!(plaintext.seq, u64::MAX),
+        other => panic!("expected a ResolveForward, got {}", other.kind()),
+    }
+}
+
+#[test]
 fn resolve_completes_then_late_receipt_is_harmless() {
     // The receipt is delayed (not dropped): Alice resolves, completes via
     // the TTP, and the original receipt arrives afterwards. It must not

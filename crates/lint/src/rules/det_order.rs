@@ -1,7 +1,8 @@
 //! **DET-ORDER** — `HashMap` / `HashSet` forbidden in modules that render
 //! traces, reports, or serialized evidence, in the scheduler/runner
-//! layer, and in the network's accounting (`obs`, `report`, `codec`,
-//! `runner`, `multi`, `sched`, `par`, `transport`, `sim`, `tcp`).
+//! layer, in the network's accounting, and in the TTP (`obs`, `report`,
+//! `codec`, `runner`, `multi`, `sched`, `par`, `transport`, `sim`, `tcp`,
+//! `ttp`).
 //!
 //! PR 2's JSONL trace validator checks output the paper's auditor is
 //! supposed to replay; hash-map iteration order is randomized per process,
@@ -17,7 +18,10 @@
 //! `transport` (the wire core every backend shares) and the `sim` and
 //! `tcp` links joined when the three transports got one core: the core's
 //! `NetEvent` order and `tagged_txns()` feed `--trace-jsonl`, and the
-//! simulator's delivery order is what a seeded trace replays.
+//! simulator's delivery order is what a seeded trace replays. `ttp`
+//! joined once its pending resolves became a `BTreeMap`: its timeout sweep
+//! declares failures in map order, and those replies reach the wire and
+//! the trace.
 //! The rule applies to the whole file, tests included — deterministic
 //! fixtures keep golden tests stable.
 
@@ -26,8 +30,19 @@ use crate::{FileCtx, Finding};
 pub const ID: &str = "DET-ORDER";
 
 /// Module leaf names whose output must be deterministic.
-const SCOPE_LEAVES: &[&str] =
-    &["obs", "report", "codec", "runner", "multi", "sched", "par", "transport", "sim", "tcp"];
+const SCOPE_LEAVES: &[&str] = &[
+    "obs",
+    "report",
+    "codec",
+    "runner",
+    "multi",
+    "sched",
+    "par",
+    "transport",
+    "sim",
+    "tcp",
+    "ttp",
+];
 
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if !SCOPE_LEAVES.contains(&ctx.module_leaf()) {
@@ -149,11 +164,23 @@ mod tests {
     }
 
     #[test]
-    fn silent_outside_scope() {
+    fn fires_on_hashmap_in_ttp() {
+        // The TTP's timeout sweep declares failures in `pending` order, and
+        // each declaration draws a nonce and reaches the wire.
         let hits = run_rule(
             check,
             "crates/core/src/ttp.rs",
             "use std::collections::HashMap;\nstruct Ttp { pending: HashMap<u64, P> }",
+        );
+        assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn silent_outside_scope() {
+        let hits = run_rule(
+            check,
+            "crates/core/src/client.rs",
+            "use std::collections::HashMap;\nstruct Client { txns: HashMap<u64, T> }",
         );
         assert!(hits.is_empty());
     }
