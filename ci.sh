@@ -94,13 +94,26 @@ if [ "$status" -ne 1 ]; then
 fi
 
 if [ "$quick" -eq 0 ]; then
+    release=(cargo run --release -q -p tpnr-bench --bin experiments --)
+    first="$(mktemp)"
+    second="$(mktemp)"
+    trap 'rm -f "$first" "$second"' EXIT
+
     # The observability export must stay machine-readable: produce a trace
     # and re-validate it with the binary's own JSONL checker.
     echo "==> experiments --trace-jsonl / --validate-jsonl"
-    trace="$(mktemp)"
-    trap 'rm -f "$trace"' EXIT
-    cargo run --release -q -p tpnr-bench --bin experiments -- --trace-jsonl "$trace"
-    cargo run --release -q -p tpnr-bench --bin experiments -- --validate-jsonl "$trace"
+    "${release[@]}" --trace-jsonl "$first"
+    "${release[@]}" --validate-jsonl "$first"
+
+    # The trace and the E8 export are byte-deterministic. Each process
+    # seeds its own hash keys, so a HashMap iteration that reaches either
+    # output shows up as a difference between two runs.
+    echo "==> experiments --trace-jsonl / --bench-e8 --quick: two runs are identical"
+    "${release[@]}" --trace-jsonl "$second"
+    cmp "$first" "$second"
+    "${release[@]}" --bench-e8 "$first" --quick
+    "${release[@]}" --bench-e8 "$second" --quick
+    cmp "$first" "$second"
 
     # attack_gauntlet, blackmail_arbitration, multi_tenant and storage_audit
     # assert their outcomes, so a non-zero exit from any example fails CI.

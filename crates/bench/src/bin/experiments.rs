@@ -19,9 +19,9 @@
 //!   - `e10`: deadline-index + sharded-state scale sweep; quick caps the
 //!     client sweep at 50k;
 //!   - `e12`: fixed-limb RSA kernel sweep (sign/verify by key size × alg,
-//!     batch-vs-serial verification, allocations per sign); quick keeps
-//!     512-bit keys and fewer timing rounds;
-//!   - `e13`: work-stealing scaling sweep (the E10 scenario at fixed load
+//!     allocations per sign); quick keeps 512-bit keys and fewer timing
+//!     rounds;
+//!   - `e13`: worker scaling sweep (the E10 scenario at fixed load
 //!     across pool worker counts, in interleaved rounds); quick shrinks the
 //!     client load;
 //!   - `e14`: transport comparison (the same protocol workload on the
@@ -120,8 +120,7 @@ fn bench_jsonl(flag: &str, quick: bool) -> Option<String> {
         }
         "--bench-e12" => {
             let bit_sizes: &[usize] = if quick { &[512] } else { &[512, 1024, 2048] };
-            let (rows, batches) = e12_rsa_kernels(bit_sizes, quick);
-            jsonl(&rows) + &jsonl(&batches)
+            jsonl(&e12_rsa_kernels(bit_sizes, quick))
         }
         "--bench-e13" => jsonl(&e13_worker_sweep(if quick { 2_048 } else { 20_480 }, 2026)),
         "--bench-e14" => jsonl(&e14_backend_comparison(2026, quick)),
@@ -164,8 +163,7 @@ fn print_tables() {
     println!("{}", table(&e8_chaos(&[0, 100, 200, 300], 40)));
     println!("{}", table(&e9_shamir(7)));
     println!("{}", table(&e10_scale(&[1_000, 5_000], 2026)));
-    let (rows, batches) = e12_rsa_kernels(&[512, 1024], false);
-    println!("{}\n{}", table(&rows), table(&batches));
+    println!("{}", table(&e12_rsa_kernels(&[512, 1024], false)));
     println!("{}", table(&e13_worker_sweep(2_048, 2026)));
     println!("{}", table(&e14_backend_comparison(2026, true)));
     println!("{}", table(&x1_audit_vs_download(7)));

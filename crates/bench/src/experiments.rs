@@ -710,10 +710,11 @@ pub struct E10Row {
     /// The host's advertised core count — recorded so bench trajectories
     /// stay comparable across machines.
     pub available_parallelism: u64,
-    /// Steal operations during the lane fan-out (timing-dependent).
+    /// Index ranges workers claimed beyond an even share during the lane
+    /// fan-out (timing-dependent; 0 when balanced).
     pub steals: u64,
-    /// Stealable tasks the lane range was split into (deterministic for a
-    /// given worker count).
+    /// Contiguous index ranges the lane range was split into
+    /// (deterministic for a given worker count).
     pub tasks: u64,
 }
 
@@ -824,7 +825,7 @@ fn e10_apply_latency_jitter(w: &mut tpnr_core::multi::MultiWorld, seed: u64, fir
     }
 }
 
-/// E10 on the process-wide work-stealing pool ([`tpnr_par::Pool::global`]).
+/// E10 on the process-wide pool ([`tpnr_par::Pool::global`]).
 pub fn e10_scale(client_counts: &[usize], seed: u64) -> Vec<E10Row> {
     e10_scale_on(tpnr_par::Pool::global(), client_counts, seed)
 }
@@ -832,14 +833,14 @@ pub fn e10_scale(client_counts: &[usize], seed: u64) -> Vec<E10Row> {
 /// E10: deadline-index + sharded-state scale sweep. Each client count is split
 /// into lanes of [`E10_LANE`] clients; lanes are independent `MultiWorld`s
 /// (own simulator, shared principal pool — RSA keygen is the scale wall, so
-/// one pool of keys serves every lane). The lane range is one work-stealing
-/// fan-out on `pool`: lanes are built, run, and dropped *inside* their
-/// task, so resident memory stays at one world per active worker, a slow
-/// lane strands only its own worker, and the pool's persistent threads are
-/// reused across rows (no spawn/join per batch). Reports throughput,
-/// settle-latency quantiles, archive behaviour, the delivery conservation
-/// law, and the fan-out's steal/task counters. E13 sweeps worker counts by
-/// calling this with differently sized pools.
+/// one pool of keys serves every lane). The lane range is one fan-out on
+/// `pool` per row: lanes are built, run, and dropped *inside* their task,
+/// so resident memory stays at one world per active worker, and a slow
+/// lane holds only its own worker while the others claim the remaining
+/// ranges. Reports throughput, settle-latency quantiles, archive
+/// behaviour, the delivery conservation law, and the fan-out's steal/task
+/// counters. E13 sweeps worker counts by calling this with differently
+/// sized pools.
 pub fn e10_scale_on(pool: &tpnr_par::Pool, client_counts: &[usize], seed: u64) -> Vec<E10Row> {
     use std::sync::Arc;
     use tpnr_core::multi::MultiWorld;
@@ -960,28 +961,6 @@ pub struct E12Row {
     pub sign_floor_ok: bool,
 }
 
-/// The E12 batch-verification amortization row: `n` (digest, signature)
-/// pairs under one key, one randomized-linear-combination pass vs `n`
-/// serial verifications.
-#[derive(Debug, Clone)]
-pub struct E12Batch {
-    /// RSA modulus width in bits.
-    pub bits: u64,
-    /// Batch size.
-    pub n: u64,
-    /// Total serial verification time for the batch, µs.
-    pub serial_us: u64,
-    /// One `verify_batch` call over the same items, µs.
-    pub batch_us: u64,
-    /// `serial_us / batch_us`, ×100.
-    pub amortization_x100: u64,
-    /// Batch no slower than serial: the CI gate.
-    pub batch_not_slower: bool,
-    /// A tampered signature hidden in the batch was caught and attributed
-    /// to the right index (soundness spot-check inside the bench run).
-    pub tampered_attributed: bool,
-}
-
 /// Recorded fast-path signing floors (µs) per modulus width, with ~3×
 /// headroom over the 2026-08 measurement on the reference 1-core 2.1 GHz
 /// KVM host (see EXPERIMENTS.md E12). CI fails the smoke run if a signing
@@ -1051,68 +1030,13 @@ fn e12_kernel_row(kp: &tpnr_crypto::RsaKeyPair, bits: u64, alg: HashAlg, iters: 
     }
 }
 
-/// Batch-vs-serial verification amortization at one key size.
-fn e12_batch_row(kp: &tpnr_crypto::RsaKeyPair, bits: u64, n: usize, rounds: usize) -> E12Batch {
-    use tpnr_crypto::rsa::BatchItem;
-
-    let alg = HashAlg::Sha256;
-    let digests: Vec<Vec<u8>> = (0..n as u64).map(|i| alg.hash(&i.to_be_bytes())).collect();
-    let sigs: Vec<Vec<u8>> =
-        digests.iter().map(|d| kp.private.sign_prehashed(alg, d).expect("sign")).collect();
-    let items: Vec<BatchItem<'_>> = digests
-        .iter()
-        .zip(&sigs)
-        .map(|(d, s)| BatchItem { alg, digest: d, signature: s })
-        .collect();
-
-    let mut rng = tpnr_crypto::ChaChaRng::seed_from_u64(0xe12);
-    let (mut t_serial, mut t_batch) = (0.0f64, 0.0f64);
-    for _ in 0..rounds {
-        let sw = HostStopwatch::start();
-        for (d, s) in digests.iter().zip(&sigs) {
-            kp.public.verify_prehashed(alg, d, s).expect("verify");
-        }
-        t_serial += sw.elapsed_secs_f64();
-        let sw = HostStopwatch::start();
-        kp.public.verify_batch(&items, &mut rng).expect("batch verify");
-        t_batch += sw.elapsed_secs_f64();
-    }
-
-    // Soundness spot-check inside the bench: a tampered member is caught
-    // and attributed.
-    let tamper_at = n / 2;
-    let mut bad_sigs = sigs.clone();
-    bad_sigs[tamper_at][5] ^= 1;
-    let bad_items: Vec<BatchItem<'_>> = digests
-        .iter()
-        .zip(&bad_sigs)
-        .map(|(d, s)| BatchItem { alg, digest: d, signature: s })
-        .collect();
-    let tampered_attributed =
-        kp.public.verify_batch(&bad_items, &mut rng).err().is_some_and(|e| e.index == tamper_at);
-
-    let us = |total: f64| (total / rounds as f64 * 1e6) as u64;
-    let batch_us = us(t_batch).max(1);
-    E12Batch {
-        bits,
-        n: n as u64,
-        serial_us: us(t_serial),
-        batch_us,
-        amortization_x100: (t_serial / t_batch * 100.0) as u64,
-        batch_not_slower: t_batch <= t_serial,
-        tampered_attributed,
-    }
-}
-
 /// E12: hardware-speed RSA sweep. For each modulus width, generates one
 /// keypair and reports (a) sign/verify µs per hash algorithm on the
 /// fixed-limb windowed kernels vs the retained classic path, measured
-/// interleaved; (b) allocations per sign on both paths; (c) batch-vs-serial
-/// verification amortization at `n = 64` under one key. Deterministic in
+/// interleaved; (b) allocations per sign on both paths. Deterministic in
 /// everything but the host timings.
-pub fn e12_rsa_kernels(bit_sizes: &[usize], quick: bool) -> (Vec<E12Row>, Vec<E12Batch>) {
+pub fn e12_rsa_kernels(bit_sizes: &[usize], quick: bool) -> Vec<E12Row> {
     let mut rows = Vec::new();
-    let mut batches = Vec::new();
     for &bits in bit_sizes {
         let mut rng = tpnr_crypto::ChaChaRng::seed_from_u64(0x5250_4b45 ^ bits as u64);
         let kp = tpnr_crypto::RsaKeyPair::generate(bits, &mut rng);
@@ -1127,10 +1051,8 @@ pub fn e12_rsa_kernels(bit_sizes: &[usize], quick: bool) -> (Vec<E12Row>, Vec<E1
         for alg in [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256] {
             rows.push(e12_kernel_row(&kp, bits as u64, alg, iters));
         }
-        let rounds = if quick { 2 } else { 8 };
-        batches.push(e12_batch_row(&kp, bits as u64, 64, rounds));
     }
-    (rows, batches)
+    rows
 }
 
 // --------------------------------------------------------------- E13 ----
@@ -1170,9 +1092,10 @@ pub struct E13Row {
     pub required_speedup_x100: u64,
     /// `speedup_x100 >= required_speedup_x100`.
     pub scaling_ok: bool,
-    /// Steal operations during the lane fan-out (timing-dependent).
+    /// Index ranges workers claimed beyond an even share during the lane
+    /// fan-out (timing-dependent; 0 when balanced).
     pub steals: u64,
-    /// Stealable tasks the lane range was split into.
+    /// Contiguous index ranges the lane range was split into.
     pub tasks: u64,
     /// Median settle latency (sim-time µs).
     pub p50_us: u64,
@@ -1183,7 +1106,7 @@ pub struct E13Row {
     /// Evidence lost across eviction + re-hydration (must be 0).
     pub evidence_loss: u64,
     /// Non-timing output of every round byte-identical to the serial
-    /// run's — the work-stealing determinism claim, checked on every row.
+    /// run's — the pool's determinism claim, checked on every row.
     pub deterministic_vs_serial: bool,
 }
 
@@ -1215,15 +1138,15 @@ fn e13_required_speedup_x100(effective_cores: u64) -> u64 {
 /// Rounds of the E13 ladder. Odd, so each row's median is one real round.
 const E13_ROUNDS: usize = 5;
 
-/// E13: work-stealing scaling sweep. Runs the E10 scenario at one fixed
+/// E13: worker scaling sweep. Runs the E10 scenario at one fixed
 /// client load on pools of 1, 2, 4, 8 (and the host's core count, when
 /// that differs) workers, in [`E13_ROUNDS`] interleaved rounds that each
 /// visit every worker count, so one slow shot cannot fail a row. Reports
 /// the median round's throughput with the spread across rounds, speedup
 /// over the serial row, parallel efficiency, steal counts, latency
 /// percentiles — and whether every round's non-timing output stayed
-/// byte-identical to serial (the determinism argument for the stealing
-/// scheduler).
+/// byte-identical to serial (the determinism argument for the pool's
+/// index-ordered join).
 pub fn e13_worker_sweep(clients: usize, seed: u64) -> Vec<E13Row> {
     let host = tpnr_par::available_parallelism();
     let mut ladder: Vec<usize> = vec![1, 2, 4, 8];
@@ -1806,10 +1729,10 @@ mod tests {
 
     #[test]
     fn e10_output_is_worker_count_invariant() {
-        // The work-stealing determinism claim, end to end: the same load
-        // on a 1-worker pool and a 4-worker pool (forced steal pressure on
-        // any host) must produce byte-identical non-timing output. 520
-        // clients → 3 lanes, one ragged.
+        // The pool's determinism claim, end to end: the same load on a
+        // 1-worker pool and a 4-worker pool (3 workers claiming 3 ranges
+        // in any order) must produce byte-identical non-timing output.
+        // 520 clients → 3 lanes, one ragged.
         let serial = e10_scale_on(&tpnr_par::Pool::new(1), &[520], 7);
         let stolen = e10_scale_on(&tpnr_par::Pool::new(4), &[520], 7);
         let fingerprint = e10_non_timing_fingerprint(&serial[0]);

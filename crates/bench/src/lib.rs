@@ -19,10 +19,10 @@ pub mod report;
 pub use experiments::*;
 
 /// Index-ordered parallel map, re-exported from [`tpnr_par`] — a thin
-/// wrapper over the shared work-stealing [`tpnr_par::Pool`], used by the
+/// wrapper over the shared range-cursor [`tpnr_par::Pool`], used by the
 /// embarrassingly parallel experiment trial grids (E6, E8) and the Merkle
 /// leaf-hash pipeline in `tpnr-crypto`. Do not spawn scoped threads
-/// directly in this crate: route every fan-out through the pool so task
-/// splitting, stealing, and the index-ordered deterministic join stay in
+/// directly in this crate: route every fan-out through the pool so range
+/// splitting, claiming, and the index-ordered deterministic join stay in
 /// one audited place.
 pub use tpnr_par::par_map_indexed;

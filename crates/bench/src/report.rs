@@ -257,18 +257,9 @@ impl Row for E12Row {
     }
 }
 
-impl Row for E12Batch {
-    const KIND: &'static str = "e12_batch";
-    const TITLE: &'static str = "E12 — batch verification, n pairs under one key";
-    fn fields(&self) -> Vec<(&'static str, Value)> {
-        fields_of!(self; bits, n, serial_us, batch_us, amortization_x100, batch_not_slower,
-            tampered_attributed)
-    }
-}
-
 impl Row for E13Row {
     const KIND: &'static str = "e13";
-    const TITLE: &'static str = "E13 / work-stealing settle: worker sweep at fixed load";
+    const TITLE: &'static str = "E13 / range-cursor settle: worker sweep at fixed load";
     const COLUMNS: &'static [&'static str] = &[
         "workers",
         "available_parallelism",
@@ -418,10 +409,6 @@ pub fn gates(kind: &str, fields: &[(String, Value)]) -> Option<Vec<(&'static str
             vec![conservation, no_loss, ("evicted > 0", int("evicted").is_some_and(|n| n > 0))]
         }
         "e12" => vec![("sign_floor_ok", yes("sign_floor_ok"))],
-        "e12_batch" => vec![
-            ("batch_not_slower", yes("batch_not_slower")),
-            ("tampered_attributed", yes("tampered_attributed")),
-        ],
         "e13" => vec![
             ("scaling_ok", yes("scaling_ok")),
             ("deterministic_vs_serial", yes("deterministic_vs_serial")),
@@ -1043,14 +1030,12 @@ mod tests {
 
     #[test]
     fn bench_e12_json_is_valid_jsonl_and_gates_hold() {
-        // 512-bit quick run: 3 alg rows + 1 batch row.
-        let (rows, batches) = e12_rsa_kernels(&[512], true);
+        // 512-bit quick run: one row per alg.
+        let rows = e12_rsa_kernels(&[512], true);
         assert_eq!(rows.len(), 3);
-        assert_eq!(batches.len(), 1);
-        let jsonl = jsonl(&rows) + &jsonl(&batches);
-        assert_eq!(validate_jsonl(&jsonl), Ok(4));
+        let jsonl = jsonl(&rows);
+        assert_eq!(validate_jsonl(&jsonl), Ok(3));
         assert!(jsonl.contains("\"kind\":\"e12\""));
-        assert!(jsonl.contains("\"kind\":\"e12_batch\""));
         for r in &rows {
             assert!(r.sign_fast_us > 0 && r.sign_classic_us > 0);
             assert!(
@@ -1060,12 +1045,8 @@ mod tests {
                 r.allocs_per_sign_classic
             );
         }
-        let b = &batches[0];
-        assert_eq!(b.n, 64);
-        assert!(b.tampered_attributed, "tampered batch member must be attributed");
-        // Two tables, each with a 3-line header, joined by a blank line.
-        let tables = format!("{}\n{}", table(&rows), table(&batches));
-        assert_eq!(tables.lines().count(), 3 + rows.len() + 4 + batches.len());
+        // The table renders one line per row plus the 3-line header.
+        assert_eq!(table(&rows).lines().count(), 3 + rows.len());
     }
 
     #[test]
@@ -1212,7 +1193,6 @@ mod tests {
             r#"{"kind":"e8","limbo":0,"evidence_loss":0}"#,
             r#"{"kind":"e10","conservation_violations":0,"evidence_loss":0,"evicted":9}"#,
             r#"{"kind":"e12","sign_floor_ok":true}"#,
-            r#"{"kind":"e12_batch","batch_not_slower":true,"tampered_attributed":true}"#,
             r#"{"kind":"e13","scaling_ok":true,"deterministic_vs_serial":true,"conservation_violations":0,"evidence_loss":0}"#,
             r#"{"kind":"e14","backend":"simnet","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":false}"#,
             r#"{"kind":"e14","backend":"channel","conservation_violations":0,"evidence_loss":0,"attacks_ok":true,"skipped":false}"#,
@@ -1233,24 +1213,22 @@ mod tests {
             (3, "evidence_loss", "0", "1", "evidence_loss == 0"),
             (3, "evicted", "9", "0", "evicted > 0"),
             (4, "sign_floor_ok", "true", "false", "sign_floor_ok"),
-            (5, "batch_not_slower", "true", "false", "batch_not_slower"),
-            (5, "tampered_attributed", "true", "false", "tampered_attributed"),
-            (6, "scaling_ok", "true", "false", "scaling_ok"),
-            (6, "deterministic_vs_serial", "true", "false", "deterministic_vs_serial"),
+            (5, "scaling_ok", "true", "false", "scaling_ok"),
+            (5, "deterministic_vs_serial", "true", "false", "deterministic_vs_serial"),
+            (5, "conservation_violations", "0", "1", "conservation_violations == 0"),
+            (5, "evidence_loss", "0", "1", "evidence_loss == 0"),
             (6, "conservation_violations", "0", "1", "conservation_violations == 0"),
             (6, "evidence_loss", "0", "1", "evidence_loss == 0"),
-            (7, "conservation_violations", "0", "1", "conservation_violations == 0"),
-            (7, "evidence_loss", "0", "1", "evidence_loss == 0"),
-            (7, "attacks_ok", "true", "false", "attacks_ok"),
+            (6, "attacks_ok", "true", "false", "attacks_ok"),
+            (6, "skipped", "false", "true", "only tcp may skip"),
             (7, "skipped", "false", "true", "only tcp may skip"),
-            (8, "skipped", "false", "true", "only tcp may skip"),
-            (10, "output_ok", "true", "false", "output_ok"),
-            (11, "k_recovers", "true", "false", "k_recovers"),
-            (11, "k_minus_1_fails", "true", "false", "k_minus_1_fails"),
-            (12, "audit_ok", "true", "false", "audit_ok"),
-            (12, "tamper_detected", "true", "false", "tamper_detected"),
-            (12, "proof_bytes", "4320", "262144", "proof_bytes < size"),
-            (13, "verified", "true", "false", "verified"),
+            (9, "output_ok", "true", "false", "output_ok"),
+            (10, "k_recovers", "true", "false", "k_recovers"),
+            (10, "k_minus_1_fails", "true", "false", "k_minus_1_fails"),
+            (11, "audit_ok", "true", "false", "audit_ok"),
+            (11, "tamper_detected", "true", "false", "tamper_detected"),
+            (11, "proof_bytes", "4320", "262144", "proof_bytes < size"),
+            (12, "verified", "true", "false", "verified"),
         ];
         for (row, field, good, bad, gate) in flips {
             let mut rows: Vec<String> = passing.iter().map(|r| r.to_string()).collect();

@@ -15,8 +15,6 @@
 use crate::config::ProtocolConfig;
 use crate::evidence::{Flag, VerifiedEvidence};
 use crate::principal::{Directory, PrincipalId};
-use std::cell::RefCell;
-use tpnr_crypto::ChaChaRng;
 
 /// A dispute brought before the arbitrator.
 ///
@@ -62,11 +60,6 @@ pub enum Verdict {
 pub struct Arbitrator {
     cfg: ProtocolConfig,
     dir: Directory,
-    /// Source of the random exponents for batched signature screening.
-    /// Interior mutability keeps `judge` a `&self` pure-function façade:
-    /// the rng never influences a verdict (a failed combined check falls
-    /// back to serial verification), it only randomizes the batch test.
-    rng: RefCell<ChaChaRng>,
 }
 
 /// One submission in a dispute case, in the canonical screening order.
@@ -80,21 +73,8 @@ struct Submission<'a> {
 
 impl Arbitrator {
     /// Creates an arbitrator over the given PKI directory.
-    ///
-    /// The internal rng (batch-screening exponents only) is fixed-seeded for
-    /// reproducible simulation runs; deployments where the evidence
-    /// submitter could predict the arbitrator's exponents should prefer
-    /// [`Arbitrator::with_rng`] with an unpredictable seed (see DESIGN.md
-    /// §4.13 on batch-verify soundness).
     pub fn new(cfg: ProtocolConfig, dir: Directory) -> Self {
-        // Seed bytes spell "ARBITER".
-        Self::with_rng(cfg, dir, ChaChaRng::seed_from_u64(0x0041_5242_4954_4552))
-    }
-
-    /// Creates an arbitrator with a caller-supplied rng for the batched
-    /// signature screening.
-    pub fn with_rng(cfg: ProtocolConfig, dir: Directory, rng: ChaChaRng) -> Self {
-        Arbitrator { cfg, dir, rng: RefCell::new(rng) }
+        Arbitrator { cfg, dir }
     }
 
     /// Verifies one submitted evidence item: correct signer key, valid
@@ -116,59 +96,14 @@ impl Arbitrator {
         let Some(pk) = self.dir.lookup(&ev.plaintext.sender) else {
             return false;
         };
-        crate::evidence::reverify_batch(&self.cfg, pk, &[ev], &mut self.rng.borrow_mut()).is_ok()
+        ev.reverify(&self.cfg, pk).is_ok()
     }
 
-    /// Screens every submitted item, batching the RSA signature checks of
-    /// items signed by the same principal (each evidence token contributes
-    /// two signatures, so a full case screens the provider's two NRRs — four
-    /// signatures — in one combined pass, and likewise the claimant's NROs).
-    ///
-    /// Returns the verdict for the **first** inadmissible submission in
-    /// `subs` order, reproducing exactly what per-item serial screening
-    /// would rule: structural defects and signature failures are collected
-    /// for every item and the minimum index wins, which is the same item a
-    /// stop-at-first-failure scan would have stopped at.
+    /// Screens the submissions in order and rules against the submitter of
+    /// the first inadmissible one.
     fn screen(&self, subs: &[Submission<'_>]) -> Option<Verdict> {
-        // Index (into subs) of the first known failure, if any.
-        let mut first_bad: Option<usize> = None;
-        let note = |idx: usize, bad: &mut Option<usize>| {
-            if bad.map(|b| idx < b).unwrap_or(true) {
-                *bad = Some(idx);
-            }
-        };
-        // Pass 1: structural checks (flag, claimed signer, key present).
-        // Structurally sound items are queued for signature checking,
-        // grouped by signer in order of first appearance.
-        let mut groups: Vec<(PrincipalId, Vec<usize>)> = Vec::new();
-        for (idx, sub) in subs.iter().enumerate() {
-            let sound = sub.expected_flags.contains(&sub.ev.plaintext.flag)
-                && sub.expected_signer.map(|s| sub.ev.plaintext.sender == s).unwrap_or(true)
-                && self.dir.lookup(&sub.ev.plaintext.sender).is_some();
-            if !sound {
-                note(idx, &mut first_bad);
-                continue;
-            }
-            let signer = sub.ev.plaintext.sender;
-            match groups.iter_mut().find(|(s, _)| *s == signer) {
-                Some((_, idxs)) => idxs.push(idx),
-                None => groups.push((signer, vec![idx])),
-            }
-        }
-        // Pass 2: one batched signature check per signer.
-        for (signer, idxs) in &groups {
-            let Some(pk) = self.dir.lookup(signer) else { continue };
-            let evs: Vec<&VerifiedEvidence> = idxs.iter().map(|&i| subs[i].ev).collect();
-            if let Err((i, _)) =
-                crate::evidence::reverify_batch(&self.cfg, pk, &evs, &mut self.rng.borrow_mut())
-            {
-                if let Some(&orig) = idxs.get(i) {
-                    note(orig, &mut first_bad);
-                }
-            }
-        }
-        first_bad
-            .and_then(|idx| subs.get(idx))
+        subs.iter()
+            .find(|sub| !self.admissible(sub.ev, sub.expected_flags, sub.expected_signer))
             .map(|sub| Verdict::ForgedEvidence { by_claimant: sub.by_claimant })
     }
 
@@ -176,8 +111,7 @@ impl Arbitrator {
     /// uploaded".
     pub fn judge(&self, case: &DisputeCase) -> Verdict {
         // Step 1: screen every submission; forged evidence settles the case
-        // immediately against the submitting party. Same-signer submissions
-        // share one batched RSA check (see [`Arbitrator::screen`]).
+        // immediately against the submitting party.
         let mut subs: Vec<Submission<'_>> = Vec::with_capacity(4);
         if let Some(ev) = &case.upload_nrr {
             subs.push(Submission {
@@ -621,11 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_screen_attributes_each_position() {
-        // The screen batches same-signer submissions (two provider NRRs,
-        // two claimant NROs) into combined RSA checks; tampering any single
-        // submission must still rule against the right party, exactly as
-        // per-item screening did.
+    fn screen_attributes_each_position() {
+        // A case holds two provider NRRs and two claimant NROs; tampering
+        // any single submission must rule against the party that submitted
+        // it.
         let (w, up, down) = story(false);
         let arb = arbitrator(&w);
 
@@ -643,8 +576,8 @@ mod tests {
         }
         assert_eq!(arb.judge(&case), Verdict::ForgedEvidence { by_claimant: false });
 
-        // Both groups bad: the NRRs are screened first, so the verdict goes
-        // against the claimant — the same order serial screening used.
+        // Both parties' items bad: the NRRs are screened first, so the
+        // verdict goes against the claimant.
         let mut case = full_case(&w, up, down);
         if let Some(ev) = case.upload_nrr.as_mut() {
             ev.sig_data_hash[1] ^= 1;
@@ -655,7 +588,7 @@ mod tests {
         assert_eq!(arb.judge(&case), Verdict::ForgedEvidence { by_claimant: true });
 
         // A structural defect on a later item does not mask an earlier
-        // signature failure (min-index merge).
+        // signature failure: the screen stops at the first failure.
         let mut case = full_case(&w, up, down);
         if let Some(ev) = case.upload_nrr.as_mut() {
             ev.sig_data_hash[1] ^= 1; // signature failure at position 0
@@ -665,8 +598,41 @@ mod tests {
         }
         assert_eq!(arb.judge(&case), Verdict::ForgedEvidence { by_claimant: true });
 
-        // And an untampered full case still verifies through the batch path.
+        // And an untampered full case still verifies.
         assert_eq!(arb.judge(&full_case(&w, up, down)), Verdict::ClaimRejected);
+    }
+
+    #[test]
+    fn negated_signature_is_never_admitted() {
+        // (n − s)^e = −em mod n, so serial verification rejects a negated
+        // signature. Negate each of the case's 8 signatures in turn: the
+        // submitter of that token must lose every time, whatever the
+        // arbitrator would have drawn.
+        use tpnr_crypto::BigUint;
+        let (w, up, down) = story(true);
+        let arb = arbitrator(&w);
+        for token in 0..4 {
+            for which in 0..2 {
+                let mut case = full_case(&w, up, down);
+                let ev = match token {
+                    0 => case.upload_nrr.as_mut(),
+                    1 => case.download_nrr.as_mut(),
+                    2 => case.upload_nro.as_mut(),
+                    _ => case.download_nro.as_mut(),
+                }
+                .expect("the story holds all four tokens");
+                let pk = arb.dir.lookup(&ev.plaintext.sender).expect("registered signer");
+                let sig = if which == 0 { &mut ev.sig_data_hash } else { &mut ev.sig_plaintext };
+                let n = BigUint::from_bytes_be(&pk.n_bytes());
+                *sig = n.sub(&BigUint::from_bytes_be(sig)).to_bytes_be_padded(pk.size()).unwrap();
+                assert!(ev.reverify(&arb.cfg, pk).is_err(), "serial verification rejects n − s");
+                assert_eq!(
+                    arb.judge(&case),
+                    Verdict::ForgedEvidence { by_claimant: token < 2 },
+                    "token {token}, signature {which}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -366,52 +366,6 @@ pub fn verify_signatures(
     }
 }
 
-/// Re-verifies several archived evidence tokens signed by the **same**
-/// sender in one pass.
-///
-/// Each token contributes its two signatures (`Sign(H(data))`,
-/// `Sign(H(plaintext))`) to a single [`RsaPublicKey::verify_batch`] call, so
-/// an arbitrator screening a full dispute case pays one
-/// randomized-linear-combination check instead of `2·n` serial RSA
-/// verifications. On failure the error carries the index (into `evs`) of the
-/// first token whose serial verification fails, with exactly the error the
-/// serial path would report — `verify_batch` falls back to per-item
-/// verification in submission order to attribute the culprit.
-///
-/// `rng` supplies the random batch exponents; it is untouched when the batch
-/// is too small for the combined check (fewer than two tokens) or when
-/// signatures are ablated.
-pub fn reverify_batch(
-    cfg: &ProtocolConfig,
-    sender_pk: &RsaPublicKey,
-    evs: &[&VerifiedEvidence],
-    rng: &mut ChaChaRng,
-) -> Result<(), (usize, EvidenceError)> {
-    if !cfg.require_signatures {
-        // Ablated mode has no signatures to combine; keep the serial
-        // hash-comparison semantics exactly.
-        for (i, ev) in evs.iter().enumerate() {
-            ev.reverify(cfg, sender_pk).map_err(|e| (i, e))?;
-        }
-        return Ok(());
-    }
-    let pt_digests: Vec<Vec<u8>> = evs.iter().map(|ev| ev.plaintext.digest()).collect();
-    let mut items = Vec::with_capacity(evs.len() * 2);
-    for (ev, pt_digest) in evs.iter().zip(&pt_digests) {
-        items.push(tpnr_crypto::rsa::BatchItem {
-            alg: ev.plaintext.hash_alg,
-            digest: &ev.plaintext.data_hash,
-            signature: &ev.sig_data_hash,
-        });
-        items.push(tpnr_crypto::rsa::BatchItem {
-            alg: ev.plaintext.hash_alg,
-            digest: pt_digest,
-            signature: &ev.sig_plaintext,
-        });
-    }
-    sender_pk.verify_batch(&items, rng).map_err(|e| (e.index / 2, EvidenceError::BadSignature))
-}
-
 impl VerifiedEvidence {
     /// Reassembles an evidence token from stored parts — the provider keeps
     /// its NRR as `(plaintext, signatures)` rather than a whole token, and
@@ -585,64 +539,27 @@ mod tests {
     }
 
     #[test]
-    fn reverify_batch_accepts_and_attributes() {
-        let (alice, bob, ttp, cfg, mut rng) = actors();
-        // Four tokens under one key → eight signatures: the combined
-        // randomized check engages (≥ the batching threshold).
-        let tokens: Vec<VerifiedEvidence> = (0..4)
-            .map(|i| {
-                let mut pt = plaintext(&alice, &bob, &ttp);
-                pt.txn_id = 100 + i;
-                own_evidence(&cfg, &alice, &pt).unwrap()
-            })
-            .collect();
-        let refs: Vec<&VerifiedEvidence> = tokens.iter().collect();
-        reverify_batch(&cfg, alice.public(), &refs, &mut rng).unwrap();
+    fn reverify_rejects_a_flipped_signature_or_the_wrong_signer() {
+        let (alice, bob, ttp, cfg, _) = actors();
+        let pt = plaintext(&alice, &bob, &ttp);
+        let ev = own_evidence(&cfg, &alice, &pt).unwrap();
+        ev.reverify(&cfg, alice.public()).unwrap();
+        let mut bad = ev.clone();
+        bad.sig_plaintext[3] ^= 1;
+        assert_eq!(bad.reverify(&cfg, alice.public()).unwrap_err(), EvidenceError::BadSignature);
+        let mut bad = ev.clone();
+        bad.sig_data_hash[3] ^= 1;
+        assert_eq!(bad.reverify(&cfg, alice.public()).unwrap_err(), EvidenceError::BadSignature);
+        assert_eq!(ev.reverify(&cfg, bob.public()).unwrap_err(), EvidenceError::BadSignature);
 
-        // Tampering one token is caught and attributed to that token, with
-        // the exact error serial reverification reports.
-        let mut bad = tokens.clone();
-        bad[2].sig_plaintext[3] ^= 1;
-        let refs: Vec<&VerifiedEvidence> = bad.iter().collect();
-        assert_eq!(
-            reverify_batch(&cfg, alice.public(), &refs, &mut rng).unwrap_err(),
-            (2, EvidenceError::BadSignature)
-        );
-        assert_eq!(bad[2].reverify(&cfg, alice.public()).unwrap_err(), EvidenceError::BadSignature);
-
-        // A wrong-signer batch fails on the first token, like serial.
-        let refs: Vec<&VerifiedEvidence> = tokens.iter().collect();
-        assert_eq!(
-            reverify_batch(&cfg, bob.public(), &refs, &mut rng).unwrap_err(),
-            (0, EvidenceError::BadSignature)
-        );
-    }
-
-    #[test]
-    fn reverify_batch_ablated_matches_serial() {
-        let (alice, bob, ttp, _, mut rng) = actors();
-        let cfg = crate::config::ProtocolConfig::ablated(crate::config::Ablation::NoSignatures);
-        let tokens: Vec<VerifiedEvidence> = (0..4)
-            .map(|i| {
-                let mut pt = plaintext(&alice, &bob, &ttp);
-                pt.txn_id = 200 + i;
-                own_evidence(&cfg, &alice, &pt).unwrap()
-            })
-            .collect();
-        let refs: Vec<&VerifiedEvidence> = tokens.iter().collect();
         // Ablated "signatures" are bare hashes: any key accepts them, and
-        // the batch path must not draw rng bytes or change that semantics.
-        let mut rng2 = ChaChaRng::seed_from_u64(77);
-        reverify_batch(&cfg, alice.public(), &refs, &mut rng2).unwrap();
-        let mut fresh = ChaChaRng::seed_from_u64(77);
-        assert_eq!(rng2.next_u64(), fresh.next_u64(), "ablated batch must not draw rng");
-        let mut bad = tokens.clone();
-        bad[1].sig_data_hash[0] ^= 1;
-        let refs: Vec<&VerifiedEvidence> = bad.iter().collect();
-        assert_eq!(
-            reverify_batch(&cfg, alice.public(), &refs, &mut rng).unwrap_err(),
-            (1, EvidenceError::BadSignature)
-        );
+        // only a changed hash fails.
+        let cfg = crate::config::ProtocolConfig::ablated(crate::config::Ablation::NoSignatures);
+        let ev = own_evidence(&cfg, &alice, &pt).unwrap();
+        ev.reverify(&cfg, bob.public()).unwrap();
+        let mut bad = ev.clone();
+        bad.sig_data_hash[0] ^= 1;
+        assert_eq!(bad.reverify(&cfg, alice.public()).unwrap_err(), EvidenceError::BadSignature);
     }
 
     #[test]

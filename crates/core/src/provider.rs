@@ -432,7 +432,6 @@ impl Provider {
     }
 }
 
-/// The provider is purely reactive: it answers transfers, aborts and
 /// Durable image of a [`Provider`]: object store, transaction records
 /// (including re-issuable NRR signatures) and validator sequence state.
 #[derive(Debug, Clone)]

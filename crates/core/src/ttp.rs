@@ -158,18 +158,13 @@ impl Ttp {
 
         // Genuineness: the attached NRO must be validly signed by the
         // initiator, belong to the same transaction, and name us as TTP.
-        // The signature check goes through the batch-capable entry point so
-        // every TTP/arbiter evidence check shares one code path; a single
-        // token is below the combining threshold and draws no rng bytes.
         let genuine = nro.plaintext.txn_id == pt.txn_id
             && nro.plaintext.sender == pt.sender
             && nro.plaintext.ttp == self.me.id()
-            && match self.dir.lookup(&nro.plaintext.sender) {
-                Some(pk) => {
-                    crate::evidence::reverify_batch(&self.cfg, pk, &[nro], &mut self.rng).is_ok()
-                }
-                None => false,
-            };
+            && self
+                .dir
+                .lookup(&nro.plaintext.sender)
+                .is_some_and(|pk| nro.reverify(&self.cfg, pk).is_ok());
         if !genuine {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::Evidence(crate::evidence::EvidenceError::BadSignature));

@@ -21,7 +21,7 @@
 use crate::bigint::{BigUint, WindowSchedule};
 use crate::error::CryptoError;
 use crate::hash::HashAlg;
-use crate::limbs::{FixedCrtCtx, FixedMontgomeryCtx, FixedUint};
+use crate::limbs::{FixedCrtCtx, FixedMontgomeryCtx};
 use crate::prime::gen_prime;
 use crate::rng::ChaChaRng;
 use std::cmp::Ordering;
@@ -88,7 +88,7 @@ struct PublicParts {
         FixedMontgomeryCtx<16>,
         FixedMontgomeryCtx<32>,
     >,
-    /// Window schedule of `e`, for verify, encrypt and the batch check.
+    /// Window schedule of `e`, for verify and encrypt.
     e_schedule: WindowSchedule,
 }
 
@@ -294,162 +294,7 @@ impl RsaPublicKey {
             Err(CryptoError::BadSignature)
         }
     }
-
-    /// Verifies `items.len()` (digest, signature) pairs under this key in
-    /// one randomized-linear-combination pass.
-    ///
-    /// Instead of `n` independent exponentiations the batch draws sparse
-    /// random exponents `r_i` (4 set bits out of 32, ≈15 bits of entropy
-    /// each) from `rng` and checks
-    ///
-    /// ```text
-    ///   (Π s_i^{r_i})^e  ==  Π em_i^{r_i}   (mod n)
-    /// ```
-    ///
-    /// with both products sharing one interleaved (Straus) squaring chain,
-    /// so the amortized cost per item is a handful of Montgomery multiplies
-    /// instead of a full `s^e`. If every signature is valid the identity
-    /// holds exactly; a batch containing any forgery fails with probability
-    /// ≥ 1 − 2⁻¹⁵ per draw, and on failure the batch **falls back to the
-    /// serial per-item verify**, so the attributed index and error are
-    /// exactly what a serial loop would have produced. Structural defects
-    /// (bad lengths, out-of-range signatures) skip the aggregate pass and go
-    /// straight to the serial loop for the same reason.
-    ///
-    /// The exponents must be unpredictable to whoever produced the
-    /// signatures: callers pass their own seeded [`ChaChaRng`] (in the
-    /// deterministic simulation, the verifying actor's RNG — replays stay
-    /// bit-identical). See DESIGN.md §4.13 for the soundness argument and
-    /// the `s → n−s` caveat inherited from small-exponent batch tests.
-    pub fn verify_batch(
-        &self,
-        items: &[BatchItem<'_>],
-        rng: &mut ChaChaRng,
-    ) -> Result<(), BatchVerifyError> {
-        if items.len() < BATCH_MIN {
-            return self.verify_all_serial(items);
-        }
-        let k = self.size();
-        // Equal-length big-endian strings compare as their values.
-        let n_be = self.n_bytes();
-        let mut ems = Vec::with_capacity(items.len());
-        for it in items {
-            if it.signature.len() != k || it.digest.len() != it.alg.output_len() {
-                return self.verify_all_serial(items);
-            }
-            if it.signature >= n_be.as_slice() {
-                return self.verify_all_serial(items);
-            }
-            let Ok(em) = emsa_pkcs1_v15(it.alg, it.digest, k) else {
-                return self.verify_all_serial(items);
-            };
-            ems.push(em);
-        }
-        let rs: Vec<u32> = items.iter().map(|_| sparse_exponent(rng)).collect();
-        let agg = on_width!(&self.0.mont,
-            c => batch_check_fixed(c, &self.0.e_schedule, items, &ems, &rs), Wide => None);
-        match agg {
-            Some(true) => Ok(()),
-            // Aggregate failed (some item is bad) or the modulus does not
-            // fit a fixed kernel: serial attribution either way.
-            Some(false) | None => self.verify_all_serial(items),
-        }
-    }
-
-    /// The serial fallback: per-item [`Self::verify_prehashed`] in batch
-    /// order, attributing the first failure.
-    fn verify_all_serial(&self, items: &[BatchItem<'_>]) -> Result<(), BatchVerifyError> {
-        for (index, it) in items.iter().enumerate() {
-            if let Err(error) = self.verify_prehashed(it.alg, it.digest, it.signature) {
-                return Err(BatchVerifyError { index, error });
-            }
-        }
-        Ok(())
-    }
 }
-
-/// One randomized aggregate check of a batch through the key's cached
-/// `N`-limb context; `None` if a value does not fit the width.
-fn batch_check_fixed<const N: usize>(
-    ctx: &FixedMontgomeryCtx<N>,
-    e: &WindowSchedule,
-    items: &[BatchItem<'_>],
-    ems: &[Vec<u8>],
-    rs: &[u32],
-) -> Option<bool> {
-    let to_mont = |be: &[u8]| FixedUint::<N>::from_be_bytes(be).map(|x| ctx.to_mont(&x));
-    let sig_m = items.iter().map(|it| to_mont(it.signature)).collect::<Option<Vec<_>>>()?;
-    let em_m = ems.iter().map(|em| to_mont(em)).collect::<Option<Vec<_>>>()?;
-    // Straus interleaving: one shared 32-step squaring chain drives both
-    // products; each item contributes at the 4 set bits of its exponent.
-    let mut acc_a = ctx.one();
-    let mut acc_b = ctx.one();
-    for bit in (0..SPARSE_EXP_BITS).rev() {
-        acc_a = ctx.mul(&acc_a, &acc_a);
-        acc_b = ctx.mul(&acc_b, &acc_b);
-        for ((&r, s), em) in rs.iter().zip(&sig_m).zip(&em_m) {
-            if r & (1u32 << bit) != 0 {
-                acc_a = ctx.mul(&acc_a, s);
-                acc_b = ctx.mul(&acc_b, em);
-            }
-        }
-    }
-    // Montgomery forms are canonical (< n), so comparing them directly
-    // is comparing the underlying values.
-    let lhs = ctx.pow_mont(&acc_a, e);
-    Some(lhs == acc_b)
-}
-
-/// Minimum batch size below which [`RsaPublicKey::verify_batch`] just runs
-/// the serial loop (the aggregate's fixed costs dominate tiny batches).
-const BATCH_MIN: usize = 4;
-
-/// Bit width of the sparse batch exponents.
-const SPARSE_EXP_BITS: u32 = 32;
-
-/// Set bits per sparse batch exponent (entropy ≈ log₂ C(32,4) ≈ 15.1 bits).
-const SPARSE_EXP_WEIGHT: u32 = 4;
-
-/// Draws a sparse random exponent: exactly [`SPARSE_EXP_WEIGHT`] distinct
-/// set bits among [`SPARSE_EXP_BITS`] positions. 256 is a multiple of 32,
-/// so the byte-modulo position draw is exactly uniform.
-fn sparse_exponent(rng: &mut ChaChaRng) -> u32 {
-    let mut r = 0u32;
-    while r.count_ones() < SPARSE_EXP_WEIGHT {
-        let pos = u32::from(rng.gen_bytes(1).first().copied().unwrap_or(0)) % SPARSE_EXP_BITS;
-        r |= 1u32 << pos;
-    }
-    r
-}
-
-/// One (digest, signature) pair for [`RsaPublicKey::verify_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchItem<'a> {
-    /// Hash algorithm the digest was produced with.
-    pub alg: HashAlg,
-    /// The already-computed message digest.
-    pub digest: &'a [u8],
-    /// The PKCS#1 v1.5 signature to check.
-    pub signature: &'a [u8],
-}
-
-/// A batch verification failure attributed to one item, with the exact
-/// error the serial per-item verify produced for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchVerifyError {
-    /// Index of the first failing item in batch order.
-    pub index: usize,
-    /// That item's serial verification error.
-    pub error: CryptoError,
-}
-
-impl std::fmt::Display for BatchVerifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch item {} failed: {}", self.index, self.error)
-    }
-}
-
-impl std::error::Error for BatchVerifyError {}
 
 impl RsaPrivateKey {
     /// The matching public key.
@@ -867,106 +712,6 @@ mod tests {
             kp.public.verify_prehashed_reference(HashAlg::Sha256, &digest, &bad),
             Err(CryptoError::BadSignature)
         );
-    }
-
-    fn batch_of(kp: &RsaKeyPair, msgs: &[Vec<u8>]) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let digests: Vec<Vec<u8>> = msgs.iter().map(|m| HashAlg::Sha256.hash(m)).collect();
-        let sigs: Vec<Vec<u8>> = digests
-            .iter()
-            .map(|d| kp.private.sign_prehashed(HashAlg::Sha256, d).unwrap())
-            .collect();
-        (digests, sigs)
-    }
-
-    #[test]
-    fn batch_verify_accepts_valid_batch() {
-        let kp = test_key();
-        let msgs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 20]).collect();
-        let (digests, sigs) = batch_of(&kp, &msgs);
-        let items: Vec<BatchItem<'_>> = digests
-            .iter()
-            .zip(&sigs)
-            .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
-            .collect();
-        let mut rng = ChaChaRng::seed_from_u64(42);
-        kp.public.verify_batch(&items, &mut rng).unwrap();
-    }
-
-    #[test]
-    fn batch_verify_attributes_tampered_signature() {
-        let kp = test_key();
-        let msgs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 20]).collect();
-        let (digests, mut sigs) = batch_of(&kp, &msgs);
-        sigs[11][5] ^= 0x20;
-        let items: Vec<BatchItem<'_>> = digests
-            .iter()
-            .zip(&sigs)
-            .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
-            .collect();
-        let mut rng = ChaChaRng::seed_from_u64(43);
-        let err = kp.public.verify_batch(&items, &mut rng).unwrap_err();
-        assert_eq!(err.index, 11);
-        assert_eq!(err.error, CryptoError::BadSignature);
-    }
-
-    #[test]
-    fn batch_verify_structural_defect_matches_serial_order() {
-        // Item 2 is a semantic forgery, item 5 has a bad length. A serial
-        // loop reports item 2 first; the batch must do the same.
-        let kp = test_key();
-        let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 9]).collect();
-        let (digests, mut sigs) = batch_of(&kp, &msgs);
-        sigs[2][0] ^= 1;
-        sigs[5].pop();
-        let items: Vec<BatchItem<'_>> = digests
-            .iter()
-            .zip(&sigs)
-            .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
-            .collect();
-        let mut rng = ChaChaRng::seed_from_u64(44);
-        let err = kp.public.verify_batch(&items, &mut rng).unwrap_err();
-        assert_eq!(err.index, 2);
-    }
-
-    #[test]
-    fn batch_verify_small_batches_and_empty() {
-        let kp = test_key();
-        let mut rng = ChaChaRng::seed_from_u64(45);
-        kp.public.verify_batch(&[], &mut rng).unwrap();
-        let digest = HashAlg::Sha256.hash(b"solo");
-        let sig = kp.private.sign_prehashed(HashAlg::Sha256, &digest).unwrap();
-        let item = BatchItem { alg: HashAlg::Sha256, digest: &digest, signature: &sig };
-        kp.public.verify_batch(&[item], &mut rng).unwrap();
-        let bad = BatchItem { alg: HashAlg::Md5, digest: &digest, signature: &sig };
-        assert!(kp.public.verify_batch(&[bad], &mut rng).is_err());
-    }
-
-    #[test]
-    fn batch_verify_mixed_algs() {
-        let kp = test_key();
-        let mut items_data: Vec<(HashAlg, Vec<u8>, Vec<u8>)> = Vec::new();
-        for (i, alg) in
-            [HashAlg::Md5, HashAlg::Sha1, HashAlg::Sha256].iter().cycle().take(12).enumerate()
-        {
-            let digest = alg.hash(&[i as u8; 33]);
-            let sig = kp.private.sign_prehashed(*alg, &digest).unwrap();
-            items_data.push((*alg, digest, sig));
-        }
-        let items: Vec<BatchItem<'_>> = items_data
-            .iter()
-            .map(|(alg, d, s)| BatchItem { alg: *alg, digest: d, signature: s })
-            .collect();
-        let mut rng = ChaChaRng::seed_from_u64(46);
-        kp.public.verify_batch(&items, &mut rng).unwrap();
-    }
-
-    #[test]
-    fn sparse_exponents_have_fixed_weight() {
-        let mut rng = ChaChaRng::seed_from_u64(47);
-        for _ in 0..200 {
-            let r = sparse_exponent(&mut rng);
-            assert_eq!(r.count_ones(), SPARSE_EXP_WEIGHT);
-        }
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! `FixedMontgomeryCtx` operation is checked against the heap-backed
 //! `BigUint` reference on random operands, the new windowed/fixed-limb
 //! signing and verification paths are checked byte-identical against the
-//! retained pre-optimization classic paths, primality is cross-checked
-//! against trial division, and batch verification is attacked with a
-//! tampered signature at an arbitrary position in a 64-item batch.
+//! retained pre-optimization classic paths, and primality is cross-checked
+//! against trial division.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tpnr_crypto::bigint::{BigUint, WindowSchedule};
 use tpnr_crypto::hash::HashAlg;
 use tpnr_crypto::limbs::{mod_pow_fixed, window_bits, FixedMontgomeryCtx, FixedUint};
-use tpnr_crypto::rsa::{BatchItem, RsaKeyPair};
+use tpnr_crypto::rsa::RsaKeyPair;
 use tpnr_crypto::ChaChaRng;
 
 fn big(bytes: &[u8]) -> BigUint {
@@ -170,33 +169,6 @@ proptest! {
         let ct = kp.public.encrypt(&mut rng, &msg).unwrap();
         prop_assert_eq!(kp.private.decrypt(&ct).unwrap(), msg);
     }
-
-    // -------------------------------------------------- batch adversarial
-
-    #[test]
-    fn tampered_signature_in_batch_of_64_attributed(tamper_at in 0usize..64,
-                                                    flip_bit in 0u8..8,
-                                                    rng_seed in any::<u64>()) {
-        let (kp, digests, sigs) = batch_fixture();
-        let mut bad_sigs = sigs.clone();
-        let byte = tamper_at % bad_sigs[tamper_at].len();
-        bad_sigs[tamper_at][byte] ^= 1 << flip_bit;
-        let items: Vec<BatchItem<'_>> = digests
-            .iter()
-            .zip(&bad_sigs)
-            .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
-            .collect();
-        let mut rng = ChaChaRng::seed_from_u64(rng_seed);
-        let err = kp.public.verify_batch(&items, &mut rng).unwrap_err();
-        prop_assert_eq!(err.index, tamper_at, "culprit must be attributed exactly");
-        // The untampered batch still verifies with the same rng stream.
-        let items: Vec<BatchItem<'_>> = digests
-            .iter()
-            .zip(sigs)
-            .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
-            .collect();
-        prop_assert!(kp.public.verify_batch(&items, &mut rng).is_ok());
-    }
 }
 
 proptest! {
@@ -292,38 +264,6 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn verify_batch_matches_serial_reference_at_every_width(
-        tamper in 0usize..12,
-        rng_seed in any::<u64>(),
-    ) {
-        // tamper < 8 corrupts that item, 8..12 leaves the batch intact.
-        for kp in width_keys() {
-            let digests: Vec<Vec<u8>> =
-                (0..8u64).map(|i| HashAlg::Sha256.hash(&(i ^ rng_seed).to_be_bytes())).collect();
-            let mut sigs: Vec<Vec<u8>> = digests
-                .iter()
-                .map(|d| kp.private.sign_prehashed(HashAlg::Sha256, d).unwrap())
-                .collect();
-            if let Some(sig) = sigs.get_mut(tamper) {
-                let at = (rng_seed % sig.len() as u64) as usize;
-                sig[at] ^= 0x10;
-            }
-            let items: Vec<BatchItem<'_>> = digests
-                .iter()
-                .zip(&sigs)
-                .map(|(d, s)| BatchItem { alg: HashAlg::Sha256, digest: d, signature: s })
-                .collect();
-            let serial = items.iter().enumerate().find_map(|(i, it)| {
-                let checked = kp.public.verify_prehashed_reference(it.alg, it.digest, it.signature);
-                checked.err().map(|e| (i, e))
-            });
-            let mut rng = ChaChaRng::seed_from_u64(rng_seed);
-            let batch = kp.public.verify_batch(&items, &mut rng).err().map(|e| (e.index, e.error));
-            prop_assert_eq!(batch, serial);
-        }
-    }
 }
 
 /// One key per width, generated once per process: 512 bits (CRT halves of
@@ -380,22 +320,4 @@ fn test_key(id: u64) -> &'static RsaKeyPair {
     static KEYS: OnceLock<Vec<RsaKeyPair>> = OnceLock::new();
     let keys = KEYS.get_or_init(|| (0..3).map(RsaKeyPair::insecure_test_key).collect());
     &keys[(id % 3) as usize]
-}
-
-/// One key + 64 signed digests, shared across the adversarial batch cases.
-type DigestsAndSigs = (Vec<Vec<u8>>, Vec<Vec<u8>>);
-
-fn batch_fixture() -> (&'static RsaKeyPair, &'static Vec<Vec<u8>>, &'static Vec<Vec<u8>>) {
-    static FIXTURE: OnceLock<DigestsAndSigs> = OnceLock::new();
-    let kp = test_key(0);
-    let (digests, sigs) = FIXTURE.get_or_init(|| {
-        let digests: Vec<Vec<u8>> =
-            (0..64u64).map(|i| HashAlg::Sha256.hash(&i.to_be_bytes())).collect();
-        let sigs = digests
-            .iter()
-            .map(|d| kp.private.sign_prehashed(HashAlg::Sha256, d).unwrap())
-            .collect();
-        (digests, sigs)
-    });
-    (kp, digests, sigs)
 }

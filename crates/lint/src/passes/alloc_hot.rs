@@ -36,7 +36,6 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("core::evidence", "own_evidence"),
     ("core::evidence", "open_and_verify"),
     ("core::evidence", "verify_signatures"),
-    ("core::evidence", "reverify_batch"),
     ("core::evidence", "reverify"),
     ("core::session", "commit"),
     ("core::session", "commit_cached"),

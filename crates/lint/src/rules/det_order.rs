@@ -12,7 +12,7 @@
 //! event loop's dispatch and state-diff order feeds the observability
 //! stream directly, so iteration there must be deterministic too. `runner`
 //! joined when the single- and multi-client runners became one. `par`
-//! joined with the work-stealing pool: its index-ordered join is the
+//! joined with the parallel pool: its index-ordered join is the
 //! determinism anchor for every parallel fan-out in the workspace, so no
 //! hash container may sit anywhere near that scheduling/result path.
 //! `transport` (the wire core every backend shares) and the `sim` and
@@ -128,9 +128,9 @@ mod tests {
 
     #[test]
     fn fires_on_hashmap_in_par() {
-        // The work-stealing pool's result join must stay deterministic;
-        // a hash container in its scheduling path would leak iteration
-        // order into fan-out behaviour.
+        // The pool's result join must stay deterministic; a hash
+        // container in its scheduling path would leak iteration order
+        // into fan-out behaviour.
         let hits = run_rule(
             check,
             "crates/par/src/lib.rs",
