@@ -543,7 +543,8 @@ pub struct E8Row {
     pub retries: u64,
     /// Transactions whose retry budget was exhausted (now `Failed`).
     pub gave_up: u64,
-    /// Durable-state bytes written by the write-ahead sync policy.
+    /// Persisted snapshot sizes summed over the write-ahead syncs
+    /// (`FaultStats::snapshot_bytes`).
     pub snapshot_bytes: u64,
 }
 

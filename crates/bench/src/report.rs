@@ -871,7 +871,7 @@ mod tests {
                 at: SimTime(1_000),
                 txn: Some(7),
                 actor: "bob".into(),
-                kind: EventKind::Delivered { from: "alice".into(), msg: "Transfer".into() },
+                kind: EventKind::Delivered { from: "alice".into(), msg: "Transfer" },
             },
             Event {
                 at: SimTime(2_000),
@@ -879,7 +879,7 @@ mod tests {
                 actor: "bob".into(),
                 kind: EventKind::Rejected {
                     from: "alice".into(),
-                    msg: "Transfer".into(),
+                    msg: "Transfer",
                     error: ValidationError::StaleSequence { last: 2, got: 1 },
                 },
             },

@@ -14,6 +14,7 @@ use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::session::{Outgoing, Payload, TxnState, ValidationError, Validator};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use tpnr_crypto::hash::DigestCache;
 use tpnr_crypto::{ct, ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::Wire;
@@ -67,7 +68,10 @@ pub struct Client {
     provider: PrincipalId,
     rng: ChaChaRng,
     validator: Validator,
-    txns: HashMap<u64, ClientTxn>,
+    /// Records behind shared pointers: a durable snapshot holds the same
+    /// allocation, and a record is copied only on its first change after
+    /// the snapshot ([`Client::txn_mut`]).
+    txns: HashMap<u64, Arc<ClientTxn>>,
     /// Ids of the non-terminal transactions in `txns`: the only ones with
     /// a live deadline. Timeout scans walk this set, in id order, instead
     /// of every transaction the client ever ran.
@@ -140,7 +144,13 @@ impl Client {
 
     /// Alice's record for a transaction.
     pub fn txn(&self, txn_id: u64) -> Option<&ClientTxn> {
-        self.txns.get(&txn_id)
+        self.txns.get(&txn_id).map(Arc::as_ref)
+    }
+
+    /// A record for writing, copied first if a durable snapshot still
+    /// shares it.
+    fn txn_mut(&mut self, txn_id: u64) -> Option<&mut ClientTxn> {
+        self.txns.get_mut(&txn_id).map(Arc::make_mut)
     }
 
     /// State of a transaction (None when unknown).
@@ -153,6 +163,11 @@ impl Client {
         let mut ids: Vec<u64> = self.txns.keys().copied().collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// Ids of the transactions still awaiting an outcome, ascending.
+    pub(crate) fn open_txns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.open.iter().copied()
     }
 
     /// Data received by a completed download.
@@ -170,7 +185,7 @@ impl Client {
         let record = self.txns.remove(&txn_id)?;
         self.open.remove(&txn_id);
         self.validator.retire_txn(txn_id);
-        Some(record)
+        Some(Arc::unwrap_or_clone(record))
     }
 
     /// Transactions retired to archive tombstones by this client's
@@ -187,7 +202,7 @@ impl Client {
 
     /// Moves a known transaction to `state`, keeping `open` in step.
     fn set_state(&mut self, txn_id: u64, state: TxnState) {
-        if let Some(txn) = self.txns.get_mut(&txn_id) {
+        if let Some(txn) = self.txn_mut(txn_id) {
             txn.state = state;
             if state.is_terminal() {
                 self.open.remove(&txn_id);
@@ -227,7 +242,7 @@ impl Client {
             .map_err(ValidationError::Evidence)?;
         self.txns.insert(
             txn_id,
-            ClientTxn {
+            Arc::new(ClientTxn {
                 kind: flag,
                 object: payload.key.clone(),
                 sent_hash: hash,
@@ -239,7 +254,7 @@ impl Client {
                 strategy,
                 abort_attempted: false,
                 attempts: 0,
-            },
+            }),
         );
         self.open.insert(txn_id);
         Ok((
@@ -353,7 +368,7 @@ impl Client {
         let sender_pk = self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
         let nrr = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
-        let txn = self.txns.get_mut(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+        let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         txn.nrr = Some(nrr);
         txn.received = received;
         self.set_state(pt.txn_id, TxnState::Completed);
@@ -376,7 +391,13 @@ impl Client {
         let sender_pk = self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
         let nrr = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
-        let txn = self.txns.get_mut(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+        let state = self.txn_state(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+        // A late abort reply must not reopen or rewrite a settled state:
+        // a receipt that overtook the Abort already completed the upload.
+        if state.is_terminal() {
+            return Ok(Vec::new());
+        }
+        let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         match outcome {
             AbortOutcome::Accept => {
                 txn.nrr = Some(nrr);
@@ -433,8 +454,7 @@ impl Client {
                 if kind == Flag::UploadRequest && !ct::eq(&pt.data_hash, &sent_hash) {
                     return Err(ValidationError::HashMismatch);
                 }
-                let txn =
-                    self.txns.get_mut(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+                let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
                 txn.nrr = Some(nrr);
                 self.set_state(pt.txn_id, TxnState::Completed);
             }
@@ -510,7 +530,7 @@ impl Client {
     /// Accounts one timeout-driven send on `txn_id` and returns the attempt
     /// index to back off with. Sends beyond the first count as retries.
     fn note_attempt(&mut self, txn_id: u64) -> u32 {
-        let Some(txn) = self.txns.get_mut(&txn_id) else { return 0 };
+        let Some(txn) = self.txn_mut(txn_id) else { return 0 };
         let attempt = txn.attempts;
         txn.attempts = txn.attempts.saturating_add(1);
         if attempt > 0 {
@@ -542,7 +562,7 @@ impl Client {
         };
         let attempt = self.note_attempt(txn_id);
         let deadline = self.retry_deadline(now, self.cfg.response_timeout, attempt);
-        let Some(txn) = self.txns.get_mut(&txn_id) else { return Vec::new() };
+        let Some(txn) = self.txn_mut(txn_id) else { return Vec::new() };
         txn.abort_attempted = true;
         txn.deadline = deadline;
         vec![Outgoing {
@@ -570,7 +590,7 @@ impl Client {
         };
         let attempt = self.note_attempt(txn_id);
         let deadline = self.retry_deadline(now, self.cfg.response_timeout.times(2), attempt);
-        let Some(txn) = self.txns.get_mut(&txn_id) else { return Vec::new() };
+        let Some(txn) = self.txn_mut(txn_id) else { return Vec::new() };
         txn.state = TxnState::Resolving;
         txn.deadline = deadline;
         vec![Outgoing {
@@ -610,7 +630,7 @@ impl Client {
 /// stay live — rolling an RNG back would replay nonces.
 #[derive(Debug, Clone)]
 pub struct ClientSnapshot {
-    txns: HashMap<u64, ClientTxn>,
+    txns: HashMap<u64, Arc<ClientTxn>>,
     validator: crate::session::ValidatorSnapshot,
     next_txn: u64,
     bytes: u64,

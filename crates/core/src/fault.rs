@@ -290,7 +290,10 @@ pub struct FaultStats {
     pub deliveries_lost: u64,
     /// Durable syncs persisted.
     pub snapshots: u64,
-    /// Total bytes written across persisted snapshots.
+    /// The persisted snapshot's size (each actor's `bytes()`), summed over
+    /// syncs: how much durable state the syncs covered. It is not bytes
+    /// copied, since a snapshot shares records and stored objects with the
+    /// actor by pointer.
     pub snapshot_bytes: u64,
 }
 
@@ -492,6 +495,11 @@ impl FaultCtl {
 }
 
 /// The snapshot/restore contract for crash-recoverable actors.
+///
+/// `Client` and `Provider` keep their transaction records behind `Arc`s
+/// and their stored objects as `Bytes` handles, so a snapshot shares them
+/// with the live actor by pointer; `Arc::make_mut` copies a record only on
+/// its first change after the snapshot that shares it.
 ///
 /// `restore` replaces the actor's *protocol* state (session table, archived
 /// evidence, validator sequence state) with the snapshot's, then applies a

@@ -63,14 +63,14 @@ pub enum EventKind {
         /// Sender's display name.
         from: String,
         /// Message kind label (`Transfer`, `Receipt`, …).
-        msg: String,
+        msg: &'static str,
     },
     /// A protocol message was decoded but refused by validation.
     Rejected {
         /// Sender's display name.
         from: String,
         /// Message kind label.
-        msg: String,
+        msg: &'static str,
         /// Why it was refused.
         error: ValidationError,
     },
@@ -134,7 +134,7 @@ impl Event {
     /// (`Delivered` and `Rejected`).
     pub fn msg_kind(&self) -> Option<&str> {
         match &self.kind {
-            EventKind::Delivered { msg, .. } | EventKind::Rejected { msg, .. } => Some(msg),
+            EventKind::Delivered { msg, .. } | EventKind::Rejected { msg, .. } => Some(*msg),
             _ => None,
         }
     }
@@ -284,8 +284,9 @@ pub struct Metrics {
     /// Client resends driven by the retry policy (synced from the clients'
     /// retry counters by the runners' settle wrappers).
     pub retries: u64,
-    /// Total bytes written across persisted durable snapshots (synced from
-    /// the fault controller by the runners' settle wrappers).
+    /// Persisted snapshot sizes summed over durable syncs (synced from the
+    /// fault controller by the runners' settle wrappers); see
+    /// [`FaultStats::snapshot_bytes`](crate::fault::FaultStats::snapshot_bytes).
     pub snapshot_bytes: u64,
     /// Per-transaction settlement latency in microseconds (recorded when a
     /// transaction first reaches a terminal state).
@@ -530,7 +531,7 @@ mod tests {
     }
 
     fn delivered(from: &str) -> EventKind {
-        EventKind::Delivered { from: from.into(), msg: "Transfer".into() }
+        EventKind::Delivered { from: from.into(), msg: "Transfer" }
     }
 
     #[test]
@@ -543,7 +544,7 @@ mod tests {
             Some(1),
             EventKind::Rejected {
                 from: "alice".into(),
-                msg: "Transfer".into(),
+                msg: "Transfer",
                 error: ValidationError::StaleSequence { last: 2, got: 1 },
             },
         ));

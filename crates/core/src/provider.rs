@@ -17,6 +17,7 @@ use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::session::{Outgoing, Payload, TxnState, ValidationError, Validator};
 use std::collections::HashMap;
+use std::sync::Arc;
 use tpnr_crypto::hash::DigestCache;
 use tpnr_crypto::{ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::Wire;
@@ -74,7 +75,9 @@ pub struct Provider {
     /// Stored objects as shared immutable buffers: upload, archive and
     /// download-response all hold the same allocation.
     storage: HashMap<Vec<u8>, Bytes>,
-    txns: HashMap<u64, ProviderTxn>,
+    /// Records behind shared pointers, as in the client: a durable
+    /// snapshot holds the same allocation.
+    txns: HashMap<u64, Arc<ProviderTxn>>,
     wire_keys: HashMap<PrincipalId, RsaPublicKey>,
     /// Memoizes payload commitments by buffer identity: a stored object
     /// served to N downloaders hashes once, not N times.
@@ -169,7 +172,7 @@ impl Provider {
 
     /// Bob's archived record for a transaction.
     pub fn txn(&self, txn_id: u64) -> Option<&ProviderTxn> {
-        self.txns.get(&txn_id)
+        self.txns.get(&txn_id).map(Arc::as_ref)
     }
 
     /// Number of transactions archived.
@@ -183,7 +186,7 @@ impl Provider {
     pub fn evict_txn(&mut self, txn_id: u64) -> Option<ProviderTxn> {
         let record = self.txns.remove(&txn_id)?;
         self.validator.retire_txn(txn_id);
-        Some(record)
+        Some(Arc::unwrap_or_clone(record))
     }
 
     /// Handles one incoming protocol message; returns outgoing messages.
@@ -285,7 +288,7 @@ impl Provider {
 
         self.txns.insert(
             pt.txn_id,
-            ProviderTxn {
+            Arc::new(ProviderTxn {
                 peer: pt.sender,
                 object: payload.key,
                 kind: pt.flag,
@@ -293,7 +296,7 @@ impl Provider {
                 nrr_plaintext: nrr_pt.clone(),
                 nrr_sigs: sigs,
                 state: TxnState::Completed,
-            },
+            }),
         );
         Ok(vec![Outgoing {
             to: pt.sender,
@@ -325,17 +328,20 @@ impl Provider {
             (Ok(_), _) => AbortOutcome::Accept,
         };
         if let (Ok(nro), AbortOutcome::Accept) = (&abort_nro, outcome) {
-            // Record the aborted transaction with the abort evidence.
-            let entry = self.txns.entry(pt.txn_id).or_insert_with(|| ProviderTxn {
-                peer: pt.sender,
-                object: pt.object.clone(),
-                kind: Flag::AbortRequest,
-                nro: nro.clone(),
-                nrr_plaintext: pt.clone(),
-                nrr_sigs: (Vec::new(), Vec::new()),
-                state: TxnState::Aborted,
+            // Record the aborted transaction with the abort evidence. An
+            // existing record is not Completed (that is a Reject), so it
+            // is already Aborted.
+            self.txns.entry(pt.txn_id).or_insert_with(|| {
+                Arc::new(ProviderTxn {
+                    peer: pt.sender,
+                    object: pt.object.clone(),
+                    kind: Flag::AbortRequest,
+                    nro: nro.clone(),
+                    nrr_plaintext: pt.clone(),
+                    nrr_sigs: (Vec::new(), Vec::new()),
+                    state: TxnState::Aborted,
+                })
             });
-            entry.state = TxnState::Aborted;
         }
 
         let reply_pt = EvidencePlaintext {
@@ -437,7 +443,7 @@ impl Provider {
 #[derive(Debug, Clone)]
 pub struct ProviderSnapshot {
     storage: HashMap<Vec<u8>, Bytes>,
-    txns: HashMap<u64, ProviderTxn>,
+    txns: HashMap<u64, Arc<ProviderTxn>>,
     validator: crate::session::ValidatorSnapshot,
     bytes: u64,
 }

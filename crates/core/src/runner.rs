@@ -550,8 +550,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         let (txn, out) = match begun {
             Ok(v) => v,
             Err(error) => {
-                let kind =
-                    EventKind::Rejected { from: name.to_string(), msg: "Transfer".into(), error };
+                let kind = EventKind::Rejected { from: name.to_string(), msg: "Transfer", error };
                 self.obs.record(Event { at: now, txn: None, actor: name.to_string(), kind });
                 return 0;
             }
@@ -666,6 +665,14 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             None => &mut self.seats.clients_mut()[slot],
             Some(0) => &mut self.provider,
             Some(_) => &mut self.ttp,
+        }
+    }
+
+    /// Adds the transactions client `slot` has open now to this timer
+    /// round's state diff. Other slots own no client transactions.
+    fn note_open(&self, moved: &mut Vec<(u64, usize)>, slot: usize) {
+        if let Some(client) = self.seats.clients().get(slot) {
+            moved.extend(client.open_txns().map(|t| (t, slot)));
         }
     }
 
@@ -850,10 +857,13 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
     }
 
     fn fire_timers(&mut self, now: SimTime) -> usize {
-        // Slots whose transactions may have moved this round — the state
-        // diff below is restricted to their clients instead of walking
-        // every started txn in the world.
-        let mut touched: Vec<usize> = Vec::new();
+        // The client transactions that may move this round: those open
+        // after a restore (it may have reopened them) and those open before
+        // a tick (it may close them). In a timer round only a restore can
+        // reopen a settled transaction and a tick never opens one, so the
+        // state diff below covers only these, not every transaction a
+        // client ever ran.
+        let mut moved: Vec<(u64, usize)> = Vec::new();
         if self.faults.active() {
             // Restarts and outage boundaries first: a just-restored actor
             // ticks in this same round, so an overdue deadline revealed by
@@ -875,18 +885,20 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             for name in ev.restarted {
                 let Some(slot) = self.slot_named(&name) else { continue };
                 self.restore_actor(slot, now);
+                self.note_open(&mut moved, slot);
                 // Re-arm from the restored state (the stale pre-crash entry
-                // was disarmed at crash time and can never fire); a restore
-                // can also revert transaction states, so the diff must cover
-                // the restored client.
+                // was disarmed at crash time and can never fire).
                 self.net.set_node_down(self.node_at(slot), false);
                 self.refresh_deadline(slot);
-                touched.push(slot);
             }
         }
         let mut dispatched = 0;
         // A down actor's slot is disarmed, so every due slot is live.
-        for slot in self.deadlines.advance(now) {
+        let due = self.deadlines.advance(now);
+        for &slot in &due {
+            self.note_open(&mut moved, slot);
+        }
+        for slot in due {
             let out = self.actor_mut(slot).on_tick(now);
             let actor = self.name(slot).to_string();
             let kind = EventKind::TimerFired { messages: out.len() };
@@ -902,20 +914,12 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             // kept overdue deadline stays the minimum, preserving the
             // scheduler's barren-masking comparison).
             self.refresh_deadline(slot);
-            touched.push(slot);
         }
         // Timer rounds move client-visible states (abort/resolve
-        // initiation, failure declarations); diff the touched clients'
-        // txns in txn order so same-instant transitions land
-        // deterministically.
-        touched.sort_unstable();
-        touched.dedup();
-        let clients = self.seats.clients();
-        let mut moved: Vec<(u64, usize)> = Vec::new();
-        for &i in touched.iter().filter(|&&i| i < clients.len()) {
-            moved.extend(clients[i].txn_ids().into_iter().map(|t| (t, i)));
-        }
+        // initiation, failure declarations); diff them in txn order so
+        // same-instant transitions land deterministically.
         moved.sort_unstable();
+        moved.dedup();
         for (txn, idx) in moved {
             if let Some(st) = self.seats.clients()[idx].txn_state(txn) {
                 self.note_txn_state(now, idx, txn, st);
@@ -953,7 +957,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
         // Prefer the sender's wire tag; adversary injections are untagged
         // but decode, so fall back to the protocol header's id.
         let txn = env.txn.or(Some(txn_id));
-        let msg_kind = msg.kind().to_string();
+        let msg_kind = msg.kind();
         let Some(slot) = slot else {
             // Nobody sits at the destination to judge the message, so the
             // runner refuses it: its recipient is no party of this
@@ -967,7 +971,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             self.ttp_touched.insert(txn_id);
         }
         let verdict = if self.faults.active() {
-            self.faults.delivery_verdict(&actor, &msg_kind)
+            self.faults.delivery_verdict(&actor, msg_kind)
         } else {
             DeliveryVerdict::Proceed
         };
@@ -1430,6 +1434,111 @@ mod tests {
             rehydrated += 1;
         }
         assert_eq!(rehydrated, stats.evicted);
+    }
+
+    #[test]
+    fn a_restore_that_reopens_a_settled_upload_is_recorded_when_it_lands() {
+        // With syncs deferred, Alice's snapshot still holds the upload as
+        // Pending when the receipt completes it. The receipt's duplicate
+        // crashes her; the restore in the timer round two seconds later
+        // reopens the upload, and that round records the move back.
+        use crate::fault::FaultPlan;
+        let plan = FaultPlan::none()
+            .with_crash_at_delivery("alice", 2)
+            .with_sync_interval(SimDuration::from_secs(600));
+        let mut w = World::new(6, ProtocolConfig::builder().fault_plan(plan).build());
+        let (a, b) = (w.alice_node, w.bob_node);
+        w.net.set_link(b, a, LinkConfig { dup_prob: 1.0, ..LinkConfig::default() });
+        let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+        assert!(r.outcome.is_terminal());
+        let events = w.obs.events();
+        let restarted = events
+            .iter()
+            .find(|e| e.actor == "alice" && matches!(e.kind, EventKind::Restarted { .. }))
+            .expect("alice restarts")
+            .at;
+        let reopened =
+            EventKind::StateTransition { from: Some(TxnState::Completed), to: TxnState::Pending };
+        assert!(
+            events
+                .iter()
+                .any(|e| e.at == restarted && e.txn == Some(r.txn_id) && e.kind == reopened),
+            "the restore's round records Completed -> Pending"
+        );
+    }
+
+    #[test]
+    fn a_restore_that_reopens_and_fails_an_upload_in_one_round_is_recorded() {
+        // Alice may send once on timeout. The receipt is slow: her Abort
+        // leaves at 200 ms (her last allowed send; the write-ahead sync
+        // takes her snapshot there), the receipt completes the upload at
+        // 310 ms, and with syncs deferred her snapshot keeps it open. She
+        // crashes on Bob's Reject at 510 ms. The restore two seconds later
+        // reopens the upload past its 400 ms deadline, so the same round's
+        // tick finds the budget spent and fails it: that round must record
+        // Completed -> Failed.
+        use crate::fault::{FaultPlan, RetryPolicy};
+        let plan = FaultPlan::none()
+            .with_crash_at_delivery("alice", 2)
+            .with_sync_interval(SimDuration::from_secs(600));
+        let policy = RetryPolicy { max_attempts: Some(1), ..RetryPolicy::legacy() };
+        let cfg = ProtocolConfig::builder()
+            .response_timeout(SimDuration::from_millis(200))
+            .retry_policy(policy)
+            .fault_plan(plan)
+            .build();
+        let mut w = World::new(5, cfg);
+        let (a, b) = (w.alice_node, w.bob_node);
+        w.net.set_link(a, b, LinkConfig::ideal(SimDuration::from_millis(10)));
+        w.net.set_link(b, a, LinkConfig::ideal(SimDuration::from_millis(300)));
+        let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+        assert_eq!(w.client.txn_state(r.txn_id), Some(TxnState::Failed));
+        let events = w.obs.events();
+        let restarted = events
+            .iter()
+            .find(|e| e.actor == "alice" && matches!(e.kind, EventKind::Restarted { .. }))
+            .expect("alice restarts")
+            .at;
+        assert_eq!(restarted.micros(), 2_510_000);
+        let moves: Vec<_> = events
+            .iter()
+            .filter(|e| e.txn == Some(r.txn_id))
+            .filter_map(|e| match e.kind {
+                EventKind::StateTransition { from, to } => Some((e.at.micros(), from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            moves.last(),
+            Some(&(2_510_000, Some(TxnState::Completed), TxnState::Failed)),
+            "the restore's round records the move to Failed: {moves:?}"
+        );
+    }
+
+    #[test]
+    fn a_timer_round_records_the_failure_its_tick_declares() {
+        // With no retry budget, Alice's first timeout fails the upload at
+        // 200 ms, before Bob's receipt lands at 310 ms: the tick, not a
+        // delivery, moves the upload, so that round must record it.
+        let policy = crate::fault::RetryPolicy { max_attempts: Some(0), ..Default::default() };
+        let cfg = ProtocolConfig::builder()
+            .response_timeout(SimDuration::from_millis(200))
+            .retry_policy(policy)
+            .build();
+        let mut w = World::new(5, cfg);
+        let (a, b) = (w.alice_node, w.bob_node);
+        w.net.set_link(a, b, LinkConfig::ideal(SimDuration::from_millis(10)));
+        w.net.set_link(b, a, LinkConfig::ideal(SimDuration::from_millis(300)));
+        let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+        let failed =
+            EventKind::StateTransition { from: Some(TxnState::Pending), to: TxnState::Failed };
+        assert!(
+            w.obs
+                .events()
+                .iter()
+                .any(|e| e.txn == Some(r.txn_id) && e.at.micros() == 200_000 && e.kind == failed),
+            "the timeout's round records Pending -> Failed"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@ use tpnr_core::runner::World;
 use tpnr_core::session::TxnState;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::{Action, LinkConfig};
+use tpnr_net::time::SimDuration;
 use tpnr_net::transport::Transport;
 
 #[test]
@@ -40,6 +41,33 @@ fn abort_after_completion_is_rejected() {
     assert!(w.client.txn(r.txn_id).unwrap().nrr.is_some(), "Bob's abort NRR archived");
     // The data IS stored — Bob completed his side.
     assert_eq!(w.provider.peek_storage(b"k"), Some(&b"data"[..]));
+}
+
+#[test]
+fn late_abort_reply_does_not_reopen_a_completed_upload() {
+    // The receipt is slow, not lost: Bob completes and sends it at 10 ms,
+    // Alice's Abort leaves at her 200 ms timeout, the receipt lands at
+    // 310 ms, and Bob's Reject — he had completed — lands at 510 ms. The
+    // upload was settled by the receipt; the late reply must not move it
+    // to AbortRejected or swap its receipt for the abort acknowledgement.
+    let mut cfg = ProtocolConfig::full();
+    cfg.response_timeout = SimDuration::from_millis(200);
+    let mut w = World::new(5, cfg);
+    let (a, b) = (w.alice_node, w.bob_node);
+    w.net_mut().set_link(a, b, LinkConfig::ideal(SimDuration::from_millis(10)));
+    w.net_mut().set_link(b, a, LinkConfig::ideal(SimDuration::from_millis(300)));
+    let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+    let reject_at = w
+        .obs
+        .events()
+        .iter()
+        .find(|e| e.actor == "alice" && e.msg_kind() == Some("AbortReply"))
+        .expect("Bob's Reject reached Alice")
+        .at;
+    assert_eq!(reject_at.micros(), 510_000);
+    assert_eq!(r.outcome, TxnState::Completed);
+    let nrr = w.client.txn(r.txn_id).unwrap().nrr.clone().expect("the receipt NRR is kept");
+    assert_eq!(nrr.plaintext.flag, Flag::UploadReceipt);
 }
 
 #[test]
