@@ -2,9 +2,9 @@
 //!
 //! Executable robustness analysis for paper §5: each of the five classic
 //! attacks (man-in-the-middle, reflection, interleaving, replay,
-//! timeliness) implemented as a harness that runs against the full TPNR
-//! protocol **and** against ablated variants with the matching defence
-//! switched off.
+//! timeliness) written once, as an adversary that acts only on the wire,
+//! and run against the full TPNR protocol **and** against ablated variants
+//! with the matching defence switched off — on any transport backend.
 //!
 //! The headline result (experiment E3): the full protocol blocks all five;
 //! removing key authentication admits the MITM, removing sequence numbers
@@ -23,4 +23,4 @@ pub mod replay;
 pub mod timeliness;
 pub mod toy;
 
-pub use harness::{matrix, run, AttackKind, AttackOutcome};
+pub use harness::{matrix, run, run_on, AttackKind, AttackOutcome};

@@ -3,75 +3,50 @@
 //! TPNR defeats reflection *structurally*: the protocol is not a
 //! challenge–response system, every plaintext binds sender / recipient /
 //! direction under the signature, and the two roles speak disjoint message
-//! types. We run the reflection against TPNR (expected: blocked, in every
+//! types. The attacker taps two completed uploads and sends every frame
+//! back to its own sender from the node it was addressed to: Alice's
+//! transfers back to Alice from Bob's node, Bob's receipts back to Bob from
+//! Alice's. We run the reflection against TPNR (expected: blocked, in every
 //! variant) and contrast it with [`crate::toy`]'s symmetric protocol where
 //! the same attack succeeds — showing the attack class is real and the
 //! structure is what stops it.
 
-use crate::harness::{AttackKind, AttackOutcome};
-use tpnr_core::client::TimeoutStrategy;
-use tpnr_core::config::{Ablation, ProtocolConfig};
-use tpnr_core::message::Message;
-use tpnr_core::runner::World;
-use tpnr_core::session::TxnState;
-use tpnr_net::codec::Wire;
+use crate::harness::{AttackKind, AttackOutcome, Stage};
+use tpnr_core::config::Ablation;
 use tpnr_net::transport::Transport;
 
-/// Runs the reflection attack against the given protocol variant.
-pub fn run(ablation: Ablation) -> AttackOutcome {
-    let cfg = ProtocolConfig::ablated(ablation);
-    let mut w = World::new(61, cfg);
-    let alice_id = w.client.id();
-    let bob_id = w.provider.id();
-    let now = w.net().now();
+/// Runs the reflection attack against the given protocol variant on `net`.
+pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
+    let mut s = Stage::new(net, AttackKind::Reflection, ablation);
+    let tape = s.tap();
+    s.alice_uploads(b"k", b"data");
+    s.alice_uploads(b"k", b"more data");
 
-    // Capture Alice's outbound transfer…
-    let (txn_id, out) = w
-        .client
-        .begin_upload(b"k", b"data".to_vec(), now, TimeoutStrategy::AbortFirst)
-        .expect("initiation");
-    let wire = out[0].msg.to_wire_bytes();
-
-    // …and reflect it straight back at her, claiming it came from Bob.
-    let reflected = Message::from_wire_bytes(&wire).unwrap();
-    let result = w.client.handle(bob_id, &reflected, now);
-
-    // Also try reflecting Bob's receipt back at Bob (the other direction).
-    let receipt_reflection = {
-        let fwd = Message::from_wire_bytes(&wire).unwrap();
-        let replies = w.provider.handle(alice_id, &fwd, now).unwrap_or_default();
-        match replies.into_iter().next() {
-            Some(r) => w.provider.handle(alice_id, &r.msg, now).is_ok(),
-            None => false,
-        }
-    };
-
-    let state_moved = w.client.txn_state(txn_id) == Some(TxnState::Completed);
-    let succeeded = (result.is_ok() && state_moved) || receipt_reflection;
-
-    AttackOutcome {
-        attack: AttackKind::Reflection,
-        ablation,
-        blocked: !succeeded,
-        detail: if succeeded {
-            "a reflected message was accepted by its own sender".to_string()
-        } else {
-            format!(
-                "reflection refused (role asymmetry + direction binding): {}",
-                result.err().map(|e| e.to_string()).unwrap_or_else(|| "state unchanged".into())
-            )
-        },
+    // Messages the honest parties have accepted so far: any reflected
+    // frame either of them accepts on top of these is a success.
+    let accepted = |s: &Stage<T>| s.client.actor_stats.accepted + s.provider.actor_stats.accepted;
+    let before = accepted(&s);
+    for (src, dst, frame) in tape.take() {
+        s.spoof(dst, src, frame);
     }
+    s.outcome(
+        accepted(&s) > before,
+        "a reflected message was accepted by its own sender",
+        format!(
+            "reflection refused (role asymmetry + direction binding): {}",
+            s.refusal("alice", "state unchanged")
+        ),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy;
+    use crate::{harness, toy};
 
     #[test]
     fn full_protocol_blocks_reflection() {
-        let o = run(Ablation::None);
+        let o = harness::run(AttackKind::Reflection, Ablation::None);
         assert!(o.blocked, "{}", o.detail);
     }
 
@@ -79,7 +54,7 @@ mod tests {
     fn reflection_blocked_even_without_identity_binding() {
         // The defence is structural: the client simply has no code path
         // that accepts a Transfer, with or without identity checks.
-        let o = run(Ablation::NoIdentityBinding);
+        let o = harness::run(AttackKind::Reflection, Ablation::NoIdentityBinding);
         assert!(o.blocked, "{}", o.detail);
     }
 

@@ -2,96 +2,59 @@
 //!
 //! The attacker records Alice's (signed, sealed) transfer of version 1 of
 //! an object, waits for Alice to upload version 2, then replays the v1
-//! capture. With sequence-number checking, the stale message is refused;
-//! without it, the provider "helpfully" rolls the object back to v1 and
-//! even issues a fresh receipt — the attacker rewrote history with traffic
-//! it could not read or modify.
+//! capture from Alice's node. With sequence-number checking, the stale
+//! message is refused; without it, the provider "helpfully" rolls the
+//! object back to v1 and even issues a fresh receipt — the attacker
+//! rewrote history with traffic it could not read or modify.
 
-use crate::harness::{AttackKind, AttackOutcome};
-use std::sync::{Arc, Mutex};
-use tpnr_core::client::TimeoutStrategy;
-use tpnr_core::config::{Ablation, ProtocolConfig};
-use tpnr_core::message::Message;
-use tpnr_core::runner::World;
-use tpnr_net::codec::Wire;
-use tpnr_net::sim::Action;
+use crate::harness::{AttackKind, AttackOutcome, Stage};
+use tpnr_core::config::Ablation;
 use tpnr_net::transport::Transport;
-use tpnr_net::Bytes;
 
-/// Runs the replay attack against the given protocol variant.
-pub fn run(ablation: Ablation) -> AttackOutcome {
-    let cfg = ProtocolConfig::ablated(ablation);
-    let mut w = World::new(41, cfg);
+/// Runs the replay attack against the given protocol variant on `net`.
+pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
+    let mut s = Stage::new(net, AttackKind::Replay, ablation);
+    let (a, b) = (s.alice_node, s.bob_node);
 
-    // A passive wiretap records alice→bob traffic.
-    let tape: Arc<Mutex<Vec<Bytes>>> = Arc::new(Mutex::new(Vec::new()));
-    let tap = tape.clone();
-    let alice_node = w.alice_node;
-    let bob_node = w.bob_node;
-    w.net_mut().set_interceptor(Box::new(
-        move |src: tpnr_net::NodeId, dst: tpnr_net::NodeId, payload: &[u8], _t| {
-            if src == alice_node && dst == bob_node {
-                // The wiretap's own recording copy; replaying the capture
-                // later decodes it as a shared zero-copy frame.
-                tap.lock().unwrap().push(Bytes::from(payload.to_vec()));
-            }
-            Action::Deliver
-        },
-    ));
-
-    // Alice uploads v1, then v2 of the same object.
-    let r1 = w.upload(b"doc", b"version 1".to_vec(), TimeoutStrategy::AbortFirst);
-    let _r2 = w.upload(b"doc", b"version 2".to_vec(), TimeoutStrategy::AbortFirst);
-    assert_eq!(w.provider.peek_storage(b"doc"), Some(&b"version 2"[..]));
+    // A passive wiretap records Alice's uploads of v1, then v2, of one
+    // object.
+    let tape = s.tap();
+    s.alice_uploads(b"doc", b"version 1");
+    s.alice_uploads(b"doc", b"version 2");
+    assert_eq!(s.provider.peek_storage(b"doc"), Some(&b"version 2"[..]));
 
     // The attacker replays the captured v1 transfer verbatim.
-    let captured = tape.lock().unwrap()[0].clone();
-    let replayed = Message::from_wire_bytes(&captured).expect("captured frame decodes");
-    assert_eq!(replayed.txn_id(), r1.txn_id);
-    let alice_id = w.client.id();
-    let now = w.net().now();
-    let result = w.provider.handle(alice_id, &replayed, now);
+    s.spoof(a, b, tape.first(a, b));
 
-    let rolled_back = w.provider.peek_storage(b"doc") == Some(&b"version 1"[..]);
-    let succeeded = result.is_ok() && rolled_back;
-
-    AttackOutcome {
-        attack: AttackKind::Replay,
-        ablation,
-        blocked: !succeeded,
-        detail: if succeeded {
-            "replayed v1 transfer was accepted: storage rolled back from v2 to v1 and a \
-             fresh receipt was issued for stale data"
-                .to_string()
-        } else {
-            format!(
-                "replay refused ({}); storage still holds v2",
-                result.err().map(|e| e.to_string()).unwrap_or_else(|| "no rollback".into())
-            )
-        },
-    }
+    s.outcome(
+        s.provider.peek_storage(b"doc") == Some(&b"version 1"[..]),
+        "replayed v1 transfer was accepted: storage rolled back from v2 to v1 and a fresh \
+         receipt was issued for stale data",
+        format!("replay refused ({}); storage still holds v2", s.refusal("bob", "no rollback")),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness;
 
     #[test]
     fn full_protocol_blocks_replay() {
-        let o = run(Ablation::None);
+        let o = harness::run(AttackKind::Replay, Ablation::None);
         assert!(o.blocked, "{}", o.detail);
         assert!(o.detail.contains("stale sequence"), "{}", o.detail);
     }
 
     #[test]
     fn ablated_sequence_numbers_admit_replay() {
-        let o = run(Ablation::NoSequenceNumbers);
+        let o = harness::run(AttackKind::Replay, Ablation::NoSequenceNumbers);
         assert!(!o.blocked, "{}", o.detail);
     }
 
     #[test]
     fn unrelated_ablation_does_not_admit_replay() {
-        let o = run(Ablation::NoKeyAuthentication);
+        let o = harness::run(AttackKind::Replay, Ablation::NoKeyAuthentication);
         assert!(o.blocked);
     }
 }

@@ -2,22 +2,19 @@
 //! Table 1 platform flows; DESIGN.md §5).
 
 use crate::report::Row;
-use std::sync::{Arc, Mutex};
+use tpnr_attacks::AttackKind;
 use tpnr_core::bridge::{self, BridgingScheme, DisputeScenario, SchemeKind};
 use tpnr_core::client::TimeoutStrategy;
-use tpnr_core::config::ProtocolConfig;
-use tpnr_core::message::Message;
+use tpnr_core::config::{Ablation, ProtocolConfig};
 use tpnr_core::runner::{GenericWorld, World};
 use tpnr_core::session::TxnState;
 use tpnr_crypto::hash::HashAlg;
-use tpnr_net::codec::Wire;
-use tpnr_net::sim::{Action, LinkConfig, SimNet};
+use tpnr_net::sim::{LinkConfig, SimNet};
 use tpnr_net::tcp::{ChannelNet, TcpNet};
 use tpnr_net::time::HostStopwatch;
 use tpnr_net::time::SimDuration;
 use tpnr_net::time::SimTime;
 use tpnr_net::transport::Transport;
-use tpnr_net::Bytes;
 use tpnr_storage::object::Tamper;
 use tpnr_storage::platform::{all_platforms, ClientVerdict};
 
@@ -1209,8 +1206,8 @@ fn e13_rows(host: u64, runs: &[Vec<E10Row>]) -> Vec<E13Row> {
 // --------------------------------------------------------------- E14 ----
 
 /// One row of the E14 transport comparison: the same protocol workload —
-/// a sustained run of evidence transactions plus the five §5 attack
-/// probes — executed on one [`Transport`] backend. The gates
+/// a sustained run of evidence transactions plus E3's five §5 attacks
+/// under the full protocol — executed on one [`Transport`] backend. The gates
 /// (`conservation_violations`, `evidence_loss`, `attacks_ok`) are
 /// computed by the measurement code itself, E12/E13-style, so
 /// `experiments --check` reads them from the JSONL.
@@ -1248,9 +1245,9 @@ pub struct E14Row {
     /// Transactions that finished without both NRO and NRR (must be 0 on
     /// a healthy wire).
     pub evidence_loss: u64,
-    /// §5 attack probes the backend rejected.
+    /// §5 attacks the protocol blocked on this backend.
     pub attacks_rejected: u64,
-    /// §5 attack probes run (5: MITM, reflection, interleaving, replay,
+    /// §5 attacks run (5: MITM, reflection, interleaving, replay,
     /// timeliness).
     pub attacks_expected: u64,
     /// `attacks_rejected == attacks_expected`.
@@ -1258,163 +1255,6 @@ pub struct E14Row {
     /// True when the backend could not be brought up (e.g. loopback bind
     /// refused in a sandbox) and the row carries no measurements.
     pub skipped: bool,
-}
-
-/// Protocol timers short enough for real-wire runs: on a live socket the
-/// scheduler actually waits out timer deadlines in host time, so the
-/// default 30 s response timeout would cost 30 wall-seconds per faulted
-/// probe. 400 ms is still orders of magnitude above loopback RTT.
-fn e14_cfg() -> ProtocolConfig {
-    ProtocolConfig::builder().response_timeout(SimDuration::from_millis(400)).build()
-}
-
-/// §5.1 MITM probe: flip a byte of the first client→provider transfer in
-/// flight. Blocked when the session cannot complete on the tampered
-/// message (the provider refuses the broken signature and the client's
-/// abort sub-protocol settles the session instead).
-fn e14_attack_mitm_tamper<T: Transport>(net: T, seed: u64) -> bool {
-    let mut w = GenericWorld::with_transport(net, seed, e14_cfg());
-    let (a, b) = (w.alice_node, w.bob_node);
-    let mut tampered = false;
-    w.net_mut().set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
-        if !tampered && src == a && dst == b {
-            tampered = true;
-            let mut p = payload.to_vec();
-            if let Some(last) = p.last_mut() {
-                *last ^= 0xff;
-            }
-            return Action::Modify(p);
-        }
-        Action::Deliver
-    }));
-    let r = w.upload(b"e14/mitm", b"true data".to_vec(), TimeoutStrategy::AbortFirst);
-    !r.completed()
-}
-
-/// §5.2 reflection probe: wiretap the client's own signed transfer, then
-/// bounce it straight back at her as if the provider had sent it. Blocked
-/// when the client refuses the echo (wrong direction, wrong signer role)
-/// rather than treating it as a receipt.
-fn e14_attack_reflection<T: Transport>(net: T, seed: u64) -> bool {
-    let mut w = GenericWorld::with_transport(net, seed, e14_cfg());
-    let (a, b) = (w.alice_node, w.bob_node);
-    let tape: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
-    let tap = tape.clone();
-    w.net_mut().set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
-        if src == a && dst == b {
-            tap.lock().unwrap().push(payload.to_vec());
-        }
-        Action::Deliver
-    }));
-    let r = w.upload(b"e14/reflect", b"data".to_vec(), TimeoutStrategy::AbortFirst);
-    if !r.completed() {
-        return false; // clean run must succeed before the echo means anything
-    }
-    w.net_mut().clear_interceptor();
-    let captured = tape.lock().unwrap()[0].clone();
-    let before = w.obs.metrics.rejected + w.obs.metrics.garbled;
-    w.net_mut().send_tagged(b, a, Bytes::from(captured), None);
-    w.settle();
-    w.obs.metrics.rejected + w.obs.metrics.garbled > before
-}
-
-/// §5.3 interleaving probe: run two sessions over the same object, cut
-/// the provider→client path in session 2 and splice in session 1's
-/// captured receipt. Blocked when the splice cannot complete session 2
-/// (the signed plaintext binds the transaction id).
-fn e14_attack_interleave<T: Transport>(net: T, seed: u64) -> bool {
-    let mut w = GenericWorld::with_transport(net, seed, e14_cfg());
-    let (a, b) = (w.alice_node, w.bob_node);
-    let tape: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
-    let tap = tape.clone();
-    w.net_mut().set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
-        if src == b && dst == a {
-            tap.lock().unwrap().push(payload.to_vec());
-        }
-        Action::Deliver
-    }));
-    let r1 = w.upload(b"same-object", b"same bytes".to_vec(), TimeoutStrategy::AbortFirst);
-    if !r1.completed() {
-        return false;
-    }
-    let receipt1 = match Message::from_wire_bytes(&Bytes::from(tape.lock().unwrap()[0].clone())) {
-        Ok(m) => m,
-        Err(_) => return false,
-    };
-    // Session 2: identical object and bytes, new transaction. The
-    // attacker suppresses Bob's real receipt and answers with session 1's.
-    w.net_mut().clear_interceptor();
-    w.net_mut().set_interceptor(Box::new(move |src, dst, _payload: &[u8], _t| {
-        if src == b && dst == a {
-            Action::Drop
-        } else {
-            Action::Deliver
-        }
-    }));
-    let now = w.net().now();
-    let Ok((txn2, out)) = w.client.begin_upload(
-        b"same-object",
-        b"same bytes".to_vec(),
-        now,
-        TimeoutStrategy::AbortFirst,
-    ) else {
-        return false;
-    };
-    w.send_from_client(out);
-    let bob_id = w.provider.id();
-    let splice = w.client.handle(bob_id, &receipt1, now);
-    let spliced_in = splice.is_ok() && w.client.txn_state(txn2) == Some(TxnState::Completed);
-    w.settle(); // drain session 2 to a terminal state over the cut wire
-    !spliced_in
-}
-
-/// §5.4 replay probe: capture the client's transfer, let the session
-/// complete, then resend the identical bytes. Blocked when the
-/// per-(txn, sender) replay window refuses the stale sequence number.
-fn e14_attack_replay<T: Transport>(net: T, seed: u64) -> bool {
-    let mut w = GenericWorld::with_transport(net, seed, e14_cfg());
-    let (a, b) = (w.alice_node, w.bob_node);
-    let tape: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
-    let tap = tape.clone();
-    w.net_mut().set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
-        if src == a && dst == b {
-            tap.lock().unwrap().push(payload.to_vec());
-        }
-        Action::Deliver
-    }));
-    let r = w.upload(b"e14/replay", b"data".to_vec(), TimeoutStrategy::AbortFirst);
-    if !r.completed() {
-        return false;
-    }
-    w.net_mut().clear_interceptor();
-    let replay = tape.lock().unwrap()[0].clone();
-    w.net_mut().send_tagged(a, b, Bytes::from(replay), None);
-    w.settle();
-    w.obs.metrics.rejected_by.get("stale-sequence").copied().unwrap_or(0) >= 1
-}
-
-/// §5.5 timeliness probe: hold the provider's receipt on the wire past
-/// the evidence time limit. Blocked when the stale receipt is refused as
-/// expired and the session settles through the abort path instead of
-/// completing on out-of-date evidence.
-fn e14_attack_timeliness<T: Transport>(net: T, seed: u64) -> bool {
-    let cfg = ProtocolConfig::builder()
-        .response_timeout(SimDuration::from_millis(500))
-        .message_time_limit(SimDuration::from_millis(150))
-        .build();
-    let mut w = GenericWorld::with_transport(net, seed, cfg);
-    let (a, b) = (w.alice_node, w.bob_node);
-    let mut delayed = false;
-    w.net_mut().set_interceptor(Box::new(move |src, dst, _payload: &[u8], _t| {
-        if !delayed && src == b && dst == a {
-            delayed = true;
-            return Action::Delay(SimDuration::from_millis(300));
-        }
-        Action::Deliver
-    }));
-    let r = w.upload(b"e14/late", b"data".to_vec(), TimeoutStrategy::AbortFirst);
-    let expired = w.obs.metrics.rejected_by.get("expired").copied().unwrap_or(0);
-    !r.completed() && expired >= 1
 }
 
 /// A row for a backend that could not be brought up.
@@ -1441,10 +1281,10 @@ fn e14_skipped(backend: &'static str, host: u64) -> E14Row {
     }
 }
 
-/// Runs the full E14 workload — throughput lane plus §5 gauntlet — on one
-/// backend. `mk` constructs a fresh wire of that backend for the lane and
-/// for every probe (returning `None` marks the row skipped, e.g. when the
-/// loopback bind is refused).
+/// Runs the full E14 workload — throughput lane plus the §5 attack suite —
+/// on one backend. `mk` constructs a fresh wire of that backend for the
+/// lane and for every attack (returning `None` marks the row skipped, e.g.
+/// when the loopback bind is refused).
 fn e14_run_backend<T: Transport>(
     backend: &'static str,
     txns: usize,
@@ -1457,7 +1297,11 @@ fn e14_run_backend<T: Transport>(
     };
 
     // Throughput lane: sequential evidence transactions on a healthy wire.
-    let mut w = GenericWorld::with_transport(net, seed, e14_cfg());
+    // On a live socket the scheduler waits out timer deadlines in host
+    // time, so the response timeout is 400 ms rather than the default 30 s
+    // — still orders of magnitude above loopback RTT.
+    let cfg = ProtocolConfig::builder().response_timeout(SimDuration::from_millis(400)).build();
+    let mut w = GenericWorld::with_transport(net, seed, cfg);
     let payload = vec![0x5a_u8; 256];
     let sw = HostStopwatch::start();
     let mut completed = 0u64;
@@ -1476,19 +1320,14 @@ fn e14_run_backend<T: Transport>(
     let s = w.net().stats();
     let conservation_violations = u64::from(s.delivered + s.dropped != s.sent + s.duplicated);
 
-    // §5 gauntlet, each probe on a fresh wire of the same backend.
-    let probes: [fn(T, u64) -> bool; 5] = [
-        e14_attack_mitm_tamper::<T>,
-        e14_attack_reflection::<T>,
-        e14_attack_interleave::<T>,
-        e14_attack_replay::<T>,
-        e14_attack_timeliness::<T>,
-    ];
-    let attacks_expected = probes.len() as u64;
+    // The §5 attack suite (E3's, under the full protocol), each attack on
+    // a fresh wire of the same backend.
+    let attacks = AttackKind::all();
+    let attacks_expected = attacks.len() as u64;
     let mut attacks_rejected = 0u64;
-    for probe in probes {
+    for attack in attacks {
         if let Some(net) = mk() {
-            if probe(net, seed) {
+            if tpnr_attacks::run_on(attack, Ablation::None, net).blocked {
                 attacks_rejected += 1;
             }
         }
@@ -1518,7 +1357,7 @@ fn e14_run_backend<T: Transport>(
 }
 
 /// E14: the same protocol code on every transport backend. Runs the
-/// throughput lane and the five §5 attack probes on the deterministic
+/// throughput lane and E3's five §5 attacks on the deterministic
 /// simulator, the in-process channel wire and real loopback TCP sockets,
 /// at matched load, with zero per-backend protocol code. The TCP row is
 /// marked `skipped` (rather than failing the experiment) when the host

@@ -376,10 +376,16 @@ impl FaultCtl {
     /// Decide the fate of a delivery to a (live) `actor` of a `kind`
     /// message. Consumes one-shot schedule entries and chaos RNG rolls.
     pub fn delivery_verdict(&mut self, actor: &str, kind: &str) -> DeliveryVerdict {
-        let n = {
-            let e = self.delivery_count.entry(actor.to_string()).or_insert(0);
-            *e += 1;
-            *e
+        // Counted in place: only an actor's first delivery allocates its key.
+        let n = match self.delivery_count.get_mut(actor) {
+            Some(count) => {
+                *count += 1;
+                *count
+            }
+            None => {
+                self.delivery_count.insert(actor.to_string(), 1);
+                1
+            }
         };
         for (i, (a, at)) in self.plan.crash_at_delivery.iter().enumerate() {
             if !self.at_delivery_used[i] && a == actor && *at == n {
@@ -475,15 +481,19 @@ impl FaultCtl {
     /// Decide whether `actor`'s durable state should be synced now. `force`
     /// bypasses the interval check (write-ahead before emitting output).
     pub fn sync_due(&mut self, actor: &str, now: SimTime, force: bool) -> SyncDecision {
-        if !force {
-            // An actor with no recorded sync has never persisted: always due.
-            if let Some(last) = self.last_sync.get(actor) {
-                if now < last.after(self.plan.sync_interval) {
+        // Updated in place: only an actor's first sync allocates its key.
+        match self.last_sync.get_mut(actor) {
+            Some(last) => {
+                if !force && now < last.after(self.plan.sync_interval) {
                     return SyncDecision::Skip;
                 }
+                *last = now;
+            }
+            // An actor with no recorded sync has never persisted: always due.
+            None => {
+                self.last_sync.insert(actor.to_string(), now);
             }
         }
-        self.last_sync.insert(actor.to_string(), now);
         SyncDecision::Persist
     }
 

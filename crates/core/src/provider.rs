@@ -180,6 +180,13 @@ impl Provider {
         self.txns.len()
     }
 
+    /// Ids of the transactions Bob holds a record for, ascending.
+    pub(crate) fn txn_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.txns.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Evicts a settled transaction's session record (the stored object
     /// itself stays — it is the service, not session state) and retires its
     /// validator window. Returns the record for the caller's archive.
@@ -484,6 +491,7 @@ impl crate::fault::Durable for Provider {
     }
 }
 
+/// The provider is purely reactive: it answers transfers, aborts and
 /// resolve forwards but owns no timers, so the `Actor` timer hooks keep
 /// their no-op defaults.
 impl crate::sched::Actor for Provider {

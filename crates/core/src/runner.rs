@@ -723,20 +723,36 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
     }
 
-    /// Restores a restarted actor from its last synced snapshot.
+    /// Restores a restarted actor from its last synced snapshot. An image
+    /// synced before an eviction brings the evicted records back, though
+    /// the archive already holds them and `txn_meta` no longer lists them,
+    /// so each is evicted again through the actor's own `evict_txn`, which
+    /// also puts back its validator tombstone.
     fn restore_actor(&mut self, slot: usize, now: SimTime) {
         let Some(snaps) = self.snaps.as_deref() else { return };
+        let archive = &self.archive;
+        let archived = |txns: Vec<u64>| txns.into_iter().filter(|&t| archive.get(t).is_some());
         let bytes = match slot.checked_sub(self.client_nodes.len()) {
             None => {
-                self.seats.clients_mut()[slot].restore(&snaps.clients[slot]);
+                let client = &mut self.seats.clients_mut()[slot];
+                client.restore(&snaps.clients[slot]);
+                for txn in archived(client.txn_ids()) {
+                    client.evict_txn(txn);
+                }
                 snaps.clients[slot].bytes()
             }
             Some(0) => {
                 self.provider.restore(&snaps.provider);
+                for txn in archived(self.provider.txn_ids()) {
+                    self.provider.evict_txn(txn);
+                }
                 snaps.provider.bytes()
             }
             Some(_) => {
                 self.ttp.restore(&snaps.ttp);
+                for txn in archived(self.ttp.pending_txns()) {
+                    self.ttp.evict_txn(txn);
+                }
                 snaps.ttp.bytes()
             }
         };

@@ -102,6 +102,12 @@ impl Ttp {
         self.pending.len()
     }
 
+    /// Ids of the transactions with a resolve waiting on a respondent,
+    /// ascending.
+    pub(crate) fn pending_txns(&self) -> Vec<u64> {
+        self.pending.keys().copied().collect()
+    }
+
     /// Evicts a settled transaction: drops any (stale) pending-resolve
     /// entry and retires the validator window, so late Resolve replays for
     /// it are refused instead of opening a fresh window.

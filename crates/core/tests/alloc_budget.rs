@@ -11,7 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use tpnr_core::fault::{DeliveryVerdict, FaultCtl, SyncDecision};
 use tpnr_core::prelude::*;
+use tpnr_net::time::{SimDuration, SimTime};
 
 /// Allocator calls (alloc, alloc_zeroed, realloc) per 256 B upload. A
 /// build with debug assertions (the test profile) makes more calls than a
@@ -168,6 +170,34 @@ fn upload_and_download_stay_within_their_allocation_budgets() {
         "download: {} > {DOWNLOAD_BUDGET}",
         per(down_calls)
     );
+}
+
+/// Under an active fault plan the injector rules on every delivery and
+/// every sync. Its per-actor counters are keyed by actor name, so once an
+/// actor is known a ruling updates the actor's entry in place and
+/// allocates nothing.
+#[test]
+fn the_fault_injector_rules_on_a_known_actor_without_allocating() {
+    // A rule that never fires keeps the plan active and the rulings plain.
+    let plan = FaultPlan::none().with_crash_at_delivery("bob", u64::MAX);
+    let mut faults = FaultCtl::new(&plan);
+    assert!(faults.active());
+    // Warm-up: each counter meets "bob" once.
+    assert_eq!(faults.delivery_verdict("bob", "Transfer"), DeliveryVerdict::Proceed);
+    assert_eq!(faults.sync_due("bob", SimTime::ZERO, true), SyncDecision::Persist);
+    let (deliveries, _) = tally(|| {
+        for _ in 0..100 {
+            black_box(faults.delivery_verdict("bob", "Transfer"));
+        }
+    });
+    let (syncs, _) = tally(|| {
+        for i in 1..=100 {
+            let now = SimTime::ZERO.after(SimDuration::from_millis(i));
+            black_box(faults.sync_due("bob", now, true));
+        }
+    });
+    assert_eq!((deliveries, syncs), (0, 0), "allocator calls for 100 rulings of each kind");
+    assert_eq!(faults.delivery_verdict("bob", "Transfer"), DeliveryVerdict::Proceed);
 }
 
 /// Uploads 256 B to `count` keys not used before, numbered from `first`.

@@ -120,6 +120,31 @@ fn adversarial_drop_recovers_via_ttp<T: Transport>(net: T) {
     assert_conserved(&w);
 }
 
+fn tampered_transfer_is_refused_and_settles<T: Transport>(net: T) {
+    // The §5 attacker flips the last byte of Alice's transfer in flight.
+    // Bob refuses the broken evidence, so the upload cannot complete, and
+    // the session still ends terminal with Alice's evidence intact.
+    let mut w = GenericWorld::with_transport(net, 10, ProtocolConfig::full());
+    let (a, b) = (w.alice_node, w.bob_node);
+    let mut tampered = false;
+    w.net_mut().set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
+        if (src, dst) != (a, b) || std::mem::replace(&mut tampered, true) {
+            return Action::Deliver;
+        }
+        let mut flipped = payload.to_vec();
+        if let Some(last) = flipped.last_mut() {
+            *last ^= 0xff;
+        }
+        Action::Modify(flipped)
+    }));
+    let r = w.upload(b"k", b"true data".to_vec(), TimeoutStrategy::AbortFirst);
+    assert!(!r.completed(), "a tampered transfer must not complete the upload");
+    assert!(r.arbitrable(), "the session ends terminal with Alice's NRO: {:?}", r.outcome);
+    assert_eq!(w.provider.actor_stats.rejected, 1, "Bob refused the tampered transfer");
+    assert_eq!(w.obs.metrics.rejected_by.get("evidence"), Some(&1), "and it is on the record");
+    assert_conserved(&w);
+}
+
 fn fleet_eviction_rehydrates_evidence<T: Transport>(net: T) {
     // Four clients share the provider over a few upload rounds with the
     // smallest hot set, so most settled transactions are evicted to the
@@ -191,6 +216,11 @@ macro_rules! backend_parity {
             #[test]
             fn adversarial_drop_recovers_via_ttp() {
                 super::adversarial_drop_recovers_via_ttp($mk);
+            }
+
+            #[test]
+            fn tampered_transfer_is_refused_and_settles() {
+                super::tampered_transfer_is_refused_and_settles($mk);
             }
 
             #[test]

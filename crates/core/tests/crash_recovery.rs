@@ -8,6 +8,7 @@ use tpnr_core::fault::{CrashPoint, FaultPlan, RetryPolicy, SEQ_RECOVERY_SKIP};
 use tpnr_core::prelude::*;
 use tpnr_core::principal::PrincipalId;
 use tpnr_core::session::Validator;
+use tpnr_net::sim::LinkConfig;
 use tpnr_net::time::SimDuration;
 
 #[test]
@@ -163,6 +164,59 @@ fn multiworld_survives_chaos_with_no_evidence_loss() {
             h.txn_id,
             r.outcome
         );
+    }
+}
+
+/// Runs 40 uploads of 32 B under `plan` in a world that keeps one settled
+/// transaction resident per archive shard, so most are evicted as they
+/// settle. With `dup_receipts` every bob→alice copy is duplicated. Returns
+/// the world and every upload's transaction id.
+fn forty_uploads_with_eviction(plan: FaultPlan, dup_receipts: bool) -> (World, Vec<u64>) {
+    let mut w = World::new(6, ProtocolConfig::builder().fault_plan(plan).build());
+    w.set_archive_capacity(1);
+    if dup_receipts {
+        let (a, b) = (w.alice_node, w.bob_node);
+        w.net_mut().set_link(b, a, LinkConfig { dup_prob: 1.0, ..Default::default() });
+    }
+    let txns = (0..40u8)
+        .map(|i| w.upload(&[b'k', i], vec![i; 32], TimeoutStrategy::AbortFirst).txn_id)
+        .collect();
+    (w, txns)
+}
+
+#[test]
+fn a_client_restore_does_not_bring_back_evicted_transactions() {
+    // Alice syncs at most every 600 s, so the image she restarts from
+    // predates evictions made since; duplicated receipts bring her 60th
+    // delivery, and her crash, within the 40 uploads. An evicted record the
+    // restore brings back must be evicted again, or Alice keeps it — and
+    // its replay window — for good beside its archived copy.
+    let plan = FaultPlan::none()
+        .with_crash_at_delivery("alice", 60)
+        .with_sync_interval(SimDuration::from_secs(600));
+    let (w, txns) = forty_uploads_with_eviction(plan, true);
+    assert_eq!(w.fault_counters().restarts, 1);
+    assert!(w.archive_stats().evicted > 0);
+    for txn in txns {
+        let live = w.client.txn(txn).is_some();
+        assert!(!(live && w.rehydrate_evidence(txn).is_some()), "txn {txn}: live and archived");
+    }
+}
+
+#[test]
+fn a_provider_restore_does_not_bring_back_evicted_transactions() {
+    // Bob syncs on every reply, but an eviction between two of his syncs is
+    // still in his image, with or without a deferred sync.
+    for interval in [SimDuration::ZERO, SimDuration::from_secs(600)] {
+        let plan = FaultPlan::none().with_crash_at_delivery("bob", 30).with_sync_interval(interval);
+        let (w, txns) = forty_uploads_with_eviction(plan, false);
+        assert_eq!(w.fault_counters().restarts, 1);
+        assert!(w.archive_stats().evicted > 0);
+        for txn in txns {
+            let live = w.provider.txn(txn).is_some();
+            let twice = live && w.rehydrate_evidence(txn).is_some();
+            assert!(!twice, "sync interval {interval:?}, txn {txn}: live and archived");
+        }
     }
 }
 
