@@ -223,7 +223,7 @@ impl<T: Transport> Stage<T> {
 
     /// Why `actor` refused the attack: the first rejection it recorded, or
     /// `otherwise` when it rejected nothing.
-    pub(crate) fn refusal(&self, actor: &str, otherwise: &str) -> String {
+    pub(crate) fn refusal(&self, actor: NodeId, otherwise: &str) -> String {
         let first = self.w.obs.events().iter().find_map(|e| match &e.kind {
             EventKind::Rejected { error, .. } if e.actor == actor => Some(error.to_string()),
             _ => None,

@@ -48,7 +48,7 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
         "session 2 was completed with a receipt spliced from session 1",
         format!(
             "splice refused (txn binding in signed plaintext): {}",
-            s.refusal("alice", "session 2 was not completed by the splice")
+            s.refusal(a, "session 2 was not completed by the splice")
         ),
     )
 }

@@ -59,7 +59,7 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
         planted,
         "provider accepted a forged upload attributed to Alice and archived framing 'evidence' \
          signed by Mallory's substituted key",
-        format!("provider rejected the forged transfer: {}", s.refusal("bob", "no data stored")),
+        format!("provider rejected the forged transfer: {}", s.refusal(b, "no data stored")),
     )
 }
 

@@ -34,7 +34,7 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
         "a reflected message was accepted by its own sender",
         format!(
             "reflection refused (role asymmetry + direction binding): {}",
-            s.refusal("alice", "state unchanged")
+            s.refusal(s.alice_node, "state unchanged")
         ),
     )
 }

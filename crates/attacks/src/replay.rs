@@ -30,7 +30,7 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
         s.provider.peek_storage(b"doc") == Some(&b"version 1"[..]),
         "replayed v1 transfer was accepted: storage rolled back from v2 to v1 and a fresh \
          receipt was issued for stale data",
-        format!("replay refused ({}); storage still holds v2", s.refusal("bob", "no rollback")),
+        format!("replay refused ({}); storage still holds v2", s.refusal(b, "no rollback")),
     )
 }
 

@@ -32,7 +32,7 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
     s.outcome(
         s.provider.peek_storage(b"prices").is_some(),
         "an upload held 300 ms past its 150 ms time limit was installed as current data",
-        format!("stale message refused on arrival: {}", s.refusal("bob", "not stored")),
+        format!("stale message refused on arrival: {}", s.refusal(b, "not stored")),
     )
 }
 

@@ -53,5 +53,5 @@ fn injected_replays_show_up_in_rejected_counters() {
     let mut expected = vec![Some(r1.txn_id), Some(r2.txn_id)];
     expected.sort_unstable();
     assert_eq!(txns, expected);
-    assert!(rejected.iter().all(|e| e.actor == "bob" && e.msg_kind() == Some("Transfer")));
+    assert!(rejected.iter().all(|e| e.actor == w.bob_node && e.msg_kind() == Some("Transfer")));
 }

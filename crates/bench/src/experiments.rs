@@ -1535,7 +1535,7 @@ pub fn trace_jsonl(seed: u64) -> String {
         w.start_upload(i, &key, vec![i as u8; 64], TimeoutStrategy::ResolveImmediately);
     }
     w.settle();
-    crate::report::render_trace_jsonl(w.obs.events(), &w.obs.metrics)
+    crate::report::render_trace_jsonl(w.obs.events(), &w.obs.metrics, w.net())
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 use crate::experiments::*;
 use std::fmt;
 use tpnr_core::obs::{Event, EventKind, Histogram, Metrics};
+use tpnr_net::transport::Transport;
 
 // --------------------------------------------------------------- rows ----
 
@@ -506,28 +507,31 @@ fn json_opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_string(), |n| n.to_string())
 }
 
-/// Renders one observability event as a single JSON object (no newline).
-pub fn event_json(ev: &Event) -> String {
+/// Renders one observability event as a single JSON object (no newline),
+/// naming each node by its display name in `net`'s node table ("?" for a
+/// node it does not know).
+pub fn event_json(ev: &Event, net: &dyn Transport) -> String {
+    let name = |node| json_escape(net.node_name(node).unwrap_or("?"));
     let mut fields = vec![
         format!("\"at_us\":{}", ev.at.micros()),
         format!("\"txn\":{}", json_opt_u64(ev.txn)),
-        format!("\"actor\":\"{}\"", json_escape(&ev.actor)),
+        format!("\"actor\":\"{}\"", name(ev.actor)),
         format!("\"kind\":\"{}\"", ev.kind.label()),
     ];
     match &ev.kind {
         EventKind::Delivered { from, msg } => {
-            fields.push(format!("\"from\":\"{}\"", json_escape(from)));
+            fields.push(format!("\"from\":\"{}\"", name(*from)));
             fields.push(format!("\"msg\":\"{}\"", json_escape(msg)));
         }
         EventKind::Rejected { from, msg, error } => {
-            fields.push(format!("\"from\":\"{}\"", json_escape(from)));
+            fields.push(format!("\"from\":\"{}\"", name(*from)));
             fields.push(format!("\"msg\":\"{}\"", json_escape(msg)));
             fields.push(format!("\"error\":\"{}\"", error.variant()));
         }
         EventKind::Garbled { from }
         | EventKind::Dropped { from }
         | EventKind::Duplicated { from } => {
-            fields.push(format!("\"from\":\"{}\"", json_escape(from)));
+            fields.push(format!("\"from\":\"{}\"", name(*from)));
         }
         EventKind::TimerFired { messages } => {
             fields.push(format!("\"messages\":{messages}"));
@@ -585,15 +589,16 @@ pub fn metrics_json(m: &Metrics) -> String {
     )
 }
 
-/// Renders a full run as JSONL: one line per event, then one final
-/// `"kind":"metrics"` summary line.
+/// Renders a full run as JSONL: one line per event, its nodes named
+/// through `net`, then one final `"kind":"metrics"` summary line.
 pub fn render_trace_jsonl<'a>(
     events: impl IntoIterator<Item = &'a Event>,
     metrics: &Metrics,
+    net: &dyn Transport,
 ) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&event_json(ev));
+        out.push_str(&event_json(ev, net));
         out.push('\n');
     }
     out.push_str(&metrics_json(metrics));
@@ -864,21 +869,25 @@ mod tests {
     #[test]
     fn event_json_covers_every_kind_and_validates() {
         use tpnr_core::session::{TxnState, ValidationError};
+        use tpnr_net::sim::{NodeId, SimNet};
         use tpnr_net::time::SimTime;
 
+        let mut net = SimNet::new(0);
+        let [alice, bob, mallory, ttp] =
+            ["alice", "bob", "mallory \"m\"\n", "ttp"].map(|name| net.register(name));
         let events = [
             Event {
                 at: SimTime(1_000),
                 txn: Some(7),
-                actor: "bob".into(),
-                kind: EventKind::Delivered { from: "alice".into(), msg: "Transfer" },
+                actor: bob,
+                kind: EventKind::Delivered { from: alice, msg: "Transfer" },
             },
             Event {
                 at: SimTime(2_000),
                 txn: Some(7),
-                actor: "bob".into(),
+                actor: bob,
                 kind: EventKind::Rejected {
-                    from: "alice".into(),
+                    from: alice,
                     msg: "Transfer",
                     error: ValidationError::StaleSequence { last: 2, got: 1 },
                 },
@@ -886,35 +895,35 @@ mod tests {
             Event {
                 at: SimTime(3_000),
                 txn: None,
-                actor: "bob".into(),
-                kind: EventKind::Garbled { from: "mallory \"m\"\n".into() },
+                actor: bob,
+                kind: EventKind::Garbled { from: mallory },
             },
             Event {
                 at: SimTime(4_000),
                 txn: Some(7),
-                actor: "alice".into(),
-                kind: EventKind::Dropped { from: "bob".into() },
+                actor: alice,
+                kind: EventKind::Dropped { from: bob },
             },
             Event {
                 at: SimTime(4_000),
                 txn: Some(7),
-                actor: "alice".into(),
-                kind: EventKind::Duplicated { from: "bob".into() },
+                actor: alice,
+                kind: EventKind::Duplicated { from: bob },
             },
             Event {
                 at: SimTime(5_000),
                 txn: None,
-                actor: "ttp".into(),
+                actor: ttp,
                 kind: EventKind::TimerFired { messages: 1 },
             },
             Event {
                 at: SimTime(6_000),
                 txn: Some(7),
-                actor: "alice".into(),
+                actor: alice,
                 kind: EventKind::StateTransition { from: None, to: TxnState::Pending },
             },
         ];
-        let jsonl = render_trace_jsonl(&events, &Metrics::default());
+        let jsonl = render_trace_jsonl(&events, &Metrics::default(), &net);
         // 7 event lines + the metrics summary, all syntactically valid.
         assert_eq!(validate_jsonl(&jsonl), Ok(8));
         assert!(jsonl.contains("\"txn\":null"));
@@ -922,6 +931,10 @@ mod tests {
         assert!(jsonl.contains("mallory \\\"m\\\"\\n"));
         assert!(jsonl.contains("\"from_state\":null"));
         assert!(jsonl.lines().last().unwrap().contains("\"kind\":\"metrics\""));
+        // A node the transport never registered renders as "?".
+        let stray =
+            Event { at: SimTime(0), txn: None, actor: NodeId(99), kind: EventKind::Crashed };
+        assert!(event_json(&stray, &net).contains("\"actor\":\"?\""));
     }
 
     #[test]

@@ -496,9 +496,7 @@ impl Client {
                 || strategy == TimeoutStrategy::ResolveImmediately
                 || abort_attempted;
             if escalate_to_resolve {
-                if state != TxnState::Resolving || now >= self.txns[&txn_id].deadline {
-                    out.extend(self.send_resolve(txn_id, now));
-                }
+                out.extend(self.send_resolve(txn_id, now));
             } else {
                 out.extend(self.send_abort(txn_id, now));
             }

@@ -114,55 +114,20 @@ impl ProtocolConfig {
 
     /// Named ablations used by the attack-matrix experiment.
     pub fn ablated(which: Ablation) -> Self {
-        let mut cfg = Self::default();
-        match which {
-            Ablation::None => {}
-            Ablation::NoKeyAuthentication => cfg.authenticate_keys = false,
-            Ablation::NoSequenceNumbers => cfg.check_sequence_numbers = false,
-            Ablation::NoIdentityBinding => cfg.bind_identities = false,
-            Ablation::NoTimeLimits => cfg.enforce_time_limits = false,
-            Ablation::NoSignatures => cfg.require_signatures = false,
-        }
-        cfg
+        Self::builder().ablation(which).build()
     }
 }
 
 /// Typed builder for [`ProtocolConfig`]. Starts from the fully-defended
-/// defaults; every setter is explicit, so call sites no longer juggle five
-/// positional booleans and two durations through struct-update syntax.
+/// defaults; a defence comes off through [`ProtocolConfigBuilder::ablation`],
+/// and MD5 hashing and Merkle commitments through
+/// [`ProtocolConfig::with_md5`] and [`ProtocolConfig::with_merkle`].
 #[derive(Debug, Clone)]
 pub struct ProtocolConfigBuilder {
     cfg: ProtocolConfig,
 }
 
 impl ProtocolConfigBuilder {
-    /// Hash algorithm for evidence data integrity.
-    pub fn hash_alg(mut self, alg: HashAlg) -> Self {
-        self.cfg.hash_alg = alg;
-        self
-    }
-
-    /// MD5 evidence hashing (the 2010 platforms' choice).
-    pub fn md5(self) -> Self {
-        self.hash_alg(HashAlg::Md5)
-    }
-
-    /// Payload commitment scheme.
-    pub fn commitment(mut self, c: Commitment) -> Self {
-        self.cfg.commitment = c;
-        self
-    }
-
-    /// Merkle-root commitments with the given chunk size.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size` is zero, matching
-    /// [`ProtocolConfig::with_merkle`].
-    pub fn merkle(self, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.commitment(Commitment::Merkle { chunk_size })
-    }
-
     /// Abort/Resolve base timeout (the paper's "pre-set time-out limit").
     pub fn response_timeout(mut self, d: SimDuration) -> Self {
         self.cfg.response_timeout = d;
@@ -172,36 +137,6 @@ impl ProtocolConfigBuilder {
     /// Per-message validity window.
     pub fn message_time_limit(mut self, d: SimDuration) -> Self {
         self.cfg.message_time_limit = d;
-        self
-    }
-
-    /// §5.1 public-key authentication switch.
-    pub fn authenticate_keys(mut self, on: bool) -> Self {
-        self.cfg.authenticate_keys = on;
-        self
-    }
-
-    /// §5.4 sequence-number checking switch.
-    pub fn check_sequence_numbers(mut self, on: bool) -> Self {
-        self.cfg.check_sequence_numbers = on;
-        self
-    }
-
-    /// §5.2/§5.3 identity/direction binding switch.
-    pub fn bind_identities(mut self, on: bool) -> Self {
-        self.cfg.bind_identities = on;
-        self
-    }
-
-    /// §5.5 reception time-limit enforcement switch.
-    pub fn enforce_time_limits(mut self, on: bool) -> Self {
-        self.cfg.enforce_time_limits = on;
-        self
-    }
-
-    /// §4.1 evidence-signature requirement switch.
-    pub fn require_signatures(mut self, on: bool) -> Self {
-        self.cfg.require_signatures = on;
         self
     }
 
@@ -346,19 +281,13 @@ mod tests {
     #[test]
     fn builder_setters_apply() {
         let c = ProtocolConfig::builder()
-            .md5()
-            .merkle(4096)
             .response_timeout(SimDuration::from_secs(5))
             .message_time_limit(SimDuration::from_secs(10))
-            .require_signatures(false)
             .retry_policy(RetryPolicy::exponential(3))
             .fault_plan(FaultPlan::none().with_seed(9))
             .build();
-        assert_eq!(c.hash_alg, HashAlg::Md5);
-        assert_eq!(c.commitment, Commitment::Merkle { chunk_size: 4096 });
         assert_eq!(c.response_timeout, SimDuration::from_secs(5));
         assert_eq!(c.message_time_limit, SimDuration::from_secs(10));
-        assert!(!c.require_signatures);
         assert_eq!(c.retry.max_attempts, Some(3));
         assert_eq!(c.faults.seed, 9);
     }

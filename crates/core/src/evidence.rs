@@ -367,20 +367,6 @@ pub fn verify_signatures(
 }
 
 impl VerifiedEvidence {
-    /// Reassembles an evidence token from stored parts — the provider keeps
-    /// its NRR as `(plaintext, signatures)` rather than a whole token, and
-    /// the settled-txn archive reunites them at eviction time. This mints
-    /// nothing: the signatures were produced by the signing constructors at
-    /// session time and arbitration re-verifies them against the directory,
-    /// so a forged reassembly fails exactly like any tampered evidence.
-    pub fn from_stored_parts(
-        plaintext: EvidencePlaintext,
-        sig_data_hash: Vec<u8>,
-        sig_plaintext: Vec<u8>,
-    ) -> Self {
-        VerifiedEvidence { plaintext, sig_data_hash, sig_plaintext }
-    }
-
     /// Re-verifies this archived evidence (what the arbitrator does).
     pub fn reverify(
         &self,

@@ -31,7 +31,6 @@
 //! rounds — no wall-clock, no ambient entropy. Same seed + same plan ⇒ the
 //! same crashes at the same sim-times, byte-identical observability output.
 
-use std::collections::BTreeMap;
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::time::{SimDuration, SimTime};
 
@@ -298,32 +297,43 @@ pub struct FaultStats {
 }
 
 /// Fault wakeups processed by [`FaultCtl::poll`] at the top of a timer
-/// round: outage-initiated crashes and restarts that have come due.
+/// round: outage-initiated crashes and restarts that have come due, as
+/// actor slots.
 #[derive(Debug, Default)]
 pub struct FaultEvents {
-    /// Actors crashed by an outage window opening at this instant.
-    pub crashed: Vec<String>,
-    /// Actors whose downtime ended; the hub must restore each from its
-    /// snapshot.
-    pub restarted: Vec<String>,
+    /// Slots crashed by an outage window opening at this instant (the TTP's).
+    pub crashed: Vec<usize>,
+    /// Slots whose downtime ended, ascending; the hub must restore each
+    /// from its snapshot.
+    pub restarted: Vec<usize>,
 }
 
 /// Runtime fault injector. Owned by the runner (`core::runner::Runner`),
-/// keyed by actor display name; all maps are `BTreeMap` so iteration order —
-/// and therefore RNG consumption and event order — is deterministic.
+/// which addresses actors by slot: with `n` clients, client `i` is slot
+/// `i`, the provider slot `n` and the TTP slot `n + 1`. The plan names
+/// actors; the names are resolved to slots once, at construction, and
+/// every per-actor counter is a `Vec` indexed by slot, so no ruling
+/// allocates and same-instant restarts come back in slot order.
 pub struct FaultCtl {
     plan: FaultPlan,
     rng: ChaChaRng,
-    /// Down actors → restart instant.
-    down_until: BTreeMap<String, SimTime>,
-    /// Per-actor count of deliveries that reached the actor.
-    delivery_count: BTreeMap<String, u64>,
-    /// Per-actor last durable sync instant.
-    last_sync: BTreeMap<String, SimTime>,
-    /// One-shot consumption flags for `plan.crash_at_delivery`.
-    at_delivery_used: Vec<bool>,
-    /// One-shot consumption flags for `plan.crash_on_msg`.
-    on_msg_used: Vec<bool>,
+    /// The TTP's slot (the last), which outage windows take down.
+    ttp: usize,
+    /// Per slot: the restart instant while the actor is down.
+    down_until: Vec<Option<SimTime>>,
+    /// The earliest of `down_until`, read by the scheduler every step.
+    next_restart: Option<SimTime>,
+    /// Per slot: deliveries that reached the actor.
+    delivery_count: Vec<u64>,
+    /// Per slot: the last durable sync instant, `None` before the first.
+    last_sync: Vec<Option<SimTime>>,
+    /// Per slot: whether chaos rolls target the actor.
+    chaos_target: Vec<bool>,
+    /// The slot of each `plan.crash_at_delivery` rule; `None` once the
+    /// one-shot rule fired, or when no actor bears its name.
+    at_delivery: Vec<Option<usize>>,
+    /// The slot of each `plan.crash_on_msg` rule, consumed the same way.
+    on_msg: Vec<Option<usize>>,
     /// Next unentered outage window index.
     outage_idx: usize,
     chaos_injected: u32,
@@ -333,16 +343,27 @@ pub struct FaultCtl {
 }
 
 impl FaultCtl {
-    /// Build an injector for `plan`. Inert plans cost nothing at runtime:
+    /// Build an injector for `plan` over actors with display names `names`,
+    /// in slot order (clients, provider, TTP). A plan name resolves to the
+    /// first slot bearing it; a rule naming no actor never fires, but still
+    /// counts towards `active()`. Inert plans cost nothing at runtime:
     /// `active()` is false and the runners skip all fault paths.
-    pub fn new(plan: &FaultPlan) -> Self {
+    pub fn new(plan: &FaultPlan, names: &[&str]) -> Self {
+        let slot = |name: &String| names.iter().position(|n| n == name);
+        let mut chaos_target = vec![false; names.len()];
+        for s in plan.chaos_targets.iter().filter_map(slot) {
+            chaos_target[s] = true;
+        }
         FaultCtl {
             rng: ChaChaRng::seed_from_u64(plan.seed ^ 0xfa017),
-            down_until: BTreeMap::new(),
-            delivery_count: BTreeMap::new(),
-            last_sync: BTreeMap::new(),
-            at_delivery_used: vec![false; plan.crash_at_delivery.len()],
-            on_msg_used: vec![false; plan.crash_on_msg.len()],
+            ttp: names.len().saturating_sub(1),
+            down_until: vec![None; names.len()],
+            next_restart: None,
+            delivery_count: vec![0; names.len()],
+            last_sync: vec![None; names.len()],
+            chaos_target,
+            at_delivery: plan.crash_at_delivery.iter().map(|(a, _)| slot(a)).collect(),
+            on_msg: plan.crash_on_msg.iter().map(|(a, _, _)| slot(a)).collect(),
             outage_idx: 0,
             chaos_injected: 0,
             stats: FaultStats::default(),
@@ -360,12 +381,13 @@ impl FaultCtl {
         &self.plan
     }
 
-    /// True while `actor` is crashed and awaiting restart. Restarts are
-    /// processed by `poll` at the scheduler's timer phase, which the
-    /// tie-break runs *before* same-instant deliveries, so a marked-down
-    /// actor is genuinely down for every delivery that observes it.
-    pub fn is_down(&self, actor: &str) -> bool {
-        self.down_until.contains_key(actor)
+    /// True while the actor in `slot` is crashed and awaiting restart.
+    /// Restarts are processed by `poll` at the scheduler's timer phase,
+    /// which the tie-break runs *before* same-instant deliveries, so a
+    /// marked-down actor is genuinely down for every delivery that
+    /// observes it.
+    pub fn is_down(&self, slot: usize) -> bool {
+        self.down_until[slot].is_some()
     }
 
     /// Record a message that arrived while its recipient was down.
@@ -373,38 +395,30 @@ impl FaultCtl {
         self.stats.deliveries_lost += 1;
     }
 
-    /// Decide the fate of a delivery to a (live) `actor` of a `kind`
-    /// message. Consumes one-shot schedule entries and chaos RNG rolls.
-    pub fn delivery_verdict(&mut self, actor: &str, kind: &str) -> DeliveryVerdict {
-        // Counted in place: only an actor's first delivery allocates its key.
-        let n = match self.delivery_count.get_mut(actor) {
-            Some(count) => {
-                *count += 1;
-                *count
-            }
-            None => {
-                self.delivery_count.insert(actor.to_string(), 1);
-                1
-            }
-        };
-        for (i, (a, at)) in self.plan.crash_at_delivery.iter().enumerate() {
-            if !self.at_delivery_used[i] && a == actor && *at == n {
-                self.at_delivery_used[i] = true;
-                return DeliveryVerdict::CrashBefore;
-            }
+    /// Decide the fate of a delivery of a `kind` message to the (live)
+    /// actor in `slot`. Consumes one-shot schedule entries and chaos RNG
+    /// rolls.
+    pub fn delivery_verdict(&mut self, slot: usize, kind: &str) -> DeliveryVerdict {
+        self.delivery_count[slot] += 1;
+        let n = self.delivery_count[slot];
+        let mut rules = self.at_delivery.iter_mut().zip(&self.plan.crash_at_delivery);
+        if let Some((rule, _)) = rules.find(|(s, (_, at))| **s == Some(slot) && *at == n) {
+            *rule = None;
+            return DeliveryVerdict::CrashBefore;
         }
-        for (i, (a, k, point)) in self.plan.crash_on_msg.iter().enumerate() {
-            if !self.on_msg_used[i] && a == actor && k == kind {
-                self.on_msg_used[i] = true;
-                return match point {
-                    CrashPoint::Before => DeliveryVerdict::CrashBefore,
-                    CrashPoint::After => DeliveryVerdict::CrashAfter,
-                };
-            }
+        let mut rules = self.on_msg.iter_mut().zip(&self.plan.crash_on_msg);
+        if let Some((rule, (_, _, point))) =
+            rules.find(|(s, (_, k, _))| **s == Some(slot) && k == kind)
+        {
+            *rule = None;
+            return match point {
+                CrashPoint::Before => DeliveryVerdict::CrashBefore,
+                CrashPoint::After => DeliveryVerdict::CrashAfter,
+            };
         }
         if self.plan.crash_prob_permille > 0
             && self.chaos_injected < self.plan.max_chaos_crashes
-            && self.plan.chaos_targets.iter().any(|t| t == actor)
+            && self.chaos_target[slot]
             && self.rng.gen_below(1000) < u64::from(self.plan.crash_prob_permille)
         {
             self.chaos_injected += 1;
@@ -417,51 +431,51 @@ impl FaultCtl {
         DeliveryVerdict::Proceed
     }
 
-    /// Mark `actor` down now; returns the restart instant (a scheduler
-    /// timer). Extends existing downtime rather than shortening it.
-    pub fn crash(&mut self, actor: &str, now: SimTime) -> SimTime {
-        // A zero delay still needs one timer round to restart, so keep the
-        // restart strictly after `now`.
-        let delay_us = self.plan.restart_delay.micros().max(1);
-        let until = now.after(SimDuration::from_micros(delay_us));
-        let entry = self.down_until.entry(actor.to_string()).or_insert(until);
-        if *entry < until {
-            *entry = until;
-        }
-        let until = *entry;
-        self.stats.crashes += 1;
+    /// Keeps the actor in `slot` down until at least `until`: extends an
+    /// existing downtime rather than shortening it. Returns the restart
+    /// instant.
+    fn down_until_at_least(&mut self, slot: usize, until: SimTime) -> SimTime {
+        let until = self.down_until[slot].map_or(until, |t| t.max(until));
+        self.down_until[slot] = Some(until);
+        self.next_restart = self.down_until.iter().flatten().min().copied();
         until
     }
 
+    /// Mark the actor in `slot` down now; returns the restart instant (a
+    /// scheduler timer). Extends existing downtime rather than shortening
+    /// it.
+    pub fn crash(&mut self, slot: usize, now: SimTime) -> SimTime {
+        // A zero delay still needs one timer round to restart, so keep the
+        // restart strictly after `now`.
+        let delay_us = self.plan.restart_delay.micros().max(1);
+        self.stats.crashes += 1;
+        self.down_until_at_least(slot, now.after(SimDuration::from_micros(delay_us)))
+    }
+
     /// Process fault wakeups at timer phase: open outage windows (crashing
-    /// the TTP) and complete restarts that have come due.
-    pub fn poll(&mut self, ttp_name: &str, now: SimTime) -> FaultEvents {
+    /// the TTP) and complete restarts that have come due, in slot order.
+    pub fn poll(&mut self, now: SimTime) -> FaultEvents {
         let mut ev = FaultEvents::default();
-        while self.outage_idx < self.plan.ttp_outages.len() {
-            let (start, end) = self.plan.ttp_outages[self.outage_idx];
+        while let Some(&(start, end)) = self.plan.ttp_outages.get(self.outage_idx) {
             if now < start {
                 break;
             }
             self.outage_idx += 1;
             if now < end {
                 self.stats.crashes += 1;
-                let entry = self.down_until.entry(ttp_name.to_string()).or_insert(end);
-                if *entry < end {
-                    *entry = end;
-                }
-                ev.crashed.push(ttp_name.to_string());
+                self.down_until_at_least(self.ttp, end);
+                ev.crashed.push(self.ttp);
             }
         }
-        let due: Vec<String> = self
-            .down_until
-            .iter()
-            .filter(|(_, until)| now >= **until)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for a in due {
-            self.down_until.remove(&a);
-            self.stats.restarts += 1;
-            ev.restarted.push(a);
+        if self.next_restart.is_some_and(|t| now >= t) {
+            for (slot, until) in self.down_until.iter_mut().enumerate() {
+                if until.is_some_and(|t| now >= t) {
+                    *until = None;
+                    self.stats.restarts += 1;
+                    ev.restarted.push(slot);
+                }
+            }
+            self.next_restart = self.down_until.iter().flatten().min().copied();
         }
         ev
     }
@@ -470,30 +484,23 @@ impl FaultCtl {
     /// start. Feeds the hub's `next_timer` so `sched::settle` advances the
     /// clock through downtime instead of stalling.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let restart = self.down_until.values().min().copied();
         let outage = self.plan.ttp_outages.get(self.outage_idx).map(|w| w.0);
-        match (restart, outage) {
+        match (self.next_restart, outage) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Decide whether `actor`'s durable state should be synced now. `force`
-    /// bypasses the interval check (write-ahead before emitting output).
-    pub fn sync_due(&mut self, actor: &str, now: SimTime, force: bool) -> SyncDecision {
-        // Updated in place: only an actor's first sync allocates its key.
-        match self.last_sync.get_mut(actor) {
-            Some(last) => {
-                if !force && now < last.after(self.plan.sync_interval) {
-                    return SyncDecision::Skip;
-                }
-                *last = now;
-            }
-            // An actor with no recorded sync has never persisted: always due.
-            None => {
-                self.last_sync.insert(actor.to_string(), now);
-            }
+    /// Decide whether the durable state of the actor in `slot` should be
+    /// synced now. `force` bypasses the interval check (write-ahead before
+    /// emitting output).
+    pub fn sync_due(&mut self, slot: usize, now: SimTime, force: bool) -> SyncDecision {
+        // An actor with no recorded sync has never persisted: always due.
+        let last = &mut self.last_sync[slot];
+        if !force && last.is_some_and(|t| now < t.after(self.plan.sync_interval)) {
+            return SyncDecision::Skip;
         }
+        *last = Some(now);
         SyncDecision::Persist
     }
 
@@ -546,10 +553,16 @@ pub fn evidence_bytes(e: &crate::evidence::VerifiedEvidence) -> u64 {
 mod tests {
     use super::*;
 
+    /// A `World`'s actors in slot order.
+    const NAMES: &[&str] = &["alice", "bob", "ttp"];
+    const ALICE: usize = 0;
+    const BOB: usize = 1;
+    const TTP: usize = 2;
+
     #[test]
     fn default_plan_is_inert() {
         assert!(FaultPlan::none().is_inert());
-        assert!(!FaultCtl::new(&FaultPlan::none()).active());
+        assert!(!FaultCtl::new(&FaultPlan::none(), NAMES).active());
     }
 
     #[test]
@@ -605,12 +618,12 @@ mod tests {
     #[test]
     fn crash_at_delivery_is_one_shot_and_counts_per_actor() {
         let plan = FaultPlan::none().with_crash_at_delivery("bob", 2);
-        let mut ctl = FaultCtl::new(&plan);
-        assert_eq!(ctl.delivery_verdict("bob", "Transfer"), DeliveryVerdict::Proceed);
-        assert_eq!(ctl.delivery_verdict("alice", "Receipt"), DeliveryVerdict::Proceed);
-        assert_eq!(ctl.delivery_verdict("bob", "Transfer"), DeliveryVerdict::CrashBefore);
+        let mut ctl = FaultCtl::new(&plan, NAMES);
+        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(ALICE, "Receipt"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::CrashBefore);
         // One-shot: the next 2nd-style delivery does not crash again.
-        assert_eq!(ctl.delivery_verdict("bob", "Transfer"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
     }
 
     #[test]
@@ -618,11 +631,11 @@ mod tests {
         let plan = FaultPlan::none()
             .with_crash_on_msg("ttp", "Resolve", CrashPoint::Before)
             .with_crash_on_msg("bob", "Transfer", CrashPoint::After);
-        let mut ctl = FaultCtl::new(&plan);
-        assert_eq!(ctl.delivery_verdict("ttp", "Resolve"), DeliveryVerdict::CrashBefore);
-        assert_eq!(ctl.delivery_verdict("ttp", "Resolve"), DeliveryVerdict::Proceed);
-        assert_eq!(ctl.delivery_verdict("bob", "Transfer"), DeliveryVerdict::CrashAfter);
-        assert_eq!(ctl.delivery_verdict("bob", "Transfer"), DeliveryVerdict::Proceed);
+        let mut ctl = FaultCtl::new(&plan, NAMES);
+        assert_eq!(ctl.delivery_verdict(TTP, "Resolve"), DeliveryVerdict::CrashBefore);
+        assert_eq!(ctl.delivery_verdict(TTP, "Resolve"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::CrashAfter);
+        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
     }
 
     #[test]
@@ -630,18 +643,18 @@ mod tests {
         let plan = FaultPlan::none()
             .with_crash_on_msg("bob", "Transfer", CrashPoint::Before)
             .with_restart_delay(SimDuration::from_secs(5));
-        let mut ctl = FaultCtl::new(&plan);
+        let mut ctl = FaultCtl::new(&plan, NAMES);
         let t0 = SimTime::ZERO.after(SimDuration::from_secs(1));
-        let until = ctl.crash("bob", t0);
+        let until = ctl.crash(BOB, t0);
         assert_eq!(until, t0.after(SimDuration::from_secs(5)));
-        assert!(ctl.is_down("bob"));
+        assert!(ctl.is_down(BOB));
         assert_eq!(ctl.next_wakeup(), Some(until));
-        let ev = ctl.poll("ttp", t0.after(SimDuration::from_secs(4)));
+        let ev = ctl.poll(t0.after(SimDuration::from_secs(4)));
         assert!(ev.restarted.is_empty());
-        assert!(ctl.is_down("bob"));
-        let ev = ctl.poll("ttp", until);
-        assert_eq!(ev.restarted, vec!["bob".to_string()]);
-        assert!(!ctl.is_down("bob"));
+        assert!(ctl.is_down(BOB));
+        let ev = ctl.poll(until);
+        assert_eq!(ev.restarted, vec![BOB]);
+        assert!(!ctl.is_down(BOB));
         assert_eq!(ctl.stats.crashes, 1);
         assert_eq!(ctl.stats.restarts, 1);
         assert_eq!(ctl.next_wakeup(), None);
@@ -652,16 +665,31 @@ mod tests {
         let s = SimTime::ZERO.after(SimDuration::from_secs(10));
         let e = SimTime::ZERO.after(SimDuration::from_secs(20));
         let plan = FaultPlan::none().with_ttp_outage(s, e);
-        let mut ctl = FaultCtl::new(&plan);
-        assert!(!ctl.is_down("ttp"));
+        let mut ctl = FaultCtl::new(&plan, NAMES);
+        assert!(!ctl.is_down(TTP));
         assert_eq!(ctl.next_wakeup(), Some(s));
-        let ev = ctl.poll("ttp", s);
-        assert_eq!(ev.crashed, vec!["ttp".to_string()]);
-        assert!(ctl.is_down("ttp"));
+        let ev = ctl.poll(s);
+        assert_eq!(ev.crashed, vec![TTP]);
+        assert!(ctl.is_down(TTP));
         assert_eq!(ctl.next_wakeup(), Some(e));
-        let ev = ctl.poll("ttp", e);
-        assert_eq!(ev.restarted, vec!["ttp".to_string()]);
-        assert!(!ctl.is_down("ttp"));
+        let ev = ctl.poll(e);
+        assert_eq!(ev.restarted, vec![TTP]);
+        assert!(!ctl.is_down(TTP));
+    }
+
+    #[test]
+    fn plan_names_resolve_to_slots_once_and_restarts_come_back_in_slot_order() {
+        // Slot order is not name order here: "zed" sits before "amy".
+        let names = &["zed", "amy", "bob", "ttp"];
+        let plan = FaultPlan::none().with_crash_at_delivery("absent", 1);
+        let mut ctl = FaultCtl::new(&plan, names);
+        assert!(ctl.active(), "a rule naming no actor still keeps the injector on");
+        assert_eq!(ctl.delivery_verdict(0, "Transfer"), DeliveryVerdict::Proceed);
+        let until = ctl.crash(1, SimTime::ZERO);
+        assert_eq!(ctl.crash(0, SimTime::ZERO), until);
+        assert!(ctl.is_down(0) && ctl.is_down(1) && !ctl.is_down(2));
+        assert_eq!(ctl.poll(until).restarted, vec![0, 1]);
+        assert_eq!(ctl.next_wakeup(), None);
     }
 
     #[test]
@@ -669,23 +697,23 @@ mod tests {
         let plan = FaultPlan::none()
             .with_crash_on_msg("bob", "Transfer", CrashPoint::Before)
             .with_sync_interval(SimDuration::from_secs(10));
-        let mut ctl = FaultCtl::new(&plan);
+        let mut ctl = FaultCtl::new(&plan, NAMES);
         let t0 = SimTime::ZERO;
         // First sync at t=0 is due (never synced).
-        assert_eq!(ctl.sync_due("alice", t0, false), SyncDecision::Persist);
+        assert_eq!(ctl.sync_due(ALICE, t0, false), SyncDecision::Persist);
         let t1 = t0.after(SimDuration::from_secs(5));
-        assert_eq!(ctl.sync_due("alice", t1, false), SyncDecision::Skip);
-        assert_eq!(ctl.sync_due("alice", t1, true), SyncDecision::Persist);
+        assert_eq!(ctl.sync_due(ALICE, t1, false), SyncDecision::Skip);
+        assert_eq!(ctl.sync_due(ALICE, t1, true), SyncDecision::Persist);
         let t2 = t1.after(SimDuration::from_secs(10));
-        assert_eq!(ctl.sync_due("alice", t2, false), SyncDecision::Persist);
+        assert_eq!(ctl.sync_due(ALICE, t2, false), SyncDecision::Persist);
     }
 
     #[test]
     fn chaos_rolls_are_deterministic_and_bounded() {
         let plan = FaultPlan::none().with_seed(7).with_chaos(&["bob"], 500, 3);
         let run = |plan: &FaultPlan| {
-            let mut ctl = FaultCtl::new(plan);
-            (0..200).map(|_| ctl.delivery_verdict("bob", "Transfer")).collect::<Vec<_>>()
+            let mut ctl = FaultCtl::new(plan, NAMES);
+            (0..200).map(|_| ctl.delivery_verdict(BOB, "Transfer")).collect::<Vec<_>>()
         };
         let a = run(&plan);
         let b = run(&plan);

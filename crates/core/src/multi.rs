@@ -462,7 +462,7 @@ mod tests {
         let garbled: Vec<_> =
             w.obs.events().iter().filter(|e| matches!(e.kind, EventKind::Garbled { .. })).collect();
         assert_eq!(garbled.len(), 3);
-        assert!(garbled.iter().all(|e| e.txn.is_none() && e.actor == "bob"));
+        assert!(garbled.iter().all(|e| e.txn.is_none() && e.actor == bob));
 
         // A replayed capture decodes but fails validation: recorded with
         // its variant and attributed to the session it replays into, even
@@ -594,7 +594,7 @@ mod tests {
         // actor on its own — the crash below is injected by hand.
         cfg.faults = cfg.faults.clone().with_chaos(&["absent-actor"], 1, 1);
         let mut w = MultiWorld::new(10, ProtocolConfig::full(), 2);
-        w.faults = FaultCtl::new(&cfg.faults);
+        w.faults = FaultCtl::new(&cfg.faults, &["client-0", "client-1", "bob", "ttp"]);
         w.snaps = None; // re-arm snapshots below, post-initiation
                         // Break bob → client-0 so client 0's response timer must fire.
         let (c0, bob) = (w.client_nodes[0], w.bob_node);
@@ -609,7 +609,7 @@ mod tests {
         }));
         // Crash client 0 *between* timer-arm and fire.
         let now = w.net.now();
-        w.crash_actor(c0, now);
+        w.crash_actor(0, now);
         let s = w.settle();
         assert_eq!(s.outcome, SettleOutcome::Quiescent);
         // No timer fired for client-0 while it was down: every TimerFired
@@ -617,11 +617,11 @@ mod tests {
         let events = w.obs.events();
         let restarted_at = events
             .iter()
-            .find(|e| matches!(e.kind, EventKind::Restarted { .. }) && e.actor == "client-0")
+            .find(|e| matches!(e.kind, EventKind::Restarted { .. }) && e.actor == c0)
             .map(|e| e.at)
             .expect("client-0 restarts");
         for e in events.iter() {
-            if e.actor == "client-0" && matches!(e.kind, EventKind::TimerFired { .. }) {
+            if e.actor == c0 && matches!(e.kind, EventKind::TimerFired { .. }) {
                 assert!(
                     e.at >= restarted_at,
                     "stale timer fired at {:?} while client-0 was down (restart {:?})",
@@ -652,11 +652,11 @@ mod tests {
             for id in w.clients[0].txn_ids() {
                 assert_eq!(w.state(0, id), Some(TxnState::Aborted));
             }
-            (w.obs.events().clone(), w.net.stats())
+            (w.obs.events().clone(), w.net.stats(), w.bob_node)
         };
         let first = run();
         assert_eq!(
-            first.0.iter().filter(|e| e.actor == "bob").count(),
+            first.0.iter().filter(|e| e.actor == first.2).count(),
             12,
             "six Transfers, six Aborts"
         );

@@ -25,11 +25,14 @@
 //! transaction id, so adversary *injections* — untagged on the wire — are
 //! still attributed to the session they replay into.
 //!
-//! The bench crate renders events and metrics as JSONL
-//! (`tpnr-bench::report`); `experiments --trace-jsonl` exports a full run.
+//! Events name actors by [`NodeId`], never by a copied display name; the
+//! bench crate renders events and metrics as JSONL
+//! (`tpnr-bench::report`), resolving each id through the transport's node
+//! table, and `experiments --trace-jsonl` exports a full run.
 
 use crate::session::{Outgoing, TxnState, ValidationError};
 use std::collections::{BTreeMap, VecDeque};
+use tpnr_net::sim::NodeId;
 use tpnr_net::time::SimTime;
 
 /// Default ring-buffer capacity (events, not bytes). Large enough to hold a
@@ -46,29 +49,29 @@ pub struct Event {
     /// Transaction this event belongs to. `None` for traffic no transaction
     /// claims: undecodable floods, untagged raw sends, timer rounds.
     pub txn: Option<u64>,
-    /// Display name of the actor the event happened *to* (the receiver for
-    /// wire events, the timer owner for `TimerFired`, the state owner for
+    /// Node of the actor the event happened *to* (the receiver for wire
+    /// events, the timer owner for `TimerFired`, the state owner for
     /// `StateTransition`).
-    pub actor: String,
+    pub actor: NodeId,
     /// What happened.
     pub kind: EventKind,
 }
 
-/// The event taxonomy. Wire-facing variants carry the sender's display name
-/// so a trace line reads as "who did what to whom".
+/// The event taxonomy. Wire-facing variants carry the sender's node so a
+/// trace line reads as "who did what to whom".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A protocol message was decoded and accepted by its receiver.
     Delivered {
-        /// Sender's display name.
-        from: String,
+        /// Sender's node.
+        from: NodeId,
         /// Message kind label (`Transfer`, `Receipt`, …).
         msg: &'static str,
     },
     /// A protocol message was decoded but refused by validation.
     Rejected {
-        /// Sender's display name.
-        from: String,
+        /// Sender's node.
+        from: NodeId,
         /// Message kind label.
         msg: &'static str,
         /// Why it was refused.
@@ -76,18 +79,18 @@ pub enum EventKind {
     },
     /// An arriving payload did not decode as a protocol message.
     Garbled {
-        /// Sender's display name.
-        from: String,
+        /// Sender's node.
+        from: NodeId,
     },
     /// The network lost a copy (link loss or adversary drop).
     Dropped {
-        /// Sender's display name.
-        from: String,
+        /// Sender's node.
+        from: NodeId,
     },
     /// The link created an extra copy of a message.
     Duplicated {
-        /// Sender's display name.
-        from: String,
+        /// Sender's node.
+        from: NodeId,
     },
     /// An actor's due protocol timers fired.
     TimerFired {
@@ -486,7 +489,7 @@ impl Obs {
     /// Observes a transaction's current client-visible state, emitting a
     /// [`EventKind::StateTransition`] only when it changed. The first
     /// transition into a terminal state records settlement latency.
-    pub fn note_state(&mut self, at: SimTime, actor: &str, txn: u64, state: TxnState) {
+    pub fn note_state(&mut self, at: SimTime, actor: NodeId, txn: u64, state: TxnState) {
         let prev = self.last_state.insert(txn, state);
         if prev == Some(state) {
             return;
@@ -499,7 +502,7 @@ impl Obs {
         self.record(Event {
             at,
             txn: Some(txn),
-            actor: actor.to_string(),
+            actor,
             kind: EventKind::StateTransition { from: prev, to: state },
         });
     }
@@ -526,31 +529,34 @@ impl Obs {
 mod tests {
     use super::*;
 
+    const ALICE: NodeId = NodeId(0);
+    const BOB: NodeId = NodeId(1);
+
     fn ev(at: u64, txn: Option<u64>, kind: EventKind) -> Event {
-        Event { at: SimTime(at), txn, actor: "bob".into(), kind }
+        Event { at: SimTime(at), txn, actor: BOB, kind }
     }
 
-    fn delivered(from: &str) -> EventKind {
-        EventKind::Delivered { from: from.into(), msg: "Transfer" }
+    fn delivered(from: NodeId) -> EventKind {
+        EventKind::Delivered { from, msg: "Transfer" }
     }
 
     #[test]
     fn counters_and_per_txn_partition() {
         let mut o = Obs::new();
-        o.record(ev(1, Some(1), delivered("alice")));
-        o.record(ev(2, Some(2), delivered("alice")));
+        o.record(ev(1, Some(1), delivered(ALICE)));
+        o.record(ev(2, Some(2), delivered(ALICE)));
         o.record(ev(
             3,
             Some(1),
             EventKind::Rejected {
-                from: "alice".into(),
+                from: ALICE,
                 msg: "Transfer",
                 error: ValidationError::StaleSequence { last: 2, got: 1 },
             },
         ));
-        o.record(ev(4, None, EventKind::Garbled { from: "alice".into() }));
-        o.record(ev(5, Some(2), EventKind::Dropped { from: "alice".into() }));
-        o.record(ev(5, Some(2), EventKind::Duplicated { from: "alice".into() }));
+        o.record(ev(4, None, EventKind::Garbled { from: ALICE }));
+        o.record(ev(5, Some(2), EventKind::Dropped { from: ALICE }));
+        o.record(ev(5, Some(2), EventKind::Duplicated { from: ALICE }));
 
         assert_eq!(o.metrics.delivered, 2);
         assert_eq!(o.metrics.rejected, 1);
@@ -574,7 +580,7 @@ mod tests {
     fn ring_evicts_oldest_but_counters_stay_exact() {
         let mut o = Obs::with_capacity(3);
         for i in 0..10 {
-            o.record(ev(i, None, delivered("alice")));
+            o.record(ev(i, None, delivered(ALICE)));
         }
         assert_eq!(o.events().len(), 3);
         assert_eq!(o.evicted(), 7);
@@ -591,10 +597,10 @@ mod tests {
     fn state_transitions_dedup_and_measure_latency() {
         let mut o = Obs::new();
         o.note_txn_started(1, SimTime(1_000));
-        o.note_state(SimTime(1_000), "alice", 1, TxnState::Pending);
-        o.note_state(SimTime(2_000), "alice", 1, TxnState::Pending); // no change
-        o.note_state(SimTime(51_000), "alice", 1, TxnState::Completed);
-        o.note_state(SimTime(60_000), "alice", 1, TxnState::Completed); // no change
+        o.note_state(SimTime(1_000), ALICE, 1, TxnState::Pending);
+        o.note_state(SimTime(2_000), ALICE, 1, TxnState::Pending); // no change
+        o.note_state(SimTime(51_000), ALICE, 1, TxnState::Completed);
+        o.note_state(SimTime(60_000), ALICE, 1, TxnState::Completed); // no change
 
         assert_eq!(o.metrics.state_transitions, 2);
         let kinds: Vec<_> = o
@@ -612,7 +618,7 @@ mod tests {
         assert_eq!(o.metrics.latency_us.count(), 1);
         assert_eq!(o.metrics.latency_us.max(), Some(50_000));
         // Re-entering a terminal state never records a second latency.
-        o.note_state(SimTime(70_000), "alice", 1, TxnState::Failed);
+        o.note_state(SimTime(70_000), ALICE, 1, TxnState::Failed);
         assert_eq!(o.metrics.latency_us.count(), 1);
     }
 

@@ -12,7 +12,9 @@
 //! Figure-5 integrity threat).
 
 use crate::config::ProtocolConfig;
-use crate::evidence::{open_and_verify, EvidencePlaintext, Flag, VerifiedEvidence};
+use crate::evidence::{
+    open_and_verify, seal, seal_and_own, seal_signatures, EvidencePlaintext, Flag, VerifiedEvidence,
+};
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::session::{Outgoing, Payload, TxnState, ValidationError, Validator};
@@ -23,10 +25,6 @@ use tpnr_crypto::{ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
-
-/// Sealed NRR plus the raw `(data-sig, plaintext-sig)` pair, kept so the
-/// receipt can be re-issued on a Resolve forward.
-type SealedWithSigs = (crate::evidence::SealedEvidence, (Vec<u8>, Vec<u8>));
 
 /// Behaviour knobs for misbehaving-provider experiments.
 #[derive(Debug, Clone)]
@@ -56,10 +54,10 @@ pub struct ProviderTxn {
     pub kind: Flag,
     /// The NRO Bob received and verified (his proof of what Alice sent).
     pub nro: VerifiedEvidence,
-    /// The NRR plaintext Bob signed (his commitment).
-    pub nrr_plaintext: EvidencePlaintext,
-    /// Signatures Bob produced for the NRR (kept to re-issue on Resolve).
-    pub nrr_sigs: (Vec<u8>, Vec<u8>),
+    /// The NRR Bob signed for a served transfer (his commitment, kept to
+    /// re-issue on Resolve); `None` for an aborted transaction, where Bob
+    /// committed to nothing.
+    pub nrr: Option<VerifiedEvidence>,
     /// Transaction state from Bob's perspective.
     pub state: TxnState,
 }
@@ -290,8 +288,8 @@ impl Provider {
             hash_alg: pt.hash_alg,
             data_hash: response_hash,
         };
-        let (sealed, sigs) =
-            self.sign_and_seal(&nrr_pt, &sender_pk).map_err(ValidationError::Evidence)?;
+        let (sealed, nrr) = seal_and_own(&self.cfg, &self.me, &sender_pk, &nrr_pt, &mut self.rng)
+            .map_err(ValidationError::Evidence)?;
 
         self.txns.insert(
             pt.txn_id,
@@ -300,8 +298,7 @@ impl Provider {
                 object: payload.key,
                 kind: pt.flag,
                 nro,
-                nrr_plaintext: nrr_pt.clone(),
-                nrr_sigs: sigs,
+                nrr: Some(nrr),
                 state: TxnState::Completed,
             }),
         );
@@ -344,8 +341,7 @@ impl Provider {
                     object: pt.object.clone(),
                     kind: Flag::AbortRequest,
                     nro: nro.clone(),
-                    nrr_plaintext: pt.clone(),
-                    nrr_sigs: (Vec::new(), Vec::new()),
+                    nrr: None,
                     state: TxnState::Aborted,
                 })
             });
@@ -364,8 +360,8 @@ impl Provider {
             hash_alg: pt.hash_alg,
             data_hash: pt.data_hash.clone(),
         };
-        let (sealed, _) =
-            self.sign_and_seal(&reply_pt, &sender_pk).map_err(ValidationError::Evidence)?;
+        let sealed = seal(&self.cfg, &self.me, &sender_pk, &reply_pt, &mut self.rng)
+            .map_err(ValidationError::Evidence)?;
         Ok(vec![Outgoing {
             to: pt.sender,
             msg: Message::AbortReply { outcome, plaintext: reply_pt, evidence: sealed },
@@ -387,19 +383,19 @@ impl Provider {
         }
         self.validator.check(&self.cfg, pt, None, now)?;
 
-        let (action, evidence) = match self.txns.get(&pt.txn_id) {
-            Some(rec) if !rec.nrr_sigs.0.is_empty() => {
+        let (action, evidence) = match self.txns.get(&pt.txn_id).map(Arc::as_ref) {
+            Some(ProviderTxn { peer, nrr: Some(nrr), .. }) => {
                 // Re-issue the NRR, re-sealed for Alice (she may have never
                 // received the original receipt).
-                let peer_pk = self.lookup_key(&rec.peer).ok_or(ValidationError::NoKey(rec.peer))?;
-                let sealed = crate::evidence::seal_signatures(
+                let peer_pk = self.lookup_key(peer).ok_or(ValidationError::NoKey(*peer))?;
+                let sealed = seal_signatures(
                     &peer_pk,
                     &mut self.rng,
-                    &rec.nrr_sigs.0,
-                    &rec.nrr_sigs.1,
+                    &nrr.sig_data_hash,
+                    &nrr.sig_plaintext,
                 )
                 .map_err(ValidationError::Evidence)?;
-                (ResolveAction::Continue, Some((sealed, rec.nrr_plaintext.clone())))
+                (ResolveAction::Continue, Some((sealed, nrr.plaintext.clone())))
             }
             // We never saw the transaction (the NRO was lost in flight):
             // ask Alice to restart the session.
@@ -430,23 +426,10 @@ impl Provider {
             msg: Message::ResolveReply { action, plaintext: reply_pt, evidence: sealed_evidence },
         }])
     }
-
-    fn sign_and_seal(
-        &mut self,
-        pt: &EvidencePlaintext,
-        recipient_pk: &RsaPublicKey,
-    ) -> Result<SealedWithSigs, crate::evidence::EvidenceError> {
-        // Sign once, keep the signatures for Resolve re-issue, and seal —
-        // both steps through the core::evidence constructors so the
-        // sign-then-encrypt order is witnessed by the API.
-        let (s1, s2) = crate::evidence::sign_pair(&self.cfg, &self.me, pt)?;
-        let sealed = crate::evidence::seal_signatures(recipient_pk, &mut self.rng, &s1, &s2)?;
-        Ok((sealed, (s1, s2)))
-    }
 }
 
 /// Durable image of a [`Provider`]: object store, transaction records
-/// (including re-issuable NRR signatures) and validator sequence state.
+/// (including each re-issuable NRR) and validator sequence state.
 #[derive(Debug, Clone)]
 pub struct ProviderSnapshot {
     storage: HashMap<Vec<u8>, Bytes>,
@@ -471,7 +454,8 @@ impl crate::fault::Durable for Provider {
             bytes += (key.len() + data.as_ref().len()) as u64;
         }
         for t in self.txns.values() {
-            bytes += (t.object.len() + t.nrr_sigs.0.len() + t.nrr_sigs.1.len() + 64) as u64;
+            let sigs = t.nrr.as_ref().map_or(0, |e| e.sig_data_hash.len() + e.sig_plaintext.len());
+            bytes += (t.object.len() + sigs + 64) as u64;
             bytes += crate::fault::evidence_bytes(&t.nro);
         }
         ProviderSnapshot {

@@ -420,7 +420,9 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             ttp_p.id(),
             ChaChaRng::seed_from_u64(seed ^ 0xb0b),
         );
-        let faults = FaultCtl::new(&cfg.faults);
+        let names: Vec<&str> =
+            client_principals.iter().chain([bob, ttp_p]).map(|p| p.name.as_str()).collect();
+        let faults = FaultCtl::new(&cfg.faults, &names);
         let ttp = Ttp::new(ttp_p.clone(), cfg, dir, ChaChaRng::seed_from_u64(seed ^ 0x777));
         // Take the epoch-zero recovery points up front: a crash before the
         // first sync restores to the freshly-built actor, not to garbage.
@@ -546,21 +548,21 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             Some(data) => client.begin_upload(key, data, now, strategy),
             None => client.begin_download(key, now, strategy),
         };
-        let name = self.net.node_name(self.client_nodes[idx]).unwrap_or("?");
+        let node = self.client_nodes[idx];
         let (txn, out) = match begun {
             Ok(v) => v,
             Err(error) => {
-                let kind = EventKind::Rejected { from: name.to_string(), msg: "Transfer", error };
-                self.obs.record(Event { at: now, txn: None, actor: name.to_string(), kind });
+                let kind = EventKind::Rejected { from: node, msg: "Transfer", error };
+                self.obs.record(Event { at: now, txn: None, actor: node, kind });
                 return 0;
             }
         };
         self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
-        self.obs.note_state(now, name, txn, TxnState::Pending);
+        self.obs.note_state(now, node, txn, TxnState::Pending);
         // Write-ahead: the NRO sealed at initiation must survive a crash
         // that lands before any reply comes back.
         self.sync_actor(idx, now, true);
-        self.dispatch(self.client_nodes[idx], out);
+        self.dispatch(node, out);
         txn
     }
 
@@ -636,20 +638,9 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         }
     }
 
-    /// The display name of the actor in `slot` (its node's name).
-    fn name(&self, slot: usize) -> &str {
-        self.net.node_name(self.node_at(slot)).unwrap_or("?")
-    }
-
     /// Every actor slot: the clients, the provider and the TTP.
     fn slots(&self) -> std::ops::Range<usize> {
         0..self.client_nodes.len() + 2
-    }
-
-    /// The slot of the actor with display name `name` (fault plans and
-    /// the injector's wakeups address actors by name).
-    fn slot_named(&self, name: &str) -> Option<usize> {
-        self.slots().find(|&s| self.name(s) == name)
     }
 
     fn actor(&self, slot: usize) -> &dyn Actor {
@@ -679,8 +670,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
     /// Re-arms one actor's earliest deadline in the index (a down actor's
     /// timers are frozen, so its slot is disarmed instead).
     fn refresh_deadline(&mut self, slot: usize) {
-        let down = self.faults.active() && self.faults.is_down(self.name(slot));
-        let d = if down { None } else { self.actor(slot).next_deadline() };
+        let d = if self.faults.is_down(slot) { None } else { self.actor(slot).next_deadline() };
         self.deadlines.set(slot, d);
     }
 
@@ -706,21 +696,25 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         }
     }
 
-    /// Marks the actor at `node` crashed and records the event. The restart
-    /// instant becomes a scheduler timer via [`FaultCtl::next_wakeup`].
-    pub(crate) fn crash_actor(&mut self, node: NodeId, now: SimTime) {
-        let name = self.net.node_name(node).unwrap_or("?").to_string();
-        self.faults.crash(&name, now);
+    /// Crashes the actor in `slot` and takes it down. The restart instant
+    /// becomes a scheduler timer via [`FaultCtl::next_wakeup`].
+    pub(crate) fn crash_actor(&mut self, slot: usize, now: SimTime) {
+        self.faults.crash(slot, now);
+        self.take_down(slot, now);
+    }
+
+    /// Takes the crashed actor in `slot` off the wire and records the
+    /// event.
+    fn take_down(&mut self, slot: usize, now: SimTime) {
+        let node = self.node_at(slot);
         // The outage is a transport fact: queued copies addressed to the
         // node drop (and are counted) at their delivery instant instead of
         // silently evaporating in the runner.
         self.net.set_node_down(node, true);
         // Freeze the crashed actor's armed deadline: its slot is disarmed
         // and re-armed from the restored snapshot.
-        if let Some(slot) = self.slot(node) {
-            self.deadlines.set(slot, None);
-        }
-        self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
+        self.deadlines.set(slot, None);
+        self.obs.record(Event { at: now, txn: None, actor: node, kind: EventKind::Crashed });
     }
 
     /// Restores a restarted actor from its last synced snapshot. An image
@@ -756,9 +750,8 @@ impl<T: Transport, S: Seats> Runner<T, S> {
                 snaps.ttp.bytes()
             }
         };
-        let actor = self.name(slot).to_string();
         let kind = EventKind::Restarted { snapshot_bytes: bytes };
-        self.obs.record(Event { at: now, txn: None, actor, kind });
+        self.obs.record(Event { at: now, txn: None, actor: self.node_at(slot), kind });
     }
 
     /// Durably syncs an actor's state if due (or forced — the write-ahead
@@ -767,8 +760,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         if self.snaps.is_none() {
             return;
         }
-        let name = self.net.node_name(self.node_at(slot)).unwrap_or("?");
-        if self.faults.sync_due(name, now, force) != SyncDecision::Persist {
+        if self.faults.sync_due(slot, now, force) != SyncDecision::Persist {
             return;
         }
         let Some(snaps) = self.snaps.as_deref_mut() else { return };
@@ -793,8 +785,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
     /// transition, funnels the txn through the archive's settled queue —
     /// possibly evicting the shard's oldest settled txn to the sealed log.
     fn note_txn_state(&mut self, now: SimTime, idx: usize, txn: u64, st: TxnState) {
-        let name = self.net.node_name(self.client_nodes[idx]).unwrap_or("?");
-        self.obs.note_state(now, name, txn, st);
+        self.obs.note_state(now, self.client_nodes[idx], txn, st);
         let newly_settled = st.is_terminal()
             && match self.txn_meta.get_mut(&txn) {
                 Some(meta) if !meta.settled => {
@@ -828,22 +819,19 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         self.obs.retire_txn(txn);
         let ttp_used = self.ttp_touched.remove(&txn);
         let mut bundle = EvidenceBundle::new();
-        if let Some(c) = &client_rec {
-            bundle.push("client-nro", c.nro.clone());
-            if let Some(nrr) = &c.nrr {
-                bundle.push("client-nrr", nrr.clone());
+        if let Some(c) = client_rec {
+            bundle.push("client-nro", c.nro);
+            if let Some(nrr) = c.nrr {
+                bundle.push("client-nrr", nrr);
             }
         }
-        if let Some(p) = &provider_rec {
-            bundle.push("provider-nro", p.nro.clone());
-            bundle.push(
-                "provider-nrr",
-                VerifiedEvidence::from_stored_parts(
-                    p.nrr_plaintext.clone(),
-                    p.nrr_sigs.0.clone(),
-                    p.nrr_sigs.1.clone(),
-                ),
-            );
+        // An aborted transaction's provider holds no NRR: Bob committed to
+        // nothing, so nothing is archived in its name.
+        if let Some(p) = provider_rec {
+            bundle.push("provider-nro", p.nro);
+            if let Some(nrr) = p.nrr {
+                bundle.push("provider-nrr", nrr);
+            }
         }
         let rec = ArchivedTxn::record(
             meta.client,
@@ -884,22 +872,11 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             // Restarts and outage boundaries first: a just-restored actor
             // ticks in this same round, so an overdue deadline revealed by
             // the restore produces output immediately (never barren).
-            let ttp = self.net.node_name(self.ttp_node).unwrap_or("ttp");
-            let ev = self.faults.poll(ttp, now);
-            for name in ev.crashed {
-                if let Some(slot) = self.slot_named(&name) {
-                    self.net.set_node_down(self.node_at(slot), true);
-                    self.deadlines.set(slot, None);
-                }
-                self.obs.record(Event {
-                    at: now,
-                    txn: None,
-                    actor: name,
-                    kind: EventKind::Crashed,
-                });
+            let ev = self.faults.poll(now);
+            for slot in ev.crashed {
+                self.take_down(slot, now);
             }
-            for name in ev.restarted {
-                let Some(slot) = self.slot_named(&name) else { continue };
+            for slot in ev.restarted {
                 self.restore_actor(slot, now);
                 self.note_open(&mut moved, slot);
                 // Re-arm from the restored state (the stale pre-crash entry
@@ -916,9 +893,8 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
         }
         for slot in due {
             let out = self.actor_mut(slot).on_tick(now);
-            let actor = self.name(slot).to_string();
             let kind = EventKind::TimerFired { messages: out.len() };
-            self.obs.record(Event { at: now, txn: None, actor, kind });
+            self.obs.record(Event { at: now, txn: None, actor: self.node_at(slot), kind });
             if !out.is_empty() {
                 // Write-ahead: timer-driven sends (Abort/Resolve) persist
                 // the state they acknowledge before hitting the wire.
@@ -947,7 +923,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
     fn deliver(&mut self, env: Envelope) {
         let now = self.net.now();
         let slot = self.slot(env.dst);
-        if slot.is_some_and(|s| self.faults.active() && self.faults.is_down(self.name(s))) {
+        if slot.is_some_and(|s| self.faults.is_down(s)) {
             // Same-instant defense in depth: the transport drops queued
             // copies for a down node at their delivery instant, but a crash
             // fired in this very settle round can race an already-polled
@@ -955,10 +931,9 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             self.faults.note_delivery_lost();
             return;
         }
-        // Display names come from the transport, so an arrival from or to a
-        // node no actor sits at is still attributed, never a panic.
-        let actor = self.net.node_name(env.dst).unwrap_or("?").to_string();
-        let from = self.net.node_name(env.src).unwrap_or("?").to_string();
+        // Events name both ends by node, so an arrival from or to a node no
+        // actor sits at is still attributed, never a panic.
+        let (actor, from) = (env.dst, env.src);
         let msg = match Message::from_wire_bytes(&env.payload) {
             Ok(m) => m,
             Err(_) => {
@@ -987,13 +962,13 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             self.ttp_touched.insert(txn_id);
         }
         let verdict = if self.faults.active() {
-            self.faults.delivery_verdict(&actor, msg_kind)
+            self.faults.delivery_verdict(slot, msg_kind)
         } else {
             DeliveryVerdict::Proceed
         };
         if verdict == DeliveryVerdict::CrashBefore {
             // Crash on receipt: the message is lost before processing.
-            self.crash_actor(env.dst, now);
+            self.crash_actor(slot, now);
             return;
         }
         // An unlisted sender is handed over under a sentinel id, so the
@@ -1013,7 +988,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
                 self.sync_actor(slot, now, force);
                 if verdict == DeliveryVerdict::CrashAfter {
                     // State persisted, replies die with the process.
-                    self.crash_actor(env.dst, now);
+                    self.crash_actor(slot, now);
                 } else {
                     self.dispatch(env.dst, out);
                 }
@@ -1022,7 +997,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
                 let kind = EventKind::Rejected { from, msg: msg_kind, error };
                 self.obs.record(Event { at: now, txn, actor, kind });
                 if verdict == DeliveryVerdict::CrashAfter {
-                    self.crash_actor(env.dst, now);
+                    self.crash_actor(slot, now);
                 }
             }
         }
@@ -1281,10 +1256,10 @@ mod tests {
             .collect();
         assert_eq!(deliveries.len(), 2);
         assert_eq!(deliveries[0].msg_kind(), Some("Transfer"));
-        assert_eq!(deliveries[0].actor, "bob");
+        assert_eq!(deliveries[0].actor, w.bob_node);
         assert_eq!(deliveries[0].txn, Some(r.txn_id));
         assert_eq!(deliveries[1].msg_kind(), Some("Receipt"));
-        assert_eq!(deliveries[1].actor, "alice");
+        assert_eq!(deliveries[1].actor, w.alice_node);
         assert_eq!(w.obs.metrics.delivered, 2);
         assert_eq!(w.obs.metrics.rejected + w.obs.metrics.garbled, 0);
         // Pending → Completed, visible as state transitions, with the
@@ -1406,7 +1381,7 @@ mod tests {
         assert_eq!((m.delivered, m.rejected, m.garbled), (2, 2, 2));
         assert_eq!(m.delivered + m.rejected + m.garbled, w.net.stats().delivered);
         assert_eq!(m.rejected_by.get("identity-mismatch"), Some(&2));
-        let at_mallory = w.obs.events().iter().filter(|e| e.actor == "mallory").count();
+        let at_mallory = w.obs.events().iter().filter(|e| e.actor == mallory).count();
         assert_eq!(at_mallory, 2, "both arrivals at the unlisted node are attributed to it");
     }
 
@@ -1470,7 +1445,7 @@ mod tests {
         let events = w.obs.events();
         let restarted = events
             .iter()
-            .find(|e| e.actor == "alice" && matches!(e.kind, EventKind::Restarted { .. }))
+            .find(|e| e.actor == a && matches!(e.kind, EventKind::Restarted { .. }))
             .expect("alice restarts")
             .at;
         let reopened =
@@ -1512,7 +1487,7 @@ mod tests {
         let events = w.obs.events();
         let restarted = events
             .iter()
-            .find(|e| e.actor == "alice" && matches!(e.kind, EventKind::Restarted { .. }))
+            .find(|e| e.actor == a && matches!(e.kind, EventKind::Restarted { .. }))
             .expect("alice restarts")
             .at;
         assert_eq!(restarted.micros(), 2_510_000);

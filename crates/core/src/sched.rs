@@ -134,36 +134,18 @@ pub trait EventHub {
 }
 
 /// Moves pending network events (drops, duplications) into the hub's
-/// observability sink, translating node ids to display names. Without a
-/// sink the pending buffer is still drained so it cannot accumulate.
-///
-/// One pass over one transport borrow: the drain and the id → name
-/// translation share the same access (via [`Transport::node_name`]), where
-/// the old seam re-borrowed the concrete network once per translated id.
+/// observability sink. Events keep the transport's node ids; names are
+/// resolved only where a trace is rendered. Without a sink the pending
+/// buffer is still drained so it cannot accumulate.
 fn drain_net_events(hub: &mut dyn EventHub) {
-    let events: Vec<Event> = {
-        let net = hub.transport();
-        let name = |net: &dyn Transport, n| net.node_name(n).unwrap_or("?").to_string();
-        net.take_events()
-            .into_iter()
-            .map(|e| Event {
-                at: e.at,
-                txn: e.txn,
-                actor: name(net, e.dst),
-                kind: match e.kind {
-                    NetEventKind::Dropped => EventKind::Dropped { from: name(net, e.src) },
-                    NetEventKind::Duplicated => EventKind::Duplicated { from: name(net, e.src) },
-                },
-            })
-            .collect()
-    };
-    if events.is_empty() {
-        return;
-    }
-    if let Some(obs) = hub.obs_mut() {
-        for ev in events {
-            obs.record(ev);
-        }
+    let events = hub.transport().take_events();
+    let Some(obs) = hub.obs_mut() else { return };
+    for e in events {
+        let kind = match e.kind {
+            NetEventKind::Dropped => EventKind::Dropped { from: e.src },
+            NetEventKind::Duplicated => EventKind::Duplicated { from: e.src },
+        };
+        obs.record(Event { at: e.at, txn: e.txn, actor: e.dst, kind });
     }
 }
 
@@ -794,7 +776,7 @@ mod tests {
         assert_eq!(obs.txn(4).dropped, 1);
         let drop_ev =
             obs.events().iter().find(|e| matches!(e.kind, EventKind::Dropped { .. })).unwrap();
-        assert_eq!(drop_ev.actor, "b");
+        assert_eq!(drop_ev.actor, b);
         assert_eq!(drop_ev.txn, Some(4));
         assert_eq!(obs.metrics.settle_steps.count(), 1);
         assert_eq!(obs.metrics.settle_steps.max(), Some(1), "one delivery, no timer rounds");

@@ -1,6 +1,7 @@
 //! Edge cases of the Abort and Resolve sub-protocols (paper §4.2–4.3):
 //! error-and-regenerate abort handling, abort-after-completion rejection,
-//! forged resolve requests at the TTP, and resolve replay safety.
+//! the evidence an aborted upload archives, forged resolve requests at the
+//! TTP, and resolve replay safety.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,13 +62,45 @@ fn late_abort_reply_does_not_reopen_a_completed_upload() {
         .obs
         .events()
         .iter()
-        .find(|e| e.actor == "alice" && e.msg_kind() == Some("AbortReply"))
+        .find(|e| e.actor == a && e.msg_kind() == Some("AbortReply"))
         .expect("Bob's Reject reached Alice")
         .at;
     assert_eq!(reject_at.micros(), 510_000);
     assert_eq!(r.outcome, TxnState::Completed);
     let nrr = w.client.txn(r.txn_id).unwrap().nrr.clone().expect("the receipt NRR is kept");
     assert_eq!(nrr.plaintext.flag, Flag::UploadReceipt);
+}
+
+#[test]
+fn an_evicted_aborted_upload_archives_no_provider_nrr() {
+    // Bob ignores the first upload's transfer and accepts its abort, so he
+    // never signed a receipt for it. Once the aborted upload is evicted,
+    // its archived bundle must not hold a provider NRR, and every entry it
+    // does hold must verify under its own sender's key.
+    let cfg = ProtocolConfig::full();
+    let mut w = World::new(5, cfg.clone());
+    w.set_archive_capacity(1);
+    w.provider.behavior.respond_transfers = false;
+    let aborted = w.upload(b"k-aborted", vec![0; 32], TimeoutStrategy::AbortFirst);
+    assert_eq!(aborted.outcome, TxnState::Aborted);
+    w.provider.behavior.respond_transfers = true;
+    for i in 1..40u8 {
+        assert!(w.upload(&[b'k', i], vec![i; 32], TimeoutStrategy::AbortFirst).completed());
+    }
+    assert!(w.client.txn(aborted.txn_id).is_none(), "the aborted upload was evicted");
+    let bundle = w.rehydrate_evidence(aborted.txn_id).expect("archived bundle loads");
+    assert!(bundle.get("client-nro").is_some() && bundle.get("provider-nro").is_some());
+    assert!(bundle.get("provider-nrr").is_none(), "Bob signed no receipt for an aborted upload");
+    for entry in &bundle.entries {
+        let sender = entry.evidence.plaintext.sender;
+        let pk = w.dir.lookup(&sender).expect("every sender is registered");
+        let verdict = entry.evidence.reverify(&cfg, pk);
+        assert!(
+            verdict.is_ok(),
+            "{} does not verify under its sender's key: {verdict:?}",
+            entry.label
+        );
+    }
 }
 
 #[test]

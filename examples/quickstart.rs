@@ -6,6 +6,7 @@
 use tpnr::core::client::TimeoutStrategy;
 use tpnr::core::config::ProtocolConfig;
 use tpnr::core::runner::World;
+use tpnr_net::transport::Transport;
 
 fn main() {
     // Three principals on a simulated Internet: Alice (client), Bob (cloud
@@ -64,7 +65,7 @@ fn main() {
         println!(
             "  t={:>7.1} ms  {:<8} txn={:<3} {:<16} {}",
             ev.at.micros() as f64 / 1e3,
-            ev.actor,
+            world.net().node_name(ev.actor).unwrap_or("?"),
             txn,
             ev.kind.label(),
             ev.msg_kind().unwrap_or("")
