@@ -6,7 +6,8 @@
 #
 # Everything here runs offline against the vendored workspace (the
 # proptest shim in crates/ — no network, no external deps). Full mode also
-# runs every example, since four of them assert their outcomes.
+# runs every example: four of them assert their outcomes, and each one's
+# stdout is compared with its golden file under tests/examples/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -117,9 +118,15 @@ if [ "$quick" -eq 0 ]; then
 
     # attack_gauntlet, blackmail_arbitration, multi_tenant and storage_audit
     # assert their outcomes, so a non-zero exit from any example fails CI.
-    echo "==> examples (release)"
+    # The examples print simulated time only, so each one's stdout must
+    # match its golden file byte for byte. After a deliberate change to an
+    # example's output, regenerate the files with
+    #   for e in examples/*.rs; do n="$(basename "$e" .rs)"; cargo run --release -q --example "$n" >"tests/examples/$n.stdout"; done
+    echo "==> examples (release), stdout against tests/examples/*.stdout"
     for example in examples/*.rs; do
-        cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+        name="$(basename "$example" .rs)"
+        cargo run --release -q --example "$name" >"$first"
+        diff -u "tests/examples/$name.stdout" "$first"
     done
 fi
 

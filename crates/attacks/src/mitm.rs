@@ -30,7 +30,7 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
 
     // Poison the provider's wire-learned key store: "Alice's key" is now
     // Mallory's. (Only consulted when key authentication is off.)
-    s.provider.learn_wire_key(alice_id, mallory.public().clone());
+    s.provider.party.learn_wire_key(alice_id, mallory.public().clone());
 
     // Forge the transfer.
     let payload = Payload { key: b"ledger".to_vec(), data: b"planted by mallory".to_vec().into() };

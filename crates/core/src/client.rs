@@ -6,17 +6,16 @@
 //! check a download against the upload-time receipt — the "integrity link"
 //! the paper adds between the two sessions.
 
-use crate::config::ProtocolConfig;
 use crate::evidence::{
     open_and_verify, seal, seal_and_own, EvidencePlaintext, Flag, SealedEvidence, VerifiedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
-use crate::principal::{Directory, Principal, PrincipalId};
-use crate::session::{Outgoing, Payload, TxnState, ValidationError, Validator};
+use crate::principal::PrincipalId;
+use crate::session::{Outgoing, Party, Payload, TxnState, ValidationError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use tpnr_crypto::ct;
 use tpnr_crypto::hash::DigestCache;
-use tpnr_crypto::{ct, ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
@@ -34,13 +33,9 @@ pub enum TimeoutStrategy {
 /// Alice's record of one transaction.
 #[derive(Debug, Clone)]
 pub struct ClientTxn {
-    /// Upload or download.
-    pub kind: Flag,
-    /// Object key.
-    pub object: Vec<u8>,
-    /// Hash of the payload Alice sent (upload) or of the request (download).
-    pub sent_hash: Vec<u8>,
-    /// Alice's own NRO (kept for Resolve and for disputes).
+    /// Alice's own NRO (kept for Resolve and for disputes). Its plaintext
+    /// says what the transaction is about: the flag (upload or download),
+    /// the object, and the hash of the payload (or request) Alice sent.
     pub nro: VerifiedEvidence,
     /// Bob's NRR once received and verified.
     pub nrr: Option<VerifiedEvidence>,
@@ -61,13 +56,9 @@ pub struct ClientTxn {
 
 /// The client actor.
 pub struct Client {
-    me: Principal,
-    cfg: ProtocolConfig,
-    dir: Directory,
-    ttp: PrincipalId,
+    /// Identity, config, keys, RNG, validator and restart epoch.
+    pub party: Party,
     provider: PrincipalId,
-    rng: ChaChaRng,
-    validator: Validator,
     /// Records behind shared pointers: a durable snapshot holds the same
     /// allocation, and a record is copied only on its first change after
     /// the snapshot ([`Client::txn_mut`]).
@@ -76,7 +67,6 @@ pub struct Client {
     /// a live deadline. Timeout scans walk this set, in id order, instead
     /// of every transaction the client ever ran.
     open: BTreeSet<u64>,
-    wire_keys: HashMap<PrincipalId, RsaPublicKey>,
     next_txn: u64,
     /// Memoizes payload commitments by buffer identity: an object uploaded,
     /// re-sent, and checked on download hashes once per algorithm.
@@ -87,59 +77,27 @@ pub struct Client {
     /// Retry-policy counters (resends, give-ups). Monotone: excluded from
     /// durable snapshots so restarts never undercount.
     pub retry_stats: crate::fault::RetryStats,
-    /// Crash-recovery epochs survived; scales the sequence skip applied on
-    /// each restore so dirty-window counters are never reused.
-    restarts: u64,
 }
 
 impl Client {
-    /// Creates a client bound to one provider and one TTP.
-    pub fn new(
-        me: Principal,
-        cfg: ProtocolConfig,
-        dir: Directory,
-        ttp: PrincipalId,
-        provider: PrincipalId,
-        mut rng: ChaChaRng,
-    ) -> Self {
-        let my_id = me.id();
-        let next_txn = rng.gen_range(1, 1 << 48); // unique ids across clients
+    /// Creates a client bound to one provider and to the party's TTP.
+    pub fn new(mut party: Party, provider: PrincipalId) -> Self {
+        let next_txn = party.rng.gen_range(1, 1 << 48); // unique ids across clients
         Client {
-            me,
-            cfg,
-            dir,
-            ttp,
+            party,
             provider,
-            rng,
-            validator: Validator::new(my_id, ttp),
             txns: HashMap::new(),
             open: BTreeSet::new(),
-            wire_keys: HashMap::new(),
             next_txn,
             cache: DigestCache::new(32),
             actor_stats: crate::obs::ActorStats::default(),
             retry_stats: crate::fault::RetryStats::default(),
-            restarts: 0,
         }
     }
 
     /// This client's principal id.
     pub fn id(&self) -> PrincipalId {
-        self.me.id()
-    }
-
-    /// Learns a key from the wire (honoured only when key authentication is
-    /// ablated).
-    pub fn learn_wire_key(&mut self, id: PrincipalId, pk: RsaPublicKey) {
-        self.wire_keys.insert(id, pk);
-    }
-
-    fn lookup_key(&self, id: &PrincipalId) -> Option<RsaPublicKey> {
-        if self.cfg.authenticate_keys {
-            self.dir.lookup(id).cloned()
-        } else {
-            self.wire_keys.get(id).cloned().or_else(|| self.dir.lookup(id).cloned())
-        }
+        self.party.id()
     }
 
     /// Alice's record for a transaction.
@@ -184,14 +142,14 @@ impl Client {
     pub fn evict_txn(&mut self, txn_id: u64) -> Option<ClientTxn> {
         let record = self.txns.remove(&txn_id)?;
         self.open.remove(&txn_id);
-        self.validator.retire_txn(txn_id);
+        self.party.validator.retire_txn(txn_id);
         Some(Arc::unwrap_or_clone(record))
     }
 
     /// Transactions retired to archive tombstones by this client's
     /// validator.
     pub fn archived_txn_count(&self) -> usize {
-        self.validator.archived_count()
+        self.party.validator.archived_count()
     }
 
     /// Earliest timeout deadline over all non-terminal transactions (the
@@ -219,38 +177,36 @@ impl Client {
     ) -> Result<(u64, Vec<Outgoing>), ValidationError> {
         let txn_id = self.next_txn;
         self.next_txn += 1;
-        let hash = payload.commit_cached(&self.cfg, &mut self.cache);
+        // The transaction's subject is born here, so this is the one
+        // plaintext not stamped from an earlier one.
+        let p = &mut self.party;
         let pt = EvidencePlaintext {
             flag,
-            sender: self.me.id(),
+            sender: p.me.id(),
             recipient: self.provider,
-            ttp: self.ttp,
+            ttp: p.ttp,
             txn_id,
-            seq: self.validator.alloc_seq(txn_id),
-            nonce: self.rng.next_u64(),
-            time_limit: now.after(self.cfg.message_time_limit),
+            seq: p.validator.alloc_seq(txn_id),
+            nonce: p.rng.next_u64(),
+            time_limit: now.after(p.cfg.message_time_limit),
             object: payload.key.clone(),
-            hash_alg: self.cfg.hash_alg,
-            data_hash: hash.clone(),
+            hash_alg: p.cfg.hash_alg,
+            data_hash: payload.commit_cached(&p.cfg, &mut self.cache),
         };
-        let provider_pk =
-            self.lookup_key(&self.provider).ok_or(ValidationError::NoKey(self.provider))?;
+        let provider_pk = p.key(self.provider)?;
         // One sign_pair serves both artifacts: the sealed evidence for Bob
         // and Alice's own archived NRO (still built through the
         // core::evidence signing constructors — EVIDENCE-CTOR).
-        let (sealed, nro) = seal_and_own(&self.cfg, &self.me, &provider_pk, &pt, &mut self.rng)
+        let (sealed, nro) = seal_and_own(&p.cfg, &p.me, &provider_pk, &pt, &mut p.rng)
             .map_err(ValidationError::Evidence)?;
         self.txns.insert(
             txn_id,
             Arc::new(ClientTxn {
-                kind: flag,
-                object: payload.key.clone(),
-                sent_hash: hash,
                 nro,
                 nrr: None,
                 received: None,
                 state: TxnState::Pending,
-                deadline: now.after(self.cfg.response_timeout),
+                deadline: now.after(p.cfg.response_timeout),
                 strategy,
                 abort_attempted: false,
                 attempts: 0,
@@ -314,10 +270,10 @@ impl Client {
     ) -> Result<Vec<Outgoing>, ValidationError> {
         match msg {
             Message::Receipt { plaintext, data, evidence } => {
-                self.handle_receipt(from, plaintext, data, evidence, now)
+                self.handle_receipt(plaintext, data, evidence, now)
             }
             Message::AbortReply { outcome, plaintext, evidence } => {
-                self.handle_abort_reply(from, *outcome, plaintext, evidence, now)
+                self.handle_abort_reply(*outcome, plaintext, evidence, now)
             }
             Message::ResolveReply { action, plaintext, evidence } => {
                 self.handle_resolve_reply(from, *action, plaintext, evidence.as_ref(), now)
@@ -328,18 +284,17 @@ impl Client {
 
     fn handle_receipt(
         &mut self,
-        from: PrincipalId,
         pt: &EvidencePlaintext,
         data: &Bytes,
         evidence: &SealedEvidence,
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
-        let expected = if self.cfg.bind_identities { Some(self.provider) } else { None };
-        let _ = from;
-        self.validator.check(&self.cfg, pt, expected, now)?;
+        let p = &mut self.party;
+        p.validator.check(&p.cfg, pt, Some(self.provider), now)?;
         let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+        let sent = &txn.nro.plaintext;
         let ok_flag = matches!(
-            (txn.kind, pt.flag),
+            (sent.flag, pt.flag),
             (Flag::UploadRequest, Flag::UploadReceipt)
                 | (Flag::DownloadRequest, Flag::DownloadResponse)
         );
@@ -347,26 +302,25 @@ impl Client {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
         // On upload the receipt must acknowledge exactly what we sent.
-        if txn.kind == Flag::UploadRequest && !ct::eq(&pt.data_hash, &txn.sent_hash) {
+        if sent.flag == Flag::UploadRequest && !ct::eq(&pt.data_hash, &sent.data_hash) {
             return Err(ValidationError::HashMismatch);
         }
         // On download the carried data must match the signed hash. Decoding
         // from the Bytes frame keeps the bulk data shared with the received
         // message rather than copying it out.
-        let received = if txn.kind == Flag::DownloadRequest {
+        let received = if sent.flag == Flag::DownloadRequest {
             let payload =
                 Payload::from_wire_bytes(data).map_err(|_| ValidationError::HashMismatch)?;
-            let object_matches = payload.key == txn.object;
-            let commitment = payload.commit_cached(&self.cfg, &mut self.cache);
-            if !ct::eq(&commitment, &pt.data_hash) || !object_matches {
+            let commitment = payload.commit_cached(&p.cfg, &mut self.cache);
+            if !ct::eq(&commitment, &pt.data_hash) || payload.key != sent.object {
                 return Err(ValidationError::HashMismatch);
             }
             Some(payload)
         } else {
             None
         };
-        let sender_pk = self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
-        let nrr = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, evidence)
+        let sender_pk = p.key(pt.sender)?;
+        let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
         let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         txn.nrr = Some(nrr);
@@ -377,19 +331,18 @@ impl Client {
 
     fn handle_abort_reply(
         &mut self,
-        _from: PrincipalId,
         outcome: AbortOutcome,
         pt: &EvidencePlaintext,
         evidence: &SealedEvidence,
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
-        let expected = if self.cfg.bind_identities { Some(self.provider) } else { None };
-        self.validator.check(&self.cfg, pt, expected, now)?;
+        let p = &mut self.party;
+        p.validator.check(&p.cfg, pt, Some(self.provider), now)?;
         if pt.flag != Flag::AbortResponse {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
-        let sender_pk = self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
-        let nrr = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, evidence)
+        let sender_pk = p.key(pt.sender)?;
+        let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
         let state = self.txn_state(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         // A late abort reply must not reopen or rewrite a settled state:
@@ -429,29 +382,27 @@ impl Client {
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
         // Resolve replies are routed through the TTP.
-        if self.cfg.bind_identities && from != self.ttp {
+        let p = &mut self.party;
+        if p.cfg.bind_identities && from != p.ttp {
             return Err(ValidationError::IdentityMismatch);
         }
-        self.validator.check(&self.cfg, pt, None, now)?;
-        let (kind, sent_hash, state) = {
-            let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-            (txn.kind, txn.sent_hash.clone(), txn.state)
-        };
+        p.validator.check(&p.cfg, pt, None, now)?;
+        let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         // A late/replayed resolve reply must not overwrite a settled state.
-        if state != TxnState::Resolving {
+        if txn.state != TxnState::Resolving {
             return Ok(Vec::new());
         }
         match action {
             ResolveAction::Continue => {
                 // The reply plaintext is Bob's re-issued NRR plaintext.
-                let sender_pk =
-                    self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
+                let sender_pk = p.key(pt.sender)?;
                 let sealed = evidence
                     .ok_or(ValidationError::Evidence(crate::evidence::EvidenceError::Malformed))?;
-                let nrr = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, sealed)
+                let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, sealed)
                     .map_err(ValidationError::Evidence)?;
                 // On upload the re-issued receipt must match what we sent.
-                if kind == Flag::UploadRequest && !ct::eq(&pt.data_hash, &sent_hash) {
+                let sent = &txn.nro.plaintext;
+                if sent.flag == Flag::UploadRequest && !ct::eq(&pt.data_hash, &sent.data_hash) {
                     return Err(ValidationError::HashMismatch);
                 }
                 let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
@@ -487,7 +438,7 @@ impl Client {
             // failed but all sealed evidence (the NRO, any NRR) is
             // retained, so a dispute stays arbitrable. Surfaced as
             // `SettleOutcome::Degraded` and the `gave_up` counter.
-            if self.cfg.retry.exhausted(attempts) {
+            if self.party.cfg.retry.exhausted(attempts) {
                 self.set_state(txn_id, TxnState::Failed);
                 self.retry_stats.gave_up += 1;
                 continue;
@@ -514,12 +465,12 @@ impl Client {
         base: tpnr_net::time::SimDuration,
         attempt: u32,
     ) -> SimTime {
-        let backed = self.cfg.retry.backoff(base, attempt);
-        let mut us = backed.micros();
-        if self.cfg.retry.jitter_pct > 0 {
-            let span = (us / 100).saturating_mul(u64::from(self.cfg.retry.jitter_pct));
+        let retry = &self.party.cfg.retry;
+        let mut us = retry.backoff(base, attempt).micros();
+        if retry.jitter_pct > 0 {
+            let span = (us / 100).saturating_mul(u64::from(retry.jitter_pct));
             if span > 0 {
-                us = us.saturating_add(self.rng.gen_below(span + 1));
+                us = us.saturating_add(self.party.rng.gen_below(span + 1));
             }
         }
         now.after(tpnr_net::time::SimDuration::from_micros(us))
@@ -539,27 +490,15 @@ impl Client {
 
     fn send_abort(&mut self, txn_id: u64, now: SimTime) -> Vec<Outgoing> {
         let Some(txn) = self.txns.get(&txn_id) else { return Vec::new() };
-        let object = txn.object.clone();
-        let sent_hash = txn.sent_hash.clone();
-        let pt = EvidencePlaintext {
-            flag: Flag::AbortRequest,
-            sender: self.me.id(),
-            recipient: self.provider,
-            ttp: self.ttp,
-            txn_id,
-            seq: self.validator.alloc_seq(txn_id),
-            nonce: self.rng.next_u64(),
-            time_limit: now.after(self.cfg.message_time_limit),
-            object,
-            hash_alg: self.cfg.hash_alg,
-            data_hash: sent_hash,
-        };
-        let Some(provider_pk) = self.lookup_key(&self.provider) else { return Vec::new() };
-        let Ok(sealed) = seal(&self.cfg, &self.me, &provider_pk, &pt, &mut self.rng) else {
+        let p = &mut self.party;
+        let seq = p.validator.alloc_seq(txn_id);
+        let pt = p.stamp(&txn.nro.plaintext, Flag::AbortRequest, self.provider, seq, now);
+        let Ok(provider_pk) = p.key(self.provider) else { return Vec::new() };
+        let Ok(sealed) = seal(&p.cfg, &p.me, &provider_pk, &pt, &mut p.rng) else {
             return Vec::new();
         };
         let attempt = self.note_attempt(txn_id);
-        let deadline = self.retry_deadline(now, self.cfg.response_timeout, attempt);
+        let deadline = self.retry_deadline(now, self.party.cfg.response_timeout, attempt);
         let Some(txn) = self.txn_mut(txn_id) else { return Vec::new() };
         txn.abort_attempted = true;
         txn.deadline = deadline;
@@ -572,38 +511,22 @@ impl Client {
     fn send_resolve(&mut self, txn_id: u64, now: SimTime) -> Vec<Outgoing> {
         let Some(txn) = self.txns.get(&txn_id) else { return Vec::new() };
         let nro = txn.nro.clone();
-        let object = txn.object.clone();
-        let pt = EvidencePlaintext {
-            flag: Flag::ResolveRequest,
-            sender: self.me.id(),
-            recipient: self.ttp,
-            ttp: self.ttp,
-            txn_id,
-            seq: self.validator.alloc_seq(txn_id),
-            nonce: self.rng.next_u64(),
-            time_limit: now.after(self.cfg.message_time_limit),
-            object,
-            hash_alg: self.cfg.hash_alg,
-            data_hash: txn.sent_hash.clone(),
-        };
+        let p = &mut self.party;
+        let seq = p.validator.alloc_seq(txn_id);
+        let pt = p.stamp(&nro.plaintext, Flag::ResolveRequest, p.ttp, seq, now);
         let attempt = self.note_attempt(txn_id);
-        let deadline = self.retry_deadline(now, self.cfg.response_timeout.times(2), attempt);
+        let deadline = self.retry_deadline(now, self.party.cfg.response_timeout.times(2), attempt);
         let Some(txn) = self.txn_mut(txn_id) else { return Vec::new() };
         txn.state = TxnState::Resolving;
         txn.deadline = deadline;
         vec![Outgoing {
-            to: self.ttp,
+            to: self.party.ttp,
             msg: Message::Resolve {
                 plaintext: pt,
                 nro,
                 report: "no response from provider before timeout".to_string(),
             },
         }]
-    }
-
-    /// Crash-recovery epochs this client has survived.
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
     }
 
     /// The integrity link: checks a completed download of `download_txn`
@@ -645,9 +568,10 @@ impl crate::fault::Durable for Client {
     type Snapshot = ClientSnapshot;
 
     fn snapshot(&self) -> ClientSnapshot {
-        let mut bytes = self.validator.state_bytes() + 16;
+        let mut bytes = self.party.validator.state_bytes() + 16;
         for t in self.txns.values() {
-            bytes += (t.object.len() + t.sent_hash.len() + 64) as u64;
+            let sent = &t.nro.plaintext;
+            bytes += (sent.object.len() + sent.data_hash.len() + 64) as u64;
             bytes += crate::fault::evidence_bytes(&t.nro);
             if let Some(nrr) = &t.nrr {
                 bytes += crate::fault::evidence_bytes(nrr);
@@ -658,19 +582,17 @@ impl crate::fault::Durable for Client {
         }
         ClientSnapshot {
             txns: self.txns.clone(),
-            validator: self.validator.snapshot(),
+            validator: self.party.validator.snapshot(),
             next_txn: self.next_txn,
             bytes,
         }
     }
 
     fn restore(&mut self, snap: &ClientSnapshot) {
-        self.restarts += 1;
-        let skip = self.restarts.saturating_mul(crate::fault::SEQ_RECOVERY_SKIP);
+        let skip = self.party.restore(&snap.validator);
         self.txns = snap.txns.clone();
         self.open =
             self.txns.iter().filter(|(_, t)| !t.state.is_terminal()).map(|(&id, _)| id).collect();
-        self.validator.restore_with_skip(&snap.validator, skip);
         // Transaction ids allocated in the lost dirty window must never be
         // reused either; jump past anything the window could have minted.
         self.next_txn = snap.next_txn.saturating_add(skip);

@@ -282,12 +282,10 @@ pub fn seal(
 /// Builds the sealed evidence for the peer **and** the sender's own archived
 /// copy from a single [`sign_pair`] call.
 ///
-/// Senders need both artifacts for every transfer. Calling [`seal`] and
-/// [`own_evidence`] separately runs the sign step twice — two RSA private
-/// exponentiations and two canonical-plaintext digests for identical
-/// signatures (PKCS#1 v1.5 signing is deterministic). This constructor is
-/// the hot-path variant: sign once, seal those signatures, archive the
-/// same ones.
+/// Senders need both artifacts for every transfer; this is the one
+/// constructor of a sender's own archived copy. It signs once, seals those
+/// signatures for the peer, and keeps the same ones in verified form (the
+/// sender signed them itself, so no verification pass is needed).
 pub fn seal_and_own(
     cfg: &ProtocolConfig,
     sender: &Principal,
@@ -299,20 +297,6 @@ pub fn seal_and_own(
     let sealed = seal_signatures(recipient_pk, rng, &sig_data_hash, &sig_plaintext)?;
     let own = VerifiedEvidence { plaintext: plaintext.clone(), sig_data_hash, sig_plaintext };
     Ok((sealed, own))
-}
-
-/// A sender's own archived copy of the evidence it just produced: the same
-/// signatures it sealed for the peer, kept in verified form for later
-/// arbitration. (The sender signed them itself, so no verification pass is
-/// needed — but they must still come from [`sign_pair`], never be forged
-/// by struct literal.)
-pub fn own_evidence(
-    cfg: &ProtocolConfig,
-    sender: &Principal,
-    plaintext: &EvidencePlaintext,
-) -> Result<VerifiedEvidence, EvidenceError> {
-    let (sig_data_hash, sig_plaintext) = sign_pair(cfg, sender, plaintext)?;
-    Ok(VerifiedEvidence { plaintext: plaintext.clone(), sig_data_hash, sig_plaintext })
 }
 
 /// Opens sealed evidence with the recipient's private key and verifies both
@@ -422,9 +406,9 @@ mod tests {
         let (alice, bob, ttp, cfg, mut rng) = actors();
         let pt = plaintext(&alice, &bob, &ttp);
         let (sealed, own) = seal_and_own(&cfg, &alice, bob.public(), &pt, &mut rng).unwrap();
-        // The archived copy carries exactly the signatures own_evidence
-        // would produce (signing is deterministic)…
-        assert_eq!(own, own_evidence(&cfg, &alice, &pt).unwrap());
+        // The archived copy carries exactly the signatures a second call
+        // produces (signing is deterministic)…
+        assert_eq!(own, seal_and_own(&cfg, &alice, bob.public(), &pt, &mut rng).unwrap().1);
         own.reverify(&cfg, alice.public()).unwrap();
         // …and the sealed copy opens to the same signatures.
         let opened = open_and_verify(&cfg, &bob, alice.public(), &pt, &sealed).unwrap();
@@ -526,9 +510,9 @@ mod tests {
 
     #[test]
     fn reverify_rejects_a_flipped_signature_or_the_wrong_signer() {
-        let (alice, bob, ttp, cfg, _) = actors();
+        let (alice, bob, ttp, cfg, mut rng) = actors();
         let pt = plaintext(&alice, &bob, &ttp);
-        let ev = own_evidence(&cfg, &alice, &pt).unwrap();
+        let ev = seal_and_own(&cfg, &alice, bob.public(), &pt, &mut rng).unwrap().1;
         ev.reverify(&cfg, alice.public()).unwrap();
         let mut bad = ev.clone();
         bad.sig_plaintext[3] ^= 1;
@@ -541,7 +525,7 @@ mod tests {
         // Ablated "signatures" are bare hashes: any key accepts them, and
         // only a changed hash fails.
         let cfg = crate::config::ProtocolConfig::ablated(crate::config::Ablation::NoSignatures);
-        let ev = own_evidence(&cfg, &alice, &pt).unwrap();
+        let ev = seal_and_own(&cfg, &alice, bob.public(), &pt, &mut rng).unwrap().1;
         ev.reverify(&cfg, bob.public()).unwrap();
         let mut bad = ev.clone();
         bad.sig_data_hash[0] ^= 1;

@@ -720,6 +720,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "mix covers every outcome: {seen:?}");
-        assert!(w.clients.iter().map(|c| c.restart_count()).sum::<u64>() > 0);
+        assert!(w.clients.iter().map(|c| c.party.restart_count()).sum::<u64>() > 0);
     }
 }

@@ -512,16 +512,13 @@ impl Obs {
         self.metrics.settle_steps.record(steps);
     }
 
-    /// Drops a settled transaction's per-txn tracking state, returning the
-    /// final tallies so the caller can fold them into its archive index.
-    /// Global counters and histograms are untouched — they were already
-    /// updated when the events happened.
-    pub fn retire_txn(&mut self, txn: u64) -> (TxnObs, Option<TxnState>, Option<SimTime>) {
-        (
-            self.per_txn.remove(&txn).unwrap_or_default(),
-            self.last_state.remove(&txn),
-            self.started.remove(&txn),
-        )
+    /// Drops a settled transaction's per-txn tracking state: its tallies,
+    /// last state and start time. Global counters and histograms are
+    /// untouched — they were already updated when the events happened.
+    pub fn retire_txn(&mut self, txn: u64) {
+        self.per_txn.remove(&txn);
+        self.last_state.remove(&txn);
+        self.started.remove(&txn);
     }
 }
 
@@ -620,6 +617,27 @@ mod tests {
         // Re-entering a terminal state never records a second latency.
         o.note_state(SimTime(70_000), ALICE, 1, TxnState::Failed);
         assert_eq!(o.metrics.latency_us.count(), 1);
+    }
+
+    #[test]
+    fn retire_txn_forgets_the_txn_but_keeps_the_totals() {
+        let mut o = Obs::new();
+        o.note_txn_started(1, SimTime(1_000));
+        o.record(ev(2_000, Some(1), delivered(ALICE)));
+        o.record(ev(3_000, Some(2), delivered(ALICE)));
+        o.note_state(SimTime(4_000), ALICE, 1, TxnState::Completed);
+        let totals = o.metrics.clone();
+        assert_eq!(totals.latency_us.count(), 1);
+
+        o.retire_txn(1);
+        assert_eq!(o.txn(1), TxnObs::default());
+        assert_eq!(o.txns(), vec![2]);
+        assert_eq!(o.metrics, totals);
+        // The start time went too: a late terminal state is a transition,
+        // but it has nothing to measure a latency from.
+        o.note_state(SimTime(9_000), ALICE, 1, TxnState::Failed);
+        assert_eq!(o.metrics.latency_us, totals.latency_us);
+        assert_eq!(o.metrics.delivered, totals.delivered);
     }
 
     #[test]

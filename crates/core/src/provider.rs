@@ -11,17 +11,15 @@
 //! Resolve mode exists for) and/or tampering with stored objects (the
 //! Figure-5 integrity threat).
 
-use crate::config::ProtocolConfig;
 use crate::evidence::{
     open_and_verify, seal, seal_and_own, seal_signatures, EvidencePlaintext, Flag, VerifiedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
-use crate::principal::{Directory, Principal, PrincipalId};
-use crate::session::{Outgoing, Payload, TxnState, ValidationError, Validator};
+use crate::principal::PrincipalId;
+use crate::session::{Outgoing, Party, Payload, TxnState, ValidationError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpnr_crypto::hash::DigestCache;
-use tpnr_crypto::{ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
@@ -46,13 +44,10 @@ impl Default for ProviderBehavior {
 /// Bob's durable record of one transaction.
 #[derive(Debug, Clone)]
 pub struct ProviderTxn {
-    /// Counterparty (Alice).
-    pub peer: PrincipalId,
-    /// Object this transaction concerns.
-    pub object: Vec<u8>,
-    /// Upload or download.
-    pub kind: Flag,
     /// The NRO Bob received and verified (his proof of what Alice sent).
+    /// Its plaintext names the counterparty (its sender), the object and
+    /// the kind: an upload or download request, or Alice's abort request
+    /// for an aborted transaction.
     pub nro: VerifiedEvidence,
     /// The NRR Bob signed for a served transfer (his commitment, kept to
     /// re-issue on Resolve); `None` for an aborted transaction, where Bob
@@ -64,19 +59,14 @@ pub struct ProviderTxn {
 
 /// The provider actor.
 pub struct Provider {
-    me: Principal,
-    cfg: ProtocolConfig,
-    dir: Directory,
-    ttp: PrincipalId,
-    rng: ChaChaRng,
-    validator: Validator,
+    /// Identity, config, keys, RNG, validator and restart epoch.
+    pub party: Party,
     /// Stored objects as shared immutable buffers: upload, archive and
     /// download-response all hold the same allocation.
     storage: HashMap<Vec<u8>, Bytes>,
     /// Records behind shared pointers, as in the client: a durable
     /// snapshot holds the same allocation.
     txns: HashMap<u64, Arc<ProviderTxn>>,
-    wire_keys: HashMap<PrincipalId, RsaPublicKey>,
     /// Memoizes payload commitments by buffer identity: a stored object
     /// served to N downloaders hashes once, not N times.
     cache: DigestCache,
@@ -85,60 +75,24 @@ pub struct Provider {
     /// Message/tick counters, maintained by the scheduler-facing
     /// [`Actor`](crate::sched::Actor) impl.
     pub actor_stats: crate::obs::ActorStats,
-    /// Crash-recovery epochs survived; scales the sequence skip applied on
-    /// each restore.
-    restarts: u64,
 }
 
 impl Provider {
     /// Creates a provider actor.
-    pub fn new(
-        me: Principal,
-        cfg: ProtocolConfig,
-        dir: Directory,
-        ttp: PrincipalId,
-        rng: ChaChaRng,
-    ) -> Self {
-        let my_id = me.id();
+    pub fn new(party: Party) -> Self {
         Provider {
-            me,
-            cfg,
-            dir,
-            ttp,
-            rng,
-            validator: Validator::new(my_id, ttp),
+            party,
             storage: HashMap::new(),
             txns: HashMap::new(),
-            wire_keys: HashMap::new(),
             cache: DigestCache::new(32),
             behavior: ProviderBehavior::default(),
             actor_stats: crate::obs::ActorStats::default(),
-            restarts: 0,
         }
-    }
-
-    /// Crash-recovery epochs this provider has survived.
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
     }
 
     /// This provider's principal id.
     pub fn id(&self) -> PrincipalId {
-        self.me.id()
-    }
-
-    /// Learns a key from the wire (only honoured when key authentication is
-    /// ablated; attack harnesses use this to poison the key store).
-    pub fn learn_wire_key(&mut self, id: PrincipalId, pk: RsaPublicKey) {
-        self.wire_keys.insert(id, pk);
-    }
-
-    fn lookup_key(&self, id: &PrincipalId) -> Option<RsaPublicKey> {
-        if self.cfg.authenticate_keys {
-            self.dir.lookup(id).cloned()
-        } else {
-            self.wire_keys.get(id).cloned().or_else(|| self.dir.lookup(id).cloned())
-        }
+        self.party.id()
     }
 
     /// Provider-side storage tamper (Eve's move in the Figure-5 scenario).
@@ -190,7 +144,7 @@ impl Provider {
     /// validator window. Returns the record for the caller's archive.
     pub fn evict_txn(&mut self, txn_id: u64) -> Option<ProviderTxn> {
         let record = self.txns.remove(&txn_id)?;
-        self.validator.retire_txn(txn_id);
+        self.party.validator.retire_txn(txn_id);
         Some(Arc::unwrap_or_clone(record))
     }
 
@@ -240,18 +194,18 @@ impl Provider {
         }
         // The claimed plaintext sender must be who the wire says delivered it
         // (when identity binding is on).
-        let expected = if self.cfg.bind_identities { Some(from) } else { None };
-        self.validator.check(&self.cfg, pt, expected, now)?;
+        let p = &mut self.party;
+        p.validator.check(&p.cfg, pt, Some(from), now)?;
 
         // Decode from the Bytes frame: the bulk data stays a view into the
         // received message, and the same view goes into storage below.
         let payload = Payload::from_wire_bytes(data).map_err(|_| ValidationError::HashMismatch)?;
-        let commitment = payload.commit_cached(&self.cfg, &mut self.cache);
+        let commitment = payload.commit_cached(&p.cfg, &mut self.cache);
         if !tpnr_crypto::ct::eq(&pt.data_hash, &commitment) || pt.object != payload.key {
             return Err(ValidationError::HashMismatch);
         }
-        let sender_pk = self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
-        let nro = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, evidence)
+        let sender_pk = p.key(pt.sender)?;
+        let nro = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
 
         // Serve the request. Bytes clones are refcount bumps, so storing an
@@ -261,46 +215,30 @@ impl Provider {
                 self.storage.insert(payload.key.clone(), payload.data.clone());
                 // Upload receipt acknowledges the same payload hash; carries
                 // no bulk data back.
-                Payload { key: payload.key.clone(), data: payload.data }
+                payload
             }
             // Guarded to UploadRequest | DownloadRequest at the top.
             _ => {
                 let stored = self.storage.get(&payload.key).cloned().unwrap_or_default();
-                Payload { key: payload.key.clone(), data: stored }
+                Payload { key: payload.key, data: stored }
             }
         };
-        let response_hash = response_payload.commit_cached(&self.cfg, &mut self.cache);
+        let response_hash = response_payload.commit_cached(&p.cfg, &mut self.cache);
         let (reply_flag, reply_data) = match pt.flag {
             Flag::UploadRequest => (Flag::UploadReceipt, Bytes::new()),
             _ => (Flag::DownloadResponse, response_payload.to_wire_bytes()),
         };
 
-        let nrr_pt = EvidencePlaintext {
-            flag: reply_flag,
-            sender: self.me.id(),
-            recipient: pt.sender,
-            ttp: self.ttp,
-            txn_id: pt.txn_id,
-            seq: self.validator.alloc_seq(pt.txn_id),
-            nonce: self.rng.next_u64(),
-            time_limit: now.after(self.cfg.message_time_limit),
-            object: payload.key.clone(),
-            hash_alg: pt.hash_alg,
-            data_hash: response_hash,
-        };
-        let (sealed, nrr) = seal_and_own(&self.cfg, &self.me, &sender_pk, &nrr_pt, &mut self.rng)
+        // The receipt names the response's hash: on a download, that of
+        // the object Bob serves.
+        let seq = p.validator.alloc_seq(pt.txn_id);
+        let nrr_pt = p.stamp_hash(pt, response_hash, reply_flag, pt.sender, seq, now);
+        let (sealed, nrr) = seal_and_own(&p.cfg, &p.me, &sender_pk, &nrr_pt, &mut p.rng)
             .map_err(ValidationError::Evidence)?;
 
         self.txns.insert(
             pt.txn_id,
-            Arc::new(ProviderTxn {
-                peer: pt.sender,
-                object: payload.key,
-                kind: pt.flag,
-                nro,
-                nrr: Some(nrr),
-                state: TxnState::Completed,
-            }),
+            Arc::new(ProviderTxn { nro, nrr: Some(nrr), state: TxnState::Completed }),
         );
         Ok(vec![Outgoing {
             to: pt.sender,
@@ -318,49 +256,31 @@ impl Provider {
         if pt.flag != Flag::AbortRequest {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
-        let expected = if self.cfg.bind_identities { Some(from) } else { None };
-        self.validator.check(&self.cfg, pt, expected, now)?;
-        let sender_pk = self.lookup_key(&pt.sender).ok_or(ValidationError::NoKey(pt.sender))?;
+        let p = &mut self.party;
+        p.validator.check(&p.cfg, pt, Some(from), now)?;
+        let sender_pk = p.key(pt.sender)?;
 
         // Verify consistency of the request; an unverifiable abort gets the
         // paper's "Error" answer asking Alice to regenerate it.
-        let abort_nro = open_and_verify(&self.cfg, &self.me, &sender_pk, pt, evidence);
+        let abort_nro = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence);
         let outcome = match (&abort_nro, self.txns.get(&pt.txn_id)) {
             (Err(_), _) => AbortOutcome::Error,
             // Transaction already completed on our side: too late to cancel.
             (Ok(_), Some(rec)) if rec.state == TxnState::Completed => AbortOutcome::Reject,
             (Ok(_), _) => AbortOutcome::Accept,
         };
-        if let (Ok(nro), AbortOutcome::Accept) = (&abort_nro, outcome) {
+        if let (Ok(nro), AbortOutcome::Accept) = (abort_nro, outcome) {
             // Record the aborted transaction with the abort evidence. An
             // existing record is not Completed (that is a Reject), so it
             // is already Aborted.
             self.txns.entry(pt.txn_id).or_insert_with(|| {
-                Arc::new(ProviderTxn {
-                    peer: pt.sender,
-                    object: pt.object.clone(),
-                    kind: Flag::AbortRequest,
-                    nro: nro.clone(),
-                    nrr: None,
-                    state: TxnState::Aborted,
-                })
+                Arc::new(ProviderTxn { nro, nrr: None, state: TxnState::Aborted })
             });
         }
 
-        let reply_pt = EvidencePlaintext {
-            flag: Flag::AbortResponse,
-            sender: self.me.id(),
-            recipient: pt.sender,
-            ttp: self.ttp,
-            txn_id: pt.txn_id,
-            seq: self.validator.alloc_seq(pt.txn_id),
-            nonce: self.rng.next_u64(),
-            time_limit: now.after(self.cfg.message_time_limit),
-            object: pt.object.clone(),
-            hash_alg: pt.hash_alg,
-            data_hash: pt.data_hash.clone(),
-        };
-        let sealed = seal(&self.cfg, &self.me, &sender_pk, &reply_pt, &mut self.rng)
+        let seq = p.validator.alloc_seq(pt.txn_id);
+        let reply_pt = p.stamp(pt, Flag::AbortResponse, pt.sender, seq, now);
+        let sealed = seal(&p.cfg, &p.me, &sender_pk, &reply_pt, &mut p.rng)
             .map_err(ValidationError::Evidence)?;
         Ok(vec![Outgoing {
             to: pt.sender,
@@ -378,53 +298,31 @@ impl Provider {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
         // Resolve forwards must come from the agreed TTP.
-        if self.cfg.bind_identities && (from != self.ttp || pt.sender != self.ttp) {
+        let p = &mut self.party;
+        if p.cfg.bind_identities && (from != p.ttp || pt.sender != p.ttp) {
             return Err(ValidationError::IdentityMismatch);
         }
-        self.validator.check(&self.cfg, pt, None, now)?;
+        p.validator.check(&p.cfg, pt, None, now)?;
 
-        let (action, evidence) = match self.txns.get(&pt.txn_id).map(Arc::as_ref) {
-            Some(ProviderTxn { peer, nrr: Some(nrr), .. }) => {
+        let (action, plaintext, evidence) = match self.txns.get(&pt.txn_id).map(Arc::as_ref) {
+            Some(ProviderTxn { nro, nrr: Some(nrr), .. }) => {
                 // Re-issue the NRR, re-sealed for Alice (she may have never
                 // received the original receipt).
-                let peer_pk = self.lookup_key(peer).ok_or(ValidationError::NoKey(*peer))?;
-                let sealed = seal_signatures(
-                    &peer_pk,
-                    &mut self.rng,
-                    &nrr.sig_data_hash,
-                    &nrr.sig_plaintext,
-                )
-                .map_err(ValidationError::Evidence)?;
-                (ResolveAction::Continue, Some((sealed, nrr.plaintext.clone())))
+                let peer_pk = p.key(nro.plaintext.sender)?;
+                let sealed =
+                    seal_signatures(&peer_pk, &mut p.rng, &nrr.sig_data_hash, &nrr.sig_plaintext)
+                        .map_err(ValidationError::Evidence)?;
+                (ResolveAction::Continue, nrr.plaintext.clone(), Some(sealed))
             }
             // We never saw the transaction (the NRO was lost in flight):
-            // ask Alice to restart the session.
-            _ => (ResolveAction::Restart, None),
+            // ask Alice, via the TTP, to restart the session.
+            _ => {
+                let seq = p.validator.alloc_seq(pt.txn_id);
+                let reply = p.stamp(pt, Flag::ResolveResponse, pt.sender, seq, now);
+                (ResolveAction::Restart, reply, None)
+            }
         };
-
-        let (reply_pt, sealed_evidence) = match evidence {
-            Some((sealed, nrr_pt)) => (nrr_pt, Some(sealed)),
-            None => (
-                EvidencePlaintext {
-                    flag: Flag::ResolveResponse,
-                    sender: self.me.id(),
-                    recipient: pt.sender, // routed back via the TTP
-                    ttp: self.ttp,
-                    txn_id: pt.txn_id,
-                    seq: self.validator.alloc_seq(pt.txn_id),
-                    nonce: self.rng.next_u64(),
-                    time_limit: now.after(self.cfg.message_time_limit),
-                    object: pt.object.clone(),
-                    hash_alg: pt.hash_alg,
-                    data_hash: pt.data_hash.clone(),
-                },
-                None,
-            ),
-        };
-        Ok(vec![Outgoing {
-            to: self.ttp,
-            msg: Message::ResolveReply { action, plaintext: reply_pt, evidence: sealed_evidence },
-        }])
+        Ok(vec![Outgoing { to: p.ttp, msg: Message::ResolveReply { action, plaintext, evidence } }])
     }
 }
 
@@ -449,29 +347,27 @@ impl crate::fault::Durable for Provider {
     type Snapshot = ProviderSnapshot;
 
     fn snapshot(&self) -> ProviderSnapshot {
-        let mut bytes = self.validator.state_bytes() + 8;
+        let mut bytes = self.party.validator.state_bytes() + 8;
         for (key, data) in &self.storage {
             bytes += (key.len() + data.as_ref().len()) as u64;
         }
         for t in self.txns.values() {
             let sigs = t.nrr.as_ref().map_or(0, |e| e.sig_data_hash.len() + e.sig_plaintext.len());
-            bytes += (t.object.len() + sigs + 64) as u64;
+            bytes += (t.nro.plaintext.object.len() + sigs + 64) as u64;
             bytes += crate::fault::evidence_bytes(&t.nro);
         }
         ProviderSnapshot {
             storage: self.storage.clone(),
             txns: self.txns.clone(),
-            validator: self.validator.snapshot(),
+            validator: self.party.validator.snapshot(),
             bytes,
         }
     }
 
     fn restore(&mut self, snap: &ProviderSnapshot) {
-        self.restarts += 1;
-        let skip = self.restarts.saturating_mul(crate::fault::SEQ_RECOVERY_SKIP);
+        self.party.restore(&snap.validator);
         self.storage = snap.storage.clone();
         self.txns = snap.txns.clone();
-        self.validator.restore_with_skip(&snap.validator, skip);
     }
 }
 

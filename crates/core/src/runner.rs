@@ -28,7 +28,7 @@ use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::provider::{Provider, ProviderSnapshot};
 use crate::sched::{self, Actor, Deadlines, EventHub, SettleReport};
-use crate::session::{Outgoing, TxnState, ValidationError};
+use crate::session::{Outgoing, Party, TxnState, ValidationError};
 use crate::ttp::{Ttp, TtpSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
@@ -375,12 +375,13 @@ impl<T: Transport> GenericWorld<T> {
 
 impl<T: Transport, S: Seats> Runner<T, S> {
     /// Registers the population on `net` — clients first, then the
-    /// provider and the TTP — and builds every actor. Each client gets a
-    /// minimal directory ({self, provider, TTP}: all it ever verifies) and
-    /// an RNG stream of its own; the provider and the TTP hold the full
-    /// directory. `seat` stores the clients, given their nodes and the full
-    /// directory. The archive starts at its default hot capacity and the
-    /// step cap at 100,000; constructors adjust both.
+    /// provider and the TTP — and builds every actor over a [`Party`] of
+    /// its own, with an RNG stream of its own. Each client gets a minimal
+    /// directory ({self, provider, TTP}: all it ever verifies); the
+    /// provider and the TTP hold the full directory. `seat` stores the
+    /// clients, given their nodes and the full directory. The archive
+    /// starts at its default hot capacity and the step cap at 100,000;
+    /// constructors adjust both.
     pub(crate) fn assemble(
         mut net: T,
         seed: u64,
@@ -399,6 +400,10 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             client_principals.iter().map(|c| net.register(&c.name)).collect();
         let bob_node = net.register(&bob.name);
         let ttp_node = net.register(&ttp_p.name);
+        let party = |p: &Principal, dir: Directory, stream: u64| {
+            let rng = ChaChaRng::seed_from_u64(seed ^ stream);
+            Party::new(p.clone(), cfg.clone(), dir, ttp_p.id(), rng)
+        };
 
         let clients = client_principals
             .iter()
@@ -408,22 +413,15 @@ impl<T: Transport, S: Seats> Runner<T, S> {
                 for q in [bob, ttp_p, p] {
                     cdir.register(q);
                 }
-                let rng = ChaChaRng::seed_from_u64(seed ^ (0xc11e47 + i as u64));
-                Client::new(p.clone(), cfg.clone(), cdir, ttp_p.id(), bob.id(), rng)
+                Client::new(party(p, cdir, 0xc11e47 + i as u64), bob.id())
             })
             .collect();
         let seats = seat(clients, &client_nodes, &dir);
-        let provider = Provider::new(
-            bob.clone(),
-            cfg.clone(),
-            dir.clone(),
-            ttp_p.id(),
-            ChaChaRng::seed_from_u64(seed ^ 0xb0b),
-        );
+        let provider = Provider::new(party(bob, dir.clone(), 0xb0b));
+        let ttp = Ttp::new(party(ttp_p, dir, 0x777));
         let names: Vec<&str> =
             client_principals.iter().chain([bob, ttp_p]).map(|p| p.name.as_str()).collect();
         let faults = FaultCtl::new(&cfg.faults, &names);
-        let ttp = Ttp::new(ttp_p.clone(), cfg, dir, ChaChaRng::seed_from_u64(seed ^ 0x777));
         // Take the epoch-zero recovery points up front: a crash before the
         // first sync restores to the freshly-built actor, not to garbage.
         let snaps = faults.active().then(|| {

@@ -1,16 +1,20 @@
 //! Shared session machinery: transaction payloads, outgoing-message
-//! addressing, plaintext validation, and the per-transaction replay window.
+//! addressing, plaintext validation, the per-transaction replay window, and
+//! the [`Party`] core every actor is built on.
 //!
-//! Both state machines (client and provider) funnel every incoming message
+//! Every actor (client, provider, TTP) funnels every incoming message
 //! through [`Validator::check`], which enforces the §5 defences according to
 //! the active [`ProtocolConfig`]: identity/direction binding, strictly
-//! increasing sequence numbers, and message time limits.
+//! increasing sequence numbers, and message time limits. Every plaintext an
+//! actor writes, but the client's Transfer, comes from [`Party::stamp`]; a
+//! relayed or re-issued receipt resends one already written.
 
 use crate::config::ProtocolConfig;
 use crate::evidence::{EvidencePlaintext, Flag};
-use crate::principal::PrincipalId;
+use crate::principal::{Directory, Principal, PrincipalId};
 use std::collections::{BTreeSet, HashMap};
 use tpnr_crypto::hash::DigestCache;
+use tpnr_crypto::{ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
@@ -359,6 +363,121 @@ pub struct ValidatorSnapshot {
     archived: BTreeSet<u64>,
 }
 
+/// What Alice, Bob and the TTP each hold alike: the principal, config, key
+/// sources, agreed TTP, RNG, replay validator and restart epoch, with the
+/// one key lookup, restore step and plaintext stamper they share.
+pub struct Party {
+    /// This party's principal (its id and its signing/opening keys).
+    pub(crate) me: Principal,
+    /// The active protocol configuration.
+    pub(crate) cfg: ProtocolConfig,
+    /// Authenticated keys.
+    dir: Directory,
+    /// Keys learned from the wire, honoured only while key authentication
+    /// is ablated.
+    wire_keys: HashMap<PrincipalId, RsaPublicKey>,
+    /// The agreed TTP (the TTP's own id, for the TTP).
+    pub(crate) ttp: PrincipalId,
+    /// Nonces, envelope keys and retry jitter. Never restored: rolling it
+    /// back would replay nonces.
+    pub(crate) rng: ChaChaRng,
+    /// Replay windows and send counters.
+    pub(crate) validator: Validator,
+    /// Crash-recovery epochs survived; scales the sequence skip applied on
+    /// each restore.
+    restarts: u64,
+}
+
+impl Party {
+    /// A party at epoch zero that has learned no wire key.
+    pub fn new(
+        me: Principal,
+        cfg: ProtocolConfig,
+        dir: Directory,
+        ttp: PrincipalId,
+        rng: ChaChaRng,
+    ) -> Self {
+        let validator = Validator::new(me.id(), ttp);
+        Party { me, cfg, dir, wire_keys: HashMap::new(), ttp, rng, validator, restarts: 0 }
+    }
+
+    /// This party's principal id.
+    pub fn id(&self) -> PrincipalId {
+        self.me.id()
+    }
+
+    /// Learns a key from the wire (honoured only when key authentication is
+    /// ablated; attack harnesses use this to poison the key store).
+    pub fn learn_wire_key(&mut self, id: PrincipalId, pk: RsaPublicKey) {
+        self.wire_keys.insert(id, pk);
+    }
+
+    /// `id`'s public key, which this party verifies `id`'s evidence with and
+    /// seals evidence for `id` under: the directory's, or, with key
+    /// authentication ablated, a wire-learned one first.
+    pub(crate) fn key(&self, id: PrincipalId) -> Result<RsaPublicKey, ValidationError> {
+        let learned = if self.cfg.authenticate_keys { None } else { self.wire_keys.get(&id) };
+        learned.or_else(|| self.dir.lookup(&id)).cloned().ok_or(ValidationError::NoKey(id))
+    }
+
+    /// Crash-recovery epochs this party has survived.
+    pub fn restart_count(&self) -> u64 {
+        self.restarts
+    }
+
+    /// Enters the next crash-recovery epoch: restores the validator from
+    /// `snap` with every send counter advanced by epoch ×
+    /// [`SEQ_RECOVERY_SKIP`](crate::fault::SEQ_RECOVERY_SKIP), so no
+    /// counter spent in the lost dirty window is reused, and returns that
+    /// skip.
+    pub(crate) fn restore(&mut self, snap: &ValidatorSnapshot) -> u64 {
+        self.restarts += 1;
+        let skip = self.restarts.saturating_mul(crate::fault::SEQ_RECOVERY_SKIP);
+        self.validator.restore_with_skip(snap, skip);
+        skip
+    }
+
+    /// The plaintext of a `flag` step to `recipient` at `seq`. Sender,
+    /// TTP, a fresh nonce and `now + message_time_limit` come from this
+    /// party; txn id, object, hash alg and data hash from `on`, the
+    /// plaintext the step answers or follows.
+    pub(crate) fn stamp(
+        &mut self,
+        on: &EvidencePlaintext,
+        flag: Flag,
+        recipient: PrincipalId,
+        seq: u64,
+        now: SimTime,
+    ) -> EvidencePlaintext {
+        self.stamp_hash(on, on.data_hash.clone(), flag, recipient, seq, now)
+    }
+
+    /// [`Party::stamp`] naming `data_hash` instead of `on`'s.
+    pub(crate) fn stamp_hash(
+        &mut self,
+        on: &EvidencePlaintext,
+        data_hash: Vec<u8>,
+        flag: Flag,
+        recipient: PrincipalId,
+        seq: u64,
+        now: SimTime,
+    ) -> EvidencePlaintext {
+        EvidencePlaintext {
+            flag,
+            sender: self.me.id(),
+            recipient,
+            ttp: self.ttp,
+            txn_id: on.txn_id,
+            seq,
+            nonce: self.rng.next_u64(),
+            time_limit: now.after(self.cfg.message_time_limit),
+            object: on.object.clone(),
+            hash_alg: on.hash_alg,
+            data_hash,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,6 +679,85 @@ mod tests {
             restored.check(&cfg, &pt(*b"alice\0\0\0", 1, 5, 100), None, SimTime(0)),
             Err(ValidationError::ArchivedTransaction(1))
         );
+    }
+
+    const BOB_RNG_SEED: u64 = 41;
+
+    /// Bob's party (full directory: Alice, Bob, the TTP), with Alice's and
+    /// the TTP's principals.
+    fn bob_party(cfg: ProtocolConfig) -> (Party, Principal, Principal) {
+        let (alice, bob, ttp) =
+            (Principal::test("alice", 1), Principal::test("bob", 2), Principal::test("ttp", 3));
+        let mut dir = Directory::new();
+        for p in [&alice, &bob, &ttp] {
+            dir.register(p);
+        }
+        let rng = ChaChaRng::seed_from_u64(BOB_RNG_SEED);
+        (Party::new(bob, cfg, dir, ttp.id(), rng), alice, ttp)
+    }
+
+    #[test]
+    fn stamp_copies_the_subject_and_takes_the_rest_from_the_party() {
+        let (mut bob, alice, ttp) = bob_party(ProtocolConfig::full());
+        let mut on = pt(*b"alice\0\0\0", 42, 9, 5);
+        on.object = b"the object".to_vec();
+        on.hash_alg = HashAlg::Md5;
+        on.data_hash = vec![3; 16];
+        let now = SimTime(1_000);
+        let mut rng = ChaChaRng::seed_from_u64(BOB_RNG_SEED);
+
+        let st = bob.stamp(&on, Flag::AbortResponse, alice.id(), 7, now);
+        let expected = EvidencePlaintext {
+            flag: Flag::AbortResponse,
+            sender: bob.id(),
+            recipient: alice.id(),
+            ttp: ttp.id(),
+            txn_id: 42,
+            seq: 7,
+            nonce: rng.next_u64(),
+            time_limit: now.after(bob.cfg.message_time_limit),
+            object: on.object.clone(),
+            hash_alg: HashAlg::Md5,
+            data_hash: on.data_hash.clone(),
+        };
+        assert_eq!(st, expected);
+        // `stamp_hash` differs only in the hash it names; each stamp draws
+        // one fresh nonce.
+        let st = bob.stamp_hash(&on, vec![8; 16], Flag::AbortResponse, alice.id(), 7, now);
+        let nonce = rng.next_u64();
+        assert_eq!(st, EvidencePlaintext { nonce, data_hash: vec![8; 16], ..expected });
+    }
+
+    #[test]
+    fn key_prefers_a_wire_key_only_without_key_authentication() {
+        let mallory = Principal::test("mallory", 13);
+        let unknown = mallory.id();
+        for (cfg, poisoned) in [
+            (ProtocolConfig::full(), false),
+            (ProtocolConfig::ablated(Ablation::NoKeyAuthentication), true),
+        ] {
+            let (mut bob, alice, ttp) = bob_party(cfg);
+            bob.learn_wire_key(alice.id(), mallory.public().clone());
+            let expected = if poisoned { mallory.public() } else { alice.public() };
+            assert_eq!(bob.key(alice.id()).as_ref(), Ok(expected));
+            assert_eq!(bob.key(ttp.id()).as_ref(), Ok(ttp.public()));
+            assert_eq!(bob.key(unknown), Err(ValidationError::NoKey(unknown)));
+        }
+    }
+
+    #[test]
+    fn restore_bumps_the_epoch_and_skips_seqs_by_epoch_times_the_recovery_skip() {
+        use crate::fault::SEQ_RECOVERY_SKIP as SKIP;
+        let (mut bob, ..) = bob_party(ProtocolConfig::full());
+        assert_eq!(bob.validator.alloc_seq(1), 1);
+        let snap = bob.validator.snapshot();
+        assert_eq!(bob.validator.alloc_seq(1), 2, "spent in the dirty window");
+        assert_eq!((bob.restore(&snap), bob.restart_count()), (SKIP, 1));
+        assert_eq!(bob.validator.alloc_seq(1), 1 + SKIP + 1);
+        assert_eq!((bob.restore(&snap), bob.restart_count()), (2 * SKIP, 2));
+        assert_eq!(bob.validator.alloc_seq(1), 1 + 2 * SKIP + 1);
+        // A transaction the snapshot never saw starts above the floor.
+        assert_eq!(bob.validator.alloc_seq(5), 2 * SKIP + 1);
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //! itself (paper: "normally the size of the data set is very large, which is
 //! not feasible to be stored and/or forwarded by the TTP").
 
-use crate::config::ProtocolConfig;
 use crate::evidence::{EvidencePlaintext, Flag, VerifiedEvidence};
 use crate::message::{Message, ResolveAction};
-use crate::principal::{Directory, Principal, PrincipalId};
-use crate::session::{Outgoing, ValidationError, Validator};
+use crate::principal::PrincipalId;
+use crate::session::{Outgoing, Party, ValidationError};
 use std::collections::BTreeMap;
-use tpnr_crypto::ChaChaRng;
 use tpnr_net::time::SimTime;
 
 /// Sequence number of the TTP's own Resolve replies: outside any normal
@@ -27,11 +25,10 @@ const AUTHORITY_SEQ: u64 = u64::MAX / 2;
 #[derive(Debug, Clone)]
 struct PendingResolve {
     initiator: PrincipalId,
-    respondent: PrincipalId,
     deadline: SimTime,
-    object: Vec<u8>,
-    hash_alg: tpnr_crypto::hash::HashAlg,
-    data_hash: Vec<u8>,
+    /// The forward sent to the respondent (its recipient). The TTP's own
+    /// reply to the initiator names the same object and data hash.
+    forward: EvidencePlaintext,
 }
 
 /// Statistics for the TTP-load experiment (E6).
@@ -51,11 +48,9 @@ pub struct TtpStats {
 
 /// The TTP actor.
 pub struct Ttp {
-    me: Principal,
-    cfg: ProtocolConfig,
-    dir: Directory,
-    rng: ChaChaRng,
-    validator: Validator,
+    /// Identity, config, keys, RNG, validator and restart epoch; the
+    /// party's TTP is this TTP itself.
+    pub party: Party,
     /// Resolves awaiting a respondent, by txn id: the timeout sweep
     /// declares failures in this order, so the replies, their nonces and
     /// the event stream are reproducible.
@@ -65,36 +60,22 @@ pub struct Ttp {
     /// Message/tick counters, maintained by the scheduler-facing
     /// [`Actor`](crate::sched::Actor) impl.
     pub actor_stats: crate::obs::ActorStats,
-    /// Crash-recovery epochs survived; scales the sequence skip applied on
-    /// each restore.
-    restarts: u64,
 }
 
 impl Ttp {
-    /// Creates a TTP actor.
-    pub fn new(me: Principal, cfg: ProtocolConfig, dir: Directory, rng: ChaChaRng) -> Self {
-        let my_id = me.id();
+    /// Creates a TTP actor over a party whose TTP is itself.
+    pub fn new(party: Party) -> Self {
         Ttp {
-            me,
-            cfg,
-            dir,
-            rng,
-            validator: Validator::new(my_id, my_id),
+            party,
             pending: BTreeMap::new(),
             stats: TtpStats::default(),
             actor_stats: crate::obs::ActorStats::default(),
-            restarts: 0,
         }
-    }
-
-    /// Crash-recovery epochs this TTP has survived.
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
     }
 
     /// This TTP's principal id.
     pub fn id(&self) -> PrincipalId {
-        self.me.id()
+        self.party.id()
     }
 
     /// Resolves currently waiting on a respondent.
@@ -113,7 +94,7 @@ impl Ttp {
     /// it are refused instead of opening a fresh window.
     pub fn evict_txn(&mut self, txn_id: u64) {
         self.pending.remove(&txn_id);
-        self.validator.retire_txn(txn_id);
+        self.party.validator.retire_txn(txn_id);
     }
 
     /// Earliest respondent deadline among pending resolves (the scheduler's
@@ -154,11 +135,12 @@ impl Ttp {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
-        if self.cfg.bind_identities && (pt.sender != from || pt.recipient != self.me.id()) {
+        let p = &mut self.party;
+        if p.cfg.bind_identities && (pt.sender != from || pt.recipient != p.id()) {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::IdentityMismatch);
         }
-        self.validator.check(&self.cfg, pt, None, now).inspect_err(|_e| {
+        p.validator.check(&p.cfg, pt, None, now).inspect_err(|_e| {
             self.stats.resolves_rejected += 1;
         })?;
 
@@ -166,47 +148,30 @@ impl Ttp {
         // initiator, belong to the same transaction, and name us as TTP.
         let genuine = nro.plaintext.txn_id == pt.txn_id
             && nro.plaintext.sender == pt.sender
-            && nro.plaintext.ttp == self.me.id()
-            && self
-                .dir
-                .lookup(&nro.plaintext.sender)
-                .is_some_and(|pk| nro.reverify(&self.cfg, pk).is_ok());
+            && nro.plaintext.ttp == p.id()
+            && p.key(nro.plaintext.sender).is_ok_and(|pk| nro.reverify(&p.cfg, &pk).is_ok());
         if !genuine {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::Evidence(crate::evidence::EvidenceError::BadSignature));
         }
 
+        // The forward names the NRO's object (what the respondent saw) with
+        // the Resolve's hash and hash alg. Only the NRO is signed, so the
+        // initiator (or the wire) picks the resolve's seq; saturate as
+        // `Validator::alloc_seq` does.
         let respondent = nro.plaintext.recipient;
-        let fwd_pt = EvidencePlaintext {
-            flag: Flag::ResolveForward,
-            sender: self.me.id(),
-            recipient: respondent,
-            ttp: self.me.id(),
-            txn_id: pt.txn_id,
-            // Only the NRO is signed, so the initiator (or the wire) picks
-            // the resolve's seq; saturate as `Validator::alloc_seq` does.
-            seq: pt.seq.saturating_add(1),
-            nonce: self.rng.next_u64(),
-            time_limit: now.after(self.cfg.message_time_limit),
-            object: nro.plaintext.object.clone(),
-            hash_alg: pt.hash_alg,
-            data_hash: pt.data_hash.clone(),
-        };
-        self.pending.insert(
-            pt.txn_id,
-            PendingResolve {
-                initiator: pt.sender,
-                respondent,
-                deadline: now.after(self.cfg.response_timeout),
-                object: nro.plaintext.object.clone(),
-                hash_alg: pt.hash_alg,
-                data_hash: pt.data_hash.clone(),
-            },
-        );
+        let seq = pt.seq.saturating_add(1);
+        let data_hash = pt.data_hash.clone();
+        let mut forward =
+            p.stamp_hash(&nro.plaintext, data_hash, Flag::ResolveForward, respondent, seq, now);
+        forward.hash_alg = pt.hash_alg;
+        let deadline = now.after(p.cfg.response_timeout);
+        let pending = PendingResolve { initiator: pt.sender, deadline, forward: forward.clone() };
+        self.pending.insert(pt.txn_id, pending);
         self.stats.forwards_sent += 1;
         Ok(vec![Outgoing {
             to: respondent,
-            msg: Message::ResolveForward { plaintext: fwd_pt, ttp_timestamp: now },
+            msg: Message::ResolveForward { plaintext: forward, ttp_timestamp: now },
         }])
     }
 
@@ -220,7 +185,7 @@ impl Ttp {
     ) -> Result<Vec<Outgoing>, ValidationError> {
         let pending =
             self.pending.remove(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        if self.cfg.bind_identities && from != pending.respondent {
+        if self.party.cfg.bind_identities && from != pending.forward.recipient {
             // Not from the party we queried — put it back and refuse.
             self.pending.insert(pt.txn_id, pending);
             return Err(ValidationError::IdentityMismatch);
@@ -234,27 +199,13 @@ impl Ttp {
         // so we re-issue it under our own authority, addressed to the
         // initiator; otherwise the initiator's identity binding would reject
         // the relay and re-resolve forever.
+        let to = pending.initiator;
         let plaintext = if evidence.is_some() {
             pt.clone()
         } else {
-            EvidencePlaintext {
-                flag: Flag::ResolveResponse,
-                sender: self.me.id(),
-                recipient: pending.initiator,
-                ttp: self.me.id(),
-                txn_id: pt.txn_id,
-                seq: AUTHORITY_SEQ,
-                nonce: self.rng.next_u64(),
-                time_limit: now.after(self.cfg.message_time_limit),
-                object: pending.object.clone(),
-                hash_alg: pending.hash_alg,
-                data_hash: pending.data_hash.clone(),
-            }
+            self.party.stamp(&pending.forward, Flag::ResolveResponse, to, AUTHORITY_SEQ, now)
         };
-        Ok(vec![Outgoing {
-            to: pending.initiator,
-            msg: Message::ResolveReply { action, plaintext, evidence },
-        }])
+        Ok(vec![Outgoing { to, msg: Message::ResolveReply { action, plaintext, evidence } }])
     }
 
     /// Declares failed any pending resolve whose respondent missed the
@@ -267,27 +218,12 @@ impl Ttp {
         for txn_id in expired {
             let Some(p) = self.pending.remove(&txn_id) else { continue };
             self.stats.failures_declared += 1;
-            let pt = EvidencePlaintext {
-                flag: Flag::ResolveResponse,
-                sender: self.me.id(),
-                recipient: p.initiator,
-                ttp: self.me.id(),
-                txn_id,
-                seq: AUTHORITY_SEQ,
-                nonce: self.rng.next_u64(),
-                time_limit: now.after(self.cfg.message_time_limit),
-                object: p.object,
-                hash_alg: p.hash_alg,
-                data_hash: p.data_hash,
-            };
-            out.push(Outgoing {
-                to: p.initiator,
-                msg: Message::ResolveReply {
-                    action: ResolveAction::Failed,
-                    plaintext: pt,
-                    evidence: None,
-                },
-            });
+            let to = p.initiator;
+            let plaintext =
+                self.party.stamp(&p.forward, Flag::ResolveResponse, to, AUTHORITY_SEQ, now);
+            let msg =
+                Message::ResolveReply { action: ResolveAction::Failed, plaintext, evidence: None };
+            out.push(Outgoing { to, msg });
         }
         out
     }
@@ -313,18 +249,17 @@ impl crate::fault::Durable for Ttp {
     type Snapshot = TtpSnapshot;
 
     fn snapshot(&self) -> TtpSnapshot {
-        let mut bytes = self.validator.state_bytes() + 8;
+        let validator = self.party.validator.snapshot();
+        let mut bytes = self.party.validator.state_bytes() + 8;
         for p in self.pending.values() {
-            bytes += (p.object.len() + p.data_hash.len() + 80) as u64;
+            bytes += (p.forward.object.len() + p.forward.data_hash.len() + 80) as u64;
         }
-        TtpSnapshot { pending: self.pending.clone(), validator: self.validator.snapshot(), bytes }
+        TtpSnapshot { pending: self.pending.clone(), validator, bytes }
     }
 
     fn restore(&mut self, snap: &TtpSnapshot) {
-        self.restarts += 1;
-        let skip = self.restarts.saturating_mul(crate::fault::SEQ_RECOVERY_SKIP);
+        self.party.restore(&snap.validator);
         self.pending = snap.pending.clone();
-        self.validator.restore_with_skip(&snap.validator, skip);
     }
 }
 

@@ -53,7 +53,7 @@ fn crash_recovery_terminates_arbitrable<T: Transport>(net: T) {
     let f = w.fault_counters();
     assert_eq!(f.crashes, 1);
     assert_eq!(f.restarts, 1);
-    assert_eq!(w.provider.restart_count(), 1);
+    assert_eq!(w.provider.party.restart_count(), 1);
     assert_conserved(&w);
 }
 

@@ -27,7 +27,7 @@ fn bob_crash_on_transfer_aborts_with_arbitrable_evidence() {
     let f = w.fault_counters();
     assert_eq!(f.crashes, 1);
     assert_eq!(f.restarts, 1);
-    assert_eq!(w.provider.restart_count(), 1);
+    assert_eq!(w.provider.party.restart_count(), 1);
 }
 
 #[test]
@@ -67,7 +67,7 @@ fn ttp_crash_mid_resolve_is_retried_with_backoff_until_converged() {
     assert_eq!(f.crashes, 1);
     assert!(f.retries >= 1, "the lost Resolve must be re-sent: {f:?}");
     assert_eq!(f.gave_up, 0);
-    assert_eq!(w.ttp.restart_count(), 1);
+    assert_eq!(w.ttp.party.restart_count(), 1);
 }
 
 #[test]

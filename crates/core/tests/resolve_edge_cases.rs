@@ -1,7 +1,8 @@
 //! Edge cases of the Abort and Resolve sub-protocols (paper §4.2–4.3):
 //! error-and-regenerate abort handling, abort-after-completion rejection,
 //! the evidence an aborted upload archives, forged resolve requests at the
-//! TTP, and resolve replay safety.
+//! TTP, what the TTP's forward and failure reply name, and resolve replay
+//! safety.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -229,6 +230,79 @@ fn resolve_with_max_seq_forwards_without_overflow() {
     match &out[0].msg {
         Message::ResolveForward { plaintext, .. } => assert_eq!(plaintext.seq, u64::MAX),
         other => panic!("expected a ResolveForward, got {}", other.kind()),
+    }
+}
+
+/// Alice's Resolve for `txn`, carrying her genuine NRO, whose own
+/// (unsigned) plaintext names another object and an MD5 hash of sevens.
+fn resolve_naming_another_object(w: &World, txn: u64) -> Message {
+    let nro = w.client.txn(txn).unwrap().nro.clone();
+    let pt = tpnr_core::evidence::EvidencePlaintext {
+        flag: Flag::ResolveRequest,
+        sender: w.client.id(),
+        recipient: w.ttp.id(),
+        ttp: w.ttp.id(),
+        txn_id: txn,
+        seq: 10,
+        nonce: 1,
+        time_limit: tpnr_net::time::SimTime(u64::MAX),
+        object: b"another object".to_vec(),
+        hash_alg: tpnr_crypto::hash::HashAlg::Md5,
+        data_hash: vec![7; 16],
+    };
+    Message::Resolve { plaintext: pt, nro, report: "another object".into() }
+}
+
+/// Asserts `pt` names the NRO's object `k` with the Resolve's hash.
+fn names_the_nros_object_and_the_resolves_hash(pt: &tpnr_core::evidence::EvidencePlaintext) {
+    assert_eq!(pt.object, b"k", "the object Bob was sent, from the signed NRO");
+    assert_eq!(pt.hash_alg, tpnr_crypto::hash::HashAlg::Md5, "the Resolve's hash algorithm");
+    assert_eq!(pt.data_hash, vec![7; 16], "the Resolve's data hash");
+}
+
+#[test]
+fn resolve_forward_names_the_nros_object_and_the_resolves_hash() {
+    let mut w = World::new(17, ProtocolConfig::full());
+    let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+    assert_eq!(r.outcome, TxnState::Completed);
+    let msg = resolve_naming_another_object(&w, r.txn_id);
+    let (alice_id, now) = (w.client.id(), w.net().now());
+    let out = w.ttp.handle(alice_id, &msg, now).expect("a genuine NRO is accepted");
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].to, w.provider.id());
+    match &out[0].msg {
+        Message::ResolveForward { plaintext, .. } => {
+            assert_eq!(plaintext.flag, Flag::ResolveForward);
+            assert_eq!(plaintext.txn_id, r.txn_id);
+            names_the_nros_object_and_the_resolves_hash(plaintext);
+        }
+        other => panic!("expected a ResolveForward, got {}", other.kind()),
+    }
+}
+
+#[test]
+fn failed_reply_to_a_silent_respondent_names_what_the_forward_named() {
+    let mut w = World::new(18, ProtocolConfig::full());
+    let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+    assert_eq!(r.outcome, TxnState::Completed);
+    let msg = resolve_naming_another_object(&w, r.txn_id);
+    let (alice_id, now) = (w.client.id(), w.net().now());
+    w.ttp.handle(alice_id, &msg, now).expect("a genuine NRO is accepted");
+    // The forward is never delivered: Bob stays silent past the deadline.
+    assert!(w.ttp.poll_timeouts(now).is_empty(), "not yet due");
+    let out = w.ttp.poll_timeouts(now.after(ProtocolConfig::full().response_timeout));
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].to, alice_id);
+    assert_eq!(w.ttp.stats.failures_declared, 1);
+    match &out[0].msg {
+        Message::ResolveReply { action, plaintext, evidence } => {
+            assert_eq!(*action, tpnr_core::message::ResolveAction::Failed);
+            assert!(evidence.is_none());
+            assert_eq!((plaintext.sender, plaintext.recipient), (w.ttp.id(), alice_id));
+            assert_eq!(plaintext.txn_id, r.txn_id);
+            names_the_nros_object_and_the_resolves_hash(plaintext);
+        }
+        other => panic!("expected a ResolveReply, got {}", other.kind()),
     }
 }
 

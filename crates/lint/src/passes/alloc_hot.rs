@@ -33,7 +33,6 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("core::evidence", "seal_signatures"),
     ("core::evidence", "seal"),
     ("core::evidence", "seal_and_own"),
-    ("core::evidence", "own_evidence"),
     ("core::evidence", "open_and_verify"),
     ("core::evidence", "verify_signatures"),
     ("core::evidence", "reverify"),

@@ -60,7 +60,7 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
             rule: ID,
             message: format!(
                 "`{name}` struct literal outside core::evidence; evidence tokens must be \
-                 built by the signing constructors (seal / seal_signatures / own_evidence)"
+                 built by the signing constructors (seal / seal_signatures / seal_and_own)"
             ),
             allowed: false,
         });
