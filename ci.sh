@@ -27,16 +27,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # fixed-limb kernel path and the evidence hot loop; subsumes the old
 # limbs.rs allocation grep and the E4 deep-copy grep). The binary exits
 # nonzero on any finding not justified in lint-allow.toml AND on stale
-# allowlist entries, so no wrapper grep is needed. Full mode also writes
-# the SARIF artifact code-scanning UIs ingest.
+# allowlist entries, so no wrapper grep is needed.
 echo "==> tpnr-lint (rules + semantic passes)"
-if [ "$quick" -eq 0 ]; then
-    mkdir -p target/artifacts
-    cargo run -q -p tpnr-lint -- --sarif target/artifacts/lint.sarif
-    echo "    sarif: target/artifacts/lint.sarif"
-else
-    cargo run -q -p tpnr-lint
-fi
+cargo run -q -p tpnr-lint
 
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo build --release"

@@ -15,6 +15,7 @@ use tpnr_core::client::TimeoutStrategy;
 use tpnr_core::config::{Ablation, ProtocolConfig};
 use tpnr_core::obs::EventKind;
 use tpnr_core::runner::{GenericWorld, TxnResult};
+use tpnr_core::sched::SettleOutcome;
 use tpnr_net::sim::{Action, NodeId, SimNet};
 use tpnr_net::time::SimDuration;
 use tpnr_net::transport::Transport;
@@ -185,6 +186,10 @@ impl<T: Transport> Stage<T> {
     /// quiet: an attack never judges a half-settled world.
     pub(crate) fn settle(&mut self) {
         let outcome = self.w.settle().outcome;
+        self.expect_quiet(outcome);
+    }
+
+    fn expect_quiet(&self, outcome: SettleOutcome) {
         assert!(
             outcome.is_quiescent(),
             "{} attack: the world did not settle within {MAX_STEPS} steps ({outcome:?})",
@@ -194,13 +199,9 @@ impl<T: Transport> Stage<T> {
 
     /// An honest upload by Alice, settled.
     pub(crate) fn alice_uploads(&mut self, key: &[u8], data: &[u8]) -> TxnResult {
-        let started = self.w.net().now();
-        let strategy = TimeoutStrategy::AbortFirst;
-        let (txn, out) =
-            self.w.client.begin_upload(key, data.to_vec(), started, strategy).expect("initiation");
-        self.w.send_from_client(out);
-        self.settle();
-        self.w.result(txn, started)
+        let r = self.w.upload(key, data.to_vec(), TimeoutStrategy::AbortFirst);
+        self.expect_quiet(r.settle.expect("initiation"));
+        r
     }
 
     /// Installs a passive wiretap: every frame is recorded, then delivered.

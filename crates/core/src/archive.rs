@@ -8,20 +8,27 @@
 //! whole body so storage corruption of the *bundle itself* is detected on
 //! load. Signatures inside stay verbatim, so the arbitrator can re-verify
 //! them against the certified directory after any number of save/load
-//! cycles.
+//! cycles. Evidence that two records share (the NRO Alice sent and the one
+//! Bob received are one signed object) is stored once: the later record is
+//! a back-reference to the earlier one.
 
 use crate::evidence::VerifiedEvidence;
 use crate::session::TxnState;
 use std::collections::{BTreeMap, VecDeque};
 use tpnr_crypto::hash::Digest as _;
 use tpnr_crypto::sha2::Sha256;
-use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
+use tpnr_net::codec::{Reader, Wire, Writer};
 use tpnr_net::time::{SimDuration, SimTime};
 
-/// Bundle format version.
-pub const BUNDLE_VERSION: u16 = 1;
+/// Bundle format version. Version 2 added reference entries; nothing
+/// persists a bundle across builds, so no older version is read.
+pub const BUNDLE_VERSION: u16 = 2;
 /// Magic prefix (`"TPNR"`).
 pub const BUNDLE_MAGIC: [u8; 4] = *b"TPNR";
+
+/// First byte of a reference entry's body. An inline entry's body starts
+/// with its evidence plaintext's flag, and no flag encodes as 0.
+const REFERENCE: u8 = 0;
 
 /// One archived record: role label + the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,16 +37,6 @@ pub struct BundleEntry {
     pub label: String,
     /// The evidence item.
     pub evidence: VerifiedEvidence,
-}
-
-impl Wire for BundleEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.label);
-        self.evidence.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(BundleEntry { label: r.str()?, evidence: VerifiedEvidence::decode(r)? })
-    }
 }
 
 /// A saved collection of evidence.
@@ -97,13 +94,29 @@ impl EvidenceBundle {
     }
 
     /// Serialises: `magic ‖ version ‖ count ‖ entries… ‖ SHA-256(prefix)`.
+    ///
+    /// Each entry is its label and then either its evidence (inline) or
+    /// `0 ‖ index` (a reference): the index of an earlier inline entry with
+    /// equal evidence that no earlier reference names. So a bundle without
+    /// repeated evidence is exactly as long as its entries written out, and
+    /// a load decodes each evidence item once for at most two entries.
     pub fn save(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.fixed(&BUNDLE_MAGIC);
         w.u16(BUNDLE_VERSION);
         w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            e.encode(&mut w);
+        // Per entry so far: whether a later entry may still reference it.
+        let mut referable = Vec::with_capacity(self.entries.len());
+        for (i, e) in self.entries.iter().enumerate() {
+            w.str(&e.label);
+            let earlier = (0..i).find(|&j| referable[j] && self.entries[j].evidence == e.evidence);
+            if let Some(j) = earlier {
+                referable[j] = false;
+                w.u8(REFERENCE).u32(j as u32);
+            } else {
+                e.evidence.encode(&mut w);
+            }
+            referable.push(earlier.is_none());
         }
         let mut out = w.finish_vec();
         let digest = Sha256::digest(&out);
@@ -130,9 +143,25 @@ impl EvidenceBundle {
             return Err(BundleError::BadVersion(version));
         }
         let count = r.u32().map_err(|_| BundleError::Malformed)? as usize;
-        let mut entries = Vec::with_capacity(count.min(1024));
+        let mut entries: Vec<BundleEntry> = Vec::with_capacity(count.min(1024));
+        let mut referable = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            entries.push(BundleEntry::decode(&mut r).map_err(|_| BundleError::Malformed)?);
+            let label = r.str().map_err(|_| BundleError::Malformed)?;
+            // The next byte is a reference's marker or an inline entry's flag.
+            let reference = body.get(body.len() - r.remaining()) == Some(&REFERENCE);
+            let evidence = if reference {
+                let j = r.u8().and_then(|_| r.u32()).map_err(|_| BundleError::Malformed)? as usize;
+                // Only an earlier inline entry that no reference named yet.
+                match referable.get_mut(j) {
+                    Some(open) if *open => *open = false,
+                    _ => return Err(BundleError::Malformed),
+                }
+                entries[j].evidence.clone()
+            } else {
+                VerifiedEvidence::decode(&mut r).map_err(|_| BundleError::Malformed)?
+            };
+            referable.push(!reference);
+            entries.push(BundleEntry { label, evidence });
         }
         r.expect_end().map_err(|_| BundleError::Malformed)?;
         Ok(EvidenceBundle { entries })
@@ -510,5 +539,164 @@ mod tests {
         assert_eq!(bundle.for_txn(123456).len(), 0);
         assert!(bundle.get("own-nro").is_some());
         assert!(bundle.get("no-such-label").is_none());
+    }
+
+    /// The bytes [`EvidenceBundle::save`] writes when every entry is
+    /// inline: the header, each label and evidence, and the digest.
+    fn inline_len(b: &EvidenceBundle) -> usize {
+        let entries: usize =
+            b.entries.iter().map(|e| 4 + e.label.len() + e.evidence.to_wire().len()).sum();
+        4 + 2 + 4 + entries + 32
+    }
+
+    /// One entry of a hand-built bundle, after its label.
+    enum Raw<'a> {
+        Inline(&'a VerifiedEvidence),
+        Ref(u32),
+    }
+
+    /// A bundle written entry by entry and sealed with a valid digest:
+    /// bytes that pass the integrity check, whatever their references say.
+    fn raw_bundle(entries: &[(&str, Raw<'_>)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.fixed(&BUNDLE_MAGIC).u16(BUNDLE_VERSION).u32(entries.len() as u32);
+        for (label, body) in entries {
+            w.str(label);
+            match body {
+                Raw::Inline(ev) => ev.encode(&mut w),
+                Raw::Ref(j) => {
+                    w.u8(REFERENCE).u32(*j);
+                }
+            }
+        }
+        sealed(w.finish_vec())
+    }
+
+    /// `body` with its digest appended.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let digest = Sha256::digest(&body);
+        body.extend_from_slice(&digest);
+        body
+    }
+
+    /// Alice's NRO and Bob's NRR for a settled upload.
+    fn evidence_pair(w: &World, txn: u64) -> (VerifiedEvidence, VerifiedEvidence) {
+        let t = w.client.txn(txn).unwrap();
+        (t.nro.clone(), t.nrr.clone().unwrap())
+    }
+
+    #[test]
+    fn a_bundle_without_repeated_evidence_is_saved_inline() {
+        let (w, up, down) = settled_world();
+        let mut b = EvidenceBundle::from_client_txn(&w.client, up).unwrap();
+        b.entries.extend(EvidenceBundle::from_client_txn(&w.client, down).unwrap().entries);
+        let x = b.save();
+        assert_eq!(x.len(), inline_len(&b));
+        let loaded = EvidenceBundle::load(&x).unwrap();
+        assert_eq!(loaded, b);
+        assert_eq!(loaded.save(), x);
+    }
+
+    #[test]
+    fn repeated_evidence_is_saved_once_and_loads_back_in_order() {
+        let (w, up, _) = settled_world();
+        let (nro, nrr) = evidence_pair(&w, up);
+        // The bundle the runner archives for an evicted upload.
+        let mut b = EvidenceBundle::new();
+        b.push("client-nro", nro.clone());
+        b.push("client-nrr", nrr.clone());
+        b.push("provider-nro", nro.clone());
+        b.push("provider-nrr", nrr.clone());
+        let x = b.save();
+        let expected = raw_bundle(&[
+            ("client-nro", Raw::Inline(&nro)),
+            ("client-nrr", Raw::Inline(&nrr)),
+            ("provider-nro", Raw::Ref(0)),
+            ("provider-nrr", Raw::Ref(1)),
+        ]);
+        assert_eq!(x, expected);
+        let loaded = EvidenceBundle::load(&x).unwrap();
+        assert_eq!(loaded, b);
+        assert_eq!(loaded.save(), x);
+
+        // A third copy is inline again: each inline entry is named by at
+        // most one reference.
+        let mut three = EvidenceBundle::new();
+        for label in ["a", "b", "c"] {
+            three.push(label, nro.clone());
+        }
+        let x = three.save();
+        let expected =
+            raw_bundle(&[("a", Raw::Inline(&nro)), ("b", Raw::Ref(0)), ("c", Raw::Inline(&nro))]);
+        assert_eq!(x, expected);
+        let loaded = EvidenceBundle::load(&x).unwrap();
+        assert_eq!(loaded, three);
+        assert_eq!(loaded.save(), x);
+    }
+
+    #[test]
+    fn every_hostile_reference_is_malformed() {
+        let (w, up, _) = settled_world();
+        let (nro, _) = evidence_pair(&w, up);
+        let a = || Raw::Inline(&nro);
+        let hostile: [(&str, Vec<(&str, Raw<'_>)>); 5] = [
+            ("to itself", vec![("a", a()), ("r", Raw::Ref(1))]),
+            ("to a later entry", vec![("r", Raw::Ref(1)), ("a", a())]),
+            ("out of range", vec![("a", a()), ("r", Raw::Ref(u32::MAX))]),
+            ("to another reference", vec![("a", a()), ("r", Raw::Ref(0)), ("s", Raw::Ref(1))]),
+            ("to an entry already named", vec![("a", a()), ("r", Raw::Ref(0)), ("s", Raw::Ref(0))]),
+        ];
+        for (case, entries) in &hostile {
+            assert_eq!(
+                EvidenceBundle::load(&raw_bundle(entries)),
+                Err(BundleError::Malformed),
+                "{case}"
+            );
+        }
+        // Truncated after the marker, or inside the index.
+        let whole = raw_bundle(&[("a", a()), ("r", Raw::Ref(0))]);
+        let body = &whole[..whole.len() - 32];
+        for cut in 1..=4 {
+            let short = sealed(body[..body.len() - cut].to_vec());
+            assert_eq!(EvidenceBundle::load(&short), Err(BundleError::Malformed), "cut {cut}");
+        }
+        assert_eq!(EvidenceBundle::load(&whole).unwrap().entries.len(), 2);
+    }
+
+    #[test]
+    fn an_evicted_aborted_upload_keeps_both_nros_inline() {
+        // Bob ignores the transfer and accepts the abort: his NRO is
+        // Alice's abort request, not her upload NRO, and he signed no NRR.
+        let mut w = World::new(5, ProtocolConfig::full());
+        w.set_archive_capacity(1);
+        w.provider.behavior.respond_transfers = false;
+        let aborted = w.upload(b"k-aborted", vec![0; 32], TimeoutStrategy::AbortFirst);
+        assert_eq!(aborted.outcome, TxnState::Aborted);
+        w.provider.behavior.respond_transfers = true;
+        for i in 1..40u8 {
+            assert!(w.upload(&[b'k', i], vec![i; 32], TimeoutStrategy::AbortFirst).completed());
+        }
+        let b = w.rehydrate_evidence(aborted.txn_id).expect("the aborted upload was evicted");
+        let client_nro = b.get("client-nro").unwrap();
+        let provider_nro = b.get("provider-nro").unwrap();
+        assert_eq!(provider_nro.plaintext.flag, crate::evidence::Flag::AbortRequest);
+        assert_ne!(client_nro, provider_nro);
+        assert_eq!(w.archive.get(aborted.txn_id).unwrap().len, inline_len(&b));
+    }
+
+    #[test]
+    fn an_evicted_upload_archives_under_760_bytes() {
+        // The client's and the provider's copies of the NRO and the NRR
+        // are one item each: stored twice, an evicted 256 B upload's
+        // bundle takes over 1.3 KB.
+        let mut w = World::new(7, ProtocolConfig::full());
+        w.set_archive_capacity(1);
+        for i in 0..48u8 {
+            assert!(w.upload(&[b'k', i], vec![i; 256], TimeoutStrategy::AbortFirst).completed());
+        }
+        let stats = w.archive_stats();
+        assert!(stats.evicted >= 16, "eviction engaged: {stats:?}");
+        let per_txn = stats.log_bytes / stats.evicted;
+        assert!(per_txn <= 760, "{per_txn} B archived per evicted upload");
     }
 }

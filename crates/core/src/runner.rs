@@ -27,7 +27,7 @@ use crate::message::Message;
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::provider::{Provider, ProviderSnapshot};
-use crate::sched::{self, Actor, Deadlines, EventHub, SettleReport};
+use crate::sched::{self, Actor, Deadlines, EventHub, SettleOutcome, SettleReport};
 use crate::session::{Outgoing, Party, TxnState, ValidationError};
 use crate::ttp::{Ttp, TtpSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
@@ -122,6 +122,10 @@ pub struct TxnResult {
     pub nrr: Option<VerifiedEvidence>,
     /// Wire-level statistics (messages, bytes, latency, TTP use).
     pub report: TxnReport,
+    /// How the settle [`World::run`] ran for this transaction ended, so a
+    /// step-capped or degraded run is told apart from a clean one. `None`
+    /// where no settle ran: a failed initiation, or [`World::result`].
+    pub settle: Option<SettleOutcome>,
 }
 
 impl TxnResult {
@@ -335,10 +339,11 @@ impl<T: Transport> GenericWorld<T> {
             let (state, latency) = (TxnState::Failed, SimDuration::ZERO);
             let report =
                 TxnReport { txn_id, state, messages: 0, bytes: 0, latency, ttp_used: false };
-            return TxnResult { txn_id, outcome: state, data: None, nro: None, nrr: None, report };
+            let (data, nro, nrr, settle) = (None, None, None, None);
+            return TxnResult { txn_id, outcome: state, data, nro, nrr, report, settle };
         }
-        self.settle();
-        self.result(txn_id, started)
+        let settle = Some(self.settle().outcome);
+        TxnResult { settle, ..self.result(txn_id, started) }
     }
 
     /// Uploads and settles ([`TxnRequest::upload`] + [`World::run`]).
@@ -612,7 +617,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
                 (None, b.get("client-nro").cloned(), b.get("client-nrr").cloned())
             }
         };
-        TxnResult { txn_id, outcome: report.state, data, nro, nrr, report }
+        TxnResult { txn_id, outcome: report.state, data, nro, nrr, report, settle: None }
     }
 
     /// The actor slot at `node`, if an actor sits there.
@@ -1018,7 +1023,6 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::SettleOutcome;
     use tpnr_net::time::SimDuration;
 
     fn world() -> World {
@@ -1213,6 +1217,19 @@ mod tests {
         w.max_steps = 10_000;
         let s = w.settle();
         assert_eq!(s.outcome, SettleOutcome::Quiescent);
+    }
+
+    #[test]
+    fn a_run_reports_the_outcome_of_its_settle() {
+        let mut w = world();
+        let r = w.upload(b"k", b"d".to_vec(), TimeoutStrategy::AbortFirst);
+        assert_eq!(r.settle, Some(SettleOutcome::Quiescent));
+        w.max_steps = 1;
+        let r = w.upload(b"k2", b"d".to_vec(), TimeoutStrategy::AbortFirst);
+        assert_eq!(r.settle, Some(SettleOutcome::StepCapExceeded));
+        assert!(!r.outcome.is_terminal(), "the capped upload is still open");
+        // A bare result settled nothing, so it reports no outcome.
+        assert_eq!(w.result(r.txn_id, SimTime::ZERO).settle, None);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl SettleOutcome {
     pub fn is_quiescent(self) -> bool {
         matches!(self, SettleOutcome::Quiescent | SettleOutcome::Degraded)
     }
-
-    /// True when the retry policy abandoned at least one transaction.
-    pub fn is_degraded(self) -> bool {
-        self == SettleOutcome::Degraded
-    }
 }
 
 /// What a settle run did.

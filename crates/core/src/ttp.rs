@@ -15,6 +15,7 @@ use crate::message::{Message, ResolveAction};
 use crate::principal::PrincipalId;
 use crate::session::{Outgoing, Party, ValidationError};
 use std::collections::BTreeMap;
+use tpnr_crypto::ct;
 use tpnr_net::time::SimTime;
 
 /// Sequence number of the TTP's own Resolve replies: outside any normal
@@ -144,6 +145,14 @@ impl Ttp {
             self.stats.resolves_rejected += 1;
         })?;
 
+        // Consistency: the Resolve's own hash is unsigned, so it must name
+        // what the NRO signed, or the forward and every reply would name a
+        // hash neither party signed.
+        let signed = &nro.plaintext;
+        if pt.hash_alg != signed.hash_alg || !ct::eq(&pt.data_hash, &signed.data_hash) {
+            self.stats.resolves_rejected += 1;
+            return Err(ValidationError::HashMismatch);
+        }
         // Genuineness: the attached NRO must be validly signed by the
         // initiator, belong to the same transaction, and name us as TTP.
         let genuine = nro.plaintext.txn_id == pt.txn_id
@@ -155,16 +164,12 @@ impl Ttp {
             return Err(ValidationError::Evidence(crate::evidence::EvidenceError::BadSignature));
         }
 
-        // The forward names the NRO's object (what the respondent saw) with
-        // the Resolve's hash and hash alg. Only the NRO is signed, so the
-        // initiator (or the wire) picks the resolve's seq; saturate as
-        // `Validator::alloc_seq` does.
+        // The forward names the NRO's object and hash: what the respondent
+        // was sent. Only the NRO is signed, so the initiator (or the wire)
+        // picks the resolve's seq; saturate as `Validator::alloc_seq` does.
         let respondent = nro.plaintext.recipient;
         let seq = pt.seq.saturating_add(1);
-        let data_hash = pt.data_hash.clone();
-        let mut forward =
-            p.stamp_hash(&nro.plaintext, data_hash, Flag::ResolveForward, respondent, seq, now);
-        forward.hash_alg = pt.hash_alg;
+        let forward = p.stamp(&nro.plaintext, Flag::ResolveForward, respondent, seq, now);
         let deadline = now.after(p.cfg.response_timeout);
         let pending = PendingResolve { initiator: pt.sender, deadline, forward: forward.clone() };
         self.pending.insert(pt.txn_id, pending);

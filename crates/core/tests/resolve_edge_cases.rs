@@ -1,17 +1,18 @@
 //! Edge cases of the Abort and Resolve sub-protocols (paper §4.2–4.3):
 //! error-and-regenerate abort handling, abort-after-completion rejection,
-//! the evidence an aborted upload archives, forged resolve requests at the
-//! TTP, what the TTP's forward and failure reply name, and resolve replay
-//! safety.
+//! the evidence an aborted upload archives, forged and inconsistent resolve
+//! requests at the TTP, what the TTP's forward and failure reply name, and
+//! resolve replay safety.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tpnr_core::client::TimeoutStrategy;
 use tpnr_core::config::ProtocolConfig;
-use tpnr_core::evidence::{Flag, SealedEvidence};
+use tpnr_core::evidence::{EvidencePlaintext, Flag, SealedEvidence};
 use tpnr_core::message::Message;
 use tpnr_core::runner::World;
-use tpnr_core::session::TxnState;
+use tpnr_core::session::{TxnState, ValidationError};
+use tpnr_crypto::hash::HashAlg;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::{Action, LinkConfig};
 use tpnr_net::time::SimDuration;
@@ -233,9 +234,15 @@ fn resolve_with_max_seq_forwards_without_overflow() {
     }
 }
 
-/// Alice's Resolve for `txn`, carrying her genuine NRO, whose own
-/// (unsigned) plaintext names another object and an MD5 hash of sevens.
-fn resolve_naming_another_object(w: &World, txn: u64) -> Message {
+/// Alice's Resolve for `txn` at `seq`, carrying her genuine NRO, whose own
+/// (unsigned) plaintext names `object` and the given hash.
+fn resolve_naming(
+    w: &World,
+    txn: u64,
+    seq: u64,
+    object: &[u8],
+    (hash_alg, data_hash): (HashAlg, Vec<u8>),
+) -> Message {
     let nro = w.client.txn(txn).unwrap().nro.clone();
     let pt = tpnr_core::evidence::EvidencePlaintext {
         flag: Flag::ResolveRequest,
@@ -243,54 +250,86 @@ fn resolve_naming_another_object(w: &World, txn: u64) -> Message {
         recipient: w.ttp.id(),
         ttp: w.ttp.id(),
         txn_id: txn,
-        seq: 10,
+        seq,
         nonce: 1,
         time_limit: tpnr_net::time::SimTime(u64::MAX),
-        object: b"another object".to_vec(),
-        hash_alg: tpnr_crypto::hash::HashAlg::Md5,
-        data_hash: vec![7; 16],
+        object: object.to_vec(),
+        hash_alg,
+        data_hash,
     };
-    Message::Resolve { plaintext: pt, nro, report: "another object".into() }
+    Message::Resolve { plaintext: pt, nro, report: "resolve".into() }
 }
 
-/// Asserts `pt` names the NRO's object `k` with the Resolve's hash.
-fn names_the_nros_object_and_the_resolves_hash(pt: &tpnr_core::evidence::EvidencePlaintext) {
+/// The hash Alice's NRO for `txn` signed.
+fn nro_hash(w: &World, txn: u64) -> (HashAlg, Vec<u8>) {
+    let pt = &w.client.txn(txn).unwrap().nro.plaintext;
+    (pt.hash_alg, pt.data_hash.clone())
+}
+
+/// Asserts `pt` names the NRO's object `k` and the hash it signed.
+fn names_the_nros_object_and_hash(pt: &EvidencePlaintext, signed: &(HashAlg, Vec<u8>)) {
     assert_eq!(pt.object, b"k", "the object Bob was sent, from the signed NRO");
-    assert_eq!(pt.hash_alg, tpnr_crypto::hash::HashAlg::Md5, "the Resolve's hash algorithm");
-    assert_eq!(pt.data_hash, vec![7; 16], "the Resolve's data hash");
+    assert_eq!((pt.hash_alg, &pt.data_hash), (signed.0, &signed.1), "the NRO's hash");
 }
 
 #[test]
-fn resolve_forward_names_the_nros_object_and_the_resolves_hash() {
+fn resolve_naming_a_hash_its_nro_did_not_sign_is_refused() {
     let mut w = World::new(17, ProtocolConfig::full());
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Completed);
-    let msg = resolve_naming_another_object(&w, r.txn_id);
+    let signed = nro_hash(&w, r.txn_id);
+    assert_eq!(signed.0, HashAlg::Sha256);
     let (alice_id, now) = (w.client.id(), w.net().now());
-    let out = w.ttp.handle(alice_id, &msg, now).expect("a genuine NRO is accepted");
+    // Another hash, the signed hash under another algorithm, and another
+    // hash under the signed algorithm.
+    let unsigned = [
+        (HashAlg::Md5, vec![7; 16]),
+        (HashAlg::Md5, signed.1.clone()),
+        (HashAlg::Sha256, vec![7; 32]),
+    ];
+    for (seq, hash) in (10..).zip(unsigned) {
+        let msg = resolve_naming(&w, r.txn_id, seq, b"k", hash);
+        assert_eq!(w.ttp.handle(alice_id, &msg, now).unwrap_err(), ValidationError::HashMismatch);
+    }
+    assert_eq!(w.ttp.stats.resolves_rejected, 3);
+    assert_eq!(w.ttp.stats.forwards_sent, 0, "Bob is never asked about a hash nobody signed");
+    assert_eq!(w.ttp.pending_count(), 0);
+
+    // Naming the signed hash, even beside another object, is accepted, and
+    // the forward names what the NRO names.
+    let msg = resolve_naming(&w, r.txn_id, 20, b"another object", signed.clone());
+    let out = w.ttp.handle(alice_id, &msg, now).expect("a consistent resolve is accepted");
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].to, w.provider.id());
     match &out[0].msg {
         Message::ResolveForward { plaintext, .. } => {
             assert_eq!(plaintext.flag, Flag::ResolveForward);
             assert_eq!(plaintext.txn_id, r.txn_id);
-            names_the_nros_object_and_the_resolves_hash(plaintext);
+            names_the_nros_object_and_hash(plaintext, &signed);
         }
         other => panic!("expected a ResolveForward, got {}", other.kind()),
     }
 }
 
 #[test]
-fn failed_reply_to_a_silent_respondent_names_what_the_forward_named() {
+fn failed_reply_to_a_silent_respondent_names_the_nros_object_and_hash() {
     let mut w = World::new(18, ProtocolConfig::full());
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Completed);
-    let msg = resolve_naming_another_object(&w, r.txn_id);
+    let signed = nro_hash(&w, r.txn_id);
     let (alice_id, now) = (w.client.id(), w.net().now());
-    w.ttp.handle(alice_id, &msg, now).expect("a genuine NRO is accepted");
+    let deadline = now.after(ProtocolConfig::full().response_timeout);
+    // A refused Resolve leaves nothing pending, so no failure is declared.
+    let msg = resolve_naming(&w, r.txn_id, 10, b"k", (HashAlg::Md5, vec![7; 16]));
+    assert_eq!(w.ttp.handle(alice_id, &msg, now).unwrap_err(), ValidationError::HashMismatch);
+    assert!(w.ttp.poll_timeouts(deadline).is_empty());
+    assert_eq!(w.ttp.stats.failures_declared, 0);
+
+    let msg = resolve_naming(&w, r.txn_id, 11, b"another object", signed.clone());
+    w.ttp.handle(alice_id, &msg, now).expect("a consistent resolve is accepted");
     // The forward is never delivered: Bob stays silent past the deadline.
     assert!(w.ttp.poll_timeouts(now).is_empty(), "not yet due");
-    let out = w.ttp.poll_timeouts(now.after(ProtocolConfig::full().response_timeout));
+    let out = w.ttp.poll_timeouts(deadline);
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].to, alice_id);
     assert_eq!(w.ttp.stats.failures_declared, 1);
@@ -300,7 +339,7 @@ fn failed_reply_to_a_silent_respondent_names_what_the_forward_named() {
             assert!(evidence.is_none());
             assert_eq!((plaintext.sender, plaintext.recipient), (w.ttp.id(), alice_id));
             assert_eq!(plaintext.txn_id, r.txn_id);
-            names_the_nros_object_and_the_resolves_hash(plaintext);
+            names_the_nros_object_and_hash(plaintext, &signed);
         }
         other => panic!("expected a ResolveReply, got {}", other.kind()),
     }

@@ -412,16 +412,6 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// `(self + other) mod m`, both inputs already reduced.
-    pub fn add_mod(&self, other: &Self, m: &Self) -> Self {
-        let s = self.add(other);
-        if s.cmp_big(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
-    }
-
     /// `(self - other) mod m`, both inputs already reduced.
     pub fn sub_mod(&self, other: &Self, m: &Self) -> Self {
         if self.cmp_big(other) != Ordering::Less {

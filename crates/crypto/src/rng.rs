@@ -1,9 +1,10 @@
 //! Random number generation.
 //!
-//! [`ChaChaRng`] is a deterministic ChaCha20-based generator: seeded from OS
-//! entropy in production, or from a fixed seed in tests and in the
-//! discrete-event simulator (replayable attack traces require determinism —
-//! DESIGN.md §4.1).
+//! [`ChaChaRng`] is a deterministic ChaCha20-based generator, always seeded
+//! by its caller (a 32-byte seed, or a `u64` expanded by SHA-256): tests,
+//! the discrete-event simulator and replayable attack traces require
+//! determinism (DESIGN.md §4.1). It never reads OS entropy, so keys drawn
+//! from it are only as secret as their seed.
 
 use crate::chacha20;
 
@@ -34,33 +35,6 @@ impl ChaChaRng {
         let mut s = [0u8; 32];
         s.copy_from_slice(&digest);
         Self::from_seed(s)
-    }
-
-    /// Creates a generator seeded from the operating system
-    /// (`/dev/urandom` where available, otherwise clock/address entropy —
-    /// adequate for simulations; not a substitute for a vetted CSPRNG when
-    /// keys must resist a real adversary).
-    pub fn from_entropy() -> Self {
-        let mut seed = [0u8; 32];
-        let mut filled = false;
-        if let Ok(mut f) = std::fs::File::open("/dev/urandom") {
-            use std::io::Read;
-            filled = f.read_exact(&mut seed).is_ok();
-        }
-        if !filled {
-            use crate::hash::Digest as _;
-            let now = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0);
-            let stack_probe = &seed as *const _ as usize;
-            let mut material = Vec::with_capacity(32);
-            material.extend_from_slice(&now.to_le_bytes());
-            material.extend_from_slice(&(stack_probe as u64).to_le_bytes());
-            material.extend_from_slice(&std::process::id().to_le_bytes());
-            seed.copy_from_slice(&crate::sha2::Sha256::digest(&material));
-        }
-        Self::from_seed(seed)
     }
 
     fn refill(&mut self) {
@@ -104,13 +78,6 @@ impl ChaChaRng {
         let mut b = [0u8; 8];
         self.fill_bytes(&mut b);
         u64::from_le_bytes(b)
-    }
-
-    /// Returns a uniform random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_le_bytes(b)
     }
 
     /// Uniform value in `[0, bound)` via rejection sampling. Panics if

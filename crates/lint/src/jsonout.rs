@@ -28,8 +28,7 @@ pub fn render(findings: &[Finding], summary: &Summary) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
-/// Shared with the SARIF renderer.
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

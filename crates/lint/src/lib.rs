@@ -21,7 +21,6 @@ pub mod lexer;
 pub mod parser;
 pub mod passes;
 pub mod rules;
-pub mod sarif;
 
 use lexer::Token;
 

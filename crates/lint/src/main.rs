@@ -11,14 +11,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tpnr_lint::{allow::Allowlist, jsonout, lint_files, sarif, FileInput, Summary};
+use tpnr_lint::{allow::Allowlist, jsonout, lint_files, FileInput, Summary};
 
-const USAGE: &str = "usage: tpnr-lint [--root DIR] [--json] [--sarif FILE] [--allowlist FILE]";
+const USAGE: &str = "usage: tpnr-lint [--root DIR] [--json] [--allowlist FILE]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut sarif_path: Option<PathBuf> = None;
     let mut allow_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -30,10 +29,6 @@ fn main() -> ExitCode {
             "--allowlist" => match args.next() {
                 Some(f) => allow_path = Some(PathBuf::from(f)),
                 None => return usage_error("--allowlist needs a file"),
-            },
-            "--sarif" => match args.next() {
-                Some(f) => sarif_path = Some(PathBuf::from(f)),
-                None => return usage_error("--sarif needs an output file (`-` for stdout)"),
             },
             "--json" => json = true,
             "--help" | "-h" => {
@@ -89,15 +84,6 @@ fn main() -> ExitCode {
             if !f.allowed {
                 println!("{}:{}:{} {} {}", f.file, f.line, f.col, f.rule, f.message);
             }
-        }
-    }
-    if let Some(p) = sarif_path {
-        let rendered = sarif::render(&findings);
-        if p.as_os_str() == "-" {
-            print!("{rendered}");
-        } else if let Err(e) = std::fs::write(&p, rendered) {
-            eprintln!("tpnr-lint: writing {}: {e}", p.display());
-            return ExitCode::from(2);
         }
     }
     // A stale allowlist entry is a hard failure: it means a finding was

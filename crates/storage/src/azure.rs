@@ -256,11 +256,6 @@ impl AzureService {
     pub fn tamper_blob(&mut self, resource: &str, t: &Tamper) -> Option<TamperReport> {
         self.blobs.tamper(resource, t)
     }
-
-    /// Direct read access for assertions in tests/experiments.
-    pub fn peek_blob(&self, resource: &str) -> Option<&StoredObject> {
-        self.blobs.get(resource)
-    }
 }
 
 #[cfg(test)]
