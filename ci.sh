@@ -31,6 +31,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tpnr-lint (rules + semantic passes)"
 cargo run -q -p tpnr-lint
 
+# Intra-doc links are checked like code: a deletion that leaves a link to
+# a removed or private item fails here.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo build --release"
     cargo build --release

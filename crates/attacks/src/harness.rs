@@ -1,4 +1,4 @@
-//! The attack harness: the five attack kinds, the [`Stage`] each attack is
+//! The attack harness: the five attack kinds, the `Stage` each attack is
 //! played on, and the E3 attack × ablation matrix.
 //!
 //! Every attack is written once, against [`GenericWorld`] over any

@@ -220,7 +220,8 @@ pub struct E4Row {
 ///
 /// The loop mirrors the protocol's evidence hot path for repeated
 /// transactions over one archived object (re-uploads, downloads, audits):
-/// each party commits the shared payload through its own [`DigestCache`]
+/// each party commits the shared payload through its own
+/// [`DigestCache`](tpnr_crypto::hash::DigestCache)
 /// — so the object is hashed once per party, every later transaction is a
 /// lookup — and the sender produces the wire evidence and its archived
 /// copy in a single signing pass (`seal_and_own`).
@@ -829,7 +830,7 @@ pub fn e10_scale(client_counts: &[usize], seed: u64) -> Vec<E10Row> {
 }
 
 /// E10: deadline-index + sharded-state scale sweep. Each client count is split
-/// into lanes of [`E10_LANE`] clients; lanes are independent `MultiWorld`s
+/// into lanes of `E10_LANE` clients; lanes are independent `MultiWorld`s
 /// (own simulator, shared principal pool — RSA keygen is the scale wall, so
 /// one pool of keys serves every lane). The lane range is one fan-out on
 /// `pool` per row: lanes are built, run, and dropped *inside* their task,
@@ -1138,7 +1139,7 @@ const E13_ROUNDS: usize = 5;
 
 /// E13: worker scaling sweep. Runs the E10 scenario at one fixed
 /// client load on pools of 1, 2, 4, 8 (and the host's core count, when
-/// that differs) workers, in [`E13_ROUNDS`] interleaved rounds that each
+/// that differs) workers, in `E13_ROUNDS` interleaved rounds that each
 /// visit every worker count, so one slow shot cannot fail a row. Reports
 /// the median round's throughput with the spread across rounds, speedup
 /// over the serial row, parallel efficiency, steal counts, latency

@@ -88,11 +88,6 @@ impl EvidenceBundle {
         self.entries.iter().find(|e| e.label == label).map(|e| &e.evidence)
     }
 
-    /// All records for a given transaction.
-    pub fn for_txn(&self, txn_id: u64) -> Vec<&BundleEntry> {
-        self.entries.iter().filter(|e| e.evidence.plaintext.txn_id == txn_id).collect()
-    }
-
     /// Serialises: `magic ‖ version ‖ count ‖ entries… ‖ SHA-256(prefix)`.
     ///
     /// Each entry is its label and then either its evidence (inline) or
@@ -528,15 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn txn_filter_and_label_lookup() {
-        let (w, up, down) = settled_world();
-        let mut bundle = EvidenceBundle::from_client_txn(&w.client, up).unwrap();
-        for e in EvidenceBundle::from_client_txn(&w.client, down).unwrap().entries {
-            bundle.entries.push(e);
-        }
-        assert_eq!(bundle.for_txn(up).len(), 2);
-        assert_eq!(bundle.for_txn(down).len(), 2);
-        assert_eq!(bundle.for_txn(123456).len(), 0);
+    fn label_lookup() {
+        let (w, up, _) = settled_world();
+        let bundle = EvidenceBundle::from_client_txn(&w.client, up).unwrap();
         assert!(bundle.get("own-nro").is_some());
         assert!(bundle.get("no-such-label").is_none());
     }

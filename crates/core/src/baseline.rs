@@ -4,7 +4,7 @@
 //! models, it takes Alice and Bob merely two steps without TTP … the same
 //! operation takes four steps in the traditional non-repudiation protocol."
 //! This module implements that comparator in the Zhou–Gollmann style the
-//! paper's reference [13] surveys:
+//! paper's reference \[13\] surveys:
 //!
 //! 1. A → B : `c = Enc_K(data)`, NRO = Sign_A(B ‖ L ‖ H(c))
 //! 2. B → A : NRR = Sign_B(A ‖ L ‖ H(c))

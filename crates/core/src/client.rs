@@ -6,13 +6,14 @@
 //! check a download against the upload-time receipt — the "integrity link"
 //! the paper adds between the two sessions.
 
+use crate::config::Ablation;
 use crate::evidence::{
     open_and_verify, seal, seal_and_own, EvidencePlaintext, Flag, SealedEvidence, VerifiedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::PrincipalId;
 use crate::session::{Outgoing, Party, Payload, TxnState, ValidationError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tpnr_crypto::ct;
 use tpnr_crypto::hash::DigestCache;
@@ -62,7 +63,7 @@ pub struct Client {
     /// Records behind shared pointers: a durable snapshot holds the same
     /// allocation, and a record is copied only on its first change after
     /// the snapshot ([`Client::txn_mut`]).
-    txns: HashMap<u64, Arc<ClientTxn>>,
+    txns: BTreeMap<u64, Arc<ClientTxn>>,
     /// Ids of the non-terminal transactions in `txns`: the only ones with
     /// a live deadline. Timeout scans walk this set, in id order, instead
     /// of every transaction the client ever ran.
@@ -86,7 +87,7 @@ impl Client {
         Client {
             party,
             provider,
-            txns: HashMap::new(),
+            txns: BTreeMap::new(),
             open: BTreeSet::new(),
             next_txn,
             cache: DigestCache::new(32),
@@ -116,11 +117,9 @@ impl Client {
         self.txns.get(&txn_id).map(|t| t.state)
     }
 
-    /// All transaction ids Alice has started.
+    /// All transaction ids Alice has started, ascending.
     pub fn txn_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.txns.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.txns.keys().copied().collect()
     }
 
     /// Ids of the transactions still awaiting an outcome, ascending.
@@ -144,12 +143,6 @@ impl Client {
         self.open.remove(&txn_id);
         self.party.validator.retire_txn(txn_id);
         Some(Arc::unwrap_or_clone(record))
-    }
-
-    /// Transactions retired to archive tombstones by this client's
-    /// validator.
-    pub fn archived_txn_count(&self) -> usize {
-        self.party.validator.archived_count()
     }
 
     /// Earliest timeout deadline over all non-terminal transactions (the
@@ -383,7 +376,7 @@ impl Client {
     ) -> Result<Vec<Outgoing>, ValidationError> {
         // Resolve replies are routed through the TTP.
         let p = &mut self.party;
-        if p.cfg.bind_identities && from != p.ttp {
+        if p.cfg.ablation != Ablation::NoIdentityBinding && from != p.ttp {
             return Err(ValidationError::IdentityMismatch);
         }
         p.validator.check(&p.cfg, pt, None, now)?;
@@ -551,7 +544,7 @@ impl Client {
 /// stay live — rolling an RNG back would replay nonces.
 #[derive(Debug, Clone)]
 pub struct ClientSnapshot {
-    txns: HashMap<u64, Arc<ClientTxn>>,
+    txns: BTreeMap<u64, Arc<ClientTxn>>,
     validator: crate::session::ValidatorSnapshot,
     next_txn: u64,
     bytes: u64,

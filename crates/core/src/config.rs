@@ -2,8 +2,8 @@
 //!
 //! Section 5 of the paper argues TPNR resists five classic attacks, each
 //! defeated by a specific design element. To show those elements are
-//! *load-bearing* (experiment E3), every one can be switched off
-//! individually; `tpnr-attacks` then demonstrates the matching attack
+//! *load-bearing* (experiment E3), a config can switch off one of them
+//! (its [`Ablation`]); `tpnr-attacks` then demonstrates the matching attack
 //! succeeding against the weakened variant.
 
 use crate::fault::{FaultPlan, RetryPolicy};
@@ -26,7 +26,7 @@ pub enum Commitment {
     },
 }
 
-/// Tunable protocol parameters plus the §5 defence switches.
+/// Tunable protocol parameters plus the defence ablation.
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Hash algorithm for data integrity inside evidence.
@@ -39,24 +39,9 @@ pub struct ProtocolConfig {
     /// Validity window stamped into each message ("we add a time limit
     /// field into the message in order to limit the reception time").
     pub message_time_limit: SimDuration,
-
-    // ---- §5 defence ablations (all true = the full TPNR protocol) ----
-    /// §5.1: authenticate public keys against the certified directory.
-    /// Off → man-in-the-middle key substitution succeeds.
-    pub authenticate_keys: bool,
-    /// §5.4: bind a strictly-increasing per-transaction sequence number
-    /// under the sender's signature. Off → replayed messages are accepted.
-    pub check_sequence_numbers: bool,
-    /// §5.2/§5.3: include sender/recipient/TTP identities (direction
-    /// binding) in the signed plaintext. Off → reflection/interleaving
-    /// succeed.
-    pub bind_identities: bool,
-    /// §5.5: enforce the per-message time limit on reception.
-    /// Off → stale messages are accepted indefinitely.
-    pub enforce_time_limits: bool,
-    /// §4.1: require the evidence signature over the data hash. Off → the
-    /// protocol degrades to unauthenticated checksums (repudiation returns).
-    pub require_signatures: bool,
+    /// The one defence switched off, if any ([`Ablation::None`] is the full
+    /// TPNR protocol).
+    pub ablation: Ablation,
 
     // ---- crash-recovery subsystem ----
     /// Retry schedule for timeout-driven Abort/Resolve resends. The default
@@ -74,11 +59,7 @@ impl Default for ProtocolConfig {
             commitment: Commitment::Flat,
             response_timeout: SimDuration::from_secs(30),
             message_time_limit: SimDuration::from_secs(120),
-            authenticate_keys: true,
-            check_sequence_numbers: true,
-            bind_identities: true,
-            enforce_time_limits: true,
-            require_signatures: true,
+            ablation: Ablation::None,
             retry: RetryPolicy::legacy(),
             faults: FaultPlan::none(),
         }
@@ -140,16 +121,9 @@ impl ProtocolConfigBuilder {
         self
     }
 
-    /// Apply a named E3 ablation on top of the current settings.
+    /// Switch off the defence a named E3 ablation removes.
     pub fn ablation(mut self, which: Ablation) -> Self {
-        match which {
-            Ablation::None => {}
-            Ablation::NoKeyAuthentication => self.cfg.authenticate_keys = false,
-            Ablation::NoSequenceNumbers => self.cfg.check_sequence_numbers = false,
-            Ablation::NoIdentityBinding => self.cfg.bind_identities = false,
-            Ablation::NoTimeLimits => self.cfg.enforce_time_limits = false,
-            Ablation::NoSignatures => self.cfg.require_signatures = false,
-        }
+        self.cfg.ablation = which;
         self
     }
 
@@ -176,15 +150,21 @@ impl ProtocolConfigBuilder {
 pub enum Ablation {
     /// Full protocol, nothing removed.
     None,
-    /// Drop §5.1 public-key authentication.
+    /// Drop §5.1 public-key authentication against the directory.
+    /// Man-in-the-middle key substitution then succeeds.
     NoKeyAuthentication,
-    /// Drop §5.4 sequence-number checking.
+    /// Drop §5.4's check of the strictly-increasing per-transaction
+    /// sequence number under the sender's signature. Replayed messages are
+    /// then accepted.
     NoSequenceNumbers,
-    /// Drop §5.2/§5.3 identity/direction binding.
+    /// Drop §5.2/§5.3 binding of sender, recipient and TTP identities
+    /// (direction binding). Reflection and interleaving then succeed.
     NoIdentityBinding,
-    /// Drop §5.5 message time limits.
+    /// Drop §5.5's per-message time limit on reception. Stale messages are
+    /// then accepted indefinitely.
     NoTimeLimits,
-    /// Drop §4.1 evidence signatures.
+    /// Drop §4.1's evidence signature over the data hash. The protocol then
+    /// degrades to unauthenticated checksums (repudiation returns).
     NoSignatures,
 }
 
@@ -221,29 +201,8 @@ mod tests {
     #[test]
     fn default_is_fully_defended() {
         let c = ProtocolConfig::default();
-        assert!(c.authenticate_keys && c.check_sequence_numbers && c.bind_identities);
-        assert!(c.enforce_time_limits && c.require_signatures);
+        assert_eq!(c.ablation, Ablation::None);
         assert_eq!(c.hash_alg, HashAlg::Sha256);
-    }
-
-    #[test]
-    fn each_ablation_disables_exactly_one_defence() {
-        let full = ProtocolConfig::full();
-        let flags = |c: &ProtocolConfig| {
-            [
-                c.authenticate_keys,
-                c.check_sequence_numbers,
-                c.bind_identities,
-                c.enforce_time_limits,
-                c.require_signatures,
-            ]
-        };
-        for a in Ablation::all() {
-            let c = ProtocolConfig::ablated(a);
-            let diff = flags(&full).iter().zip(flags(&c).iter()).filter(|(x, y)| x != y).count();
-            let expected = if a == Ablation::None { 0 } else { 1 };
-            assert_eq!(diff, expected, "{:?}", a);
-        }
     }
 
     #[test]
@@ -274,8 +233,7 @@ mod tests {
         assert_eq!(b.message_time_limit, d.message_time_limit);
         assert_eq!(b.retry, d.retry);
         assert_eq!(b.faults, d.faults);
-        assert!(b.authenticate_keys && b.check_sequence_numbers && b.bind_identities);
-        assert!(b.enforce_time_limits && b.require_signatures);
+        assert_eq!(b.ablation, d.ablation);
     }
 
     #[test]
@@ -290,19 +248,6 @@ mod tests {
         assert_eq!(c.message_time_limit, SimDuration::from_secs(10));
         assert_eq!(c.retry.max_attempts, Some(3));
         assert_eq!(c.faults.seed, 9);
-    }
-
-    #[test]
-    fn builder_ablation_matches_ablated() {
-        for a in Ablation::all() {
-            let via_builder = ProtocolConfig::builder().ablation(a).build();
-            let via_fn = ProtocolConfig::ablated(a);
-            assert_eq!(via_builder.authenticate_keys, via_fn.authenticate_keys, "{a:?}");
-            assert_eq!(via_builder.check_sequence_numbers, via_fn.check_sequence_numbers, "{a:?}");
-            assert_eq!(via_builder.bind_identities, via_fn.bind_identities, "{a:?}");
-            assert_eq!(via_builder.enforce_time_limits, via_fn.enforce_time_limits, "{a:?}");
-            assert_eq!(via_builder.require_signatures, via_fn.require_signatures, "{a:?}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! is kept in [`VerifiedEvidence`] form — exactly what a party later submits
 //! to the arbitrator, who can check the signatures with public keys alone.
 
-use crate::config::ProtocolConfig;
+use crate::config::{Ablation, ProtocolConfig};
 use crate::principal::{Principal, PrincipalId};
 use tpnr_crypto::hash::HashAlg;
 use tpnr_crypto::{envelope, ChaChaRng, CryptoError, RsaPublicKey};
@@ -220,16 +220,15 @@ impl std::error::Error for EvidenceError {}
 
 /// The sign step of evidence construction: `(Sign(H(data)), Sign(H(pt)))`.
 ///
-/// With `require_signatures` ablated (see [`ProtocolConfig`]), the
-/// "signatures" degrade to the bare hashes — the structure survives but
-/// carries no non-repudiation, which is what the E3 ablation experiment
-/// demonstrates.
+/// With [`Ablation::NoSignatures`], the "signatures" degrade to the bare
+/// hashes — the structure survives but carries no non-repudiation, which is
+/// what the E3 ablation experiment demonstrates.
 pub fn sign_pair(
     cfg: &ProtocolConfig,
     sender: &Principal,
     plaintext: &EvidencePlaintext,
 ) -> Result<(Vec<u8>, Vec<u8>), EvidenceError> {
-    if cfg.require_signatures {
+    if !matches!(cfg.ablation, Ablation::NoSignatures) {
         let s1 = sender
             .keys
             .private
@@ -328,7 +327,7 @@ pub fn verify_signatures(
     sig_plaintext: &[u8],
 ) -> Result<(), EvidenceError> {
     let pt_digest = plaintext.digest();
-    if cfg.require_signatures {
+    if !matches!(cfg.ablation, Ablation::NoSignatures) {
         sender_pk
             .verify_prehashed(plaintext.hash_alg, &plaintext.data_hash, sig_data_hash)
             .map_err(|_| EvidenceError::BadSignature)?;

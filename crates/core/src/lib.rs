@@ -17,9 +17,6 @@
 //! * [`bridge`] — the four §3 bridging schemes (±TAC × ±SKS);
 //! * [`baseline`] — a traditional four-step in-line-TTP fair NR protocol,
 //!   the comparison target for the "2 steps vs 4 steps" claim;
-//! * [`cert`] — the "TAC-certified" key distribution made concrete: a
-//!   certificate authority, chain verification, and directories built from
-//!   verified certificates;
 //! * [`chunked`] — Merkle-commitment mode and remote storage audits for the
 //!   paper's TB-scale setting (an extension);
 //! * [`multi`] — the runner seating many interleaved clients on one
@@ -56,7 +53,6 @@ pub mod arbiter;
 pub mod archive;
 pub mod baseline;
 pub mod bridge;
-pub mod cert;
 pub mod chunked;
 pub mod client;
 pub mod config;
@@ -73,7 +69,6 @@ pub mod session;
 pub mod ttp;
 
 pub use arbiter::{Arbitrator, DisputeCase, Verdict};
-pub use cert::{Certificate, CertificateAuthority};
 pub use client::{Client, TimeoutStrategy};
 pub use config::{Ablation, ProtocolConfig};
 pub use evidence::{EvidencePlaintext, Flag, SealedEvidence, VerifiedEvidence};

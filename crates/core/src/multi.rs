@@ -27,13 +27,6 @@ pub struct TxnHandle {
     pub txn_id: u64,
 }
 
-impl TxnHandle {
-    /// False for the failed-initiation sentinel.
-    pub fn is_real(&self) -> bool {
-        self.txn_id != 0
-    }
-}
-
 /// The seats of [`MultiWorld`]: N clients sharing the provider and the TTP.
 pub struct Fleet {
     /// The clients (index-aligned with the runner's `client_nodes`).
@@ -195,7 +188,7 @@ mod tests {
         let s = w.settle();
         assert_eq!(s.outcome, SettleOutcome::Quiescent);
         for h in txns {
-            assert!(h.is_real());
+            assert_ne!(h.txn_id, 0);
             assert_eq!(w.state_of(h), Some(TxnState::Completed), "client {}", h.client);
             assert!(w.result(h).unwrap().completed());
         }
@@ -558,7 +551,7 @@ mod tests {
         );
         // Validator replay windows for evicted txns are gone; tombstones
         // remain so late replays are refused, not re-windowed.
-        assert!(w.clients.iter().map(|c| c.archived_txn_count()).sum::<usize>() > 0);
+        assert!(w.clients.iter().map(|c| c.party.validator.archived_count()).sum::<usize>() > 0);
         // Every txn — live or archived — still answers queries, and the
         // evicted ones re-hydrate their full evidence from the sealed log.
         let mut rehydrated = 0;

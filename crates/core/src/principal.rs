@@ -2,10 +2,10 @@
 //!
 //! Paper §5.1: "when the party gets the other's public key, they should
 //! authenticate the validity to avoid the MITM." The [`Directory`] models
-//! that authenticated key distribution; the `authenticate_keys = false`
-//! ablation (see [`crate::config`]) replaces it with
-//! trust-whatever-arrives-on-the-wire, which is what the MITM attack
-//! experiment exploits.
+//! that authenticated key distribution; the
+//! [`Ablation::NoKeyAuthentication`](crate::config::Ablation::NoKeyAuthentication)
+//! ablation replaces it with trust-whatever-arrives-on-the-wire, which is
+//! what the MITM attack experiment exploits.
 
 use tpnr_crypto::{ChaChaRng, RsaKeyPair, RsaPublicKey};
 
@@ -69,12 +69,6 @@ impl Directory {
         self.entries.insert(p.id(), p.public().clone());
     }
 
-    /// Registers a raw public key (used by attack harnesses to poison an
-    /// unauthenticated directory).
-    pub fn register_raw(&mut self, id: PrincipalId, pk: RsaPublicKey) {
-        self.entries.insert(id, pk);
-    }
-
     /// Looks up an authenticated key.
     pub fn lookup(&self, id: &PrincipalId) -> Option<&RsaPublicKey> {
         self.entries.get(id)
@@ -116,19 +110,5 @@ mod tests {
         assert!(dir.authenticate(&a.id(), a.public()));
         assert!(!dir.authenticate(&a.id(), b.public()), "key substitution caught");
         assert!(!dir.authenticate(&b.id(), b.public()), "unregistered key rejected");
-    }
-
-    #[test]
-    fn poisoned_directory_models_missing_authentication() {
-        // An attacker who can write the directory binds their key to Alice's
-        // id — authenticate() then fails because the fingerprint disagrees.
-        let a = Principal::test("alice", 1);
-        let mallory = Principal::test("mallory", 666);
-        let mut dir = Directory::new();
-        dir.register_raw(a.id(), mallory.public().clone());
-        assert!(
-            !dir.authenticate(&a.id(), mallory.public()),
-            "fingerprint binding still catches the swap"
-        );
     }
 }

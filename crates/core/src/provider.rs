@@ -11,13 +11,14 @@
 //! Resolve mode exists for) and/or tampering with stored objects (the
 //! Figure-5 integrity threat).
 
+use crate::config::Ablation;
 use crate::evidence::{
     open_and_verify, seal, seal_and_own, seal_signatures, EvidencePlaintext, Flag, VerifiedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::PrincipalId;
 use crate::session::{Outgoing, Party, Payload, TxnState, ValidationError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tpnr_crypto::hash::DigestCache;
 use tpnr_net::codec::Wire;
@@ -63,10 +64,10 @@ pub struct Provider {
     pub party: Party,
     /// Stored objects as shared immutable buffers: upload, archive and
     /// download-response all hold the same allocation.
-    storage: HashMap<Vec<u8>, Bytes>,
+    storage: BTreeMap<Vec<u8>, Bytes>,
     /// Records behind shared pointers, as in the client: a durable
     /// snapshot holds the same allocation.
-    txns: HashMap<u64, Arc<ProviderTxn>>,
+    txns: BTreeMap<u64, Arc<ProviderTxn>>,
     /// Memoizes payload commitments by buffer identity: a stored object
     /// served to N downloaders hashes once, not N times.
     cache: DigestCache,
@@ -82,8 +83,8 @@ impl Provider {
     pub fn new(party: Party) -> Self {
         Provider {
             party,
-            storage: HashMap::new(),
-            txns: HashMap::new(),
+            storage: BTreeMap::new(),
+            txns: BTreeMap::new(),
             cache: DigestCache::new(32),
             behavior: ProviderBehavior::default(),
             actor_stats: crate::obs::ActorStats::default(),
@@ -134,9 +135,7 @@ impl Provider {
 
     /// Ids of the transactions Bob holds a record for, ascending.
     pub(crate) fn txn_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.txns.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.txns.keys().copied().collect()
     }
 
     /// Evicts a settled transaction's session record (the stored object
@@ -299,7 +298,7 @@ impl Provider {
         }
         // Resolve forwards must come from the agreed TTP.
         let p = &mut self.party;
-        if p.cfg.bind_identities && (from != p.ttp || pt.sender != p.ttp) {
+        if p.cfg.ablation != Ablation::NoIdentityBinding && (from != p.ttp || pt.sender != p.ttp) {
             return Err(ValidationError::IdentityMismatch);
         }
         p.validator.check(&p.cfg, pt, None, now)?;
@@ -330,8 +329,8 @@ impl Provider {
 /// (including each re-issuable NRR) and validator sequence state.
 #[derive(Debug, Clone)]
 pub struct ProviderSnapshot {
-    storage: HashMap<Vec<u8>, Bytes>,
-    txns: HashMap<u64, Arc<ProviderTxn>>,
+    storage: BTreeMap<Vec<u8>, Bytes>,
+    txns: BTreeMap<u64, Arc<ProviderTxn>>,
     validator: crate::session::ValidatorSnapshot,
     bytes: u64,
 }

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::codec::Wire;
-use tpnr_net::sim::{Envelope, LinkConfig, NodeId, SimNet};
+use tpnr_net::sim::{Envelope, LinkConfig, NetEvent, NodeId, SimNet};
 use tpnr_net::time::{SimDuration, SimTime};
 use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
@@ -924,6 +924,32 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
     }
 
     fn deliver(&mut self, env: Envelope) {
+        let tag = env.txn;
+        let txn = self.route(env);
+        self.retire_if_archived(tag);
+        if txn != tag {
+            self.retire_if_archived(txn);
+        }
+    }
+
+    fn obs_mut(&mut self) -> Option<&mut Obs> {
+        Some(&mut self.obs)
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.fault_counters()
+    }
+
+    fn record_net_event(&mut self, e: NetEvent) {
+        self.obs.record(sched::net_event(&e));
+        self.retire_if_archived(e.txn);
+    }
+}
+
+impl<T: Transport, S: Seats> Runner<T, S> {
+    /// Routes one arrival to its actor and dispatches the actor's replies.
+    /// Returns the transaction the message's header names, if it decodes.
+    fn route(&mut self, env: Envelope) -> Option<u64> {
         let now = self.net.now();
         let slot = self.slot(env.dst);
         if slot.is_some_and(|s| self.faults.is_down(s)) {
@@ -932,7 +958,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             // fired in this very settle round can race an already-polled
             // envelope. The sender's retry machinery is the recovery path.
             self.faults.note_delivery_lost();
-            return;
+            return None;
         }
         // Events name both ends by node, so an arrival from or to a node no
         // actor sits at is still attributed, never a panic.
@@ -944,7 +970,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
                 // tagged it on the wire — usually none.
                 let kind = EventKind::Garbled { from };
                 self.obs.record(Event { at: now, txn: env.txn, actor, kind });
-                return;
+                return None;
             }
         };
         let txn_id = msg.txn_id();
@@ -959,7 +985,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
             let error = ValidationError::IdentityMismatch;
             let kind = EventKind::Rejected { from, msg: msg_kind, error };
             self.obs.record(Event { at: now, txn, actor, kind });
-            return;
+            return Some(txn_id);
         };
         if env.dst == self.ttp_node {
             self.ttp_touched.insert(txn_id);
@@ -972,7 +998,7 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
         if verdict == DeliveryVerdict::CrashBefore {
             // Crash on receipt: the message is lost before processing.
             self.crash_actor(slot, now);
-            return;
+            return Some(txn_id);
         }
         // An unlisted sender is handed over under a sentinel id, so the
         // recipient's identity binding (or its ablation) decides.
@@ -1009,14 +1035,23 @@ impl<T: Transport, S: Seats> EventHub for Runner<T, S> {
         // already disarmed the slot; refresh on a down actor disarms it
         // again.)
         self.refresh_deadline(slot);
+        Some(txn_id)
     }
 
-    fn obs_mut(&mut self) -> Option<&mut Obs> {
-        Some(&mut self.obs)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.fault_counters()
+    /// Retires again what a late copy of an evicted transaction reopened.
+    /// A duplicate delivered, refused or dropped after [`Runner::evict_txn`]
+    /// puts the transaction back in the net ledger, the obs tallies and the
+    /// TTP's set, and nothing else would take it out. Each arrival and each
+    /// drained net event checks its own transaction, so no settle scans the
+    /// history.
+    fn retire_if_archived(&mut self, txn: Option<u64>) {
+        let Some(txn) = txn else { return };
+        if self.txn_meta.contains_key(&txn) || self.archive.get(txn).is_none() {
+            return;
+        }
+        self.net.retire_txn(txn);
+        self.obs.retire_txn(txn);
+        self.ttp_touched.remove(&txn);
     }
 }
 
@@ -1406,6 +1441,51 @@ mod tests {
         // tables and panicked when either was a node no actor sits at.
         stray_traffic(world());
         stray_traffic(crate::multi::MultiWorld::new(12, ProtocolConfig::full(), 2));
+    }
+
+    #[test]
+    fn late_copies_of_an_evicted_txn_reopen_no_tallies() {
+        // With 10-210 ms links that duplicate half of all copies, a 150 ms
+        // timeout and Bob and the TTP crashing now and then, copies of
+        // protocol, Abort and Resolve messages still arrive, or are dropped
+        // at a down node, after their transaction was evicted. Each used to
+        // reopen the transaction's net-ledger entry, its obs tallies or its
+        // TTP mark, and nothing retired them again.
+        use crate::fault::FaultPlan;
+        for seed in 0..3 {
+            let cfg = ProtocolConfig::builder()
+                .response_timeout(SimDuration::from_millis(150))
+                .fault_plan(FaultPlan::none().with_seed(seed).with_chaos(&["bob", "ttp"], 20, 20))
+                .build();
+            let mut w = crate::multi::MultiWorld::new(seed, cfg, 4);
+            w.set_archive_capacity(1);
+            w.set_all_links(LinkConfig {
+                latency: SimDuration::from_millis(10),
+                jitter: SimDuration::from_millis(200),
+                dup_prob: 0.5,
+                ..LinkConfig::default()
+            });
+            for round in 0..30u32 {
+                for c in 0..4 {
+                    let key = format!("c{c}/r{round}").into_bytes();
+                    let strategy = if c % 2 == 0 {
+                        TimeoutStrategy::AbortFirst
+                    } else {
+                        TimeoutStrategy::ResolveImmediately
+                    };
+                    w.start_upload(c, &key, vec![0; 32], strategy);
+                }
+                assert!(w.settle().outcome.is_quiescent());
+            }
+            assert!(w.archive_stats().evicted > 100);
+            assert!(w.fault_counters().crashes > 0, "seed {seed}: chaos must crash someone");
+            assert!(!w.ttp_touched.is_empty(), "seed {seed}: the TTP must be engaged");
+            let archived = |t: &u64| w.archive.get(*t).is_some();
+            let obs: Vec<u64> = w.obs.txns().into_iter().filter(archived).collect();
+            let net: Vec<u64> = w.net().tagged_txns().into_iter().filter(archived).collect();
+            let ttp: Vec<u64> = w.ttp_touched.iter().copied().filter(archived).collect();
+            assert_eq!((obs, net, ttp), (vec![], vec![], vec![]), "seed {seed}");
+        }
     }
 
     #[test]

@@ -2,15 +2,8 @@
 //! whether it seats one client ([`World`](crate::runner::World)) or many
 //! ([`MultiWorld`](crate::multi::MultiWorld)).
 //!
-//! Both runners used to carry their own ~100-line settle loops with three
-//! latent bugs: an overdue protocol timer could be starved for as long as
-//! the network stayed busy (the timer only fired while `deadline >= now`),
-//! the step cap was a silent `break` that reported half-settled worlds as
-//! settled, and per-transaction accounting was derived from before/after
-//! deltas of global counters, which misattributes traffic the moment two
-//! transactions interleave. This module is the single replacement: one
-//! deadline-ordered loop that merges network deliveries with every actor's
-//! protocol timers and fails loudly when the cap is hit.
+//! One deadline-ordered loop merges network deliveries with every actor's
+//! protocol timers and fails loudly when the step cap is hit.
 //!
 //! Ordering rules (see DESIGN.md §4):
 //!
@@ -32,8 +25,8 @@ use crate::message::Message;
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::PrincipalId;
 use crate::session::{Outgoing, ValidationError};
-use std::collections::{BTreeSet, VecDeque};
-use tpnr_net::sim::{Envelope, NetEventKind};
+use std::collections::BTreeSet;
+use tpnr_net::sim::{Envelope, NetEvent, NetEventKind};
 use tpnr_net::time::SimTime;
 use tpnr_net::transport::Transport;
 
@@ -115,10 +108,17 @@ pub trait EventHub {
     /// actor's replies.
     fn deliver(&mut self, env: Envelope);
     /// The runner's observability sink, if it keeps one. The scheduler
-    /// drains the network's drop/duplication events into it and records a
-    /// settle-size sample on exit. Headless hubs use the default.
+    /// records a settle-size sample in it on exit. Headless hubs use the
+    /// default.
     fn obs_mut(&mut self) -> Option<&mut Obs> {
         None
+    }
+    /// Records one network event (a drop or a duplication) drained from
+    /// the transport, in the [`EventHub::obs_mut`] sink if there is one.
+    fn record_net_event(&mut self, e: NetEvent) {
+        if let Some(obs) = self.obs_mut() {
+            obs.record(net_event(&e));
+        }
     }
     /// Cumulative fault-injection counters (crash/restart/retry/snapshot),
     /// copied into `SettleReport::faults` when the run ends. Hubs without
@@ -128,20 +128,24 @@ pub trait EventHub {
     }
 }
 
-/// Moves pending network events (drops, duplications) into the hub's
-/// observability sink. Events keep the transport's node ids; names are
-/// resolved only where a trace is rendered. Without a sink the pending
-/// buffer is still drained so it cannot accumulate.
+/// Hands pending network events (drops, duplications) to the hub. The
+/// buffer is drained even by a hub without a sink, so it cannot
+/// accumulate.
 fn drain_net_events(hub: &mut dyn EventHub) {
-    let events = hub.transport().take_events();
-    let Some(obs) = hub.obs_mut() else { return };
-    for e in events {
-        let kind = match e.kind {
-            NetEventKind::Dropped => EventKind::Dropped { from: e.src },
-            NetEventKind::Duplicated => EventKind::Duplicated { from: e.src },
-        };
-        obs.record(Event { at: e.at, txn: e.txn, actor: e.dst, kind });
+    for e in hub.transport().take_events() {
+        hub.record_net_event(e);
     }
+}
+
+/// A network event as an observability event. Events keep the
+/// transport's node ids; names are resolved only where a trace is
+/// rendered.
+pub(crate) fn net_event(e: &NetEvent) -> Event {
+    let kind = match e.kind {
+        NetEventKind::Dropped => EventKind::Dropped { from: e.src },
+        NetEventKind::Duplicated => EventKind::Duplicated { from: e.src },
+    };
+    Event { at: e.at, txn: e.txn, actor: e.dst, kind }
 }
 
 /// Runs the world until quiescence or the step cap: the single settle loop
@@ -157,12 +161,14 @@ pub fn settle(hub: &mut dyn EventHub, max_steps: usize) -> SettleReport {
     // Envelopes polled off the transport but not yet routed. Deliveries
     // are handed out one per step with the timer tie-break re-checked in
     // between, so batching the poll preserves the old per-step ordering.
-    let mut pending: VecDeque<Envelope> = VecDeque::new();
+    // The poll's own vector is the queue, so routing it allocates nothing.
+    let mut pending = Vec::<Envelope>::new().into_iter();
     for _ in 0..max_steps {
         drain_net_events(hub);
         let timer = hub.next_timer().filter(|t| barren != Some(*t));
         let delivery = pending
-            .front()
+            .as_slice()
+            .first()
             .map(|e| e.delivered_at)
             .or_else(|| hub.transport().next_deliverable_at());
         match (timer, delivery) {
@@ -184,16 +190,16 @@ pub fn settle(hub: &mut dyn EventHub, max_steps: usize) -> SettleReport {
                 barren = (produced == 0 && hub.next_timer() == Some(t)).then_some(t);
             }
             (_, Some(at)) => {
-                if pending.is_empty() {
+                if pending.as_slice().is_empty() {
                     let now = hub.transport().now().max(at);
                     hub.transport().advance_clock_to(now);
-                    pending.extend(hub.transport().poll_deliverable(now));
+                    pending = hub.transport().poll_deliverable(now).into_iter();
                 }
                 // The poll can come back empty (every due copy was dropped
                 // — down node, link loss); the step is then consumed
                 // without a delivery, exactly as the old loop tolerated a
                 // raced-empty queue.
-                if let Some(env) = pending.pop_front() {
+                if let Some(env) = pending.next() {
                     report.delivered += 1;
                     barren = None;
                     hub.deliver(env);

@@ -6,10 +6,10 @@
 //! through [`Validator::check`], which enforces the §5 defences according to
 //! the active [`ProtocolConfig`]: identity/direction binding, strictly
 //! increasing sequence numbers, and message time limits. Every plaintext an
-//! actor writes, but the client's Transfer, comes from [`Party::stamp`]; a
+//! actor writes, but the client's Transfer, comes from `Party::stamp`; a
 //! relayed or re-issued receipt resends one already written.
 
-use crate::config::ProtocolConfig;
+use crate::config::{Ablation, ProtocolConfig};
 use crate::evidence::{EvidencePlaintext, Flag};
 use crate::principal::{Directory, Principal, PrincipalId};
 use std::collections::{BTreeSet, HashMap};
@@ -256,7 +256,7 @@ impl Validator {
         expected_sender: Option<PrincipalId>,
         now: SimTime,
     ) -> Result<(), ValidationError> {
-        if cfg.bind_identities {
+        if cfg.ablation != Ablation::NoIdentityBinding {
             if pt.recipient != self.me || pt.ttp != self.ttp {
                 return Err(ValidationError::IdentityMismatch);
             }
@@ -266,13 +266,13 @@ impl Validator {
                 }
             }
         }
-        if cfg.enforce_time_limits && now > pt.time_limit {
+        if cfg.ablation != Ablation::NoTimeLimits && now > pt.time_limit {
             return Err(ValidationError::Expired { limit: pt.time_limit, now });
         }
         if self.archived.contains(&pt.txn_id) {
             return Err(ValidationError::ArchivedTransaction(pt.txn_id));
         }
-        if cfg.check_sequence_numbers {
+        if cfg.ablation != Ablation::NoSequenceNumbers {
             let key = (pt.txn_id, pt.sender);
             let last = self.last_recv.get(&key).copied().unwrap_or(0);
             if pt.seq <= last {
@@ -416,7 +416,11 @@ impl Party {
     /// seals evidence for `id` under: the directory's, or, with key
     /// authentication ablated, a wire-learned one first.
     pub(crate) fn key(&self, id: PrincipalId) -> Result<RsaPublicKey, ValidationError> {
-        let learned = if self.cfg.authenticate_keys { None } else { self.wire_keys.get(&id) };
+        let learned = if self.cfg.ablation == Ablation::NoKeyAuthentication {
+            self.wire_keys.get(&id)
+        } else {
+            None
+        };
         learned.or_else(|| self.dir.lookup(&id)).cloned().ok_or(ValidationError::NoKey(id))
     }
 

@@ -10,6 +10,7 @@
 //! itself (paper: "normally the size of the data set is very large, which is
 //! not feasible to be stored and/or forwarded by the TTP").
 
+use crate::config::Ablation;
 use crate::evidence::{EvidencePlaintext, Flag, VerifiedEvidence};
 use crate::message::{Message, ResolveAction};
 use crate::principal::PrincipalId;
@@ -137,7 +138,9 @@ impl Ttp {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
         let p = &mut self.party;
-        if p.cfg.bind_identities && (pt.sender != from || pt.recipient != p.id()) {
+        if p.cfg.ablation != Ablation::NoIdentityBinding
+            && (pt.sender != from || pt.recipient != p.id())
+        {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::IdentityMismatch);
         }
@@ -190,7 +193,9 @@ impl Ttp {
     ) -> Result<Vec<Outgoing>, ValidationError> {
         let pending =
             self.pending.remove(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        if self.party.cfg.bind_identities && from != pending.forward.recipient {
+        if self.party.cfg.ablation != Ablation::NoIdentityBinding
+            && from != pending.forward.recipient
+        {
             // Not from the party we queried — put it back and refuse.
             self.pending.insert(pt.txn_id, pending);
             return Err(ValidationError::IdentityMismatch);

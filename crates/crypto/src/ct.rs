@@ -23,14 +23,6 @@ pub fn eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
-/// Constant-time conditional select: returns `a` if `choice` is 1, `b` if 0.
-#[inline]
-pub fn ct_select_u8(choice: u8, a: u8, b: u8) -> u8 {
-    debug_assert!(choice <= 1);
-    let mask = choice.wrapping_neg(); // 0x00 or 0xFF
-    (a & mask) | (b & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,11 +44,5 @@ mod tests {
             b[i] ^= 1;
             assert!(!eq(&a, &b), "difference at {i} missed");
         }
-    }
-
-    #[test]
-    fn select() {
-        assert_eq!(ct_select_u8(1, 0xaa, 0x55), 0xaa);
-        assert_eq!(ct_select_u8(0, 0xaa, 0x55), 0x55);
     }
 }

@@ -68,11 +68,6 @@ pub fn hmac(alg: HashAlg, key: &[u8], data: &[u8]) -> Vec<u8> {
     }
 }
 
-/// Constant-time verify with a runtime-selected hash.
-pub fn hmac_verify(alg: HashAlg, key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-    ct::eq(&hmac(alg, key, data), tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +162,6 @@ mod tests {
     fn runtime_dispatch_matches_static() {
         let t = hmac(HashAlg::Sha256, b"k", b"d");
         assert_eq!(t, Hmac::<Sha256>::mac(b"k", b"d"));
-        assert!(hmac_verify(HashAlg::Sha256, b"k", b"d", &t));
         let _ = hex_decode("00"); // keep import used in all cfg combinations
     }
 }

@@ -103,7 +103,7 @@ impl ChaChaRng {
         lo + self.gen_below(hi - lo)
     }
 
-    /// Bernoulli draw with probability `p` (clamped to [0,1]).
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         (self.next_u64() as f64 / u64::MAX as f64) < p

@@ -132,14 +132,6 @@ impl Share {
         out.extend_from_slice(&self.y);
         out
     }
-
-    /// Parses the [`Share::to_bytes`] format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.is_empty() || bytes[0] == 0 {
-            return Err(CryptoError::Malformed("share"));
-        }
-        Ok(Share { x: bytes[0], y: bytes[1..].to_vec() })
-    }
 }
 
 #[cfg(test)]
@@ -240,16 +232,6 @@ mod tests {
         let mut shares = split(secret, 2, 2, &mut rng()).unwrap();
         shares[0].y[0] ^= 1;
         assert_ne!(combine(&shares).unwrap(), secret);
-    }
-
-    #[test]
-    fn share_bytes_roundtrip() {
-        let shares = split(b"x", 2, 2, &mut rng()).unwrap();
-        for s in &shares {
-            assert_eq!(Share::from_bytes(&s.to_bytes()).unwrap(), *s);
-        }
-        assert!(Share::from_bytes(&[]).is_err());
-        assert!(Share::from_bytes(&[0, 1, 2]).is_err()); // x = 0 forbidden
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 pub mod allow;
 pub mod callgraph;
-pub mod jsonout;
 pub mod lexer;
 pub mod parser;
 pub mod passes;
@@ -212,6 +211,18 @@ impl Summary {
             self.files, self.rules, self.findings, self.allowlisted
         )
     }
+}
+
+/// The binary's report: one `file:line:col RULE message` line per finding
+/// that no allowlist entry suppresses, then the summary line.
+pub fn render(findings: &[Finding], summary: &Summary) -> String {
+    let mut out = String::new();
+    for f in findings.iter().filter(|f| !f.allowed) {
+        out.push_str(&format!("{}:{}:{} {} {}\n", f.file, f.line, f.col, f.rule, f.message));
+    }
+    out.push_str(&summary.line());
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]

@@ -11,13 +11,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tpnr_lint::{allow::Allowlist, jsonout, lint_files, FileInput, Summary};
+use tpnr_lint::{allow::Allowlist, lint_files, render, FileInput, Summary};
 
-const USAGE: &str = "usage: tpnr-lint [--root DIR] [--json] [--allowlist FILE]";
+const USAGE: &str = "usage: tpnr-lint [--root DIR] [--allowlist FILE]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     let mut allow_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -30,7 +29,6 @@ fn main() -> ExitCode {
                 Some(f) => allow_path = Some(PathBuf::from(f)),
                 None => return usage_error("--allowlist needs a file"),
             },
-            "--json" => json = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -77,15 +75,6 @@ fn main() -> ExitCode {
     let findings = lint_files(&files, &allow);
     let summary = Summary::of(&files, &findings);
 
-    if json {
-        print!("{}", jsonout::render(&findings, &summary));
-    } else {
-        for f in &findings {
-            if !f.allowed {
-                println!("{}:{}:{} {} {}", f.file, f.line, f.col, f.rule, f.message);
-            }
-        }
-    }
     // A stale allowlist entry is a hard failure: it means a finding was
     // fixed (or a path moved) and the justification now suppresses
     // nothing — left alone it would silently mask the next regression.
@@ -96,8 +85,8 @@ fn main() -> ExitCode {
             s.rule, s.path, s.justification
         );
     }
-    // The one-line coverage summary CI logs grep for.
-    println!("{}", summary.line());
+    // The findings, then the one-line coverage summary CI logs grep for.
+    print!("{}", render(&findings, &summary));
 
     if summary.findings > summary.allowlisted || !stale.is_empty() {
         ExitCode::from(1)

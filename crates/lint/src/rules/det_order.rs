@@ -1,8 +1,9 @@
 //! **DET-ORDER** — `HashMap` / `HashSet` forbidden in modules that render
 //! traces, reports, or serialized evidence, in the scheduler/runner
-//! layer, in the network's accounting, and in the TTP (`obs`, `report`,
-//! `codec`, `runner`, `multi`, `sched`, `par`, `transport`, `sim`, `tcp`,
-//! `ttp`).
+//! layer, in the network's accounting, and in the three actors (Alice,
+//! Bob and the TTP). The modules are `obs`, `report`, `codec`, `runner`,
+//! `multi`, `sched`, `par`, `transport`, `sim`, `tcp`, `ttp`, `client`
+//! and `provider`.
 //!
 //! PR 2's JSONL trace validator checks output the paper's auditor is
 //! supposed to replay; hash-map iteration order is randomized per process,
@@ -21,7 +22,11 @@
 //! simulator's delivery order is what a seeded trace replays. `ttp`
 //! joined once its pending resolves became a `BTreeMap`: its timeout sweep
 //! declares failures in map order, and those replies reach the wire and
-//! the trace.
+//! the trace. `client` and `provider` joined once their transaction
+//! tables and Bob's object store became `BTreeMap`s: a restart walks a
+//! restored table (`txn_ids`) to re-evict the records the archive already
+//! holds, so that order must not depend on hash seeding either, and
+//! `txn_ids` needs no sort.
 //! The rule applies to the whole file, tests included — deterministic
 //! fixtures keep golden tests stable.
 
@@ -42,6 +47,8 @@ const SCOPE_LEAVES: &[&str] = &[
     "sim",
     "tcp",
     "ttp",
+    "client",
+    "provider",
 ];
 
 pub fn check(ctx: &FileCtx, out: &mut Vec<Finding>) {
@@ -176,11 +183,27 @@ mod tests {
     }
 
     #[test]
-    fn silent_outside_scope() {
+    fn fires_on_hashmap_in_client_and_provider() {
         let hits = run_rule(
             check,
             "crates/core/src/client.rs",
             "use std::collections::HashMap;\nstruct Client { txns: HashMap<u64, T> }",
+        );
+        assert_eq!(hits.len(), 2);
+        let hits = run_rule(
+            check,
+            "crates/core/src/provider.rs",
+            "struct Provider { storage: HashMap<Vec<u8>, Bytes> }",
+        );
+        assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn silent_outside_scope() {
+        let hits = run_rule(
+            check,
+            "crates/core/src/principal.rs",
+            "use std::collections::HashMap;\nstruct Directory { entries: HashMap<u64, K> }",
         );
         assert!(hits.is_empty());
     }

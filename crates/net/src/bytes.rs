@@ -95,18 +95,6 @@ impl Bytes {
         Arc::ptr_eq(&self.buf, &other.buf)
     }
 
-    /// Hashes this view through `cache`, memoized on `(alg, allocation
-    /// identity, window)` — the second request for the same view is a
-    /// lookup, not a hash pass. Sound because the allocation is immutable
-    /// while the cache pins it (see the module docs).
-    pub fn digest_with(
-        &self,
-        cache: &mut tpnr_crypto::hash::DigestCache,
-        alg: tpnr_crypto::hash::HashAlg,
-    ) -> Vec<u8> {
-        cache.hash(alg, &self.buf, self.start, self.end)
-    }
-
     /// Process-wide deep-copy count (see [`Bytes::copy_from_slice`]).
     pub fn deep_copies() -> u64 {
         DEEP_COPIES.load(Ordering::Relaxed)
@@ -280,23 +268,5 @@ mod tests {
         let b = Bytes::from(vec![1u8, 2]);
         let sub = b.slice(1..1);
         assert!(sub.is_empty());
-    }
-
-    #[test]
-    fn digest_with_memoizes_on_identity() {
-        use tpnr_crypto::hash::{DigestCache, HashAlg};
-        let mut cache = DigestCache::new(8);
-        let b = Bytes::from(vec![0xa5u8; 4096]);
-        let d1 = b.digest_with(&mut cache, HashAlg::Sha256);
-        assert_eq!(d1, HashAlg::Sha256.hash(&b));
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let d2 = b.clone().digest_with(&mut cache, HashAlg::Sha256);
-        assert_eq!(d1, d2);
-        assert_eq!(cache.hits(), h0 + 1, "second request is a lookup");
-        assert_eq!(cache.misses(), m0);
-        // A different window of the same allocation is a different key.
-        let d3 = b.slice(0..1024).digest_with(&mut cache, HashAlg::Sha256);
-        assert_eq!(d3, HashAlg::Sha256.hash(&b[..1024]));
-        assert_eq!(cache.misses(), m0 + 1);
     }
 }

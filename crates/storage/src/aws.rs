@@ -29,31 +29,16 @@ pub struct Manifest {
     pub device_id: String,
     /// Destination bucket/prefix.
     pub destination: String,
-    /// Import or export job.
-    pub job: JobKind,
     /// Job identifier assigned by the user tooling.
     pub job_id: u64,
-}
-
-/// Import (upload) or Export (download) job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// Data flows user → S3.
-    Import,
-    /// Data flows S3 → user.
-    Export,
 }
 
 impl Manifest {
     /// Canonical bytes that get signed.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let kind = match self.job {
-            JobKind::Import => "IMPORT",
-            JobKind::Export => "EXPORT",
-        };
         format!(
-            "manifestVersion:2.0\naccessKeyId:{}\ndeviceId:{}\ndestination:{}\noperation:{}\njobId:{}\n",
-            self.access_key_id, self.device_id, self.destination, kind, self.job_id
+            "manifestVersion:2.0\naccessKeyId:{}\ndeviceId:{}\ndestination:{}\noperation:IMPORT\njobId:{}\n",
+            self.access_key_id, self.device_id, self.destination, self.job_id
         )
         .into_bytes()
     }
@@ -87,7 +72,7 @@ pub struct StorageDevice {
 pub struct StatusEmail {
     /// Job this email refers to.
     pub job_id: u64,
-    /// Bytes loaded/exported.
+    /// Bytes loaded.
     pub bytes: u64,
     /// Hex MD5 of the bytes, as computed by the provider *at email time*.
     pub md5_hex: String,
@@ -97,7 +82,7 @@ pub struct StatusEmail {
     pub log_location: String,
 }
 
-/// Outcome of an import/export job.
+/// Outcome of an import job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Everything validated and completed.
@@ -117,8 +102,6 @@ pub enum AwsError {
     DeviceMismatch,
     /// Unknown user / no public key on file.
     UnknownUser,
-    /// Export source key does not exist.
-    NoSuchObject,
     /// Underlying crypto failure.
     Crypto(CryptoError),
 }
@@ -129,7 +112,6 @@ impl std::fmt::Display for AwsError {
             AwsError::BadSignature => write!(f, "manifest signature invalid"),
             AwsError::DeviceMismatch => write!(f, "device id does not match manifest"),
             AwsError::UnknownUser => write!(f, "unknown access key id"),
-            AwsError::NoSuchObject => write!(f, "no such S3 object"),
             AwsError::Crypto(e) => write!(f, "crypto failure: {e}"),
         }
     }
@@ -165,7 +147,6 @@ pub fn prepare_import(
         access_key_id: access_key_id.to_string(),
         device_id: device_id.to_string(),
         destination: destination.to_string(),
-        job: JobKind::Import,
         job_id,
     };
     let sig = user_keys
@@ -250,30 +231,6 @@ impl AwsService {
             status: JobStatus::Completed,
             log_location,
         })
-    }
-
-    /// Processes an export job: validates, copies the S3 object onto the
-    /// (returned) device, and emails the status **with a freshly recomputed
-    /// MD5** — AWS behaviour per paper §2.4.
-    pub fn process_export(
-        &mut self,
-        manifest: &Manifest,
-        mut device: StorageDevice,
-        _now: SimTime,
-    ) -> Result<(StorageDevice, StatusEmail), AwsError> {
-        self.validate(manifest, &device)?;
-        let obj = self.s3.get(&manifest.destination).ok_or(AwsError::NoSuchObject)?;
-        device.data = obj.data.to_vec();
-        // Recomputed at export time — NOT the MD5 recorded at import.
-        let md5 = Md5::digest(&device.data);
-        let email = StatusEmail {
-            job_id: manifest.job_id,
-            bytes: device.data.len() as u64,
-            md5_hex: hex_encode(&md5),
-            status: JobStatus::Completed,
-            log_location: String::new(),
-        };
-        Ok((device, email))
     }
 
     /// Small-object S3 PUT over the Internet path (≤ 50 GB per the paper's
@@ -418,69 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn export_returns_recomputed_md5() {
-        let (mut svc, user) = setup();
-        let original = b"the original bytes".to_vec();
-        let (m_in, dev_in) =
-            prepare_import(&user, "AKIAALICE", "dev-1", "bucket/d", 6, original.clone()).unwrap();
-        let import_email = svc.process_import(&m_in, &dev_in, SimTime::ZERO).unwrap();
-
-        // Provider tampers in storage, consistently.
-        svc.tamper("bucket/d", &Tamper::ConsistentReplace(b"swapped".to_vec())).unwrap();
-
-        let (m_out, dev_out) = {
-            let manifest = Manifest {
-                access_key_id: "AKIAALICE".into(),
-                device_id: "dev-2".into(),
-                destination: "bucket/d".into(),
-                job: JobKind::Export,
-                job_id: 7,
-            };
-            let sig = user.private.sign(HashAlg::Sha256, &manifest.canonical_bytes()).unwrap();
-            let device = StorageDevice {
-                device_id: "dev-2".into(),
-                data: Vec::new(),
-                signature_file: Some(SignatureFile {
-                    algorithm: "RSA-PKCS1v15-SHA256".into(),
-                    manifest_signature: sig,
-                }),
-            };
-            (manifest, device)
-        };
-        let (device, export_email) = svc.process_export(&m_out, dev_out, SimTime::ZERO).unwrap();
-        assert_eq!(device.data, b"swapped");
-        // The export-time MD5 matches the *tampered* data — self-consistent
-        // forgery, exactly the paper's point about recomputed MD5_2.
-        assert_eq!(export_email.md5_hex, hex_encode(&Md5::digest(b"swapped")));
-        assert_ne!(export_email.md5_hex, import_email.md5_hex);
-    }
-
-    #[test]
-    fn export_missing_object_fails() {
-        let (mut svc, user) = setup();
-        let manifest = Manifest {
-            access_key_id: "AKIAALICE".into(),
-            device_id: "d".into(),
-            destination: "bucket/none".into(),
-            job: JobKind::Export,
-            job_id: 8,
-        };
-        let sig = user.private.sign(HashAlg::Sha256, &manifest.canonical_bytes()).unwrap();
-        let device = StorageDevice {
-            device_id: "d".into(),
-            data: vec![],
-            signature_file: Some(SignatureFile {
-                algorithm: "RSA-PKCS1v15-SHA256".into(),
-                manifest_signature: sig,
-            }),
-        };
-        assert_eq!(
-            svc.process_export(&manifest, device, SimTime::ZERO).unwrap_err(),
-            AwsError::NoSuchObject
-        );
-    }
-
-    #[test]
     fn s3_internet_path_recomputes_md5() {
         let (mut svc, _) = setup();
         let put_md5 = svc.s3_put("k", b"data", "alice", SimTime::ZERO);
@@ -507,14 +401,10 @@ mod tests {
             access_key_id: "A".into(),
             device_id: "d".into(),
             destination: "x".into(),
-            job: JobKind::Import,
             job_id: 1,
         };
         let mut m2 = m1.clone();
-        m2.job = JobKind::Export;
+        m2.job_id = 2;
         assert_ne!(m1.canonical_bytes(), m2.canonical_bytes());
-        let mut m3 = m1.clone();
-        m3.job_id = 2;
-        assert_ne!(m1.canonical_bytes(), m3.canonical_bytes());
     }
 }

@@ -4,14 +4,12 @@
 //! key. Every request must carry an HMAC-SHA256 `SharedKey` signature
 //! (see [`crate::rest`]). Blobs record the uploader's `Content-MD5`, and —
 //! the detail the paper highlights — **the stored MD5 is returned on GET**
-//! ("on the Azure platform, the original MD5_1 will be sent"). Blob,
-//! Table and Queue services model the three Azure data items (blobs up to
-//! 50 GB, queue messages < 8 KB).
+//! ("on the Azure platform, the original MD5_1 will be sent"). Blobs are
+//! capped at the paper's 50 GB.
 
 use crate::object::{ObjectStore, StoredObject, Tamper, TamperReport};
 use crate::rest::{Method, RestRequest};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use tpnr_crypto::encoding::{base64_decode, base64_encode};
 use tpnr_crypto::hash::HashAlg;
 use tpnr_crypto::ChaChaRng;
@@ -19,8 +17,6 @@ use tpnr_net::time::SimTime;
 
 /// Azure blob size cap from the paper ("Blobs (up to 50GB)").
 pub const MAX_BLOB_SIZE: u64 = 50 * 1024 * 1024 * 1024;
-/// Azure queue message cap from the paper ("Queues (<8k)").
-pub const MAX_QUEUE_MESSAGE: usize = 8 * 1024;
 
 /// Service-side error responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,8 +75,6 @@ pub struct Account {
 pub struct AzureService {
     accounts: HashMap<String, [u8; 32]>,
     blobs: ObjectStore,
-    tables: HashMap<String, HashMap<String, Vec<u8>>>,
-    queues: HashMap<String, VecDeque<Vec<u8>>>,
     /// Uncommitted blocks per blob path: blockid → bytes (the Table 1
     /// `comp=block` staging area).
     uncommitted: HashMap<String, HashMap<String, Vec<u8>>>,
@@ -98,8 +92,6 @@ impl AzureService {
         AzureService {
             accounts: HashMap::new(),
             blobs: ObjectStore::new(),
-            tables: HashMap::new(),
-            queues: HashMap::new(),
             uncommitted: HashMap::new(),
         }
     }
@@ -225,33 +217,6 @@ impl AzureService {
         }
     }
 
-    /// Table entity insert (authenticated callers only, simplified API).
-    pub fn table_insert(&mut self, table: &str, row_key: &str, value: &[u8]) {
-        self.tables
-            .entry(table.to_string())
-            .or_default()
-            .insert(row_key.to_string(), value.to_vec());
-    }
-
-    /// Table entity fetch.
-    pub fn table_get(&self, table: &str, row_key: &str) -> Option<&[u8]> {
-        self.tables.get(table)?.get(row_key).map(|v| v.as_slice())
-    }
-
-    /// Queue push; enforces the paper's 8 KB message cap.
-    pub fn queue_push(&mut self, queue: &str, msg: &[u8]) -> Result<(), AzureError> {
-        if msg.len() >= MAX_QUEUE_MESSAGE {
-            return Err(AzureError::TooLarge);
-        }
-        self.queues.entry(queue.to_string()).or_default().push_back(msg.to_vec());
-        Ok(())
-    }
-
-    /// Queue pop.
-    pub fn queue_pop(&mut self, queue: &str) -> Option<Vec<u8>> {
-        self.queues.get_mut(queue)?.pop_front()
-    }
-
     /// Provider-side tampering with a stored blob (Eve's capability).
     pub fn tamper_blob(&mut self, resource: &str, t: &Tamper) -> Option<TamperReport> {
         self.blobs.tamper(resource, t)
@@ -359,25 +324,6 @@ mod tests {
         let returned = base64_decode(&r.content_md5.unwrap()).unwrap();
         assert_eq!(returned, Md5::digest(&r.body), "forgery is self-consistent");
         assert_eq!(r.body, b"forged data");
-    }
-
-    #[test]
-    fn queue_respects_8k_limit() {
-        let (mut svc, _) = setup();
-        assert!(svc.queue_push("q", &[0u8; 100]).is_ok());
-        assert_eq!(svc.queue_push("q", &vec![0u8; 8192]), Err(AzureError::TooLarge));
-        assert_eq!(svc.queue_pop("q").unwrap().len(), 100);
-        assert!(svc.queue_pop("q").is_none());
-        assert!(svc.queue_pop("missing").is_none());
-    }
-
-    #[test]
-    fn tables_store_and_fetch() {
-        let (mut svc, _) = setup();
-        svc.table_insert("t", "row1", b"v1");
-        assert_eq!(svc.table_get("t", "row1"), Some(&b"v1"[..]));
-        assert_eq!(svc.table_get("t", "row2"), None);
-        assert_eq!(svc.table_get("missing", "row1"), None);
     }
 
     #[test]

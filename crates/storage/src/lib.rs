@@ -9,10 +9,11 @@
 //! * [`rest`] — Table 1's REST request model with `SharedKey` HMAC-SHA256
 //!   signing and `Content-MD5`;
 //! * [`azure`] — Windows Azure storage: account keys, signed requests,
-//!   blobs/tables/queues, stored-MD5-returned-on-GET semantics;
+//!   blobs and Table 1's block upload, stored-MD5-returned-on-GET
+//!   semantics;
 //! * [`aws`] — Amazon S3 + Import/Export: manifest + signature files,
 //!   device shipping on the simulated clock, status emails,
-//!   recomputed-MD5-on-export semantics;
+//!   recomputed-MD5-on-GET semantics;
 //! * [`gae`] — Google App Engine datastore behind a Secure Data Connector
 //!   with fully-populated signed requests and resource rules;
 //! * [`platform`] — one trait over all three for the Figure-5 experiments.

@@ -9,7 +9,7 @@
 //! own integrity metadata agrees with the corrupted data.
 
 use std::collections::HashMap;
-use tpnr_crypto::hash::{DigestCache, HashAlg};
+use tpnr_crypto::hash::HashAlg;
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
 
@@ -154,18 +154,6 @@ impl ObjectStore {
         let sum = obj.stored_checksum.as_ref()?;
         Some(tpnr_crypto::ct::eq(sum, &obj.checksum_alg.hash(&obj.data)))
     }
-
-    /// [`ObjectStore::verify_checksum`] with the data hash memoized on the
-    /// buffer's identity: repeated integrity sweeps over unchanged objects
-    /// hash each object once. Tampering always rewraps into a new
-    /// allocation (or window), so a stale hit is impossible.
-    pub fn verify_checksum_cached(&self, key: &str, cache: &mut DigestCache) -> Option<bool> {
-        let obj = self.objects.get(key)?;
-        let sum = obj.stored_checksum.as_ref()?;
-        let (start, end) = obj.data.range();
-        let digest = cache.hash(obj.checksum_alg, obj.data.backing(), start, end);
-        Some(tpnr_crypto::ct::eq(sum, &digest))
-    }
 }
 
 #[cfg(test)]
@@ -244,27 +232,6 @@ mod tests {
         assert!(rep.checksum_still_consistent);
         assert_eq!(s.verify_checksum("k"), Some(true), "platform sees nothing wrong");
         assert_eq!(s.get("k").unwrap().data, b"forged numbers");
-    }
-
-    #[test]
-    fn cached_checksum_sweep_hashes_once_and_never_vouches_for_tampered_data() {
-        let mut s = ObjectStore::new();
-        let mut cache = DigestCache::new(8);
-        s.put("k", obj(b"stable object"));
-        assert_eq!(s.verify_checksum_cached("k", &mut cache), Some(true));
-        assert_eq!(s.verify_checksum_cached("k", &mut cache), Some(true));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1), "second sweep is a pure lookup");
-        // Every tamper rewraps, so the memoized digest of the old buffer
-        // cannot answer for the new one — the check recomputes and fails.
-        s.tamper("k", &Tamper::BitFlip { offset: 0 }).unwrap();
-        assert_eq!(s.verify_checksum_cached("k", &mut cache), Some(false));
-        assert_eq!(cache.misses(), 2, "tampered object forced a recompute");
-        // Truncate re-windows the shared allocation; the window is part of
-        // the cache key, so it too recomputes.
-        s.put("t", obj(b"0123456789"));
-        assert_eq!(s.verify_checksum_cached("t", &mut cache), Some(true));
-        s.tamper("t", &Tamper::Truncate { len: 4 }).unwrap();
-        assert_eq!(s.verify_checksum_cached("t", &mut cache), Some(false));
     }
 
     #[test]
