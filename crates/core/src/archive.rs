@@ -8,27 +8,55 @@
 //! whole body so storage corruption of the *bundle itself* is detected on
 //! load. Signatures inside stay verbatim, so the arbitrator can re-verify
 //! them against the certified directory after any number of save/load
-//! cycles. Evidence that two records share (the NRO Alice sent and the one
-//! Bob received are one signed object) is stored once: the later record is
-//! a back-reference to the earlier one.
+//! cycles. What records share is stored once: a record whose evidence
+//! repeats an earlier one (the NRO Alice sent and the one Bob received are
+//! one signed object) is a back-reference to it, and one record whose
+//! plaintext shares fields with the first record's (an upload's NRR names
+//! the same parties, transaction, object and hash as its NRO) keeps only
+//! the fields that differ.
 
-use crate::evidence::VerifiedEvidence;
+use crate::evidence::{EvidencePlaintext, Flag, VerifiedEvidence};
+use crate::principal::PrincipalId;
 use crate::session::TxnState;
 use std::collections::{BTreeMap, VecDeque};
-use tpnr_crypto::hash::Digest as _;
+use tpnr_crypto::hash::{Digest as _, HashAlg};
 use tpnr_crypto::sha2::Sha256;
-use tpnr_net::codec::{Reader, Wire, Writer};
+use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
 use tpnr_net::time::{SimDuration, SimTime};
 
-/// Bundle format version. Version 2 added reference entries; nothing
-/// persists a bundle across builds, so no older version is read.
-pub const BUNDLE_VERSION: u16 = 2;
+/// Bundle format version. Version 2 added reference entries and version 3
+/// derived entries; nothing persists a bundle across builds, so no older
+/// version is read.
+pub const BUNDLE_VERSION: u16 = 3;
 /// Magic prefix (`"TPNR"`).
 pub const BUNDLE_MAGIC: [u8; 4] = *b"TPNR";
 
 /// First byte of a reference entry's body. An inline entry's body starts
 /// with its evidence plaintext's flag, and no flag encodes as 0.
 const REFERENCE: u8 = 0;
+/// First byte of a derived entry's body; no flag encodes as it either.
+const DERIVED: u8 = 0xFF;
+
+// A derived entry's field mask. Bit `i` of the low eleven marks the
+// plaintext's `i`-th field, in wire order, as written out; a clear bit
+// copies the field from the base.
+const FLAG: u16 = 1 << 0;
+const SENDER: u16 = 1 << 1;
+const RECIPIENT: u16 = 1 << 2;
+const TTP: u16 = 1 << 3;
+const TXN_ID: u16 = 1 << 4;
+const SEQ: u16 = 1 << 5;
+const NONCE: u16 = 1 << 6;
+const TIME_LIMIT: u16 = 1 << 7;
+const OBJECT: u16 = 1 << 8;
+const HASH_ALG: u16 = 1 << 9;
+const DATA_HASH: u16 = 1 << 10;
+/// Sender and recipient are the base's, swapped: the pair a reply turns
+/// around costs one bit.
+const SWAPPED: u16 = 1 << 11;
+/// Every field written: a plaintext that shares nothing with the base is
+/// saved inline instead.
+const NOTHING_SHARED: u16 = SWAPPED - 1;
 
 /// One archived record: role label + the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +100,12 @@ impl std::fmt::Display for BundleError {
 
 impl std::error::Error for BundleError {}
 
+impl From<CodecError> for BundleError {
+    fn from(_: CodecError) -> Self {
+        BundleError::Malformed
+    }
+}
+
 impl EvidenceBundle {
     /// Empty bundle.
     pub fn new() -> Self {
@@ -90,11 +124,19 @@ impl EvidenceBundle {
 
     /// Serialises: `magic ‖ version ‖ count ‖ entries… ‖ SHA-256(prefix)`.
     ///
-    /// Each entry is its label and then either its evidence (inline) or
-    /// `0 ‖ index` (a reference): the index of an earlier inline entry with
-    /// equal evidence that no earlier reference names. So a bundle without
-    /// repeated evidence is exactly as long as its entries written out, and
-    /// a load decodes each evidence item once for at most two entries.
+    /// Each entry is its label and then one of three bodies, tried in order:
+    /// - a reference `0 ‖ u32 index`, when its evidence equals that of an
+    ///   earlier entry that no earlier reference names;
+    /// - a derived entry `0xFF ‖ u16 mask ‖ fields… ‖ both signatures`,
+    ///   for the first entry after the first whose plaintext shares a field
+    ///   with the first entry's: the mask names the fields written out, and
+    ///   the rest are the first entry's, with sender and recipient swapped
+    ///   if its swap bit is set;
+    /// - its evidence in full (inline).
+    ///
+    /// Each evidence item is thus decoded once for at most two entries, and
+    /// one entry copies fields of one other, so a load's output stays within
+    /// a small multiple of its input.
     pub fn save(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.fixed(&BUNDLE_MAGIC);
@@ -102,12 +144,16 @@ impl EvidenceBundle {
         w.u32(self.entries.len() as u32);
         // Per entry so far: whether a later entry may still reference it.
         let mut referable = Vec::with_capacity(self.entries.len());
+        let mut derived = false;
         for (i, e) in self.entries.iter().enumerate() {
             w.str(&e.label);
             let earlier = (0..i).find(|&j| referable[j] && self.entries[j].evidence == e.evidence);
             if let Some(j) = earlier {
                 referable[j] = false;
                 w.u8(REFERENCE).u32(j as u32);
+            } else if let Some(mask) = derivation(&self.entries[..i], derived, &e.evidence) {
+                derived = true;
+                write_derived(&mut w, mask, &e.evidence);
             } else {
                 e.evidence.encode(&mut w);
             }
@@ -119,7 +165,10 @@ impl EvidenceBundle {
         out
     }
 
-    /// Loads and integrity-checks a saved bundle.
+    /// Loads and integrity-checks a saved bundle. Only the bytes
+    /// [`save`](Self::save) writes load: an entry written in a form `save`
+    /// would not choose for it is [`BundleError::Malformed`], so
+    /// `save(load(x)) == x` for every `x` that loads.
     pub fn load(bytes: &[u8]) -> Result<Self, BundleError> {
         if bytes.len() < 4 + 2 + 4 + 32 {
             return Err(BundleError::Malformed);
@@ -129,36 +178,55 @@ impl EvidenceBundle {
             return Err(BundleError::Corrupted);
         }
         let mut r = Reader::new(body);
-        let magic = r.array::<4>().map_err(|_| BundleError::Malformed)?;
-        if magic != BUNDLE_MAGIC {
+        if r.array::<4>()? != BUNDLE_MAGIC {
             return Err(BundleError::BadMagic);
         }
-        let version = r.u16().map_err(|_| BundleError::Malformed)?;
+        let version = r.u16()?;
         if version != BUNDLE_VERSION {
             return Err(BundleError::BadVersion(version));
         }
-        let count = r.u32().map_err(|_| BundleError::Malformed)? as usize;
+        let count = r.u32()? as usize;
         let mut entries: Vec<BundleEntry> = Vec::with_capacity(count.min(1024));
-        let mut referable = Vec::with_capacity(count.min(1024));
+        let mut referable: Vec<bool> = Vec::with_capacity(count.min(1024));
+        let mut derived = false;
         for _ in 0..count {
-            let label = r.str().map_err(|_| BundleError::Malformed)?;
-            // The next byte is a reference's marker or an inline entry's flag.
-            let reference = body.get(body.len() - r.remaining()) == Some(&REFERENCE);
-            let evidence = if reference {
-                let j = r.u8().and_then(|_| r.u32()).map_err(|_| BundleError::Malformed)? as usize;
-                // Only an earlier inline entry that no reference named yet.
-                match referable.get_mut(j) {
-                    Some(open) if *open => *open = false,
-                    _ => return Err(BundleError::Malformed),
+            let label = r.str()?;
+            // The next byte is a marker or an inline entry's flag.
+            let marker = body.get(body.len() - r.remaining()).copied();
+            let evidence = match marker {
+                Some(REFERENCE) => {
+                    let j = r.u8().and_then(|_| r.u32())? as usize;
+                    // Only an earlier entry that no reference named yet.
+                    match referable.get_mut(j) {
+                        Some(open) if *open => *open = false,
+                        _ => return Err(BundleError::Malformed),
+                    }
+                    entries[j].evidence.clone()
                 }
-                entries[j].evidence.clone()
-            } else {
-                VerifiedEvidence::decode(&mut r).map_err(|_| BundleError::Malformed)?
+                Some(DERIVED) => {
+                    r.u8()?;
+                    let base = &entries.first().ok_or(BundleError::Malformed)?.evidence;
+                    let (mask, evidence) = read_derived(&mut r, &base.plaintext)?;
+                    canonical(derivation(&entries, derived, &evidence) == Some(mask))?;
+                    derived = true;
+                    evidence
+                }
+                _ => {
+                    let evidence = VerifiedEvidence::decode(&mut r)?;
+                    canonical(derivation(&entries, derived, &evidence).is_none())?;
+                    evidence
+                }
             };
+            let reference = marker == Some(REFERENCE);
+            if !reference {
+                // Evidence that repeats an open entry is saved as a reference.
+                let mut earlier = entries.iter().zip(&referable);
+                canonical(!earlier.any(|(e, &open)| open && e.evidence == evidence))?;
+            }
             referable.push(!reference);
             entries.push(BundleEntry { label, evidence });
         }
-        r.expect_end().map_err(|_| BundleError::Malformed)?;
+        r.expect_end()?;
         Ok(EvidenceBundle { entries })
     }
 
@@ -183,6 +251,125 @@ impl EvidenceBundle {
             e.evidence.plaintext.data_hash.len() == e.evidence.plaintext.hash_alg.output_len()
         })
     }
+}
+
+/// `Ok` if an entry is in the form [`EvidenceBundle::save`] chooses for it.
+fn canonical(chosen: bool) -> Result<(), BundleError> {
+    if chosen {
+        Ok(())
+    } else {
+        Err(BundleError::Malformed)
+    }
+}
+
+/// The mask [`EvidenceBundle::save`] writes `ev` with as a derived entry,
+/// given the entries before it, or `None` if `ev` is not derived: the
+/// base is the bundle's first entry, one entry at most derives from it,
+/// and only one that shares a field with it.
+fn derivation(earlier: &[BundleEntry], derived: bool, ev: &VerifiedEvidence) -> Option<u16> {
+    let base = &earlier.first()?.evidence.plaintext;
+    let mask = field_mask(base, &ev.plaintext);
+    (!derived && mask != NOTHING_SHARED).then_some(mask)
+}
+
+/// The fields of `pt` that differ from `base`'s, as a derived entry's mask.
+fn field_mask(base: &EvidencePlaintext, pt: &EvidencePlaintext) -> u16 {
+    let swapped =
+        pt.sender != base.sender && pt.sender == base.recipient && pt.recipient == base.sender;
+    let differs = [
+        (FLAG, pt.flag != base.flag),
+        (SENDER, !swapped && pt.sender != base.sender),
+        (RECIPIENT, !swapped && pt.recipient != base.recipient),
+        (TTP, pt.ttp != base.ttp),
+        (TXN_ID, pt.txn_id != base.txn_id),
+        (SEQ, pt.seq != base.seq),
+        (NONCE, pt.nonce != base.nonce),
+        (TIME_LIMIT, pt.time_limit != base.time_limit),
+        (OBJECT, pt.object != base.object),
+        (HASH_ALG, pt.hash_alg != base.hash_alg),
+        (DATA_HASH, !tpnr_crypto::ct::eq(&pt.data_hash, &base.data_hash)),
+        (SWAPPED, swapped),
+    ];
+    differs.iter().filter(|&&(_, d)| d).fold(0, |mask, &(bit, _)| mask | bit)
+}
+
+/// Writes a derived entry's body: the marker, `mask`, the fields it names
+/// in wire order, and both signatures.
+fn write_derived(w: &mut Writer, mask: u16, ev: &VerifiedEvidence) {
+    let pt = &ev.plaintext;
+    let has = |bit: u16| mask & bit != 0;
+    w.u8(DERIVED).u16(mask);
+    if has(FLAG) {
+        w.u8(pt.flag.wire_id());
+    }
+    if has(SENDER) {
+        w.fixed(&pt.sender.0);
+    }
+    if has(RECIPIENT) {
+        w.fixed(&pt.recipient.0);
+    }
+    if has(TTP) {
+        w.fixed(&pt.ttp.0);
+    }
+    if has(TXN_ID) {
+        w.u64(pt.txn_id);
+    }
+    if has(SEQ) {
+        w.u64(pt.seq);
+    }
+    if has(NONCE) {
+        w.u64(pt.nonce);
+    }
+    if has(TIME_LIMIT) {
+        w.u64(pt.time_limit.0);
+    }
+    if has(OBJECT) {
+        w.bytes(&pt.object);
+    }
+    if has(HASH_ALG) {
+        w.u8(pt.hash_alg.wire_id());
+    }
+    if has(DATA_HASH) {
+        w.bytes(&pt.data_hash);
+    }
+    w.bytes(&ev.sig_data_hash).bytes(&ev.sig_plaintext);
+}
+
+/// Reads a derived entry's body after its marker, over `base`: its mask
+/// and the evidence it rebuilds. Whether `save` would have written that
+/// mask is the caller's check.
+fn read_derived(
+    r: &mut Reader<'_>,
+    base: &EvidencePlaintext,
+) -> Result<(u16, VerifiedEvidence), CodecError> {
+    let mask = r.u16()?;
+    let has = |bit: u16| mask & bit != 0;
+    let (sender, recipient) =
+        if has(SWAPPED) { (base.recipient, base.sender) } else { (base.sender, base.recipient) };
+    // Struct fields evaluate in the order written, which is wire order.
+    let plaintext = EvidencePlaintext {
+        flag: if has(FLAG) { Flag::from_wire_id(r.u8()?)? } else { base.flag },
+        sender: if has(SENDER) { PrincipalId(r.array()?) } else { sender },
+        recipient: if has(RECIPIENT) { PrincipalId(r.array()?) } else { recipient },
+        ttp: if has(TTP) { PrincipalId(r.array()?) } else { base.ttp },
+        txn_id: if has(TXN_ID) { r.u64()? } else { base.txn_id },
+        seq: if has(SEQ) { r.u64()? } else { base.seq },
+        nonce: if has(NONCE) { r.u64()? } else { base.nonce },
+        time_limit: if has(TIME_LIMIT) { SimTime(r.u64()?) } else { base.time_limit },
+        object: if has(OBJECT) { r.bytes()? } else { base.object.clone() },
+        hash_alg: if has(HASH_ALG) {
+            HashAlg::from_wire_id(r.u8()?).ok_or(CodecError::BadDiscriminant("hash alg", 0))?
+        } else {
+            base.hash_alg
+        },
+        data_hash: if has(DATA_HASH) { r.bytes()? } else { base.data_hash.clone() },
+    };
+    // Evidence is made from bytes only by its own decoder, as an inline
+    // entry is (EVIDENCE-CTOR): the plaintext, then the two signatures.
+    let mut w = Writer::new();
+    plaintext.encode(&mut w);
+    w.bytes(&r.bytes()?).bytes(&r.bytes()?);
+    Ok((mask, VerifiedEvidence::from_wire(&w.finish_vec())?))
 }
 
 /// Shard count for the settled-transaction archive. Power of two so the
@@ -391,6 +578,7 @@ mod tests {
     use crate::client::TimeoutStrategy;
     use crate::config::ProtocolConfig;
     use crate::runner::World;
+    use tpnr_net::sim::LinkConfig;
 
     fn settled_world() -> (World, u64, u64) {
         let mut w = World::new(30, ProtocolConfig::full());
@@ -530,22 +718,17 @@ mod tests {
         assert!(bundle.get("no-such-label").is_none());
     }
 
-    /// The bytes [`EvidenceBundle::save`] writes when every entry is
-    /// inline: the header, each label and evidence, and the digest.
-    fn inline_len(b: &EvidenceBundle) -> usize {
-        let entries: usize =
-            b.entries.iter().map(|e| 4 + e.label.len() + e.evidence.to_wire().len()).sum();
-        4 + 2 + 4 + entries + 32
-    }
-
     /// One entry of a hand-built bundle, after its label.
     enum Raw<'a> {
         Inline(&'a VerifiedEvidence),
         Ref(u32),
+        /// A derived entry: its mask, the fields it writes out (encoded by
+        /// the caller), and the evidence whose signatures close it.
+        Derived(u16, Vec<u8>, &'a VerifiedEvidence),
     }
 
     /// A bundle written entry by entry and sealed with a valid digest:
-    /// bytes that pass the integrity check, whatever their references say.
+    /// bytes that pass the integrity check, whatever their entries say.
     fn raw_bundle(entries: &[(&str, Raw<'_>)]) -> Vec<u8> {
         let mut w = Writer::new();
         w.fixed(&BUNDLE_MAGIC).u16(BUNDLE_VERSION).u32(entries.len() as u32);
@@ -555,6 +738,10 @@ mod tests {
                 Raw::Inline(ev) => ev.encode(&mut w),
                 Raw::Ref(j) => {
                     w.u8(REFERENCE).u32(*j);
+                }
+                Raw::Derived(mask, fields, ev) => {
+                    w.u8(DERIVED).u16(*mask).fixed(fields);
+                    w.bytes(&ev.sig_data_hash).bytes(&ev.sig_plaintext);
                 }
             }
         }
@@ -568,6 +755,22 @@ mod tests {
         body
     }
 
+    /// The mask of a reply derived from its request: the flag, nonce and
+    /// time limit are written out (bits 0, 6 and 7), and the parties swap
+    /// (bit 11).
+    const REPLY_MASK: u16 = 0b1000_1100_0001;
+
+    /// A reply derived from the request it answers, its fields written out
+    /// by hand in wire order.
+    fn reply(ev: &VerifiedEvidence) -> Raw<'_> {
+        let mut fields = Writer::new();
+        fields
+            .u8(ev.plaintext.flag.wire_id())
+            .u64(ev.plaintext.nonce)
+            .u64(ev.plaintext.time_limit.0);
+        Raw::Derived(REPLY_MASK, fields.finish_vec(), ev)
+    }
+
     /// Alice's NRO and Bob's NRR for a settled upload.
     fn evidence_pair(w: &World, txn: u64) -> (VerifiedEvidence, VerifiedEvidence) {
         let t = w.client.txn(txn).unwrap();
@@ -575,12 +778,24 @@ mod tests {
     }
 
     #[test]
-    fn a_bundle_without_repeated_evidence_is_saved_inline() {
+    fn a_bundle_without_repeated_evidence_derives_only_its_second_entry() {
+        // No entry repeats another, so none is a reference. The upload's
+        // NRR derives from the first entry, its NRO; the download's NRO
+        // shares fields with it too, but one entry at most derives, so the
+        // download's pair is written in full.
         let (w, up, down) = settled_world();
+        let (up_nro, up_nrr) = evidence_pair(&w, up);
+        let (down_nro, down_nrr) = evidence_pair(&w, down);
         let mut b = EvidenceBundle::from_client_txn(&w.client, up).unwrap();
         b.entries.extend(EvidenceBundle::from_client_txn(&w.client, down).unwrap().entries);
         let x = b.save();
-        assert_eq!(x.len(), inline_len(&b));
+        let expected = raw_bundle(&[
+            ("own-nro", Raw::Inline(&up_nro)),
+            ("peer-nrr", reply(&up_nrr)),
+            ("own-nro", Raw::Inline(&down_nro)),
+            ("peer-nrr", Raw::Inline(&down_nrr)),
+        ]);
+        assert_eq!(x, expected);
         let loaded = EvidenceBundle::load(&x).unwrap();
         assert_eq!(loaded, b);
         assert_eq!(loaded.save(), x);
@@ -590,7 +805,8 @@ mod tests {
     fn repeated_evidence_is_saved_once_and_loads_back_in_order() {
         let (w, up, _) = settled_world();
         let (nro, nrr) = evidence_pair(&w, up);
-        // The bundle the runner archives for an evicted upload.
+        // The bundle the runner archives for an evicted upload: a reference
+        // may name the derived entry.
         let mut b = EvidenceBundle::new();
         b.push("client-nro", nro.clone());
         b.push("client-nrr", nrr.clone());
@@ -599,7 +815,7 @@ mod tests {
         let x = b.save();
         let expected = raw_bundle(&[
             ("client-nro", Raw::Inline(&nro)),
-            ("client-nrr", Raw::Inline(&nrr)),
+            ("client-nrr", reply(&nrr)),
             ("provider-nro", Raw::Ref(0)),
             ("provider-nrr", Raw::Ref(1)),
         ]);
@@ -608,15 +824,19 @@ mod tests {
         assert_eq!(loaded, b);
         assert_eq!(loaded.save(), x);
 
-        // A third copy is inline again: each inline entry is named by at
-        // most one reference.
+        // A third copy is no reference: each entry is named by at most one.
+        // It shares every field with the first entry, so it derives with an
+        // empty mask and keeps only its signatures.
         let mut three = EvidenceBundle::new();
         for label in ["a", "b", "c"] {
             three.push(label, nro.clone());
         }
         let x = three.save();
-        let expected =
-            raw_bundle(&[("a", Raw::Inline(&nro)), ("b", Raw::Ref(0)), ("c", Raw::Inline(&nro))]);
+        let expected = raw_bundle(&[
+            ("a", Raw::Inline(&nro)),
+            ("b", Raw::Ref(0)),
+            ("c", Raw::Derived(0, Vec::new(), &nro)),
+        ]);
         assert_eq!(x, expected);
         let loaded = EvidenceBundle::load(&x).unwrap();
         assert_eq!(loaded, three);
@@ -652,10 +872,192 @@ mod tests {
         assert_eq!(EvidenceBundle::load(&whole).unwrap().entries.len(), 2);
     }
 
+    /// Evidence that shares no plaintext field with `ev`.
+    fn stranger(ev: &VerifiedEvidence) -> VerifiedEvidence {
+        let pt = &ev.plaintext;
+        let other = |id: PrincipalId| PrincipalId(id.0.map(|b| !b));
+        let plaintext = EvidencePlaintext {
+            flag: Flag::ResolveForward,
+            sender: other(pt.sender),
+            recipient: other(pt.recipient),
+            ttp: other(pt.ttp),
+            txn_id: !pt.txn_id,
+            seq: !pt.seq,
+            nonce: !pt.nonce,
+            time_limit: SimTime(!pt.time_limit.0),
+            object: b"elsewhere".to_vec(),
+            hash_alg: HashAlg::Md5,
+            data_hash: vec![9; 16],
+        };
+        VerifiedEvidence { plaintext, ..ev.clone() }
+    }
+
+    #[test]
+    fn every_hostile_or_non_canonical_derived_entry_is_malformed() {
+        let (w, up, _) = settled_world();
+        let (nro, nrr) = evidence_pair(&w, up);
+        let far = stranger(&nro);
+        let (pt, a) = (&nrr.plaintext, || ("a", Raw::Inline(&nro)));
+        // A reply's fields with `flag` for its flag, `mid` spliced in after
+        // it and `tail` after the time limit.
+        let fields = |flag: u8, mid: &[u8], tail: &[u8]| {
+            let mut f = Writer::new();
+            f.u8(flag).fixed(mid).u64(pt.nonce).u64(pt.time_limit.0).fixed(tail);
+            f.finish_vec()
+        };
+        let flag = pt.flag.wire_id();
+        let derived = |mask: u16, fields: Vec<u8>| ("r", Raw::Derived(mask, fields, &nrr));
+        let parties = [pt.sender.0, pt.recipient.0].concat();
+        let unswapped = REPLY_MASK - SWAPPED + SENDER + RECIPIENT;
+        let hostile: Vec<(&str, Vec<(&str, Raw<'_>)>)> = vec![
+            (
+                "an undefined mask bit",
+                vec![a(), derived(REPLY_MASK | 1 << 12, fields(flag, &[], &[]))],
+            ),
+            ("a derived first entry", vec![("r", Raw::Derived(0, Vec::new(), &nro))]),
+            ("an unknown flag id", vec![a(), derived(REPLY_MASK, fields(99, &[], &[]))]),
+            (
+                "an unknown hash id",
+                vec![a(), derived(REPLY_MASK | HASH_ALG, fields(flag, &[], &[99]))],
+            ),
+            (
+                "a second entry derived from the base",
+                vec![
+                    a(),
+                    ("b", Raw::Ref(0)),
+                    ("r", reply(&nrr)),
+                    ("c", Raw::Derived(0, Vec::new(), &nro)),
+                ],
+            ),
+            (
+                "a field equal to the base's",
+                vec![a(), derived(REPLY_MASK | TTP, fields(flag, &pt.ttp.0, &[]))],
+            ),
+            (
+                "swapped parties written out",
+                vec![a(), derived(unswapped, fields(flag, &parties, &[]))],
+            ),
+            (
+                "the swap bit and a sender",
+                vec![a(), derived(REPLY_MASK | SENDER, fields(flag, &pt.sender.0, &[]))],
+            ),
+            (
+                "nothing shared",
+                vec![a(), ("r", Raw::Derived(NOTHING_SHARED, far.plaintext.to_wire(), &far))],
+            ),
+            ("a copy of an open entry", vec![a(), ("r", Raw::Derived(0, Vec::new(), &nro))]),
+            ("an inline entry save would derive", vec![a(), ("r", Raw::Inline(&nrr))]),
+            (
+                "an inline copy of an open derived entry",
+                vec![a(), ("r", reply(&nrr)), ("s", Raw::Inline(&nrr))],
+            ),
+        ];
+        for (case, entries) in &hostile {
+            assert_eq!(
+                EvidenceBundle::load(&raw_bundle(entries)),
+                Err(BundleError::Malformed),
+                "{case}"
+            );
+        }
+        // What save writes for the same evidence loads.
+        for ok in [vec![a(), ("r", reply(&nrr))], vec![a(), ("r", Raw::Inline(&far))]] {
+            let x = raw_bundle(&ok);
+            assert_eq!(EvidenceBundle::load(&x).unwrap().save(), x);
+        }
+        // Truncated anywhere in the derived entry: signatures, fields, mask
+        // or marker.
+        let whole = raw_bundle(&[a(), ("r", reply(&nrr))]);
+        let body = &whole[..whole.len() - 32];
+        let sigs = 4 + nrr.sig_data_hash.len() + 4 + nrr.sig_plaintext.len();
+        for cut in 1..=1 + 2 + 17 + sigs {
+            let short = sealed(body[..body.len() - cut].to_vec());
+            assert_eq!(EvidenceBundle::load(&short), Err(BundleError::Malformed), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn a_one_mib_object_is_copied_by_one_derived_entry_at_most() {
+        // A derived entry with an empty mask copies the base's 1 MiB object
+        // for three bytes beyond its label and signatures. One may, once the
+        // base is no longer open to a reference; a second from the same base
+        // is refused, so hostile bytes still expand only to a bounded
+        // multiple of their length.
+        let (w, up, _) = settled_world();
+        let (mut big, _) = evidence_pair(&w, up);
+        big.plaintext.object = vec![7; 1 << 20];
+        let copy = || ("c", Raw::Derived(0, Vec::new(), &big));
+        let mut entries = vec![("base", Raw::Inline(&big)), ("r", Raw::Ref(0)), copy()];
+        assert_eq!(EvidenceBundle::load(&raw_bundle(&entries)).unwrap().entries.len(), 3);
+        entries.extend((0..1000).map(|_| copy()));
+        assert_eq!(EvidenceBundle::load(&raw_bundle(&entries)), Err(BundleError::Malformed));
+    }
+
+    /// One settled transaction of each kind, evicted: an upload, a
+    /// download, an upload Bob aborts, and one the TTP completes while
+    /// Bob's receipt is held up. Returns the world and the four txn ids.
+    fn one_of_each_kind_evicted() -> (World, [(&'static str, u64); 4]) {
+        let mut w = World::new(5, ProtocolConfig::full());
+        w.set_archive_capacity(1);
+        let up = w.upload(b"k-up", vec![1; 32], TimeoutStrategy::AbortFirst);
+        let down = w.download(b"k-up", TimeoutStrategy::AbortFirst);
+        assert!(up.completed() && down.completed());
+        w.provider.behavior.respond_transfers = false;
+        let aborted = w.upload(b"k-aborted", vec![2; 32], TimeoutStrategy::AbortFirst);
+        assert_eq!(aborted.outcome, TxnState::Aborted);
+        w.provider.behavior.respond_transfers = true;
+        let (a, b) = (w.alice_node, w.bob_node);
+        w.net_mut().set_link(b, a, LinkConfig::ideal(SimDuration::from_secs(90)));
+        let resolved = w.upload(b"k-resolved", vec![3; 32], TimeoutStrategy::ResolveImmediately);
+        assert!(resolved.completed() && resolved.report.ttp_used);
+        w.settle();
+        w.net_mut().set_link(b, a, LinkConfig::default());
+        let kinds = [
+            ("upload", up.txn_id),
+            ("download", down.txn_id),
+            ("aborted", aborted.txn_id),
+            ("resolved", resolved.txn_id),
+        ];
+        for i in 0..100u8 {
+            if kinds.iter().all(|&(_, t)| w.archive.get(t).is_some()) {
+                return (w, kinds);
+            }
+            assert!(w.upload(&[b'f', i], vec![i; 32], TimeoutStrategy::AbortFirst).completed());
+        }
+        panic!("100 more uploads did not evict all four");
+    }
+
+    #[test]
+    fn every_kind_of_transaction_round_trips_and_reverifies() {
+        let cfg = ProtocolConfig::full();
+        let (w, kinds) = one_of_each_kind_evicted();
+        let check = |b: &EvidenceBundle, kind: &str| {
+            let x = b.save();
+            let loaded = EvidenceBundle::load(&x).unwrap();
+            assert_eq!(&loaded, b, "{kind}");
+            assert_eq!(loaded.save(), x, "{kind}");
+            for e in &loaded.entries {
+                let pk = w.dir.lookup(&e.evidence.plaintext.sender).unwrap();
+                let verdict = e.evidence.reverify(&cfg, pk);
+                assert!(verdict.is_ok(), "{kind} {}: {verdict:?}", e.label);
+            }
+        };
+        // Each archived bundle, and all of their entries in one bundle.
+        let mut all = EvidenceBundle::new();
+        for (kind, txn) in kinds {
+            let b = w.rehydrate_evidence(txn).unwrap();
+            assert!(b.entries.len() >= 3, "{kind}: {} entries", b.entries.len());
+            check(&b, kind);
+            all.entries.extend(b.entries);
+        }
+        check(&all, "all four");
+    }
+
     #[test]
     fn an_evicted_aborted_upload_keeps_both_nros_inline() {
         // Bob ignores the transfer and accepts the abort: his NRO is
         // Alice's abort request, not her upload NRO, and he signed no NRR.
+        // His abort acknowledgement, the client's NRR, derives from the
+        // upload NRO; the abort request is then written in full.
         let mut w = World::new(5, ProtocolConfig::full());
         w.set_archive_capacity(1);
         w.provider.behavior.respond_transfers = false;
@@ -667,17 +1069,26 @@ mod tests {
         }
         let b = w.rehydrate_evidence(aborted.txn_id).expect("the aborted upload was evicted");
         let client_nro = b.get("client-nro").unwrap();
+        let client_nrr = b.get("client-nrr").unwrap();
         let provider_nro = b.get("provider-nro").unwrap();
-        assert_eq!(provider_nro.plaintext.flag, crate::evidence::Flag::AbortRequest);
+        assert_eq!(client_nrr.plaintext.flag, Flag::AbortResponse);
+        assert_eq!(provider_nro.plaintext.flag, Flag::AbortRequest);
         assert_ne!(client_nro, provider_nro);
-        assert_eq!(w.archive.get(aborted.txn_id).unwrap().len, inline_len(&b));
+        let expected = raw_bundle(&[
+            ("client-nro", Raw::Inline(client_nro)),
+            ("client-nrr", reply(client_nrr)),
+            ("provider-nro", Raw::Inline(provider_nro)),
+        ]);
+        assert_eq!(b.save(), expected);
+        assert_eq!(w.archive.get(aborted.txn_id).unwrap().len, expected.len());
     }
 
     #[test]
-    fn an_evicted_upload_archives_under_760_bytes() {
+    fn an_evicted_upload_archives_under_600_bytes() {
         // The client's and the provider's copies of the NRO and the NRR
-        // are one item each: stored twice, an evicted 256 B upload's
-        // bundle takes over 1.3 KB.
+        // are one item each, and the NRR keeps only the fields that differ
+        // from the NRO: an evicted 256 B upload's bundle took over 1.3 KB
+        // with every copy stored, and 728 B with the NRR in full.
         let mut w = World::new(7, ProtocolConfig::full());
         w.set_archive_capacity(1);
         for i in 0..48u8 {
@@ -686,6 +1097,6 @@ mod tests {
         let stats = w.archive_stats();
         assert!(stats.evicted >= 16, "eviction engaged: {stats:?}");
         let per_txn = stats.log_bytes / stats.evicted;
-        assert!(per_txn <= 760, "{per_txn} B archived per evicted upload");
+        assert!(per_txn <= 600, "{per_txn} B archived per evicted upload");
     }
 }

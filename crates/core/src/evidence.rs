@@ -47,7 +47,7 @@ pub enum Flag {
 }
 
 impl Flag {
-    fn wire_id(self) -> u8 {
+    pub(crate) fn wire_id(self) -> u8 {
         match self {
             Flag::UploadRequest => 1,
             Flag::UploadReceipt => 2,
@@ -61,7 +61,7 @@ impl Flag {
         }
     }
 
-    fn from_wire_id(v: u8) -> Result<Self, CodecError> {
+    pub(crate) fn from_wire_id(v: u8) -> Result<Self, CodecError> {
         Ok(match v {
             1 => Flag::UploadRequest,
             2 => Flag::UploadReceipt,
@@ -121,6 +121,10 @@ impl Wire for EvidencePlaintext {
         w.bytes(&self.data_hash);
     }
 
+    fn encoded_len(&self) -> usize {
+        1 + 3 * 32 + 4 * 8 + 4 + self.object.len() + 1 + 4 + self.data_hash.len()
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(EvidencePlaintext {
             flag: Flag::from_wire_id(r.u8()?)?,
@@ -157,6 +161,9 @@ impl Wire for SealedEvidence {
     fn encode(&self, w: &mut Writer) {
         w.bytes(&self.sealed);
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.sealed.len()
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SealedEvidence { sealed: r.bytes()? })
     }
@@ -179,6 +186,9 @@ impl Wire for VerifiedEvidence {
         self.plaintext.encode(w);
         w.bytes(&self.sig_data_hash);
         w.bytes(&self.sig_plaintext);
+    }
+    fn encoded_len(&self) -> usize {
+        self.plaintext.encoded_len() + 4 + self.sig_data_hash.len() + 4 + self.sig_plaintext.len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(VerifiedEvidence {
@@ -228,7 +238,7 @@ pub fn sign_pair(
     sender: &Principal,
     plaintext: &EvidencePlaintext,
 ) -> Result<(Vec<u8>, Vec<u8>), EvidenceError> {
-    if !matches!(cfg.ablation, Ablation::NoSignatures) {
+    if cfg.ablation != Ablation::NoSignatures {
         let s1 = sender
             .keys
             .private
@@ -256,7 +266,7 @@ pub fn seal_signatures(
     sig_data_hash: &[u8],
     sig_plaintext: &[u8],
 ) -> Result<SealedEvidence, EvidenceError> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(4 + sig_data_hash.len() + 4 + sig_plaintext.len());
     w.bytes(sig_data_hash);
     w.bytes(sig_plaintext);
     let body = w.finish_vec();
@@ -327,7 +337,7 @@ pub fn verify_signatures(
     sig_plaintext: &[u8],
 ) -> Result<(), EvidenceError> {
     let pt_digest = plaintext.digest();
-    if !matches!(cfg.ablation, Ablation::NoSignatures) {
+    if cfg.ablation != Ablation::NoSignatures {
         sender_pk
             .verify_prehashed(plaintext.hash_alg, &plaintext.data_hash, sig_data_hash)
             .map_err(|_| EvidenceError::BadSignature)?;

@@ -233,6 +233,29 @@ impl Wire for Message {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        // The variant tag, then each variant's fields as `encode` writes them.
+        1 + match self {
+            Message::Transfer { plaintext, data, evidence }
+            | Message::Receipt { plaintext, data, evidence } => {
+                plaintext.encoded_len() + 4 + data.len() + evidence.encoded_len()
+            }
+            Message::Abort { plaintext, evidence } => {
+                plaintext.encoded_len() + evidence.encoded_len()
+            }
+            Message::AbortReply { plaintext, evidence, .. } => {
+                1 + plaintext.encoded_len() + evidence.encoded_len()
+            }
+            Message::Resolve { plaintext, nro, report } => {
+                plaintext.encoded_len() + nro.encoded_len() + 4 + report.len()
+            }
+            Message::ResolveForward { plaintext, .. } => plaintext.encoded_len() + 8,
+            Message::ResolveReply { plaintext, evidence, .. } => {
+                1 + plaintext.encoded_len() + 1 + evidence.as_ref().map_or(0, Wire::encoded_len)
+            }
+        }
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8()? {
             1 => Message::Transfer {
@@ -351,6 +374,10 @@ mod tests {
             let dec = Message::from_wire(&enc).unwrap();
             assert_eq!(dec, m, "{}", m.kind());
             assert_eq!(dec.to_wire(), enc, "canonical: {}", m.kind());
+            // The buffer is sized once, exactly: no growth, no slack.
+            assert_eq!(m.encoded_len(), enc.len(), "encoded_len: {}", m.kind());
+            let frame = m.to_wire_bytes();
+            assert_eq!(frame.backing().capacity(), frame.len(), "spare capacity: {}", m.kind());
         }
     }
 

@@ -40,6 +40,9 @@ impl Wire for Payload {
         w.bytes(&self.key);
         w.bytes(&self.data);
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.key.len() + 4 + self.data.len()
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Payload { key: r.bytes()?, data: r.bytes_shared()? })
     }

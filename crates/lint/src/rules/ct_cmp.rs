@@ -8,10 +8,11 @@
 //! (public information). The heuristic: a comparison fires when either
 //! operand mentions an identifier that names a digest, MAC, or signature
 //! — unless the operand is a length query (`len()` / `output_len()` are
-//! public) or names an algorithm selector (`hash_alg` is an enum tag,
-//! not a secret).
+//! public), names an algorithm selector (`hash_alg` is an enum tag, not a
+//! secret), or the name is the variant of a `Type::Variant` path
+//! (`Ablation::NoSignatures` is an enum tag too).
 
-use crate::lexer::TokKind;
+use crate::lexer::{TokKind, Token};
 use crate::{FileCtx, Finding};
 
 pub const ID: &str = "CT-CMP";
@@ -75,7 +76,8 @@ fn collect_left(toks: &[crate::lexer::Token], i: usize) -> Vec<String> {
                     break; // unbalanced: give up on this operand
                 }
             }
-            TokKind::Ident(s) => idents.push(s.clone()),
+            TokKind::Ident(s) if !is_variant(toks, j) => idents.push(s.clone()),
+            TokKind::Ident(_) => {}
             TokKind::Punct(p) if *p == "." || *p == "::" || *p == "&" || *p == "*" || *p == "?" => {
             }
             TokKind::Int | TokKind::Float | TokKind::Lit => {}
@@ -107,7 +109,8 @@ fn collect_right(toks: &[crate::lexer::Token], i: usize) -> Vec<String> {
                     }
                 }
             }
-            TokKind::Ident(s) => idents.push(s.clone()),
+            TokKind::Ident(s) if !is_variant(toks, j) => idents.push(s.clone()),
+            TokKind::Ident(_) => {}
             TokKind::Punct(p) if *p == "." || *p == "::" || *p == "&" || *p == "*" || *p == "?" => {
             }
             TokKind::Int | TokKind::Float | TokKind::Lit => {}
@@ -116,6 +119,17 @@ fn collect_right(toks: &[crate::lexer::Token], i: usize) -> Vec<String> {
         j += 1;
     }
     idents
+}
+
+/// Is the identifier at `j` the variant of a `Type::Variant` path? Both
+/// segments must be CamelCase, so an associated `Type::DIGEST` constant,
+/// which may hold bytes, is still checked.
+fn is_variant(toks: &[Token], j: usize) -> bool {
+    let camel = |t: &Token| {
+        t.ident()
+            .is_some_and(|s| s.starts_with(char::is_uppercase) && s.contains(char::is_lowercase))
+    };
+    j >= 2 && camel(&toks[j]) && toks[j - 1].is_punct("::") && camel(&toks[j - 2])
 }
 
 /// If the operand is sensitive, return the identifier that makes it so.
@@ -193,6 +207,19 @@ mod tests {
     fn silent_on_hash_alg_enum_tag() {
         let hits = run_rule(check, PATH, "fn f() { if up.hash_alg != down.hash_alg {} }");
         assert!(hits.is_empty());
+    }
+
+    #[test]
+    fn silent_on_an_enum_variant_path_but_not_on_a_signature() {
+        let tag = "fn f() { if cfg.ablation != Ablation::NoSignatures {} }";
+        assert!(run_rule(check, PATH, tag).is_empty());
+        let flipped = "fn f() { if crate::config::Ablation::NoSignatures == cfg.ablation {} }";
+        assert!(run_rule(check, PATH, flipped).is_empty());
+        // The exemption covers the variant, not the other operand or a constant.
+        assert_eq!(run_rule(check, PATH, "fn f() { if sig_plaintext != expected {} }").len(), 1);
+        let mixed = "fn f() { if sig_plaintext != Ablation::NoSignatures {} }";
+        assert_eq!(run_rule(check, PATH, mixed).len(), 1);
+        assert_eq!(run_rule(check, PATH, "fn f() { if x == Sha256::EMPTY_DIGEST {} }").len(), 1);
     }
 
     #[test]

@@ -53,6 +53,12 @@ impl Writer {
         Self::default()
     }
 
+    /// Empty writer with room for `capacity` bytes, so an encoding whose
+    /// length is known up front takes one allocation.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer { buf: Vec::with_capacity(capacity) }
+    }
+
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -252,9 +258,10 @@ const READ_CHUNK: usize = 64 << 10;
 /// then its wire form) — the stream framing the real-socket transport
 /// uses, with the same [`MAX_FIELD_LEN`] sanity bound as in-memory
 /// decoding. The prefix is reserved in the frame's own buffer and patched
-/// once the length is known, so the frame leaves in one `write_all`.
+/// once the length is known, so the frame leaves in one `write_all`, and
+/// the buffer is sized by [`Wire::encoded_len`] up front.
 pub fn write_frame(w: &mut impl std::io::Write, value: &impl Wire) -> std::io::Result<()> {
-    let mut out = Writer::new();
+    let mut out = Writer::with_capacity(4 + value.encoded_len());
     out.u32(0);
     value.encode(&mut out);
     let mut frame = out.finish();
@@ -291,11 +298,17 @@ pub trait Wire: Sized {
     /// Parses one value from `r`.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
+    /// The length of this value's wire form, which sizes the buffer it is
+    /// encoded into. A type that implements it must return exactly what
+    /// [`Wire::encode`] writes; the default, 0, reserves nothing, and the
+    /// buffer grows as it is written.
+    fn encoded_len(&self) -> usize {
+        0
+    }
+
     /// Encodes to a standalone buffer.
     fn to_wire(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.finish_vec()
+        encode_sized(self).finish_vec()
     }
 
     /// Decodes from a complete buffer (trailing bytes are an error).
@@ -308,9 +321,7 @@ pub trait Wire: Sized {
 
     /// Encodes into a shared immutable buffer (pure move, no extra copy).
     fn to_wire_bytes(&self) -> Bytes {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.finish_bytes()
+        encode_sized(self).finish_bytes()
     }
 
     /// Decodes from a shared buffer; fields read via
@@ -322,6 +333,16 @@ pub trait Wire: Sized {
         r.expect_end()?;
         Ok(v)
     }
+}
+
+/// A writer holding `value`'s encoding, allocated once at its
+/// [`Wire::encoded_len`].
+fn encode_sized(value: &impl Wire) -> Writer {
+    let len = value.encoded_len();
+    let mut w = Writer::with_capacity(len);
+    value.encode(&mut w);
+    debug_assert!(len == 0 || w.buf.len() == len, "encoded_len {len}, encoded {}", w.buf.len());
+    w
 }
 
 #[cfg(test)]

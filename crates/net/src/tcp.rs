@@ -53,6 +53,10 @@ impl Wire for Envelope {
         w.bytes(&self.payload);
     }
 
+    fn encoded_len(&self) -> usize {
+        4 + 4 + 1 + 8 + 4 + self.payload.len()
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let src = NodeId(r.u32()?);
         let dst = NodeId(r.u32()?);

@@ -82,15 +82,12 @@ pub struct StatusEmail {
     pub log_location: String,
 }
 
-/// Outcome of an import job.
+/// Outcome of an import job. A job that fails validation gets no email:
+/// the import returns an [`AwsError`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Everything validated and completed.
     Completed,
-    /// Manifest/signature validation failed.
-    ValidationFailed,
-    /// Referenced data or device was missing.
-    NotFound,
 }
 
 /// Errors from the AWS service model.
