@@ -44,11 +44,17 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-# The allocation budgets differ per profile, and the run above has debug
-# assertions on, so only the release budgets are left to gate here.
+# The allocation budgets may differ per profile, and the run above has
+# debug assertions on, so the release budgets are gated here. The crypto
+# crate's own tests run in release too: the hashes, the HMAC and the
+# envelope build on wrapping arithmetic and fixed-size stack buffers that
+# the debug run only exercises with overflow checks and debug assertions
+# on.
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo test --release -p tpnr-core --test alloc_budget"
     cargo test --release -q -p tpnr-core --test alloc_budget
+    echo "==> cargo test --release -p tpnr-crypto"
+    cargo test --release -q -p tpnr-crypto
 fi
 
 # perfbench/ is a workspace of its own (own lockfile, profile and target

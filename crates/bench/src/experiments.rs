@@ -109,10 +109,10 @@ pub fn e1_vulnerability_matrix(seed: u64) -> Vec<E1Row> {
             let case = tpnr_core::arbiter::DisputeCase {
                 claimant: Some(w.client.id()),
                 respondent: Some(w.provider.id()),
-                upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()),
-                download_nrr: w.client.txn(down.txn_id).and_then(|t| t.nrr.clone()),
-                upload_nro: w.provider.txn(up.txn_id).map(|t| t.nro.clone()),
-                download_nro: w.provider.txn(down.txn_id).map(|t| t.nro.clone()),
+                upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr().ok().flatten()),
+                download_nrr: w.client.txn(down.txn_id).and_then(|t| t.nrr().ok().flatten()),
+                upload_nro: w.provider.txn(up.txn_id).and_then(|t| t.nro().ok()),
+                download_nro: w.provider.txn(down.txn_id).and_then(|t| t.nro().ok()),
             };
             arb.judge(&case)
         };

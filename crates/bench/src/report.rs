@@ -889,7 +889,7 @@ mod tests {
                 kind: EventKind::Rejected {
                     from: alice,
                     msg: "Transfer",
-                    error: ValidationError::StaleSequence { last: 2, got: 1 },
+                    error: Box::new(ValidationError::StaleSequence { last: 2, got: 1 }),
                 },
             },
             Event {

@@ -308,10 +308,10 @@ mod tests {
         DisputeCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
-            upload_nrr: w.client.txn(up).and_then(|t| t.nrr.clone()),
-            download_nrr: w.client.txn(down).and_then(|t| t.nrr.clone()),
-            upload_nro: w.provider.txn(up).map(|t| t.nro.clone()),
-            download_nro: w.provider.txn(down).map(|t| t.nro.clone()),
+            upload_nrr: w.client.txn(up).and_then(|t| t.nrr().unwrap()),
+            download_nrr: w.client.txn(down).and_then(|t| t.nrr().unwrap()),
+            upload_nro: w.provider.txn(up).map(|t| t.nro().unwrap()),
+            download_nro: w.provider.txn(down).map(|t| t.nro().unwrap()),
         }
     }
 
@@ -400,8 +400,8 @@ mod tests {
         let case = DisputeCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
-            upload_nrr: w.client.txn(up_a.txn_id).and_then(|t| t.nrr.clone()),
-            download_nrr: w.client.txn(down_b.txn_id).and_then(|t| t.nrr.clone()),
+            upload_nrr: w.client.txn(up_a.txn_id).and_then(|t| t.nrr().unwrap()),
+            download_nrr: w.client.txn(down_b.txn_id).and_then(|t| t.nrr().unwrap()),
             ..Default::default()
         };
         assert_eq!(arb.judge(&case), Verdict::Inconclusive);
@@ -416,7 +416,7 @@ mod tests {
         let case = LossCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
-            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()),
+            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()),
             ttp_failure: None,
             produced_payload: None,
         };
@@ -437,7 +437,7 @@ mod tests {
         let case = LossCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
-            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()),
+            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()),
             ttp_failure: None,
             produced_payload: Some(payload.to_wire()),
         };
@@ -458,7 +458,7 @@ mod tests {
         let case = LossCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
-            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()),
+            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()),
             ttp_failure: None,
             produced_payload: Some(payload.to_wire()),
         };
@@ -482,7 +482,7 @@ mod tests {
         let mut w = World::new(5, ProtocolConfig::full());
         let up = w.upload(b"ledger", b"archived data".to_vec(), TimeoutStrategy::AbortFirst);
         let arb = arbitrator(&w);
-        let mut nrr = w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()).unwrap();
+        let mut nrr = w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()).unwrap();
         nrr.plaintext.data_hash[0] ^= 1;
         let case = LossCase {
             claimant: Some(w.client.id()),
@@ -494,8 +494,8 @@ mod tests {
         assert_eq!(arb.judge_loss(&case), Verdict::ForgedEvidence { by_claimant: true });
 
         // A "TTP statement" actually fabricated by Alice fails reverify.
-        let good_nrr = w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()).unwrap();
-        let fake_ttp = w.client.txn(up.txn_id).unwrap().nro.clone();
+        let good_nrr = w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()).unwrap();
+        let fake_ttp = w.client.txn(up.txn_id).unwrap().nro().unwrap();
         let case = LossCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
@@ -541,7 +541,7 @@ mod tests {
         let base = LossCase {
             claimant: Some(w.client.id()),
             respondent: Some(w.provider.id()),
-            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()),
+            upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()),
             ttp_failure: None,
             produced_payload: Some(honest.to_wire()),
         };
@@ -641,7 +641,7 @@ mod tests {
         let arb = arbitrator(&w);
         let mut case = full_case(&w, up, down);
         // Claimant presents her own NRO dressed up as Bob's receipt.
-        let own = w.client.txn(up).unwrap().nro.clone();
+        let own = w.client.txn(up).unwrap().nro().unwrap();
         case.upload_nrr = Some(VerifiedEvidence {
             plaintext: crate::evidence::EvidencePlaintext {
                 flag: Flag::UploadReceipt,

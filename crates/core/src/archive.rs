@@ -15,11 +15,10 @@
 //! the same parties, transaction, object and hash as its NRO) keeps only
 //! the fields that differ.
 
-use crate::evidence::{EvidencePlaintext, Flag, VerifiedEvidence};
-use crate::principal::PrincipalId;
+use crate::evidence::{field_mask, read_derived, write_derived, VerifiedEvidence, NOTHING_SHARED};
 use crate::session::TxnState;
 use std::collections::{BTreeMap, VecDeque};
-use tpnr_crypto::hash::{Digest as _, HashAlg};
+use tpnr_crypto::hash::Digest as _;
 use tpnr_crypto::sha2::Sha256;
 use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
 use tpnr_net::time::{SimDuration, SimTime};
@@ -34,29 +33,9 @@ pub const BUNDLE_MAGIC: [u8; 4] = *b"TPNR";
 /// First byte of a reference entry's body. An inline entry's body starts
 /// with its evidence plaintext's flag, and no flag encodes as 0.
 const REFERENCE: u8 = 0;
-/// First byte of a derived entry's body; no flag encodes as it either.
+/// First byte of a derived entry's body, before the entry
+/// (`evidence::write_derived`) itself; no flag encodes as it either.
 const DERIVED: u8 = 0xFF;
-
-// A derived entry's field mask. Bit `i` of the low eleven marks the
-// plaintext's `i`-th field, in wire order, as written out; a clear bit
-// copies the field from the base.
-const FLAG: u16 = 1 << 0;
-const SENDER: u16 = 1 << 1;
-const RECIPIENT: u16 = 1 << 2;
-const TTP: u16 = 1 << 3;
-const TXN_ID: u16 = 1 << 4;
-const SEQ: u16 = 1 << 5;
-const NONCE: u16 = 1 << 6;
-const TIME_LIMIT: u16 = 1 << 7;
-const OBJECT: u16 = 1 << 8;
-const HASH_ALG: u16 = 1 << 9;
-const DATA_HASH: u16 = 1 << 10;
-/// Sender and recipient are the base's, swapped: the pair a reply turns
-/// around costs one bit.
-const SWAPPED: u16 = 1 << 11;
-/// Every field written: a plaintext that shares nothing with the base is
-/// saved inline instead.
-const NOTHING_SHARED: u16 = SWAPPED - 1;
 
 /// One archived record: role label + the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,6 +132,7 @@ impl EvidenceBundle {
                 w.u8(REFERENCE).u32(j as u32);
             } else if let Some(mask) = derivation(&self.entries[..i], derived, &e.evidence) {
                 derived = true;
+                w.u8(DERIVED);
                 write_derived(&mut w, mask, &e.evidence);
             } else {
                 e.evidence.encode(&mut w);
@@ -231,13 +211,14 @@ impl EvidenceBundle {
     }
 
     /// Convenience: snapshots everything a client holds for a transaction
-    /// (its own NRO plus the counterparty NRR if received).
+    /// (its own NRO plus the counterparty NRR if received); `None` if the
+    /// client holds no record of it, or one that does not decode.
     pub fn from_client_txn(client: &crate::client::Client, txn_id: u64) -> Option<Self> {
-        let txn = client.txn(txn_id)?;
+        let (nro, nrr) = client.txn(txn_id)?.evidence().ok()?;
         let mut b = Self::new();
-        b.push("own-nro", txn.nro.clone());
-        if let Some(nrr) = &txn.nrr {
-            b.push("peer-nrr", nrr.clone());
+        b.push("own-nro", nro);
+        if let Some(nrr) = nrr {
+            b.push("peer-nrr", nrr);
         }
         Some(b)
     }
@@ -270,106 +251,6 @@ fn derivation(earlier: &[BundleEntry], derived: bool, ev: &VerifiedEvidence) -> 
     let base = &earlier.first()?.evidence.plaintext;
     let mask = field_mask(base, &ev.plaintext);
     (!derived && mask != NOTHING_SHARED).then_some(mask)
-}
-
-/// The fields of `pt` that differ from `base`'s, as a derived entry's mask.
-fn field_mask(base: &EvidencePlaintext, pt: &EvidencePlaintext) -> u16 {
-    let swapped =
-        pt.sender != base.sender && pt.sender == base.recipient && pt.recipient == base.sender;
-    let differs = [
-        (FLAG, pt.flag != base.flag),
-        (SENDER, !swapped && pt.sender != base.sender),
-        (RECIPIENT, !swapped && pt.recipient != base.recipient),
-        (TTP, pt.ttp != base.ttp),
-        (TXN_ID, pt.txn_id != base.txn_id),
-        (SEQ, pt.seq != base.seq),
-        (NONCE, pt.nonce != base.nonce),
-        (TIME_LIMIT, pt.time_limit != base.time_limit),
-        (OBJECT, pt.object != base.object),
-        (HASH_ALG, pt.hash_alg != base.hash_alg),
-        (DATA_HASH, !tpnr_crypto::ct::eq(&pt.data_hash, &base.data_hash)),
-        (SWAPPED, swapped),
-    ];
-    differs.iter().filter(|&&(_, d)| d).fold(0, |mask, &(bit, _)| mask | bit)
-}
-
-/// Writes a derived entry's body: the marker, `mask`, the fields it names
-/// in wire order, and both signatures.
-fn write_derived(w: &mut Writer, mask: u16, ev: &VerifiedEvidence) {
-    let pt = &ev.plaintext;
-    let has = |bit: u16| mask & bit != 0;
-    w.u8(DERIVED).u16(mask);
-    if has(FLAG) {
-        w.u8(pt.flag.wire_id());
-    }
-    if has(SENDER) {
-        w.fixed(&pt.sender.0);
-    }
-    if has(RECIPIENT) {
-        w.fixed(&pt.recipient.0);
-    }
-    if has(TTP) {
-        w.fixed(&pt.ttp.0);
-    }
-    if has(TXN_ID) {
-        w.u64(pt.txn_id);
-    }
-    if has(SEQ) {
-        w.u64(pt.seq);
-    }
-    if has(NONCE) {
-        w.u64(pt.nonce);
-    }
-    if has(TIME_LIMIT) {
-        w.u64(pt.time_limit.0);
-    }
-    if has(OBJECT) {
-        w.bytes(&pt.object);
-    }
-    if has(HASH_ALG) {
-        w.u8(pt.hash_alg.wire_id());
-    }
-    if has(DATA_HASH) {
-        w.bytes(&pt.data_hash);
-    }
-    w.bytes(&ev.sig_data_hash).bytes(&ev.sig_plaintext);
-}
-
-/// Reads a derived entry's body after its marker, over `base`: its mask
-/// and the evidence it rebuilds. Whether `save` would have written that
-/// mask is the caller's check.
-fn read_derived(
-    r: &mut Reader<'_>,
-    base: &EvidencePlaintext,
-) -> Result<(u16, VerifiedEvidence), CodecError> {
-    let mask = r.u16()?;
-    let has = |bit: u16| mask & bit != 0;
-    let (sender, recipient) =
-        if has(SWAPPED) { (base.recipient, base.sender) } else { (base.sender, base.recipient) };
-    // Struct fields evaluate in the order written, which is wire order.
-    let plaintext = EvidencePlaintext {
-        flag: if has(FLAG) { Flag::from_wire_id(r.u8()?)? } else { base.flag },
-        sender: if has(SENDER) { PrincipalId(r.array()?) } else { sender },
-        recipient: if has(RECIPIENT) { PrincipalId(r.array()?) } else { recipient },
-        ttp: if has(TTP) { PrincipalId(r.array()?) } else { base.ttp },
-        txn_id: if has(TXN_ID) { r.u64()? } else { base.txn_id },
-        seq: if has(SEQ) { r.u64()? } else { base.seq },
-        nonce: if has(NONCE) { r.u64()? } else { base.nonce },
-        time_limit: if has(TIME_LIMIT) { SimTime(r.u64()?) } else { base.time_limit },
-        object: if has(OBJECT) { r.bytes()? } else { base.object.clone() },
-        hash_alg: if has(HASH_ALG) {
-            HashAlg::from_wire_id(r.u8()?).ok_or(CodecError::BadDiscriminant("hash alg", 0))?
-        } else {
-            base.hash_alg
-        },
-        data_hash: if has(DATA_HASH) { r.bytes()? } else { base.data_hash.clone() },
-    };
-    // Evidence is made from bytes only by its own decoder, as an inline
-    // entry is (EVIDENCE-CTOR): the plaintext, then the two signatures.
-    let mut w = Writer::new();
-    plaintext.encode(&mut w);
-    w.bytes(&r.bytes()?).bytes(&r.bytes()?);
-    Ok((mask, VerifiedEvidence::from_wire(&w.finish_vec())?))
 }
 
 /// Shard count for the settled-transaction archive. Power of two so the
@@ -577,7 +458,10 @@ mod tests {
     use super::*;
     use crate::client::TimeoutStrategy;
     use crate::config::ProtocolConfig;
+    use crate::evidence::{EvidencePlaintext, Flag, HASH_ALG, RECIPIENT, SENDER, SWAPPED, TTP};
+    use crate::principal::PrincipalId;
     use crate::runner::World;
+    use tpnr_crypto::hash::HashAlg;
     use tpnr_net::sim::LinkConfig;
 
     fn settled_world() -> (World, u64, u64) {
@@ -773,8 +657,8 @@ mod tests {
 
     /// Alice's NRO and Bob's NRR for a settled upload.
     fn evidence_pair(w: &World, txn: u64) -> (VerifiedEvidence, VerifiedEvidence) {
-        let t = w.client.txn(txn).unwrap();
-        (t.nro.clone(), t.nrr.clone().unwrap())
+        let (nro, nrr) = w.client.txn(txn).unwrap().evidence().unwrap();
+        (nro, nrr.unwrap())
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl Client {
             return Err(AuditError::NotMerkleMode);
         }
         let txn = self.txn(upload_txn).ok_or(AuditError::NoEvidence)?;
-        let nrr = txn.nrr.as_ref().ok_or(AuditError::NoEvidence)?;
+        let nrr = txn.nrr().ok().flatten().ok_or(AuditError::NoEvidence)?;
         if nrr.plaintext.flag != Flag::UploadReceipt
             || nrr.plaintext.object != response.challenge.object
         {

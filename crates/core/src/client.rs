@@ -8,7 +8,8 @@
 
 use crate::config::Ablation;
 use crate::evidence::{
-    open_and_verify, seal, seal_and_own, EvidencePlaintext, Flag, SealedEvidence, VerifiedEvidence,
+    open_and_verify, seal, seal_and_own, EvidenceError, EvidencePair, EvidencePlaintext, Flag,
+    SealedEvidence, VerifiedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::PrincipalId;
@@ -34,12 +35,9 @@ pub enum TimeoutStrategy {
 /// Alice's record of one transaction.
 #[derive(Debug, Clone)]
 pub struct ClientTxn {
-    /// Alice's own NRO (kept for Resolve and for disputes). Its plaintext
-    /// says what the transaction is about: the flag (upload or download),
-    /// the object, and the hash of the payload (or request) Alice sent.
-    pub nro: VerifiedEvidence,
-    /// Bob's NRR once received and verified.
-    pub nrr: Option<VerifiedEvidence>,
+    /// Her NRO and, once received and verified, Bob's NRR, in one buffer
+    /// that [`nro`](Self::nro) and [`nrr`](Self::nrr) decode.
+    evidence: EvidencePair,
     /// Download payload once received.
     pub received: Option<Payload>,
     /// Current state.
@@ -53,6 +51,28 @@ pub struct ClientTxn {
     /// Timeout-driven sends (abort/resolve) spent so far; drives the
     /// [`RetryPolicy`](crate::fault::RetryPolicy) backoff and give-up bound.
     pub attempts: u32,
+}
+
+impl ClientTxn {
+    /// Alice's own NRO (kept for Resolve and for disputes). Its plaintext
+    /// says what the transaction is about: the flag (upload or download),
+    /// the object, and the hash of the payload (or request) Alice sent.
+    pub fn nro(&self) -> Result<VerifiedEvidence, EvidenceError> {
+        self.evidence.nro()
+    }
+
+    /// Bob's NRR once received and verified: his receipt, or his answer to
+    /// her abort.
+    pub fn nrr(&self) -> Result<Option<VerifiedEvidence>, EvidenceError> {
+        Ok(self.evidence()?.1)
+    }
+
+    /// The NRO and the NRR together, decoding the NRO once.
+    pub(crate) fn evidence(
+        &self,
+    ) -> Result<(VerifiedEvidence, Option<VerifiedEvidence>), EvidenceError> {
+        self.evidence.decode()
+    }
 }
 
 /// The client actor.
@@ -195,8 +215,7 @@ impl Client {
         self.txns.insert(
             txn_id,
             Arc::new(ClientTxn {
-                nro,
-                nrr: None,
+                evidence: EvidencePair::new(&nro, None),
                 received: None,
                 state: TxnState::Pending,
                 deadline: now.after(p.cfg.response_timeout),
@@ -285,7 +304,8 @@ impl Client {
         let p = &mut self.party;
         p.validator.check(&p.cfg, pt, Some(self.provider), now)?;
         let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        let sent = &txn.nro.plaintext;
+        let nro = txn.nro().map_err(ValidationError::Evidence)?;
+        let sent = &nro.plaintext;
         let ok_flag = matches!(
             (sent.flag, pt.flag),
             (Flag::UploadRequest, Flag::UploadReceipt)
@@ -316,7 +336,7 @@ impl Client {
         let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
         let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        txn.nrr = Some(nrr);
+        txn.evidence = EvidencePair::new(&nro, Some(&nrr));
         txn.received = received;
         self.set_state(pt.txn_id, TxnState::Completed);
         Ok(Vec::new())
@@ -337,23 +357,24 @@ impl Client {
         let sender_pk = p.key(pt.sender)?;
         let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
-        let state = self.txn_state(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+        let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         // A late abort reply must not reopen or rewrite a settled state:
         // a receipt that overtook the Abort already completed the upload.
-        if state.is_terminal() {
+        if txn.state.is_terminal() {
             return Ok(Vec::new());
         }
+        let nro = txn.nro().map_err(ValidationError::Evidence)?;
         let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         match outcome {
             AbortOutcome::Accept => {
-                txn.nrr = Some(nrr);
+                txn.evidence = EvidencePair::new(&nro, Some(&nrr));
                 self.set_state(pt.txn_id, TxnState::Aborted);
             }
             AbortOutcome::Reject => {
                 // Bob completed the transaction; his NRR-abort still proves
                 // he answered. Alice treats the original as completed-ish
                 // but flags the rejection.
-                txn.nrr = Some(nrr);
+                txn.evidence = EvidencePair::new(&nro, Some(&nrr));
                 self.set_state(pt.txn_id, TxnState::AbortRejected);
             }
             AbortOutcome::Error => {
@@ -394,12 +415,13 @@ impl Client {
                 let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, sealed)
                     .map_err(ValidationError::Evidence)?;
                 // On upload the re-issued receipt must match what we sent.
-                let sent = &txn.nro.plaintext;
+                let nro = txn.nro().map_err(ValidationError::Evidence)?;
+                let sent = &nro.plaintext;
                 if sent.flag == Flag::UploadRequest && !ct::eq(&pt.data_hash, &sent.data_hash) {
                     return Err(ValidationError::HashMismatch);
                 }
                 let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-                txn.nrr = Some(nrr);
+                txn.evidence = EvidencePair::new(&nro, Some(&nrr));
                 self.set_state(pt.txn_id, TxnState::Completed);
             }
             // Restart: Bob never saw the transfer; Alice marks it failed
@@ -482,10 +504,10 @@ impl Client {
     }
 
     fn send_abort(&mut self, txn_id: u64, now: SimTime) -> Vec<Outgoing> {
-        let Some(txn) = self.txns.get(&txn_id) else { return Vec::new() };
+        let Some(Ok(nro)) = self.txns.get(&txn_id).map(|t| t.nro()) else { return Vec::new() };
         let p = &mut self.party;
         let seq = p.validator.alloc_seq(txn_id);
-        let pt = p.stamp(&txn.nro.plaintext, Flag::AbortRequest, self.provider, seq, now);
+        let pt = p.stamp(&nro.plaintext, Flag::AbortRequest, self.provider, seq, now);
         let Ok(provider_pk) = p.key(self.provider) else { return Vec::new() };
         let Ok(sealed) = seal(&p.cfg, &p.me, &provider_pk, &pt, &mut p.rng) else {
             return Vec::new();
@@ -502,8 +524,7 @@ impl Client {
     }
 
     fn send_resolve(&mut self, txn_id: u64, now: SimTime) -> Vec<Outgoing> {
-        let Some(txn) = self.txns.get(&txn_id) else { return Vec::new() };
-        let nro = txn.nro.clone();
+        let Some(Ok(nro)) = self.txns.get(&txn_id).map(|t| t.nro()) else { return Vec::new() };
         let p = &mut self.party;
         let seq = p.validator.alloc_seq(txn_id);
         let pt = p.stamp(&nro.plaintext, Flag::ResolveRequest, p.ttp, seq, now);
@@ -530,8 +551,8 @@ impl Client {
         upload_txn: u64,
         download_txn: u64,
     ) -> Option<bool> {
-        let up = self.txns.get(&upload_txn)?.nrr.as_ref()?;
-        let down = self.txns.get(&download_txn)?.nrr.as_ref()?;
+        let up = self.txns.get(&upload_txn)?.nrr().ok()??;
+        let down = self.txns.get(&download_txn)?.nrr().ok()??;
         if up.plaintext.object != down.plaintext.object {
             return None;
         }
@@ -563,10 +584,11 @@ impl crate::fault::Durable for Client {
     fn snapshot(&self) -> ClientSnapshot {
         let mut bytes = self.party.validator.state_bytes() + 16;
         for t in self.txns.values() {
-            let sent = &t.nro.plaintext;
-            bytes += (sent.object.len() + sent.data_hash.len() + 64) as u64;
-            bytes += crate::fault::evidence_bytes(&t.nro);
-            if let Some(nrr) = &t.nrr {
+            // Weighed by field lengths: a sync decodes no record.
+            let (nro, nrr) = t.evidence.lens().unwrap_or_default();
+            bytes += (nro.object + nro.data_hash + 64) as u64;
+            bytes += crate::fault::evidence_bytes(nro);
+            if let Some(nrr) = nrr {
                 bytes += crate::fault::evidence_bytes(nrr);
             }
             if let Some(p) = &t.received {
@@ -612,5 +634,48 @@ impl crate::sched::Actor for Client {
         let out = self.poll_timeouts(now);
         self.actor_stats.note_tick(&out);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::archive::EvidenceBundle;
+    use crate::config::ProtocolConfig;
+    use crate::fault::Durable as _;
+    use crate::runner::World;
+    use tpnr_net::transport::Transport as _;
+
+    #[test]
+    fn a_record_that_does_not_decode_gives_errors_never_a_panic() {
+        let mut w = World::new(5, ProtocolConfig::full());
+        let up = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst).txn_id;
+        let down = w.download(b"k", TimeoutStrategy::AbortFirst).txn_id;
+        assert_eq!(w.client.verify_download_against_upload(up, down), Some(true));
+        let now = w.net().now();
+        for (i, bad) in w.client.txns[&up].evidence.undecodable().into_iter().enumerate() {
+            w.client.txn_mut(up).unwrap().evidence = bad;
+            let t = w.client.txn(up).unwrap();
+            assert_eq!(t.nrr(), Err(EvidenceError::Malformed), "buffer {i}");
+            assert_eq!(t.nro().is_ok(), i >= 2, "buffer {i}");
+            assert_eq!(w.client.verify_download_against_upload(up, down), None, "buffer {i}");
+            assert!(EvidenceBundle::from_client_txn(&w.client, up).is_none(), "buffer {i}");
+            let r = w.result(up, now);
+            assert!(r.nro.is_none() && r.nrr.is_none() && !r.arbitrable(), "buffer {i}");
+            assert!(w.client.snapshot().bytes() > 0);
+        }
+
+        // An open transaction whose record does not decode refuses its
+        // receipt, and its timeout sends nothing.
+        let (bob, cfg) = (w.provider.id(), w.client.party.cfg.clone());
+        let (txn, out) = w
+            .client
+            .begin_upload(b"k2", b"data".to_vec(), now, TimeoutStrategy::AbortFirst)
+            .unwrap();
+        let receipt = w.provider.handle(w.client.id(), &out[0].msg, now).unwrap();
+        w.client.txn_mut(txn).unwrap().evidence = EvidencePair::from_raw(&[1]);
+        let refused = w.client.handle(bob, &receipt[0].msg, now);
+        assert_eq!(refused.unwrap_err(), ValidationError::Evidence(EvidenceError::Malformed));
+        assert!(w.client.poll_timeouts(now.after(cfg.response_timeout.times(4))).is_empty());
     }
 }

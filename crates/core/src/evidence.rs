@@ -370,6 +370,255 @@ impl VerifiedEvidence {
     }
 }
 
+// A derived entry's field mask. Bit `i` of the low eleven marks the
+// plaintext's `i`-th field, in wire order, as written out; a clear bit
+// copies the field from the base.
+const FLAG: u16 = 1 << 0;
+pub(crate) const SENDER: u16 = 1 << 1;
+pub(crate) const RECIPIENT: u16 = 1 << 2;
+pub(crate) const TTP: u16 = 1 << 3;
+const TXN_ID: u16 = 1 << 4;
+const SEQ: u16 = 1 << 5;
+const NONCE: u16 = 1 << 6;
+const TIME_LIMIT: u16 = 1 << 7;
+const OBJECT: u16 = 1 << 8;
+pub(crate) const HASH_ALG: u16 = 1 << 9;
+const DATA_HASH: u16 = 1 << 10;
+/// Sender and recipient are the base's, swapped: the pair a reply turns
+/// around costs one bit.
+pub(crate) const SWAPPED: u16 = 1 << 11;
+/// Every field written: the plaintext shares nothing with the base.
+pub(crate) const NOTHING_SHARED: u16 = SWAPPED - 1;
+
+/// The fixed-size plaintext fields a mask may name, with their widths.
+const FIXED_FIELDS: [(u16, usize); 8] = [
+    (FLAG, 1),
+    (SENDER, 32),
+    (RECIPIENT, 32),
+    (TTP, 32),
+    (TXN_ID, 8),
+    (SEQ, 8),
+    (NONCE, 8),
+    (TIME_LIMIT, 8),
+];
+
+/// The fields of `pt` that differ from `base`'s, as a derived entry's mask.
+pub(crate) fn field_mask(base: &EvidencePlaintext, pt: &EvidencePlaintext) -> u16 {
+    let swapped =
+        pt.sender != base.sender && pt.sender == base.recipient && pt.recipient == base.sender;
+    let differs = [
+        (FLAG, pt.flag != base.flag),
+        (SENDER, !swapped && pt.sender != base.sender),
+        (RECIPIENT, !swapped && pt.recipient != base.recipient),
+        (TTP, pt.ttp != base.ttp),
+        (TXN_ID, pt.txn_id != base.txn_id),
+        (SEQ, pt.seq != base.seq),
+        (NONCE, pt.nonce != base.nonce),
+        (TIME_LIMIT, pt.time_limit != base.time_limit),
+        (OBJECT, pt.object != base.object),
+        (HASH_ALG, pt.hash_alg != base.hash_alg),
+        (DATA_HASH, !tpnr_crypto::ct::eq(&pt.data_hash, &base.data_hash)),
+        (SWAPPED, swapped),
+    ];
+    differs.iter().filter(|&&(_, d)| d).fold(0, |mask, &(bit, _)| mask | bit)
+}
+
+/// Writes `ev` as a derived entry over a base plaintext: `mask`, the
+/// fields it names in wire order, and both signatures.
+pub(crate) fn write_derived(w: &mut Writer, mask: u16, ev: &VerifiedEvidence) {
+    let pt = &ev.plaintext;
+    let has = |bit: u16| mask & bit != 0;
+    w.u16(mask);
+    if has(FLAG) {
+        w.u8(pt.flag.wire_id());
+    }
+    if has(SENDER) {
+        w.fixed(&pt.sender.0);
+    }
+    if has(RECIPIENT) {
+        w.fixed(&pt.recipient.0);
+    }
+    if has(TTP) {
+        w.fixed(&pt.ttp.0);
+    }
+    if has(TXN_ID) {
+        w.u64(pt.txn_id);
+    }
+    if has(SEQ) {
+        w.u64(pt.seq);
+    }
+    if has(NONCE) {
+        w.u64(pt.nonce);
+    }
+    if has(TIME_LIMIT) {
+        w.u64(pt.time_limit.0);
+    }
+    if has(OBJECT) {
+        w.bytes(&pt.object);
+    }
+    if has(HASH_ALG) {
+        w.u8(pt.hash_alg.wire_id());
+    }
+    if has(DATA_HASH) {
+        w.bytes(&pt.data_hash);
+    }
+    w.bytes(&ev.sig_data_hash).bytes(&ev.sig_plaintext);
+}
+
+/// The length [`write_derived`] writes `ev` in with `mask`.
+fn derived_len(mask: u16, ev: &VerifiedEvidence) -> usize {
+    let has = |bit: u16| mask & bit != 0;
+    let fixed: usize = FIXED_FIELDS.iter().filter(|&&(bit, _)| has(bit)).map(|&(_, n)| n).sum();
+    let pt = &ev.plaintext;
+    2 + fixed
+        + if has(OBJECT) { 4 + pt.object.len() } else { 0 }
+        + usize::from(has(HASH_ALG))
+        + if has(DATA_HASH) { 4 + pt.data_hash.len() } else { 0 }
+        + 4
+        + ev.sig_data_hash.len()
+        + 4
+        + ev.sig_plaintext.len()
+}
+
+/// Reads a derived entry over `base`: its mask and the evidence it
+/// rebuilds. Whether a bundle would have chosen that mask is the caller's
+/// check.
+pub(crate) fn read_derived(
+    r: &mut Reader<'_>,
+    base: &EvidencePlaintext,
+) -> Result<(u16, VerifiedEvidence), CodecError> {
+    let mask = r.u16()?;
+    let has = |bit: u16| mask & bit != 0;
+    let (sender, recipient) =
+        if has(SWAPPED) { (base.recipient, base.sender) } else { (base.sender, base.recipient) };
+    // Struct fields evaluate in the order written, which is wire order.
+    let plaintext = EvidencePlaintext {
+        flag: if has(FLAG) { Flag::from_wire_id(r.u8()?)? } else { base.flag },
+        sender: if has(SENDER) { PrincipalId(r.array::<32>()?) } else { sender },
+        recipient: if has(RECIPIENT) { PrincipalId(r.array::<32>()?) } else { recipient },
+        ttp: if has(TTP) { PrincipalId(r.array::<32>()?) } else { base.ttp },
+        txn_id: if has(TXN_ID) { r.u64()? } else { base.txn_id },
+        seq: if has(SEQ) { r.u64()? } else { base.seq },
+        nonce: if has(NONCE) { r.u64()? } else { base.nonce },
+        time_limit: if has(TIME_LIMIT) { SimTime(r.u64()?) } else { base.time_limit },
+        object: if has(OBJECT) { r.bytes()? } else { base.object.clone() },
+        hash_alg: if has(HASH_ALG) {
+            HashAlg::from_wire_id(r.u8()?).ok_or(CodecError::BadDiscriminant("hash alg", 0))?
+        } else {
+            base.hash_alg
+        },
+        data_hash: if has(DATA_HASH) { r.bytes()? } else { base.data_hash.clone() },
+    };
+    let evidence =
+        VerifiedEvidence { plaintext, sig_data_hash: r.bytes()?, sig_plaintext: r.bytes()? };
+    Ok((mask, evidence))
+}
+
+/// One party's evidence for one transaction, in one buffer: its NRO's wire
+/// form, then, once there is one, its NRR as a derived entry over the
+/// NRO's plaintext ([`write_derived`]: the mask, the fields that differ,
+/// both signatures). A reply repeats most of its request's plaintext, so
+/// the pair takes little more room than the NRO alone, in one heap block
+/// where two evidence values took eight. Evidence is decoded on demand.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct EvidencePair(Box<[u8]>);
+
+/// The variable-length fields of one evidence item, by length.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EvidenceLens {
+    /// The plaintext's object key.
+    pub object: usize,
+    /// The plaintext's data hash.
+    pub data_hash: usize,
+    /// Both signatures together.
+    pub sigs: usize,
+}
+
+impl EvidencePair {
+    /// The buffer for `nro` and, when given, `nrr`, sized exactly.
+    pub(crate) fn new(nro: &VerifiedEvidence, nrr: Option<&VerifiedEvidence>) -> Self {
+        let nrr = nrr.map(|nrr| (field_mask(&nro.plaintext, &nrr.plaintext), nrr));
+        let len = nro.encoded_len() + nrr.map_or(0, |(mask, nrr)| derived_len(mask, nrr));
+        let mut w = Writer::with_capacity(len);
+        nro.encode(&mut w);
+        if let Some((mask, nrr)) = nrr {
+            write_derived(&mut w, mask, nrr);
+        }
+        let buf = w.finish_vec();
+        debug_assert_eq!(buf.len(), len, "the pair is sized exactly, so boxing it copies nothing");
+        EvidencePair(buf.into_boxed_slice())
+    }
+
+    /// The NRO.
+    pub(crate) fn nro(&self) -> Result<VerifiedEvidence, EvidenceError> {
+        VerifiedEvidence::decode(&mut Reader::new(&self.0)).map_err(|_| EvidenceError::Malformed)
+    }
+
+    /// The NRO and, if the buffer holds one, the NRR.
+    pub(crate) fn decode(
+        &self,
+    ) -> Result<(VerifiedEvidence, Option<VerifiedEvidence>), EvidenceError> {
+        let decode = || {
+            let mut r = Reader::new(&self.0);
+            let nro = VerifiedEvidence::decode(&mut r)?;
+            if r.remaining() == 0 {
+                return Ok((nro, None));
+            }
+            let (_, nrr) = read_derived(&mut r, &nro.plaintext)?;
+            r.expect_end()?;
+            Ok((nro, Some(nrr)))
+        };
+        decode().map_err(|_: CodecError| EvidenceError::Malformed)
+    }
+
+    /// The lengths of the NRO's and the NRR's variable fields, read off
+    /// the buffer without decoding it.
+    pub(crate) fn lens(&self) -> Result<(EvidenceLens, Option<EvidenceLens>), CodecError> {
+        let mut r = Reader::new(&self.0);
+        r.skip(1 + 3 * 32 + 4 * 8)?;
+        let object = r.skip_bytes()?;
+        r.skip(1)?;
+        let data_hash = r.skip_bytes()?;
+        let nro = EvidenceLens { object, data_hash, sigs: r.skip_bytes()? + r.skip_bytes()? };
+        if r.remaining() == 0 {
+            return Ok((nro, None));
+        }
+        let mask = r.u16()?;
+        let has = |bit: u16| mask & bit != 0;
+        r.skip(FIXED_FIELDS.iter().filter(|&&(bit, _)| has(bit)).map(|&(_, n)| n).sum())?;
+        let object = if has(OBJECT) { r.skip_bytes()? } else { nro.object };
+        r.skip(usize::from(has(HASH_ALG)))?;
+        let data_hash = if has(DATA_HASH) { r.skip_bytes()? } else { nro.data_hash };
+        let nrr = EvidenceLens { object, data_hash, sigs: r.skip_bytes()? + r.skip_bytes()? };
+        r.expect_end()?;
+        Ok((nro, Some(nrr)))
+    }
+
+    /// A pair over arbitrary bytes, for tests of what a record does when
+    /// its buffer does not decode.
+    #[cfg(test)]
+    pub(crate) fn from_raw(bytes: &[u8]) -> Self {
+        EvidencePair(bytes.into())
+    }
+
+    /// The buffer.
+    #[cfg(test)]
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Buffers cut inside the NRO and inside the NRR, and one with a byte
+    /// after the NRR: none decodes in full, and only the last two hold the
+    /// whole NRO.
+    #[cfg(test)]
+    pub(crate) fn undecodable(&self) -> [Self; 4] {
+        let (good, nro_len) = (&self.0[..], self.nro().unwrap().encoded_len());
+        assert!(good.len() > nro_len, "the pair holds an NRR");
+        [&good[..0], &good[..nro_len - 1], &good[..good.len() - 1], &[good, &[0]].concat()]
+            .map(Self::from_raw)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,6 +788,50 @@ mod tests {
         let mut bad = ev.clone();
         bad.sig_data_hash[0] ^= 1;
         assert_eq!(bad.reverify(&cfg, alice.public()).unwrap_err(), EvidenceError::BadSignature);
+    }
+
+    #[test]
+    fn a_pair_decodes_its_nro_and_nrr_and_weighs_them_without_decoding() {
+        let (alice, bob, ttp, cfg, mut rng) = actors();
+        let nro_pt = plaintext(&alice, &bob, &ttp);
+        let nro = seal_and_own(&cfg, &alice, bob.public(), &nro_pt, &mut rng).unwrap().1;
+        // A receipt: the parties swap, the flag, sequence and nonce change.
+        let mut nrr_pt = nro_pt.clone();
+        (nrr_pt.sender, nrr_pt.recipient) = (bob.id(), alice.id());
+        (nrr_pt.flag, nrr_pt.seq, nrr_pt.nonce) = (Flag::UploadReceipt, 2, 7);
+        let nrr = seal_and_own(&cfg, &bob, alice.public(), &nrr_pt, &mut rng).unwrap().1;
+        let lens = |ev: &VerifiedEvidence| EvidenceLens {
+            object: ev.plaintext.object.len(),
+            data_hash: ev.plaintext.data_hash.len(),
+            sigs: ev.sig_data_hash.len() + ev.sig_plaintext.len(),
+        };
+
+        let alone = EvidencePair::new(&nro, None);
+        assert_eq!(alone.as_bytes(), nro.to_wire());
+        assert_eq!(alone.decode().unwrap(), (nro.clone(), None));
+        assert_eq!(alone.lens().unwrap(), (lens(&nro), None));
+
+        let pair = EvidencePair::new(&nro, Some(&nrr));
+        let mask = field_mask(&nro.plaintext, &nrr.plaintext);
+        assert_eq!(mask, SWAPPED | FLAG | SEQ | NONCE);
+        assert_eq!(pair.as_bytes().len(), nro.encoded_len() + derived_len(mask, &nrr));
+        assert!(pair.as_bytes().len() < nro.encoded_len() + nrr.encoded_len() / 2);
+        assert_eq!(pair.nro().unwrap(), nro);
+        assert_eq!(pair.decode().unwrap(), (nro.clone(), Some(nrr.clone())));
+        assert_eq!(pair.lens().unwrap(), (lens(&nro), Some(lens(&nrr))));
+
+        // A field the NRR writes out changes its length.
+        nrr_pt.object = b"another/object".to_vec();
+        let far = seal_and_own(&cfg, &bob, alice.public(), &nrr_pt, &mut rng).unwrap().1;
+        let pair = EvidencePair::new(&nro, Some(&far));
+        assert_eq!(pair.decode().unwrap(), (nro.clone(), Some(far.clone())));
+        assert_eq!(pair.lens().unwrap(), (lens(&nro), Some(lens(&far))));
+
+        for (i, bad) in pair.undecodable().iter().enumerate() {
+            assert_eq!(bad.decode(), Err(EvidenceError::Malformed), "buffer {i}");
+            assert!(bad.lens().is_err(), "buffer {i}");
+            assert_eq!(bad.nro().is_ok(), i >= 2, "buffer {i}");
+        }
     }
 
     #[test]

@@ -535,18 +535,14 @@ pub trait Durable {
     fn restore(&mut self, snap: &Self::Snapshot);
 }
 
-/// Rough serialized weight of one piece of verified evidence: plaintext
-/// fields + both signatures. Used to size snapshots honestly without a
-/// second encode pass.
-pub fn evidence_bytes(e: &crate::evidence::VerifiedEvidence) -> u64 {
+/// Rough serialized weight of one piece of evidence, from the lengths of
+/// its variable fields: plaintext fields + both signatures. Used to size
+/// snapshots honestly without an encode or a decode pass.
+pub(crate) fn evidence_bytes(e: crate::evidence::EvidenceLens) -> u64 {
     // Fixed plaintext fields: flag (1) + three principal ids (32 each) +
     // txn/seq/nonce/time-limit (8 each) + alg tag (1).
     let fixed = 1 + 3 * 32 + 4 * 8 + 1;
-    (fixed
-        + e.plaintext.object.len()
-        + e.plaintext.data_hash.len()
-        + e.sig_data_hash.len()
-        + e.sig_plaintext.len()) as u64
+    (fixed + e.object + e.data_hash + e.sigs) as u64
 }
 
 #[cfg(test)]

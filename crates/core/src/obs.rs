@@ -74,8 +74,9 @@ pub enum EventKind {
         from: NodeId,
         /// Message kind label.
         msg: &'static str,
-        /// Why it was refused.
-        error: ValidationError,
+        /// Why it was refused. Boxed: rejections are the cold path, and
+        /// inline this one variant would set every event's size.
+        error: Box<ValidationError>,
     },
     /// An arriving payload did not decode as a protocol message.
     Garbled {
@@ -548,7 +549,7 @@ mod tests {
             EventKind::Rejected {
                 from: ALICE,
                 msg: "Transfer",
-                error: ValidationError::StaleSequence { last: 2, got: 1 },
+                error: Box::new(ValidationError::StaleSequence { last: 2, got: 1 }),
             },
         ));
         o.record(ev(4, None, EventKind::Garbled { from: ALICE }));
@@ -711,5 +712,12 @@ mod tests {
         s.note_message(&Err(ValidationError::HashMismatch));
         s.note_tick(&[]);
         assert_eq!(s, ActorStats { accepted: 1, rejected: 1, ..Default::default() });
+    }
+
+    #[test]
+    fn an_event_fits_in_64_bytes() {
+        // The ring keeps tens of thousands of events, about four per
+        // settled upload; a variant that grows past this grows them all.
+        assert!(std::mem::size_of::<Event>() <= 64, "{} B", std::mem::size_of::<Event>());
     }
 }

@@ -13,7 +13,8 @@
 
 use crate::config::Ablation;
 use crate::evidence::{
-    open_and_verify, seal, seal_and_own, seal_signatures, EvidencePlaintext, Flag, VerifiedEvidence,
+    open_and_verify, seal, seal_and_own, seal_signatures, EvidenceError, EvidencePair,
+    EvidencePlaintext, Flag, VerifiedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::PrincipalId;
@@ -45,17 +46,35 @@ impl Default for ProviderBehavior {
 /// Bob's durable record of one transaction.
 #[derive(Debug, Clone)]
 pub struct ProviderTxn {
+    /// The NRO he received and, for a served transfer, the NRR he signed,
+    /// in one buffer that [`nro`](Self::nro) and [`nrr`](Self::nrr) decode.
+    evidence: EvidencePair,
+    /// Transaction state from Bob's perspective.
+    pub state: TxnState,
+}
+
+impl ProviderTxn {
     /// The NRO Bob received and verified (his proof of what Alice sent).
     /// Its plaintext names the counterparty (its sender), the object and
     /// the kind: an upload or download request, or Alice's abort request
     /// for an aborted transaction.
-    pub nro: VerifiedEvidence,
+    pub fn nro(&self) -> Result<VerifiedEvidence, EvidenceError> {
+        self.evidence.nro()
+    }
+
     /// The NRR Bob signed for a served transfer (his commitment, kept to
     /// re-issue on Resolve); `None` for an aborted transaction, where Bob
     /// committed to nothing.
-    pub nrr: Option<VerifiedEvidence>,
-    /// Transaction state from Bob's perspective.
-    pub state: TxnState,
+    pub fn nrr(&self) -> Result<Option<VerifiedEvidence>, EvidenceError> {
+        Ok(self.evidence()?.1)
+    }
+
+    /// The NRO and the NRR together, decoding the NRO once.
+    pub(crate) fn evidence(
+        &self,
+    ) -> Result<(VerifiedEvidence, Option<VerifiedEvidence>), EvidenceError> {
+        self.evidence.decode()
+    }
 }
 
 /// The provider actor.
@@ -235,10 +254,8 @@ impl Provider {
         let (sealed, nrr) = seal_and_own(&p.cfg, &p.me, &sender_pk, &nrr_pt, &mut p.rng)
             .map_err(ValidationError::Evidence)?;
 
-        self.txns.insert(
-            pt.txn_id,
-            Arc::new(ProviderTxn { nro, nrr: Some(nrr), state: TxnState::Completed }),
-        );
+        let evidence = EvidencePair::new(&nro, Some(&nrr));
+        self.txns.insert(pt.txn_id, Arc::new(ProviderTxn { evidence, state: TxnState::Completed }));
         Ok(vec![Outgoing {
             to: pt.sender,
             msg: Message::Receipt { plaintext: nrr_pt, data: reply_data, evidence: sealed },
@@ -273,7 +290,8 @@ impl Provider {
             // existing record is not Completed (that is a Reject), so it
             // is already Aborted.
             self.txns.entry(pt.txn_id).or_insert_with(|| {
-                Arc::new(ProviderTxn { nro, nrr: None, state: TxnState::Aborted })
+                let evidence = EvidencePair::new(&nro, None);
+                Arc::new(ProviderTxn { evidence, state: TxnState::Aborted })
             });
         }
 
@@ -303,15 +321,16 @@ impl Provider {
         }
         p.validator.check(&p.cfg, pt, None, now)?;
 
-        let (action, plaintext, evidence) = match self.txns.get(&pt.txn_id).map(Arc::as_ref) {
-            Some(ProviderTxn { nro, nrr: Some(nrr), .. }) => {
+        let record = self.txns.get(&pt.txn_id).map(|t| t.evidence()).transpose();
+        let (action, plaintext, evidence) = match record.map_err(ValidationError::Evidence)? {
+            Some((nro, Some(nrr))) => {
                 // Re-issue the NRR, re-sealed for Alice (she may have never
                 // received the original receipt).
                 let peer_pk = p.key(nro.plaintext.sender)?;
                 let sealed =
                     seal_signatures(&peer_pk, &mut p.rng, &nrr.sig_data_hash, &nrr.sig_plaintext)
                         .map_err(ValidationError::Evidence)?;
-                (ResolveAction::Continue, nrr.plaintext.clone(), Some(sealed))
+                (ResolveAction::Continue, nrr.plaintext, Some(sealed))
             }
             // We never saw the transaction (the NRO was lost in flight):
             // ask Alice, via the TTP, to restart the session.
@@ -351,9 +370,10 @@ impl crate::fault::Durable for Provider {
             bytes += (key.len() + data.as_ref().len()) as u64;
         }
         for t in self.txns.values() {
-            let sigs = t.nrr.as_ref().map_or(0, |e| e.sig_data_hash.len() + e.sig_plaintext.len());
-            bytes += (t.nro.plaintext.object.len() + sigs + 64) as u64;
-            bytes += crate::fault::evidence_bytes(&t.nro);
+            // Weighed by field lengths: a sync decodes no record.
+            let (nro, nrr) = t.evidence.lens().unwrap_or_default();
+            bytes += (nro.object + nrr.map_or(0, |e| e.sigs) + 64) as u64;
+            bytes += crate::fault::evidence_bytes(nro);
         }
         ProviderSnapshot {
             storage: self.storage.clone(),
@@ -383,5 +403,41 @@ impl crate::sched::Actor for Provider {
         let result = self.handle(from, msg, now);
         self.actor_stats.note_message(&result);
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::TimeoutStrategy;
+    use crate::config::ProtocolConfig;
+    use crate::fault::Durable as _;
+    use crate::runner::World;
+    use tpnr_net::transport::Transport as _;
+
+    #[test]
+    fn a_record_that_does_not_decode_gives_errors_never_a_panic() {
+        // Bob serves an upload whose receipt never reaches Alice, and the
+        // TTP forwards her resolve to him.
+        let mut w = World::new(5, ProtocolConfig::full());
+        let (alice, ttp, now) = (w.client.id(), w.ttp.id(), w.net().now());
+        let strategy = TimeoutStrategy::ResolveImmediately;
+        let (txn, out) = w.client.begin_upload(b"k", b"data".to_vec(), now, strategy).unwrap();
+        w.provider.handle(alice, &out[0].msg, now).unwrap();
+        let later = now.after(w.client.party.cfg.response_timeout);
+        let resolve = w.client.poll_timeouts(later);
+        let forward = w.ttp.handle(alice, &resolve[0].msg, later).unwrap();
+
+        let good = w.provider.txns[&txn].evidence.clone();
+        for (i, bad) in good.undecodable().into_iter().enumerate() {
+            Arc::make_mut(w.provider.txns.get_mut(&txn).unwrap()).evidence = bad;
+            let t = w.provider.txn(txn).unwrap();
+            assert_eq!(t.nrr(), Err(EvidenceError::Malformed), "buffer {i}");
+            assert_eq!(t.nro().is_ok(), i >= 2, "buffer {i}");
+            assert!(w.provider.snapshot().bytes() > 0);
+        }
+        // The record cannot be re-issued: the forward is refused.
+        let refused = w.provider.handle(ttp, &forward[0].msg, later);
+        assert_eq!(refused.unwrap_err(), ValidationError::Evidence(EvidenceError::Malformed));
     }
 }

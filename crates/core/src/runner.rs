@@ -555,7 +555,8 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         let (txn, out) = match begun {
             Ok(v) => v,
             Err(error) => {
-                let kind = EventKind::Rejected { from: node, msg: "Transfer", error };
+                let kind =
+                    EventKind::Rejected { from: node, msg: "Transfer", error: Box::new(error) };
                 self.obs.record(Event { at: now, txn: None, actor: node, kind });
                 return 0;
             }
@@ -610,7 +611,9 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         let (data, nro, nrr) = match c.txn(txn_id) {
             Some(t) => {
                 let data = c.download_result(txn_id).map(|p| p.data.clone());
-                (data, Some(t.nro.clone()), t.nrr.clone())
+                // A record that does not decode has lost its evidence.
+                let (nro, nrr) = t.evidence().map_or((None, None), |(nro, nrr)| (Some(nro), nrr));
+                (data, nro, nrr)
             }
             None => {
                 let b = self.archive.load_bundle(txn_id).unwrap_or_default();
@@ -822,17 +825,17 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         self.obs.retire_txn(txn);
         let ttp_used = self.ttp_touched.remove(&txn);
         let mut bundle = EvidenceBundle::new();
-        if let Some(c) = client_rec {
-            bundle.push("client-nro", c.nro);
-            if let Some(nrr) = c.nrr {
+        if let Some(Ok((nro, nrr))) = client_rec.map(|c| c.evidence()) {
+            bundle.push("client-nro", nro);
+            if let Some(nrr) = nrr {
                 bundle.push("client-nrr", nrr);
             }
         }
         // An aborted transaction's provider holds no NRR: Bob committed to
         // nothing, so nothing is archived in its name.
-        if let Some(p) = provider_rec {
-            bundle.push("provider-nro", p.nro);
-            if let Some(nrr) = p.nrr {
+        if let Some(Ok((nro, nrr))) = provider_rec.map(|p| p.evidence()) {
+            bundle.push("provider-nro", nro);
+            if let Some(nrr) = nrr {
                 bundle.push("provider-nrr", nrr);
             }
         }
@@ -982,7 +985,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             // Nobody sits at the destination to judge the message, so the
             // runner refuses it: its recipient is no party of this
             // deployment. Recorded once, like any actor's rejection.
-            let error = ValidationError::IdentityMismatch;
+            let error = Box::new(ValidationError::IdentityMismatch);
             let kind = EventKind::Rejected { from, msg: msg_kind, error };
             self.obs.record(Event { at: now, txn, actor, kind });
             return Some(txn_id);
@@ -1023,7 +1026,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
                 }
             }
             Err(error) => {
-                let kind = EventKind::Rejected { from, msg: msg_kind, error };
+                let kind = EventKind::Rejected { from, msg: msg_kind, error: Box::new(error) };
                 self.obs.record(Event { at: now, txn, actor, kind });
                 if verdict == DeliveryVerdict::CrashAfter {
                     self.crash_actor(slot, now);
@@ -1090,9 +1093,9 @@ mod tests {
         let mut w = world();
         let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
         let ct = w.client.txn(r.txn_id).unwrap();
-        assert!(ct.nrr.is_some(), "Alice holds Bob's NRR");
+        assert!(ct.nrr().unwrap().is_some(), "Alice holds Bob's NRR");
         let pt = w.provider.txn(r.txn_id).unwrap();
-        assert_eq!(pt.nro.plaintext.txn_id, r.txn_id, "Bob holds Alice's NRO");
+        assert_eq!(pt.nro().unwrap().plaintext.txn_id, r.txn_id, "Bob holds Alice's NRO");
     }
 
     #[test]
@@ -1159,7 +1162,7 @@ mod tests {
         // which is not the dropped one.)
         assert_eq!(w.client.txn_state(txn_id), Some(TxnState::Completed));
         assert!(w.ttp.stats.replies_relayed >= 1);
-        assert!(w.client.txn(txn_id).unwrap().nrr.is_some());
+        assert!(w.client.txn(txn_id).unwrap().nrr().unwrap().is_some());
     }
 
     #[test]

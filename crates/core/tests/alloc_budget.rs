@@ -1,9 +1,10 @@
 //! Heap budget of the transaction path. A counting global allocator
 //! measures the allocations of one 256 B `World` upload and one download,
-//! averaged over a run after a warm-up, and the live heap a settled upload
-//! leaves behind; each test fails when its figure exceeds its budget. The
-//! budgets are the figures measured when the tests were written: lower them
-//! as allocations are cut, never raise them.
+//! averaged over a run after a warm-up, those of one envelope seal and
+//! open, and the live heap a settled upload and a settled download leave
+//! behind; each test fails when its figure exceeds its budget. The budgets
+//! are the figures measured when the tests were written: lower them as
+//! allocations are cut, never raise them.
 //!
 //! Counts are kept per thread, so the test harness's own threads are never
 //! counted; each `World` runs on its test's thread alone.
@@ -13,23 +14,36 @@ use std::cell::Cell;
 use std::hint::black_box;
 use tpnr_core::fault::{DeliveryVerdict, FaultCtl, SyncDecision};
 use tpnr_core::prelude::*;
+use tpnr_crypto::{envelope, ChaChaRng, RsaKeyPair};
 use tpnr_net::time::{SimDuration, SimTime};
 
 /// Allocator calls (alloc, alloc_zeroed, realloc) per 256 B upload. A
-/// build with debug assertions (the test profile) makes more calls than a
-/// release build, so each has its own budget.
-const UPLOAD_BUDGET: u64 = if cfg!(debug_assertions) { 190 } else { 132 };
+/// build with debug assertions (the test profile) and a release build make
+/// the same calls; full-mode `ci.sh` runs both.
+const UPLOAD_BUDGET: u64 = 105;
 /// Allocator calls per download of a 256 B object.
-const DOWNLOAD_BUDGET: u64 = if cfg!(debug_assertions) { 197 } else { 139 };
+const DOWNLOAD_BUDGET: u64 = 112;
+/// Allocator calls per envelope seal at 512 bits: RSA's padded block and
+/// ciphertext, and the envelope itself. The key derivation, the cipher and
+/// the MAC run on the stack.
+const SEAL_BUDGET: u64 = 3;
+/// Allocator calls per envelope open: RSA's padded block and the seed it
+/// carries, and the opened body.
+const OPEN_BUDGET: u64 = 3;
 /// Live heap bytes a settled 256 B upload of a fresh key leaves in a
-/// `World`, averaged over [`LIVE_UPLOADS`] uploads; both profiles measure
+/// `World`, averaged over [`LIVE_TXNS`] uploads; both profiles measure
 /// the same. The received frame each stored object pins, a message buffer
 /// sized exactly by `Wire::encoded_len` (about 705 B), is part of it.
-const LIVE_BUDGET: i64 = 3_594;
-/// Uploads the live-heap budget averages over. The event ring and the maps
-/// grow by doubling, so the average depends on the count; this one leaves
-/// each of them well filled.
-const LIVE_UPLOADS: usize = 4_000;
+const LIVE_BUDGET: i64 = 2_836;
+/// Live heap bytes a settled download of a 256 B object leaves in a
+/// `World`, averaged over [`LIVE_TXNS`] downloads of distinct objects: the
+/// client's record and the payload it received (a view that pins the
+/// response frame), the provider's record, and their events.
+const LIVE_DOWNLOAD_BUDGET: i64 = 2_564;
+/// Transactions a live-heap budget averages over. The event ring and the
+/// maps grow by doubling, so the average depends on the count; this one
+/// leaves each of them well filled.
+const LIVE_TXNS: usize = 4_000;
 
 /// What the counting allocator has seen on one thread.
 #[derive(Clone, Copy)]
@@ -232,26 +246,111 @@ fn freed_by(w: &mut World, swap: impl FnOnce(&mut World, &mut World)) -> i64 {
     before - live() - fresh_world
 }
 
+/// The live heap of each part of `w` (provider, client, obs, net, ttp):
+/// what trading it for the same part of a fresh world frees.
+fn parts(w: &mut World) -> [i64; 5] {
+    [
+        freed_by(w, |w, s| std::mem::swap(&mut w.provider, &mut s.provider)),
+        freed_by(w, |w, s| std::mem::swap(&mut w.client, &mut s.client)),
+        freed_by(w, |w, s| std::mem::swap(&mut w.obs, &mut s.obs)),
+        freed_by(w, |w, s| std::mem::swap(w.net_mut(), s.net_mut())),
+        freed_by(w, |w, s| std::mem::swap(&mut w.ttp, &mut s.ttp)),
+    ]
+}
+
+/// Live heap each of [`LIVE_TXNS`] transactions `run` settles leaves in a
+/// world that `setup` prepared, printed split by part under `what`
+/// (`--nocapture`). Each part's share is measured against a second world
+/// that only `setup` ran on, so what `setup` left is not counted.
+fn live_heap_per_txn(
+    what: &str,
+    setup: impl Fn(&mut World),
+    mut run: impl FnMut(&mut World, usize),
+) -> i64 {
+    let world = || World::new(5, ProtocolConfig::full());
+    let mut base = world();
+    setup(&mut base);
+    let base_parts = parts(&mut base);
+    drop(base);
+    let mut w = world();
+    setup(&mut w);
+    let before = live();
+    for i in 0..LIVE_TXNS {
+        run(&mut w, i);
+    }
+    let per = |bytes: i64| bytes / LIVE_TXNS as i64;
+    let per_txn = per(live() - before);
+    let [provider, client, obs, net, ttp] = parts(&mut w);
+    let [provider, client, obs, net, ttp] = [
+        per(provider - base_parts[0]),
+        per(client - base_parts[1]),
+        per(obs - base_parts[2]),
+        per(net - base_parts[3]),
+        per(ttp - base_parts[4]),
+    ];
+    let runner = per_txn - (provider + client + obs + net + ttp);
+    println!(
+        "live heap per settled {what}: {per_txn} B = provider {provider} + client {client} \
+         + obs {obs} + net {net} + ttp {ttp} + runner {runner}"
+    );
+    per_txn
+}
+
 /// A settled transaction stays in memory for the life of the service: both
 /// parties keep their evidence for disputes. This gates what one costs and
 /// prints where it sits (`--nocapture`).
 #[test]
 fn a_settled_upload_keeps_its_live_heap_budget() {
-    let mut w = World::new(5, ProtocolConfig::full());
-    upload_fresh_keys(&mut w, 0, 50);
-    let before = live();
-    upload_fresh_keys(&mut w, 50, LIVE_UPLOADS);
-    let per = |bytes: i64| bytes / LIVE_UPLOADS as i64;
-    let per_upload = per(live() - before);
-    let provider = per(freed_by(&mut w, |w, s| std::mem::swap(&mut w.provider, &mut s.provider)));
-    let client = per(freed_by(&mut w, |w, s| std::mem::swap(&mut w.client, &mut s.client)));
-    let obs = per(freed_by(&mut w, |w, s| std::mem::swap(&mut w.obs, &mut s.obs)));
-    let net = per(freed_by(&mut w, |w, s| std::mem::swap(w.net_mut(), s.net_mut())));
-    let ttp = per(freed_by(&mut w, |w, s| std::mem::swap(&mut w.ttp, &mut s.ttp)));
-    let runner = per_upload - (provider + client + obs + net + ttp);
-    println!(
-        "live heap per settled upload: {per_upload} B = provider {provider} + client {client} \
-         + obs {obs} + net {net} + ttp {ttp} + runner {runner}"
+    let per_upload = live_heap_per_txn(
+        "upload",
+        |w| upload_fresh_keys(w, 0, 50),
+        |w, i| upload_fresh_keys(w, 50 + i, 1),
     );
     assert!(per_upload <= LIVE_BUDGET, "{per_upload} B > {LIVE_BUDGET} B per settled upload");
+}
+
+/// A download's record also keeps the payload it received, which pins the
+/// response frame. The objects are uploaded before measuring, so only the
+/// download's share is counted.
+#[test]
+fn a_settled_download_keeps_its_live_heap_budget() {
+    let download = |w: &mut World, i: usize| {
+        let key = format!("obj-{i}");
+        assert!(w.download(key.as_bytes(), TimeoutStrategy::AbortFirst).completed());
+    };
+    let setup = |w: &mut World| {
+        upload_fresh_keys(w, 0, 50 + LIVE_TXNS);
+        (0..50).for_each(|i| download(w, i));
+    };
+    let per_download = live_heap_per_txn("download", setup, |w, i| download(w, 50 + i));
+    assert!(
+        per_download <= LIVE_DOWNLOAD_BUDGET,
+        "{per_download} B > {LIVE_DOWNLOAD_BUDGET} B per settled download"
+    );
+}
+
+/// Evidence is sealed and opened twice per transaction, so the envelope's
+/// scratch buffers are a per-transaction cost of their own.
+#[test]
+fn an_envelope_seals_and_opens_within_its_allocation_budget() {
+    const RUNS: u64 = 16;
+    let keys = RsaKeyPair::insecure_test_key(3);
+    let mut rng = ChaChaRng::seed_from_u64(9);
+    // Two length-prefixed 64 B signatures, what evidence seals.
+    let body = [7u8; 136];
+    let mut sealed = Vec::new();
+    let (seal_calls, _) = tally(|| {
+        for _ in 0..RUNS {
+            sealed = black_box(envelope::seal(&keys.public, &mut rng, &body).unwrap());
+        }
+    });
+    let (open_calls, _) = tally(|| {
+        for _ in 0..RUNS {
+            assert_eq!(black_box(envelope::open(&keys.private, &sealed).unwrap()), body);
+        }
+    });
+    let (seal, open) = (seal_calls.div_ceil(RUNS), open_calls.div_ceil(RUNS));
+    println!("per envelope seal: {seal} allocations; per open: {open}");
+    assert!(seal <= SEAL_BUDGET, "seal: {seal} > {SEAL_BUDGET}");
+    assert!(open <= OPEN_BUDGET, "open: {open} > {OPEN_BUDGET}");
 }

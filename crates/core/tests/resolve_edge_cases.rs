@@ -41,7 +41,7 @@ fn abort_after_completion_is_rejected() {
     ));
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::AbortRejected);
-    assert!(w.client.txn(r.txn_id).unwrap().nrr.is_some(), "Bob's abort NRR archived");
+    assert!(w.client.txn(r.txn_id).unwrap().nrr().unwrap().is_some(), "Bob's abort NRR archived");
     // The data IS stored — Bob completed his side.
     assert_eq!(w.provider.peek_storage(b"k"), Some(&b"data"[..]));
 }
@@ -69,7 +69,7 @@ fn late_abort_reply_does_not_reopen_a_completed_upload() {
         .at;
     assert_eq!(reject_at.micros(), 510_000);
     assert_eq!(r.outcome, TxnState::Completed);
-    let nrr = w.client.txn(r.txn_id).unwrap().nrr.clone().expect("the receipt NRR is kept");
+    let nrr = w.client.txn(r.txn_id).unwrap().nrr().unwrap().expect("the receipt NRR is kept");
     assert_eq!(nrr.plaintext.flag, Flag::UploadReceipt);
 }
 
@@ -151,7 +151,7 @@ fn forged_resolve_rejected_by_ttp() {
     assert_eq!(r.outcome, TxnState::Completed);
 
     // Build a resolve whose NRO has a doctored hash.
-    let mut nro = w.client.txn(r.txn_id).unwrap().nro.clone();
+    let mut nro = w.client.txn(r.txn_id).unwrap().nro().unwrap();
     nro.plaintext.data_hash[0] ^= 1;
     let pt = tpnr_core::evidence::EvidencePlaintext {
         flag: Flag::ResolveRequest,
@@ -181,7 +181,7 @@ fn resolve_from_wrong_party_rejected() {
     // fails the identity binding at the TTP.
     let mut w = World::new(14, ProtocolConfig::full());
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
-    let nro = w.client.txn(r.txn_id).unwrap().nro.clone();
+    let nro = w.client.txn(r.txn_id).unwrap().nro().unwrap();
     let pt = tpnr_core::evidence::EvidencePlaintext {
         flag: Flag::ResolveRequest,
         sender: w.client.id(),
@@ -209,7 +209,7 @@ fn resolve_with_max_seq_forwards_without_overflow() {
     let mut w = World::new(15, ProtocolConfig::full());
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Completed);
-    let nro = w.client.txn(r.txn_id).unwrap().nro.clone();
+    let nro = w.client.txn(r.txn_id).unwrap().nro().unwrap();
     let pt = tpnr_core::evidence::EvidencePlaintext {
         flag: Flag::ResolveRequest,
         sender: w.client.id(),
@@ -243,7 +243,7 @@ fn resolve_naming(
     object: &[u8],
     (hash_alg, data_hash): (HashAlg, Vec<u8>),
 ) -> Message {
-    let nro = w.client.txn(txn).unwrap().nro.clone();
+    let nro = w.client.txn(txn).unwrap().nro().unwrap();
     let pt = tpnr_core::evidence::EvidencePlaintext {
         flag: Flag::ResolveRequest,
         sender: w.client.id(),
@@ -262,7 +262,7 @@ fn resolve_naming(
 
 /// The hash Alice's NRO for `txn` signed.
 fn nro_hash(w: &World, txn: u64) -> (HashAlg, Vec<u8>) {
-    let pt = &w.client.txn(txn).unwrap().nro.plaintext;
+    let pt = &w.client.txn(txn).unwrap().nro().unwrap().plaintext;
     (pt.hash_alg, pt.data_hash.clone())
 }
 
@@ -366,7 +366,7 @@ fn resolve_completes_then_late_receipt_is_harmless() {
 fn ttp_ignores_unsolicited_resolve_replies() {
     let mut w = World::new(16, ProtocolConfig::full());
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
-    let pt = w.client.txn(r.txn_id).unwrap().nro.plaintext.clone();
+    let pt = w.client.txn(r.txn_id).unwrap().nro().unwrap().plaintext.clone();
     let msg = Message::ResolveReply {
         action: tpnr_core::message::ResolveAction::Continue,
         plaintext: pt,

@@ -15,7 +15,7 @@
 use crate::chacha20;
 use crate::ct;
 use crate::error::CryptoError;
-use crate::hmac::Hmac;
+use crate::hmac::hmac_sha256;
 use crate::rng::ChaChaRng;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
 use crate::sha2::Sha256;
@@ -27,17 +27,13 @@ const TAG_LEN: usize = 32;
 /// Derives the cipher and MAC keys from the transported seed.
 fn derive_keys(seed: &[u8]) -> ([u8; 32], [u8; 32]) {
     use crate::hash::Digest as _;
-    let mut cipher_key = [0u8; 32];
-    let mut mac_key = [0u8; 32];
-    let mut h = Sha256::default();
-    h.update(seed);
-    h.update(b"tpnr-envelope-cipher");
-    cipher_key.copy_from_slice(&h.finalize());
-    let mut h = Sha256::default();
-    h.update(seed);
-    h.update(b"tpnr-envelope-mac");
-    mac_key.copy_from_slice(&h.finalize());
-    (cipher_key, mac_key)
+    let derive = |label: &[u8]| {
+        let mut h = Sha256::default();
+        h.update(seed);
+        h.update(label);
+        h.finalize_array()
+    };
+    (derive(b"tpnr-envelope-cipher"), derive(b"tpnr-envelope-mac"))
 }
 
 /// Encrypts `plaintext` to the holder of `recipient`.
@@ -53,16 +49,19 @@ pub fn seal(
     let wrapped = recipient.encrypt(rng, &seed)?;
     let mut nonce = [0u8; NONCE_LEN];
     rng.fill_bytes(&mut nonce);
-    let ciphertext = chacha20::encrypt(&cipher_key, &nonce, plaintext);
 
-    let mut out = Vec::with_capacity(2 + wrapped.len() + NONCE_LEN + ciphertext.len() + TAG_LEN);
+    let mut out = Vec::with_capacity(2 + wrapped.len() + NONCE_LEN + plaintext.len() + TAG_LEN);
     out.extend_from_slice(&(wrapped.len() as u16).to_be_bytes());
     out.extend_from_slice(&wrapped);
     out.extend_from_slice(&nonce);
-    out.extend_from_slice(&ciphertext);
+    let ct_start = out.len();
+    out.extend_from_slice(plaintext);
+    if let Some(ciphertext) = out.get_mut(ct_start..) {
+        chacha20::xor_stream(&cipher_key, &nonce, 1, ciphertext);
+    }
     // MAC over everything before the tag (header included): tampering with
     // the wrapped key or nonce must also be detected.
-    let tag = Hmac::<Sha256>::mac(&mac_key, &out);
+    let tag = hmac_sha256(&mac_key, &out);
     out.extend_from_slice(&tag);
     Ok(out)
 }
@@ -90,12 +89,14 @@ pub fn open(recipient: &RsaPrivateKey, envelope: &[u8]) -> Result<Vec<u8>, Crypt
         return Err(CryptoError::InvalidPadding);
     }
     let (cipher_key, mac_key) = derive_keys(&seed);
-    if !ct::eq(&Hmac::<Sha256>::mac(&mac_key, body), tag) {
+    if !ct::eq(&hmac_sha256(&mac_key, body), tag) {
         return Err(CryptoError::BadMac);
     }
     let mut nonce = [0u8; NONCE_LEN];
     nonce.copy_from_slice(&envelope[nonce_start..ct_start]);
-    Ok(chacha20::decrypt(&cipher_key, &nonce, &body[ct_start..]))
+    let mut plaintext = body[ct_start..].to_vec();
+    chacha20::xor_stream(&cipher_key, &nonce, 1, &mut plaintext);
+    Ok(plaintext)
 }
 
 #[cfg(test)]
@@ -142,6 +143,36 @@ mod tests {
         let env = seal(&kp.public, &mut rng, b"payload").unwrap();
         for cut in [0usize, 1, 10, env.len() - 1] {
             assert!(open(&kp.private, &env[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn sealed_bytes_match_the_generic_hmac_and_cipher() {
+        // The envelope is built on stack keys and an in-place cipher; its
+        // bytes are those of the generic `Hmac` and `chacha20::encrypt`
+        // over the same random draws.
+        use crate::hash::Digest as _;
+        use crate::hmac::Hmac;
+        let (kp, rng) = setup();
+        for n in [0usize, 1, 64, 136, 1000] {
+            let data: Vec<u8> = (0..n).map(|i| (i * 31) as u8).collect();
+            let env = seal(&kp.public, &mut rng.clone(), &data).unwrap();
+
+            let mut rng = rng.clone();
+            let mut seed = [0u8; SEED_LEN];
+            rng.fill_bytes(&mut seed);
+            let key = |label: &[u8]| Sha256::digest(&[&seed[..], label].concat());
+            let cipher_key: [u8; 32] = key(b"tpnr-envelope-cipher").try_into().unwrap();
+            let wrapped = kp.public.encrypt(&mut rng, &seed).unwrap();
+            let mut nonce = [0u8; NONCE_LEN];
+            rng.fill_bytes(&mut nonce);
+            let mut expected = (wrapped.len() as u16).to_be_bytes().to_vec();
+            expected.extend_from_slice(&wrapped);
+            expected.extend_from_slice(&nonce);
+            expected.extend_from_slice(&chacha20::encrypt(&cipher_key, &nonce, &data));
+            let tag = Hmac::<Sha256>::mac(&key(b"tpnr-envelope-mac"), &expected);
+            expected.extend_from_slice(&tag);
+            assert_eq!(env, expected, "size {n}");
         }
     }
 

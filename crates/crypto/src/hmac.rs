@@ -58,6 +58,28 @@ impl<D: Digest> Hmac<D> {
     }
 }
 
+/// One-shot HMAC-SHA256 under a 32-byte key, computed on the stack: the
+/// envelope's MAC, which [`Hmac`] would answer with six heap buffers.
+pub(crate) fn hmac_sha256(key: &[u8; 32], data: &[u8]) -> [u8; 32] {
+    // The key, zero-padded to one block, XOR ipad; XOR-ing in
+    // `ipad ^ opad` then turns it into the outer key.
+    let mut pad = [0x36u8; 64];
+    for (p, k) in pad.iter_mut().zip(key) {
+        *p ^= k;
+    }
+    let mut inner = Sha256::default();
+    inner.update(&pad);
+    inner.update(data);
+    let inner_hash = inner.finalize_array();
+    for p in &mut pad {
+        *p ^= 0x36 ^ 0x5c;
+    }
+    let mut outer = Sha256::default();
+    outer.update(&pad);
+    outer.update(&inner_hash);
+    outer.finalize_array()
+}
+
 /// One-shot HMAC with a runtime-selected hash (mirrors [`HashAlg::hash`]).
 pub fn hmac(alg: HashAlg, key: &[u8], data: &[u8]) -> Vec<u8> {
     match alg {
@@ -156,6 +178,15 @@ mod tests {
         h.update(b"hello ");
         h.update(b"world");
         assert_eq!(h.finalize(), Hmac::<Sha256>::mac(b"key", b"hello world"));
+    }
+
+    #[test]
+    fn the_stack_hmac_matches_the_generic_one() {
+        let key: [u8; 32] = core::array::from_fn(|i| (i * 7) as u8);
+        for n in [0usize, 1, 55, 56, 63, 64, 65, 119, 200] {
+            let data: Vec<u8> = (0..n).map(|i| (i * 13) as u8).collect();
+            assert_eq!(hmac_sha256(&key, &data).to_vec(), Hmac::<Sha256>::mac(&key, &data));
+        }
     }
 
     #[test]

@@ -249,13 +249,11 @@ impl RsaPublicKey {
         em.push(0x00);
         em.push(0x02);
         for _ in 0..k - msg.len() - 3 {
-            loop {
-                let b = rng.gen_bytes(1).first().copied().unwrap_or(0);
-                if b != 0 {
-                    em.push(b);
-                    break;
-                }
+            let mut b = [0u8];
+            while b == [0] {
+                rng.fill_bytes(&mut b);
             }
+            em.extend_from_slice(&b);
         }
         em.push(0x00);
         em.extend_from_slice(msg);

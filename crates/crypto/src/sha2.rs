@@ -192,13 +192,24 @@ impl Digest for Sha256 {
         self.buf_len = rest.len();
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize(self) -> Vec<u8> {
+        self.finalize_array().into()
+    }
+}
+
+impl Sha256 {
+    /// Finalises into a fixed-size digest, which needs no heap buffer.
+    pub(crate) fn finalize_array(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update(&crate::hash::MD_PAD[..crate::hash::md_pad_len(self.buf_len, 64, 8)]);
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         Self::compress(&mut self.state, &block);
-        self.state.iter().flat_map(|w| w.to_be_bytes()).collect()
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 }
 

@@ -231,6 +231,18 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Skips `n` bytes.
+    pub fn skip(&mut self, n: usize) -> Result<(), CodecError> {
+        self.take(n).map(drop)
+    }
+
+    /// Skips a `u32`-length-prefixed byte field and returns its length.
+    pub fn skip_bytes(&mut self) -> Result<usize, CodecError> {
+        let len = self.u32()? as usize;
+        self.skip(len)?;
+        Ok(len)
+    }
+
     /// Reads a length-prefixed UTF-8 string (invalid UTF-8 is rejected).
     pub fn str(&mut self) -> Result<String, CodecError> {
         String::from_utf8(self.bytes()?).map_err(|_| CodecError::BadDiscriminant("utf-8 string", 0))

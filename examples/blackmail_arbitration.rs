@@ -18,10 +18,10 @@ fn full_case(w: &World, up: u64, down: u64) -> DisputeCase {
     DisputeCase {
         claimant: Some(w.client.id()),
         respondent: Some(w.provider.id()),
-        upload_nrr: w.client.txn(up).and_then(|t| t.nrr.clone()),
-        download_nrr: w.client.txn(down).and_then(|t| t.nrr.clone()),
-        upload_nro: w.provider.txn(up).map(|t| t.nro.clone()),
-        download_nro: w.provider.txn(down).map(|t| t.nro.clone()),
+        upload_nrr: w.client.txn(up).and_then(|t| t.nrr().ok().flatten()),
+        download_nrr: w.client.txn(down).and_then(|t| t.nrr().ok().flatten()),
+        upload_nro: w.provider.txn(up).and_then(|t| t.nro().ok()),
+        download_nro: w.provider.txn(down).and_then(|t| t.nro().ok()),
     }
 }
 

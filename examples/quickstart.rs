@@ -28,16 +28,10 @@ fn main() {
     );
 
     // Both sides now hold signed evidence.
-    let alice_txn = world.client.txn(up.txn_id).unwrap();
-    println!(
-        "evidence: Alice holds Bob's NRR (receipt)    — flag {:?}",
-        alice_txn.nrr.as_ref().unwrap().plaintext.flag
-    );
-    let bob_txn = world.provider.txn(up.txn_id).unwrap();
-    println!(
-        "evidence: Bob holds Alice's NRO (origin)     — flag {:?}",
-        bob_txn.nro.plaintext.flag
-    );
+    let alice_nrr = world.client.txn(up.txn_id).and_then(|t| t.nrr().ok().flatten()).unwrap();
+    println!("evidence: Alice holds Bob's NRR (receipt)    — flag {:?}", alice_nrr.plaintext.flag);
+    let bob_nro = world.provider.txn(up.txn_id).and_then(|t| t.nro().ok()).unwrap();
+    println!("evidence: Bob holds Alice's NRO (origin)     — flag {:?}", bob_nro.plaintext.flag);
 
     // --- Download ---------------------------------------------------------
     let down = world.download(b"backup/q3", TimeoutStrategy::AbortFirst);

@@ -35,10 +35,10 @@ fn figure5_story_platforms_fail_tpnr_closes_gap() {
     let verdict = arb.judge(&DisputeCase {
         claimant: Some(w.client.id()),
         respondent: Some(w.provider.id()),
-        upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr.clone()),
-        download_nrr: w.client.txn(down.txn_id).and_then(|t| t.nrr.clone()),
-        upload_nro: w.provider.txn(up.txn_id).map(|t| t.nro.clone()),
-        download_nro: w.provider.txn(down.txn_id).map(|t| t.nro.clone()),
+        upload_nrr: w.client.txn(up.txn_id).and_then(|t| t.nrr().unwrap()),
+        download_nrr: w.client.txn(down.txn_id).and_then(|t| t.nrr().unwrap()),
+        upload_nro: w.provider.txn(up.txn_id).map(|t| t.nro().unwrap()),
+        download_nro: w.provider.txn(down.txn_id).map(|t| t.nro().unwrap()),
     });
     assert_eq!(verdict, Verdict::ProviderAtFault);
 }
@@ -114,7 +114,7 @@ fn asymmetric_outage_only_receipts_lost() {
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::ResolveImmediately);
     assert_eq!(r.outcome, TxnState::Completed);
     assert!(r.report.ttp_used);
-    assert!(w.client.txn(r.txn_id).unwrap().nrr.is_some());
+    assert!(w.client.txn(r.txn_id).unwrap().nrr().unwrap().is_some());
     assert_eq!(w.provider.peek_storage(b"k"), Some(&b"data"[..]));
 }
 
@@ -125,7 +125,7 @@ fn abort_settles_when_provider_ignores_transfers() {
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Aborted);
     // Alice holds Bob's signed abort acknowledgement — her protection.
-    assert!(w.client.txn(r.txn_id).unwrap().nrr.is_some());
+    assert!(w.client.txn(r.txn_id).unwrap().nrr().unwrap().is_some());
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn md5_mode_matches_the_2010_platforms() {
     assert_eq!(down.data.clone().unwrap(), &b"data"[..]);
     assert_eq!(w.client.verify_download_against_upload(up.txn_id, down.txn_id), Some(true));
     assert_eq!(
-        w.client.txn(up.txn_id).unwrap().nrr.as_ref().unwrap().plaintext.data_hash.len(),
+        w.client.txn(up.txn_id).unwrap().nrr().unwrap().unwrap().plaintext.data_hash.len(),
         16,
         "MD5 evidence hashes are 16 bytes"
     );
