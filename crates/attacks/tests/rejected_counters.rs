@@ -5,6 +5,7 @@
 
 use tpnr_core::client::TimeoutStrategy;
 use tpnr_core::config::ProtocolConfig;
+use tpnr_core::message::MsgKind;
 use tpnr_core::obs::EventKind;
 use tpnr_core::runner::World;
 use tpnr_net::sim::Action;
@@ -53,5 +54,7 @@ fn injected_replays_show_up_in_rejected_counters() {
     let mut expected = vec![Some(r1.txn_id), Some(r2.txn_id)];
     expected.sort_unstable();
     assert_eq!(txns, expected);
-    assert!(rejected.iter().all(|e| e.actor == w.bob_node && e.msg_kind() == Some("Transfer")));
+    assert!(rejected
+        .iter()
+        .all(|e| e.actor == w.bob_node && e.msg_kind() == Some(MsgKind::Transfer)));
 }

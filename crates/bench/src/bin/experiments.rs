@@ -5,6 +5,9 @@
 //! Extra modes:
 //! - `--trace-jsonl [path|-]` exports the observability stream of a faulted
 //!   multi-client run as JSONL (stdout when the path is `-` or omitted);
+//! - `--e3-matrix [path|-]` writes the §5 attack matrix as tab-separated
+//!   text, one row per line with its full detail (the golden file
+//!   `crates/bench/tests/e3_matrix.tsv`);
 //! - `--bench-<exhibit> [path|-] [--quick]` emits one exhibit's rows as
 //!   JSONL (`BENCH_eN.json`, stdout likewise); `--quick` shrinks the sweep
 //!   for the CI smoke step. The rows timed per call (E4's primitives, E9,
@@ -47,6 +50,7 @@ fn main() {
     match args.first().map(String::as_str) {
         None => print_tables(),
         Some("--trace-jsonl") => emit(path, &trace_jsonl(2026)),
+        Some("--e3-matrix") => emit(path, &e3_matrix_text()),
         Some(mode @ ("--check" | "--validate-jsonl")) => {
             let Some(path) = path else {
                 eprintln!("usage: experiments {mode} <file>");
@@ -78,6 +82,7 @@ fn main() {
             None => {
                 eprintln!(
                     "unknown flag {flag}; supported: --trace-jsonl [path|-], \
+                     --e3-matrix [path|-], \
                      --bench-eN [path|-] [--quick] for N in 4, 8, 9, 10, 12, 13, 14, \
                      --bench-x1 and --bench-platforms likewise, \
                      --check <file>, --validate-jsonl <file>"
@@ -139,7 +144,7 @@ fn emit(path: Option<&str>, jsonl: &str) {
                 eprintln!("error: cannot write {p}: {e}");
                 std::process::exit(1);
             }
-            eprintln!("wrote {} JSONL lines to {p}", jsonl.lines().count());
+            eprintln!("wrote {} lines to {p}", jsonl.lines().count());
         }
     }
 }

@@ -190,6 +190,19 @@ pub fn e3_attack_matrix() -> Vec<tpnr_attacks::AttackOutcome> {
     tpnr_attacks::matrix()
 }
 
+/// E3's matrix as text, one row per line: the attack, the protocol variant,
+/// whether the attack was blocked and its full detail, tab-separated.
+/// `crates/bench/tests/fingerprints.rs` pins it (`experiments --e3-matrix`).
+pub fn e3_matrix_text() -> String {
+    e3_attack_matrix()
+        .iter()
+        .map(|o| {
+            let (attack, variant) = (o.attack.label(), o.ablation.label());
+            format!("{attack}\t{variant}\t{}\t{}\n", o.blocked, o.detail)
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------- E4 ----
 
 /// One row of the evidence-cost table.

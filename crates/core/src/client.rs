@@ -38,8 +38,9 @@ pub struct ClientTxn {
     /// Her NRO and, once received and verified, Bob's NRR, in one buffer
     /// that [`nro`](Self::nro) and [`nrr`](Self::nrr) decode.
     evidence: EvidencePair,
-    /// Download payload once received.
-    pub received: Option<Payload>,
+    /// Download payload once received. Boxed: only downloads fill it, and
+    /// inline it would widen every upload's record by 40 bytes.
+    pub received: Option<Box<Payload>>,
     /// Current state.
     pub state: TxnState,
     /// When the pending step times out.
@@ -149,7 +150,7 @@ impl Client {
 
     /// Data received by a completed download.
     pub fn download_result(&self, txn_id: u64) -> Option<&Payload> {
-        self.txns.get(&txn_id)?.received.as_ref()
+        self.txns.get(&txn_id)?.received.as_deref()
     }
 
     /// Evicts a settled transaction to the runner's archived-evidence log:
@@ -328,7 +329,7 @@ impl Client {
             if !ct::eq(&commitment, &pt.data_hash) || payload.key != sent.object {
                 return Err(ValidationError::HashMismatch);
             }
-            Some(payload)
+            Some(Box::new(payload))
         } else {
             None
         };
@@ -645,6 +646,20 @@ mod tests {
     use crate::fault::Durable as _;
     use crate::runner::World;
     use tpnr_net::transport::Transport as _;
+
+    #[test]
+    fn a_record_is_48_bytes_and_only_a_download_fills_its_payload() {
+        // Every settled transaction keeps its record, so the payload only
+        // downloads receive sits behind a pointer.
+        let size = std::mem::size_of::<ClientTxn>();
+        assert!(size <= 48, "{size} B");
+        let mut w = World::new(5, ProtocolConfig::full());
+        let up = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst).txn_id;
+        let down = w.download(b"k", TimeoutStrategy::AbortFirst).txn_id;
+        assert_eq!(w.client.download_result(up), None);
+        let got = w.client.download_result(down).map(|p| (&p.key[..], &p.data[..]));
+        assert_eq!(got, Some((&b"k"[..], &b"data"[..])));
+    }
 
     #[test]
     fn a_record_that_does_not_decode_gives_errors_never_a_panic() {

@@ -31,6 +31,7 @@
 //! rounds — no wall-clock, no ambient entropy. Same seed + same plan ⇒ the
 //! same crashes at the same sim-times, byte-identical observability output.
 
+use crate::message::MsgKind;
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::time::{SimDuration, SimTime};
 
@@ -93,7 +94,7 @@ pub struct FaultPlan {
     /// (1-based count of messages actually reaching it). One-shot.
     pub crash_at_delivery: Vec<(String, u64)>,
     /// Crash an actor the first time it receives a message of the given
-    /// kind (`Message::kind()` label), at the given point. One-shot.
+    /// kind (a [`MsgKind::label`]), at the given point. One-shot.
     pub crash_on_msg: Vec<(String, String, CrashPoint)>,
     /// TTP outage windows `[start, end)` in sim-time; must be sorted by
     /// start. During a window the TTP is down and restores at `end`.
@@ -398,7 +399,7 @@ impl FaultCtl {
     /// Decide the fate of a delivery of a `kind` message to the (live)
     /// actor in `slot`. Consumes one-shot schedule entries and chaos RNG
     /// rolls.
-    pub fn delivery_verdict(&mut self, slot: usize, kind: &str) -> DeliveryVerdict {
+    pub fn delivery_verdict(&mut self, slot: usize, kind: MsgKind) -> DeliveryVerdict {
         self.delivery_count[slot] += 1;
         let n = self.delivery_count[slot];
         let mut rules = self.at_delivery.iter_mut().zip(&self.plan.crash_at_delivery);
@@ -408,7 +409,7 @@ impl FaultCtl {
         }
         let mut rules = self.on_msg.iter_mut().zip(&self.plan.crash_on_msg);
         if let Some((rule, (_, _, point))) =
-            rules.find(|(s, (_, k, _))| **s == Some(slot) && k == kind)
+            rules.find(|(s, (_, k, _))| **s == Some(slot) && k == kind.label())
         {
             *rule = None;
             return match point {
@@ -615,11 +616,11 @@ mod tests {
     fn crash_at_delivery_is_one_shot_and_counts_per_actor() {
         let plan = FaultPlan::none().with_crash_at_delivery("bob", 2);
         let mut ctl = FaultCtl::new(&plan, NAMES);
-        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
-        assert_eq!(ctl.delivery_verdict(ALICE, "Receipt"), DeliveryVerdict::Proceed);
-        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::CrashBefore);
+        assert_eq!(ctl.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(ALICE, MsgKind::Receipt), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::CrashBefore);
         // One-shot: the next 2nd-style delivery does not crash again.
-        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::Proceed);
     }
 
     #[test]
@@ -628,10 +629,10 @@ mod tests {
             .with_crash_on_msg("ttp", "Resolve", CrashPoint::Before)
             .with_crash_on_msg("bob", "Transfer", CrashPoint::After);
         let mut ctl = FaultCtl::new(&plan, NAMES);
-        assert_eq!(ctl.delivery_verdict(TTP, "Resolve"), DeliveryVerdict::CrashBefore);
-        assert_eq!(ctl.delivery_verdict(TTP, "Resolve"), DeliveryVerdict::Proceed);
-        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::CrashAfter);
-        assert_eq!(ctl.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(TTP, MsgKind::Resolve), DeliveryVerdict::CrashBefore);
+        assert_eq!(ctl.delivery_verdict(TTP, MsgKind::Resolve), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::CrashAfter);
+        assert_eq!(ctl.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::Proceed);
     }
 
     #[test]
@@ -680,7 +681,7 @@ mod tests {
         let plan = FaultPlan::none().with_crash_at_delivery("absent", 1);
         let mut ctl = FaultCtl::new(&plan, names);
         assert!(ctl.active(), "a rule naming no actor still keeps the injector on");
-        assert_eq!(ctl.delivery_verdict(0, "Transfer"), DeliveryVerdict::Proceed);
+        assert_eq!(ctl.delivery_verdict(0, MsgKind::Transfer), DeliveryVerdict::Proceed);
         let until = ctl.crash(1, SimTime::ZERO);
         assert_eq!(ctl.crash(0, SimTime::ZERO), until);
         assert!(ctl.is_down(0) && ctl.is_down(1) && !ctl.is_down(2));
@@ -709,7 +710,7 @@ mod tests {
         let plan = FaultPlan::none().with_seed(7).with_chaos(&["bob"], 500, 3);
         let run = |plan: &FaultPlan| {
             let mut ctl = FaultCtl::new(plan, NAMES);
-            (0..200).map(|_| ctl.delivery_verdict(BOB, "Transfer")).collect::<Vec<_>>()
+            (0..200).map(|_| ctl.delivery_verdict(BOB, MsgKind::Transfer)).collect::<Vec<_>>()
         };
         let a = run(&plan);
         let b = run(&plan);

@@ -165,17 +165,61 @@ impl Message {
         }
     }
 
-    /// Short label for traces and experiment logs.
-    pub fn kind(&self) -> &'static str {
+    /// Which of the seven messages this is.
+    pub fn kind(&self) -> MsgKind {
         match self {
-            Message::Transfer { .. } => "Transfer",
-            Message::Receipt { .. } => "Receipt",
-            Message::Abort { .. } => "Abort",
-            Message::AbortReply { .. } => "AbortReply",
-            Message::Resolve { .. } => "Resolve",
-            Message::ResolveForward { .. } => "ResolveForward",
-            Message::ResolveReply { .. } => "ResolveReply",
+            Message::Transfer { .. } => MsgKind::Transfer,
+            Message::Receipt { .. } => MsgKind::Receipt,
+            Message::Abort { .. } => MsgKind::Abort,
+            Message::AbortReply { .. } => MsgKind::AbortReply,
+            Message::Resolve { .. } => MsgKind::Resolve,
+            Message::ResolveForward { .. } => MsgKind::ResolveForward,
+            Message::ResolveReply { .. } => MsgKind::ResolveReply,
         }
+    }
+}
+
+/// A [`Message`] variant without its contents: one byte, so the events
+/// that name a message stay small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgKind {
+    /// [`Message::Transfer`].
+    Transfer,
+    /// [`Message::Receipt`].
+    Receipt,
+    /// [`Message::Abort`].
+    Abort,
+    /// [`Message::AbortReply`].
+    AbortReply,
+    /// [`Message::Resolve`].
+    Resolve,
+    /// [`Message::ResolveForward`].
+    ResolveForward,
+    /// [`Message::ResolveReply`].
+    ResolveReply,
+}
+
+impl MsgKind {
+    /// The variant's name (`Transfer`, `Receipt`, …): the label traces and
+    /// experiment logs print, and what a
+    /// [`FaultPlan::crash_on_msg`](crate::fault::FaultPlan::crash_on_msg)
+    /// rule names.
+    pub fn label(self) -> &'static str {
+        match self {
+            MsgKind::Transfer => "Transfer",
+            MsgKind::Receipt => "Receipt",
+            MsgKind::Abort => "Abort",
+            MsgKind::AbortReply => "AbortReply",
+            MsgKind::Resolve => "Resolve",
+            MsgKind::ResolveForward => "ResolveForward",
+            MsgKind::ResolveReply => "ResolveReply",
+        }
+    }
+}
+
+impl std::fmt::Display for MsgKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -402,7 +446,7 @@ mod tests {
     fn txn_id_and_kind_accessors() {
         for m in all_messages() {
             assert_eq!(m.txn_id(), 7);
-            assert!(!m.kind().is_empty());
+            assert!(!m.kind().label().is_empty());
         }
     }
 

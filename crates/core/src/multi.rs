@@ -159,9 +159,11 @@ impl<T: Transport> GenericMultiWorld<T> {
     /// may keep the shared clock running long after this one settled).
     pub fn report(&self, txn: u64) -> Option<TxnReport> {
         match self.txn_meta.get(&txn) {
-            Some(m) => {
-                Some(self.live_report(txn, self.clients[m.client].txn_state(txn)?, m.started))
-            }
+            Some(m) => Some(self.live_report(
+                txn,
+                self.clients[m.client as usize].txn_state(txn)?,
+                m.started,
+            )),
             None => self.archived_report(txn),
         }
     }
@@ -171,6 +173,7 @@ impl<T: Transport> GenericMultiWorld<T> {
 mod tests {
     use super::*;
     use crate::fault::{Durable, FaultCtl};
+    use crate::message::MsgKind;
     use crate::obs::EventKind;
     use crate::runner::Snapshots as MultiSnapshots;
     use crate::sched::SettleOutcome;
@@ -468,7 +471,7 @@ mod tests {
         let rej =
             w.obs.events().iter().find(|e| matches!(e.kind, EventKind::Rejected { .. })).unwrap();
         assert_eq!(rej.txn, Some(t0.txn_id));
-        assert_eq!(rej.msg_kind(), Some("Transfer"));
+        assert_eq!(rej.msg_kind(), Some(MsgKind::Transfer));
         assert_eq!(w.provider.actor_stats.rejected, 1);
     }
 
@@ -489,7 +492,7 @@ mod tests {
             .obs
             .events()
             .iter()
-            .filter(|e| e.msg_kind() == Some("ResolveReply"))
+            .filter(|e| e.msg_kind() == Some(MsgKind::ResolveReply))
             .filter_map(|e| e.txn)
             .collect();
         assert_eq!(replies.len(), 8);

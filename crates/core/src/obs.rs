@@ -30,6 +30,7 @@
 //! (`tpnr-bench::report`), resolving each id through the transport's node
 //! table, and `experiments --trace-jsonl` exports a full run.
 
+use crate::message::MsgKind;
 use crate::session::{Outgoing, TxnState, ValidationError};
 use std::collections::{BTreeMap, VecDeque};
 use tpnr_net::sim::NodeId;
@@ -65,15 +66,15 @@ pub enum EventKind {
     Delivered {
         /// Sender's node.
         from: NodeId,
-        /// Message kind label (`Transfer`, `Receipt`, …).
-        msg: &'static str,
+        /// Which message (`Transfer`, `Receipt`, …).
+        msg: MsgKind,
     },
     /// A protocol message was decoded but refused by validation.
     Rejected {
         /// Sender's node.
         from: NodeId,
-        /// Message kind label.
-        msg: &'static str,
+        /// Which message.
+        msg: MsgKind,
         /// Why it was refused. Boxed: rejections are the cold path, and
         /// inline this one variant would set every event's size.
         error: Box<ValidationError>,
@@ -136,7 +137,7 @@ impl EventKind {
 impl Event {
     /// The protocol message kind this event carries, when it carries one
     /// (`Delivered` and `Rejected`).
-    pub fn msg_kind(&self) -> Option<&str> {
+    pub fn msg_kind(&self) -> Option<MsgKind> {
         match &self.kind {
             EventKind::Delivered { msg, .. } | EventKind::Rejected { msg, .. } => Some(*msg),
             _ => None,
@@ -361,7 +362,40 @@ impl ActorStats {
     }
 }
 
+/// What obs keeps per transaction, in one 32-byte entry: the [`TxnObs`]
+/// tallies as saturating `u32`s, the last observed state and the start
+/// time. A settled transaction keeps its entry until it is retired.
+#[derive(Debug, Clone, Copy, Default)]
+struct TxnEntry {
+    /// When its first message hit the wire; meaningful once `has_started`.
+    started: SimTime,
+    /// Accepted, rejected, garbled, dropped and duplicated, in that order.
+    tallies: [u32; 5],
+    /// Last client-visible state observed.
+    state: Option<TxnState>,
+    /// Whether `started` was noted.
+    has_started: bool,
+}
+
+/// Each tally's index in `TxnEntry::tallies`, in `TxnObs` field order.
+const ACCEPTED: usize = 0;
+const REJECTED: usize = 1;
+const GARBLED: usize = 2;
+const DROPPED: usize = 3;
+const DUPLICATED: usize = 4;
+
+impl TxnEntry {
+    /// Counts one more event in tally `i`.
+    fn bump(&mut self, i: usize) {
+        self.tallies[i] = self.tallies[i].saturating_add(1);
+    }
+}
+
 /// The shared observability sink: bounded event ring plus metrics.
+///
+/// Besides its events (48 bytes each: a message is named by a one-byte
+/// [`MsgKind`]), a transaction costs one 32-byte map entry holding its
+/// tallies, last state and start time until it is retired.
 #[derive(Debug, Clone)]
 pub struct Obs {
     events: VecDeque<Event>,
@@ -369,9 +403,7 @@ pub struct Obs {
     evicted: u64,
     /// Global counters and distributions.
     pub metrics: Metrics,
-    per_txn: BTreeMap<u64, TxnObs>,
-    last_state: BTreeMap<u64, TxnState>,
-    started: BTreeMap<u64, SimTime>,
+    txns: BTreeMap<u64, TxnEntry>,
 }
 
 impl Default for Obs {
@@ -393,9 +425,7 @@ impl Obs {
             capacity: capacity.max(1),
             evicted: 0,
             metrics: Metrics::default(),
-            per_txn: BTreeMap::new(),
-            last_state: BTreeMap::new(),
-            started: BTreeMap::new(),
+            txns: BTreeMap::new(),
         }
     }
 
@@ -424,14 +454,24 @@ impl Obs {
         &self.events
     }
 
-    /// Tallies for one transaction (zeroes if it was never seen).
+    /// Tallies for one transaction (zeroes if it was never seen). Each
+    /// tally saturates at `u32::MAX`.
     pub fn txn(&self, txn: u64) -> TxnObs {
-        self.per_txn.get(&txn).copied().unwrap_or_default()
+        let [accepted, rejected, garbled, dropped, duplicated] =
+            self.txns.get(&txn).map_or([0; 5], |e| e.tallies).map(u64::from);
+        TxnObs { accepted, rejected, garbled, dropped, duplicated }
     }
 
     /// Transactions with recorded events, ascending.
     pub fn txns(&self) -> Vec<u64> {
-        self.per_txn.keys().copied().collect()
+        self.txns.iter().filter(|(_, e)| e.tallies != [0; 5]).map(|(&t, _)| t).collect()
+    }
+
+    /// Counts one event in tally `i` of the transaction it belongs to.
+    fn tally(&mut self, txn: Option<u64>, i: usize) {
+        if let Some(t) = txn {
+            self.txns.entry(t).or_default().bump(i);
+        }
     }
 
     /// Records one event: updates the metrics, the per-transaction tallies,
@@ -440,34 +480,24 @@ impl Obs {
         match &event.kind {
             EventKind::Delivered { .. } => {
                 self.metrics.delivered += 1;
-                if let Some(t) = event.txn {
-                    self.per_txn.entry(t).or_default().accepted += 1;
-                }
+                self.tally(event.txn, ACCEPTED);
             }
             EventKind::Rejected { error, .. } => {
                 self.metrics.rejected += 1;
                 *self.metrics.rejected_by.entry(error.variant()).or_insert(0) += 1;
-                if let Some(t) = event.txn {
-                    self.per_txn.entry(t).or_default().rejected += 1;
-                }
+                self.tally(event.txn, REJECTED);
             }
             EventKind::Garbled { .. } => {
                 self.metrics.garbled += 1;
-                if let Some(t) = event.txn {
-                    self.per_txn.entry(t).or_default().garbled += 1;
-                }
+                self.tally(event.txn, GARBLED);
             }
             EventKind::Dropped { .. } => {
                 self.metrics.dropped += 1;
-                if let Some(t) = event.txn {
-                    self.per_txn.entry(t).or_default().dropped += 1;
-                }
+                self.tally(event.txn, DROPPED);
             }
             EventKind::Duplicated { .. } => {
                 self.metrics.duplicated += 1;
-                if let Some(t) = event.txn {
-                    self.per_txn.entry(t).or_default().duplicated += 1;
-                }
+                self.tally(event.txn, DUPLICATED);
             }
             EventKind::TimerFired { .. } => self.metrics.timer_fires += 1,
             EventKind::StateTransition { .. } => self.metrics.state_transitions += 1,
@@ -484,21 +514,23 @@ impl Obs {
     /// Marks when a transaction's first message hit the wire (idempotent;
     /// the first call wins). Terminal-state latency is measured from here.
     pub fn note_txn_started(&mut self, txn: u64, at: SimTime) {
-        self.started.entry(txn).or_insert(at);
+        let e = self.txns.entry(txn).or_default();
+        if !e.has_started {
+            (e.started, e.has_started) = (at, true);
+        }
     }
 
     /// Observes a transaction's current client-visible state, emitting a
     /// [`EventKind::StateTransition`] only when it changed. The first
     /// transition into a terminal state records settlement latency.
     pub fn note_state(&mut self, at: SimTime, actor: NodeId, txn: u64, state: TxnState) {
-        let prev = self.last_state.insert(txn, state);
+        let e = self.txns.entry(txn).or_default();
+        let prev = e.state.replace(state);
         if prev == Some(state) {
             return;
         }
-        if state.is_terminal() && !prev.is_some_and(TxnState::is_terminal) {
-            if let Some(&started) = self.started.get(&txn) {
-                self.metrics.latency_us.record(at.since(started).micros());
-            }
+        if state.is_terminal() && !prev.is_some_and(TxnState::is_terminal) && e.has_started {
+            self.metrics.latency_us.record(at.since(e.started).micros());
         }
         self.record(Event {
             at,
@@ -517,9 +549,7 @@ impl Obs {
     /// last state and start time. Global counters and histograms are
     /// untouched — they were already updated when the events happened.
     pub fn retire_txn(&mut self, txn: u64) {
-        self.per_txn.remove(&txn);
-        self.last_state.remove(&txn);
-        self.started.remove(&txn);
+        self.txns.remove(&txn);
     }
 }
 
@@ -535,7 +565,7 @@ mod tests {
     }
 
     fn delivered(from: NodeId) -> EventKind {
-        EventKind::Delivered { from, msg: "Transfer" }
+        EventKind::Delivered { from, msg: MsgKind::Transfer }
     }
 
     #[test]
@@ -548,7 +578,7 @@ mod tests {
             Some(1),
             EventKind::Rejected {
                 from: ALICE,
-                msg: "Transfer",
+                msg: MsgKind::Transfer,
                 error: Box::new(ValidationError::StaleSequence { last: 2, got: 1 }),
             },
         ));
@@ -715,9 +745,35 @@ mod tests {
     }
 
     #[test]
-    fn an_event_fits_in_64_bytes() {
+    fn an_event_fits_in_48_bytes_and_a_txn_entry_in_32() {
         // The ring keeps tens of thousands of events, about four per
-        // settled upload; a variant that grows past this grows them all.
-        assert!(std::mem::size_of::<Event>() <= 64, "{} B", std::mem::size_of::<Event>());
+        // settled upload, and every settled transaction keeps its entry; a
+        // variant or field that grows past these grows them all.
+        assert!(std::mem::size_of::<Event>() <= 48, "{} B", std::mem::size_of::<Event>());
+        assert!(std::mem::size_of::<TxnEntry>() <= 32, "{} B", std::mem::size_of::<TxnEntry>());
+    }
+
+    #[test]
+    fn tallies_saturate_and_widen_to_u64() {
+        let mut o = Obs::with_capacity(1);
+        o.txns.entry(7).or_default().tallies[ACCEPTED] = u32::MAX - 1;
+        for _ in 0..3 {
+            o.record(ev(1, Some(7), delivered(ALICE)));
+        }
+        assert_eq!(o.txn(7).accepted, u64::from(u32::MAX));
+        assert_eq!(o.metrics.delivered, 3, "the global counter stays exact");
+    }
+
+    #[test]
+    fn a_txn_seen_only_by_state_or_start_has_no_tallies() {
+        let mut o = Obs::new();
+        o.note_txn_started(3, SimTime(5));
+        o.note_state(SimTime(6), ALICE, 4, TxnState::Pending);
+        assert_eq!(o.txns(), Vec::<u64>::new());
+        assert_eq!(o.txn(3), TxnObs::default());
+        // The first start wins.
+        o.note_txn_started(3, SimTime(9));
+        o.note_state(SimTime(15), ALICE, 3, TxnState::Completed);
+        assert_eq!(o.metrics.latency_us.max(), Some(10));
     }
 }

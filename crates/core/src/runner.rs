@@ -23,7 +23,7 @@ use crate::client::{Client, ClientSnapshot, TimeoutStrategy};
 use crate::config::ProtocolConfig;
 use crate::evidence::VerifiedEvidence;
 use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultStats, SyncDecision};
-use crate::message::Message;
+use crate::message::{Message, MsgKind};
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
 use crate::provider::{Provider, ProviderSnapshot};
@@ -177,10 +177,11 @@ impl Seats for Solo {
 
 /// Per-transaction bookkeeping: owner, start time, and whether the first
 /// terminal transition has been funnelled through the archive's settled
-/// queue yet.
+/// queue yet. 16 bytes: every settled transaction keeps one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TxnMeta {
-    pub(crate) client: usize,
+    /// The owning client's seat index.
+    pub(crate) client: u32,
     pub(crate) started: SimTime,
     settled: bool,
 }
@@ -555,13 +556,19 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         let (txn, out) = match begun {
             Ok(v) => v,
             Err(error) => {
-                let kind =
-                    EventKind::Rejected { from: node, msg: "Transfer", error: Box::new(error) };
+                let kind = EventKind::Rejected {
+                    from: node,
+                    msg: MsgKind::Transfer,
+                    error: Box::new(error),
+                };
                 self.obs.record(Event { at: now, txn: None, actor: node, kind });
                 return 0;
             }
         };
-        self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
+        // Seats are a `Vec` of clients, each many kilobytes: a seat index
+        // past `u32::MAX` cannot exist.
+        let client = u32::try_from(idx).unwrap_or(u32::MAX);
+        self.txn_meta.insert(txn, TxnMeta { client, started: now, settled: false });
         self.obs.note_state(now, node, txn, TxnState::Pending);
         // Write-ahead: the NRO sealed at initiation must survive a crash
         // that lands before any reply comes back.
@@ -816,7 +823,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
     /// txn are refused instead of being handed a fresh window.
     fn evict_txn(&mut self, txn: u64) {
         let Some(meta) = self.txn_meta.remove(&txn) else { return };
-        let client = &mut self.seats.clients_mut()[meta.client];
+        let client = &mut self.seats.clients_mut()[meta.client as usize];
         let state = client.txn_state(txn).unwrap_or(TxnState::Failed);
         let client_rec = client.evict_txn(txn);
         let provider_rec = self.provider.evict_txn(txn);
@@ -840,7 +847,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             }
         }
         let rec = ArchivedTxn::record(
-            meta.client,
+            meta.client as usize,
             meta.started,
             state,
             net.delivered,
@@ -1068,6 +1075,12 @@ mod tests {
     }
 
     #[test]
+    fn a_txn_meta_is_16_bytes() {
+        // Every settled transaction keeps one while `World` holds it.
+        assert!(std::mem::size_of::<TxnMeta>() <= 16, "{} B", std::mem::size_of::<TxnMeta>());
+    }
+
+    #[test]
     fn normal_upload_takes_two_messages_no_ttp() {
         let mut w = world();
         let r = w.upload(b"backup/q3", b"financial data".to_vec(), TimeoutStrategy::AbortFirst);
@@ -1226,7 +1239,7 @@ mod tests {
             .obs
             .events()
             .iter()
-            .find(|e| e.msg_kind() == Some("Resolve"))
+            .find(|e| e.msg_kind() == Some(MsgKind::Resolve))
             .expect("resolve was sent")
             .at;
         // The client deadline is response_timeout after start — the flood
@@ -1283,8 +1296,7 @@ mod tests {
             cfg.response_timeout = SimDuration::from_millis(50); // == RTT
             let mut w = World::new(9, cfg);
             let r = w.upload(b"k", b"d".to_vec(), TimeoutStrategy::AbortFirst);
-            let kinds: Vec<String> =
-                w.obs.events().iter().filter_map(|e| e.msg_kind().map(str::to_string)).collect();
+            let kinds: Vec<MsgKind> = w.obs.events().iter().filter_map(Event::msg_kind).collect();
             (r.outcome, kinds)
         };
         let (state1, kinds1) = run();
@@ -1292,7 +1304,7 @@ mod tests {
         assert_eq!(kinds1, kinds2, "tie-break must be deterministic");
         assert_eq!(state1, state2);
         assert!(
-            kinds1.iter().any(|k| k == "Abort"),
+            kinds1.contains(&MsgKind::Abort),
             "timer fired before the same-instant receipt delivery: {kinds1:?}"
         );
     }
@@ -1308,10 +1320,10 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::Delivered { .. }))
             .collect();
         assert_eq!(deliveries.len(), 2);
-        assert_eq!(deliveries[0].msg_kind(), Some("Transfer"));
+        assert_eq!(deliveries[0].msg_kind(), Some(MsgKind::Transfer));
         assert_eq!(deliveries[0].actor, w.bob_node);
         assert_eq!(deliveries[0].txn, Some(r.txn_id));
-        assert_eq!(deliveries[1].msg_kind(), Some("Receipt"));
+        assert_eq!(deliveries[1].msg_kind(), Some(MsgKind::Receipt));
         assert_eq!(deliveries[1].actor, w.alice_node);
         assert_eq!(w.obs.metrics.delivered, 2);
         assert_eq!(w.obs.metrics.rejected + w.obs.metrics.garbled, 0);

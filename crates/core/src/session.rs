@@ -12,7 +12,7 @@
 use crate::config::{Ablation, ProtocolConfig};
 use crate::evidence::{EvidencePlaintext, Flag};
 use crate::principal::{Directory, Principal, PrincipalId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tpnr_crypto::hash::DigestCache;
 use tpnr_crypto::{ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
@@ -214,15 +214,28 @@ impl std::error::Error for ValidationError {}
 /// sender numbers its own messages 1, 2, 3 … within a transaction, and the
 /// receiver only accepts strictly increasing numbers from that sender. This
 /// is what defeats replay (§5.4) without tripping over lost receipts.
+///
+/// A settled transaction's windows stay resident as long as its evidence
+/// does, so they are kept compact: one map entry per transaction holds our
+/// send counter and the window of the first sender accepted in it, naming
+/// that sender by an index into an append-only table of the principals
+/// this validator has accepted a message from. A transaction's further
+/// senders (the TTP, or anyone an ablation lets through) get windows in a
+/// small overflow map. Retiring a transaction removes its entries by key.
 pub struct Validator {
     /// Our own id (expected `recipient`).
     pub me: PrincipalId,
     /// Agreed TTP id (expected `ttp`).
     pub ttp: PrincipalId,
-    /// Highest accepted sequence per (transaction, sender).
-    last_recv: HashMap<(u64, PrincipalId), u64>,
-    /// Our own outgoing counter per transaction.
-    send_seq: HashMap<u64, u64>,
+    /// Every principal a message was accepted from, with its index in
+    /// order of first acceptance. Append-only, and kept across a restore,
+    /// so an index a snapshot holds names the same principal afterwards.
+    senders: HashMap<PrincipalId, u32>,
+    /// Send counter and first sender's window per transaction.
+    txns: HashMap<u64, TxnWindows>,
+    /// Highest accepted sequence per (transaction, sender index) for every
+    /// sender of a transaction but its first.
+    more: BTreeMap<(u64, u32), u64>,
     /// Post-restore floor below which no sequence number is ever handed
     /// out again. Runtime state, deliberately NOT part of the snapshot:
     /// it encodes how many times this principal has restarted, which the
@@ -235,14 +248,29 @@ pub struct Validator {
     archived: BTreeSet<u64>,
 }
 
+/// One transaction's send counter and its first sender's receive window.
+/// Zero stands for "none" in both counters: an accepted sequence number is
+/// above the window's previous value, so at least 1, and a handed-out one
+/// is at least 1 too.
+#[derive(Debug, Clone, Copy, Default)]
+struct TxnWindows {
+    /// Last sequence number handed out for the transaction.
+    sent: u64,
+    /// Highest sequence accepted from `first`.
+    first_last: u64,
+    /// Index of the transaction's first accepted sender.
+    first: u32,
+}
+
 impl Validator {
     /// Fresh validator for a principal.
     pub fn new(me: PrincipalId, ttp: PrincipalId) -> Self {
         Validator {
             me,
             ttp,
-            last_recv: HashMap::new(),
-            send_seq: HashMap::new(),
+            senders: HashMap::new(),
+            txns: HashMap::new(),
+            more: BTreeMap::new(),
             seq_floor: 0,
             archived: BTreeSet::new(),
         }
@@ -276,19 +304,34 @@ impl Validator {
             return Err(ValidationError::ArchivedTransaction(pt.txn_id));
         }
         if cfg.ablation != Ablation::NoSequenceNumbers {
-            let key = (pt.txn_id, pt.sender);
-            let last = self.last_recv.get(&key).copied().unwrap_or(0);
+            let last = self.last_seq(pt.txn_id, pt.sender);
             if pt.seq <= last {
                 return Err(ValidationError::StaleSequence { last, got: pt.seq });
             }
-            self.last_recv.insert(key, pt.seq);
+            // Four billion principals would not fit in memory first.
+            let next = u32::try_from(self.senders.len()).unwrap_or(u32::MAX);
+            let sender = *self.senders.entry(pt.sender).or_insert(next);
+            let e = self.txns.entry(pt.txn_id).or_default();
+            if e.first_last == 0 || e.first == sender {
+                e.first = sender;
+                e.first_last = pt.seq;
+            } else {
+                self.more.insert((pt.txn_id, sender), pt.seq);
+            }
         }
         Ok(())
     }
 
     /// Highest sequence accepted from `sender` within a transaction.
     pub fn last_seq(&self, txn_id: u64, sender: PrincipalId) -> u64 {
-        self.last_recv.get(&(txn_id, sender)).copied().unwrap_or(0)
+        let (Some(&sender), Some(e)) = (self.senders.get(&sender), self.txns.get(&txn_id)) else {
+            return 0;
+        };
+        if e.first_last != 0 && e.first == sender {
+            e.first_last
+        } else {
+            self.more.get(&(txn_id, sender)).copied().unwrap_or(0)
+        }
     }
 
     /// Allocates the next outgoing sequence number for a transaction
@@ -300,20 +343,23 @@ impl Validator {
     /// the last message valid and makes the exhaustion observable (the
     /// counter stops moving) rather than a silent self-DoS.
     pub fn alloc_seq(&mut self, txn_id: u64) -> u64 {
-        let cur = self.send_seq.get(&txn_id).copied().unwrap_or(0).max(self.seq_floor);
-        let next = cur.saturating_add(1);
-        self.send_seq.insert(txn_id, next);
-        next
+        let e = self.txns.entry(txn_id).or_default();
+        e.sent = e.sent.max(self.seq_floor).saturating_add(1);
+        e.sent
     }
 
-    /// Drops a settled transaction's replay window and send counter,
+    /// Drops a settled transaction's replay windows and send counter,
     /// remembering only its id in the compact archived set. Live traffic
     /// for the transaction is rejected from then on
     /// ([`ValidationError::ArchivedTransaction`]) — without the tombstone a
-    /// late replay would be greeted by a fresh window and accepted.
+    /// late replay would be greeted by a fresh window and accepted. Only
+    /// the transaction's own entries are looked up; the sender table keeps
+    /// its principals.
     pub fn retire_txn(&mut self, txn_id: u64) {
-        self.last_recv.retain(|&(txn, _), _| txn != txn_id);
-        self.send_seq.remove(&txn_id);
+        self.txns.remove(&txn_id);
+        while let Some((&key, _)) = self.more.range((txn_id, 0)..=(txn_id, u32::MAX)).next() {
+            self.more.remove(&key);
+        }
         self.archived.insert(txn_id);
     }
 
@@ -322,12 +368,19 @@ impl Validator {
         self.archived.len()
     }
 
+    /// Principals in the sender table: those a message has been accepted
+    /// from since the validator was built.
+    pub fn known_senders(&self) -> usize {
+        self.senders.len()
+    }
+
     /// Captures the replay-window and send-counter state for a durable
     /// snapshot (crash-recovery subsystem).
     pub fn snapshot(&self) -> ValidatorSnapshot {
         ValidatorSnapshot {
-            last_recv: self.last_recv.clone(),
-            send_seq: self.send_seq.clone(),
+            senders: self.senders.clone(),
+            txns: self.txns.clone(),
+            more: self.more.clone(),
             archived: self.archived.clone(),
         }
     }
@@ -339,10 +392,22 @@ impl Validator {
     /// strictly-increasing windows — or worse, collide with evidence already
     /// sealed under them. Skipping ahead by more than the dirty window could
     /// have consumed guarantees freshness. Saturating, like `alloc_seq`.
+    ///
+    /// The sender table is kept when it extends the snapshot's, as it does
+    /// for any snapshot this validator took, and replaced by the
+    /// snapshot's otherwise, so every restored window names the principal
+    /// it was accepted from.
     pub fn restore_with_skip(&mut self, snap: &ValidatorSnapshot, skip: u64) {
-        self.last_recv = snap.last_recv.clone();
-        self.send_seq =
-            snap.send_seq.iter().map(|(txn, seq)| (*txn, seq.saturating_add(skip))).collect();
+        if !snap.senders.iter().all(|(p, i)| self.senders.get(p) == Some(i)) {
+            self.senders = snap.senders.clone();
+        }
+        self.txns = snap.txns.clone();
+        for e in self.txns.values_mut() {
+            if e.sent != 0 {
+                e.sent = e.sent.saturating_add(skip);
+            }
+        }
+        self.more = snap.more.clone();
         self.archived = snap.archived.clone();
         // Transactions born inside the dirty window have no snapshot entry
         // at all; the floor keeps their numbering from restarting at 1.
@@ -350,10 +415,12 @@ impl Validator {
     }
 
     /// Approximate serialized size of the validator state, for snapshot
-    /// accounting: key (8 + 32) + value (8) per receive window entry,
-    /// key (8) + value (8) per send counter, 8 per archived tombstone.
+    /// accounting: key (8 + 32) + value (8) per receive window, key (8) +
+    /// value (8) per send counter, 8 per archived tombstone.
     pub fn state_bytes(&self) -> u64 {
-        (self.last_recv.len() * 48 + self.send_seq.len() * 16 + self.archived.len() * 8) as u64
+        let windows = self.more.len() + self.txns.values().filter(|e| e.first_last != 0).count();
+        let sends = self.txns.values().filter(|e| e.sent != 0).count();
+        (windows * 48 + sends * 16 + self.archived.len() * 8) as u64
     }
 }
 
@@ -361,8 +428,9 @@ impl Validator {
 /// private; this is the only way to persist/restore them).
 #[derive(Debug, Clone)]
 pub struct ValidatorSnapshot {
-    last_recv: HashMap<(u64, PrincipalId), u64>,
-    send_seq: HashMap<u64, u64>,
+    senders: HashMap<PrincipalId, u32>,
+    txns: HashMap<u64, TxnWindows>,
+    more: BTreeMap<(u64, u32), u64>,
     archived: BTreeSet<u64>,
 }
 
@@ -548,7 +616,7 @@ mod tests {
         // counter restarts at 1, and every message after that is rejected
         // as stale by the peer's strictly-increasing window.
         let mut v = validator();
-        v.send_seq.insert(7, u64::MAX - 1);
+        v.txns.insert(7, TxnWindows { sent: u64::MAX - 1, ..TxnWindows::default() });
         assert_eq!(v.alloc_seq(7), u64::MAX);
         assert_eq!(v.alloc_seq(7), u64::MAX, "exhausted counter holds, never wraps");
         assert_eq!(v.alloc_seq(7), u64::MAX);
@@ -577,7 +645,7 @@ mod tests {
     #[test]
     fn restore_with_skip_saturates() {
         let mut v = validator();
-        v.send_seq.insert(7, u64::MAX - 10);
+        v.txns.insert(7, TxnWindows { sent: u64::MAX - 10, ..TxnWindows::default() });
         let snap = v.snapshot();
         v.restore_with_skip(&snap, 1 << 16);
         assert_eq!(v.alloc_seq(7), u64::MAX);
@@ -686,6 +754,46 @@ mod tests {
             restored.check(&cfg, &pt(*b"alice\0\0\0", 1, 5, 100), None, SimTime(0)),
             Err(ValidationError::ArchivedTransaction(1))
         );
+    }
+
+    #[test]
+    fn retiring_a_txn_drops_only_its_own_windows() {
+        let cfg = ProtocolConfig::full();
+        let mut v = validator();
+        let from_ttp = |txn, seq| EvidencePlaintext {
+            sender: PrincipalId([7; 32]),
+            ..pt(*b"alice\0\0\0", txn, seq, 100)
+        };
+        for txn in [1, 2] {
+            v.check(&cfg, &pt(*b"alice\0\0\0", txn, 1, 100), None, SimTime(0)).unwrap();
+            v.check(&cfg, &from_ttp(txn, 5), None, SimTime(0)).unwrap();
+            v.alloc_seq(txn);
+        }
+        v.retire_txn(1);
+        let (alice, ttp) = (pt(*b"alice\0\0\0", 0, 0, 0).sender, PrincipalId([7; 32]));
+        assert_eq!((v.last_seq(1, alice), v.last_seq(1, ttp)), (0, 0));
+        assert_eq!((v.last_seq(2, alice), v.last_seq(2, ttp)), (1, 5));
+        assert_eq!(v.alloc_seq(2), 2);
+        assert_eq!(v.state_bytes(), 2 * 48 + 16 + 8);
+        assert_eq!(v.known_senders(), 2, "the sender table outlives the windows");
+    }
+
+    #[test]
+    fn a_snapshot_restored_elsewhere_keeps_its_windows_senders() {
+        // The sender table is not in the snapshot; a validator whose table
+        // gave index 0 to someone else must not hand Alice's window to them.
+        let cfg = ProtocolConfig::full();
+        let mut v = validator();
+        v.check(&cfg, &pt(*b"alice\0\0\0", 1, 3, 100), None, SimTime(0)).unwrap();
+        let snap = v.snapshot();
+        let mut other = validator();
+        other.check(&cfg, &pt(*b"mallory\0", 2, 1, 100), None, SimTime(0)).unwrap();
+        other.restore_with_skip(&snap, 0);
+        let (alice, mallory) =
+            (pt(*b"alice\0\0\0", 0, 0, 0).sender, pt(*b"mallory\0", 0, 0, 0).sender);
+        assert_eq!((other.last_seq(1, alice), other.last_seq(1, mallory)), (3, 0));
+        other.check(&cfg, &pt(*b"mallory\0", 1, 1, 100), None, SimTime(0)).unwrap();
+        assert_eq!(other.known_senders(), 2);
     }
 
     const BOB_RNG_SEED: u64 = 41;

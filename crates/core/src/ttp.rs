@@ -3,8 +3,13 @@
 //! The TTP receives a Resolve request with the initiator's NRO, verifies its
 //! genuineness and consistency, forwards the query to the counterparty with
 //! a timestamp, relays the reply, and — if the counterparty stays silent
-//! past the deadline — tells the initiator the session failed, signing that
-//! statement (the initiator's protection in later disputes).
+//! past the deadline — tells the initiator the session failed.
+//!
+//! That Failed reply, like a Restart it relays, is a `ResolveReply` with
+//! `evidence: None`: a plaintext the TTP stamps under its own authority,
+//! signed by nobody, which the initiator acts on but does not keep. After a
+//! TTP-declared failure the initiator holds only her own NRO. A signed
+//! failure statement the arbitrator can rule on is ROADMAP.md item 1.
 //!
 //! Note what the TTP does **not** do: it never stores or forwards the data
 //! itself (paper: "normally the size of the data set is very large, which is

@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use tpnr_core::fault::{DeliveryVerdict, FaultCtl, SyncDecision};
+use tpnr_core::message::MsgKind;
 use tpnr_core::prelude::*;
 use tpnr_crypto::{envelope, ChaChaRng, RsaKeyPair};
 use tpnr_net::time::{SimDuration, SimTime};
@@ -34,12 +35,12 @@ const OPEN_BUDGET: u64 = 3;
 /// `World`, averaged over [`LIVE_TXNS`] uploads; both profiles measure
 /// the same. The received frame each stored object pins, a message buffer
 /// sized exactly by `Wire::encoded_len` (about 705 B), is part of it.
-const LIVE_BUDGET: i64 = 2_836;
+const LIVE_BUDGET: i64 = 2_513;
 /// Live heap bytes a settled download of a 256 B object leaves in a
 /// `World`, averaged over [`LIVE_TXNS`] downloads of distinct objects: the
 /// client's record and the payload it received (a view that pins the
 /// response frame), the provider's record, and their events.
-const LIVE_DOWNLOAD_BUDGET: i64 = 2_564;
+const LIVE_DOWNLOAD_BUDGET: i64 = 2_352;
 /// Transactions a live-heap budget averages over. The event ring and the
 /// maps grow by doubling, so the average depends on the count; this one
 /// leaves each of them well filled.
@@ -200,12 +201,12 @@ fn the_fault_injector_rules_on_a_known_actor_without_allocating() {
     let mut faults = FaultCtl::new(&plan, &["alice", "bob", "ttp"]);
     assert!(faults.active());
     let (first, _) = tally(|| {
-        assert_eq!(faults.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
+        assert_eq!(faults.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::Proceed);
         assert_eq!(faults.sync_due(BOB, SimTime::ZERO, true), SyncDecision::Persist);
     });
     let (deliveries, _) = tally(|| {
         for _ in 0..100 {
-            black_box(faults.delivery_verdict(BOB, "Transfer"));
+            black_box(faults.delivery_verdict(BOB, MsgKind::Transfer));
         }
     });
     let (syncs, _) = tally(|| {
@@ -216,7 +217,7 @@ fn the_fault_injector_rules_on_a_known_actor_without_allocating() {
     });
     assert_eq!(first, 0, "allocator calls for the first ruling of each kind");
     assert_eq!((deliveries, syncs), (0, 0), "allocator calls for 100 rulings of each kind");
-    assert_eq!(faults.delivery_verdict(BOB, "Transfer"), DeliveryVerdict::Proceed);
+    assert_eq!(faults.delivery_verdict(BOB, MsgKind::Transfer), DeliveryVerdict::Proceed);
 }
 
 /// Uploads 256 B to `count` keys not used before, numbered from `first`.

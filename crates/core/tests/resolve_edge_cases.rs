@@ -9,7 +9,7 @@ use std::sync::Arc;
 use tpnr_core::client::TimeoutStrategy;
 use tpnr_core::config::ProtocolConfig;
 use tpnr_core::evidence::{EvidencePlaintext, Flag, SealedEvidence};
-use tpnr_core::message::Message;
+use tpnr_core::message::{Message, MsgKind};
 use tpnr_core::runner::World;
 use tpnr_core::session::{TxnState, ValidationError};
 use tpnr_crypto::hash::HashAlg;
@@ -64,7 +64,7 @@ fn late_abort_reply_does_not_reopen_a_completed_upload() {
         .obs
         .events()
         .iter()
-        .find(|e| e.actor == a && e.msg_kind() == Some("AbortReply"))
+        .find(|e| e.actor == a && e.msg_kind() == Some(MsgKind::AbortReply))
         .expect("Bob's Reject reached Alice")
         .at;
     assert_eq!(reject_at.micros(), 510_000);
@@ -138,7 +138,7 @@ fn corrupted_abort_gets_error_reply_and_retry_succeeds() {
     assert!(corrupted_once.load(Ordering::Relaxed), "the corruption path actually ran");
     // The event stream shows an extra Abort/AbortReply pair beyond the
     // minimum (the garbled forgery plus the regenerated original).
-    let aborts = w.obs.events().iter().filter(|e| e.msg_kind() == Some("Abort")).count();
+    let aborts = w.obs.events().iter().filter(|e| e.msg_kind() == Some(MsgKind::Abort)).count();
     assert!(aborts >= 2, "abort was regenerated, saw {aborts}");
 }
 

@@ -515,6 +515,35 @@ fn path_segments(toks: &[Token], name_idx: usize) -> Vec<String> {
     segs
 }
 
+/// The index of the `(` that opens a call's arguments when the callee name
+/// ends just before `at`: `at` itself, or the token after a balanced
+/// turbofish `::<…>` starting there. `None` when no call follows.
+fn call_paren(toks: &[Token], at: usize, end: usize) -> Option<usize> {
+    if toks.get(at)?.is_punct("(") {
+        return Some(at);
+    }
+    if !(toks.get(at)?.is_punct("::") && toks.get(at + 1)?.is_punct("<")) {
+        return None;
+    }
+    let mut depth = 0usize;
+    for k in at + 1..end {
+        let t = &toks[k];
+        depth = match () {
+            _ if t.is_punct("<") => depth + 1,
+            _ if t.is_punct("<<") => depth + 2,
+            _ if t.is_punct(">") => depth.checked_sub(1)?,
+            _ if t.is_punct(">>") => depth.checked_sub(2)?,
+            // A generic argument list never holds a statement's end.
+            _ if t.is_punct(";") => return None,
+            _ => depth,
+        };
+        if depth == 0 {
+            return toks.get(k + 1).filter(|t| t.is_punct("(")).map(|_| k + 1);
+        }
+    }
+    None
+}
+
 /// Extract call sites from a function body token range. Sees through
 /// nested blocks and closures (their calls belong to the enclosing fn);
 /// macro invocations are not calls (the passes scan macros directly).
@@ -531,10 +560,11 @@ pub fn extract_calls(toks: &[Token], body: (usize, usize)) -> Vec<CallSite> {
                 continue;
             }
         };
-        if !toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
+        // `name(` or, with a turbofish, `name::<…>(`.
+        let Some(open) = call_paren(toks, i + 1, end) else {
             i += 1;
             continue;
-        }
+        };
         if EXPR_KEYWORDS.contains(&name) {
             i += 1;
             continue;
@@ -550,7 +580,6 @@ pub fn extract_calls(toks: &[Token], body: (usize, usize)) -> Vec<CallSite> {
             && toks[i - 2].is_ident("self")
             && !(i >= 3 && (toks[i - 3].is_punct(".") || toks[i - 3].is_punct("::")));
         // Argument range: matching close paren.
-        let open = i + 1;
         let mut depth = 0usize;
         let mut close = open;
         while close < end {
@@ -718,6 +747,31 @@ mod tests {
         let r = g.reach_from(&[node(&g, "core::a::entry")]);
         let chain = g.chain(&r, node(&g, "core::a::leaf"));
         assert_eq!(chain, "core::a::entry -> core::a::mid -> core::a::leaf");
+    }
+
+    #[test]
+    fn turbofish_calls_get_edges() {
+        let w = ws(&[(
+            "crates/core/src/a.rs",
+            "struct R;\nimpl R { fn array<const N: usize>(&self) {} }\n\
+             pub fn entry(r: &R) { r.array::<32>(); helper::<Vec<Vec<u8>>>(1); }\n\
+             fn helper<T>(x: u8) {}",
+        )]);
+        let g = Graph::build(&w);
+        assert!(has_edge(&g, "core::a::entry", "core::a::R::array"));
+        assert!(has_edge(&g, "core::a::entry", "core::a::helper"));
+    }
+
+    #[test]
+    fn a_turbofish_is_skipped_only_before_a_paren() {
+        let toks = crate::lexer::lex(
+            "fn f() { let v = Vec::<u8>::new(); g::<u8>(secret); let b = x < y; h::<T>; }",
+        );
+        let sites = extract_calls(&toks, (0, toks.len()));
+        let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["new", "g"]);
+        let (a, b) = sites[1].args;
+        assert!(toks[a..b].iter().any(|t| t.is_ident("secret")));
     }
 
     #[test]

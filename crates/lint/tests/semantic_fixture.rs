@@ -76,3 +76,38 @@ fn cfg_test_panics_are_not_findings() {
         run().into_iter().filter(|f| f.file == "crates/core/src/validator.rs").collect();
     assert!(noise.is_empty(), "test-only code flagged: {noise:?}");
 }
+
+/// A second workspace whose calls carry turbofishes (`r.array::<4>()`,
+/// `frames::first::<u8>()`): the call graph must see `name::<…>(` as a
+/// call, or the panics and allocations behind such calls go unreported.
+fn turbofish_run() -> Vec<Finding> {
+    let files = [
+        ("crates/core/src/provider.rs", include_str!("fixtures/core_provider_turbofish.rs")),
+        ("crates/core/src/evidence.rs", include_str!("fixtures/core_evidence_turbofish.rs")),
+        ("crates/net/src/frames.rs", include_str!("fixtures/net_frames.rs")),
+    ];
+    let inputs: Vec<FileInput> = files
+        .iter()
+        .map(|(path, source)| FileInput { path: path.to_string(), source: source.to_string() })
+        .collect();
+    lint_files(&inputs, &Allowlist::empty())
+}
+
+#[test]
+fn panics_behind_turbofish_calls_are_reached() {
+    let hits: Vec<_> = turbofish_run().into_iter().filter(|f| f.rule == "PANIC-REACH").collect();
+    let what: Vec<_> = hits.iter().map(|f| (f.file.as_str(), f.line)).collect();
+    assert_eq!(what, [("crates/net/src/frames.rs", 8), ("crates/net/src/frames.rs", 21)]);
+    assert!(hits[0]
+        .message
+        .contains("core::provider::Provider::handle -> net::frames::Frames::array"));
+    assert!(hits[1].message.contains("core::provider::Provider::handle -> net::frames::first"));
+}
+
+#[test]
+fn allocations_behind_turbofish_calls_are_reached() {
+    let hits: Vec<_> = turbofish_run().into_iter().filter(|f| f.rule == "ALLOC-HOT").collect();
+    let what: Vec<_> = hits.iter().map(|f| (f.file.as_str(), f.line)).collect();
+    assert_eq!(what, [("crates/net/src/frames.rs", 16), ("crates/net/src/frames.rs", 25)]);
+    assert!(hits.iter().all(|f| f.message.contains("core::evidence::seal")), "{hits:?}");
+}

@@ -62,7 +62,7 @@ fn main() {
             world.net().node_name(ev.actor).unwrap_or("?"),
             txn,
             ev.kind.label(),
-            ev.msg_kind().unwrap_or("")
+            ev.msg_kind().map_or("", |k| k.label())
         );
     }
 
