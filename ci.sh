@@ -49,12 +49,14 @@ cargo test --workspace -q
 # crate's own tests run in release too: the hashes, the HMAC and the
 # envelope build on wrapping arithmetic and fixed-size stack buffers that
 # the debug run only exercises with overflow checks and debug assertions
-# on.
+# on. So do tpnr-par's: the CRT helper's job slot (crypto) and the
+# fan-out count it reads (par) are atomics whose interleavings an
+# optimized build reorders differently.
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo test --release -p tpnr-core --test alloc_budget"
     cargo test --release -q -p tpnr-core --test alloc_budget
-    echo "==> cargo test --release -p tpnr-crypto"
-    cargo test --release -q -p tpnr-crypto
+    echo "==> cargo test --release -p tpnr-crypto -p tpnr-par"
+    cargo test --release -q -p tpnr-crypto -p tpnr-par
 fi
 
 # perfbench/ is a workspace of its own (own lockfile, profile and target

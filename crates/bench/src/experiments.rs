@@ -945,7 +945,10 @@ pub fn e10_scale_on(pool: &tpnr_par::Pool, client_counts: &[usize], seed: u64) -
 /// key size × hash algorithm, measured on the fixed-limb windowed path and
 /// on the retained pre-optimization classic path **interleaved in one run**
 /// (so the ratio survives host noise even on a loaded single-core VM), plus
-/// heap-allocation tallies per signing operation on each path.
+/// heap-allocation tallies per signing operation on each path. Both paths
+/// are timed inside a one-worker [`tpnr_par::Pool`] fan-out, where the CRT
+/// helper never takes a half, so they compare one kernel with another on
+/// one core; `sign_split_us` times the fixed path outside any fan-out.
 #[derive(Debug, Clone)]
 pub struct E12Row {
     /// RSA modulus width in bits.
@@ -956,6 +959,9 @@ pub struct E12Row {
     pub sign_classic_us: u64,
     /// Mean fixed-limb windowed sign time, µs.
     pub sign_fast_us: u64,
+    /// Mean fixed-limb sign time outside any fan-out, µs: on a host with
+    /// a second core the CRT helper computes one half of each signature.
+    pub sign_split_us: u64,
     /// `sign_classic_us / sign_fast_us`, ×100 (integer-JSON friendly).
     pub sign_speedup_x100: u64,
     /// Mean classic-path verify time, µs.
@@ -997,24 +1003,41 @@ fn e12_kernel_row(kp: &tpnr_crypto::RsaKeyPair, bits: u64, alg: HashAlg, iters: 
     let digests: Vec<Vec<u8>> =
         (0..iters as u64).map(|i| alg.hash(&(i ^ bits).to_be_bytes())).collect();
 
-    let (mut t_sc, mut t_sf, mut t_vc, mut t_vf) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for d in &digests {
-        // Interleave the two paths inside each round: CPU-frequency drift
-        // and scheduler noise then hit both paths alike, keeping the ratio
-        // meaningful even when absolute numbers wobble.
+    // One core: inside a one-worker fan-out no half goes to the helper.
+    let one_core = tpnr_par::Pool::new(1).run_indexed(1, |_| {
+        let (mut t_sc, mut t_sf, mut t_vc, mut t_vf) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        let mut sigs = Vec::with_capacity(digests.len());
+        for d in &digests {
+            // Interleave the two paths inside each round: CPU-frequency
+            // drift and scheduler noise then hit both paths alike, keeping
+            // the ratio meaningful even when absolute numbers wobble.
+            let sw = HostStopwatch::start();
+            let sig_c = kp.private.sign_prehashed_reference(alg, d).expect("sign");
+            t_sc += sw.elapsed_secs_f64();
+            let sw = HostStopwatch::start();
+            let sig_f = kp.private.sign_prehashed(alg, d).expect("sign");
+            t_sf += sw.elapsed_secs_f64();
+            assert_eq!(sig_c, sig_f, "kernel divergence: signatures must be byte-identical");
+            let sw = HostStopwatch::start();
+            kp.public.verify_prehashed_reference(alg, d, &sig_c).expect("verify");
+            t_vc += sw.elapsed_secs_f64();
+            let sw = HostStopwatch::start();
+            kp.public.verify_prehashed(alg, d, &sig_f).expect("verify");
+            t_vf += sw.elapsed_secs_f64();
+            sigs.push(sig_f);
+        }
+        (t_sc, t_sf, t_vc, t_vf, sigs)
+    });
+    let (t_sc, t_sf, t_vc, t_vf, sigs) = one_core.into_iter().next().expect("one index");
+    // Outside any fan-out: the helper may take each signature's q-half.
+    // One untimed sign first wakes the helper, parked during the loop above.
+    kp.private.sign_prehashed(alg, &digests[0]).expect("sign");
+    let mut t_split = 0.0f64;
+    for (d, sig) in digests.iter().zip(&sigs) {
         let sw = HostStopwatch::start();
-        let sig_c = kp.private.sign_prehashed_reference(alg, d).expect("sign");
-        t_sc += sw.elapsed_secs_f64();
-        let sw = HostStopwatch::start();
-        let sig_f = kp.private.sign_prehashed(alg, d).expect("sign");
-        t_sf += sw.elapsed_secs_f64();
-        assert_eq!(sig_c, sig_f, "kernel divergence: signatures must be byte-identical");
-        let sw = HostStopwatch::start();
-        kp.public.verify_prehashed_reference(alg, d, &sig_c).expect("verify");
-        t_vc += sw.elapsed_secs_f64();
-        let sw = HostStopwatch::start();
-        kp.public.verify_prehashed(alg, d, &sig_f).expect("verify");
-        t_vf += sw.elapsed_secs_f64();
+        let sig_s = kp.private.sign_prehashed(alg, d).expect("sign");
+        t_split += sw.elapsed_secs_f64();
+        assert_eq!(&sig_s, sig, "split divergence: signatures must be byte-identical");
     }
     let us = |total: f64| (total / iters as f64 * 1e6) as u64;
 
@@ -1033,6 +1056,7 @@ fn e12_kernel_row(kp: &tpnr_crypto::RsaKeyPair, bits: u64, alg: HashAlg, iters: 
         alg: alg_name,
         sign_classic_us: us(t_sc),
         sign_fast_us,
+        sign_split_us: us(t_split),
         sign_speedup_x100: (t_sc / t_sf * 100.0) as u64,
         verify_classic_us: us(t_vc),
         verify_fast_us: us(t_vf),
@@ -1045,8 +1069,9 @@ fn e12_kernel_row(kp: &tpnr_crypto::RsaKeyPair, bits: u64, alg: HashAlg, iters: 
 /// E12: hardware-speed RSA sweep. For each modulus width, generates one
 /// keypair and reports (a) sign/verify µs per hash algorithm on the
 /// fixed-limb windowed kernels vs the retained classic path, measured
-/// interleaved; (b) allocations per sign on both paths. Deterministic in
-/// everything but the host timings.
+/// interleaved on one core; (b) the fixed path's sign µs with the CRT
+/// helper free to take half of it; (c) allocations per sign on both paths.
+/// Deterministic in everything but the host timings.
 pub fn e12_rsa_kernels(bit_sizes: &[usize], quick: bool) -> Vec<E12Row> {
     let mut rows = Vec::new();
     for &bits in bit_sizes {

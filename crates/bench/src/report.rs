@@ -245,6 +245,7 @@ impl Row for E12Row {
         "alg",
         "sign_classic_us",
         "sign_fast_us",
+        "sign_split_us",
         "sign_speedup_x100",
         "verify_classic_us",
         "verify_fast_us",
@@ -252,7 +253,7 @@ impl Row for E12Row {
         "allocs_per_sign_fast",
     ];
     fn fields(&self) -> Vec<(&'static str, Value)> {
-        fields_of!(self; bits, alg, sign_classic_us, sign_fast_us, sign_speedup_x100,
+        fields_of!(self; bits, alg, sign_classic_us, sign_fast_us, sign_split_us, sign_speedup_x100,
             verify_classic_us, verify_fast_us, allocs_per_sign_classic, allocs_per_sign_fast,
             sign_floor_ok)
     }
@@ -1053,7 +1054,7 @@ mod tests {
         assert_eq!(validate_jsonl(&jsonl), Ok(3));
         assert!(jsonl.contains("\"kind\":\"e12\""));
         for r in &rows {
-            assert!(r.sign_fast_us > 0 && r.sign_classic_us > 0);
+            assert!(r.sign_fast_us > 0 && r.sign_classic_us > 0 && r.sign_split_us > 0);
             assert!(
                 r.allocs_per_sign_fast < r.allocs_per_sign_classic,
                 "fixed-limb path must allocate less: {} vs {}",

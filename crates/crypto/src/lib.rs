@@ -14,6 +14,9 @@
 //! * [`limbs`] — stack-allocated fixed-width kernels (CIOS Montgomery,
 //!   sliding-window exponentiation) that `bigint` auto-selects for RSA-sized
 //!   odd moduli;
+//! * `crt_split` (crate-private) — the CRT helper thread: outside
+//!   `tpnr_par` fan-outs, an RSA private operation's q-half runs on a
+//!   second core while the caller computes the p-half;
 //! * [`md5`], [`sha1`], [`sha2`] — the 2010-era hash suite (MD5 is what the
 //!   platforms under study used for content integrity; SHA-256 is the
 //!   library default);
@@ -39,6 +42,7 @@
 
 pub mod bigint;
 pub mod chacha20;
+mod crt_split;
 pub mod ct;
 pub mod encoding;
 pub mod envelope;

@@ -15,7 +15,8 @@
 //! never see the dispatch. RSA keys skip that per-call dispatch: each key
 //! builds its [`FixedMontgomeryCtx`] for `n` and its [`FixedCrtCtx`] for
 //! `p`, `q` once, and the private operation runs from input bytes to
-//! output bytes on the stack ([`FixedCrtCtx::private_op`]).
+//! output bytes on the stack ([`FixedCrtCtx`]); its two halves may run on
+//! two threads (`crt_split`).
 //!
 //! Exponentiation is left-to-right sliding-window with precomputed odd
 //! powers: ~`bit_len` squarings plus ~`bit_len / (w+1)` multiplies instead
@@ -97,6 +98,17 @@ impl<const N: usize> FixedUint<N> {
     /// Borrows the little-endian limbs.
     pub fn limbs(&self) -> &[u64; N] {
         &self.limbs
+    }
+
+    /// The value at width `M`: the low `min(N, M)` limbs, zero-extended.
+    /// A CRT half crosses to the helper thread of `crt_split` at
+    /// the widest width, whatever the key's.
+    pub(crate) fn resize<const M: usize>(&self) -> FixedUint<M> {
+        let mut limbs = [0u64; M];
+        for (to, from) in limbs.iter_mut().zip(&self.limbs) {
+            *to = *from;
+        }
+        FixedUint { limbs }
     }
 
     /// True iff every limb is zero.
@@ -386,12 +398,15 @@ impl<const N: usize> FixedMontgomeryCtx<N> {
 /// The CRT private operation of one RSA key whose primes fit `N` limbs,
 /// with every constant that depends only on the key precomputed.
 ///
-/// For an input `c < pq` it computes `c^d mod pq` as
-/// `m1 = c^dp mod p`, `m2 = c^dq mod q`, `h = (m1 − m2)·qinv mod p`,
-/// `m2 + h·q`: the same numbers as the heap-backed CRT, so the output is
-/// byte-identical. The input is read into `2N` limbs; a REDC of that wide
-/// value and one multiply by `R³` put it in Montgomery form mod `p` (and
-/// `q`) with no division. Nothing is allocated.
+/// For an input `c < pq` it computes `c^d mod pq` in four steps:
+/// [`Self::read_input`], the two independent halves [`Self::p_half`]
+/// (`m1 = c^dp mod p`) and [`Self::q_half`] (`m2 = c^dq mod q`), and
+/// Garner's step [`Self::combine`] (`h = (m1 − m2)·qinv mod p`,
+/// `m2 + h·q`): the same numbers as the heap-backed CRT, so the output is
+/// byte-identical whichever thread computed each half. The input is read
+/// into `2N` limbs; a REDC of that wide value and one multiply by `R³` put
+/// it in Montgomery form mod `p` (and `q`) with no division. Nothing is
+/// allocated.
 pub struct FixedCrtCtx<const N: usize> {
     /// Montgomery context of the larger prime `p`.
     p: FixedMontgomeryCtx<N>,
@@ -441,30 +456,42 @@ impl<const N: usize> FixedCrtCtx<N> {
         })
     }
 
-    /// `input^d mod pq` from big-endian bytes to big-endian bytes. The
-    /// result fills exactly `out.len()` bytes, left-padded. False (with
-    /// `out` unspecified) when the input is not below `pq` or the result
-    /// does not fit `out`.
-    pub fn private_op(&self, input: &[u8], out: &mut [u8]) -> bool {
+    /// Reads a private operation's input from big-endian bytes into its
+    /// low and high `N` limbs; `None` when it is not below `pq`.
+    pub fn read_input(&self, input: &[u8]) -> Option<[FixedUint<N>; 2]> {
         let mut wide = [[0u64; N]; 2];
         if !read_be_limbs(input, wide.as_flattened_mut()) {
-            return false;
+            return None;
         }
-        let [lo, hi] = wide.map(|limbs| FixedUint { limbs });
+        let x = wide.map(|limbs| FixedUint { limbs });
+        let [lo, hi] = &x;
         let (pq_lo, pq_hi) = &self.pq;
-        if hi.cmp_fixed(pq_hi).then_with(|| lo.cmp_fixed(pq_lo)) != Ordering::Less {
-            return false;
-        }
-        let m1 = Self::pow_half(&self.p, &self.r3_p, &lo, &hi, &self.dp);
-        let m2 = Self::pow_half(&self.q, &self.r3_q, &lo, &hi, &self.dq);
-        // Garner: m1, m2 < p (m2 < q < p), so one conditional add of p
-        // brings m1 − m2 into [0, p).
-        let (diff, borrow) = m1.sub_borrow(&m2);
+        (hi.cmp_fixed(pq_hi).then_with(|| lo.cmp_fixed(pq_lo)) == Ordering::Less).then_some(x)
+    }
+
+    /// The p-half of the operation on `x`: `m1 = x^dp mod p`.
+    pub fn p_half(&self, x: &[FixedUint<N>; 2]) -> FixedUint<N> {
+        Self::pow_half(&self.p, &self.r3_p, x, &self.dp)
+    }
+
+    /// The q-half of the operation on `x`: `m2 = x^dq mod q`. It depends
+    /// on nothing the p-half computes, so the two may run on two threads.
+    pub fn q_half(&self, x: &[FixedUint<N>; 2]) -> FixedUint<N> {
+        Self::pow_half(&self.q, &self.r3_q, x, &self.dq)
+    }
+
+    /// Garner's step: `m2 + h·q` with `h = (m1 − m2)·qinv mod p`, as
+    /// exactly `out.len()` big-endian bytes, left-padded; false (with
+    /// `out` unspecified) when the result does not fit `out`.
+    pub fn combine(&self, m1: &FixedUint<N>, m2: &FixedUint<N>, out: &mut [u8]) -> bool {
+        // m1, m2 < p (m2 < q < p), so one conditional add of p brings
+        // m1 − m2 into [0, p).
+        let (diff, borrow) = m1.sub_borrow(m2);
         let diff = if borrow == 0 { diff } else { diff.add_carry(&self.p.modulus()).0 };
         let h = self.p.mul(&diff, &self.qinv_r);
         // m2 + h·q < pq fits the 2N limbs.
         let (s_lo, s_hi) = h.mul_wide(&self.q.modulus());
-        let (s_lo, carry) = s_lo.add_carry(&m2);
+        let (s_lo, carry) = s_lo.add_carry(m2);
         let s_hi = if carry == 0 { s_hi } else { s_hi.add_carry(&FixedUint::one()).0 };
         write_be_limbs([s_lo.limbs, s_hi.limbs].as_flattened(), out)
     }
@@ -474,8 +501,7 @@ impl<const N: usize> FixedCrtCtx<N> {
     fn pow_half(
         ctx: &FixedMontgomeryCtx<N>,
         r3: &FixedUint<N>,
-        lo: &FixedUint<N>,
-        hi: &FixedUint<N>,
+        [lo, hi]: &[FixedUint<N>; 2],
         exp: &WindowSchedule,
     ) -> FixedUint<N> {
         let x = ctx.mul(&ctx.redc_wide(lo, hi), r3);

@@ -14,14 +14,16 @@
 //! an `Arc`. Raw RSA then runs on the stack-allocated
 //! fixed-limb kernels of [`crate::limbs`], picked by modulus width alone;
 //! a key no fixed width covers runs on [`BigUint`] exponentiation instead.
-//! Private-key operations use the CRT speed-up. This is a faithful,
+//! Private-key operations use the CRT speed-up; on a fixed width their
+//! two halves may run on two cores (`crt_split`). This is a faithful,
 //! test-vectored implementation but is **not** hardened against local side
 //! channels — see README "Security status".
 
 use crate::bigint::{BigUint, WindowSchedule};
+use crate::crt_split::{self, LIMBS};
 use crate::error::CryptoError;
 use crate::hash::HashAlg;
-use crate::limbs::{FixedCrtCtx, FixedMontgomeryCtx};
+use crate::limbs::{FixedCrtCtx, FixedMontgomeryCtx, FixedUint};
 use crate::prime::gen_prime;
 use crate::rng::ChaChaRng;
 use std::cmp::Ordering;
@@ -114,7 +116,7 @@ pub struct RsaPrivateKey {
 }
 
 /// A private key's secret components and its precomputed CRT constants.
-struct CrtParts {
+pub(crate) struct CrtParts {
     d: BigUint,
     p: BigUint,
     q: BigUint,
@@ -123,6 +125,16 @@ struct CrtParts {
     qinv: BigUint,
     /// CRT constants and the schedules of `dp`, `dq` at the width of `p`.
     fixed: ByWidth<FixedCrtCtx<4>, FixedCrtCtx<8>, FixedCrtCtx<16>, FixedCrtCtx<32>>,
+}
+
+impl CrtParts {
+    /// The q-half `x^dq mod q` of a private operation on `x` (low and high
+    /// limbs), at the widest fixed width, where it crosses to the CRT
+    /// helper thread; `None` for a key no fixed width covers.
+    pub(crate) fn q_half(&self, x: &[FixedUint<LIMBS>; 2]) -> Option<FixedUint<LIMBS>> {
+        on_width!(&self.fixed, c => Some(c.q_half(&x.map(|half| half.resize())).resize()),
+            Wide => None)
+    }
 }
 
 impl std::fmt::Debug for RsaPrivateKey {
@@ -318,10 +330,16 @@ impl RsaPrivateKey {
     }
 
     /// `input^d mod n` as exactly `k` big-endian bytes through the CRT;
-    /// `None` when `input` is not below `n`.
+    /// `None` when `input` is not below `n`. On a fixed width the q-half
+    /// may run on the CRT helper thread, with the same result.
     fn raw_private(&self, input: &[u8]) -> Option<Vec<u8>> {
         let mut out = vec![0u8; self.public.size()];
-        on_width!(&self.crt.fixed, c => c.private_op(input, &mut out).then_some(out), Wide => {
+        on_width!(&self.crt.fixed, c => {
+            let x = c.read_input(input)?;
+            let (m1, m2) =
+                crt_split::both_halves(&self.crt, &x, || c.p_half(&x), || c.q_half(&x));
+            c.combine(&m1, &m2, &mut out).then_some(out)
+        }, Wide => {
             let c = BigUint::from_bytes_be(input);
             if c.cmp_big(&self.public.0.n) != Ordering::Less {
                 return None;
@@ -710,6 +728,87 @@ mod tests {
             kp.public.verify_prehashed_reference(HashAlg::Sha256, &digest, &bad),
             Err(CryptoError::BadSignature)
         );
+    }
+
+    /// Keys at 512, 1024 and 2048 bits (CRT halves of 4, 8 and 16 limbs)
+    /// and one key no fixed width covers.
+    fn split_keys() -> Vec<RsaKeyPair> {
+        let mersenne = |k: usize| BigUint::one().shl(k).sub(&BigUint::one());
+        let mut keys: Vec<RsaKeyPair> = [512usize, 1024, 2048]
+            .iter()
+            .map(|&bits| RsaKeyPair::generate(bits, &mut ChaChaRng::seed_from_u64(bits as u64)))
+            .collect();
+        keys.extend(RsaKeyPair::from_primes(mersenne(2203), mersenne(1279)));
+        keys
+    }
+
+    /// Signs and decrypts with every key and checks each output against
+    /// the serial references; returns the halves the helper computed for
+    /// this thread.
+    fn sign_and_decrypt_match_the_references(keys: &[RsaKeyPair], seed: u64) -> u64 {
+        let helped = crt_split::helped_here();
+        let mut rng = ChaChaRng::seed_from_u64(seed);
+        for (i, kp) in keys.iter().enumerate() {
+            let rounds = if kp.public.bits() > 2048 { 1 } else { 4 };
+            for round in 0..rounds {
+                let digest = HashAlg::Sha256.hash(&[seed as u8, i as u8, round]);
+                assert_eq!(
+                    kp.private.sign_prehashed(HashAlg::Sha256, &digest).unwrap(),
+                    kp.private.sign_prehashed_reference(HashAlg::Sha256, &digest).unwrap(),
+                    "{} bits",
+                    kp.public.bits()
+                );
+                let ct = kp.public.encrypt(&mut rng, &digest[..16]).unwrap();
+                let k = kp.public.size();
+                let plain = kp.private.raw_decrypt_no_crt(&BigUint::from_bytes_be(&ct));
+                assert_eq!(kp.private.raw_private(&ct), plain.to_bytes_be_padded(k));
+                assert_eq!(kp.private.decrypt(&ct).unwrap(), &digest[..16]);
+            }
+        }
+        crt_split::helped_here() - helped
+    }
+
+    #[test]
+    fn concurrent_split_operations_match_the_serial_references() {
+        let keys = split_keys();
+        assert!(matches!(keys[2].private.crt.fixed, ByWidth::L16(_)));
+        assert!(matches!(keys[3].private.crt.fixed, ByWidth::Wide));
+        let two_cores = tpnr_par::available_parallelism() >= 2;
+        // While another test's fan-out runs, no half is offloaded, so the
+        // round repeats (a bounded number of times) until one was.
+        let mut helped = 0;
+        for round in 0..20 {
+            helped += std::thread::scope(|s| {
+                let threads: Vec<_> = (0..3u64)
+                    .map(|t| {
+                        let keys = &keys;
+                        s.spawn(move || sign_and_decrypt_match_the_references(keys, 3 * round + t))
+                    })
+                    .collect();
+                threads.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
+            });
+            if helped > 0 || !two_cores {
+                break;
+            }
+        }
+        if two_cores {
+            assert!(helped > 0, "the helper computed no half");
+        } else {
+            assert_eq!(helped, 0, "a single-core host never offloads");
+        }
+    }
+
+    #[test]
+    fn fanouts_keep_every_half_on_their_own_workers() {
+        let mut keys = split_keys();
+        keys.truncate(3);
+        for workers in [1, 2] {
+            let helped = tpnr_par::Pool::new(workers).run_indexed(2, |i| {
+                assert!(tpnr_par::fanouts_running() > 0);
+                sign_and_decrypt_match_the_references(&keys, 10 + i as u64)
+            });
+            assert_eq!(helped, [0, 0], "{workers} workers");
+        }
     }
 
     #[test]

@@ -16,7 +16,13 @@
 //! - `recv.method(…)` on a non-`self` receiver resolves to *all*
 //!   same-named methods in the workspace, except for names on the
 //!   std-collision stoplist (`get`, `len`, `clone`, …) which would wire
-//!   every `BTreeMap::get` call to unrelated local methods.
+//!   every `BTreeMap::get` call to unrelated local methods;
+//! - a method call of either form keeps only the candidates the caller's
+//!   crate can reach: methods in that crate or in a workspace crate its
+//!   `Cargo.toml` depends on, directly or transitively, and impls of a
+//!   trait declared in one of those (generic or `dyn` dispatch may reach
+//!   any impl of a trait the caller can name). A crate whose manifest is
+//!   not among the inputs is not restricted.
 //!
 //! The result over-approximates on distinctive names and drops edges on
 //! std-colliding ones; both directions are documented soundness limits
@@ -289,6 +295,19 @@ struct Resolver<'w> {
     crate_roots: BTreeSet<String>,
     /// Module of every node (parallel to the graph's `fns`).
     fn_modules: Vec<String>,
+    /// Trait every node implements or declares (parallel to `fns`).
+    fn_traits: Vec<Option<String>>,
+    /// Crate root → the crates its calls may reach: itself and its
+    /// manifest's workspace dependencies, transitively. Crates with no
+    /// manifest among the inputs have no entry.
+    reachable: BTreeMap<String, BTreeSet<String>>,
+    /// Trait name → the crate roots that declare a trait of that name.
+    trait_crates: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// The crate root of a module path (`core` for `core::client`).
+fn crate_root(module: &str) -> &str {
+    module.split("::").next().unwrap_or("")
 }
 
 impl<'w> Resolver<'w> {
@@ -302,9 +321,18 @@ impl<'w> Resolver<'w> {
             type_names: BTreeSet::new(),
             crate_roots: BTreeSet::new(),
             fn_modules: fns.iter().map(|m| m.item.module.clone()).collect(),
+            fn_traits: fns.iter().map(|m| m.item.trait_name.clone()).collect(),
+            reachable: BTreeMap::new(),
+            trait_crates: BTreeMap::new(),
         };
         for (i, m) in fns.iter().enumerate() {
             let it = &m.item;
+            // A trait block's own methods carry the trait as both owner and
+            // trait name.
+            if let Some(t) = it.trait_name.as_ref().filter(|t| it.owner.as_ref() == Some(t)) {
+                let krate = crate_root(&it.module).to_string();
+                r.trait_crates.entry(t.clone()).or_default().insert(krate);
+            }
             match &it.owner {
                 Some(o) => {
                     r.by_owner_name.entry((o.clone(), it.name.clone())).or_default().push(i);
@@ -330,7 +358,53 @@ impl<'w> Resolver<'w> {
                 r.type_names.insert(s.name.clone());
             }
         }
+        // A dependency is named as in its `use` paths, `tpnr-net` for the
+        // crate root `net`; names of crates outside the workspace drop out.
+        let direct: BTreeMap<&str, Vec<String>> = ws
+            .manifests
+            .iter()
+            .map(|(krate, deps)| {
+                let workspace_deps = deps
+                    .iter()
+                    .map(|d| {
+                        let d = d.replace('-', "_");
+                        match d.strip_prefix("tpnr_") {
+                            Some(root) if r.crate_roots.contains(root) => root.to_string(),
+                            _ => d,
+                        }
+                    })
+                    .filter(|d| r.crate_roots.contains(d))
+                    .collect();
+                (krate.as_str(), workspace_deps)
+            })
+            .collect();
+        for &krate in direct.keys() {
+            let mut seen = BTreeSet::from([krate.to_string()]);
+            let mut queue = vec![krate];
+            while let Some(c) = queue.pop() {
+                for d in direct.get(c).into_iter().flatten() {
+                    if seen.insert(d.clone()) {
+                        queue.push(d);
+                    }
+                }
+            }
+            r.reachable.insert(krate.to_string(), seen);
+        }
         r
+    }
+
+    /// May code in `caller_module` call node `callee`? Only within the
+    /// crates the caller's crate reaches, or through a trait declared in
+    /// one of them; any call is allowed from a crate with no manifest.
+    fn can_call(&self, caller_module: &str, callee: usize) -> bool {
+        let Some(reach) = self.reachable.get(crate_root(caller_module)) else {
+            return true;
+        };
+        reach.contains(crate_root(&self.fn_modules[callee]))
+            || self.fn_traits[callee]
+                .as_ref()
+                .and_then(|t| self.trait_crates.get(t))
+                .is_some_and(|declared| !declared.is_disjoint(reach))
     }
 
     fn resolve(&self, site: &CallSite, caller: &FnMeta, toks: &[Token]) -> Vec<usize> {
@@ -347,6 +421,12 @@ impl<'w> Resolver<'w> {
     }
 
     fn resolve_method(&self, site: &CallSite, caller: &FnMeta) -> Vec<usize> {
+        let mut targets = self.method_candidates(site, caller);
+        targets.retain(|&t| self.can_call(&caller.item.module, t));
+        targets
+    }
+
+    fn method_candidates(&self, site: &CallSite, caller: &FnMeta) -> Vec<usize> {
         if site.receiver_self {
             if let Some(owner) = &caller.item.owner {
                 let hit = self.by_owner_name.get(&(owner.clone(), site.name.clone()));
@@ -629,6 +709,39 @@ mod tests {
         let f = node(g, from);
         let t = node(g, to);
         g.edges[f].iter().any(|e| e.callee == t)
+    }
+
+    #[test]
+    fn method_calls_resolve_only_into_crates_the_manifest_reaches() {
+        // net declares `Wire`; core depends on net and implements it; bench
+        // depends on core and has an unrelated `encode`. net's generic call
+        // may reach core's impl through the trait, never bench's method;
+        // core's call reaches net's method through its dependency.
+        let w = ws(&[
+            (
+                "crates/net/src/codec.rs",
+                "pub trait Wire { fn encode(&self); }\n\
+                 pub fn write<T: Wire>(x: &T) { x.encode(); }\n\
+                 pub struct Reader;\nimpl Reader { pub fn array(&self) {} }",
+            ),
+            (
+                "crates/core/src/msg.rs",
+                "pub struct Msg;\nimpl Wire for Msg { fn encode(&self) {} }\n\
+                 pub fn decode(r: &Reader) { r.array(); }",
+            ),
+            (
+                "crates/bench/src/report.rs",
+                "pub struct Row;\nimpl Row { pub fn encode(&self) {} pub fn array(&self) {} }",
+            ),
+            ("crates/net/Cargo.toml", "[package]\nname = \"tpnr-net\"\n"),
+            ("crates/core/Cargo.toml", "[dependencies]\ntpnr-net = { path = \"../net\" }\n"),
+            ("crates/bench/Cargo.toml", "[dependencies]\ntpnr-core.workspace = true\n"),
+        ]);
+        let g = Graph::build(&w);
+        assert!(has_edge(&g, "net::codec::write", "core::msg::Msg::encode"));
+        assert!(!has_edge(&g, "net::codec::write", "bench::report::Row::encode"));
+        assert!(has_edge(&g, "core::msg::decode", "net::codec::Reader::array"));
+        assert!(!has_edge(&g, "core::msg::decode", "bench::report::Row::array"));
     }
 
     #[test]

@@ -22,9 +22,12 @@ pub mod passes;
 pub mod rules;
 
 use lexer::Token;
+use std::collections::BTreeMap;
 
 /// One source file to analyze. `path` is workspace-relative with `/`
-/// separators (used for module mapping and allowlist matching).
+/// separators (used for module mapping and allowlist matching). A
+/// `Cargo.toml` input is a crate manifest: it is not linted, and its
+/// `[dependencies]` bound which crates the crate's calls may resolve into.
 #[derive(Debug, Clone)]
 pub struct FileInput {
     pub path: String,
@@ -103,6 +106,49 @@ pub fn module_of(path: &str) -> (Option<String>, bool) {
     (Some(module), false)
 }
 
+/// Is this input a crate manifest rather than a source file?
+pub fn is_manifest(path: &str) -> bool {
+    path == "Cargo.toml" || path.ends_with("/Cargo.toml")
+}
+
+/// The crate root a manifest describes, named as [`module_of`] names the
+/// crate's modules: the directory holding it (`crates/core/Cargo.toml` →
+/// `core`), or `tpnr` for the workspace root's own package.
+pub fn crate_of_manifest(path: &str) -> String {
+    match path.strip_suffix("/Cargo.toml") {
+        Some(dir) => dir.rsplit('/').next().unwrap_or(dir).replace('-', "_"),
+        None => "tpnr".to_string(),
+    }
+}
+
+/// The dependency names a manifest's `[dependencies]` list (target-specific
+/// tables included; dev-, build- and `[workspace.dependencies]` not), as
+/// written:
+/// `tpnr-par.workspace = true`, `tpnr-core = { … }` and a
+/// `[dependencies.tpnr-net]` table all name their first segment.
+pub fn manifest_deps(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut in_deps = false;
+    for line in text.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']').trim();
+            in_deps = header == "dependencies"
+                || (header.starts_with("target.") && header.ends_with(".dependencies"));
+            if let Some(dep) = header.strip_prefix("dependencies.") {
+                out.push(dep.trim_matches('"').to_string());
+            }
+            continue;
+        }
+        if in_deps {
+            let key = line.split(['=', '.']).next().unwrap_or("").trim().trim_matches('"');
+            if !key.is_empty() && !key.starts_with('#') {
+                out.push(key.to_string());
+            }
+        }
+    }
+    out
+}
+
 /// One lexed-and-parsed workspace file, shared by the per-file rules
 /// and the interprocedural passes.
 #[derive(Debug, Clone)]
@@ -119,13 +165,22 @@ pub struct WsFile {
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     pub files: Vec<WsFile>,
+    /// Crate root → the dependency names its manifest lists (see
+    /// [`manifest_deps`]); a crate without a manifest among the inputs
+    /// has no entry.
+    pub manifests: BTreeMap<String, Vec<String>>,
 }
 
 impl Workspace {
-    /// Lex and parse every input file.
+    /// Lex and parse every source file; read every manifest's
+    /// dependencies.
     pub fn build(files: &[FileInput]) -> Workspace {
         let mut out = Workspace::default();
         for f in files {
+            if is_manifest(&f.path) {
+                out.manifests.insert(crate_of_manifest(&f.path), manifest_deps(&f.source));
+                continue;
+            }
             let tokens = lexer::lex(&f.source);
             let in_test = lexer::test_region_flags(&tokens);
             let (module, is_test_file) = module_of(&f.path);
@@ -197,7 +252,7 @@ pub struct Summary {
 impl Summary {
     pub fn of(files: &[FileInput], findings: &[Finding]) -> Summary {
         Summary {
-            files: files.len(),
+            files: files.iter().filter(|f| !is_manifest(&f.path)).count(),
             rules: rules::ALL.len() + passes::ALL.len(),
             findings: findings.len(),
             allowlisted: findings.iter().filter(|f| f.allowed).count(),
@@ -241,6 +296,26 @@ mod tests {
         assert_eq!(module_of("crates/core/tests/resolve_edge_cases.rs"), (None, true));
         assert_eq!(module_of("crates/bench/benches/evidence.rs"), (None, true));
         assert_eq!(module_of("examples/demo.rs"), (None, true));
+    }
+
+    #[test]
+    fn manifests_name_their_crate_and_runtime_dependencies() {
+        assert!(is_manifest("Cargo.toml") && is_manifest("crates/core/Cargo.toml"));
+        assert!(!is_manifest("crates/core/src/Cargo.toml.rs"));
+        assert_eq!(crate_of_manifest("crates/core/Cargo.toml"), "core");
+        assert_eq!(crate_of_manifest("crates/proptest-shim/Cargo.toml"), "proptest_shim");
+        assert_eq!(crate_of_manifest("Cargo.toml"), "tpnr");
+        let text = "[package]\nname = \"tpnr-core\"\n\n[dependencies]\n\
+                    tpnr-par.workspace = true\ntpnr-net = { path = \"../net\" }\n\
+                    # a comment\n\n[dev-dependencies]\nproptest.workspace = true\n\
+                    [target.'cfg(unix)'.dependencies]\ntpnr-storage = \"0.1\"\n\
+                    [dependencies.tpnr-crypto]\npath = \"../crypto\"\n\
+                    [build-dependencies]\ncc = \"1\"\n\
+                    [workspace.dependencies]\ntpnr-bench = { path = \"crates/bench\" }\n";
+        assert_eq!(
+            manifest_deps(text),
+            ["tpnr-par", "tpnr-net", "tpnr-storage", "tpnr-crypto"].map(String::from)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `tpnr-lint` binary: walk every `.rs` file in the workspace, run the
-//! rule set and the interprocedural passes, honor `lint-allow.toml`,
-//! and report.
+//! `tpnr-lint` binary: walk every `.rs` file and crate manifest in the
+//! workspace, run the rule set and the interprocedural passes, honor
+//! `lint-allow.toml`, and report.
 //!
 //! Exit codes: 0 = clean (all findings allowlisted, no stale allowlist
 //! entries), 1 = unallowlisted findings or stale allowlist entries,
@@ -123,8 +123,9 @@ fn is_workspace_root(dir: &Path) -> bool {
         .unwrap_or(false)
 }
 
-/// Recursively collect `.rs` files under `dir`, skipping build output,
-/// VCS metadata, hidden directories and nested workspaces. Paths are
+/// Recursively collect `.rs` files and `Cargo.toml` manifests under
+/// `dir`, skipping build output, VCS metadata, hidden directories and
+/// nested workspaces. Paths are
 /// stored workspace-relative with `/` separators so findings and
 /// allowlist entries are portable.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<FileInput>) -> std::io::Result<()> {
@@ -147,7 +148,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<FileInput>) -> std::i
                 continue;
             }
             collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)

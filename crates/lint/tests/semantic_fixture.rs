@@ -80,17 +80,33 @@ fn cfg_test_panics_are_not_findings() {
 /// A second workspace whose calls carry turbofishes (`r.array::<4>()`,
 /// `frames::first::<u8>()`): the call graph must see `name::<…>(` as a
 /// call, or the panics and allocations behind such calls go unreported.
+/// Its bench crate defines a panicking method named like the one core
+/// calls, which core's manifest does not let it reach.
 fn turbofish_run() -> Vec<Finding> {
-    let files = [
+    lint_files(&turbofish_workspace(true), &Allowlist::empty())
+}
+
+fn turbofish_workspace(with_manifests: bool) -> Vec<FileInput> {
+    let sources = [
         ("crates/core/src/provider.rs", include_str!("fixtures/core_provider_turbofish.rs")),
         ("crates/core/src/evidence.rs", include_str!("fixtures/core_evidence_turbofish.rs")),
         ("crates/net/src/frames.rs", include_str!("fixtures/net_frames.rs")),
+        ("crates/bench/src/report.rs", include_str!("fixtures/bench_report.rs")),
     ];
-    let inputs: Vec<FileInput> = files
+    let manifests = [
+        (
+            "crates/core/Cargo.toml",
+            "[package]\nname = \"tpnr-core\"\n[dependencies]\ntpnr-net.workspace = true\n",
+        ),
+        ("crates/net/Cargo.toml", "[package]\nname = \"tpnr-net\"\n"),
+        ("crates/bench/Cargo.toml", "[dependencies]\ntpnr-core.workspace = true\n"),
+    ];
+    let manifests = if with_manifests { &manifests[..] } else { &[] };
+    sources
         .iter()
+        .chain(manifests)
         .map(|(path, source)| FileInput { path: path.to_string(), source: source.to_string() })
-        .collect();
-    lint_files(&inputs, &Allowlist::empty())
+        .collect()
 }
 
 #[test]
@@ -110,4 +126,23 @@ fn allocations_behind_turbofish_calls_are_reached() {
     let what: Vec<_> = hits.iter().map(|f| (f.file.as_str(), f.line)).collect();
     assert_eq!(what, [("crates/net/src/frames.rs", 16), ("crates/net/src/frames.rs", 25)]);
     assert!(hits.iter().all(|f| f.message.contains("core::evidence::seal")), "{hits:?}");
+}
+
+/// `Provider::handle`'s `r.array::<4>()` names a method that
+/// `bench::report::JsonParser` also defines, and that one panics. Core's
+/// manifest does not reach tpnr-bench, so PANIC-REACH must stay silent
+/// on it; without the manifests nothing bounds the resolution and the
+/// same workspace charges that panic to the entry point.
+#[test]
+fn a_same_named_method_in_a_crate_core_cannot_reach_is_not_called() {
+    let in_bench = |findings: Vec<Finding>| -> Vec<Finding> {
+        findings.into_iter().filter(|f| f.file == "crates/bench/src/report.rs").collect()
+    };
+    assert!(in_bench(turbofish_run()).is_empty());
+    let unbounded = in_bench(lint_files(&turbofish_workspace(false), &Allowlist::empty()));
+    assert_eq!(unbounded.len(), 1, "{unbounded:?}");
+    assert_eq!(unbounded[0].rule, "PANIC-REACH");
+    assert!(unbounded[0]
+        .message
+        .contains("core::provider::Provider::handle -> bench::report::JsonParser::array"));
 }

@@ -20,6 +20,11 @@
 //! the output: for pure `f` the result vector is byte-identical to the
 //! serial loop regardless of worker count (property-tested below).
 //!
+//! A fan-out owns the cores it runs on, so the process counts the
+//! fan-outs running at any moment ([`fanouts_running`]). Code that would
+//! borrow an idle core for itself, such as `tpnr-crypto`'s CRT helper,
+//! stays on its own thread while the count is non-zero.
+//!
 //! Keeping the crate free of dependencies (std only) lets `tpnr-crypto`
 //! use it without cycles and keeps the offline build trivial.
 
@@ -34,6 +39,34 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// bench trajectories stay comparable across hosts.
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Fan-outs running in the process: see [`fanouts_running`].
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// How many fan-outs are running right now, across every pool and thread,
+/// one-worker pools included. `Relaxed` suffices: the count steers a
+/// choice between two ways of computing the same result, so a stale read
+/// costs time, never correctness.
+pub fn fanouts_running() -> usize {
+    RUNNING.load(Ordering::Relaxed)
+}
+
+/// One fan-out's place in [`RUNNING`], given back when dropped, on unwind
+/// too.
+struct Running;
+
+impl Running {
+    fn enter() -> Running {
+        RUNNING.fetch_add(1, Ordering::Relaxed);
+        Running
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Scheduler counters for one fan-out. `steals` depends on timing (which
@@ -79,7 +112,8 @@ impl Pool {
     /// `min(n, 4·w)` near-equal contiguous ranges through one cursor. A
     /// thread the OS refuses is skipped; the workers that started take its
     /// ranges. A panic inside `f` stops new ranges from starting and is
-    /// rethrown here once every worker has returned.
+    /// rethrown here once every worker has returned. The fan-out counts in
+    /// [`fanouts_running`] until it returns or unwinds.
     pub fn run_indexed_stats<R, F>(&self, n: usize, f: F) -> (Vec<R>, FanoutStats)
     where
         R: Send,
@@ -88,6 +122,7 @@ impl Pool {
         if n == 0 {
             return (Vec::new(), FanoutStats::default());
         }
+        let _running = Running::enter();
         let w = self.workers.min(n);
         let tasks = n.min(4 * w);
         let (base, rem) = (n / tasks, n % tasks);
