@@ -66,6 +66,22 @@ fi
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Those tests build perfbench's test profile; the benchmark judges its
+# release binary. Full mode builds that and runs each workload BENCHMARK.json
+# names at --quick size, failing unless the result (the last line) reports
+# every check correct and no operation failed.
+if [ "$quick" -eq 0 ]; then
+    cargo build -q --release --offline --manifest-path perfbench/Cargo.toml --bin benchmark
+    for workload in session fleet tcp-ladder; do
+        echo "==> perfbench benchmark --workload $workload --quick (release)"
+        result="$(perfbench/target/release/benchmark --workload "$workload" --quick | tail -n 1)"
+        if ! grep -q '"correct":true' <<<"$result" || ! grep -Eq '"failed":0[,}]' <<<"$result"; then
+            echo "error: benchmark --workload $workload --quick: $result" >&2
+            exit 1
+        fi
+    done
+fi
+
 # Experiment smoke: regenerate each JSONL exhibit at --quick size and run
 # it through the binary's gate table (`experiments --check`, gates in
 # crates/bench/src/report.rs). --check exits 1 naming every failed line,

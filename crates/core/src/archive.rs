@@ -15,7 +15,9 @@
 //! the same parties, transaction, object and hash as its NRO) keeps only
 //! the fields that differ.
 
-use crate::evidence::{field_mask, read_derived, write_derived, VerifiedEvidence, NOTHING_SHARED};
+use crate::evidence::{
+    field_mask, read_derived, write_derived, VerifiedEvidence, WireForm, NOTHING_SHARED,
+};
 use crate::session::TxnState;
 use std::collections::{BTreeMap, VecDeque};
 use tpnr_crypto::hash::Digest as _;
@@ -133,7 +135,7 @@ impl EvidenceBundle {
             } else if let Some(mask) = derivation(&self.entries[..i], derived, &e.evidence) {
                 derived = true;
                 w.u8(DERIVED);
-                write_derived(&mut w, mask, &e.evidence);
+                write_derived(&mut w, &WireForm, mask, &e.evidence);
             } else {
                 e.evidence.encode(&mut w);
             }
@@ -186,7 +188,7 @@ impl EvidenceBundle {
                 Some(DERIVED) => {
                     r.u8()?;
                     let base = &entries.first().ok_or(BundleError::Malformed)?.evidence;
-                    let (mask, evidence) = read_derived(&mut r, &base.plaintext)?;
+                    let (mask, evidence) = read_derived(&mut r, &WireForm, &base.plaintext)?;
                     canonical(derivation(&entries, derived, &evidence) == Some(mask))?;
                     derived = true;
                     evidence

@@ -8,8 +8,8 @@
 
 use crate::config::Ablation;
 use crate::evidence::{
-    open_and_verify, seal, seal_and_own, EvidenceError, EvidencePair, EvidencePlaintext, Flag,
-    SealedEvidence, VerifiedEvidence,
+    open_and_verify, seal, seal_and_own, EvidencePair, EvidencePlaintext, Flag, Principals, Record,
+    SealedEvidence,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::PrincipalId;
@@ -32,11 +32,12 @@ pub enum TimeoutStrategy {
     ResolveImmediately,
 }
 
-/// Alice's record of one transaction.
+/// Alice's record of one transaction. [`Client::txn`] reads it with her
+/// NRO and, once received and verified, Bob's NRR ([`Record::nro`],
+/// [`Record::nrr`]).
 #[derive(Debug, Clone)]
 pub struct ClientTxn {
-    /// Her NRO and, once received and verified, Bob's NRR, in one buffer
-    /// that [`nro`](Self::nro) and [`nrr`](Self::nrr) decode.
+    /// Her NRO and Bob's NRR, in one buffer that indexes her principals.
     evidence: EvidencePair,
     /// Download payload once received. Boxed: only downloads fill it, and
     /// inline it would widen every upload's record by 40 bytes.
@@ -52,28 +53,6 @@ pub struct ClientTxn {
     /// Timeout-driven sends (abort/resolve) spent so far; drives the
     /// [`RetryPolicy`](crate::fault::RetryPolicy) backoff and give-up bound.
     pub attempts: u32,
-}
-
-impl ClientTxn {
-    /// Alice's own NRO (kept for Resolve and for disputes). Its plaintext
-    /// says what the transaction is about: the flag (upload or download),
-    /// the object, and the hash of the payload (or request) Alice sent.
-    pub fn nro(&self) -> Result<VerifiedEvidence, EvidenceError> {
-        self.evidence.nro()
-    }
-
-    /// Bob's NRR once received and verified: his receipt, or his answer to
-    /// her abort.
-    pub fn nrr(&self) -> Result<Option<VerifiedEvidence>, EvidenceError> {
-        Ok(self.evidence()?.1)
-    }
-
-    /// The NRO and the NRR together, decoding the NRO once.
-    pub(crate) fn evidence(
-        &self,
-    ) -> Result<(VerifiedEvidence, Option<VerifiedEvidence>), EvidenceError> {
-        self.evidence.decode()
-    }
 }
 
 /// The client actor.
@@ -123,8 +102,9 @@ impl Client {
     }
 
     /// Alice's record for a transaction.
-    pub fn txn(&self, txn_id: u64) -> Option<&ClientTxn> {
-        self.txns.get(&txn_id).map(Arc::as_ref)
+    pub fn txn(&self, txn_id: u64) -> Option<Record<'_, ClientTxn>> {
+        let t = self.txns.get(&txn_id)?;
+        Some(Record::new(t.as_ref(), &t.evidence, &self.party.principals))
     }
 
     /// A record for writing, copied first if a durable snapshot still
@@ -153,17 +133,15 @@ impl Client {
         self.txns.get(&txn_id)?.received.as_deref()
     }
 
-    /// Evicts a settled transaction to the runner's archived-evidence log:
-    /// removes the in-memory record and retires the validator's replay
-    /// window for it (late traffic is then rejected as
-    /// `archived-transaction` instead of being offered a fresh window).
-    /// Returns the record so the caller can seal its evidence into the
-    /// archive; `None` if the transaction is unknown.
-    pub fn evict_txn(&mut self, txn_id: u64) -> Option<ClientTxn> {
-        let record = self.txns.remove(&txn_id)?;
+    /// Evicts a settled transaction to the runner's archived-evidence log
+    /// (the caller reads its evidence first): removes the in-memory record
+    /// and retires the validator's replay window for it (late traffic is
+    /// then rejected as `archived-transaction` instead of being offered a
+    /// fresh window).
+    pub fn evict_txn(&mut self, txn_id: u64) {
+        self.txns.remove(&txn_id);
         self.open.remove(&txn_id);
         self.party.validator.retire_txn(txn_id);
-        Some(Arc::unwrap_or_clone(record))
     }
 
     /// Earliest timeout deadline over all non-terminal transactions (the
@@ -216,7 +194,7 @@ impl Client {
         self.txns.insert(
             txn_id,
             Arc::new(ClientTxn {
-                evidence: EvidencePair::new(&nro, None),
+                evidence: EvidencePair::new(&mut p.principals, &nro, None),
                 received: None,
                 state: TxnState::Pending,
                 deadline: now.after(p.cfg.response_timeout),
@@ -305,7 +283,7 @@ impl Client {
         let p = &mut self.party;
         p.validator.check(&p.cfg, pt, Some(self.provider), now)?;
         let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        let nro = txn.nro().map_err(ValidationError::Evidence)?;
+        let nro = txn.evidence.nro(&p.principals).map_err(ValidationError::Evidence)?;
         let sent = &nro.plaintext;
         let ok_flag = matches!(
             (sent.flag, pt.flag),
@@ -336,8 +314,9 @@ impl Client {
         let sender_pk = p.key(pt.sender)?;
         let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
+        let evidence = EvidencePair::new(&mut p.principals, &nro, Some(&nrr));
         let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        txn.evidence = EvidencePair::new(&nro, Some(&nrr));
+        txn.evidence = evidence;
         txn.received = received;
         self.set_state(pt.txn_id, TxnState::Completed);
         Ok(Vec::new())
@@ -364,27 +343,26 @@ impl Client {
         if txn.state.is_terminal() {
             return Ok(Vec::new());
         }
-        let nro = txn.nro().map_err(ValidationError::Evidence)?;
-        let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-        match outcome {
-            AbortOutcome::Accept => {
-                txn.evidence = EvidencePair::new(&nro, Some(&nrr));
-                self.set_state(pt.txn_id, TxnState::Aborted);
-            }
-            AbortOutcome::Reject => {
-                // Bob completed the transaction; his NRR-abort still proves
-                // he answered. Alice treats the original as completed-ish
-                // but flags the rejection.
-                txn.evidence = EvidencePair::new(&nro, Some(&nrr));
-                self.set_state(pt.txn_id, TxnState::AbortRejected);
-            }
+        let nro = txn.evidence.nro(&p.principals).map_err(ValidationError::Evidence)?;
+        let state = match outcome {
+            AbortOutcome::Accept => TxnState::Aborted,
+            // Bob completed the transaction; his NRR-abort still proves he
+            // answered. Alice treats the original as completed-ish but
+            // flags the rejection.
+            AbortOutcome::Reject => TxnState::AbortRejected,
             AbortOutcome::Error => {
                 // Regenerate the abort request (paper: "double check the
                 // parameters … regenerate it, and re-submit").
+                let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
                 txn.abort_attempted = false;
                 txn.deadline = now; // retry immediately on next poll
+                return Ok(Vec::new());
             }
-        }
+        };
+        let evidence = EvidencePair::new(&mut p.principals, &nro, Some(&nrr));
+        let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
+        txn.evidence = evidence;
+        self.set_state(pt.txn_id, state);
         Ok(Vec::new())
     }
 
@@ -416,13 +394,14 @@ impl Client {
                 let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, sealed)
                     .map_err(ValidationError::Evidence)?;
                 // On upload the re-issued receipt must match what we sent.
-                let nro = txn.nro().map_err(ValidationError::Evidence)?;
+                let nro = txn.evidence.nro(&p.principals).map_err(ValidationError::Evidence)?;
                 let sent = &nro.plaintext;
                 if sent.flag == Flag::UploadRequest && !ct::eq(&pt.data_hash, &sent.data_hash) {
                     return Err(ValidationError::HashMismatch);
                 }
+                let evidence = EvidencePair::new(&mut p.principals, &nro, Some(&nrr));
                 let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
-                txn.evidence = EvidencePair::new(&nro, Some(&nrr));
+                txn.evidence = evidence;
                 self.set_state(pt.txn_id, TxnState::Completed);
             }
             // Restart: Bob never saw the transfer; Alice marks it failed
@@ -505,7 +484,7 @@ impl Client {
     }
 
     fn send_abort(&mut self, txn_id: u64, now: SimTime) -> Vec<Outgoing> {
-        let Some(Ok(nro)) = self.txns.get(&txn_id).map(|t| t.nro()) else { return Vec::new() };
+        let Some(Ok(nro)) = self.txn(txn_id).map(|t| t.nro()) else { return Vec::new() };
         let p = &mut self.party;
         let seq = p.validator.alloc_seq(txn_id);
         let pt = p.stamp(&nro.plaintext, Flag::AbortRequest, self.provider, seq, now);
@@ -525,7 +504,7 @@ impl Client {
     }
 
     fn send_resolve(&mut self, txn_id: u64, now: SimTime) -> Vec<Outgoing> {
-        let Some(Ok(nro)) = self.txns.get(&txn_id).map(|t| t.nro()) else { return Vec::new() };
+        let Some(Ok(nro)) = self.txn(txn_id).map(|t| t.nro()) else { return Vec::new() };
         let p = &mut self.party;
         let seq = p.validator.alloc_seq(txn_id);
         let pt = p.stamp(&nro.plaintext, Flag::ResolveRequest, p.ttp, seq, now);
@@ -552,8 +531,8 @@ impl Client {
         upload_txn: u64,
         download_txn: u64,
     ) -> Option<bool> {
-        let up = self.txns.get(&upload_txn)?.nrr().ok()??;
-        let down = self.txns.get(&download_txn)?.nrr().ok()??;
+        let up = self.txn(upload_txn)?.nrr().ok()??;
+        let down = self.txn(download_txn)?.nrr().ok()??;
         if up.plaintext.object != down.plaintext.object {
             return None;
         }
@@ -561,12 +540,14 @@ impl Client {
     }
 }
 
-/// Durable image of a [`Client`]: session table, archived evidence and
-/// validator sequence state. The RNG, digest cache and monotone telemetry
-/// stay live — rolling an RNG back would replay nonces.
+/// Durable image of a [`Client`]: session table, archived evidence with
+/// the principal table it indexes, and validator sequence state. The RNG,
+/// digest cache and monotone telemetry stay live — rolling an RNG back
+/// would replay nonces.
 #[derive(Debug, Clone)]
 pub struct ClientSnapshot {
     txns: BTreeMap<u64, Arc<ClientTxn>>,
+    principals: Principals,
     validator: crate::session::ValidatorSnapshot,
     next_txn: u64,
     bytes: u64,
@@ -598,6 +579,7 @@ impl crate::fault::Durable for Client {
         }
         ClientSnapshot {
             txns: self.txns.clone(),
+            principals: self.party.principals.clone(),
             validator: self.party.validator.snapshot(),
             next_txn: self.next_txn,
             bytes,
@@ -607,6 +589,8 @@ impl crate::fault::Durable for Client {
     fn restore(&mut self, snap: &ClientSnapshot) {
         let skip = self.party.restore(&snap.validator);
         self.txns = snap.txns.clone();
+        // Every restored record indexes the snapshot's table.
+        self.party.principals = snap.principals.clone();
         self.open =
             self.txns.iter().filter(|(_, t)| !t.state.is_terminal()).map(|(&id, _)| id).collect();
         // Transaction ids allocated in the lost dirty window must never be
@@ -643,6 +627,7 @@ mod tests {
     use super::*;
     use crate::archive::EvidenceBundle;
     use crate::config::ProtocolConfig;
+    use crate::evidence::EvidenceError;
     use crate::fault::Durable as _;
     use crate::runner::World;
     use tpnr_net::transport::Transport as _;
@@ -662,17 +647,32 @@ mod tests {
     }
 
     #[test]
+    fn a_record_restored_into_a_fresh_client_decodes_alike() {
+        let mut w = World::new(5, ProtocolConfig::full());
+        let up = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst).txn_id;
+        let down = w.download(b"k", TimeoutStrategy::AbortFirst).txn_id;
+        let mut fresh = World::new(5, ProtocolConfig::full());
+        fresh.client.restore(&w.client.snapshot());
+        for txn in [up, down] {
+            let evidence = w.client.txn(txn).unwrap().evidence();
+            assert!(evidence.is_ok());
+            assert_eq!(fresh.client.txn(txn).unwrap().evidence(), evidence);
+        }
+    }
+
+    #[test]
     fn a_record_that_does_not_decode_gives_errors_never_a_panic() {
         let mut w = World::new(5, ProtocolConfig::full());
         let up = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst).txn_id;
         let down = w.download(b"k", TimeoutStrategy::AbortFirst).txn_id;
         assert_eq!(w.client.verify_download_against_upload(up, down), Some(true));
         let now = w.net().now();
-        for (i, bad) in w.client.txns[&up].evidence.undecodable().into_iter().enumerate() {
+        let bad = w.client.txns[&up].evidence.undecodable(&w.client.party.principals);
+        for (i, bad) in bad.into_iter().enumerate() {
             w.client.txn_mut(up).unwrap().evidence = bad;
             let t = w.client.txn(up).unwrap();
             assert_eq!(t.nrr(), Err(EvidenceError::Malformed), "buffer {i}");
-            assert_eq!(t.nro().is_ok(), i >= 2, "buffer {i}");
+            assert_eq!(t.nro().is_ok(), i == 2 || i == 3, "buffer {i}");
             assert_eq!(w.client.verify_download_against_upload(up, down), None, "buffer {i}");
             assert!(EvidenceBundle::from_client_txn(&w.client, up).is_none(), "buffer {i}");
             let r = w.result(up, now);

@@ -13,8 +13,8 @@
 
 use crate::config::Ablation;
 use crate::evidence::{
-    open_and_verify, seal, seal_and_own, seal_signatures, EvidenceError, EvidencePair,
-    EvidencePlaintext, Flag, VerifiedEvidence,
+    open_and_verify, seal, seal_and_own, seal_signatures, EvidencePair, EvidencePlaintext, Flag,
+    Principals, Record,
 };
 use crate::message::{AbortOutcome, Message, ResolveAction};
 use crate::principal::PrincipalId;
@@ -43,37 +43,26 @@ impl Default for ProviderBehavior {
     }
 }
 
-/// Bob's durable record of one transaction.
+/// Bob's durable record of one transaction: the NRO he received and, for
+/// a served transfer, the NRR he signed, in one shared buffer that
+/// indexes his principals and that [`Provider::txn`] reads
+/// ([`Record::nro`], [`Record::nrr`]). The buffer is the record's only
+/// heap block: a durable snapshot shares it by pointer, and nothing
+/// changes a record once it is written.
 #[derive(Debug, Clone)]
 pub struct ProviderTxn {
-    /// The NRO he received and, for a served transfer, the NRR he signed,
-    /// in one buffer that [`nro`](Self::nro) and [`nrr`](Self::nrr) decode.
-    evidence: EvidencePair,
-    /// Transaction state from Bob's perspective.
-    pub state: TxnState,
+    evidence: EvidencePair<Arc<[u8]>>,
 }
 
 impl ProviderTxn {
-    /// The NRO Bob received and verified (his proof of what Alice sent).
-    /// Its plaintext names the counterparty (its sender), the object and
-    /// the kind: an upload or download request, or Alice's abort request
-    /// for an aborted transaction.
-    pub fn nro(&self) -> Result<VerifiedEvidence, EvidenceError> {
-        self.evidence.nro()
-    }
-
-    /// The NRR Bob signed for a served transfer (his commitment, kept to
-    /// re-issue on Resolve); `None` for an aborted transaction, where Bob
-    /// committed to nothing.
-    pub fn nrr(&self) -> Result<Option<VerifiedEvidence>, EvidenceError> {
-        Ok(self.evidence()?.1)
-    }
-
-    /// The NRO and the NRR together, decoding the NRO once.
-    pub(crate) fn evidence(
-        &self,
-    ) -> Result<(VerifiedEvidence, Option<VerifiedEvidence>), EvidenceError> {
-        self.evidence.decode()
+    /// Transaction state from Bob's perspective: `Completed` for a served
+    /// transfer, the one kind of record that holds an NRR, and `Aborted`
+    /// for an accepted abort, which holds Alice's abort request alone.
+    pub fn state(&self) -> TxnState {
+        match self.evidence.lens() {
+            Ok((_, Some(_))) => TxnState::Completed,
+            _ => TxnState::Aborted,
+        }
     }
 }
 
@@ -84,9 +73,9 @@ pub struct Provider {
     /// Stored objects as shared immutable buffers: upload, archive and
     /// download-response all hold the same allocation.
     storage: BTreeMap<Vec<u8>, Bytes>,
-    /// Records behind shared pointers, as in the client: a durable
-    /// snapshot holds the same allocation.
-    txns: BTreeMap<u64, Arc<ProviderTxn>>,
+    /// Records, each one shared buffer: a durable snapshot holds the same
+    /// allocation.
+    txns: BTreeMap<u64, ProviderTxn>,
     /// Memoizes payload commitments by buffer identity: a stored object
     /// served to N downloaders hashes once, not N times.
     cache: DigestCache,
@@ -143,8 +132,9 @@ impl Provider {
     }
 
     /// Bob's archived record for a transaction.
-    pub fn txn(&self, txn_id: u64) -> Option<&ProviderTxn> {
-        self.txns.get(&txn_id).map(Arc::as_ref)
+    pub fn txn(&self, txn_id: u64) -> Option<Record<'_, ProviderTxn>> {
+        let t = self.txns.get(&txn_id)?;
+        Some(Record::new(t, &t.evidence, &self.party.principals))
     }
 
     /// Number of transactions archived.
@@ -158,12 +148,12 @@ impl Provider {
     }
 
     /// Evicts a settled transaction's session record (the stored object
-    /// itself stays — it is the service, not session state) and retires its
-    /// validator window. Returns the record for the caller's archive.
-    pub fn evict_txn(&mut self, txn_id: u64) -> Option<ProviderTxn> {
-        let record = self.txns.remove(&txn_id)?;
+    /// itself stays — it is the service, not session state; the caller
+    /// reads the record's evidence for its archive first) and retires its
+    /// validator window.
+    pub fn evict_txn(&mut self, txn_id: u64) {
+        self.txns.remove(&txn_id);
         self.party.validator.retire_txn(txn_id);
-        Some(Arc::unwrap_or_clone(record))
     }
 
     /// Handles one incoming protocol message; returns outgoing messages.
@@ -254,8 +244,8 @@ impl Provider {
         let (sealed, nrr) = seal_and_own(&p.cfg, &p.me, &sender_pk, &nrr_pt, &mut p.rng)
             .map_err(ValidationError::Evidence)?;
 
-        let evidence = EvidencePair::new(&nro, Some(&nrr));
-        self.txns.insert(pt.txn_id, Arc::new(ProviderTxn { evidence, state: TxnState::Completed }));
+        let evidence = EvidencePair::new(&mut p.principals, &nro, Some(&nrr));
+        self.txns.insert(pt.txn_id, ProviderTxn { evidence });
         Ok(vec![Outgoing {
             to: pt.sender,
             msg: Message::Receipt { plaintext: nrr_pt, data: reply_data, evidence: sealed },
@@ -282,16 +272,15 @@ impl Provider {
         let outcome = match (&abort_nro, self.txns.get(&pt.txn_id)) {
             (Err(_), _) => AbortOutcome::Error,
             // Transaction already completed on our side: too late to cancel.
-            (Ok(_), Some(rec)) if rec.state == TxnState::Completed => AbortOutcome::Reject,
+            (Ok(_), Some(rec)) if rec.state() == TxnState::Completed => AbortOutcome::Reject,
             (Ok(_), _) => AbortOutcome::Accept,
         };
         if let (Ok(nro), AbortOutcome::Accept) = (abort_nro, outcome) {
             // Record the aborted transaction with the abort evidence. An
             // existing record is not Completed (that is a Reject), so it
             // is already Aborted.
-            self.txns.entry(pt.txn_id).or_insert_with(|| {
-                let evidence = EvidencePair::new(&nro, None);
-                Arc::new(ProviderTxn { evidence, state: TxnState::Aborted })
+            self.txns.entry(pt.txn_id).or_insert_with(|| ProviderTxn {
+                evidence: EvidencePair::new(&mut p.principals, &nro, None),
             });
         }
 
@@ -321,7 +310,8 @@ impl Provider {
         }
         p.validator.check(&p.cfg, pt, None, now)?;
 
-        let record = self.txns.get(&pt.txn_id).map(|t| t.evidence()).transpose();
+        let record = self.txns.get(&pt.txn_id).map(|t| t.evidence.decode(&p.principals));
+        let record = record.transpose();
         let (action, plaintext, evidence) = match record.map_err(ValidationError::Evidence)? {
             Some((nro, Some(nrr))) => {
                 // Re-issue the NRR, re-sealed for Alice (she may have never
@@ -345,11 +335,13 @@ impl Provider {
 }
 
 /// Durable image of a [`Provider`]: object store, transaction records
-/// (including each re-issuable NRR) and validator sequence state.
+/// (including each re-issuable NRR) with the principal table they index,
+/// and validator sequence state.
 #[derive(Debug, Clone)]
 pub struct ProviderSnapshot {
     storage: BTreeMap<Vec<u8>, Bytes>,
-    txns: BTreeMap<u64, Arc<ProviderTxn>>,
+    txns: BTreeMap<u64, ProviderTxn>,
+    principals: Principals,
     validator: crate::session::ValidatorSnapshot,
     bytes: u64,
 }
@@ -378,6 +370,7 @@ impl crate::fault::Durable for Provider {
         ProviderSnapshot {
             storage: self.storage.clone(),
             txns: self.txns.clone(),
+            principals: self.party.principals.clone(),
             validator: self.party.validator.snapshot(),
             bytes,
         }
@@ -387,6 +380,8 @@ impl crate::fault::Durable for Provider {
         self.party.restore(&snap.validator);
         self.storage = snap.storage.clone();
         self.txns = snap.txns.clone();
+        // Every restored record indexes the snapshot's table.
+        self.party.principals = snap.principals.clone();
     }
 }
 
@@ -411,9 +406,42 @@ mod tests {
     use super::*;
     use crate::client::TimeoutStrategy;
     use crate::config::ProtocolConfig;
+    use crate::evidence::EvidenceError;
     use crate::fault::Durable as _;
+    use crate::multi::MultiWorld;
     use crate::runner::World;
     use tpnr_net::transport::Transport as _;
+
+    #[test]
+    fn a_snapshot_restored_into_another_provider_decodes_every_record_alike() {
+        // Two providers whose tables number the same two clients in
+        // opposite orders: each world's clients upload in its order.
+        let [a, mut b] = [[0, 1], [1, 0]].map(|order| {
+            let mut w = MultiWorld::new(9, ProtocolConfig::full(), 2);
+            for c in order {
+                w.start_upload(c, b"k", vec![c as u8; 8], TimeoutStrategy::AbortFirst);
+                w.settle();
+            }
+            w
+        });
+        assert_ne!(a.provider.party.principals, b.provider.party.principals);
+        let evidence = |p: &Provider| -> Vec<_> {
+            let decoded = |t| (t, p.txn(t).unwrap().evidence().unwrap());
+            p.txn_ids().into_iter().map(decoded).collect()
+        };
+        let before = evidence(&a.provider);
+        assert_eq!(before.len(), 2);
+        b.provider.restore(&a.provider.snapshot());
+        assert_eq!(evidence(&b.provider), before);
+        // Records written after the restore index the same table.
+        let h = b.start_upload(1, b"k2", vec![7; 8], TimeoutStrategy::AbortFirst);
+        b.settle();
+        let nro = b.provider.txn(h.txn_id).unwrap().nro().unwrap();
+        assert_eq!(nro.plaintext.sender, b.clients[1].id());
+        for (t, ev) in &before {
+            assert_eq!(b.provider.txn(*t).unwrap().evidence().as_ref(), Ok(ev));
+        }
+    }
 
     #[test]
     fn a_record_that_does_not_decode_gives_errors_never_a_panic() {
@@ -428,12 +456,12 @@ mod tests {
         let resolve = w.client.poll_timeouts(later);
         let forward = w.ttp.handle(alice, &resolve[0].msg, later).unwrap();
 
-        let good = w.provider.txns[&txn].evidence.clone();
-        for (i, bad) in good.undecodable().into_iter().enumerate() {
-            Arc::make_mut(w.provider.txns.get_mut(&txn).unwrap()).evidence = bad;
+        let bad = w.provider.txns[&txn].evidence.undecodable(&w.provider.party.principals);
+        for (i, bad) in bad.into_iter().enumerate() {
+            w.provider.txns.get_mut(&txn).unwrap().evidence = bad;
             let t = w.provider.txn(txn).unwrap();
             assert_eq!(t.nrr(), Err(EvidenceError::Malformed), "buffer {i}");
-            assert_eq!(t.nro().is_ok(), i >= 2, "buffer {i}");
+            assert_eq!(t.nro().is_ok(), i == 2 || i == 3, "buffer {i}");
             assert!(w.provider.snapshot().bytes() > 0);
         }
         // The record cannot be re-issued: the forward is refused.

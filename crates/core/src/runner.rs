@@ -825,14 +825,16 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         let Some(meta) = self.txn_meta.remove(&txn) else { return };
         let client = &mut self.seats.clients_mut()[meta.client as usize];
         let state = client.txn_state(txn).unwrap_or(TxnState::Failed);
-        let client_rec = client.evict_txn(txn);
-        let provider_rec = self.provider.evict_txn(txn);
+        let client_ev = client.txn(txn).map(|t| t.evidence());
+        client.evict_txn(txn);
+        let provider_ev = self.provider.txn(txn).map(|t| t.evidence());
+        self.provider.evict_txn(txn);
         self.ttp.evict_txn(txn);
         let net = self.net.retire_txn(txn);
         self.obs.retire_txn(txn);
         let ttp_used = self.ttp_touched.remove(&txn);
         let mut bundle = EvidenceBundle::new();
-        if let Some(Ok((nro, nrr))) = client_rec.map(|c| c.evidence()) {
+        if let Some(Ok((nro, nrr))) = client_ev {
             bundle.push("client-nro", nro);
             if let Some(nrr) = nrr {
                 bundle.push("client-nrr", nrr);
@@ -840,7 +842,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         }
         // An aborted transaction's provider holds no NRR: Bob committed to
         // nothing, so nothing is archived in its name.
-        if let Some(Ok((nro, nrr))) = provider_rec.map(|p| p.evidence()) {
+        if let Some(Ok((nro, nrr))) = provider_ev {
             bundle.push("provider-nro", nro);
             if let Some(nrr) = nrr {
                 bundle.push("provider-nrr", nrr);

@@ -10,7 +10,7 @@
 //! relayed or re-issued receipt resends one already written.
 
 use crate::config::{Ablation, ProtocolConfig};
-use crate::evidence::{EvidencePlaintext, Flag};
+use crate::evidence::{EvidencePlaintext, Flag, Principals};
 use crate::principal::{Directory, Principal, PrincipalId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tpnr_crypto::hash::DigestCache;
@@ -435,8 +435,9 @@ pub struct ValidatorSnapshot {
 }
 
 /// What Alice, Bob and the TTP each hold alike: the principal, config, key
-/// sources, agreed TTP, RNG, replay validator and restart epoch, with the
-/// one key lookup, restore step and plaintext stamper they share.
+/// sources, agreed TTP, RNG, replay validator, the table of principals its
+/// records index, and restart epoch, with the one key lookup, restore step
+/// and plaintext stamper they share.
 pub struct Party {
     /// This party's principal (its id and its signing/opening keys).
     pub(crate) me: Principal,
@@ -454,6 +455,8 @@ pub struct Party {
     pub(crate) rng: ChaChaRng,
     /// Replay windows and send counters.
     pub(crate) validator: Validator,
+    /// The principals this party's evidence records name, by index.
+    pub(crate) principals: Principals,
     /// Crash-recovery epochs survived; scales the sequence skip applied on
     /// each restore.
     restarts: u64,
@@ -469,7 +472,18 @@ impl Party {
         rng: ChaChaRng,
     ) -> Self {
         let validator = Validator::new(me.id(), ttp);
-        Party { me, cfg, dir, wire_keys: HashMap::new(), ttp, rng, validator, restarts: 0 }
+        let principals = Principals::default();
+        Party {
+            me,
+            cfg,
+            dir,
+            wire_keys: HashMap::new(),
+            ttp,
+            rng,
+            validator,
+            principals,
+            restarts: 0,
+        }
     }
 
     /// This party's principal id.

@@ -35,12 +35,12 @@ const OPEN_BUDGET: u64 = 3;
 /// `World`, averaged over [`LIVE_TXNS`] uploads; both profiles measure
 /// the same. The received frame each stored object pins, a message buffer
 /// sized exactly by `Wire::encoded_len` (about 705 B), is part of it.
-const LIVE_BUDGET: i64 = 2_513;
+const LIVE_BUDGET: i64 = 2_255;
 /// Live heap bytes a settled download of a 256 B object leaves in a
 /// `World`, averaged over [`LIVE_TXNS`] downloads of distinct objects: the
 /// client's record and the payload it received (a view that pins the
 /// response frame), the provider's record, and their events.
-const LIVE_DOWNLOAD_BUDGET: i64 = 2_352;
+const LIVE_DOWNLOAD_BUDGET: i64 = 2_087;
 /// Transactions a live-heap budget averages over. The event ring and the
 /// maps grow by doubling, so the average depends on the count; this one
 /// leaves each of them well filled.

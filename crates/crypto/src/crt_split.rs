@@ -7,8 +7,12 @@
 //! q-half to the helper and computes the p-half itself. Then, if the
 //! helper has not taken the q-half yet (it is busy, asleep or slow), the
 //! caller takes it back and computes it too; otherwise it waits for the
-//! helper's result. Either way each half is the same number, so every
-//! signature and decryption is byte-identical to the serial one.
+//! helper's result, for a counted budget that grows with the half's cost
+//! ([`wait_budget`]). A caller whose budget runs out (the OS has taken
+//! the helper off its core) marks the job abandoned and computes the
+//! half itself; the helper drops its late result and frees the slot.
+//! Either way each half is the same number, so every signature and
+//! decryption is byte-identical to the serial one.
 //!
 //! A half is posted only when [`offload`] says so: with a second core to
 //! run it on, and only while no `tpnr_par` fan-out is running. A fan-out
@@ -48,6 +52,17 @@ const SPIN: u32 = 20_000;
 /// half the helper took.
 const YIELD_EVERY: u32 = 1 << 10;
 
+/// Waiting iterations a caller gives a half the helper took, per cubed
+/// limb of the half's width (a half's cost grows about as its width
+/// cubed): 2,048 at 512-bit keys, about 50 µs here against a half's
+/// 6 µs, and 131,072 at 2,048 bits against a half's 1 ms.
+const WAIT_PER_CUBED_LIMB: usize = 32;
+
+/// The iterations a caller waits for a helper's half of `limbs` limbs.
+fn wait_budget(limbs: usize) -> u32 {
+    u32::try_from(WAIT_PER_CUBED_LIMB * limbs.pow(3)).unwrap_or(u32::MAX)
+}
+
 /// Whether a private operation posts its q-half: only with a second core
 /// to run it, and only while no fan-out has put a worker on every core.
 pub(crate) fn offload(cores: usize, fanout_running: bool) -> bool {
@@ -64,7 +79,7 @@ pub(crate) fn both_halves<const N: usize>(
 ) -> (FixedUint<N>, FixedUint<N>) {
     let posted = offload(cores(), tpnr_par::fanouts_running() > 0) && post(key, x);
     let m1 = p_half();
-    let helped = if posted { collect() } else { None };
+    let helped = if posted { collect(wait_budget(N)) } else { None };
     (m1, helped.map_or_else(q_half, |m2| m2.resize()))
 }
 
@@ -84,6 +99,9 @@ const POSTED: u8 = 2;
 const TAKEN: u8 = 3;
 /// The job's result waits for its caller.
 const DONE: u8 = 4;
+/// The caller stopped waiting for the job the helper is computing and
+/// computed it itself; the helper drops the result and frees the slot.
+const ABANDONED: u8 = 5;
 
 /// The helper's single job slot. `state` says who may lock `job`.
 struct Slot {
@@ -99,12 +117,21 @@ struct Job {
     input: [FixedUint<LIMBS>; 2],
     /// `None` if the half panicked on the helper.
     result: Option<FixedUint<LIMBS>>,
+    /// Whether the helper holds this job until its caller abandons it.
+    #[cfg(test)]
+    stall: bool,
 }
 
 static SLOT: Slot = Slot {
     state: AtomicU8::new(IDLE),
     parked: AtomicBool::new(false),
-    job: Mutex::new(Job { key: None, input: [FixedUint::zero(), FixedUint::zero()], result: None }),
+    job: Mutex::new(Job {
+        key: None,
+        input: [FixedUint::zero(), FixedUint::zero()],
+        result: None,
+        #[cfg(test)]
+        stall: false,
+    }),
 };
 
 impl Slot {
@@ -123,6 +150,27 @@ thread_local! {
 #[cfg(test)]
 pub(crate) fn helped_here() -> u64 {
     HELPED.with(Cell::get)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Whether this thread's next posted job stalls the helper.
+    static STALL_NEXT: Cell<bool> = const { Cell::new(false) };
+    /// Halves this thread's operations gave up waiting for.
+    static ABANDONED_HERE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Makes the helper hold this thread's next posted half until its caller
+/// gives up waiting, as a descheduled helper would.
+#[cfg(test)]
+pub(crate) fn stall_next_half() {
+    STALL_NEXT.with(|s| s.set(true));
+}
+
+/// Halves operations on the calling thread gave up waiting for.
+#[cfg(test)]
+pub(crate) fn abandoned_here() -> u64 {
+    ABANDONED_HERE.with(Cell::get)
 }
 
 /// The helper thread, spawned by the first call; `None` if the OS refused
@@ -147,6 +195,10 @@ fn post<const N: usize>(key: &Arc<CrtParts>, x: &[FixedUint<N>; 2]) -> bool {
         let mut job = SLOT.job();
         job.key = Some(Arc::clone(key));
         job.input = x.map(|half| half.resize());
+        #[cfg(test)]
+        {
+            job.stall = STALL_NEXT.with(|s| s.replace(false));
+        }
     }
     // SeqCst on both sides of the `parked` handshake: either this store
     // is seen by the helper's check before it parks, or its `parked` flag
@@ -159,9 +211,10 @@ fn post<const N: usize>(key: &Arc<CrtParts>, x: &[FixedUint<N>; 2]) -> bool {
 }
 
 /// The helper's result for the posted job, or `None` once the caller has
-/// taken the job back (or the half panicked on the helper) and must
-/// compute it itself.
-fn collect() -> Option<FixedUint<LIMBS>> {
+/// taken the job back, has waited `budget` iterations for it and
+/// abandoned it, or the half panicked on the helper; the caller then
+/// computes the half itself.
+fn collect(budget: u32) -> Option<FixedUint<LIMBS>> {
     if SLOT.state.compare_exchange(POSTED, OWNED, Ordering::Acquire, Ordering::Relaxed).is_ok() {
         SLOT.job().key = None;
         SLOT.state.store(IDLE, Ordering::Release);
@@ -169,7 +222,19 @@ fn collect() -> Option<FixedUint<LIMBS>> {
     }
     let mut waited = 0u32;
     while SLOT.state.load(Ordering::Acquire) != DONE {
-        waited = waited.wrapping_add(1);
+        waited = waited.saturating_add(1);
+        // Only the helper moves the job on from `TAKEN`, to `DONE`: if
+        // this fails, the result is there.
+        if waited >= budget
+            && SLOT
+                .state
+                .compare_exchange(TAKEN, ABANDONED, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        {
+            #[cfg(test)]
+            ABANDONED_HERE.with(|n| n.set(n.get() + 1));
+            return None;
+        }
         if waited & (YIELD_EVERY - 1) == 0 {
             thread::yield_now();
         } else {
@@ -200,11 +265,28 @@ fn serve() {
                 let mut job = SLOT.job();
                 (job.key.take(), job.input)
             };
+            // A stalled job waits for its caller to give up, or, should
+            // the caller wait without bound, for long enough to show it.
+            #[cfg(test)]
+            if SLOT.job().stall {
+                for _ in 0..1 << 16 {
+                    if SLOT.state.load(Ordering::Relaxed) == ABANDONED {
+                        break;
+                    }
+                    thread::yield_now();
+                }
+            }
             let result = key.and_then(|key| {
                 catch_unwind(AssertUnwindSafe(|| key.q_half(&input))).ok().flatten()
             });
             SLOT.job().result = result;
-            SLOT.state.store(DONE, Ordering::Release);
+            let published =
+                SLOT.state.compare_exchange(TAKEN, DONE, Ordering::Release, Ordering::Relaxed);
+            if published.is_err() {
+                // Abandoned: the caller computed the half itself.
+                SLOT.job().result = None;
+                SLOT.state.store(IDLE, Ordering::Release);
+            }
             spins = SPIN;
         } else if spins > 0 {
             spins -= 1;
@@ -225,6 +307,13 @@ fn serve() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_wait_budget_grows_with_the_cube_of_a_halfs_width() {
+        assert_eq!(wait_budget(4), 2_048);
+        assert_eq!(wait_budget(16), 131_072);
+        assert_eq!(wait_budget(LIMBS), 1 << 20);
+    }
 
     #[test]
     fn a_single_core_host_never_offloads() {

@@ -798,6 +798,46 @@ mod tests {
         }
     }
 
+    /// Runs `step` until it returns true, at most 2,000 times: while
+    /// another test's fan-out runs, or another thread's half holds the
+    /// slot, nothing is posted.
+    fn until(mut step: impl FnMut(u16) -> bool) -> bool {
+        (0..2_000).any(|i| {
+            let done = step(i);
+            if !done {
+                std::thread::yield_now();
+            }
+            done
+        })
+    }
+
+    #[test]
+    fn a_stalled_helper_delays_no_signature_and_frees_its_slot() {
+        let kp = RsaKeyPair::generate(512, &mut ChaChaRng::seed_from_u64(512));
+        let signs_like_the_reference = |i: u16| {
+            let digest = HashAlg::Sha256.hash(&i.to_be_bytes());
+            let sig = kp.private.sign_prehashed(HashAlg::Sha256, &digest).unwrap();
+            assert_eq!(sig, kp.private.sign_prehashed_reference(HashAlg::Sha256, &digest).unwrap());
+        };
+        let two_cores = tpnr_par::available_parallelism() >= 2;
+        // The helper holds a half until its caller gives up waiting; the
+        // caller computes it itself and signs alike.
+        let (abandoned, helped) = (crt_split::abandoned_here(), crt_split::helped_here());
+        let stalled = until(|i| {
+            crt_split::stall_next_half();
+            signs_like_the_reference(i);
+            assert_eq!(crt_split::helped_here(), helped, "a caller waited out a stalled helper");
+            crt_split::abandoned_here() > abandoned
+        });
+        assert_eq!(stalled, two_cores, "a stalled half was abandoned");
+        // The helper drops the late half and serves the next post.
+        let served = until(|i| {
+            signs_like_the_reference(i);
+            crt_split::helped_here() > helped
+        });
+        assert_eq!(served, two_cores, "the helper computed a later half");
+    }
+
     #[test]
     fn fanouts_keep_every_half_on_their_own_workers() {
         let mut keys = split_keys();

@@ -13,10 +13,15 @@
 //! - a bare `f(…)` resolves to the caller's own module, then its
 //!   imports, then (only if unambiguous — a single defining module) the
 //!   whole workspace;
-//! - `recv.method(…)` on a non-`self` receiver resolves to *all*
-//!   same-named methods in the workspace, except for names on the
-//!   std-collision stoplist (`get`, `len`, `clone`, …) which would wire
-//!   every `BTreeMap::get` call to unrelated local methods;
+//! - `recv.method(…)` on a receiver that is one of the caller's
+//!   parameters, written with a workspace type (`w: &mut Writer`),
+//!   resolves to that type's methods, its trait impls included; when the
+//!   type has no method of that name (a trait default, a `Deref` target)
+//!   it falls through to the next rule;
+//! - any other `recv.method(…)` resolves to *all* same-named methods in
+//!   the workspace, except for names on the std-collision stoplist
+//!   (`get`, `len`, `clone`, …) which would wire every `BTreeMap::get`
+//!   call to unrelated local methods;
 //! - a method call of either form keeps only the candidates the caller's
 //!   crate can reach: methods in that crate or in a workspace crate its
 //!   `Cargo.toml` depends on, directly or transitively, and impls of a
@@ -409,7 +414,7 @@ impl<'w> Resolver<'w> {
 
     fn resolve(&self, site: &CallSite, caller: &FnMeta, toks: &[Token]) -> Vec<usize> {
         if site.is_method {
-            return self.resolve_method(site, caller);
+            return self.resolve_method(site, caller, toks);
         }
         // Reconstruct any `a::b::name` path by walking back over `::`.
         let segs = path_segments(toks, site.tok);
@@ -420,25 +425,46 @@ impl<'w> Resolver<'w> {
         }
     }
 
-    fn resolve_method(&self, site: &CallSite, caller: &FnMeta) -> Vec<usize> {
-        let mut targets = self.method_candidates(site, caller);
+    fn resolve_method(&self, site: &CallSite, caller: &FnMeta, toks: &[Token]) -> Vec<usize> {
+        let mut targets = self.method_candidates(site, caller, toks);
         targets.retain(|&t| self.can_call(&caller.item.module, t));
         targets
     }
 
-    fn method_candidates(&self, site: &CallSite, caller: &FnMeta) -> Vec<usize> {
-        if site.receiver_self {
-            if let Some(owner) = &caller.item.owner {
-                let hit = self.by_owner_name.get(&(owner.clone(), site.name.clone()));
-                if let Some(v) = hit {
-                    return v.clone();
-                }
+    fn method_candidates(&self, site: &CallSite, caller: &FnMeta, toks: &[Token]) -> Vec<usize> {
+        let owner = if site.receiver_self {
+            caller.item.owner.as_ref()
+        } else {
+            self.parameter_type(site, caller, toks)
+        };
+        if let Some(owner) = owner {
+            if let Some(v) = self.by_owner_name.get(&(owner.clone(), site.name.clone())) {
+                return v.clone();
             }
         }
         if METHOD_STOPLIST.contains(&site.name.as_str()) {
             return Vec::new();
         }
         self.method_by_name.get(&site.name).cloned().unwrap_or_default()
+    }
+
+    /// The written type of a method call's receiver when the receiver is
+    /// one of the caller's parameters (`w` in `w.str(…)`, with `w: &mut
+    /// Writer`) and that type is a workspace type.
+    fn parameter_type<'c>(
+        &self,
+        site: &CallSite,
+        caller: &'c FnMeta,
+        toks: &[Token],
+    ) -> Option<&'c String> {
+        // `recv . name (`: a receiver reached through a field (`a.w.str()`)
+        // is not the parameter.
+        let recv = toks.get(site.tok.checked_sub(2)?)?.ident()?;
+        if site.tok >= 3 && toks[site.tok - 3].is_punct(".") {
+            return None;
+        }
+        let i = caller.item.params.iter().position(|p| p == recv)?;
+        caller.item.param_types.get(i)?.as_ref().filter(|t| self.type_names.contains(*t))
     }
 
     fn resolve_path(&self, segs: &[String], caller: &FnMeta) -> Vec<usize> {

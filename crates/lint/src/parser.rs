@@ -45,6 +45,11 @@ pub struct FnItem {
     pub col: u32,
     /// Parameter names in declaration order, excluding any `self`.
     pub params: Vec<String>,
+    /// Each parameter's written type, parallel to `params`: the last path
+    /// segment outside generics (`Writer` for `w: &mut Writer`, `Reader`
+    /// for `r: &mut codec::Reader<'_>`), or `None` for an `impl`/`dyn`
+    /// type or one with no name (`&[u8]`, a tuple).
+    pub param_types: Vec<Option<String>>,
     pub has_self: bool,
     /// Half-open token range of the body including braces; empty when the
     /// item has no body (trait method declaration).
@@ -395,7 +400,8 @@ impl Parser<'_> {
             return j;
         }
         let params_close = self.skip_group(j, "(", ")", end);
-        let (params, has_self) = self.parse_params(j + 1, params_close.saturating_sub(1));
+        let (params, param_types, has_self) =
+            self.parse_params(j + 1, params_close.saturating_sub(1));
         // Scan to the body `{` or terminating `;`, skipping groups so a
         // `;` inside `[u8; 32]` or a return-type group can't fool us.
         let mut k = params_close;
@@ -436,22 +442,26 @@ impl Parser<'_> {
             line,
             col,
             params,
+            param_types,
             has_self,
             body,
         });
         k
     }
 
-    /// Parameter names from the token range inside the parens. Patterns
-    /// keep their last identifier (`mut x: T` → `x`); `self` in any form
-    /// sets `has_self` and is excluded from the list.
-    fn parse_params(&self, start: usize, end: usize) -> (Vec<String>, bool) {
+    /// Parameter names and written types from the token range inside the
+    /// parens. Patterns keep their last identifier (`mut x: T` → `x`);
+    /// `self` in any form sets `has_self` and is excluded from the list.
+    fn parse_params(&self, start: usize, end: usize) -> (Vec<String>, Vec<Option<String>>, bool) {
         let mut params = Vec::new();
+        let mut types = Vec::new();
         let mut has_self = false;
         let mut j = start;
         let mut pat_last: Option<String> = None;
         let mut pat_is_self = false;
         let mut in_type = false; // after the `:` of the current param
+        let mut ty_last: Option<String> = None;
+        let mut ty_opaque = false; // an `impl Trait` or `dyn Trait` type
         while j < end {
             let t = &self.toks[j];
             if t.is_punct("(") {
@@ -471,10 +481,13 @@ impl Parser<'_> {
                     has_self = true;
                 } else if let Some(p) = pat_last.take() {
                     params.push(p);
+                    types.push(ty_last.take().filter(|_| !ty_opaque));
                 }
                 pat_last = None;
                 pat_is_self = false;
                 in_type = false;
+                ty_last = None;
+                ty_opaque = false;
                 j += 1;
                 continue;
             }
@@ -491,6 +504,12 @@ impl Parser<'_> {
                         pat_last = Some(n.to_string());
                     }
                 }
+            } else if let Some(n) = t.ident() {
+                match n {
+                    "impl" | "dyn" => ty_opaque = true,
+                    "mut" | "const" => {}
+                    _ => ty_last = Some(n.to_string()),
+                }
             }
             j += 1;
         }
@@ -498,8 +517,9 @@ impl Parser<'_> {
             has_self = true;
         } else if let Some(p) = pat_last {
             params.push(p);
+            types.push(ty_last.filter(|_| !ty_opaque));
         }
-        (params, has_self)
+        (params, types, has_self)
     }
 
     /// `struct Name [<…>] ({…} | (…); | ;)`.

@@ -146,3 +146,27 @@ fn a_same_named_method_in_a_crate_core_cannot_reach_is_not_called() {
         .message
         .contains("core::provider::Provider::handle -> bench::report::JsonParser::array"));
 }
+
+/// `core::evidence::seal(w: &mut Writer)` calls `w.str(…)` and
+/// `w.fixed(…)`, which `Reader` defines too, allocating. The receiver is a
+/// parameter of a written workspace type, so ALLOC-HOT must not charge
+/// `Reader`'s allocations to `seal`; `open_and_verify`'s receiver has an
+/// `impl` type, so its call still resolves by name and reaches
+/// `Reader::fixed`.
+#[test]
+fn a_typed_parameter_receiver_reaches_only_its_types_methods() {
+    let files = [
+        ("crates/core/src/evidence.rs", include_str!("fixtures/core_evidence_writer.rs")),
+        ("crates/net/src/codec.rs", include_str!("fixtures/net_codec.rs")),
+    ]
+    .map(|(path, source)| FileInput { path: path.to_string(), source: source.to_string() });
+    let hits: Vec<_> = lint_files(&files, &Allowlist::empty())
+        .into_iter()
+        .filter(|f| f.rule == "ALLOC-HOT")
+        .collect();
+    let what: Vec<_> = hits.iter().map(|f| (f.file.as_str(), f.line)).collect();
+    assert_eq!(what, [("crates/net/src/codec.rs", 26)], "{hits:?}");
+    assert!(hits[0]
+        .message
+        .contains("core::evidence::open_and_verify -> net::codec::Reader::fixed"));
+}

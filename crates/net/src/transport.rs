@@ -182,15 +182,47 @@ const EVENT_BUFFER_CAP: usize = 1 << 16;
 #[derive(Default)]
 pub struct Ledger {
     stats: NetStats,
-    txns: BTreeMap<u64, TxnNetStats>,
+    txns: BTreeMap<u64, TxnTally>,
     events: Vec<NetEvent>,
     events_lost: u64,
     /// Copies handed to the link and not yet counted delivered or dropped.
     pub(crate) in_flight: u64,
 }
 
+/// One transaction's [`TxnNetStats`] as the ledger keeps it until the
+/// transaction is retired, in 32 bytes instead of 48: its copy counts
+/// as `u32`s that saturate, widened on read.
+#[derive(Debug, Clone, Copy, Default)]
+struct TxnTally {
+    sent: u32,
+    delivered: u32,
+    dropped: u32,
+    duplicated: u32,
+    bytes_sent: u64,
+    last_delivered_at: SimTime,
+}
+
+impl TxnTally {
+    /// The counters as [`TxnNetStats`].
+    fn widen(self) -> TxnNetStats {
+        TxnNetStats {
+            sent: self.sent.into(),
+            bytes_sent: self.bytes_sent,
+            delivered: self.delivered.into(),
+            dropped: self.dropped.into(),
+            duplicated: self.duplicated.into(),
+            last_delivered_at: self.last_delivered_at,
+        }
+    }
+}
+
+/// Counts one more copy in `count`.
+fn bump(count: &mut u32) {
+    *count = count.saturating_add(1);
+}
+
 impl Ledger {
-    fn txn(&mut self, txn: Option<u64>) -> Option<&mut TxnNetStats> {
+    fn txn(&mut self, txn: Option<u64>) -> Option<&mut TxnTally> {
         txn.map(|t| self.txns.entry(t).or_default())
     }
 
@@ -206,7 +238,7 @@ impl Ledger {
     fn dropped(&mut self, at: SimTime, env: &Envelope) {
         self.stats.dropped += 1;
         if let Some(t) = self.txn(env.txn) {
-            t.dropped += 1;
+            bump(&mut t.dropped);
         }
         self.event(at, NetEventKind::Dropped, env);
     }
@@ -222,7 +254,7 @@ impl Ledger {
         self.in_flight += 1;
         self.stats.duplicated += 1;
         if let Some(t) = self.txn(env.txn) {
-            t.duplicated += 1;
+            bump(&mut t.duplicated);
         }
         self.event(at, NetEventKind::Duplicated, env);
     }
@@ -305,7 +337,7 @@ impl<L: Link> Net<L> {
         }
         self.ledger.stats.delivered += 1;
         if let Some(t) = self.ledger.txn(env.txn) {
-            t.delivered += 1;
+            bump(&mut t.delivered);
             t.last_delivered_at = env.delivered_at;
         }
         true
@@ -336,7 +368,7 @@ impl<L: Link> Transport for Net<L> {
         self.ledger.stats.sent += 1;
         self.ledger.stats.bytes_sent += payload.len() as u64;
         if let Some(t) = self.ledger.txn(txn) {
-            t.sent += 1;
+            bump(&mut t.sent);
             t.bytes_sent += payload.len() as u64;
         }
         let now = self.link.now();
@@ -394,7 +426,7 @@ impl<L: Link> Transport for Net<L> {
     }
 
     fn txn_stats(&self, txn: u64) -> TxnNetStats {
-        self.ledger.txns.get(&txn).copied().unwrap_or_default()
+        self.ledger.txns.get(&txn).map_or_else(TxnNetStats::default, |t| t.widen())
     }
 
     fn tagged_txns(&self) -> Vec<u64> {
@@ -402,7 +434,7 @@ impl<L: Link> Transport for Net<L> {
     }
 
     fn retire_txn(&mut self, txn: u64) -> TxnNetStats {
-        self.ledger.txns.remove(&txn).unwrap_or_default()
+        self.ledger.txns.remove(&txn).map_or_else(TxnNetStats::default, TxnTally::widen)
     }
 
     fn set_interceptor(&mut self, i: Box<dyn Interceptor>) {
@@ -552,6 +584,20 @@ pub(crate) mod tests {
         assert_eq!((s.injected, s.dropped, s.foreign), (1, 1, 0));
         assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated + s.injected);
         assert!(!net.in_flight());
+    }
+
+    #[test]
+    fn a_txns_counts_saturate_instead_of_wrapping() {
+        let mut net = SimNet::new(1);
+        let (a, b) = (net.register("a"), net.register("b"));
+        net.send_tagged(a, b, vec![1u8], Some(7));
+        net.ledger.txns.get_mut(&7).unwrap().sent = u32::MAX - 1;
+        net.send_tagged(a, b, vec![2u8, 3], Some(7));
+        net.send_tagged(a, b, vec![4u8], Some(7));
+        let t = Transport::txn_stats(&net, 7);
+        assert_eq!((t.sent, t.bytes_sent), (u64::from(u32::MAX), 4));
+        assert_eq!(Transport::retire_txn(&mut net, 7), t);
+        assert_eq!(Transport::txn_stats(&net, 7), TxnNetStats::default());
     }
 
     #[test]
