@@ -217,10 +217,6 @@ pub struct E4Row {
     pub generate_us: f64,
     /// Microseconds to re-commit on the receiver and verify.
     pub verify_us: f64,
-    /// Digest-memo hits across both parties for this size × alg cell.
-    pub cache_hits: u64,
-    /// Digest-memo misses (full hash passes) across both parties.
-    pub cache_misses: u64,
     /// Deep payload copies performed during the measured loop (the shared
     /// [`tpnr_net::Bytes`] path keeps this at zero).
     pub deep_copies: u64,
@@ -232,17 +228,13 @@ pub struct E4Row {
 /// Feeds the printed table and `BENCH_e4.json`.
 ///
 /// The loop mirrors the protocol's evidence hot path for repeated
-/// transactions over one archived object (re-uploads, downloads, audits):
-/// each party commits the shared payload through its own
-/// [`DigestCache`](tpnr_crypto::hash::DigestCache)
-/// — so the object is hashed once per party, every later transaction is a
-/// lookup — and the sender produces the wire evidence and its archived
-/// copy in a single signing pass (`seal_and_own`).
+/// transactions over one shared object: each party commits the payload it
+/// holds on every transaction, and the sender produces the wire evidence
+/// and its archived copy in a single signing pass (`seal_and_own`).
 pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
     use tpnr_core::evidence::{open_and_verify, seal_and_own, EvidencePlaintext, Flag};
     use tpnr_core::principal::Principal;
     use tpnr_core::session::Payload;
-    use tpnr_crypto::hash::DigestCache;
     use tpnr_crypto::ChaChaRng;
     use tpnr_net::Bytes;
 
@@ -257,8 +249,6 @@ pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
             cfg.hash_alg = alg;
             let mut rng = ChaChaRng::seed_from_u64(77);
             let reps = if size >= 1 << 22 { 3 } else { 10 };
-            let mut client_cache = DigestCache::new(32);
-            let mut provider_cache = DigestCache::new(32);
             let copies_before = Bytes::deep_copies();
             let copy_bytes_before = Bytes::deep_copy_bytes();
 
@@ -277,7 +267,7 @@ pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
                     time_limit: SimTime(1 << 40),
                     object: b"k".to_vec(),
                     hash_alg: alg,
-                    data_hash: payload.commit_cached(&cfg, &mut client_cache),
+                    data_hash: payload.commit(&cfg),
                 };
                 let (sealed, _own) =
                     seal_and_own(&cfg, &alice, bob.public(), &pt, &mut rng).unwrap();
@@ -287,9 +277,9 @@ pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
 
             let t0 = HostStopwatch::start();
             for (payload, pt, sealed) in &made {
-                // Receiver side: re-commit the payload against its own memo
-                // and check the signatures.
-                let _ = payload.commit_cached(&cfg, &mut provider_cache);
+                // Receiver side: re-commit the payload and check the
+                // signatures.
+                let _ = payload.commit(&cfg);
                 open_and_verify(&cfg, &bob, alice.public(), pt, sealed).unwrap();
             }
             let verify_us = t0.elapsed_secs_f64() * 1e6 / reps as f64;
@@ -298,8 +288,6 @@ pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
                 alg,
                 generate_us,
                 verify_us,
-                cache_hits: client_cache.hits() + provider_cache.hits(),
-                cache_misses: client_cache.misses() + provider_cache.misses(),
                 deep_copies: Bytes::deep_copies() - copies_before,
                 deep_copy_bytes: Bytes::deep_copy_bytes() - copy_bytes_before,
             });
@@ -1737,12 +1725,9 @@ mod tests {
     }
 
     #[test]
-    fn e4_memoizes_the_commit_and_never_copies_the_payload() {
+    fn e4_never_copies_the_payload() {
         let rows = e4_evidence_cost(&[1 << 10], &[HashAlg::Md5, HashAlg::Sha256]);
         for r in &rows {
-            // 10 reps × 2 parties over one shared object: one full hash
-            // pass per party, everything else a lookup.
-            assert_eq!((r.cache_misses, r.cache_hits), (2, 18), "{}", r.alg.name());
             assert_eq!(r.deep_copies, 0, "evidence loop must be copy-free");
             assert_eq!(r.deep_copy_bytes, 0);
         }

@@ -126,12 +126,12 @@ impl Row for tpnr_attacks::AttackOutcome {
 
 impl Row for E4Row {
     const KIND: &'static str = "e4";
-    const TITLE: &'static str = "E4 — evidence generation/verification cost (memoized commit path)";
+    const TITLE: &'static str = "E4 — evidence generation/verification cost";
     fn fields(&self) -> Vec<(&'static str, Value)> {
         fields_of!(self; size, alg = self.alg.name(),
             generate_us = Value::Float(self.generate_us, 1),
             verify_us = Value::Float(self.verify_us, 1),
-            cache_hits, cache_misses, deep_copies, deep_copy_bytes)
+            deep_copies, deep_copy_bytes)
     }
 }
 
@@ -1183,8 +1183,6 @@ mod tests {
             alg: HashAlg::Sha256,
             generate_us: 77.64,
             verify_us: 0.0,
-            cache_hits: 18,
-            cache_misses: 2,
             deep_copies: 0,
             deep_copy_bytes: u64::MAX,
         }];

@@ -197,6 +197,24 @@ mod tests {
     }
 
     #[test]
+    fn a_download_after_tampering_names_the_tampered_root() {
+        let (mut w, up) = merkle_world();
+        let down = w.download(b"archive/big", TimeoutStrategy::AbortFirst);
+        assert_eq!(w.client.verify_download_against_upload(up, down.txn_id), Some(true));
+
+        let mut data = w.provider.peek_storage(b"archive/big").unwrap().to_vec();
+        data[1000] ^= 1;
+        w.provider.tamper_storage(b"archive/big", data.clone());
+        let down = w.download(b"archive/big", TimeoutStrategy::AbortFirst);
+        assert_eq!(down.outcome, TxnState::Completed);
+        // Bob's receipt commits to the whole tree of what he served.
+        let tampered = Payload { key: b"archive/big".to_vec(), data: data.into() };
+        let nrr = down.nrr.expect("the download receipt");
+        assert_eq!(nrr.plaintext.data_hash, tampered.commit(&cfg()));
+        assert_eq!(w.client.verify_download_against_upload(up, down.txn_id), Some(false));
+    }
+
+    #[test]
     fn audit_requires_merkle_mode() {
         let mut w = World::new(22, ProtocolConfig::full());
         let r = w.upload(b"k", vec![0u8; 100], TimeoutStrategy::AbortFirst);

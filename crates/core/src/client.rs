@@ -17,7 +17,6 @@ use crate::session::{Outgoing, Party, Payload, TxnState, ValidationError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tpnr_crypto::ct;
-use tpnr_crypto::hash::DigestCache;
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
@@ -69,9 +68,6 @@ pub struct Client {
     /// of every transaction the client ever ran.
     open: BTreeSet<u64>,
     next_txn: u64,
-    /// Memoizes payload commitments by buffer identity: an object uploaded,
-    /// re-sent, and checked on download hashes once per algorithm.
-    cache: DigestCache,
     /// Message/tick counters, maintained by the scheduler-facing
     /// [`Actor`](crate::sched::Actor) impl.
     pub actor_stats: crate::obs::ActorStats,
@@ -90,7 +86,6 @@ impl Client {
             txns: BTreeMap::new(),
             open: BTreeSet::new(),
             next_txn,
-            cache: DigestCache::new(32),
             actor_stats: crate::obs::ActorStats::default(),
             retry_stats: crate::fault::RetryStats::default(),
         }
@@ -183,7 +178,7 @@ impl Client {
             time_limit: now.after(p.cfg.message_time_limit),
             object: payload.key.clone(),
             hash_alg: p.cfg.hash_alg,
-            data_hash: payload.commit_cached(&p.cfg, &mut self.cache),
+            data_hash: payload.commit(&p.cfg),
         };
         let provider_pk = p.key(self.provider)?;
         // One sign_pair serves both artifacts: the sealed evidence for Bob
@@ -281,7 +276,7 @@ impl Client {
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
         let p = &mut self.party;
-        p.validator.check(&p.cfg, pt, Some(self.provider), now)?;
+        p.validator.verdict(&p.cfg, pt, Some(self.provider), now)?;
         let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         let nro = txn.evidence.nro(&p.principals).map_err(ValidationError::Evidence)?;
         let sent = &nro.plaintext;
@@ -303,7 +298,7 @@ impl Client {
         let received = if sent.flag == Flag::DownloadRequest {
             let payload =
                 Payload::from_wire_bytes(data).map_err(|_| ValidationError::HashMismatch)?;
-            let commitment = payload.commit_cached(&p.cfg, &mut self.cache);
+            let commitment = payload.commit(&p.cfg);
             if !ct::eq(&commitment, &pt.data_hash) || payload.key != sent.object {
                 return Err(ValidationError::HashMismatch);
             }
@@ -314,6 +309,7 @@ impl Client {
         let sender_pk = p.key(pt.sender)?;
         let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
+        p.validator.accept(&p.cfg, pt);
         let evidence = EvidencePair::new(&mut p.principals, &nro, Some(&nrr));
         let txn = self.txn_mut(pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         txn.evidence = evidence;
@@ -330,13 +326,14 @@ impl Client {
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
         let p = &mut self.party;
-        p.validator.check(&p.cfg, pt, Some(self.provider), now)?;
+        p.validator.verdict(&p.cfg, pt, Some(self.provider), now)?;
         if pt.flag != Flag::AbortResponse {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
         let sender_pk = p.key(pt.sender)?;
         let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
+        p.validator.accept(&p.cfg, pt);
         let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         // A late abort reply must not reopen or rewrite a settled state:
         // a receipt that overtook the Abort already completed the upload.
@@ -379,7 +376,11 @@ impl Client {
         if p.cfg.ablation != Ablation::NoIdentityBinding && from != p.ttp {
             return Err(ValidationError::IdentityMismatch);
         }
-        p.validator.check(&p.cfg, pt, None, now)?;
+        p.validator.verdict(&p.cfg, pt, None, now)?;
+        // A Restart or Failed reply carries no evidence to verify first.
+        if action != ResolveAction::Continue {
+            p.validator.accept(&p.cfg, pt);
+        }
         let txn = self.txns.get(&pt.txn_id).ok_or(ValidationError::UnknownTxn(pt.txn_id))?;
         // A late/replayed resolve reply must not overwrite a settled state.
         if txn.state != TxnState::Resolving {
@@ -393,6 +394,7 @@ impl Client {
                     .ok_or(ValidationError::Evidence(crate::evidence::EvidenceError::Malformed))?;
                 let nrr = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, sealed)
                     .map_err(ValidationError::Evidence)?;
+                p.validator.accept(&p.cfg, pt);
                 // On upload the re-issued receipt must match what we sent.
                 let nro = txn.evidence.nro(&p.principals).map_err(ValidationError::Evidence)?;
                 let sent = &nro.plaintext;
@@ -541,9 +543,9 @@ impl Client {
 }
 
 /// Durable image of a [`Client`]: session table, archived evidence with
-/// the principal table it indexes, and validator sequence state. The RNG,
-/// digest cache and monotone telemetry stay live — rolling an RNG back
-/// would replay nonces.
+/// the principal table it indexes, and validator sequence state. The RNG
+/// and monotone telemetry stay live — rolling an RNG back would replay
+/// nonces.
 #[derive(Debug, Clone)]
 pub struct ClientSnapshot {
     txns: BTreeMap<u64, Arc<ClientTxn>>,

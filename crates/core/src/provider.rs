@@ -21,7 +21,6 @@ use crate::principal::PrincipalId;
 use crate::session::{Outgoing, Party, Payload, TxnState, ValidationError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tpnr_crypto::hash::DigestCache;
 use tpnr_net::codec::Wire;
 use tpnr_net::time::SimTime;
 use tpnr_net::Bytes;
@@ -76,9 +75,6 @@ pub struct Provider {
     /// Records, each one shared buffer: a durable snapshot holds the same
     /// allocation.
     txns: BTreeMap<u64, ProviderTxn>,
-    /// Memoizes payload commitments by buffer identity: a stored object
-    /// served to N downloaders hashes once, not N times.
-    cache: DigestCache,
     /// Misbehaviour switches.
     pub behavior: ProviderBehavior,
     /// Message/tick counters, maintained by the scheduler-facing
@@ -93,7 +89,6 @@ impl Provider {
             party,
             storage: BTreeMap::new(),
             txns: BTreeMap::new(),
-            cache: DigestCache::new(32),
             behavior: ProviderBehavior::default(),
             actor_stats: crate::obs::ActorStats::default(),
         }
@@ -107,9 +102,9 @@ impl Provider {
     /// Provider-side storage tamper (Eve's move in the Figure-5 scenario).
     ///
     /// The tampered bytes go into a **fresh allocation** (`Bytes::from` the
-    /// owned vec): stored buffers are immutable-by-sharing, and a new
-    /// allocation means a new digest-cache identity — a tampered object can
-    /// never be answered with the old object's memoized hash.
+    /// owned vec): stored buffers are immutable-by-sharing, so every other
+    /// holder of the old object keeps seeing the old bytes, and the next
+    /// download commits to the new ones.
     pub fn tamper_storage(&mut self, key: &[u8], new_data: Vec<u8>) -> bool {
         match self.storage.get_mut(key) {
             Some(slot) => {
@@ -203,38 +198,35 @@ impl Provider {
         // The claimed plaintext sender must be who the wire says delivered it
         // (when identity binding is on).
         let p = &mut self.party;
-        p.validator.check(&p.cfg, pt, Some(from), now)?;
+        p.validator.verdict(&p.cfg, pt, Some(from), now)?;
 
         // Decode from the Bytes frame: the bulk data stays a view into the
         // received message, and the same view goes into storage below.
         let payload = Payload::from_wire_bytes(data).map_err(|_| ValidationError::HashMismatch)?;
-        let commitment = payload.commit_cached(&p.cfg, &mut self.cache);
+        let commitment = payload.commit(&p.cfg);
         if !tpnr_crypto::ct::eq(&pt.data_hash, &commitment) || pt.object != payload.key {
             return Err(ValidationError::HashMismatch);
         }
         let sender_pk = p.key(pt.sender)?;
         let nro = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence)
             .map_err(ValidationError::Evidence)?;
+        p.validator.accept(&p.cfg, pt);
 
         // Serve the request. Bytes clones are refcount bumps, so storing an
         // upload and serving a download never copy the object.
-        let response_payload = match pt.flag {
+        let (reply_flag, response_hash, reply_data) = match pt.flag {
+            // An upload receipt acknowledges the payload just verified and
+            // carries no bulk data back.
             Flag::UploadRequest => {
-                self.storage.insert(payload.key.clone(), payload.data.clone());
-                // Upload receipt acknowledges the same payload hash; carries
-                // no bulk data back.
-                payload
+                self.storage.insert(payload.key, payload.data);
+                (Flag::UploadReceipt, commitment, Bytes::new())
             }
             // Guarded to UploadRequest | DownloadRequest at the top.
             _ => {
                 let stored = self.storage.get(&payload.key).cloned().unwrap_or_default();
-                Payload { key: payload.key, data: stored }
+                let response = Payload { key: payload.key, data: stored };
+                (Flag::DownloadResponse, response.commit(&p.cfg), response.to_wire_bytes())
             }
-        };
-        let response_hash = response_payload.commit_cached(&p.cfg, &mut self.cache);
-        let (reply_flag, reply_data) = match pt.flag {
-            Flag::UploadRequest => (Flag::UploadReceipt, Bytes::new()),
-            _ => (Flag::DownloadResponse, response_payload.to_wire_bytes()),
         };
 
         // The receipt names the response's hash: on a download, that of
@@ -263,12 +255,16 @@ impl Provider {
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
         let p = &mut self.party;
-        p.validator.check(&p.cfg, pt, Some(from), now)?;
+        p.validator.verdict(&p.cfg, pt, Some(from), now)?;
         let sender_pk = p.key(pt.sender)?;
 
         // Verify consistency of the request; an unverifiable abort gets the
-        // paper's "Error" answer asking Alice to regenerate it.
+        // paper's "Error" answer asking Alice to regenerate it, and leaves
+        // its sequence number to the genuine one.
         let abort_nro = open_and_verify(&p.cfg, &p.me, &sender_pk, pt, evidence);
+        if abort_nro.is_ok() {
+            p.validator.accept(&p.cfg, pt);
+        }
         let outcome = match (&abort_nro, self.txns.get(&pt.txn_id)) {
             (Err(_), _) => AbortOutcome::Error,
             // Transaction already completed on our side: too late to cancel.

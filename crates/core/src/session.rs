@@ -13,7 +13,6 @@ use crate::config::{Ablation, ProtocolConfig};
 use crate::evidence::{EvidencePlaintext, Flag, Principals};
 use crate::principal::{Directory, Principal, PrincipalId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use tpnr_crypto::hash::DigestCache;
 use tpnr_crypto::{ChaChaRng, RsaPublicKey};
 use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
 use tpnr_net::time::SimTime;
@@ -66,30 +65,6 @@ impl Payload {
                     .to_vec()
             }
         }
-    }
-
-    /// [`Payload::commit`], memoized on the `data` buffer's allocation
-    /// identity.
-    ///
-    /// The commitment is a pure function of `(key, data, hash_alg,
-    /// commitment mode)`; everything but the bulk data is tiny, so it is
-    /// folded into the cache key as `aux` bytes (length-prefixed key, so
-    /// `key="a", mode tag "b…"` cannot collide with `key="ab"`, plus the
-    /// commitment-mode tag). Repeated commitments of the same object —
-    /// sign-time, receipt verification, retransmits — then hash it once.
-    pub fn commit_cached(&self, cfg: &ProtocolConfig, cache: &mut DigestCache) -> Vec<u8> {
-        let (start, end) = self.data.range();
-        let mut aux = Vec::with_capacity(self.key.len() + 32);
-        aux.extend_from_slice(&(self.key.len() as u64).to_le_bytes());
-        aux.extend_from_slice(&self.key);
-        match cfg.commitment {
-            crate::config::Commitment::Flat => aux.extend_from_slice(b"commit:flat"),
-            crate::config::Commitment::Merkle { chunk_size } => {
-                aux.extend_from_slice(b"commit:merkle:");
-                aux.extend_from_slice(&(chunk_size as u64).to_le_bytes());
-            }
-        }
-        cache.memo(cfg.hash_alg, self.data.backing(), start, end, &aux, |_| self.commit(cfg))
     }
 }
 
@@ -276,12 +251,29 @@ impl Validator {
         }
     }
 
-    /// Validates an incoming plaintext under the active config.
+    /// Validates an incoming plaintext under the active config and records
+    /// its sequence number: [`Validator::verdict`], then
+    /// [`Validator::accept`]. For messages that carry no evidence; one
+    /// whose evidence is still to be verified takes the two steps apart.
+    pub fn check(
+        &mut self,
+        cfg: &ProtocolConfig,
+        pt: &EvidencePlaintext,
+        expected_sender: Option<PrincipalId>,
+        now: SimTime,
+    ) -> Result<(), ValidationError> {
+        self.verdict(cfg, pt, expected_sender, now)?;
+        self.accept(cfg, pt);
+        Ok(())
+    }
+
+    /// Judges an incoming plaintext under the active config without
+    /// recording anything.
     ///
     /// `expected_sender` of `None` accepts any sender (provider accepting
     /// new clients); `Some(id)` pins the conversation partner.
-    pub fn check(
-        &mut self,
+    pub fn verdict(
+        &self,
         cfg: &ProtocolConfig,
         pt: &EvidencePlaintext,
         expected_sender: Option<PrincipalId>,
@@ -308,18 +300,28 @@ impl Validator {
             if pt.seq <= last {
                 return Err(ValidationError::StaleSequence { last, got: pt.seq });
             }
-            // Four billion principals would not fit in memory first.
-            let next = u32::try_from(self.senders.len()).unwrap_or(u32::MAX);
-            let sender = *self.senders.entry(pt.sender).or_insert(next);
-            let e = self.txns.entry(pt.txn_id).or_default();
-            if e.first_last == 0 || e.first == sender {
-                e.first = sender;
-                e.first_last = pt.seq;
-            } else {
-                self.more.insert((pt.txn_id, sender), pt.seq);
-            }
         }
         Ok(())
+    }
+
+    /// Advances the sender's window to `pt.seq`, for a plaintext that
+    /// passed [`Validator::verdict`] and whose evidence verified: a forged
+    /// message must not spend the sequence number of the genuine one
+    /// (§5.4).
+    pub fn accept(&mut self, cfg: &ProtocolConfig, pt: &EvidencePlaintext) {
+        if cfg.ablation == Ablation::NoSequenceNumbers {
+            return;
+        }
+        // Four billion principals would not fit in memory first.
+        let next = u32::try_from(self.senders.len()).unwrap_or(u32::MAX);
+        let sender = *self.senders.entry(pt.sender).or_insert(next);
+        let e = self.txns.entry(pt.txn_id).or_default();
+        if e.first_last == 0 || e.first == sender {
+            e.first = sender;
+            e.first_last = pt.seq;
+        } else {
+            self.more.insert((pt.txn_id, sender), pt.seq);
+        }
     }
 
     /// Highest sequence accepted from `sender` within a transaction.
@@ -910,26 +912,15 @@ mod tests {
     }
 
     #[test]
-    fn commit_cached_matches_commit_and_discriminates_key_and_mode() {
+    fn commit_discriminates_key_and_mode() {
         use crate::config::Commitment;
-        let mut cache = tpnr_crypto::hash::DigestCache::new(16);
         let data: tpnr_net::Bytes = vec![7u8; 2048].into();
         let p1 = Payload { key: b"k1".to_vec(), data: data.clone() };
-        let p2 = Payload { key: b"k2".to_vec(), data: data.clone() };
+        let p2 = Payload { key: b"k2".to_vec(), data };
         let flat = ProtocolConfig::full();
         let merkle =
             ProtocolConfig { commitment: Commitment::Merkle { chunk_size: 256 }, ..flat.clone() };
-
-        assert_eq!(p1.commit_cached(&flat, &mut cache), p1.commit(&flat));
-        assert_eq!(cache.misses(), 1);
-        // Replay is answered from the memo.
-        assert_eq!(p1.commit_cached(&flat, &mut cache), p1.commit(&flat));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // Same data allocation, different key or commitment mode: distinct
-        // entries, never a cross-hit.
-        assert_eq!(p2.commit_cached(&flat, &mut cache), p2.commit(&flat));
-        assert_eq!(p1.commit_cached(&merkle, &mut cache), p1.commit(&merkle));
-        assert_eq!(cache.misses(), 3);
+        // Same data allocation, different key or commitment mode.
         assert_ne!(p1.commit(&flat), p2.commit(&flat));
         assert_ne!(p1.commit(&flat), p1.commit(&merkle));
     }

@@ -149,7 +149,7 @@ impl Ttp {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::IdentityMismatch);
         }
-        p.validator.check(&p.cfg, pt, None, now).inspect_err(|_e| {
+        p.validator.verdict(&p.cfg, pt, None, now).inspect_err(|_e| {
             self.stats.resolves_rejected += 1;
         })?;
 
@@ -171,6 +171,7 @@ impl Ttp {
             self.stats.resolves_rejected += 1;
             return Err(ValidationError::Evidence(crate::evidence::EvidenceError::BadSignature));
         }
+        p.validator.accept(&p.cfg, pt);
 
         // The forward names the NRO's object and hash: what the respondent
         // was sent. Only the NRO is signed, so the initiator (or the wire)

@@ -21,9 +21,9 @@ use tpnr_net::time::{SimDuration, SimTime};
 /// Allocator calls (alloc, alloc_zeroed, realloc) per 256 B upload. A
 /// build with debug assertions (the test profile) and a release build make
 /// the same calls; full-mode `ci.sh` runs both.
-const UPLOAD_BUDGET: u64 = 105;
+const UPLOAD_BUDGET: u64 = 96;
 /// Allocator calls per download of a 256 B object.
-const DOWNLOAD_BUDGET: u64 = 112;
+const DOWNLOAD_BUDGET: u64 = 103;
 /// Allocator calls per envelope seal at 512 bits: RSA's padded block and
 /// ciphertext, and the envelope itself. The key derivation, the cipher and
 /// the MAC run on the stack.

@@ -4,9 +4,10 @@
 //! Seeded random sequences drive both through the public API under the full
 //! protocol and under each ablation: `check` from the counterparty, the TTP
 //! and strangers with sequence numbers that include 0, repeats and
-//! `u64::MAX`; `alloc_seq`, also near `u64::MAX`; `retire_txn`; and
-//! `snapshot` / `restore_with_skip`. Every verdict, `last_seq`, `alloc_seq`
-//! value, `state_bytes` and `archived_count` must agree after every step.
+//! `u64::MAX`; `verdict` alone, which must record nothing; `alloc_seq`,
+//! also near `u64::MAX`; `retire_txn`; and `snapshot` /
+//! `restore_with_skip`. Every verdict, `last_seq`, `alloc_seq` value,
+//! `state_bytes` and `archived_count` must agree after every step.
 
 use std::collections::{BTreeSet, HashMap};
 use tpnr_core::config::{Ablation, ProtocolConfig};
@@ -32,6 +33,7 @@ const SEEDS: u64 = 8;
 const LIMIT: u64 = 1_000;
 
 /// The two-map validator, kept as the reference.
+#[derive(Clone)]
 struct Model {
     last_recv: HashMap<(u64, PrincipalId), u64>,
     send_seq: HashMap<u64, u64>,
@@ -173,8 +175,8 @@ fn drive(cfg: &ProtocolConfig, seed: u64) {
     let mut accepted = BTreeSet::new();
     for step in 0..STEPS {
         let txn = rng.gen_below(TXNS + 1);
-        match rng.gen_below(20) {
-            0..=11 => {
+        match rng.gen_below(22) {
+            kind @ 0..=13 => {
                 let sender = SENDERS[rng.gen_below(SENDERS.len() as u64) as usize];
                 let got = seq(&mut rng, recent);
                 let pt = EvidencePlaintext {
@@ -196,22 +198,35 @@ fn drive(cfg: &ProtocolConfig, seed: u64) {
                     _ => Some(SENDERS[rng.gen_below(SENDERS.len() as u64) as usize]),
                 };
                 let now = SimTime(rng.gen_below(LIMIT + LIMIT / 10));
-                let before = v.known_senders();
-                let verdict = v.check(cfg, &pt, expected, now);
-                assert_eq!(verdict, m.check(cfg, &pt, expected, now), "step {step}: check");
-                if verdict.is_err() {
-                    assert_eq!(v.known_senders(), before, "step {step}: a refusal grew the table");
-                } else if cfg.ablation != Ablation::NoSequenceNumbers {
-                    accepted.insert(sender.0);
-                }
                 recent = got;
+                if kind >= 12 {
+                    // A verdict alone changes no window, send counter or
+                    // table entry: the model is left as it was, and the
+                    // checks after this step compare against it.
+                    let verdict = v.verdict(cfg, &pt, expected, now);
+                    let model = m.clone().check(cfg, &pt, expected, now);
+                    assert_eq!(verdict, model, "step {step}: verdict");
+                } else {
+                    let before = v.known_senders();
+                    let verdict = v.check(cfg, &pt, expected, now);
+                    assert_eq!(verdict, m.check(cfg, &pt, expected, now), "step {step}: check");
+                    if verdict.is_err() {
+                        assert_eq!(
+                            v.known_senders(),
+                            before,
+                            "step {step}: a refusal grew the table"
+                        );
+                    } else if cfg.ablation != Ablation::NoSequenceNumbers {
+                        accepted.insert(sender.0);
+                    }
+                }
             }
-            12..=14 => assert_eq!(v.alloc_seq(txn), m.alloc_seq(txn), "step {step}: alloc_seq"),
-            15 => {
+            14..=16 => assert_eq!(v.alloc_seq(txn), m.alloc_seq(txn), "step {step}: alloc_seq"),
+            17 => {
                 v.retire_txn(txn);
                 m.retire_txn(txn);
             }
-            16 | 17 => {
+            18 | 19 => {
                 snaps.push((v.snapshot(), m.snapshot()));
                 if snaps.len() > 3 {
                     snaps.remove(0);

@@ -8,7 +8,6 @@
 use crate::md5::Md5;
 use crate::sha1::Sha1;
 use crate::sha2::{Sha256, Sha512};
-use std::sync::Arc;
 
 /// Incremental hash function interface.
 pub trait Digest: Default + Clone {
@@ -124,117 +123,6 @@ impl HashAlg {
     }
 }
 
-/// Memoizes digests of shared immutable buffers by allocation identity.
-///
-/// The hot loops hash the same object many times: the evidence `data_hash`
-/// at sealing, the re-hash at receipt verification, storage-platform MD5
-/// checks, and Merkle commitments for audits. When the object lives in a
-/// shared immutable buffer (`tpnr_net::Bytes` wraps an `Arc<Vec<u8>>`),
-/// its digest can be computed once per algorithm and looked up afterwards.
-///
-/// A cache entry is keyed on `(algorithm, allocation address, window,
-/// auxiliary key bytes)` and **pins a clone of the `Arc`**, which makes
-/// the scheme sound on two fronts: the allocation cannot be freed (so the
-/// address cannot be reused by a different buffer while the entry lives),
-/// and `Arc::get_mut` on the buffer fails for everyone (so the contents
-/// cannot change under the memo). The `aux` bytes let callers fold extra
-/// inputs into the key — e.g. a payload's object key and commitment mode —
-/// when the memoized value covers more than the raw buffer.
-///
-/// Entries live in a plain `Vec` scanned linearly and evicted FIFO:
-/// deterministic iteration (no `HashMap` ordering — see the DET-ORDER lint
-/// rule), and for the handful of live objects an actor touches the scan is
-/// cheaper than hashing even one block.
-pub struct DigestCache {
-    entries: Vec<CacheEntry>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-}
-
-struct CacheEntry {
-    alg: HashAlg,
-    addr: usize,
-    start: usize,
-    end: usize,
-    aux: Vec<u8>,
-    digest: Vec<u8>,
-    /// Keeps the allocation alive (and its address unique) for the
-    /// entry's lifetime.
-    _pin: Arc<Vec<u8>>,
-}
-
-impl DigestCache {
-    /// A cache holding at most `cap` entries (oldest evicted first).
-    pub fn new(cap: usize) -> DigestCache {
-        DigestCache { entries: Vec::new(), cap: cap.max(1), hits: 0, misses: 0 }
-    }
-
-    /// Digest of `buf[start..end]` with `alg`, memoized on the buffer's
-    /// allocation identity and window.
-    pub fn hash(&mut self, alg: HashAlg, buf: &Arc<Vec<u8>>, start: usize, end: usize) -> Vec<u8> {
-        self.memo(alg, buf, start, end, &[], |slice| alg.hash(slice))
-    }
-
-    /// Generalized memoization: returns the cached value for `(alg, buf
-    /// identity, window, aux)` or computes it with `f` over
-    /// `buf[start..end]`. `f` must be a pure function of the slice, `alg`
-    /// and `aux` — the cache replays its result for any later caller with
-    /// the same key.
-    pub fn memo(
-        &mut self,
-        alg: HashAlg,
-        buf: &Arc<Vec<u8>>,
-        start: usize,
-        end: usize,
-        aux: &[u8],
-        f: impl FnOnce(&[u8]) -> Vec<u8>,
-    ) -> Vec<u8> {
-        let addr = Arc::as_ptr(buf) as usize;
-        if let Some(e) = self.entries.iter().find(|e| {
-            e.alg == alg && e.addr == addr && e.start == start && e.end == end && e.aux == aux
-        }) {
-            self.hits += 1;
-            return e.digest.clone();
-        }
-        self.misses += 1;
-        let digest = f(&buf[start..end]);
-        if self.entries.len() == self.cap {
-            self.entries.remove(0);
-        }
-        self.entries.push(CacheEntry {
-            alg,
-            addr,
-            start,
-            end,
-            aux: aux.to_vec(),
-            digest: digest.clone(),
-            _pin: buf.clone(),
-        });
-        digest
-    }
-
-    /// Number of lookups answered from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that had to compute.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Current number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,100 +213,5 @@ mod tests {
         let d = b"same input";
         assert_ne!(HashAlg::Md5.hash(d), HashAlg::Sha256.hash(d)[..16].to_vec());
         assert_ne!(HashAlg::Sha256.hash(d), HashAlg::Sha512.hash(d)[..32].to_vec());
-    }
-
-    #[test]
-    fn cache_hits_on_same_identity_misses_on_equal_content() {
-        let mut c = DigestCache::new(4);
-        let a = Arc::new(vec![0x11u8; 1024]);
-        let b = Arc::new(vec![0x11u8; 1024]); // equal bytes, new allocation
-        let d1 = c.hash(HashAlg::Sha256, &a, 0, 1024);
-        assert_eq!(d1, HashAlg::Sha256.hash(&a));
-        assert_eq!((c.hits(), c.misses()), (0, 1));
-        assert_eq!(c.hash(HashAlg::Sha256, &a, 0, 1024), d1);
-        assert_eq!((c.hits(), c.misses()), (1, 1));
-        // Identity, not content, is the key: a fresh allocation recomputes
-        // (correctly, to the same digest).
-        assert_eq!(c.hash(HashAlg::Sha256, &b, 0, 1024), d1);
-        assert_eq!((c.hits(), c.misses()), (1, 2));
-    }
-
-    #[test]
-    fn cache_distinguishes_alg_window_and_aux() {
-        let mut c = DigestCache::new(8);
-        let a = Arc::new((0u8..64).collect::<Vec<u8>>());
-        let full = c.hash(HashAlg::Md5, &a, 0, 64);
-        assert_ne!(c.hash(HashAlg::Sha1, &a, 0, 64), full);
-        assert_ne!(c.hash(HashAlg::Md5, &a, 0, 32), full);
-        assert_eq!(c.hash(HashAlg::Md5, &a, 0, 32), HashAlg::Md5.hash(&a[..32]));
-        let tagged = c.memo(HashAlg::Md5, &a, 0, 64, b"commit:flat", |s| {
-            let mut v = b"commit:flat".to_vec();
-            v.extend_from_slice(s);
-            HashAlg::Md5.hash(&v)
-        });
-        assert_ne!(tagged, full);
-        assert_eq!(c.misses(), 4);
-        // Replay of the aux-keyed entry is a pure lookup.
-        let again = c.memo(HashAlg::Md5, &a, 0, 64, b"commit:flat", |_| unreachable!());
-        assert_eq!(again, tagged);
-    }
-
-    #[test]
-    fn reallocated_address_cannot_return_stale_digest() {
-        // The cache keys on `Arc::as_ptr`, so the dangerous sequence is:
-        // cache a digest for buffer A, free A, allocate a different buffer B
-        // at the same address, look B up. Soundness rests on the entry's
-        // pin: while the entry lives, A cannot be freed, so no other buffer
-        // can occupy its address; once the entry is evicted the pin drops
-        // and the address may be reused — but the entry is gone with it.
-        let mut c = DigestCache::new(1);
-        let a = Arc::new(vec![0xAAu8; 256]);
-        let addr_a = Arc::as_ptr(&a) as usize;
-        let weak_a = Arc::downgrade(&a);
-        let stale = c.hash(HashAlg::Sha256, &a, 0, 256);
-        drop(a);
-        // The caller's ref is gone but the entry pins the allocation: a
-        // same-layout allocation cannot land on A's address yet.
-        assert!(weak_a.upgrade().is_some());
-        let probe = Arc::new(vec![0xBBu8; 256]);
-        assert_ne!(Arc::as_ptr(&probe) as usize, addr_a, "pinned address was reused");
-        drop(probe);
-        // Evict A's entry (cap = 1): the pin must drop with it, freeing A.
-        let filler = Arc::new(vec![0x55u8; 16]);
-        c.hash(HashAlg::Sha256, &filler, 0, 16);
-        assert!(weak_a.upgrade().is_none(), "eviction must release the pin");
-        // The allocator may now hand A's address to a new same-layout
-        // buffer. Whether or not it does, a lookup must never replay A's
-        // digest: the evicted entry left no key behind.
-        let mut reuse_seen = false;
-        for _ in 0..64 {
-            let b = Arc::new(vec![0xBBu8; 256]);
-            reuse_seen |= Arc::as_ptr(&b) as usize == addr_a;
-            let fresh = c.hash(HashAlg::Sha256, &b, 0, 256);
-            assert_eq!(fresh, HashAlg::Sha256.hash(&b), "stale digest for reused address");
-            assert_ne!(fresh, stale);
-        }
-        // Not asserted: `reuse_seen` depends on the allocator. With a 256-
-        // byte block freed immediately before same-size allocations it is
-        // essentially always true, which is what makes this a regression
-        // test rather than dead code.
-        let _ = reuse_seen;
-    }
-
-    #[test]
-    fn cache_evicts_fifo_and_pins_allocations() {
-        let mut c = DigestCache::new(2);
-        let a = Arc::new(vec![1u8; 16]);
-        let weak = Arc::downgrade(&a);
-        c.hash(HashAlg::Md5, &a, 0, 16);
-        drop(a);
-        // The entry's pin keeps the allocation (and its address) alive.
-        assert!(weak.upgrade().is_some());
-        let b = Arc::new(vec![2u8; 16]);
-        let d = Arc::new(vec![3u8; 16]);
-        c.hash(HashAlg::Md5, &b, 0, 16);
-        c.hash(HashAlg::Md5, &d, 0, 16); // evicts the first entry
-        assert_eq!(c.len(), 2);
-        assert!(weak.upgrade().is_none(), "evicted entry releases its pin");
     }
 }

@@ -207,7 +207,11 @@ impl Workspace {
 /// workspace; findings come back sorted by (file, line, col, rule) with
 /// `allowed` flags applied from `allow`.
 pub fn lint_files(files: &[FileInput], allow: &allow::Allowlist) -> Vec<Finding> {
-    let ws = Workspace::build(files);
+    lint_workspace(&Workspace::build(files), allow)
+}
+
+/// [`lint_files`] over an already built workspace.
+pub fn lint_workspace(ws: &Workspace, allow: &allow::Allowlist) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in &ws.files {
         let ctx = FileCtx {
@@ -221,8 +225,8 @@ pub fn lint_files(files: &[FileInput], allow: &allow::Allowlist) -> Vec<Finding>
             (rule.check)(&ctx, &mut findings);
         }
     }
-    let graph = callgraph::Graph::build(&ws);
-    let pctx = passes::PassCtx { ws: &ws, graph: &graph };
+    let graph = callgraph::Graph::build(ws);
+    let pctx = passes::PassCtx { ws, graph: &graph };
     for pass in passes::ALL {
         (pass.run)(&pctx, &mut findings);
     }

@@ -3,15 +3,16 @@
 //! `lint-allow.toml`, and report.
 //!
 //! Exit codes: 0 = clean (all findings allowlisted, no stale allowlist
-//! entries), 1 = unallowlisted findings or stale allowlist entries,
-//! 2 = usage or I/O error.
+//! entries, every ALLOC-HOT root resolved), 1 = unallowlisted findings,
+//! stale allowlist entries or unresolved roots, 2 = usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tpnr_lint::{allow::Allowlist, lint_files, render, FileInput, Summary};
+use tpnr_lint::passes::alloc_hot;
+use tpnr_lint::{allow::Allowlist, lint_workspace, render, FileInput, Summary, Workspace};
 
 const USAGE: &str = "usage: tpnr-lint [--root DIR] [--allowlist FILE]";
 
@@ -72,7 +73,8 @@ fn main() -> ExitCode {
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
 
-    let findings = lint_files(&files, &allow);
+    let ws = Workspace::build(&files);
+    let findings = lint_workspace(&ws, &allow);
     let summary = Summary::of(&files, &findings);
 
     // A stale allowlist entry is a hard failure: it means a finding was
@@ -85,10 +87,16 @@ fn main() -> ExitCode {
             s.rule, s.path, s.justification
         );
     }
+    // Likewise a hot-loop root that names no function: the gate would
+    // shrink to the roots that remain without a word.
+    let unresolved = alloc_hot::unresolved_roots(&ws);
+    for (module, name) in &unresolved {
+        eprintln!("tpnr-lint: error: {} root `{module}::{name}` names no function", alloc_hot::ID);
+    }
     // The findings, then the one-line coverage summary CI logs grep for.
     print!("{}", render(&findings, &summary));
 
-    if summary.findings > summary.allowlisted || !stale.is_empty() {
+    if summary.findings > summary.allowlisted || !stale.is_empty() || !unresolved.is_empty() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

@@ -11,10 +11,7 @@
 //! out `&mut` access. Code that wants to alter a payload — interceptors
 //! returning `Action::Modify`, the storage tamper model — must materialize
 //! a fresh `Vec<u8>` and wrap that, so every other holder of the original
-//! allocation keeps seeing the original bytes. This is also what makes
-//! digest memoization by allocation identity
-//! ([`tpnr_crypto::hash::DigestCache`]) sound: while any pinned reference
-//! to the allocation exists, its contents cannot change.
+//! allocation keeps seeing the original bytes.
 //!
 //! The module keeps two process-wide counters of *deep* copies performed
 //! by [`Bytes::copy_from_slice`] (the only constructor that copies). The
@@ -74,17 +71,12 @@ impl Bytes {
         }
     }
 
-    /// The backing allocation (for digest-cache identity and pinning).
+    /// The backing allocation (its capacity shows how a frame was sized).
     pub fn backing(&self) -> &Arc<Vec<u8>> {
         &self.buf
     }
 
-    /// This view's `(start, end)` window within [`Bytes::backing`].
-    pub fn range(&self) -> (usize, usize) {
-        (self.start, self.end)
-    }
-
-    /// Number of `Bytes`/pinned handles sharing the backing allocation.
+    /// Number of `Bytes` handles sharing the backing allocation.
     pub fn strong_count(&self) -> usize {
         Arc::strong_count(&self.buf)
     }
@@ -236,7 +228,6 @@ mod tests {
         let inner = mid.slice(4..8);
         assert!(inner.same_allocation(&a));
         assert_eq!(&inner[..], &[12, 13, 14, 15]);
-        assert_eq!(inner.range(), (12, 16));
     }
 
     #[test]

@@ -18,9 +18,8 @@ use tpnr_net::Bytes;
 pub struct StoredObject {
     /// Object payload — a shared immutable buffer, so putting, getting and
     /// serving an object never copy it. Tampering replaces the handle with
-    /// a freshly allocated one (copy-mutate-rewrap), which also gives the
-    /// corrupted bytes a new digest-cache identity: a memoized hash of the
-    /// old object can never vouch for the new one.
+    /// a freshly allocated one (copy-mutate-rewrap), so every other holder
+    /// of the old buffer keeps seeing the old bytes.
     pub data: Bytes,
     /// Checksum recorded at upload time (`Content-MD5` on Azure, the
     /// Import/Export log MD5 on AWS). `None` if the uploader supplied none.
@@ -112,8 +111,7 @@ impl ObjectStore {
         let obj = self.objects.get_mut(key)?;
         // Stored buffers are immutable-by-sharing: every mutation copies
         // into a fresh buffer and rewraps (or, for Truncate, re-windows the
-        // shared allocation — the digest cache keys on the window too, so
-        // even that gets a distinct cache identity).
+        // shared allocation).
         match t {
             Tamper::BitFlip { offset } => {
                 if !obj.data.is_empty() {
