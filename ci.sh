@@ -14,6 +14,12 @@ cd "$(dirname "$0")"
 quick=0
 [ "${1:-}" = "--quick" ] && quick=1
 
+# A benchmark result (the last line `benchmark --workload W` prints)
+# passes when it reports every check correct and no operation failed.
+bench_result_ok() {
+    grep -q '"correct":true' <<<"$1" && grep -Eq '"failed":0[,}]' <<<"$1"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -75,7 +81,7 @@ if [ "$quick" -eq 0 ]; then
     for workload in session fleet tcp-ladder; do
         echo "==> perfbench benchmark --workload $workload --quick (release)"
         result="$(perfbench/target/release/benchmark --workload "$workload" --quick | tail -n 1)"
-        if ! grep -q '"correct":true' <<<"$result" || ! grep -Eq '"failed":0[,}]' <<<"$result"; then
+        if ! bench_result_ok "$result"; then
             echo "error: benchmark --workload $workload --quick: $result" >&2
             exit 1
         fi
@@ -115,6 +121,24 @@ if [ "$status" -ne 1 ]; then
     echo "error: experiments --check exited $status on a failing row, expected 1" >&2
     exit 1
 fi
+
+# The benchmark result check's own self-check: it must accept a passing
+# result and reject one with a failed check or with failed operations.
+echo "==> the benchmark result check accepts a pass and rejects each failure"
+result='{"correct":true,"attempted":2048,"failed":0,"metrics":{}}'
+if ! bench_result_ok "$result"; then
+    echo "error: the benchmark result check rejected a passing result: $result" >&2
+    exit 1
+fi
+for result in \
+    '{"correct":false,"attempted":2048,"failed":0,"metrics":{}}' \
+    '{"correct":true,"attempted":2048,"failed":3,"metrics":{}}' \
+    '{"correct":true,"attempted":2048,"failed":10,"metrics":{}}'; do
+    if bench_result_ok "$result"; then
+        echo "error: the benchmark result check accepted a failing result: $result" >&2
+        exit 1
+    fi
+done
 
 if [ "$quick" -eq 0 ]; then
     release=(cargo run --release -q -p tpnr-bench --bin experiments --)

@@ -164,19 +164,17 @@ pub(crate) struct Stage<T: Transport> {
 
 impl<T: Transport> Stage<T> {
     /// The world `attack` is played in on `net`. Every attack waits 500 ms
-    /// for a response, so a real wire waits out a timer in under a second.
-    /// Only timeliness also shortens the evidence time limit, to 150 ms,
-    /// which its 300 ms hold outlives: under so short a limit, a session
-    /// the TTP recovers gets Bob's receipt relayed after it expired, Alice
-    /// refuses it, and the default retry policy never gives up.
+    /// for a response, so a real wire waits out a timer in under a second,
+    /// and gives evidence a 150 ms time limit, which timeliness's 300 ms
+    /// hold outlives. A session the TTP recovers, as interleaving's second
+    /// is, gets Bob's receipt relayed after that limit; Alice takes it as
+    /// fresh because her resolve is open.
     pub(crate) fn new(net: T, attack: AttackKind, ablation: Ablation) -> Self {
-        let mut cfg = ProtocolConfig::builder()
+        let cfg = ProtocolConfig::builder()
             .ablation(ablation)
-            .response_timeout(SimDuration::from_millis(500));
-        if attack == AttackKind::Timeliness {
-            cfg = cfg.message_time_limit(SimDuration::from_millis(150));
-        }
-        let cfg = cfg.build();
+            .response_timeout(SimDuration::from_millis(500))
+            .message_time_limit(SimDuration::from_millis(150))
+            .build();
         let mut w = GenericWorld::with_transport(net, attack.seed(), cfg.clone());
         w.max_steps = MAX_STEPS;
         Stage { w, cfg, attack, ablation }

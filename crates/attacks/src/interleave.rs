@@ -14,12 +14,18 @@
 
 use crate::harness::{AttackKind, AttackOutcome, Stage};
 use tpnr_core::config::Ablation;
+use tpnr_core::runner::TxnResult;
 use tpnr_net::sim::Action;
 use tpnr_net::transport::Transport;
 
 /// Runs the interleaving attack against the given protocol variant on
 /// `net`.
 pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
+    play(net, ablation).0
+}
+
+/// Plays the attack: its outcome, and session 2's result.
+fn play<T: Transport>(net: T, ablation: Ablation) -> (AttackOutcome, TxnResult) {
     let mut s = Stage::new(net, AttackKind::Interleaving, ablation);
     let (a, b) = (s.alice_node, s.bob_node);
 
@@ -43,20 +49,24 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
     }));
     let r2 = s.alice_uploads(b"same-object", b"same bytes");
 
-    s.outcome(
+    let outcome = s.outcome(
         r2.completed() && !r2.report.ttp_used,
         "session 2 was completed with a receipt spliced from session 1",
         format!(
             "splice refused (txn binding in signed plaintext): {}",
             s.refusal(a, "session 2 was not completed by the splice")
         ),
-    )
+    );
+    (outcome, r2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{harness, toy};
+    use tpnr_net::sim::SimNet;
+    use tpnr_net::tcp::TcpNet;
+    use tpnr_net::time::SimDuration;
 
     #[test]
     fn full_protocol_blocks_interleaving() {
@@ -76,6 +86,24 @@ mod tests {
         // wrong transaction id and cannot complete session 2.
         let o = harness::run(AttackKind::Interleaving, Ablation::NoSequenceNumbers);
         assert!(o.blocked, "{}", o.detail);
+    }
+
+    #[test]
+    fn session_two_completes_through_the_ttp_on_simnet_and_over_tcp() {
+        // Bob's receipts never reach Alice in session 2, so it completes
+        // only through the TTP's resolve, which relays his receipt well
+        // after its 150 ms limit. The settle goes quiet within the step cap
+        // (`alice_uploads` checks) instead of resolving forever.
+        let check = |(o, r2): (AttackOutcome, TxnResult), wire: &str| {
+            assert!(o.blocked, "{wire}: {}", o.detail);
+            assert!(r2.completed() && r2.report.ttp_used, "{wire}: {:?}", r2.outcome);
+            assert!(r2.report.latency > SimDuration::from_millis(500), "{wire}: a timer fired");
+        };
+        check(play(SimNet::new(71), Ablation::None), "SimNet");
+        match TcpNet::new() {
+            Ok(tcp) => check(play(tcp, Ablation::None), "loopback TCP"),
+            Err(_) => eprintln!("loopback bind unavailable; skipping tcp test"),
+        }
     }
 
     #[test]

@@ -14,15 +14,23 @@
 //! plaintext shares fields with the first record's (an upload's NRR names
 //! the same parties, transaction, object and hash as its NRO) keeps only
 //! the fields that differ.
+//!
+//! A provider's [`TxnArchive`] seals each evicted transaction's bundle
+//! into a shard log as one record of the same entries, in a denser form:
+//! each principal is an index into the shard's table of principals, which
+//! the first record to name one defines, and every number is LEB128. A
+//! standalone bundle keeps the wire form (version 3).
 
 use crate::evidence::{
-    field_mask, read_derived, write_derived, VerifiedEvidence, WireForm, NOTHING_SHARED,
+    field_mask, read_derived, read_evidence, write_derived, write_evidence, Form, Principals,
+    RecordTable, VerifiedEvidence, WireForm, NOTHING_SHARED,
 };
+use crate::principal::PrincipalId;
 use crate::session::TxnState;
 use std::collections::{BTreeMap, VecDeque};
 use tpnr_crypto::hash::Digest as _;
 use tpnr_crypto::sha2::Sha256;
-use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
+use tpnr_net::codec::{CodecError, Reader, Writer};
 use tpnr_net::time::{SimDuration, SimTime};
 
 /// Bundle format version. Version 2 added reference entries and version 3
@@ -103,10 +111,12 @@ impl EvidenceBundle {
         self.entries.iter().find(|e| e.label == label).map(|e| &e.evidence)
     }
 
-    /// Serialises: `magic ‖ version ‖ count ‖ entries… ‖ SHA-256(prefix)`.
+    /// Serialises a standalone bundle, in the wire form:
+    /// `magic ‖ version ‖ count ‖ entries… ‖ SHA-256(prefix)`, with `u32`
+    /// counts, lengths and indices and each principal's 32-byte id.
     ///
     /// Each entry is its label and then one of three bodies, tried in order:
-    /// - a reference `0 ‖ u32 index`, when its evidence equals that of an
+    /// - a reference `0 ‖ index`, when its evidence equals that of an
     ///   earlier entry that no earlier reference names;
     /// - a derived entry `0xFF ‖ u16 mask ‖ fields… ‖ both signatures`,
     ///   for the first entry after the first whose plaintext shares a field
@@ -117,34 +127,14 @@ impl EvidenceBundle {
     ///
     /// Each evidence item is thus decoded once for at most two entries, and
     /// one entry copies fields of one other, so a load's output stays within
-    /// a small multiple of its input.
+    /// a small multiple of its input. An archive record holds its entries
+    /// the same way, in its shard's table's form.
     pub fn save(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.fixed(&BUNDLE_MAGIC);
         w.u16(BUNDLE_VERSION);
-        w.u32(self.entries.len() as u32);
-        // Per entry so far: whether a later entry may still reference it.
-        let mut referable = Vec::with_capacity(self.entries.len());
-        let mut derived = false;
-        for (i, e) in self.entries.iter().enumerate() {
-            w.str(&e.label);
-            let earlier = (0..i).find(|&j| referable[j] && self.entries[j].evidence == e.evidence);
-            if let Some(j) = earlier {
-                referable[j] = false;
-                w.u8(REFERENCE).u32(j as u32);
-            } else if let Some(mask) = derivation(&self.entries[..i], derived, &e.evidence) {
-                derived = true;
-                w.u8(DERIVED);
-                write_derived(&mut w, &WireForm, mask, &e.evidence);
-            } else {
-                e.evidence.encode(&mut w);
-            }
-            referable.push(earlier.is_none());
-        }
-        let mut out = w.finish_vec();
-        let digest = Sha256::digest(&out);
-        out.extend_from_slice(&digest);
-        out
+        self.write_entries(&mut w, &WireForm);
+        with_digest(w)
     }
 
     /// Loads and integrity-checks a saved bundle. Only the bytes
@@ -155,10 +145,7 @@ impl EvidenceBundle {
         if bytes.len() < 4 + 2 + 4 + 32 {
             return Err(BundleError::Malformed);
         }
-        let (body, digest) = bytes.split_at(bytes.len() - 32);
-        if !tpnr_crypto::ct::eq(&Sha256::digest(body), digest) {
-            return Err(BundleError::Corrupted);
-        }
+        let body = checked_body(bytes)?;
         let mut r = Reader::new(body);
         if r.array::<4>()? != BUNDLE_MAGIC {
             return Err(BundleError::BadMagic);
@@ -167,17 +154,56 @@ impl EvidenceBundle {
         if version != BUNDLE_VERSION {
             return Err(BundleError::BadVersion(version));
         }
-        let count = r.u32()? as usize;
+        let bundle = Self::read_entries(&mut r, body, &WireForm)?;
+        r.expect_end()?;
+        Ok(bundle)
+    }
+
+    /// Writes the entry count and the entries, as [`save`](Self::save)
+    /// describes them, in `form`.
+    fn write_entries(&self, w: &mut Writer, form: &impl Form) {
+        form.write_len(w, self.entries.len());
+        // Per entry so far: whether a later entry may still reference it.
+        let mut referable = Vec::with_capacity(self.entries.len());
+        let mut derived = false;
+        for (i, e) in self.entries.iter().enumerate() {
+            form.write_field(w, e.label.as_bytes());
+            let earlier = (0..i).find(|&j| referable[j] && self.entries[j].evidence == e.evidence);
+            if let Some(j) = earlier {
+                referable[j] = false;
+                w.u8(REFERENCE);
+                form.write_len(w, j);
+            } else if let Some(mask) = derivation(&self.entries[..i], derived, &e.evidence) {
+                derived = true;
+                w.u8(DERIVED);
+                write_derived(w, form, mask, &e.evidence);
+            } else {
+                write_evidence(w, form, &e.evidence);
+            }
+            referable.push(earlier.is_none());
+        }
+    }
+
+    /// Reads what [`write_entries`](Self::write_entries) writes in `form`,
+    /// from `r` over `body`, and nothing it would not write.
+    fn read_entries(
+        r: &mut Reader<'_>,
+        body: &[u8],
+        form: &impl Form,
+    ) -> Result<Self, BundleError> {
+        let count = form.read_len(r)?;
         let mut entries: Vec<BundleEntry> = Vec::with_capacity(count.min(1024));
         let mut referable: Vec<bool> = Vec::with_capacity(count.min(1024));
         let mut derived = false;
         for _ in 0..count {
-            let label = r.str()?;
+            let label =
+                String::from_utf8(form.read_field(r)?).map_err(|_| BundleError::Malformed)?;
             // The next byte is a marker or an inline entry's flag.
             let marker = body.get(body.len() - r.remaining()).copied();
             let evidence = match marker {
                 Some(REFERENCE) => {
-                    let j = r.u8().and_then(|_| r.u32())? as usize;
+                    r.u8()?;
+                    let j = form.read_len(r)?;
                     // Only an earlier entry that no reference named yet.
                     match referable.get_mut(j) {
                         Some(open) if *open => *open = false,
@@ -188,13 +214,13 @@ impl EvidenceBundle {
                 Some(DERIVED) => {
                     r.u8()?;
                     let base = &entries.first().ok_or(BundleError::Malformed)?.evidence;
-                    let (mask, evidence) = read_derived(&mut r, &WireForm, &base.plaintext)?;
+                    let (mask, evidence) = read_derived(r, form, &base.plaintext)?;
                     canonical(derivation(&entries, derived, &evidence) == Some(mask))?;
                     derived = true;
                     evidence
                 }
                 _ => {
-                    let evidence = VerifiedEvidence::decode(&mut r)?;
+                    let evidence = read_evidence(r, form)?;
                     canonical(derivation(&entries, derived, &evidence).is_none())?;
                     evidence
                 }
@@ -208,7 +234,6 @@ impl EvidenceBundle {
             referable.push(!reference);
             entries.push(BundleEntry { label, evidence });
         }
-        r.expect_end()?;
         Ok(EvidenceBundle { entries })
     }
 
@@ -234,6 +259,92 @@ impl EvidenceBundle {
             e.evidence.plaintext.data_hash.len() == e.evidence.plaintext.hash_alg.output_len()
         })
     }
+}
+
+/// `w`'s bytes with their SHA-256 digest appended.
+fn with_digest(w: Writer) -> Vec<u8> {
+    let mut out = w.finish_vec();
+    let digest = Sha256::digest(&out);
+    out.extend_from_slice(&digest);
+    out
+}
+
+/// The body of `bytes`, sealed by [`with_digest`], once its digest checks.
+fn checked_body(bytes: &[u8]) -> Result<&[u8], BundleError> {
+    if bytes.len() < 32 {
+        return Err(BundleError::Malformed);
+    }
+    let (body, digest) = bytes.split_at(bytes.len() - 32);
+    if !tpnr_crypto::ct::eq(&Sha256::digest(body), digest) {
+        return Err(BundleError::Corrupted);
+    }
+    Ok(body)
+}
+
+/// Seals `bundle` as the next record of a shard log whose table is
+/// `table`: `table length ‖ defined count ‖ defined ids ‖ entries ‖
+/// SHA-256(prefix)`. The table length is where the record starts in
+/// `table`; the defined ids are those of `bundle`'s principals `table`
+/// lacks, 32 bytes each, in the order the entries first name them, and are
+/// appended to `table`. The entries are those of a standalone bundle
+/// ([`EvidenceBundle::write_entries`]), each principal an index into the
+/// table and every number LEB128. Nothing else in the log is needed to
+/// read a record but the records before it.
+fn write_record(bundle: &EvidenceBundle, table: &mut Principals) -> Vec<u8> {
+    // A principal an entry does not write out (a reference's, or one a
+    // derived entry copies from the first entry) an earlier entry wrote,
+    // so every entry's three, in entry order, first name each as written.
+    let named = bundle.entries.iter().flat_map(|e| {
+        let pt = &e.evidence.plaintext;
+        [pt.sender, pt.recipient, pt.ttp]
+    });
+    let form = RecordTable::writing(table, named);
+    let mut w = Writer::new();
+    form.write_len(&mut w, form.start());
+    form.write_len(&mut w, form.defined().len());
+    for id in form.defined() {
+        w.fixed(&id.0);
+    }
+    bundle.write_entries(&mut w, &form);
+    for id in form.into_defined() {
+        table.intern(id);
+    }
+    with_digest(w)
+}
+
+/// Reads the record `bytes` hold, written by [`write_record`] when its
+/// shard's table held `start` entries, through `table`, which holds at
+/// least those: the bundle, and the ids the record defined. Only bytes
+/// `write_record` would write for that bundle read: a record that starts
+/// elsewhere, names an index at or past its table's end, or defines an id
+/// its table already holds, out of order or unnamed is `Malformed`.
+fn read_record(
+    bytes: &[u8],
+    table: &Principals,
+    start: usize,
+) -> Result<(EvidenceBundle, Vec<PrincipalId>), BundleError> {
+    let body = checked_body(bytes)?;
+    let mut r = Reader::new(body);
+    let record = read_record_body(&mut r, body, table, start)?;
+    r.expect_end()?;
+    Ok(record)
+}
+
+/// Reads a record's body, up to its digest, from `r` over `body`.
+fn read_record_body(
+    r: &mut Reader<'_>,
+    body: &[u8],
+    table: &Principals,
+    start: usize,
+) -> Result<(EvidenceBundle, Vec<PrincipalId>), BundleError> {
+    canonical(table.read_len(r)? == start)?;
+    let count = table.read_len(r)?;
+    canonical(count <= r.remaining() / 32)?;
+    let defined = (0..count).map(|_| r.array::<32>().map(PrincipalId)).collect::<Result<_, _>>()?;
+    let form = RecordTable::reading(table, start, defined)?;
+    let bundle = EvidenceBundle::read_entries(r, body, &form)?;
+    form.all_named()?;
+    Ok((bundle, form.into_defined()))
 }
 
 /// `Ok` if an entry is in the form [`EvidenceBundle::save`] chooses for it.
@@ -276,7 +387,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Compact accounting record kept per archived transaction — everything the
 /// world still needs to answer `report()`/`state_of()` questions after the
 /// live per-txn state has been dropped. The evidence itself lives in the
-/// shard's sealed log; `offset`/`len` locate the bundle for re-hydration.
+/// shard's sealed log; `offset`/`len` locate its record for re-hydration,
+/// and `table_len` is where the record starts in the shard's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchivedTxn {
     /// Index of the owning client in its world.
@@ -293,6 +405,7 @@ pub struct ArchivedTxn {
     pub latency: SimDuration,
     /// Whether the TTP was involved (Resolve path).
     pub ttp_used: bool,
+    table_len: u32,
     shard: usize,
     offset: usize,
     len: usize,
@@ -302,9 +415,11 @@ pub struct ArchivedTxn {
 struct ArchiveShard {
     /// Settled-but-still-resident txns, oldest first.
     settled: VecDeque<u64>,
-    /// Append-only sealed-bundle log ([`EvidenceBundle::save`] wire form,
-    /// concatenated).
+    /// Append-only log of sealed records ([`write_record`]), concatenated.
     log: Vec<u8>,
+    /// Every principal the log's records name, in the order they first
+    /// named them: what the records' indices index.
+    principals: Principals,
 }
 
 /// Counters for the archive's behaviour under load (E10 exhibits).
@@ -326,9 +441,10 @@ pub struct ArchiveStats {
 /// observability tallies) grows without bound in a long-running world unless
 /// settled transactions are retired. The archive keeps each shard's most
 /// recent `hot_capacity` settled txns resident; older ones are *evicted*:
-/// their evidence is sealed into the shard's append-only log (reusing the
-/// [`EvidenceBundle`] wire form, digest-protected) and only the compact
-/// [`ArchivedTxn`] index record stays in memory. Arbitration and reporting
+/// their evidence bundle is sealed into the shard's append-only log as one
+/// digest-protected record that names each principal by its index in the
+/// shard's table of principals, and only the compact [`ArchivedTxn`]
+/// index record stays in memory. Arbitration and reporting
 /// re-hydrate bundles from the log on demand — evidence is never lost, it
 /// just stops costing live-map memory.
 #[derive(Debug)]
@@ -386,11 +502,13 @@ impl TxnArchive {
     }
 
     /// Seals a transaction's evidence into its shard log and records the
-    /// index entry. `record`'s shard/offset/len are filled in here.
+    /// index entry. `record`'s location fields are filled in here.
     pub fn archive(&mut self, txn_id: u64, bundle: &EvidenceBundle, mut record: ArchivedTxn) {
         let shard_ix = Self::shard_of(txn_id);
-        let bytes = bundle.save();
         let shard = &mut self.shards[shard_ix];
+        // Four billion principals would not fit in memory first.
+        record.table_len = u32::try_from(shard.principals.len()).unwrap_or(u32::MAX);
+        let bytes = write_record(bundle, &mut shard.principals);
         record.shard = shard_ix;
         record.offset = shard.log.len();
         record.len = bytes.len();
@@ -404,14 +522,15 @@ impl TxnArchive {
         self.index.get(&txn_id)
     }
 
-    /// Re-hydrates an archived txn's evidence bundle from the shard log.
-    /// Returns `None` if the txn was never archived *or* the log bytes fail
-    /// the bundle's integrity check (corruption ⇒ evidence loss, surfaced,
-    /// never silently tolerated).
+    /// Re-hydrates an archived txn's evidence bundle from its record in
+    /// the shard log, read through the shard's table. Returns `None` if the
+    /// txn was never archived *or* the record fails its integrity check
+    /// (corruption ⇒ evidence loss, surfaced, never silently tolerated).
     pub fn load_bundle(&self, txn_id: u64) -> Option<EvidenceBundle> {
         let rec = self.index.get(&txn_id)?;
-        let bytes = self.shards[rec.shard].log.get(rec.offset..rec.offset + rec.len)?;
-        let bundle = EvidenceBundle::load(bytes).ok()?;
+        let shard = &self.shards[rec.shard];
+        let bytes = shard.log.get(rec.offset..rec.offset + rec.len)?;
+        let (bundle, _) = read_record(bytes, &shard.principals, rec.table_len as usize).ok()?;
         self.rehydrated.set(self.rehydrated.get() + 1);
         Some(bundle)
     }
@@ -448,6 +567,7 @@ impl ArchivedTxn {
             bytes,
             latency,
             ttp_used,
+            table_len: 0,
             shard: 0,
             offset: 0,
             len: 0,
@@ -464,6 +584,7 @@ mod tests {
     use crate::principal::PrincipalId;
     use crate::runner::World;
     use tpnr_crypto::hash::HashAlg;
+    use tpnr_net::codec::Wire;
     use tpnr_net::sim::LinkConfig;
 
     fn settled_world() -> (World, u64, u64) {
@@ -613,24 +734,47 @@ mod tests {
         Derived(u16, Vec<u8>, &'a VerifiedEvidence),
     }
 
+    /// Entries written one by one in `form`, whatever they say.
+    fn raw_entries(w: &mut Writer, form: &impl Form, entries: &[(&str, Raw<'_>)]) {
+        form.write_len(w, entries.len());
+        for (label, body) in entries {
+            form.write_field(w, label.as_bytes());
+            match body {
+                Raw::Inline(ev) => write_evidence(w, form, ev),
+                Raw::Ref(j) => {
+                    w.u8(REFERENCE);
+                    form.write_len(w, *j as usize);
+                }
+                Raw::Derived(mask, fields, ev) => {
+                    w.u8(DERIVED).u16(*mask).fixed(fields);
+                    form.write_field(w, &ev.sig_data_hash);
+                    form.write_field(w, &ev.sig_plaintext);
+                }
+            }
+        }
+    }
+
     /// A bundle written entry by entry and sealed with a valid digest:
     /// bytes that pass the integrity check, whatever their entries say.
     fn raw_bundle(entries: &[(&str, Raw<'_>)]) -> Vec<u8> {
         let mut w = Writer::new();
-        w.fixed(&BUNDLE_MAGIC).u16(BUNDLE_VERSION).u32(entries.len() as u32);
-        for (label, body) in entries {
-            w.str(label);
-            match body {
-                Raw::Inline(ev) => ev.encode(&mut w),
-                Raw::Ref(j) => {
-                    w.u8(REFERENCE).u32(*j);
-                }
-                Raw::Derived(mask, fields, ev) => {
-                    w.u8(DERIVED).u16(*mask).fixed(fields);
-                    w.bytes(&ev.sig_data_hash).bytes(&ev.sig_plaintext);
-                }
-            }
+        w.fixed(&BUNDLE_MAGIC).u16(BUNDLE_VERSION);
+        raw_entries(&mut w, &WireForm, entries);
+        sealed(w.finish_vec())
+    }
+
+    /// A shard's first record, written entry by entry: it defines
+    /// `defined` and names each principal by its index among them.
+    fn raw_first_record(defined: &[PrincipalId], entries: &[(&str, Raw<'_>)]) -> Vec<u8> {
+        let empty = Principals::default();
+        let form = RecordTable::writing(&empty, defined.iter().copied());
+        let mut w = Writer::new();
+        form.write_len(&mut w, 0);
+        form.write_len(&mut w, defined.len());
+        for id in defined {
+            w.fixed(&id.0);
         }
+        raw_entries(&mut w, &form, entries);
         sealed(w.finish_vec())
     }
 
@@ -881,7 +1025,7 @@ mod tests {
     /// One settled transaction of each kind, evicted: an upload, a
     /// download, an upload Bob aborts, and one the TTP completes while
     /// Bob's receipt is held up. Returns the world and the four txn ids.
-    fn one_of_each_kind_evicted() -> (World, [(&'static str, u64); 4]) {
+    pub(super) fn one_of_each_kind_evicted() -> (World, [(&'static str, u64); 4]) {
         let mut w = World::new(5, ProtocolConfig::full());
         w.set_archive_capacity(1);
         let up = w.upload(b"k-up", vec![1; 32], TimeoutStrategy::AbortFirst);
@@ -939,6 +1083,30 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_of_evicted_transaction_rehydrates_to_the_bundle_it_was() {
+        // SHA-256 of each rehydrated bundle's standalone bytes, pinned while
+        // the archive stored bundles in that form: the record form changes
+        // how the log holds a bundle, not the labels, order or evidence
+        // that come back.
+        const PINNED: [(&str, &str, usize); 4] = [
+            ("upload", "dafd3a4b9517a736b3c556dc98fbbc4d9d169b81785624fdd9fba74fea7f80db", 4),
+            ("download", "32fc4956b02c8a80dbb0a9215c644568a1d171005660e0681d048d6dda4b08f3", 4),
+            ("aborted", "020a7a559ad76bae235d7d647ab7addf8d195b34f81c5ed88e5997b285d8a7f6", 3),
+            ("resolved", "d2faa5a7a37b12be61a433b9bd25ac06176a80cc161c39f1e518151bb36c5766", 4),
+        ];
+        let labels = ["client-nro", "client-nrr", "provider-nro", "provider-nrr"];
+        let (w, kinds) = one_of_each_kind_evicted();
+        for ((kind, txn), (pinned_kind, digest, n)) in kinds.into_iter().zip(PINNED) {
+            assert_eq!(kind, pinned_kind);
+            let b = w.rehydrate_evidence(txn).unwrap();
+            let got: Vec<&str> = b.entries.iter().map(|e| e.label.as_str()).collect();
+            assert_eq!(got, labels[..n], "{kind}");
+            let hex = tpnr_crypto::encoding::hex_encode(&Sha256::digest(&b.save()));
+            assert_eq!(hex, digest, "{kind}");
+        }
+    }
+
+    #[test]
     fn an_evicted_aborted_upload_keeps_both_nros_inline() {
         // Bob ignores the transfer and accepts the abort: his NRO is
         // Alice's abort request, not her upload NRO, and he signed no NRR.
@@ -960,29 +1128,255 @@ mod tests {
         assert_eq!(client_nrr.plaintext.flag, Flag::AbortResponse);
         assert_eq!(provider_nro.plaintext.flag, Flag::AbortRequest);
         assert_ne!(client_nro, provider_nro);
-        let expected = raw_bundle(&[
+        let entries = [
             ("client-nro", Raw::Inline(client_nro)),
             ("client-nrr", reply(client_nrr)),
             ("provider-nro", Raw::Inline(provider_nro)),
-        ]);
-        assert_eq!(b.save(), expected);
-        assert_eq!(w.archive.get(aborted.txn_id).unwrap().len, expected.len());
+        ];
+        assert_eq!(b.save(), raw_bundle(&entries));
+        // In the log it is its shard's first record, so it defines the
+        // three parties, in the order the NRO names them.
+        let pt = &client_nro.plaintext;
+        let expected = raw_first_record(&[pt.sender, pt.recipient, pt.ttp], &entries);
+        let rec = w.archive.get(aborted.txn_id).unwrap();
+        assert_eq!((rec.offset, rec.table_len), (0, 0));
+        assert_eq!(&w.archive.shards[rec.shard].log[..rec.len], &expected[..]);
     }
 
     #[test]
-    fn an_evicted_upload_archives_under_600_bytes() {
+    fn an_evicted_upload_archives_under_470_bytes() {
         // The client's and the provider's copies of the NRO and the NRR
-        // are one item each, and the NRR keeps only the fields that differ
-        // from the NRO: an evicted 256 B upload's bundle took over 1.3 KB
-        // with every copy stored, and 728 B with the NRR in full.
+        // are one item each, the NRR keeps only the fields that differ
+        // from the NRO, and a record names each principal by a one-byte
+        // index into its shard's table: an evicted 256 B upload took over
+        // 1.3 KB with every copy stored, 728 B with the NRR in full, and
+        // 578 B with each principal's 32-byte id.
         let mut w = World::new(7, ProtocolConfig::full());
         w.set_archive_capacity(1);
-        for i in 0..48u8 {
-            assert!(w.upload(&[b'k', i], vec![i; 256], TimeoutStrategy::AbortFirst).completed());
+        for i in 0..400u16 {
+            let key = i.to_be_bytes();
+            assert!(w.upload(&key, vec![i as u8; 256], TimeoutStrategy::AbortFirst).completed());
         }
         let stats = w.archive_stats();
-        assert!(stats.evicted >= 16, "eviction engaged: {stats:?}");
+        assert!(stats.evicted >= 380, "eviction engaged: {stats:?}");
         let per_txn = stats.log_bytes / stats.evicted;
-        assert!(per_txn <= 600, "{per_txn} B archived per evicted upload");
+        assert!(per_txn <= 470, "{per_txn} B archived per evicted upload");
+    }
+
+    /// Replays a shard log from its first byte into an empty table: every
+    /// record's bundle, in log order, and the table the records rebuilt.
+    fn replay(log: &[u8]) -> Result<(Principals, Vec<EvidenceBundle>), BundleError> {
+        let (mut table, mut bundles, mut at) = (Principals::default(), Vec::new(), 0);
+        while at < log.len() {
+            // A record ends where its body does, plus its digest.
+            let rest = &log[at..];
+            let mut r = Reader::new(rest);
+            read_record_body(&mut r, rest, &table, table.len())?;
+            let len = rest.len() - r.remaining() + 32;
+            let record = rest.get(..len).ok_or(BundleError::Malformed)?;
+            let (bundle, defined) = read_record(record, &table, table.len())?;
+            for id in defined {
+                table.intern(id);
+            }
+            bundles.push(bundle);
+            at += len;
+        }
+        Ok((table, bundles))
+    }
+
+    #[test]
+    fn every_shard_log_of_a_fleet_lane_replays_from_its_first_byte() {
+        // Clients upload once each, so nearly every record defines its
+        // client: what the shard's table holds is only in its log.
+        let n = 48;
+        let mut w = crate::multi::MultiWorld::new(13, ProtocolConfig::full(), n);
+        w.set_archive_capacity(1);
+        for i in 0..n {
+            let key = format!("u{i}").into_bytes();
+            w.start_upload(i, &key, vec![i as u8; 64], TimeoutStrategy::AbortFirst);
+        }
+        assert!(w.settle().outcome.is_quiescent());
+        let stats = w.archive_stats();
+        assert!(stats.evicted >= 24, "{stats:?}");
+        let mut replayed = 0;
+        for shard in &w.archive.shards {
+            let (table, bundles) = replay(&shard.log).expect("the log replays");
+            assert_eq!(table, shard.principals, "the replay rebuilds the table");
+            for b in bundles {
+                let txn = b.get("client-nro").unwrap().plaintext.txn_id;
+                assert_eq!(w.rehydrate_evidence(txn), Some(b), "txn {txn}");
+                replayed += 1;
+            }
+        }
+        assert_eq!(replayed, stats.evicted);
+    }
+
+    #[test]
+    fn every_hostile_record_is_malformed() {
+        // A shard's first record: its table length (0), its three defined
+        // ids, then its entry count and entries, the first an upload NRO
+        // labelled "own-nro" whose sender, recipient and TTP are indices
+        // 0-2.
+        let (w, up, _) = settled_world();
+        let b = EvidenceBundle::from_client_txn(&w.client, up).unwrap();
+        let mut table = Principals::default();
+        let good = write_record(&b, &mut table);
+        assert_eq!(read_record(&good, &Principals::default(), 0), Ok((b, table.ids().to_vec())));
+        let body = &good[..good.len() - 32];
+        let ids = 2..2 + 96;
+        let sender = ids.end + 1 + 1 + b"own-nro".len() + 1;
+        assert_eq!(body[sender..sender + 3], [0, 1, 2]);
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut body = body.to_vec();
+            edit(&mut body);
+            sealed(body)
+        };
+        let hostile: [(&str, Vec<u8>); 8] = [
+            ("starting past its table", with(&|b| b[0] = 1)),
+            ("an overlong table length", with(&|b| b.splice(0..1, [0x80, 0]).for_each(drop))),
+            ("more ids than bytes", with(&|b| b[1] = 0x7F)),
+            ("an index past the table", with(&|b| b[sender] = 3)),
+            ("a defined id named out of order", with(&|b| b[sender..sender + 2].swap(0, 1))),
+            ("an id defined twice", with(&|b| b.copy_within(2..34, 34))),
+            ("an id defined and never named", {
+                with(&|b| {
+                    b[1] = 4;
+                    b.splice(ids.end..ids.end, [7; 32]).for_each(drop);
+                })
+            }),
+            ("a byte after the entries", with(&|b| b.push(0))),
+        ];
+        for (case, bytes) in &hostile {
+            let got = read_record(bytes, &Principals::default(), 0);
+            assert_eq!(got.map(drop), Err(BundleError::Malformed), "{case}");
+        }
+        // Read against the table it filled, the record starts elsewhere.
+        assert_eq!(read_record(&good, &table, table.len()).map(drop), Err(BundleError::Malformed));
+        let mut flipped = good.clone();
+        flipped[40] ^= 1;
+        assert_eq!(read_record(&flipped, &table, 0).map(drop), Err(BundleError::Corrupted));
+    }
+}
+
+/// Seeded fuzzing of the archive's record decoder, the one rehydration
+/// reads evidence back through. The records of an evicted upload, a
+/// download, an aborted upload and a TTP-resolved upload are mutated by
+/// flipping, truncating and inserting bytes, and each mutant's digest is
+/// sealed again so it reaches the decoder instead of stopping at the
+/// integrity check. Each is read through its shard's table as it stood
+/// before the record was written. Whatever the bytes:
+/// - a read never panics and fails only as `Malformed`;
+/// - a mutant that reads is canonical: written again through the same
+///   table, it is the same bytes;
+/// - its entries decode to at most four times its length.
+#[cfg(test)]
+mod record_fuzz {
+    use super::tests::one_of_each_kind_evicted;
+    use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+    use tpnr_net::codec::Wire;
+
+    /// A read's output may be this many times its input, counted as the
+    /// wire length of every entry's label and evidence, as for a
+    /// standalone bundle.
+    const EXPANSION: usize = 4;
+
+    /// Each source record, with its shard's table as it stood before it.
+    fn corpus() -> &'static [(Vec<u8>, Principals)] {
+        static CORPUS: OnceLock<Vec<(Vec<u8>, Principals)>> = OnceLock::new();
+        CORPUS.get_or_init(|| {
+            let (w, kinds) = one_of_each_kind_evicted();
+            let record = |txn| {
+                let rec = w.archive.get(txn).unwrap();
+                let shard = &w.archive.shards[rec.shard];
+                let mut before = Principals::default();
+                for &id in &shard.principals.ids()[..rec.table_len as usize] {
+                    before.intern(id);
+                }
+                (shard.log[rec.offset..rec.offset + rec.len].to_vec(), before)
+            };
+            kinds.iter().map(|&(_, txn)| record(txn)).collect()
+        })
+    }
+
+    /// `body` with a valid digest appended.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let digest = Sha256::digest(&body);
+        body.extend_from_slice(&digest);
+        body
+    }
+
+    /// Applies one mutation to `body`: flip bits of a byte, truncate, or
+    /// insert a byte, at `at` modulo the length.
+    fn mutate(body: &mut Vec<u8>, (op, at, byte): (u8, u32, u8)) {
+        let at = at as usize % (body.len() + 1);
+        match op {
+            0 if at < body.len() => body[at] ^= byte | 1,
+            1 => body.truncate(at),
+            _ => body.insert(at, byte),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn a_mutated_record_reads_canonically_or_is_malformed(
+            source in 0usize..4,
+            ops in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..4),
+        ) {
+            let (saved, before) = &corpus()[source];
+            let mut body = saved[..saved.len() - 32].to_vec();
+            for op in ops {
+                mutate(&mut body, op);
+            }
+            let mutant = sealed(body);
+            match read_record(&mutant, before, before.len()) {
+                Ok((bundle, _)) => {
+                    let again = write_record(&bundle, &mut before.clone());
+                    prop_assert_eq!(again, mutant.clone(), "a read mutant writes back");
+                    let decoded: usize = bundle
+                        .entries
+                        .iter()
+                        .map(|e| e.label.len() + e.evidence.encoded_len())
+                        .sum();
+                    prop_assert!(
+                        decoded <= EXPANSION * mutant.len(),
+                        "{decoded} B decoded from {} B",
+                        mutant.len()
+                    );
+                }
+                Err(e) => prop_assert_eq!(e, BundleError::Malformed),
+            }
+        }
+    }
+
+    #[test]
+    fn the_corpus_reads_and_mutations_reach_the_decoder() {
+        // Each source reads and writes back as saved, so a mutant's failure
+        // is the mutation's. A World has three parties, so each record
+        // defines them all, as its shard's first, or none.
+        for (saved, before) in corpus() {
+            let (bundle, defined) = read_record(saved, before, before.len()).unwrap();
+            assert_eq!(&write_record(&bundle, &mut before.clone()), saved);
+            assert_eq!(defined.len(), if before.len() == 0 { 3 } else { 0 });
+        }
+        // In a record, a flipped bit in the NRR's signature still reads,
+        // and every entry that holds the NRR carries it; the same flip in
+        // the last reference's index does not read.
+        let (upload, before) = &corpus()[0];
+        let mut body = upload[..upload.len() - 32].to_vec();
+        let (b, _) = read_record(upload, before, before.len()).unwrap();
+        let sig = b.entries[1].evidence.sig_plaintext.clone();
+        let at = body.windows(sig.len()).position(|w| w == &sig[..]).unwrap();
+        mutate(&mut body, (0, at as u32, 1));
+        let (flipped, _) = read_record(&sealed(body.clone()), before, before.len()).unwrap();
+        assert_ne!(flipped.entries[1].evidence.sig_plaintext, sig);
+        assert_eq!(flipped.entries[1].evidence, flipped.entries[3].evidence);
+        let last = body.len() - 1;
+        mutate(&mut body, (0, last as u32, 1));
+        let read = read_record(&sealed(body), before, before.len());
+        assert_eq!(read.map(drop), Err(BundleError::Malformed));
     }
 }

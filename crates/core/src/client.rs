@@ -376,7 +376,15 @@ impl Client {
         if p.cfg.ablation != Ablation::NoIdentityBinding && from != p.ttp {
             return Err(ValidationError::IdentityMismatch);
         }
-        p.validator.verdict(&p.cfg, pt, None, now)?;
+        // A Continue reply relays Bob's receipt, recovered by the agreed TTP
+        // while Alice's resolve is open: that resolve, not the receipt's own
+        // time limit, makes it fresh, however long the recovery took.
+        // Judged by its limit, a receipt recovered after it expired would
+        // be refused and resolved again forever.
+        let open = self.txns.get(&pt.txn_id).is_some_and(|t| t.state == TxnState::Resolving);
+        let relayed = action == ResolveAction::Continue && open && from == p.ttp;
+        let judged_at = if relayed { now.min(pt.time_limit) } else { now };
+        p.validator.verdict(&p.cfg, pt, None, judged_at)?;
         // A Restart or Failed reply carries no evidence to verify first.
         if action != ResolveAction::Continue {
             p.validator.accept(&p.cfg, pt);

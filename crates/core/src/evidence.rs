@@ -18,6 +18,7 @@
 
 use crate::config::{Ablation, ProtocolConfig};
 use crate::principal::{Principal, PrincipalId};
+use std::cell::Cell;
 use tpnr_crypto::hash::HashAlg;
 use tpnr_crypto::{envelope, ChaChaRng, CryptoError, RsaPublicKey};
 use tpnr_net::codec::{CodecError, Reader, Wire, Writer};
@@ -341,9 +342,11 @@ impl VerifiedEvidence {
     }
 }
 
-/// How an encoding writes evidence's principal ids and the lengths of its
-/// byte fields: the wire's way ([`WireForm`]: signatures, messages,
-/// bundles and the archive), or a party's records' ([`Principals`]).
+/// How an encoding writes evidence's principal ids and its lengths,
+/// counts and indices: the wire's way ([`WireForm`]: signatures, messages
+/// and standalone bundles), a party's records' ([`Principals`]), or an
+/// archive record's ([`RecordTable`]). The table forms write each number
+/// in LEB128, one byte under 128.
 pub(crate) trait Form {
     /// The bytes `id` takes.
     fn id_len(&self, id: &PrincipalId) -> usize;
@@ -351,16 +354,39 @@ pub(crate) trait Form {
     fn write_id(&self, w: &mut Writer, id: &PrincipalId);
     /// Reads an id.
     fn read_id(&self, r: &mut Reader<'_>) -> Result<PrincipalId, CodecError>;
+
+    /// The bytes a length, count or index `n` takes.
+    fn len_len(&self, n: usize) -> usize {
+        leb_len(n as u32)
+    }
+    /// Writes a length, count or index. None exceeds `u32::MAX`: the
+    /// codec caps a field at `MAX_FIELD_LEN` bytes.
+    fn write_len(&self, w: &mut Writer, n: usize) {
+        write_leb(w, n as u32);
+    }
+    /// Reads a length, count or index.
+    fn read_len(&self, r: &mut Reader<'_>) -> Result<usize, CodecError> {
+        Ok(read_leb(r)? as usize)
+    }
+
     /// The bytes a field of `n` bytes takes with its length.
-    fn field_len(&self, n: usize) -> usize;
+    fn field_len(&self, n: usize) -> usize {
+        self.len_len(n) + n
+    }
     /// Writes a byte field with its length.
-    fn write_field(&self, w: &mut Writer, field: &[u8]);
+    fn write_field(&self, w: &mut Writer, field: &[u8]) {
+        self.write_len(w, field.len());
+        w.fixed(field);
+    }
     /// Reads a byte field with its length.
-    fn read_field(&self, r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError>;
+    fn read_field(&self, r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
+        let n = self.read_len(r)?;
+        r.fixed(n)
+    }
 }
 
 /// The canonical wire form: ids in full, 32 bytes each, and `u32`
-/// lengths.
+/// lengths, counts and indices.
 pub(crate) struct WireForm;
 
 impl Form for WireForm {
@@ -373,8 +399,14 @@ impl Form for WireForm {
     fn read_id(&self, r: &mut Reader<'_>) -> Result<PrincipalId, CodecError> {
         Ok(PrincipalId(r.array::<32>()?))
     }
-    fn field_len(&self, n: usize) -> usize {
-        4 + n
+    fn len_len(&self, _: usize) -> usize {
+        4
+    }
+    fn write_len(&self, w: &mut Writer, n: usize) {
+        w.u32(n as u32);
+    }
+    fn read_len(&self, r: &mut Reader<'_>) -> Result<usize, CodecError> {
+        Ok(r.u32()? as usize)
     }
     fn write_field(&self, w: &mut Writer, field: &[u8]) {
         w.bytes(field);
@@ -429,7 +461,7 @@ fn read_hash_alg(r: &mut Reader<'_>) -> Result<HashAlg, CodecError> {
 }
 
 /// Writes `ev` in `form`: its plaintext, then both signatures.
-fn write_evidence(w: &mut Writer, form: &impl Form, ev: &VerifiedEvidence) {
+pub(crate) fn write_evidence(w: &mut Writer, form: &impl Form, ev: &VerifiedEvidence) {
     write_plaintext(w, form, &ev.plaintext);
     write_signatures(w, form, ev);
 }
@@ -440,7 +472,10 @@ fn evidence_len(form: &impl Form, ev: &VerifiedEvidence) -> usize {
 }
 
 /// Reads what [`write_evidence`] writes.
-fn read_evidence(r: &mut Reader<'_>, form: &impl Form) -> Result<VerifiedEvidence, CodecError> {
+pub(crate) fn read_evidence(
+    r: &mut Reader<'_>,
+    form: &impl Form,
+) -> Result<VerifiedEvidence, CodecError> {
     let plaintext = read_plaintext(r, form)?;
     read_signatures(r, form, plaintext)
 }
@@ -627,7 +662,7 @@ impl Principals {
     }
 
     /// `id`'s index, appending it first if the table lacks it.
-    fn intern(&mut self, id: PrincipalId) -> u32 {
+    pub(crate) fn intern(&mut self, id: PrincipalId) -> u32 {
         if let Some(i) = self.find(&id) {
             return i;
         }
@@ -644,9 +679,14 @@ impl Principals {
     }
 
     /// Entries in the table.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// The entries, by index.
+    #[cfg(test)]
+    pub(crate) fn ids(&self) -> &[PrincipalId] {
+        &self.ids
     }
 }
 
@@ -665,13 +705,17 @@ fn write_leb(w: &mut Writer, mut i: u32) {
     w.u8(i as u8);
 }
 
-/// Reads what [`write_leb`] writes: at most five bytes.
+/// Reads what [`write_leb`] writes: at most five bytes, and no more than
+/// the value needs, so every number has one encoding.
 fn read_leb(r: &mut Reader<'_>) -> Result<u32, CodecError> {
     let mut index = 0u64;
     for shift in [0, 7, 14, 21, 28] {
         let byte = r.u8()?;
         index |= u64::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(CodecError::BadDiscriminant("overlong LEB128", index));
+            }
             return u32::try_from(index).map_err(|_| CodecError::LengthOverflow);
         }
     }
@@ -679,7 +723,7 @@ fn read_leb(r: &mut Reader<'_>) -> Result<u32, CodecError> {
 }
 
 /// A record's form: each principal as its index in the table, and each
-/// field's length in LEB128 too, one byte under 128.
+/// length LEB128 too.
 impl Form for Principals {
     fn id_len(&self, id: &PrincipalId) -> usize {
         leb_len(self.find(id).unwrap_or(u32::MAX))
@@ -695,21 +739,113 @@ impl Form for Principals {
         let i = read_leb(r)?;
         self.ids.get(i as usize).copied().ok_or(CodecError::BadDiscriminant("principal", i.into()))
     }
+}
 
-    fn field_len(&self, n: usize) -> usize {
-        leb_len(n as u32) + n
+/// The table one archive record is written and read through: its shard's
+/// [`Principals`] as they stood before the record, then the ids the record
+/// defines, which its shard had not named before, in the order the
+/// record first names them. A reader holds a record to that order: the
+/// first mention of a defined id must be of the next one, and every
+/// defined id must be named. So each record has one encoding, and a
+/// shard's log, read from its first byte, rebuilds its table.
+pub(crate) struct RecordTable<'a> {
+    shard: &'a Principals,
+    /// The shard table's length when the record was written.
+    start: usize,
+    defined: Vec<PrincipalId>,
+    /// Defined ids read so far.
+    named: Cell<usize>,
+}
+
+impl<'a> RecordTable<'a> {
+    /// The table of a record written next into `shard`'s log, naming
+    /// `ids`: it defines each one `shard` lacks, in the order given.
+    pub(crate) fn writing(shard: &'a Principals, ids: impl Iterator<Item = PrincipalId>) -> Self {
+        let mut defined = Vec::new();
+        for id in ids {
+            if shard.find(&id).is_none() && !defined.contains(&id) {
+                defined.push(id);
+            }
+        }
+        RecordTable { shard, start: shard.len(), defined, named: Cell::new(0) }
     }
 
-    /// No field is longer than `u32::MAX` bytes: the codec caps one at
-    /// `MAX_FIELD_LEN`.
-    fn write_field(&self, w: &mut Writer, field: &[u8]) {
-        write_leb(w, field.len() as u32);
-        w.fixed(field);
+    /// The table of a record that `shard`'s first `start` entries stood
+    /// before and that defines `defined`. An error unless `shard` holds
+    /// `start` entries and each defined id is new to them and to the ids
+    /// defined before it.
+    pub(crate) fn reading(
+        shard: &'a Principals,
+        start: usize,
+        defined: Vec<PrincipalId>,
+    ) -> Result<Self, CodecError> {
+        let known = |j: usize, id: &PrincipalId| {
+            shard.find(id).is_some_and(|i| (i as usize) < start) || defined[..j].contains(id)
+        };
+        if start > shard.len() || defined.iter().enumerate().any(|(j, id)| known(j, id)) {
+            return Err(CodecError::BadDiscriminant("principal table", start as u64));
+        }
+        Ok(RecordTable { shard, start, defined, named: Cell::new(0) })
     }
 
-    fn read_field(&self, r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
-        let n = read_leb(r)?;
-        r.fixed(n as usize)
+    /// The shard table's length when the record was written.
+    pub(crate) fn start(&self) -> usize {
+        self.start
+    }
+
+    /// The ids the record defines, in order.
+    pub(crate) fn defined(&self) -> &[PrincipalId] {
+        &self.defined
+    }
+
+    /// An error unless a read named every defined id.
+    pub(crate) fn all_named(&self) -> Result<(), CodecError> {
+        let named = self.named.get();
+        if named == self.defined.len() {
+            Ok(())
+        } else {
+            Err(CodecError::BadDiscriminant("unnamed principal", named as u64))
+        }
+    }
+
+    /// The record's ids.
+    pub(crate) fn into_defined(self) -> Vec<PrincipalId> {
+        self.defined
+    }
+
+    /// `id`'s index: in the shard's table as it stood, or past it among
+    /// the defined ids.
+    fn index(&self, id: &PrincipalId) -> u32 {
+        let stood = self.shard.find(id).filter(|&i| (i as usize) < self.start);
+        let defined = || self.defined.iter().position(|d| d == id).map(|j| self.start + j);
+        // An id the table lacks is written as an index no table reaches.
+        stood.or_else(|| u32::try_from(defined()?).ok()).unwrap_or(u32::MAX)
+    }
+}
+
+impl Form for RecordTable<'_> {
+    fn id_len(&self, id: &PrincipalId) -> usize {
+        leb_len(self.index(id))
+    }
+
+    fn write_id(&self, w: &mut Writer, id: &PrincipalId) {
+        write_leb(w, self.index(id));
+    }
+
+    fn read_id(&self, r: &mut Reader<'_>) -> Result<PrincipalId, CodecError> {
+        let i = read_leb(r)? as usize;
+        let id = if i < self.start {
+            self.shard.ids.get(i)
+        } else {
+            // Defined ids are first named in the order they are defined.
+            let (j, named) = (i - self.start, self.named.get());
+            let id = self.defined.get(j).filter(|_| j <= named);
+            if id.is_some() {
+                self.named.set(named.max(j + 1));
+            }
+            id
+        };
+        id.copied().ok_or(CodecError::BadDiscriminant("principal", i as u64))
     }
 }
 

@@ -421,7 +421,7 @@ mod tests {
             // The buffer is sized once, exactly: no growth, no slack.
             assert_eq!(m.encoded_len(), enc.len(), "encoded_len: {}", m.kind());
             let frame = m.to_wire_bytes();
-            assert_eq!(frame.backing().capacity(), frame.len(), "spare capacity: {}", m.kind());
+            assert_eq!(frame.pinned_len(), frame.len(), "spare capacity: {}", m.kind());
         }
     }
 

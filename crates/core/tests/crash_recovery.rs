@@ -72,10 +72,10 @@ fn ttp_crash_mid_resolve_is_retried_with_backoff_until_converged() {
 
 #[test]
 fn ttp_outage_window_delays_but_does_not_break_resolve() {
-    // The outage must fit inside `message_time_limit` (120 s): replies
-    // arriving after the limit are — correctly — rejected as expired by
-    // the timeliness defense, and the session fails terminal-but-arbitrable
-    // instead. This window exercises the recovery path, not that rule.
+    // The outage fits inside `message_time_limit` (120 s), so every
+    // message of the recovery is fresh by its own limit. This window
+    // exercises the recovery path; the next two tests outlast the limit
+    // and Alice's retry budget.
     let outage_start = tpnr_net::time::SimTime::ZERO.after(SimDuration::from_secs(20));
     let outage_end = tpnr_net::time::SimTime::ZERO.after(SimDuration::from_secs(60));
     let cfg = ProtocolConfig::builder()
@@ -90,13 +90,12 @@ fn ttp_outage_window_delays_but_does_not_break_resolve() {
     assert!(r.report.latency >= SimDuration::from_secs(60), "resolve had to outlast the outage");
 }
 
-#[test]
-fn outage_longer_than_time_limit_fails_terminal_and_arbitrable() {
-    // An outage that outlives `message_time_limit` cannot complete — the
-    // timeliness defense rejects post-limit replies — but the session must
-    // still end terminal with Alice's evidence intact, never in limbo.
+/// An upload whose receipts never reach Alice directly, resolved through
+/// a TTP that is down from 20 s to `outage_end_s`, under a retry policy of
+/// six attempts with doubling waits (30, 60, 120, 240, 240 and 240 s).
+fn resolve_through_an_outage(outage_end_s: u64) -> (World, TxnResult) {
     let outage_start = tpnr_net::time::SimTime::ZERO.after(SimDuration::from_secs(20));
-    let outage_end = tpnr_net::time::SimTime::ZERO.after(SimDuration::from_secs(300));
+    let outage_end = tpnr_net::time::SimTime::ZERO.after(SimDuration::from_secs(outage_end_s));
     let cfg = ProtocolConfig::builder()
         .retry_policy(RetryPolicy::exponential(6))
         .fault_plan(FaultPlan::none().with_ttp_outage(outage_start, outage_end))
@@ -105,6 +104,29 @@ fn outage_longer_than_time_limit_fails_terminal_and_arbitrable() {
     let (a, b) = (w.alice_node, w.bob_node);
     w.net_mut().set_link(b, a, tpnr_net::sim::LinkConfig { drop_prob: 1.0, ..Default::default() });
     let r = w.upload(b"obj", b"data".to_vec(), TimeoutStrategy::ResolveImmediately);
+    (w, r)
+}
+
+#[test]
+fn outage_longer_than_time_limit_completes_through_the_ttp() {
+    // The TTP recovers Bob's receipt only after its 120 s limit passed.
+    // Relayed while Alice's resolve is open, it is fresh all the same:
+    // judged by its own limit, it was refused and resolved again until
+    // the retry budget ran out (forever under the default policy).
+    let (w, r) = resolve_through_an_outage(300);
+    assert_eq!(r.outcome, TxnState::Completed);
+    assert!(r.report.ttp_used);
+    let nrr = r.nrr.as_ref().expect("the relayed receipt is Alice's NRR");
+    assert!(nrr.plaintext.time_limit < w.net().now(), "the receipt was past its limit");
+    assert_eq!(w.fault_counters().gave_up, 0);
+}
+
+#[test]
+fn outage_longer_than_the_retry_budget_fails_terminal_and_arbitrable() {
+    // An outage that outlives every attempt Alice may make cannot
+    // complete, but the session must still end terminal with her evidence
+    // intact, never in limbo.
+    let (w, r) = resolve_through_an_outage(3_000);
     assert_eq!(r.outcome, TxnState::Failed);
     assert!(r.arbitrable(), "even a failed session keeps its evidence");
     assert!(w.fault_counters().gave_up >= 1);

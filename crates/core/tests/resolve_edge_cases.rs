@@ -378,3 +378,34 @@ fn ttp_ignores_unsolicited_resolve_replies() {
     assert!(w.ttp.handle(bob_id, &msg, now).is_err());
     assert_eq!(w.ttp.stats.replies_relayed, 0);
 }
+
+#[test]
+fn a_late_receipt_is_expired_but_its_relayed_copy_completes_the_upload() {
+    // Every bob→alice message takes 300 ms, twice the 150 ms time limit:
+    // Bob's receipt and his abort answer each arrive after their limits and
+    // are refused as expired. The TTP's relay of the same receipt is judged
+    // fresh, since Alice's resolve is open, and completes the upload.
+    let cfg = ProtocolConfig::builder()
+        .message_time_limit(SimDuration::from_millis(150))
+        .response_timeout(SimDuration::from_millis(500))
+        .build();
+    let mut w = World::new(17, cfg);
+    let (a, b) = (w.alice_node, w.bob_node);
+    w.net_mut().set_link(b, a, LinkConfig::ideal(SimDuration::from_millis(300)));
+    let r = w.upload(b"obj", b"data".to_vec(), TimeoutStrategy::AbortFirst);
+    assert_eq!(r.outcome, TxnState::Completed);
+    assert!(r.report.ttp_used, "only the TTP's relay completes it");
+    let expired: Vec<MsgKind> = w
+        .obs
+        .events()
+        .iter()
+        .filter(|e| e.actor == a)
+        .filter_map(|e| match &e.kind {
+            tpnr_core::obs::EventKind::Rejected { msg, error, .. } => {
+                matches!(**error, ValidationError::Expired { .. }).then_some(*msg)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(expired, [MsgKind::Receipt, MsgKind::AbortReply]);
+}

@@ -71,13 +71,15 @@ impl Bytes {
         }
     }
 
-    /// The backing allocation (its capacity shows how a frame was sized).
-    pub fn backing(&self) -> &Arc<Vec<u8>> {
-        &self.buf
+    /// The bytes this view keeps allocated: the capacity of its backing
+    /// allocation, however little of it the view covers.
+    pub fn pinned_len(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Number of `Bytes` handles sharing the backing allocation.
-    pub fn strong_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn strong_count(&self) -> usize {
         Arc::strong_count(&self.buf)
     }
 
