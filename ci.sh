@@ -57,12 +57,15 @@ cargo test --workspace -q
 # the debug run only exercises with overflow checks and debug assertions
 # on. So do tpnr-par's: the CRT helper's job slot (crypto) and the
 # fan-out count it reads (par) are atomics whose interleavings an
-# optimized build reorders differently.
+# optimized build reorders differently. And so do tpnr-net's: `TcpNet`'s
+# reader threads, its arrival queue's `Condvar` and the `Bytes` copy
+# counters are the other code whose interleavings an optimized build
+# changes.
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo test --release -p tpnr-core --test alloc_budget"
     cargo test --release -q -p tpnr-core --test alloc_budget
-    echo "==> cargo test --release -p tpnr-crypto -p tpnr-par"
-    cargo test --release -q -p tpnr-crypto -p tpnr-par
+    echo "==> cargo test --release -p tpnr-crypto -p tpnr-par -p tpnr-net"
+    cargo test --release -q -p tpnr-crypto -p tpnr-par -p tpnr-net
 fi
 
 # perfbench/ is a workspace of its own (own lockfile, profile and target

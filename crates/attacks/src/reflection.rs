@@ -13,6 +13,7 @@
 
 use crate::harness::{AttackKind, AttackOutcome, Stage};
 use tpnr_core::config::Ablation;
+use tpnr_core::obs::EventKind;
 use tpnr_net::transport::Transport;
 
 /// Runs the reflection attack against the given protocol variant on `net`.
@@ -22,9 +23,14 @@ pub fn run<T: Transport>(net: T, ablation: Ablation) -> AttackOutcome {
     s.alice_uploads(b"k", b"data");
     s.alice_uploads(b"k", b"more data");
 
-    // Messages the honest parties have accepted so far: any reflected
-    // frame either of them accepts on top of these is a success.
-    let accepted = |s: &Stage<T>| s.client.actor_stats.accepted + s.provider.actor_stats.accepted;
+    // Messages the honest parties have accepted so far, as the obs sink
+    // recorded them at their nodes: any reflected frame either of them
+    // accepts on top of these is a success.
+    let (alice, bob) = (s.alice_node, s.bob_node);
+    let accepted = |s: &Stage<T>| {
+        let honest = s.obs.events().iter().filter(|e| e.actor == alice || e.actor == bob);
+        honest.filter(|e| matches!(e.kind, EventKind::Delivered { .. })).count()
+    };
     let before = accepted(&s);
     for (src, dst, frame) in tape.take() {
         s.spoof(dst, src, frame);

@@ -39,10 +39,13 @@ fn injected_replays_show_up_in_rejected_counters() {
     assert_eq!(m.rejected_by.values().sum::<u64>(), 2);
     assert_eq!(m.garbled, 0, "replays decode fine; they are rejected, not garbled");
 
-    // The provider's own ledger agrees: one genuine Transfer accepted and
-    // one replay refused per upload.
-    assert_eq!(w.provider.actor_stats.accepted, 2);
-    assert_eq!(w.provider.actor_stats.rejected, 2);
+    // The provider's share of the sink agrees: one genuine Transfer
+    // accepted and one replay refused per upload, at Bob's node.
+    let at_bob = |kind: fn(&EventKind) -> bool| {
+        w.obs.events().iter().filter(|e| e.actor == w.bob_node && kind(&e.kind)).count()
+    };
+    assert_eq!(at_bob(|k| matches!(k, EventKind::Delivered { .. })), 2);
+    assert_eq!(at_bob(|k| matches!(k, EventKind::Rejected { .. })), 2);
 
     // Each Rejected event is attributed to the session it replays into,
     // via the decoded header (the wire tag is absent on injections).

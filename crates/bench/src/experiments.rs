@@ -457,7 +457,6 @@ pub fn e6_ttp_load(fault_rates: &[f64], trials: usize) -> Vec<E6Row> {
                 let mut w = World::new((i * 1000 + t) as u64 + 9000, ProtocolConfig::full());
                 // Receipts (bob→alice) are lost with probability p.
                 let (a, b) = (w.alice_node, w.bob_node);
-                let _ = a;
                 w.net_mut().set_link(b, a, LinkConfig::lossy(SimDuration::from_millis(25), p));
                 let r = w.upload(b"obj", vec![1u8; 256], TimeoutStrategy::ResolveImmediately);
                 (u64::from(r.report.ttp_used), u64::from(r.outcome == TxnState::Completed))

@@ -26,12 +26,11 @@ use crate::evidence::{
     RecordTable, VerifiedEvidence, WireForm, NOTHING_SHARED,
 };
 use crate::principal::PrincipalId;
-use crate::session::TxnState;
+use crate::runner::TxnReport;
 use std::collections::{BTreeMap, VecDeque};
 use tpnr_crypto::hash::Digest as _;
 use tpnr_crypto::sha2::Sha256;
 use tpnr_net::codec::{CodecError, Reader, Writer};
-use tpnr_net::time::{SimDuration, SimTime};
 
 /// Bundle format version. Version 2 added reference entries and version 3
 /// derived entries; nothing persists a bundle across builds, so no older
@@ -384,29 +383,27 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Compact accounting record kept per archived transaction — everything the
-/// world still needs to answer `report()`/`state_of()` questions after the
-/// live per-txn state has been dropped. The evidence itself lives in the
-/// shard's sealed log; `offset`/`len` locate its record for re-hydration,
-/// and `table_len` is where the record starts in the shard's table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Index record kept per archived transaction: its owner and the
+/// [`TxnReport`] it reported while live, everything the world still needs
+/// to answer `report()`/`state_of()` questions after the live per-txn
+/// state has been dropped. The evidence itself lives in the sealed log of
+/// the transaction's shard ([`TxnArchive::shard_of`]), where `location`
+/// finds its record.
+#[derive(Debug, Clone)]
 pub struct ArchivedTxn {
     /// Index of the owning client in its world.
     pub client: usize,
-    /// When the transaction was started.
-    pub started: SimTime,
-    /// Terminal state at eviction time.
-    pub state: TxnState,
-    /// Messages sent on the wire for this txn (from net accounting).
-    pub messages: u64,
-    /// Payload bytes sent for this txn.
-    pub bytes: u64,
-    /// Start → last delivery latency.
-    pub latency: SimDuration,
-    /// Whether the TTP was involved (Resolve path).
-    pub ttp_used: bool,
+    /// The transaction's report as it stood at eviction.
+    pub report: TxnReport,
+    location: Location,
+}
+
+/// Where an archived transaction's record sits in its shard: `offset` and
+/// `len` in the log, and `table_len`, the length of the shard's table of
+/// principals when the record was written (where its definitions start).
+#[derive(Debug, Clone, Copy)]
+struct Location {
     table_len: u32,
-    shard: usize,
     offset: usize,
     len: usize,
 }
@@ -502,18 +499,21 @@ impl TxnArchive {
     }
 
     /// Seals a transaction's evidence into its shard log and records the
-    /// index entry. `record`'s location fields are filled in here.
-    pub fn archive(&mut self, txn_id: u64, bundle: &EvidenceBundle, mut record: ArchivedTxn) {
-        let shard_ix = Self::shard_of(txn_id);
-        let shard = &mut self.shards[shard_ix];
+    /// index entry: client `client`'s transaction, with its final `report`.
+    pub fn archive(
+        &mut self,
+        txn_id: u64,
+        bundle: &EvidenceBundle,
+        client: usize,
+        report: TxnReport,
+    ) {
+        let shard = &mut self.shards[Self::shard_of(txn_id)];
         // Four billion principals would not fit in memory first.
-        record.table_len = u32::try_from(shard.principals.len()).unwrap_or(u32::MAX);
+        let table_len = u32::try_from(shard.principals.len()).unwrap_or(u32::MAX);
         let bytes = write_record(bundle, &mut shard.principals);
-        record.shard = shard_ix;
-        record.offset = shard.log.len();
-        record.len = bytes.len();
+        let location = Location { table_len, offset: shard.log.len(), len: bytes.len() };
         shard.log.extend_from_slice(&bytes);
-        self.index.insert(txn_id, record);
+        self.index.insert(txn_id, ArchivedTxn { client, report, location });
         self.evicted += 1;
     }
 
@@ -527,10 +527,10 @@ impl TxnArchive {
     /// txn was never archived *or* the record fails its integrity check
     /// (corruption ⇒ evidence loss, surfaced, never silently tolerated).
     pub fn load_bundle(&self, txn_id: u64) -> Option<EvidenceBundle> {
-        let rec = self.index.get(&txn_id)?;
-        let shard = &self.shards[rec.shard];
-        let bytes = shard.log.get(rec.offset..rec.offset + rec.len)?;
-        let (bundle, _) = read_record(bytes, &shard.principals, rec.table_len as usize).ok()?;
+        let at = self.index.get(&txn_id)?.location;
+        let shard = &self.shards[Self::shard_of(txn_id)];
+        let bytes = shard.log.get(at.offset..at.offset + at.len)?;
+        let (bundle, _) = read_record(bytes, &shard.principals, at.table_len as usize).ok()?;
         self.rehydrated.set(self.rehydrated.get() + 1);
         Some(bundle)
     }
@@ -546,35 +546,6 @@ impl TxnArchive {
     }
 }
 
-/// Blank index record for [`TxnArchive::archive`]; location fields are
-/// filled by the archive itself.
-impl ArchivedTxn {
-    /// Builds an index record from final accounting values.
-    pub fn record(
-        client: usize,
-        started: SimTime,
-        state: TxnState,
-        messages: u64,
-        bytes: u64,
-        latency: SimDuration,
-        ttp_used: bool,
-    ) -> Self {
-        ArchivedTxn {
-            client,
-            started,
-            state,
-            messages,
-            bytes,
-            latency,
-            ttp_used,
-            table_len: 0,
-            shard: 0,
-            offset: 0,
-            len: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,9 +554,11 @@ mod tests {
     use crate::evidence::{EvidencePlaintext, Flag, HASH_ALG, RECIPIENT, SENDER, SWAPPED, TTP};
     use crate::principal::PrincipalId;
     use crate::runner::World;
+    use crate::session::TxnState;
     use tpnr_crypto::hash::HashAlg;
     use tpnr_net::codec::Wire;
     use tpnr_net::sim::LinkConfig;
+    use tpnr_net::time::{SimDuration, SimTime};
 
     fn settled_world() -> (World, u64, u64) {
         let mut w = World::new(30, ProtocolConfig::full());
@@ -686,16 +659,15 @@ mod tests {
         }
         for &t in &in_shard {
             if let Some(victim) = arch.note_settled(t) {
-                let rec = ArchivedTxn::record(
-                    0,
-                    SimTime::ZERO,
-                    TxnState::Completed,
-                    7,
-                    128,
-                    SimDuration::from_micros(42),
-                    false,
-                );
-                arch.archive(victim, &bundle, rec);
+                let report = TxnReport {
+                    txn_id: victim,
+                    state: TxnState::Completed,
+                    messages: 7,
+                    bytes: 128,
+                    latency: SimDuration::from_micros(42),
+                    ttp_used: false,
+                };
+                arch.archive(victim, &bundle, 0, report);
                 evicted.push(victim);
             }
         }
@@ -710,8 +682,8 @@ mod tests {
         assert_eq!(loaded, bundle);
         assert_eq!(arch.stats().rehydrated, 1);
         let rec = arch.get(evicted[0]).unwrap();
-        assert_eq!(rec.state, TxnState::Completed);
-        assert_eq!(rec.messages, 7);
+        assert_eq!(rec.report.state, TxnState::Completed);
+        assert_eq!(rec.report.messages, 7);
         // Never-archived txns stay invisible.
         assert!(arch.get(999_999).is_none());
         assert!(arch.load_bundle(999_999).is_none());
@@ -1138,9 +1110,10 @@ mod tests {
         // three parties, in the order the NRO names them.
         let pt = &client_nro.plaintext;
         let expected = raw_first_record(&[pt.sender, pt.recipient, pt.ttp], &entries);
-        let rec = w.archive.get(aborted.txn_id).unwrap();
-        assert_eq!((rec.offset, rec.table_len), (0, 0));
-        assert_eq!(&w.archive.shards[rec.shard].log[..rec.len], &expected[..]);
+        let at = w.archive.get(aborted.txn_id).unwrap().location;
+        assert_eq!((at.offset, at.table_len), (0, 0));
+        let shard = &w.archive.shards[TxnArchive::shard_of(aborted.txn_id)];
+        assert_eq!(&shard.log[..at.len], &expected[..]);
     }
 
     #[test]
@@ -1288,13 +1261,13 @@ mod record_fuzz {
         CORPUS.get_or_init(|| {
             let (w, kinds) = one_of_each_kind_evicted();
             let record = |txn| {
-                let rec = w.archive.get(txn).unwrap();
-                let shard = &w.archive.shards[rec.shard];
+                let at = w.archive.get(txn).unwrap().location;
+                let shard = &w.archive.shards[TxnArchive::shard_of(txn)];
                 let mut before = Principals::default();
-                for &id in &shard.principals.ids()[..rec.table_len as usize] {
+                for &id in &shard.principals.ids()[..at.table_len as usize] {
                     before.intern(id);
                 }
-                (shard.log[rec.offset..rec.offset + rec.len].to_vec(), before)
+                (shard.log[at.offset..at.offset + at.len].to_vec(), before)
             };
             kinds.iter().map(|&(_, txn)| record(txn)).collect()
         })

@@ -68,9 +68,6 @@ pub struct Client {
     /// of every transaction the client ever ran.
     open: BTreeSet<u64>,
     next_txn: u64,
-    /// Message/tick counters, maintained by the scheduler-facing
-    /// [`Actor`](crate::sched::Actor) impl.
-    pub actor_stats: crate::obs::ActorStats,
     /// Retry-policy counters (resends, give-ups). Monotone: excluded from
     /// durable snapshots so restarts never undercount.
     pub retry_stats: crate::fault::RetryStats,
@@ -86,7 +83,6 @@ impl Client {
             txns: BTreeMap::new(),
             open: BTreeSet::new(),
             next_txn,
-            actor_stats: crate::obs::ActorStats::default(),
             retry_stats: crate::fault::RetryStats::default(),
         }
     }
@@ -570,10 +566,10 @@ impl ClientSnapshot {
     }
 }
 
-impl crate::fault::Durable for Client {
-    type Snapshot = ClientSnapshot;
-
-    fn snapshot(&self) -> ClientSnapshot {
+impl Client {
+    /// Captures the durable protocol state (the contract is in
+    /// [`crate::fault`]).
+    pub(crate) fn snapshot(&self) -> ClientSnapshot {
         let mut bytes = self.party.validator.state_bytes() + 16;
         for t in self.txns.values() {
             // Weighed by field lengths: a sync decodes no record.
@@ -596,7 +592,9 @@ impl crate::fault::Durable for Client {
         }
     }
 
-    fn restore(&mut self, snap: &ClientSnapshot) {
+    /// Replaces the protocol state with `snap`'s, advancing sequence
+    /// counters past the crash epoch.
+    pub(crate) fn restore(&mut self, snap: &ClientSnapshot) {
         let skip = self.party.restore(&snap.validator);
         self.txns = snap.txns.clone();
         // Every restored record indexes the snapshot's table.
@@ -616,9 +614,7 @@ impl crate::sched::Actor for Client {
         msg: &Message,
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
-        let result = self.handle(from, msg, now);
-        self.actor_stats.note_message(&result);
-        result
+        self.handle(from, msg, now)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -626,9 +622,7 @@ impl crate::sched::Actor for Client {
     }
 
     fn on_tick(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let out = self.poll_timeouts(now);
-        self.actor_stats.note_tick(&out);
-        out
+        self.poll_timeouts(now)
     }
 }
 
@@ -638,7 +632,6 @@ mod tests {
     use crate::archive::EvidenceBundle;
     use crate::config::ProtocolConfig;
     use crate::evidence::EvidenceError;
-    use crate::fault::Durable as _;
     use crate::runner::World;
     use tpnr_net::transport::Transport as _;
 

@@ -10,12 +10,13 @@
 //!   (per-delivery probability, crash-at-Nth-delivery, crash-on-message-kind
 //!   before/after processing) and TTP outage windows. Probabilities are
 //!   integer permille so plans are `Eq` and runs are replayable bit-for-bit.
-//! - [`Durable`] — the snapshot/restore contract implemented by `Client`,
-//!   `Provider` and `Ttp`. An actor restarts from its last *synced*
-//!   snapshot; anything newer is the "lost dirty state" window, configurable
-//!   via [`FaultPlan::sync_interval`]. Evidence-producing steps are
-//!   write-ahead: a reply is only emitted after the state it acknowledges
-//!   has been persisted, so sealed evidence is never lost by a crash.
+//! - Snapshots — `Client`, `Provider` and `Ttp` each have a `snapshot` and
+//!   a `restore` (the contract is below). An actor restarts from its last
+//!   *synced* snapshot; anything newer is the "lost dirty state" window,
+//!   configurable via [`FaultPlan::sync_interval`]. Evidence-producing
+//!   steps are write-ahead: a reply is only emitted after the state it
+//!   acknowledges has been persisted, so sealed evidence is never lost by
+//!   a crash.
 //! - [`RetryPolicy`] — exponential backoff with deterministic jitter, a cap
 //!   and an optional give-up bound, generalising the single fixed
 //!   `response_timeout` the client used before. The default reproduces the
@@ -25,6 +26,19 @@
 //!   timer surface: restart deadlines and outage boundaries show up as
 //!   ordinary scheduler timers, so fault handling obeys the same deadline
 //!   ordering as protocol timers.
+//!
+//! The snapshot contract. `Client` and `Provider` keep their transaction
+//! records behind `Arc`s and their stored objects as `Bytes` handles, so a
+//! snapshot shares them with the live actor by pointer; `Arc::make_mut`
+//! copies a record only on its first change after the snapshot that
+//! shares it. `restore` replaces the actor's *protocol* state (session
+//! table, archived evidence, validator sequence state) with the
+//! snapshot's, then applies a per-epoch sequence skip
+//! ([`SEQ_RECOVERY_SKIP`]) so counters allocated in the lost dirty window
+//! are never reused. Monotone telemetry (the clients' retry counters) and
+//! the RNG are deliberately *not* restored: rolling an RNG back would
+//! replay nonces, which is exactly the freshness violation the protocol
+//! defends against.
 //!
 //! Determinism guarantee: a fault decision is a pure function of the plan,
 //! the plan seed, and the (deterministic) sequence of deliveries and timer
@@ -275,25 +289,26 @@ pub struct RetryStats {
     pub gave_up: u64,
 }
 
-/// Aggregate fault-injection counters, surfaced in `SettleReport::faults`.
+/// Aggregate fault-injection counters, surfaced in `SettleReport::faults`
+/// and assembled by `Runner::fault_counters` from their one owner each.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Actor crashes injected (chaos + scheduled + outage starts).
+    /// Actor crashes injected (chaos + scheduled + outage starts): the
+    /// obs sink's count of `Crashed` events.
     pub crashes: u64,
-    /// Restarts completed (restore from snapshot).
+    /// Restarts completed (restore from snapshot): the obs sink's count of
+    /// `Restarted` events.
     pub restarts: u64,
-    /// Client resends driven by the retry policy.
+    /// Client resends driven by the retry policy, summed over the clients'
+    /// retry counters.
     pub retries: u64,
-    /// Transactions the retry policy abandoned (still arbitrable).
+    /// Transactions the retry policy abandoned (still arbitrable), summed
+    /// the same way.
     pub gave_up: u64,
-    /// Messages that arrived while their recipient was down.
-    pub deliveries_lost: u64,
-    /// Durable syncs persisted.
-    pub snapshots: u64,
     /// The persisted snapshot's size (each actor's `bytes()`), summed over
-    /// syncs: how much durable state the syncs covered. It is not bytes
-    /// copied, since a snapshot shares records and stored objects with the
-    /// actor by pointer.
+    /// syncs by the fault injector: how much durable state the syncs
+    /// covered. It is not bytes copied, since a snapshot shares records and
+    /// stored objects with the actor by pointer.
     pub snapshot_bytes: u64,
 }
 
@@ -338,9 +353,9 @@ pub struct FaultCtl {
     /// Next unentered outage window index.
     outage_idx: usize,
     chaos_injected: u32,
-    /// Aggregate counters (see also the retry counters the runner merges in
-    /// from its clients).
-    pub stats: FaultStats,
+    /// Snapshot sizes summed over the syncs persisted so far; see
+    /// [`FaultStats::snapshot_bytes`].
+    pub(crate) snapshot_bytes: u64,
 }
 
 impl FaultCtl {
@@ -367,7 +382,7 @@ impl FaultCtl {
             on_msg: plan.crash_on_msg.iter().map(|(a, _, _)| slot(a)).collect(),
             outage_idx: 0,
             chaos_injected: 0,
-            stats: FaultStats::default(),
+            snapshot_bytes: 0,
             plan: plan.clone(),
         }
     }
@@ -389,11 +404,6 @@ impl FaultCtl {
     /// observes it.
     pub fn is_down(&self, slot: usize) -> bool {
         self.down_until[slot].is_some()
-    }
-
-    /// Record a message that arrived while its recipient was down.
-    pub fn note_delivery_lost(&mut self) {
-        self.stats.deliveries_lost += 1;
     }
 
     /// Decide the fate of a delivery of a `kind` message to the (live)
@@ -449,7 +459,6 @@ impl FaultCtl {
         // A zero delay still needs one timer round to restart, so keep the
         // restart strictly after `now`.
         let delay_us = self.plan.restart_delay.micros().max(1);
-        self.stats.crashes += 1;
         self.down_until_at_least(slot, now.after(SimDuration::from_micros(delay_us)))
     }
 
@@ -463,7 +472,6 @@ impl FaultCtl {
             }
             self.outage_idx += 1;
             if now < end {
-                self.stats.crashes += 1;
                 self.down_until_at_least(self.ttp, end);
                 ev.crashed.push(self.ttp);
             }
@@ -472,7 +480,6 @@ impl FaultCtl {
             for (slot, until) in self.down_until.iter_mut().enumerate() {
                 if until.is_some_and(|t| now >= t) {
                     *until = None;
-                    self.stats.restarts += 1;
                     ev.restarted.push(slot);
                 }
             }
@@ -507,33 +514,8 @@ impl FaultCtl {
 
     /// Account a persisted snapshot of `bytes` bytes.
     pub fn note_snapshot(&mut self, bytes: u64) {
-        self.stats.snapshots += 1;
-        self.stats.snapshot_bytes += bytes;
+        self.snapshot_bytes += bytes;
     }
-}
-
-/// The snapshot/restore contract for crash-recoverable actors.
-///
-/// `Client` and `Provider` keep their transaction records behind `Arc`s
-/// and their stored objects as `Bytes` handles, so a snapshot shares them
-/// with the live actor by pointer; `Arc::make_mut` copies a record only on
-/// its first change after the snapshot that shares it.
-///
-/// `restore` replaces the actor's *protocol* state (session table, archived
-/// evidence, validator sequence state) with the snapshot's, then applies a
-/// per-epoch sequence skip ([`SEQ_RECOVERY_SKIP`]) so counters allocated in
-/// the lost dirty window are never reused. Monotone telemetry (retry stats,
-/// TTP load stats) and the RNG are deliberately *not* restored: rolling an
-/// RNG back would replay nonces, which is exactly the freshness violation
-/// the protocol defends against.
-pub trait Durable {
-    /// The persisted form; sized via `bytes()` on the concrete types.
-    type Snapshot: Clone;
-    /// Capture the durable protocol state.
-    fn snapshot(&self) -> Self::Snapshot;
-    /// Replace protocol state from `snap`, advancing sequence counters past
-    /// the crash epoch.
-    fn restore(&mut self, snap: &Self::Snapshot);
 }
 
 /// Rough serialized weight of one piece of evidence, from the lengths of
@@ -652,8 +634,6 @@ mod tests {
         let ev = ctl.poll(until);
         assert_eq!(ev.restarted, vec![BOB]);
         assert!(!ctl.is_down(BOB));
-        assert_eq!(ctl.stats.crashes, 1);
-        assert_eq!(ctl.stats.restarts, 1);
         assert_eq!(ctl.next_wakeup(), None);
     }
 

@@ -72,10 +72,10 @@ pub use arbiter::{Arbitrator, DisputeCase, Verdict};
 pub use client::{Client, TimeoutStrategy};
 pub use config::{Ablation, ProtocolConfig};
 pub use evidence::{EvidencePlaintext, Flag, SealedEvidence, VerifiedEvidence};
-pub use fault::{CrashPoint, Durable, FaultPlan, FaultStats, RetryPolicy};
+pub use fault::{CrashPoint, FaultPlan, FaultStats, RetryPolicy};
 pub use message::Message;
 pub use multi::{GenericMultiWorld, MultiWorld, TxnHandle};
-pub use obs::{ActorStats, Event, EventKind, Metrics, Obs, TxnObs};
+pub use obs::{Event, EventKind, Metrics, Obs, TxnObs};
 pub use principal::{Directory, Principal, PrincipalId};
 pub use provider::Provider;
 pub use runner::{GenericWorld, TxnReport, TxnRequest, TxnResult, World};
@@ -90,7 +90,7 @@ pub use ttp::Ttp;
 pub mod prelude {
     pub use crate::client::{Client, TimeoutStrategy};
     pub use crate::config::{Ablation, Commitment, ProtocolConfig, ProtocolConfigBuilder};
-    pub use crate::fault::{CrashPoint, Durable, FaultPlan, FaultStats, RetryPolicy, RetryStats};
+    pub use crate::fault::{CrashPoint, FaultPlan, FaultStats, RetryPolicy, RetryStats};
     pub use crate::multi::{GenericMultiWorld, MultiWorld, TxnHandle};
     pub use crate::provider::Provider;
     pub use crate::runner::{GenericWorld, TxnReport, TxnRequest, TxnResult, World};

@@ -133,9 +133,9 @@ impl<T: Transport> GenericMultiWorld<T> {
 
     /// Final state of a client's transaction (live or archived).
     pub fn state(&self, client: usize, txn: u64) -> Option<TxnState> {
-        self.clients[client]
-            .txn_state(txn)
-            .or_else(|| self.archive.get(txn).filter(|r| r.client == client).map(|r| r.state))
+        self.clients[client].txn_state(txn).or_else(|| {
+            self.archive.get(txn).filter(|r| r.client == client).map(|r| r.report.state)
+        })
     }
 
     /// Final state of a handled transaction (live or archived).
@@ -172,7 +172,7 @@ impl<T: Transport> GenericMultiWorld<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Durable, FaultCtl};
+    use crate::fault::FaultCtl;
     use crate::message::MsgKind;
     use crate::obs::EventKind;
     use crate::runner::Snapshots as MultiSnapshots;
@@ -364,8 +364,10 @@ mod tests {
         for h in txns {
             assert_eq!(w.state_of(h), Some(TxnState::Completed), "client {}", h.client);
         }
-        // Exactly one client needed the TTP.
-        assert_eq!(w.ttp.stats.resolves_received, 1);
+        // Exactly one client needed the TTP: one Resolve reached it.
+        let ttp = w.ttp_node;
+        let resolves = w.obs.events().iter().filter(|e| e.actor == ttp);
+        assert_eq!(resolves.filter(|e| e.msg_kind() == Some(MsgKind::Resolve)).count(), 1);
     }
 
     #[test]
@@ -472,7 +474,8 @@ mod tests {
             w.obs.events().iter().find(|e| matches!(e.kind, EventKind::Rejected { .. })).unwrap();
         assert_eq!(rej.txn, Some(t0.txn_id));
         assert_eq!(rej.msg_kind(), Some(MsgKind::Transfer));
-        assert_eq!(w.provider.actor_stats.rejected, 1);
+        let at_bob = w.obs.events().iter().filter(|e| e.actor == bob);
+        assert_eq!(at_bob.filter(|e| matches!(e.kind, EventKind::Rejected { .. })).count(), 1);
     }
 
     #[test]
@@ -599,7 +602,7 @@ mod tests {
         let h1 = w.start_upload(1, b"k1", b"data".to_vec(), TimeoutStrategy::AbortFirst);
         // Recovery points carry the armed transactions.
         w.snaps = Some(Box::new(MultiSnapshots {
-            clients: w.clients.iter().map(Durable::snapshot).collect(),
+            clients: w.clients.iter().map(Client::snapshot).collect(),
             provider: w.provider.snapshot(),
             ttp: w.ttp.snapshot(),
         }));

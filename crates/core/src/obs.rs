@@ -28,10 +28,12 @@
 //! Events name actors by [`NodeId`], never by a copied display name; the
 //! bench crate renders events and metrics as JSONL
 //! (`tpnr-bench::report`), resolving each id through the transport's node
-//! table, and `experiments --trace-jsonl` exports a full run.
+//! table, and `experiments --trace-jsonl` exports a full run. The actors
+//! keep no tallies of their own: how many messages Bob refused, or how
+//! many failures the TTP declared, is a count of the events at its node.
 
 use crate::message::MsgKind;
-use crate::session::{Outgoing, TxnState, ValidationError};
+use crate::session::{TxnState, ValidationError};
 use std::collections::{BTreeMap, VecDeque};
 use tpnr_net::sim::NodeId;
 use tpnr_net::time::SimTime;
@@ -264,33 +266,46 @@ impl Histogram {
 }
 
 /// Global counters and distributions, updated on every [`Obs::record`].
+///
+/// Every counter but `retries` and `snapshot_bytes` counts the events of
+/// one [`EventKind`], and this sink is the only tally of what the actors
+/// did: an actor's share of a count is the number of those events whose
+/// [`Event::actor`] is its node, and each [`EventKind::TimerFired`] says
+/// how many messages its round sent. `retries` and `snapshot_bytes` are
+/// no events; the runner's settle copies them in from the clients' retry
+/// counters and from the fault injector.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
-    /// Protocol messages accepted by their receiver.
+    /// Protocol messages accepted by their receiver
+    /// ([`EventKind::Delivered`]).
     pub delivered: u64,
-    /// Protocol messages refused by validation.
+    /// Protocol messages refused by validation ([`EventKind::Rejected`]).
     pub rejected: u64,
-    /// Arriving payloads that did not decode.
+    /// Arriving payloads that did not decode ([`EventKind::Garbled`]).
     pub garbled: u64,
-    /// Copies the network lost.
+    /// Copies the network lost ([`EventKind::Dropped`]).
     pub dropped: u64,
-    /// Extra copies the link created.
+    /// Extra copies the link created ([`EventKind::Duplicated`]).
     pub duplicated: u64,
-    /// Timer rounds that fired on some actor.
+    /// Timer rounds that fired on some actor ([`EventKind::TimerFired`]).
     pub timer_fires: u64,
-    /// Client-visible transaction state changes.
+    /// Client-visible transaction state changes
+    /// ([`EventKind::StateTransition`]).
     pub state_transitions: u64,
     /// Rejections by [`ValidationError::variant`] label.
     pub rejected_by: BTreeMap<&'static str, u64>,
-    /// Actor crashes injected by the fault plan.
+    /// Actor crashes injected by the fault plan ([`EventKind::Crashed`]);
+    /// the one count of them, which
+    /// [`FaultStats::crashes`](crate::fault::FaultStats::crashes) reads.
     pub crashes: u64,
-    /// Restarts from durable snapshots.
+    /// Restarts from durable snapshots ([`EventKind::Restarted`]), read
+    /// the same way.
     pub restarts: u64,
-    /// Client resends driven by the retry policy (synced from the clients'
-    /// retry counters by the runners' settle wrappers).
+    /// Client resends driven by the retry policy (copied from the clients'
+    /// retry counters by the runner's settle).
     pub retries: u64,
-    /// Persisted snapshot sizes summed over durable syncs (synced from the
-    /// fault controller by the runners' settle wrappers); see
+    /// Persisted snapshot sizes summed over durable syncs (copied from the
+    /// fault injector by the runner's settle); see
     /// [`FaultStats::snapshot_bytes`](crate::fault::FaultStats::snapshot_bytes).
     pub snapshot_bytes: u64,
     /// Per-transaction settlement latency in microseconds (recorded when a
@@ -323,42 +338,6 @@ impl TxnObs {
     /// `TxnNetStats::delivered` for tagged traffic).
     pub fn inbox_total(&self) -> u64 {
         self.accepted + self.rejected + self.garbled
-    }
-}
-
-/// Per-actor message/tick counters. Each actor carries its own, so tests
-/// and experiments can read "how did Bob fare" without scanning the event
-/// stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActorStats {
-    /// Messages this actor accepted.
-    pub accepted: u64,
-    /// Messages this actor refused.
-    pub rejected: u64,
-    /// Messages this actor produced (replies and timer output).
-    pub produced: u64,
-    /// Ticks that produced at least one message.
-    pub productive_ticks: u64,
-}
-
-impl ActorStats {
-    /// Accounts one handled message.
-    pub fn note_message(&mut self, result: &Result<Vec<Outgoing>, ValidationError>) {
-        match result {
-            Ok(out) => {
-                self.accepted += 1;
-                self.produced += out.len() as u64;
-            }
-            Err(_) => self.rejected += 1,
-        }
-    }
-
-    /// Accounts one timer tick.
-    pub fn note_tick(&mut self, out: &[Outgoing]) {
-        if !out.is_empty() {
-            self.productive_ticks += 1;
-            self.produced += out.len() as u64;
-        }
     }
 }
 
@@ -733,15 +712,6 @@ mod tests {
         assert_eq!(a, whole, "merge equals recording everything in one histogram");
         a.merge(&Histogram::default());
         assert_eq!(a, whole, "merging an empty histogram is the identity");
-    }
-
-    #[test]
-    fn actor_stats_track_messages_and_ticks() {
-        let mut s = ActorStats::default();
-        s.note_message(&Ok(Vec::new()));
-        s.note_message(&Err(ValidationError::HashMismatch));
-        s.note_tick(&[]);
-        assert_eq!(s, ActorStats { accepted: 1, rejected: 1, ..Default::default() });
     }
 
     #[test]

@@ -77,9 +77,6 @@ pub struct Provider {
     txns: BTreeMap<u64, ProviderTxn>,
     /// Misbehaviour switches.
     pub behavior: ProviderBehavior,
-    /// Message/tick counters, maintained by the scheduler-facing
-    /// [`Actor`](crate::sched::Actor) impl.
-    pub actor_stats: crate::obs::ActorStats,
 }
 
 impl Provider {
@@ -90,7 +87,6 @@ impl Provider {
             storage: BTreeMap::new(),
             txns: BTreeMap::new(),
             behavior: ProviderBehavior::default(),
-            actor_stats: crate::obs::ActorStats::default(),
         }
     }
 
@@ -349,10 +345,10 @@ impl ProviderSnapshot {
     }
 }
 
-impl crate::fault::Durable for Provider {
-    type Snapshot = ProviderSnapshot;
-
-    fn snapshot(&self) -> ProviderSnapshot {
+impl Provider {
+    /// Captures the durable protocol state (the contract is in
+    /// [`crate::fault`]).
+    pub(crate) fn snapshot(&self) -> ProviderSnapshot {
         let mut bytes = self.party.validator.state_bytes() + 8;
         for (key, data) in &self.storage {
             bytes += (key.len() + data.as_ref().len()) as u64;
@@ -372,7 +368,9 @@ impl crate::fault::Durable for Provider {
         }
     }
 
-    fn restore(&mut self, snap: &ProviderSnapshot) {
+    /// Replaces the protocol state with `snap`'s, advancing sequence
+    /// counters past the crash epoch.
+    pub(crate) fn restore(&mut self, snap: &ProviderSnapshot) {
         self.party.restore(&snap.validator);
         self.storage = snap.storage.clone();
         self.txns = snap.txns.clone();
@@ -391,9 +389,7 @@ impl crate::sched::Actor for Provider {
         msg: &Message,
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
-        let result = self.handle(from, msg, now);
-        self.actor_stats.note_message(&result);
-        result
+        self.handle(from, msg, now)
     }
 }
 
@@ -403,7 +399,6 @@ mod tests {
     use crate::client::TimeoutStrategy;
     use crate::config::ProtocolConfig;
     use crate::evidence::EvidenceError;
-    use crate::fault::Durable as _;
     use crate::multi::MultiWorld;
     use crate::runner::World;
     use tpnr_net::transport::Transport as _;

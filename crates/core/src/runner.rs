@@ -18,11 +18,11 @@
 //! `GenericWorld<SimNet>`), the in-process channel, and loopback TCP
 //! (experiment E14) with zero per-backend branches.
 
-use crate::archive::{ArchiveStats, ArchivedTxn, EvidenceBundle, TxnArchive};
+use crate::archive::{ArchiveStats, EvidenceBundle, TxnArchive};
 use crate::client::{Client, ClientSnapshot, TimeoutStrategy};
 use crate::config::ProtocolConfig;
 use crate::evidence::VerifiedEvidence;
-use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultStats, SyncDecision};
+use crate::fault::{DeliveryVerdict, FaultCtl, FaultStats, SyncDecision};
 use crate::message::{Message, MsgKind};
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
@@ -432,7 +432,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         // first sync restores to the freshly-built actor, not to garbage.
         let snaps = faults.active().then(|| {
             Box::new(Snapshots {
-                clients: seats.clients().iter().map(Durable::snapshot).collect(),
+                clients: seats.clients().iter().map(Client::snapshot).collect(),
                 provider: provider.snapshot(),
                 ttp: ttp.snapshot(),
             })
@@ -486,20 +486,27 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         self.resync_deadlines();
         let max_steps = self.max_steps;
         let report = sched::settle(self, max_steps);
-        // Mirror the cumulative fault counters into the metrics registry so
-        // JSONL/bench output carries them without re-deriving.
+        // Copy the two counts no event carries into the metrics registry,
+        // so JSONL/bench output has them without re-deriving; crashes and
+        // restarts are counted there already, from their events.
         let f = report.faults;
-        self.obs.metrics.crashes = f.crashes;
-        self.obs.metrics.restarts = f.restarts;
         self.obs.metrics.retries = f.retries;
         self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
         report
     }
 
-    /// Cumulative fault counters: the injector's own plus every client's
-    /// retry machinery (which lives outside snapshots so it never resets).
+    /// Cumulative fault counters, each read from its owner: crashes and
+    /// restarts from their obs events, retries and give-ups from every
+    /// client's retry machinery (which lives outside snapshots so it never
+    /// resets), and snapshot bytes from the injector.
     pub fn fault_counters(&self) -> FaultStats {
-        let mut f = self.faults.stats;
+        let m = &self.obs.metrics;
+        let mut f = FaultStats {
+            crashes: m.crashes,
+            restarts: m.restarts,
+            snapshot_bytes: self.faults.snapshot_bytes,
+            ..FaultStats::default()
+        };
         for c in self.seats.clients() {
             f.retries += c.retry_stats.retries;
             f.gave_up += c.retry_stats.gave_up;
@@ -593,18 +600,10 @@ impl<T: Transport, S: Seats> Runner<T, S> {
         }
     }
 
-    /// An evicted transaction's report: the final accounting its archive
-    /// index record froze.
+    /// An evicted transaction's report: the one its archive index record
+    /// kept when it was evicted.
     pub(crate) fn archived_report(&self, txn_id: u64) -> Option<TxnReport> {
-        let rec = self.archive.get(txn_id)?;
-        Some(TxnReport {
-            txn_id,
-            state: rec.state,
-            messages: rec.messages,
-            bytes: rec.bytes,
-            latency: rec.latency,
-            ttp_used: rec.ttp_used,
-        })
+        self.archive.get(txn_id).map(|rec| rec.report.clone())
     }
 
     /// The typed result behind `report` for client `idx`: payload and
@@ -818,21 +817,24 @@ impl<T: Transport, S: Seats> Runner<T, S> {
     /// (client record, provider session record, TTP pending entry, all
     /// validator replay windows, obs tallies, tagged net counters,
     /// `txn_meta`) is dropped; the evidence is sealed into the archive's
-    /// shard log and a compact index record keeps `report`/`state`/`result`
-    /// answerable. Validators keep a tombstone, so late replays for the
-    /// txn are refused instead of being handed a fresh window.
+    /// shard log and the index record keeps the transaction's last live
+    /// [`TxnReport`], so `report`/`state`/`result` stay answerable.
+    /// Validators keep a tombstone, so late replays for the txn are refused
+    /// instead of being handed a fresh window.
     fn evict_txn(&mut self, txn: u64) {
         let Some(meta) = self.txn_meta.remove(&txn) else { return };
-        let client = &mut self.seats.clients_mut()[meta.client as usize];
-        let state = client.txn_state(txn).unwrap_or(TxnState::Failed);
+        let idx = meta.client as usize;
+        let state = self.seats.clients()[idx].txn_state(txn).unwrap_or(TxnState::Failed);
+        let report = self.live_report(txn, state, meta.started);
+        let client = &mut self.seats.clients_mut()[idx];
         let client_ev = client.txn(txn).map(|t| t.evidence());
         client.evict_txn(txn);
         let provider_ev = self.provider.txn(txn).map(|t| t.evidence());
         self.provider.evict_txn(txn);
         self.ttp.evict_txn(txn);
-        let net = self.net.retire_txn(txn);
+        self.net.retire_txn(txn);
         self.obs.retire_txn(txn);
-        let ttp_used = self.ttp_touched.remove(&txn);
+        self.ttp_touched.remove(&txn);
         let mut bundle = EvidenceBundle::new();
         if let Some(Ok((nro, nrr))) = client_ev {
             bundle.push("client-nro", nro);
@@ -848,16 +850,7 @@ impl<T: Transport, S: Seats> Runner<T, S> {
                 bundle.push("provider-nrr", nrr);
             }
         }
-        let rec = ArchivedTxn::record(
-            meta.client as usize,
-            meta.started,
-            state,
-            net.delivered,
-            net.bytes_sent,
-            net.last_delivered_at.since(meta.started),
-            ttp_used,
-        );
-        self.archive.archive(txn, &bundle, rec);
+        self.archive.archive(txn, &bundle, idx, report);
     }
 }
 
@@ -969,7 +962,6 @@ impl<T: Transport, S: Seats> Runner<T, S> {
             // copies for a down node at their delivery instant, but a crash
             // fired in this very settle round can race an already-polled
             // envelope. The sender's retry machinery is the recovery path.
-            self.faults.note_delivery_lost();
             return None;
         }
         // Events name both ends by node, so an arrival from or to a node no
@@ -1153,7 +1145,13 @@ mod tests {
         let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::ResolveImmediately);
         assert_eq!(r.outcome, TxnState::Failed);
         assert!(r.report.ttp_used);
-        assert_eq!(w.ttp.stats.failures_declared, 1);
+        // One failure declared: the TTP's timer rounds sent one message.
+        let ttp = w.ttp_node;
+        let sent = w.obs.events().iter().filter(|e| e.actor == ttp).map(|e| match e.kind {
+            EventKind::TimerFired { messages } => messages,
+            _ => 0,
+        });
+        assert_eq!(sent.sum::<usize>(), 1);
     }
 
     #[test]
@@ -1176,7 +1174,12 @@ mod tests {
         // (TTP relays Bob's re-issued NRR to Alice over ttp→alice link,
         // which is not the dropped one.)
         assert_eq!(w.client.txn_state(txn_id), Some(TxnState::Completed));
-        assert!(w.ttp.stats.replies_relayed >= 1);
+        let ttp = w.ttp_node;
+        let replies =
+            w.obs.events().iter().filter(|e| e.actor == ttp).filter(|e| {
+                matches!(e.kind, EventKind::Delivered { msg: MsgKind::ResolveReply, .. })
+            });
+        assert!(replies.count() >= 1, "the TTP accepted Bob's reply and relayed it");
         assert!(w.client.txn(txn_id).unwrap().nrr().unwrap().is_some());
     }
 

@@ -85,8 +85,9 @@ pub struct SettleReport {
     pub delivered: usize,
     /// Timer rounds fired.
     pub timer_rounds: usize,
-    /// Fault-injection counters (crashes, restarts, retries, snapshots) as
-    /// of the end of the run; all-zero for hubs without fault machinery.
+    /// Fault-injection counters (crashes, restarts, retries, give-ups,
+    /// snapshot bytes) as of the end of the run; all-zero for hubs without
+    /// fault machinery.
     pub faults: FaultStats,
 }
 
@@ -120,9 +121,9 @@ pub trait EventHub {
             obs.record(net_event(&e));
         }
     }
-    /// Cumulative fault-injection counters (crash/restart/retry/snapshot),
-    /// copied into `SettleReport::faults` when the run ends. Hubs without
-    /// fault machinery use the all-zero default.
+    /// Cumulative fault-injection counters (crash/restart/retry/give-up/
+    /// snapshot bytes), copied into `SettleReport::faults` when the run
+    /// ends. Hubs without fault machinery use the all-zero default.
     fn fault_stats(&self) -> FaultStats {
         FaultStats::default()
     }

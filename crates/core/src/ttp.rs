@@ -38,21 +38,6 @@ struct PendingResolve {
     forward: EvidencePlaintext,
 }
 
-/// Statistics for the TTP-load experiment (E6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TtpStats {
-    /// Resolve requests received.
-    pub resolves_received: u64,
-    /// Resolve requests rejected as inconsistent/forged.
-    pub resolves_rejected: u64,
-    /// Queries forwarded to respondents.
-    pub forwards_sent: u64,
-    /// Replies relayed back to initiators.
-    pub replies_relayed: u64,
-    /// Sessions declared failed after respondent timeout.
-    pub failures_declared: u64,
-}
-
 /// The TTP actor.
 pub struct Ttp {
     /// Identity, config, keys, RNG, validator and restart epoch; the
@@ -62,22 +47,12 @@ pub struct Ttp {
     /// declares failures in this order, so the replies, their nonces and
     /// the event stream are reproducible.
     pending: BTreeMap<u64, PendingResolve>,
-    /// Counters for experiments.
-    pub stats: TtpStats,
-    /// Message/tick counters, maintained by the scheduler-facing
-    /// [`Actor`](crate::sched::Actor) impl.
-    pub actor_stats: crate::obs::ActorStats,
 }
 
 impl Ttp {
     /// Creates a TTP actor over a party whose TTP is itself.
     pub fn new(party: Party) -> Self {
-        Ttp {
-            party,
-            pending: BTreeMap::new(),
-            stats: TtpStats::default(),
-            actor_stats: crate::obs::ActorStats::default(),
-        }
+        Ttp { party, pending: BTreeMap::new() }
     }
 
     /// This TTP's principal id.
@@ -137,28 +112,22 @@ impl Ttp {
         _report: &str,
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
-        self.stats.resolves_received += 1;
         if pt.flag != Flag::ResolveRequest {
-            self.stats.resolves_rejected += 1;
             return Err(ValidationError::UnexpectedFlag(pt.flag));
         }
         let p = &mut self.party;
         if p.cfg.ablation != Ablation::NoIdentityBinding
             && (pt.sender != from || pt.recipient != p.id())
         {
-            self.stats.resolves_rejected += 1;
             return Err(ValidationError::IdentityMismatch);
         }
-        p.validator.verdict(&p.cfg, pt, None, now).inspect_err(|_e| {
-            self.stats.resolves_rejected += 1;
-        })?;
+        p.validator.verdict(&p.cfg, pt, None, now)?;
 
         // Consistency: the Resolve's own hash is unsigned, so it must name
         // what the NRO signed, or the forward and every reply would name a
         // hash neither party signed.
         let signed = &nro.plaintext;
         if pt.hash_alg != signed.hash_alg || !ct::eq(&pt.data_hash, &signed.data_hash) {
-            self.stats.resolves_rejected += 1;
             return Err(ValidationError::HashMismatch);
         }
         // Genuineness: the attached NRO must be validly signed by the
@@ -168,7 +137,6 @@ impl Ttp {
             && nro.plaintext.ttp == p.id()
             && p.key(nro.plaintext.sender).is_ok_and(|pk| nro.reverify(&p.cfg, &pk).is_ok());
         if !genuine {
-            self.stats.resolves_rejected += 1;
             return Err(ValidationError::Evidence(crate::evidence::EvidenceError::BadSignature));
         }
         p.validator.accept(&p.cfg, pt);
@@ -182,7 +150,6 @@ impl Ttp {
         let deadline = now.after(p.cfg.response_timeout);
         let pending = PendingResolve { initiator: pt.sender, deadline, forward: forward.clone() };
         self.pending.insert(pt.txn_id, pending);
-        self.stats.forwards_sent += 1;
         Ok(vec![Outgoing {
             to: respondent,
             msg: Message::ResolveForward { plaintext: forward, ttp_timestamp: now },
@@ -206,7 +173,6 @@ impl Ttp {
             self.pending.insert(pt.txn_id, pending);
             return Err(ValidationError::IdentityMismatch);
         }
-        self.stats.replies_relayed += 1;
         // A Continue reply is relayed verbatim: its plaintext is the
         // respondent's re-issued receipt and the evidence inside is sealed
         // for the initiator, not for us — the TTP never learns the data or
@@ -233,7 +199,6 @@ impl Ttp {
         let mut out = Vec::new();
         for txn_id in expired {
             let Some(p) = self.pending.remove(&txn_id) else { continue };
-            self.stats.failures_declared += 1;
             let to = p.initiator;
             let plaintext =
                 self.party.stamp(&p.forward, Flag::ResolveResponse, to, AUTHORITY_SEQ, now);
@@ -246,7 +211,7 @@ impl Ttp {
 }
 
 /// Durable image of a [`Ttp`]: the pending-resolve table and validator
-/// sequence state. Load statistics stay live (monotone telemetry).
+/// sequence state.
 #[derive(Debug, Clone)]
 pub struct TtpSnapshot {
     pending: BTreeMap<u64, PendingResolve>,
@@ -261,10 +226,10 @@ impl TtpSnapshot {
     }
 }
 
-impl crate::fault::Durable for Ttp {
-    type Snapshot = TtpSnapshot;
-
-    fn snapshot(&self) -> TtpSnapshot {
+impl Ttp {
+    /// Captures the durable protocol state (the contract is in
+    /// [`crate::fault`]).
+    pub(crate) fn snapshot(&self) -> TtpSnapshot {
         let validator = self.party.validator.snapshot();
         let mut bytes = self.party.validator.state_bytes() + 8;
         for p in self.pending.values() {
@@ -273,7 +238,9 @@ impl crate::fault::Durable for Ttp {
         TtpSnapshot { pending: self.pending.clone(), validator, bytes }
     }
 
-    fn restore(&mut self, snap: &TtpSnapshot) {
+    /// Replaces the protocol state with `snap`'s, advancing sequence
+    /// counters past the crash epoch.
+    pub(crate) fn restore(&mut self, snap: &TtpSnapshot) {
         self.party.restore(&snap.validator);
         self.pending = snap.pending.clone();
     }
@@ -286,9 +253,7 @@ impl crate::sched::Actor for Ttp {
         msg: &Message,
         now: SimTime,
     ) -> Result<Vec<Outgoing>, ValidationError> {
-        let result = self.handle(from, msg, now);
-        self.actor_stats.note_message(&result);
-        result
+        self.handle(from, msg, now)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -296,8 +261,6 @@ impl crate::sched::Actor for Ttp {
     }
 
     fn on_tick(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let out = self.poll_timeouts(now);
-        self.actor_stats.note_tick(&out);
-        out
+        self.poll_timeouts(now)
     }
 }

@@ -12,9 +12,10 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use tpnr_core::fault::{CrashPoint, FaultPlan};
+use tpnr_core::obs::{Event, EventKind};
 use tpnr_core::prelude::*;
 use tpnr_core::principal::Principal;
-use tpnr_net::sim::{Action, LinkConfig, SimNet};
+use tpnr_net::sim::{Action, LinkConfig, NodeId, SimNet};
 use tpnr_net::tcp::ChannelNet;
 use tpnr_net::time::SimDuration;
 use tpnr_net::Bytes;
@@ -25,6 +26,11 @@ use tpnr_net::Bytes;
 fn assert_conserved<T: Transport>(w: &GenericWorld<T>) {
     let s = w.net().stats();
     assert_eq!(s.delivered + s.dropped, s.sent + s.duplicated, "conservation violated: {s:?}");
+}
+
+/// The events the obs sink recorded at `node`.
+fn events_at<T: Transport>(w: &GenericWorld<T>, node: NodeId) -> impl Iterator<Item = &Event> {
+    w.obs.events().iter().filter(move |e| e.actor == node)
 }
 
 fn normal_upload_two_messages<T: Transport>(net: T) {
@@ -69,7 +75,11 @@ fn timeliness_timer_drives_resolve<T: Transport>(net: T) {
     assert_eq!(r.outcome, TxnState::Failed);
     assert!(r.report.ttp_used, "resolve escalated to the TTP");
     assert!(r.arbitrable(), "failure is declared, never limbo");
-    assert_eq!(w.ttp.stats.failures_declared, 1);
+    let declared = events_at(&w, w.ttp_node).map(|e| match e.kind {
+        EventKind::TimerFired { messages } => messages,
+        _ => 0,
+    });
+    assert_eq!(declared.sum::<usize>(), 1, "the TTP's timer declared one failure");
     assert_conserved(&w);
 }
 
@@ -140,7 +150,9 @@ fn tampered_transfer_is_refused_and_settles<T: Transport>(net: T) {
     let r = w.upload(b"k", b"true data".to_vec(), TimeoutStrategy::AbortFirst);
     assert!(!r.completed(), "a tampered transfer must not complete the upload");
     assert!(r.arbitrable(), "the session ends terminal with Alice's NRO: {:?}", r.outcome);
-    assert_eq!(w.provider.actor_stats.rejected, 1, "Bob refused the tampered transfer");
+    let refused =
+        events_at(&w, w.bob_node).filter(|e| matches!(e.kind, EventKind::Rejected { .. }));
+    assert_eq!(refused.count(), 1, "Bob refused the tampered transfer");
     assert_eq!(w.obs.metrics.rejected_by.get("evidence"), Some(&1), "and it is on the record");
     assert_conserved(&w);
 }

@@ -8,12 +8,13 @@
 use tpnr_core::client::TimeoutStrategy;
 use tpnr_core::config::ProtocolConfig;
 use tpnr_core::evidence::{EvidencePlaintext, Flag, SealedEvidence};
-use tpnr_core::message::{AbortOutcome, Message};
+use tpnr_core::message::{AbortOutcome, Message, MsgKind};
+use tpnr_core::obs::EventKind;
 use tpnr_core::runner::World;
-use tpnr_core::sched::SettleOutcome;
+use tpnr_core::sched::{EventHub, SettleOutcome};
 use tpnr_core::session::{Outgoing, TxnState, ValidationError};
 use tpnr_net::codec::Wire;
-use tpnr_net::sim::Action;
+use tpnr_net::sim::{Action, Envelope};
 use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
 
@@ -83,7 +84,9 @@ fn upload_behind_a_forged_receipt(seq: u64) {
     let settled = (TxnState::Completed, Some(SettleOutcome::Quiescent));
     assert_eq!((r.outcome, r.settle), settled, "seq {seq}");
     assert_eq!(w.net().stats().injected, 1, "seq {seq}");
-    assert_eq!(w.client.actor_stats.rejected, 1, "seq {seq}: only the forgery is refused");
+    let refused = w.obs.events().iter().filter(|e| e.actor == alice);
+    let refused = refused.filter(|e| matches!(e.kind, EventKind::Rejected { .. })).count();
+    assert_eq!(refused, 1, "seq {seq}: only the forgery is refused");
     assert_eq!(r.nrr.expect("Bob's receipt is kept").plaintext.seq, 1, "seq {seq}");
 }
 
@@ -150,8 +153,17 @@ fn a_forged_resolve_or_continue_reply_leaves_the_genuine_one_accepted() {
     let resolve = w.client.poll_timeouts(later);
     let resolve = &resolve[0].msg;
 
-    refused_as_unverifiable(w.ttp.handle(alice, &forge(resolve), later));
-    assert_eq!(w.ttp.stats.forwards_sent, 0);
+    // The forgery reaches the TTP through the runner at `later`, so the
+    // obs sink records what became of it: one refusal, and no accepted
+    // Resolve, which is all a forward follows.
+    w.net_mut().advance(later.since(now));
+    let (src, dst, payload) = (w.alice_node, w.ttp_node, forge(resolve).to_wire_bytes());
+    w.deliver(Envelope { src, dst, payload, delivered_at: later, txn: Some(txn) });
+    let at_ttp: Vec<_> =
+        w.obs.events().iter().filter(|e| e.actor == dst).map(|e| &e.kind).collect();
+    let refused = matches!(at_ttp[..], [EventKind::Rejected { msg: MsgKind::Resolve, error, .. }]
+        if matches!(**error, ValidationError::Evidence(_)));
+    assert!(refused, "{at_ttp:?}");
     let forward = w.ttp.handle(alice, resolve, later).expect("the genuine Resolve");
     let reply = w.provider.handle(ttp, &forward[0].msg, later).expect("Bob re-issues his NRR");
     let relayed = w.ttp.handle(bob, &reply[0].msg, later).expect("the TTP relays it");

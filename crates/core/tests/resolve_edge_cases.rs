@@ -10,13 +10,53 @@ use tpnr_core::client::TimeoutStrategy;
 use tpnr_core::config::ProtocolConfig;
 use tpnr_core::evidence::{EvidencePlaintext, Flag, SealedEvidence};
 use tpnr_core::message::{Message, MsgKind};
+use tpnr_core::obs::EventKind;
 use tpnr_core::runner::World;
+use tpnr_core::sched::EventHub;
 use tpnr_core::session::{TxnState, ValidationError};
 use tpnr_crypto::hash::HashAlg;
 use tpnr_net::codec::Wire;
-use tpnr_net::sim::{Action, LinkConfig};
+use tpnr_net::sim::{Action, Envelope, LinkConfig, NodeId};
 use tpnr_net::time::SimDuration;
 use tpnr_net::transport::Transport;
+
+/// Hands `msg` from `src` to `dst` through the runner at the world's
+/// current time, so the obs sink records what the recipient made of it.
+fn deliver(w: &mut World, src: NodeId, dst: NodeId, msg: &Message) {
+    let (payload, delivered_at) = (msg.to_wire_bytes(), w.net().now());
+    w.deliver(Envelope { src, dst, payload, delivered_at, txn: None });
+}
+
+/// Each message the TTP refused and why, in order, per the obs sink.
+fn ttp_refusals(w: &World) -> Vec<(MsgKind, ValidationError)> {
+    let at_ttp = w.obs.events().iter().filter(|e| e.actor == w.ttp_node);
+    at_ttp
+        .filter_map(|e| match &e.kind {
+            EventKind::Rejected { msg, error, .. } => Some((*msg, (**error).clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// How many `kind` messages the TTP accepted, per the obs sink: it sends
+/// a forward only for a Resolve it accepted, and relays only a reply it
+/// accepted.
+fn ttp_accepted(w: &World, kind: MsgKind) -> usize {
+    let at_ttp = w.obs.events().iter().filter(|e| e.actor == w.ttp_node);
+    at_ttp.filter(|e| matches!(e.kind, EventKind::Delivered { msg, .. } if msg == kind)).count()
+}
+
+/// Failures the TTP declared, per the obs sink: the messages its timer
+/// rounds sent.
+fn ttp_failures_declared(w: &World) -> usize {
+    let at_ttp = w.obs.events().iter().filter(|e| e.actor == w.ttp_node);
+    at_ttp
+        .map(|e| match e.kind {
+            EventKind::TimerFired { messages } => messages,
+            _ => 0,
+        })
+        .sum()
+}
 
 #[test]
 fn abort_after_completion_is_rejected() {
@@ -167,12 +207,14 @@ fn forged_resolve_rejected_by_ttp() {
         data_hash: nro.plaintext.data_hash.clone(),
     };
     let msg = Message::Resolve { plaintext: pt, nro, report: "forged".into() };
-    let alice_id = w.client.id();
-    let now = w.net().now();
-    let result = w.ttp.handle(alice_id, &msg, now);
-    assert!(result.is_err(), "TTP must reject the doctored NRO");
-    assert_eq!(w.ttp.stats.resolves_rejected, 1);
-    assert_eq!(w.ttp.stats.forwards_sent, 0, "Bob is never bothered");
+    let (alice, ttp) = (w.alice_node, w.ttp_node);
+    deliver(&mut w, alice, ttp, &msg);
+    let refusals = ttp_refusals(&w);
+    assert!(
+        matches!(refusals[..], [(MsgKind::Resolve, ValidationError::Evidence(_))]),
+        "TTP must reject the doctored NRO: {refusals:?}"
+    );
+    assert_eq!(ttp_accepted(&w, MsgKind::Resolve), 0, "Bob is never bothered");
 }
 
 #[test]
@@ -279,7 +321,7 @@ fn resolve_naming_a_hash_its_nro_did_not_sign_is_refused() {
     assert_eq!(r.outcome, TxnState::Completed);
     let signed = nro_hash(&w, r.txn_id);
     assert_eq!(signed.0, HashAlg::Sha256);
-    let (alice_id, now) = (w.client.id(), w.net().now());
+    let (alice, ttp, alice_id, now) = (w.alice_node, w.ttp_node, w.client.id(), w.net().now());
     // Another hash, the signed hash under another algorithm, and another
     // hash under the signed algorithm.
     let unsigned = [
@@ -289,10 +331,11 @@ fn resolve_naming_a_hash_its_nro_did_not_sign_is_refused() {
     ];
     for (seq, hash) in (10..).zip(unsigned) {
         let msg = resolve_naming(&w, r.txn_id, seq, b"k", hash);
-        assert_eq!(w.ttp.handle(alice_id, &msg, now).unwrap_err(), ValidationError::HashMismatch);
+        deliver(&mut w, alice, ttp, &msg);
     }
-    assert_eq!(w.ttp.stats.resolves_rejected, 3);
-    assert_eq!(w.ttp.stats.forwards_sent, 0, "Bob is never asked about a hash nobody signed");
+    assert_eq!(ttp_refusals(&w), vec![(MsgKind::Resolve, ValidationError::HashMismatch); 3]);
+    let accepted = ttp_accepted(&w, MsgKind::Resolve);
+    assert_eq!(accepted, 0, "Bob is never asked about a hash nobody signed");
     assert_eq!(w.ttp.pending_count(), 0);
 
     // Naming the signed hash, even beside another object, is accepted, and
@@ -317,23 +360,30 @@ fn failed_reply_to_a_silent_respondent_names_the_nros_object_and_hash() {
     let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Completed);
     let signed = nro_hash(&w, r.txn_id);
-    let (alice_id, now) = (w.client.id(), w.net().now());
+    let (alice, ttp, alice_id, now) = (w.alice_node, w.ttp_node, w.client.id(), w.net().now());
     let deadline = now.after(ProtocolConfig::full().response_timeout);
+    // Both Resolves reach the TTP through the runner, and its timers fire
+    // through the runner's timer round, so the obs sink sees it all.
     // A refused Resolve leaves nothing pending, so no failure is declared.
     let msg = resolve_naming(&w, r.txn_id, 10, b"k", (HashAlg::Md5, vec![7; 16]));
-    assert_eq!(w.ttp.handle(alice_id, &msg, now).unwrap_err(), ValidationError::HashMismatch);
-    assert!(w.ttp.poll_timeouts(deadline).is_empty());
-    assert_eq!(w.ttp.stats.failures_declared, 0);
+    deliver(&mut w, alice, ttp, &msg);
+    assert_eq!(ttp_refusals(&w), [(MsgKind::Resolve, ValidationError::HashMismatch)]);
+    w.fire_timers(deadline);
+    assert_eq!(ttp_failures_declared(&w), 0);
 
     let msg = resolve_naming(&w, r.txn_id, 11, b"another object", signed.clone());
-    w.ttp.handle(alice_id, &msg, now).expect("a consistent resolve is accepted");
+    deliver(&mut w, alice, ttp, &msg);
+    assert_eq!(ttp_accepted(&w, MsgKind::Resolve), 1, "a consistent resolve is accepted");
     // The forward is never delivered: Bob stays silent past the deadline.
-    assert!(w.ttp.poll_timeouts(now).is_empty(), "not yet due");
-    let out = w.ttp.poll_timeouts(deadline);
+    w.fire_timers(now);
+    assert_eq!(ttp_failures_declared(&w), 0, "not yet due");
+    w.fire_timers(deadline);
+    assert_eq!(ttp_failures_declared(&w), 1);
+    // On the wire now: the undelivered forward to Bob, and the reply.
+    let out: Vec<_> =
+        w.net_mut().run_until_quiet().into_iter().filter(|e| e.dst == alice).collect();
     assert_eq!(out.len(), 1);
-    assert_eq!(out[0].to, alice_id);
-    assert_eq!(w.ttp.stats.failures_declared, 1);
-    match &out[0].msg {
+    match &Message::from_wire_bytes(&out[0].payload).expect("a protocol message") {
         Message::ResolveReply { action, plaintext, evidence } => {
             assert_eq!(*action, tpnr_core::message::ResolveAction::Failed);
             assert!(evidence.is_none());
@@ -372,11 +422,12 @@ fn ttp_ignores_unsolicited_resolve_replies() {
         plaintext: pt,
         evidence: None,
     };
-    let bob_id = w.provider.id();
-    let now = w.net().now();
+    let (bob, ttp) = (w.bob_node, w.ttp_node);
     // No pending resolve exists: the reply is refused, nothing is relayed.
-    assert!(w.ttp.handle(bob_id, &msg, now).is_err());
-    assert_eq!(w.ttp.stats.replies_relayed, 0);
+    deliver(&mut w, bob, ttp, &msg);
+    let refusals = ttp_refusals(&w);
+    assert!(matches!(refusals[..], [(MsgKind::ResolveReply, _)]), "{refusals:?}");
+    assert_eq!(ttp_accepted(&w, MsgKind::ResolveReply), 0);
 }
 
 #[test]

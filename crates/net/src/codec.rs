@@ -108,11 +108,6 @@ impl Writer {
         self
     }
 
-    /// Finishes and returns the encoded buffer.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
     /// Finishes into a plain `Vec<u8>`.
     pub fn finish_vec(self) -> Vec<u8> {
         self.buf
@@ -236,13 +231,6 @@ impl<'a> Reader<'a> {
         self.take(n).map(drop)
     }
 
-    /// Skips a `u32`-length-prefixed byte field and returns its length.
-    pub fn skip_bytes(&mut self) -> Result<usize, CodecError> {
-        let len = self.u32()? as usize;
-        self.skip(len)?;
-        Ok(len)
-    }
-
     /// Reads a length-prefixed UTF-8 string (invalid UTF-8 is rejected).
     pub fn str(&mut self) -> Result<String, CodecError> {
         String::from_utf8(self.bytes()?).map_err(|_| CodecError::BadDiscriminant("utf-8 string", 0))
@@ -276,7 +264,7 @@ pub fn write_frame(w: &mut impl std::io::Write, value: &impl Wire) -> std::io::R
     let mut out = Writer::with_capacity(4 + value.encoded_len());
     out.u32(0);
     value.encode(&mut out);
-    let mut frame = out.finish();
+    let mut frame = out.finish_vec();
     let len = frame.len() - 4;
     assert!(len <= MAX_FIELD_LEN, "frame too large to encode");
     frame[..4].copy_from_slice(&(len as u32).to_be_bytes());

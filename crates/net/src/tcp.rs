@@ -41,7 +41,9 @@ use std::time::Instant;
 /// The frame form of a copy on a real wire: routing metadata plus the
 /// opaque payload, in the canonical codec. The transaction tag rides
 /// along so per-txn accounting works on the receiving side exactly like
-/// the simulator's. `delivered_at` is not on the wire: the receiving side
+/// the simulator's: a flag, then the id, all zeros when untagged. A frame
+/// whose untagged id is not zero is refused, so each envelope has exactly
+/// one frame. `delivered_at` is not on the wire: the receiving side
 /// stamps it.
 impl Wire for Envelope {
     fn encode(&self, w: &mut Writer) {
@@ -60,9 +62,11 @@ impl Wire for Envelope {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let src = NodeId(r.u32()?);
         let dst = NodeId(r.u32()?);
-        let tagged = r.bool()?;
-        let raw = r.u64()?;
-        let txn = tagged.then_some(raw);
+        let txn = match (r.bool()?, r.u64()?) {
+            (true, t) => Some(t),
+            (false, 0) => None,
+            (false, t) => return Err(CodecError::BadDiscriminant("untagged txn id", t)),
+        };
         let payload = r.bytes_shared()?;
         Ok(Envelope { src, dst, payload, delivered_at: SimTime::ZERO, txn })
     }
@@ -414,9 +418,14 @@ mod tests {
         let enc2 = untagged.to_wire();
         assert_eq!(Envelope::from_wire(&enc2).unwrap().txn, None);
         // Canonicity: tagged and untagged encodings are distinct and
-        // re-encode byte-identically.
+        // re-encode byte-identically, and an untagged frame whose id field
+        // is not zero is refused rather than read as its zeroed twin.
         assert_ne!(enc, enc2);
         assert_eq!(Envelope::from_wire(&enc).unwrap().to_wire(), enc);
+        let mut stray = enc2.clone();
+        stray[9 + 7] = 1;
+        let refused = Envelope::from_wire(&stray).unwrap_err();
+        assert_eq!(refused, CodecError::BadDiscriminant("untagged txn id", 1));
     }
 
     #[test]

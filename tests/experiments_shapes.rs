@@ -12,6 +12,7 @@ mod tpnr_bench_shapes {
     pub use tpnr::core::bridge::{DisputeScenario, SchemeKind};
     pub use tpnr::core::client::TimeoutStrategy;
     pub use tpnr::core::config::{Ablation, ProtocolConfig};
+    pub use tpnr::core::message::MsgKind;
     pub use tpnr::core::runner::World;
     pub use tpnr::core::session::TxnState;
     pub use tpnr_attacks::{matrix, AttackKind};
@@ -75,7 +76,9 @@ fn e6_shape_ttp_offline_at_zero_faults() {
         assert_eq!(r.outcome, TxnState::Completed);
         assert!(!r.report.ttp_used, "healthy network must never touch the TTP");
     }
-    assert_eq!(w.ttp.stats.resolves_received, 0);
+    let ttp = w.ttp_node;
+    let resolves = w.obs.events().iter().filter(|e| e.msg_kind() == Some(MsgKind::Resolve));
+    assert_eq!(resolves.filter(|e| e.actor == ttp).count(), 0, "no Resolve reached the TTP");
 }
 
 #[test]
